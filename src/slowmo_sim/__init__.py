@@ -13,6 +13,7 @@ from .comm_protocols import (
     DelayModel,
     InFlightMessage,
     MessageQueues,
+    SlotMixing,
     WorkerState,
     double_average,
     exact_average,
@@ -28,7 +29,7 @@ from .config import (
     parse_config,
     resolved_dict,
 )
-from .errors import CheckFailure, ConfigError, NumericalAbort, ProtocolError
+from .errors import ConfigError, NumericalAbort, ProtocolError
 from .harness import emit_metrics, equivalence_check, run_experiment, run_sweep
 from .numerics import (
     LogisticProblem,
@@ -48,7 +49,7 @@ from .numerics import (
     worker_full_gradient,
     worker_stochastic_gradient,
 )
-from .simkernel import MetricsTrace, SimClock, Simulation, deliver_messages
+from .simkernel import MetricsTrace, SimClock, Simulation
 from .slowmo import GammaSchedule, SlowMoConfig, SlowMoState, slow_update
 from .theory_checker import (
     BoundInputs,

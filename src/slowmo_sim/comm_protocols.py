@@ -18,14 +18,18 @@ z = x / w is what gradients are evaluated at and what gets averaged. Mass
 conservation (sum of w plus in-flight payload weight equals m) is the
 protocol's core invariant and is surfaced as a metric every round.
 
+Gossip and push-sum rounds mix through a sparse ``SlotMixing`` form of the
+round's matrix, built and validated once per period entry: a round costs
+O(nnz * d), O(m * d) on one-peer graphs, and adds each row's terms in
+ascending sender rank, so trajectories match a dense double loop bit for bit.
+
 All cross-worker reductions accumulate in ascending worker rank so traces are
 bit-reproducible; delivered messages drain in (send round, sender rank) order.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,21 +70,17 @@ class InFlightMessage:
 
 
 class MessageQueues:
-    """Per-edge FIFO queues of in-flight messages."""
+    """In-flight messages, bucketed by the round they are due."""
 
     def __init__(self):
-        self._edges: dict[tuple[int, int], deque] = {}
+        self._due: dict[int, list[InFlightMessage]] = {}
 
     def send(self, msg: InFlightMessage) -> None:
-        self._edges.setdefault((msg.sender, msg.receiver), deque()).append(msg)
+        self._due.setdefault(msg.deliver_round, []).append(msg)
 
-    def _collect(self, ready) -> dict[int, list[InFlightMessage]]:
-        picked = []
-        for edge in sorted(self._edges):
-            q = self._edges[edge]
-            while q and ready(q[0]):
-                picked.append(q.popleft())
-        picked.sort(key=lambda m: (m.send_round, m.sender))
+    def _collect(self, rounds) -> dict[int, list[InFlightMessage]]:
+        picked = [msg for r in rounds for msg in self._due.pop(r)]
+        picked.sort(key=lambda msg: (msg.send_round, msg.sender))
         inboxes: dict[int, list[InFlightMessage]] = {}
         for msg in picked:
             inboxes.setdefault(msg.receiver, []).append(msg)
@@ -90,26 +90,28 @@ class MessageQueues:
         """Pop everything scheduled for delivery at or before this round.
 
         Per receiver, messages arrive in (send_round, sender rank) order;
-        per-edge FIFO order is preserved because delivery rounds are
-        monotone along each edge.
+        per-edge FIFO order is preserved because senders keep delivery
+        rounds monotone along each edge.
         """
-        return self._collect(lambda m: m.deliver_round <= round_index)
+        return self._collect([r for r in self._due if r <= round_index])
 
     def drain_all(self) -> dict[int, list[InFlightMessage]]:
         """Barrier: deliver every queued message regardless of schedule."""
-        return self._collect(lambda m: True)
+        return self._collect(list(self._due))
 
     def empty(self) -> bool:
-        return all(len(q) == 0 for q in self._edges.values())
+        return not self._due
 
     def pending_sums(self, dimension: int) -> tuple[np.ndarray, float]:
-        """(sum of payload_x, sum of payload_w) over all queued messages."""
+        """(sum of payload_x, sum of payload_w) over all queued messages,
+        added in (sender, receiver) order and FIFO order within an edge."""
+        msgs = [msg for bucket in self._due.values() for msg in bucket]
+        msgs.sort(key=lambda msg: (msg.sender, msg.receiver, msg.send_round))
         vec = np.zeros(dimension)
         mass = 0.0
-        for edge in sorted(self._edges):
-            for msg in self._edges[edge]:
-                vec += msg.payload_x
-                mass += msg.payload_w
+        for msg in msgs:
+            vec += msg.payload_x
+            mass += msg.payload_w
         return vec, mass
 
 
@@ -136,10 +138,19 @@ class DelayModel:
         if self.cap < 0:
             raise ConfigError("delay cap must be >= 0")
 
-    def sample(self, rng: np.random.Generator) -> int:
+    def draw(self, rng: np.random.Generator, count: int) -> list[int]:
+        """``count`` transit times, using the stream as ``count`` single draws would."""
         if self.kind == "constant":
-            return self.rounds
-        return int(min(rng.geometric(self.p) - 1, self.cap))
+            return [self.rounds] * count
+        return np.minimum(rng.geometric(self.p, size=count) - 1, self.cap).tolist()
+
+
+def rank_sum(vectors: list[np.ndarray]) -> np.ndarray:
+    """sum_i v_i as a new array, accumulated in ascending worker rank."""
+    total = vectors[0].copy()
+    for v in vectors[1:]:
+        total += v
+    return total
 
 
 def exact_average(states: list[WorkerState]) -> np.ndarray:
@@ -148,79 +159,76 @@ def exact_average(states: list[WorkerState]) -> np.ndarray:
     Uses the de-biased iterate, which coincides with x whenever w == 1, so
     the same reduction serves plain and push-sum protocols.
     """
-    total = states[0].z.copy()
-    for s in states[1:]:
-        total += s.z
-    total /= len(states)
-    return total
+    return rank_sum([s.z for s in states]) / len(states)
 
 
-def _validate_columns(mixing: MixingMatrix) -> None:
-    cols = mixing.matrix.sum(axis=0)
-    if np.max(np.abs(cols - 1.0)) > 1e-12:
-        raise ProtocolError("mixing matrix columns must sum to 1 within 1e-12")
+class SlotMixing:
+    """A mixing matrix in padded-row ("slot") form.
+
+    Slot c holds (rows, cols, weights) of every row's c-th nonzero, columns
+    ascending within a row. ``doubly``: rows sum to 1 too (MixingMatrix has
+    checked the columns). ``self_weight[i]`` is p[i, i]; ``peer[j]`` is the
+    (receiver, weight) of sender j's out-edge on a one-peer graph.
+    """
+
+    def __init__(self, mixing: MixingMatrix):
+        p = mixing.matrix
+        self.doubly = bool(np.max(np.abs(p.sum(axis=1) - 1.0)) <= 1e-12)
+        rows, cols = np.nonzero(p)  # row-major: columns ascend within each row
+        weights = p[rows, cols]
+        position = np.arange(rows.size) - np.searchsorted(rows, rows)
+        self.slots = [
+            (rows[position == c], cols[position == c], weights[position == c, None])
+            for c in range(int(position.max()) + 1)
+        ]
+        self.self_weight = np.diag(p).tolist()
+        off = rows != cols
+        self.peer = dict(zip(cols[off].tolist(), zip(rows[off].tolist(), weights[off].tolist())))
+
+    def mix(self, values: np.ndarray) -> np.ndarray:
+        """out[i] = sum_j p[i, j] values[j] over the rows of ``values``.
+
+        A row's first term is assigned rather than added to zero, so a
+        signed zero survives as in a left-to-right sum; empty rows stay zero.
+        """
+        out = np.zeros_like(values)
+        for c, (rows, cols, weights) in enumerate(self.slots):
+            term = values[cols]
+            term *= weights
+            if c:
+                out[rows] += term
+            else:
+                out[rows] = term
+        return out
 
 
 def gossip_round(
-    states: list[WorkerState], mixing: MixingMatrix, half_x: list[np.ndarray]
+    states: list[WorkerState], mixing: SlotMixing, half_x: list[np.ndarray]
 ) -> list[WorkerState]:
     """One doubly-stochastic gossip round: x_i <- sum_j p[i,j] half_x[j]."""
-    _validate_columns(mixing)
-    rows = mixing.matrix.sum(axis=1)
-    if np.max(np.abs(rows - 1.0)) > 1e-12:
+    if not mixing.doubly:
         raise ProtocolError("doubly-stochastic gossip needs row sums 1 within 1e-12")
-    p = mixing.matrix
-    m = len(states)
-    new_x = []
-    for i in range(m):
-        acc = None
-        for j in range(m):
-            if p[i, j] == 0.0:
-                continue
-            term = p[i, j] * half_x[j]
-            acc = term if acc is None else acc + term
-        new_x.append(acc if acc is not None else states[i].x.copy())
-    for i in range(m):
-        states[i].x = new_x[i]
+    for s, x in zip(states, mixing.mix(np.stack(half_x))):
+        s.x = x
     return states
 
 
 def pushsum_round(
-    states: list[WorkerState], mixing: MixingMatrix, half_x: list[np.ndarray]
+    states: list[WorkerState], mixing: SlotMixing, half_x: list[np.ndarray]
 ) -> list[WorkerState]:
     """One synchronous push-sum round: mix x and w by the same column-stochastic matrix."""
-    _validate_columns(mixing)
-    p = mixing.matrix
-    m = len(states)
-    new_x, new_w = [], []
-    for i in range(m):
-        acc = None
-        acc_w = 0.0
-        for j in range(m):
-            if p[i, j] == 0.0:
-                continue
-            term = p[i, j] * half_x[j]
-            acc = term if acc is None else acc + term
-            acc_w += p[i, j] * states[j].w
-        new_x.append(acc if acc is not None else np.zeros_like(states[i].x))
-        new_w.append(acc_w)
-    for i in range(m):
-        states[i].x = new_x[i]
-        states[i].w = new_w[i]
+    new_x = mixing.mix(np.stack(half_x))
+    new_w = mixing.mix(np.array([[s.w] for s in states]))[:, 0].tolist()
+    for s, x, w in zip(states, new_x, new_w):
+        s.x = x
+        s.w = w
     return states
 
 
 def double_average(states: list[WorkerState]) -> list[WorkerState]:
     """Exact average of both parameters and momentum buffers across workers."""
-    m = len(states)
-    x_mean = states[0].x.copy()
-    for s in states[1:]:
-        x_mean += s.x
-    x_mean /= m
-    h_mean = states[0].buffers.h.copy()
-    for s in states[1:]:
-        h_mean += s.buffers.h
-    h_mean /= m
+    x_mean = rank_sum([s.x for s in states]) / len(states)
+    h_mean = rank_sum([s.buffers.h for s in states]) / len(states)
     for s in states:
         s.x = x_mean.copy()
         s.buffers.h[:] = h_mean
@@ -295,10 +303,7 @@ class AllReduceProtocol(_ProtocolBase):
     name = "allreduce"
 
     def apply_round(self, states, half_x, round_index):
-        mean = half_x[0].copy()
-        for i in range(1, self.m):
-            mean += half_x[i]
-        mean /= self.m
+        mean = rank_sum([half_x[i] for i in range(self.m)]) / self.m
         for i in range(self.m):
             states[i].x = mean.copy()
 
@@ -315,15 +320,17 @@ class DoubleAverageProtocol(_ProtocolBase):
 
 
 class _MixingCache:
+    """The schedule's mixing matrices, validated and compiled once per period entry."""
+
     def __init__(self, schedule: TopologySchedule, stochasticity: str):
         self.schedule = schedule
         self.stochasticity = stochasticity
-        self._cache: dict[int, MixingMatrix] = {}
+        self._cache: dict[int, SlotMixing] = {}
 
-    def at(self, round_index: int) -> MixingMatrix:
+    def at(self, round_index: int) -> SlotMixing:
         key = round_index % self.schedule.period
         if key not in self._cache:
-            self._cache[key] = mixing_matrix(self.schedule, key, self.stochasticity)
+            self._cache[key] = SlotMixing(mixing_matrix(self.schedule, key, self.stochasticity))
         return self._cache[key]
 
 
@@ -363,7 +370,7 @@ class OverlapPushSumProtocol(_ProtocolBase):
         super().__init__(m)
         if staleness < 0:
             raise ConfigError("staleness bound must be >= 0")
-        self.schedule = schedule
+        out_neighbor(schedule, 0, 0)  # ConfigError unless every worker has one out-neighbor
         self.staleness = staleness
         self.delay = delay
         self.mixing = _MixingCache(schedule, "column")
@@ -387,11 +394,12 @@ class OverlapPushSumProtocol(_ProtocolBase):
             raise ProtocolError(
                 "every worker is stalled and no messages are in flight"
             )
-        p = self.mixing.at(round_index).matrix
+        mix = self.mixing.at(round_index)
         # sends happen first, in ascending rank, so delay draws are ordered
-        for i in sorted(half_x):
-            nbr = out_neighbor(self.schedule, i, round_index)
-            lag = self.delay.sample(self._delay_rng)
+        senders = sorted(half_x)
+        lags = self.delay.draw(self._delay_rng, len(senders))
+        for i, lag in zip(senders, lags):
+            nbr, weight = mix.peer[i]
             deliver = round_index + lag
             edge = (i, nbr)
             prev = self._last_sched.get(edge, -1)
@@ -404,8 +412,8 @@ class OverlapPushSumProtocol(_ProtocolBase):
                     receiver=nbr,
                     send_round=round_index,
                     deliver_round=deliver,
-                    payload_x=p[nbr, i] * half_x[i],
-                    payload_w=p[nbr, i] * states[i].w,
+                    payload_x=weight * half_x[i],
+                    payload_w=weight * states[i].w,
                 )
             )
         inboxes = self.queues.deliver(round_index)
@@ -413,7 +421,7 @@ class OverlapPushSumProtocol(_ProtocolBase):
             _, count, stalled = osgp_step(
                 states[i],
                 half_x.get(i),
-                p[i, i],
+                mix.self_weight[i],
                 inboxes.get(i, []),
                 self.count_since_last[i],
                 self.staleness,

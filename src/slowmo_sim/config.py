@@ -12,7 +12,7 @@ Simulation.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -32,14 +32,28 @@ from .slowmo import GammaSchedule, SlowMoConfig
 from .topology import TOPOLOGY_KINDS
 
 
+def _check_int(value, name: str, minimum: int | None = None) -> None:
+    """Integer fields take integers only: no bools, floats or strings."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}")
+
+
 def _take(raw: dict, allowed: dict, path: str) -> dict:
-    """Pop known keys (applying defaults); any leftover key is an error."""
+    """Pop known keys (applying defaults); any leftover key is an error.
+    A field whose default is an int or a bool must be given as one."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{path or 'config'} must be an object")
     out = {}
     raw = dict(raw)
     for key, default in allowed.items():
-        out[key] = raw.pop(key, default)
+        value = out[key] = raw.pop(key, default)
+        name = f"{path}.{key}" if path else key
+        if type(default) is bool and type(value) is not bool:
+            raise ConfigError(f"{name} must be true or false, got {value!r}")
+        if type(default) is int:
+            _check_int(value, name)
     if raw:
         where = f" in {path}" if path else ""
         raise ConfigError(f"unknown config field(s){where}: {sorted(raw)}")
@@ -203,17 +217,20 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     if (top["T"] is None) == (top["total_steps"] is None):
         raise ConfigError("specify exactly one of T / total_steps")
+    for key in ("T", "total_steps"):
+        if top[key] is not None:
+            _check_int(top[key], key)
+    _check_int(top["seed"], "seed", minimum=0)
     if top["execution"] not in ("sequential", "parallel"):
         raise ConfigError("execution must be 'sequential' or 'parallel'")
-    if top["metric_cadence"] < 1:
-        raise ConfigError("metric_cadence must be >= 1")
+    _check_int(top["metric_cadence"], "metric_cadence", minimum=1)
 
     return ExperimentConfig(
         problem=problem, base=base, slowmo=slowmo, gamma=gamma,
         protocol=protocol, topology=topo_raw["kind"], custom_rounds=custom_rounds,
         osgp=osgp, init=init, T=top["T"], total_steps=top["total_steps"],
-        seed=int(top["seed"]), metric_cadence=int(top["metric_cadence"]),
-        log_bias=bool(top["log_bias"]), execution=top["execution"],
+        seed=top["seed"], metric_cadence=top["metric_cadence"],
+        log_bias=top["log_bias"], execution=top["execution"],
         grid=dict(top["grid"]),
     )
 
@@ -290,6 +307,5 @@ def build_simulation(cfg: ExperimentConfig, seed: int | None = None) -> Simulati
 
 
 def replace_seed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
-    from dataclasses import replace
-
-    return replace(cfg, seed=int(seed))
+    _check_int(seed, "seed", minimum=0)
+    return replace(cfg, seed=seed)

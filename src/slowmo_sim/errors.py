@@ -16,7 +16,3 @@ class NumericalAbort(RuntimeError):
         super().__init__(message)
         self.diagnostic = diagnostic or {}
         self.trace = trace
-
-
-class CheckFailure(AssertionError):
-    """An offline check (bound or equivalence) did not hold."""

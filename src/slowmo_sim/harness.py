@@ -9,7 +9,7 @@ import json
 import math
 import os
 
-from .config import ExperimentConfig, build_simulation, parse_config, resolved_dict
+from .config import ExperimentConfig, build_simulation, parse_config, replace_seed, resolved_dict
 from .errors import ConfigError, NumericalAbort
 from .simkernel import SUMMARY_FIELDS, MetricsTrace
 from .theory_checker import (
@@ -94,8 +94,6 @@ def run_experiment(
     propagates.
     """
     if seed is not None:
-        from .config import replace_seed
-
         cfg = replace_seed(cfg, seed)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "resolved.json"), "w") as fh:

@@ -27,12 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .base_optimizers import BaseOptimizerConfig, OptimizerBuffers, local_direction
-from .comm_protocols import (
-    DelayModel,
-    MessageQueues,
-    WorkerState,
-    make_protocol,
-)
+from .comm_protocols import DelayModel, WorkerState, make_protocol, rank_sum
 from .errors import ConfigError, NumericalAbort
 from .numerics import (
     Problem,
@@ -62,11 +57,6 @@ class SimClock:
     t: int = 0
     k: int = 0
     round: int = 0
-
-
-def deliver_messages(queues: MessageQueues, round_index: int):
-    """Pop all messages due at or before ``round_index`` (see MessageQueues.deliver)."""
-    return queues.deliver(round_index)
 
 
 @dataclass
@@ -121,7 +111,6 @@ class Simulation:
         if self.metric_cadence < 1:
             raise ConfigError("metric_cadence must be >= 1")
         self.log_bias = log_bias
-        self.parallel = parallel
 
         if isinstance(gamma, GammaSchedule):
             self.gamma_schedule = gamma
@@ -192,17 +181,13 @@ class Simulation:
 
     def mean_x(self) -> np.ndarray:
         """Average of worker parameters including in-flight payloads."""
-        total = self.states[0].x.copy()
-        for s in self.states[1:]:
-            total += s.x
+        total = rank_sum([s.x for s in self.states])
         vec, _ = self.protocol.inflight_sums(self.d)
         total += vec
         return total / self.m
 
     def weight_mass(self) -> float:
-        mass = 0.0
-        for s in self.states:
-            mass += s.w
+        mass = sum(s.w for s in self.states)
         _, pending = self.protocol.inflight_sums(self.d)
         return mass + pending
 
@@ -284,34 +269,29 @@ class Simulation:
         return dsum
 
     def _check_finite(self) -> None:
-        for i, s in enumerate(self.states):
-            if np.all(np.isfinite(s.x)) and np.isfinite(s.w):
-                continue
-            diag = {
-                "t": self.clock.t, "k": self.clock.k,
-                "round": self.clock.round, "worker": i,
-            }
-            trace = MetricsTrace(
-                meta=self._meta(),
-                records=list(self._records),
-                summary={"aborted": True, **diag},
-            )
-            raise NumericalAbort(
-                f"non-finite state on worker {i} at t={self.clock.t} k={self.clock.k}",
-                diagnostic=diag,
-                trace=trace,
-            )
+        finite = np.isfinite(np.stack([s.x for s in self.states])).all(axis=1)
+        finite &= np.isfinite([s.w for s in self.states])
+        if finite.all():
+            return
+        i = int(np.argmin(finite))  # the first worker with a non-finite value
+        diag = {
+            "t": self.clock.t, "k": self.clock.k,
+            "round": self.clock.round, "worker": i,
+        }
+        trace = MetricsTrace(
+            meta=self._meta(),
+            records=list(self._records),
+            summary={"aborted": True, **diag},
+        )
+        raise NumericalAbort(
+            f"non-finite state on worker {i} at t={self.clock.t} k={self.clock.k}",
+            diagnostic=diag,
+            trace=trace,
+        )
 
     # ------------------------------------------------------------------ #
     # driving
     # ------------------------------------------------------------------ #
-
-    def run_block(self) -> "Simulation":
-        """Advance exactly one outer iteration (exposed for introspection)."""
-        if self.clock.t >= self.T:
-            raise RuntimeError("all outer iterations already executed")
-        run_outer_iteration(self)
-        return self
 
     def run(self) -> MetricsTrace:
         while self.clock.t < self.T:

@@ -13,6 +13,7 @@ from slowmo_sim import (
     MessageQueues,
     OptimizerBuffers,
     ProtocolError,
+    SlotMixing,
     WorkerState,
     double_average,
     exact_average,
@@ -21,9 +22,14 @@ from slowmo_sim import (
     osgp_step,
     pushsum_round,
 )
-from slowmo_sim.comm_protocols import OverlapPushSumProtocol
+from slowmo_sim import comm_protocols
 from slowmo_sim.numerics import rng_stream
-from slowmo_sim.topology import TopologySchedule, custom_schedule, mixing_matrix
+from slowmo_sim.topology import (
+    MixingMatrix,
+    TopologySchedule,
+    custom_schedule,
+    mixing_matrix,
+)
 
 
 def _states(xs, ws=None):
@@ -71,7 +77,7 @@ def test_gossip_preserves_mean_and_reaches_consensus():
     states = _states(list(xs))
     mean0 = xs.mean(axis=0)
     for k in range(3):
-        mix = mixing_matrix(sched, k, "doubly")
+        mix = SlotMixing(mixing_matrix(sched, k, "doubly"))
         gossip_round(states, mix, [s.x.copy() for s in states])
         mean_k = np.mean([s.x for s in states], axis=0)
         assert np.allclose(mean_k, mean0, atol=1e-13)
@@ -88,7 +94,7 @@ def test_gossip_rejects_column_only_matrix():
     rows = mix.matrix.sum(axis=1)
     assert np.max(np.abs(rows - 1.0)) > 1e-6
     with pytest.raises(ProtocolError):
-        gossip_round(states, mix, [s.x.copy() for s in states])
+        gossip_round(states, SlotMixing(mix), [s.x.copy() for s in states])
 
 
 def test_pushsum_conserves_mass_and_mean():
@@ -98,7 +104,7 @@ def test_pushsum_conserves_mass_and_mean():
     states = _states(list(xs))
     sum_x0 = xs.sum(axis=0)
     for k in range(12):
-        mix = mixing_matrix(sched, k % 3, "column")
+        mix = SlotMixing(mixing_matrix(sched, k % 3, "column"))
         pushsum_round(states, mix, [s.x.copy() for s in states])
         assert np.allclose(sum(s.x for s in states), sum_x0, atol=1e-12)
         assert sum(s.w for s in states) == pytest.approx(8.0, abs=1e-12)
@@ -113,7 +119,7 @@ def test_pushsum_consensus_on_power_of_two():
     states = _states(list(xs))
     mean0 = xs.mean(axis=0)
     for k in range(3):
-        mix = mixing_matrix(sched, k, "column")
+        mix = SlotMixing(mixing_matrix(sched, k, "column"))
         pushsum_round(states, mix, [s.x.copy() for s in states])
     for s in states:
         assert np.allclose(s.z, mean0, atol=1e-12)
@@ -137,14 +143,22 @@ def test_double_average_synchronizes_momentum():
 def test_delay_model_constant():
     rng = rng_stream(0, 2, 0)
     dm = DelayModel(kind="constant", rounds=3)
-    assert all(dm.sample(rng) == 3 for _ in range(10))
+    assert dm.draw(rng, 10) == [3] * 10
 
 
 def test_delay_model_geometric_capped():
     rng = rng_stream(0, 2, 1)
     dm = DelayModel(kind="geometric", p=0.4, cap=5)
-    draws = [dm.sample(rng) for _ in range(2000)]
+    draws = dm.draw(rng, 2000)
     assert min(draws) == 0 and max(draws) == 5
+
+
+def test_delay_model_batch_uses_the_stream_like_single_draws():
+    dm = DelayModel(kind="geometric", p=0.3, cap=4)
+    one, batch = rng_stream(1, 2, 0), rng_stream(1, 2, 0)
+    singles = [dm.draw(one, 1)[0] for _ in range(300)]
+    assert dm.draw(batch, 100) + dm.draw(batch, 0) + dm.draw(batch, 200) == singles
+    assert one.random() == batch.random()
 
 
 def test_delay_model_validation():
@@ -307,8 +321,9 @@ def test_osgp_fifo_delivery_per_edge():
     for k in range(150):
         half = {i: states[i].x.copy() for i in proto.active_workers()}
         proto.apply_round(states, half, k)
-        for edge, q in proto.queues._edges.items():
-            for msg in q:
+        for due in proto.queues._due.values():
+            for msg in due:
+                edge = (msg.sender, msg.receiver)
                 seen.setdefault(edge, []).append((msg.send_round, msg.deliver_round))
     for log in seen.values():
         log = sorted(set(log))
@@ -329,9 +344,21 @@ def test_osgp_single_worker_never_stalls():
 def test_osgp_all_stalled_with_empty_queues_is_a_deadlock():
     proto = _osgp(2, staleness=1)
     states = _states([[0.0], [1.0]])
-    proto._stalled = [True, True]
+    proto.stalled = [True, True]
+    assert proto.active_workers() == []
     with pytest.raises(ProtocolError):
         proto.apply_round(states, {}, 0)
+
+
+def test_osgp_all_stalled_with_messages_in_flight_waits():
+    proto = _osgp(2, staleness=1, delay=DelayModel(kind="constant", rounds=1))
+    states = _states([[0.0], [1.0]])
+    proto.apply_round(states, {0: states[0].x.copy(), 1: states[1].x.copy()}, 0)
+    proto.stalled = [True, True]
+    assert not proto.queues.empty()
+    proto.apply_round(states, {}, 1)  # both messages land; nobody raises
+    assert proto.queues.empty()
+    assert proto.active_workers() == [0, 1]
 
 
 # --------------------------------------------------------------------------- #
@@ -345,6 +372,146 @@ def test_pushsum_mass_invariant_random_starts(seed, m):
     rng = rng_stream(seed, 0, 0)
     states = _states(list(rng.standard_normal((m, 2))))
     for k in range(2 * sched.period):
-        mix = mixing_matrix(sched, k % sched.period, "column")
+        mix = SlotMixing(mixing_matrix(sched, k % sched.period, "column"))
         pushsum_round(states, mix, [s.x.copy() for s in states])
     assert sum(s.w for s in states) == pytest.approx(m, abs=1e-12)
+
+
+# --------------------------------------------------------------------------- #
+# slot mixing against a dense reference
+# --------------------------------------------------------------------------- #
+
+def _dense_gossip(p, half_x):
+    """x_i <- sum_j p[i,j] half_x[j] as a dense double loop in ascending j."""
+    out = []
+    for i in range(p.shape[0]):
+        acc = None
+        for j in range(p.shape[0]):
+            if p[i, j] != 0.0:
+                term = p[i, j] * half_x[j]
+                acc = term if acc is None else acc + term
+        out.append(acc)
+    return out
+
+
+def _dense_pushsum(p, half_x, ws):
+    """The same loop for push-sum: an empty row gets x = 0 and w = 0."""
+    m = p.shape[0]
+    out_x, out_w = [], []
+    for i in range(m):
+        acc, acc_w = None, 0.0
+        for j in range(m):
+            if p[i, j] != 0.0:
+                term = p[i, j] * half_x[j]
+                acc = term if acc is None else acc + term
+                acc_w += p[i, j] * ws[j]
+        out_x.append(acc if acc is not None else np.zeros_like(half_x[i]))
+        out_w.append(acc_w)
+    return out_x, out_w
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _schedule_matrices(kind, m):
+    sched = TopologySchedule(kind=kind, m=m)
+    out = []
+    for k in range(sched.period):
+        for stochasticity in ("column", "doubly"):
+            try:
+                out.append(mixing_matrix(sched, k, stochasticity))
+            except ConfigError:
+                pass  # no perfect matching this round: not a doubly schedule
+    return out
+
+
+def _custom_matrices(rng, m):
+    rounds = []
+    for _ in range(3):
+        n_edges = int(rng.integers(0, 2 * m + 1))
+        edges = {tuple(rng.integers(0, m, size=2).tolist()) for _ in range(n_edges)}
+        rounds.append(sorted(edges))
+    sched = custom_schedule(m, rounds)
+    return [mixing_matrix(sched, k, "column") for k in range(sched.period)]
+
+
+def _ragged_matrix(rng, m):
+    """Column-stochastic with random sparsity, no forced diagonal, empty rows."""
+    mask = rng.random((m, m)) < 0.4
+    empty = rng.random(m) < 0.3
+    empty[rng.integers(m)] = False
+    mask[empty] = False
+    kept = np.flatnonzero(~empty)
+    for j in range(m):
+        if not mask[:, j].any():
+            mask[rng.choice(kept), j] = True
+    p = np.where(mask, rng.random((m, m)) + 0.1, 0.0)
+    return MixingMatrix(p / p.sum(axis=0), "column")
+
+
+MIXING_CASES = (
+    [("exponential-directed", m) for m in (1, 2, 3, 5, 8, 64)]
+    + [("ring-directed", m) for m in (2, 3, 6)]
+    + [("complete", m) for m in (1, 3, 4)]
+    + [("custom", m) for m in (2, 5, 9)]
+    + [("ragged", m) for m in (1, 4, 7)]
+)
+
+
+@given(st.sampled_from(MIXING_CASES), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_slot_mixing_matches_dense_loop_bit_for_bit(case, seed):
+    kind, m = case
+    rng = np.random.default_rng(seed)
+    if kind == "custom":
+        matrices = _custom_matrices(rng, m)
+    elif kind == "ragged":
+        matrices = [_ragged_matrix(rng, m)]
+    else:
+        matrices = _schedule_matrices(kind, m)
+    for mix in matrices:
+        half = rng.standard_normal((m, 3))
+        half[rng.random(half.shape) < 0.1] = 0.0
+        half[rng.random(half.shape) < 0.1] = -0.0
+        ws = list(rng.random(m) + 0.5)
+        slots = SlotMixing(mix)
+
+        states = _states([h.copy() for h in half], ws=ws)
+        pushsum_round(states, slots, [h.copy() for h in half])
+        ref_x, ref_w = _dense_pushsum(mix.matrix, list(half), ws)
+        for s, x, w in zip(states, ref_x, ref_w):
+            assert _same_bits(s.x, x) and _same_bits(s.w, w)
+
+        if mix.stochasticity == "doubly":
+            states = _states([h.copy() for h in half])
+            gossip_round(states, slots, [h.copy() for h in half])
+            for s, x in zip(states, _dense_gossip(mix.matrix, list(half))):
+                assert _same_bits(s.x, x)
+
+
+def test_mixing_is_compiled_once_per_period_entry(monkeypatch):
+    built = []
+    real = comm_protocols.mixing_matrix
+
+    def counting(schedule, round_index, stochasticity):
+        built.append(round_index)
+        return real(schedule, round_index, stochasticity)
+
+    monkeypatch.setattr(comm_protocols, "mixing_matrix", counting)
+    m = 8
+    sched = TopologySchedule(kind="exponential-directed", m=m)
+    proto = make_protocol("sgp", m, schedule=sched)
+    states = _states(list(rng_stream(10, 0, 0).standard_normal((m, 2))))
+    for k in range(4 * sched.period):
+        proto.apply_round(states, {i: s.x.copy() for i, s in enumerate(states)}, k)
+    assert built == list(range(sched.period))
+
+
+def test_osgp_rejects_topologies_without_a_single_out_neighbor():
+    complete = TopologySchedule(kind="complete", m=3)
+    custom = custom_schedule(3, [[(0, 1), (1, 2), (2, 0)]])
+    for sched in (complete, custom):
+        with pytest.raises(ConfigError):
+            make_protocol("osgp", 3, schedule=sched)

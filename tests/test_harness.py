@@ -270,6 +270,43 @@ def test_cli_rejects_bad_configs(tmp_path, capsys):
     capsys.readouterr()
 
 
+BAD_INTEGER_FIELDS = {
+    "T-as-string": lambda raw: raw.update(T="10"),
+    "m-as-float": lambda raw: raw["problem"].update(m=2.5),
+    "negative-seed": lambda raw: raw.update(seed=-1),
+    "seed-as-bool": lambda raw: raw.update(seed=True),
+    "cadence-as-float": lambda raw: raw.update(metric_cadence=2.5),
+    "tau-as-float": lambda raw: raw["slowmo"].update(tau=2.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INTEGER_FIELDS))
+def test_bad_integer_fields_are_config_errors(case, tmp_path, capsys):
+    raw = _raw()
+    BAD_INTEGER_FIELDS[case](raw)
+    with pytest.raises(ConfigError):
+        parse_config(raw)
+    cfg_path = _write_cfg(tmp_path, raw)
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_cli_rejects_negative_seed_override(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path, _raw())
+    assert main(["run", "--config", cfg_path, "--seed", "-1",
+                 "--out", str(tmp_path / "x")]) == 1
+    capsys.readouterr()
+
+
+def test_bool_fields_take_only_booleans():
+    with pytest.raises(ConfigError):
+        parse_config(_raw(log_bias="yes"))
+    raw = _raw()
+    raw["slowmo"]["noaverage"] = 0
+    with pytest.raises(ConfigError):
+        parse_config(raw)
+
+
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_cli_abort_exit_code(tmp_path, capsys):
     raw = _raw(gamma={"value": 1e6}, T=30)

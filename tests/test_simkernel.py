@@ -215,3 +215,22 @@ def test_divergence_aborts_with_partial_trace():
     assert err.trace.summary["aborted"] is True
     assert "worker" in err.diagnostic or "overflow" in err.diagnostic.lower() \
         or not math.isfinite(err.trace.records[-1]["loss"])
+
+
+@pytest.mark.parametrize("bad", [
+    {2: ("x", math.nan), 3: ("w", math.inf)},
+    {1: ("w", math.nan), 2: ("x", -math.inf)},
+    {3: ("x", math.inf)},
+])
+def test_finite_check_reports_the_first_bad_worker(bad):
+    sim = _sim(_problem(m=4))
+    for i, (field, value) in bad.items():
+        if field == "x":
+            sim.states[i].x[1] = value
+        else:
+            sim.states[i].w = value
+    with pytest.raises(NumericalAbort) as exc:
+        sim._check_finite()
+    assert exc.value.diagnostic["worker"] == min(bad)
+    sim.states = _sim(_problem(m=4)).states
+    sim._check_finite()  # all finite: no abort
