@@ -43,6 +43,7 @@ from .numerics import (
     build_quadratic,
     global_gradient,
     global_loss,
+    global_loss_and_gradient,
     make_worker_rngs,
     problem_constants,
     rng_stream,

@@ -16,7 +16,8 @@ produces the post-communication states:
 Push-sum kinds track a scalar weight w per worker; the de-biased iterate
 z = x / w is what gradients are evaluated at and what gets averaged. Mass
 conservation (sum of w plus in-flight payload weight equals m) is the
-protocol's core invariant and is surfaced as a metric every round.
+protocol's core invariant; the kernel records it and raises ProtocolError
+when it drifts.
 
 Gossip and push-sum rounds mix through a sparse ``SlotMixing`` form of the
 round's matrix, built and validated once per period entry: a round costs

@@ -12,6 +12,7 @@ Simulation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -40,9 +41,41 @@ def _check_int(value, name: str, minimum: int | None = None) -> None:
         raise ConfigError(f"{name} must be >= {minimum}")
 
 
+def _check_float(value, name: str) -> None:
+    """Float fields take finite numbers: ints or floats, no bools or strings."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+
+
+def _parse_rounds(rounds) -> tuple:
+    """Custom topology rounds: a list of rounds, each a list of [sender, receiver]."""
+    if not isinstance(rounds, list):
+        raise ConfigError(f"topology.rounds must be a list, got {rounds!r}")
+    parsed = []
+    for r, edges in enumerate(rounds):
+        if not isinstance(edges, list):
+            raise ConfigError(f"topology.rounds[{r}] must be a list of edges, got {edges!r}")
+        for e in edges:
+            if not isinstance(e, list) or len(e) != 2:
+                raise ConfigError(
+                    f"topology.rounds[{r}] edge {e!r} must be a [sender, receiver] pair"
+                )
+            for endpoint in e:
+                _check_int(endpoint, f"topology.rounds[{r}] edge endpoint", minimum=0)
+        parsed.append(tuple((e[0], e[1]) for e in edges))
+    return tuple(parsed)
+
+
 def _take(raw: dict, allowed: dict, path: str) -> dict:
     """Pop known keys (applying defaults); any leftover key is an error.
-    A field whose default is an int or a bool must be given as one."""
+    A field whose default is an int or a bool must be given as one; a field
+    whose default is a float must be a finite int or float."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{path or 'config'} must be an object")
     out = {}
@@ -54,6 +87,8 @@ def _take(raw: dict, allowed: dict, path: str) -> dict:
             raise ConfigError(f"{name} must be true or false, got {value!r}")
         if type(default) is int:
             _check_int(value, name)
+        if type(default) is float:
+            _check_float(value, name)
     if raw:
         where = f" in {path}" if path else ""
         raise ConfigError(f"unknown config field(s){where}: {sorted(raw)}")
@@ -189,9 +224,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     }, "topology")
     if topo_raw["kind"] not in TOPOLOGY_KINDS:
         raise ConfigError(f"unknown topology kind {topo_raw['kind']!r}")
-    custom_rounds = tuple(
-        tuple((int(e[0]), int(e[1])) for e in rnd) for rnd in topo_raw["rounds"]
-    )
+    custom_rounds = _parse_rounds(topo_raw["rounds"])
     if topo_raw["kind"] == "custom" and not custom_rounds:
         raise ConfigError("custom topology needs a nonempty rounds list")
 

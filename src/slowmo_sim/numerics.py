@@ -113,6 +113,11 @@ class Problem:
     def shard_size(self, worker_id: int) -> int:
         raise NotImplementedError
 
+    def worker_loss_and_gradient(self, worker_id: int, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """(worker_loss, worker_gradient) at x, bit for bit. Subclasses whose
+        loss and gradient share work override this to do that work once."""
+        return self.worker_loss(worker_id, x), self.worker_gradient(worker_id, x)
+
     def check_worker(self, worker_id: int) -> None:
         if not (0 <= worker_id < self.num_workers):
             raise ConfigError(f"unknown worker_id {worker_id} (m={self.num_workers})")
@@ -180,6 +185,21 @@ def global_gradient(problem: Problem, x: np.ndarray) -> np.ndarray:
     return total / problem.num_workers
 
 
+def global_loss_and_gradient(problem: Problem, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """(global_loss, global_gradient) at x, bit for bit, from one
+    worker_loss_and_gradient call per worker in ascending rank."""
+    x = problem.check_point(x)
+    m = problem.num_workers
+    loss, grad = problem.worker_loss_and_gradient(0, x)
+    total_loss = 0.0 + loss  # from 0.0, as global_loss sums
+    total_grad = grad.copy()
+    for i in range(1, m):
+        loss, grad = problem.worker_loss_and_gradient(i, x)
+        total_loss += loss
+        total_grad += grad
+    return total_loss / m, total_grad / m
+
+
 def power_iteration(mat: np.ndarray, tol: float = 1e-10, max_iter: int = 100_000) -> float:
     """Largest eigenvalue of a symmetric PSD matrix to ``tol`` relative accuracy."""
     d = mat.shape[0]
@@ -216,11 +236,11 @@ class QuadraticProblem(Problem):
         d = b_vecs[0].shape[0]
         super().__init__(m, d, noise)
         if isinstance(a_mats, np.ndarray) and a_mats.ndim == 2:
-            a_mats = [a_mats] * m
+            a_mats = [np.asarray(a_mats, dtype=np.float64)] * m
         self.a_mats = [np.asarray(a, dtype=np.float64) for a in a_mats]
         if len(self.a_mats) != m:
             raise ConfigError("need one curvature matrix per worker (or one shared)")
-        for a in self.a_mats:
+        for a in {id(a): a for a in self.a_mats}.values():  # each distinct matrix once
             if a.shape != (d, d):
                 raise ConfigError("curvature matrix shape mismatch")
             if not np.allclose(a, a.T, atol=1e-12):
@@ -253,6 +273,13 @@ class QuadraticProblem(Problem):
 
     def worker_gradient(self, worker_id, x):
         return self.a_mats[worker_id] @ (x - self.b_vecs[worker_id])
+
+    def worker_loss_and_gradient(self, worker_id, x):
+        if self.samples is not None:
+            return super().worker_loss_and_gradient(worker_id, x)
+        r = x - self.b_vecs[worker_id]
+        g = self.a_mats[worker_id] @ r
+        return float(0.5 * r @ g), g
 
     def minibatch_gradient(self, worker_id, x, idx):
         center = self.samples[worker_id][idx].mean(axis=0)
@@ -294,22 +321,27 @@ class LogisticProblem(Problem):
     def shard_size(self, worker_id):
         return self.features[worker_id].shape[0]
 
+    @staticmethod
+    def _margin_gradient(feats, labs, margins):
+        coeff = -labs * _sigmoid(-margins)
+        return (feats.T @ coeff) / feats.shape[0]
+
     def worker_loss(self, worker_id, x):
         margins = self.labels[worker_id] * (self.features[worker_id] @ x)
         return float(np.logaddexp(0.0, -margins).mean())
 
-    def _subset_gradient(self, worker_id, x, feats, labs):
-        margins = labs * (feats @ x)
-        coeff = -labs * _sigmoid(-margins)
-        return (feats.T @ coeff) / feats.shape[0]
-
     def worker_gradient(self, worker_id, x):
-        return self._subset_gradient(worker_id, x, self.features[worker_id], self.labels[worker_id])
+        return self.minibatch_gradient(worker_id, x, slice(None))
+
+    def worker_loss_and_gradient(self, worker_id, x):
+        feats, labs = self.features[worker_id], self.labels[worker_id]
+        margins = labs * (feats @ x)
+        loss = float(np.logaddexp(0.0, -margins).mean())
+        return loss, self._margin_gradient(feats, labs, margins)
 
     def minibatch_gradient(self, worker_id, x, idx):
-        return self._subset_gradient(
-            worker_id, x, self.features[worker_id][idx], self.labels[worker_id][idx]
-        )
+        feats, labs = self.features[worker_id][idx], self.labels[worker_id][idx]
+        return self._margin_gradient(feats, labs, labs * (feats @ x))
 
 
 class MlpProblem(Problem):
@@ -369,10 +401,12 @@ class MlpProblem(Problem):
         return loss
 
     def worker_gradient(self, worker_id, x):
-        _, grad = self._loss_grad_subset(
+        return self.worker_loss_and_gradient(worker_id, x)[1]
+
+    def worker_loss_and_gradient(self, worker_id, x):
+        return self._loss_grad_subset(
             x, self.features[worker_id], self.targets[worker_id], True
         )
-        return grad
 
     def minibatch_gradient(self, worker_id, x, idx):
         _, grad = self._loss_grad_subset(
@@ -505,10 +539,14 @@ def build_quadratic(
     if dimension == 1:
         a = np.array([[l_max]])
     else:
-        q, _ = np.linalg.qr(rng.standard_normal((dimension, dimension)))
+        # R and q are dropped and a is symmetrised in place (same bits as
+        # 0.5 * (a + a.T)) to keep set-up's peak memory down at large d
+        q = np.linalg.qr(rng.standard_normal((dimension, dimension)))[0]
         eigs = np.linspace(l_min, l_max, dimension)
         a = (q * eigs) @ q.T
-        a = 0.5 * (a + a.T)
+        del q
+        a += a.T
+        a *= 0.5
     b_vecs = []
     for i in range(m):
         wrng = rng_stream(seed, STREAM_DATA, 1 + i)

@@ -13,8 +13,10 @@ rank order after all per-worker work has been collected.
 Metrics are recorded at the start of every inner round (subject to
 ``metric_cadence``), so with cadence 1 a run of T outer iterations of length
 tau yields exactly tau*T records; record r describes the state the r-th step
-was taken from. The average iterate x_bar counts in-flight push-sum payloads
-so no mass ever escapes the metrics.
+was taken from, and costs one loss-and-gradient evaluation per worker at
+x_bar. The average iterate x_bar counts in-flight push-sum payloads so no
+mass ever escapes the metrics; every record (and the final summary) refuses
+a push-sum mass that has drifted from m.
 """
 
 from __future__ import annotations
@@ -28,11 +30,13 @@ import numpy as np
 
 from .base_optimizers import BaseOptimizerConfig, OptimizerBuffers, local_direction
 from .comm_protocols import DelayModel, WorkerState, make_protocol, rank_sum
-from .errors import ConfigError, NumericalAbort
+from .errors import ConfigError, NumericalAbort, ProtocolError
 from .numerics import (
     Problem,
+    # unused here, but the benchmark's tracer wraps these two at this site
     global_gradient,
     global_loss,
+    global_loss_and_gradient,
     make_worker_rngs,
     worker_full_gradient,
     worker_stochastic_gradient,
@@ -179,22 +183,35 @@ class Simulation:
     # kernel services used by slowmo.run_outer_iteration
     # ------------------------------------------------------------------ #
 
-    def mean_x(self) -> np.ndarray:
-        """Average of worker parameters including in-flight payloads."""
+    def mean_x(self, inflight_x: np.ndarray) -> np.ndarray:
+        """Average of worker parameters plus the in-flight payload sum ``inflight_x``."""
         total = rank_sum([s.x for s in self.states])
-        vec, _ = self.protocol.inflight_sums(self.d)
-        total += vec
+        total += inflight_x
         return total / self.m
 
-    def weight_mass(self) -> float:
-        mass = sum(s.w for s in self.states)
-        _, pending = self.protocol.inflight_sums(self.d)
-        return mass + pending
+    def weight_mass(self, inflight_w: float) -> float:
+        """Sum of push-sum weights plus in-flight weight ``inflight_w``.
+
+        Raises ProtocolError when it has drifted from m by more than 1e-9 m.
+        """
+        mass = sum(s.w for s in self.states) + inflight_w
+        if abs(mass - self.m) > 1e-9 * self.m:
+            raise ProtocolError(
+                f"push-sum mass {mass!r} != m={self.m} at round {self.clock.round}"
+            )
+        return mass
+
+    def _metric_point(self) -> tuple[np.ndarray, float]:
+        """(x_bar, weight mass) from one scan of the in-flight messages."""
+        inflight_x, inflight_w = self.protocol.inflight_sums(self.d)
+        return self.mean_x(inflight_x), self.weight_mass(inflight_w)
 
     def consensus_sq(self, xbar: np.ndarray) -> float:
+        # without de-biasing w is exactly 1.0, where x / w is x bit for bit
+        debias = self.protocol.debias
         acc = 0.0
         for s in self.states:
-            diff = s.z - xbar
+            diff = (s.z if debias else s.x) - xbar
             acc += float(diff @ diff)
         return acc / self.m
 
@@ -221,20 +238,20 @@ class Simulation:
     def record_metrics(self, gamma: float) -> None:
         if self.clock.round % self.metric_cadence != 0:
             return
-        xbar = self.mean_x()
-        gbar = global_gradient(self.problem, xbar)
+        xbar, mass = self._metric_point()
+        loss, gbar = global_loss_and_gradient(self.problem, xbar)
         bias_sq = self._expected_direction_gap_sq(xbar, gbar) if self.log_bias else None
         rec = {
             "t": self.clock.t,
             "k": self.clock.k,
             "round": self.clock.round,
             "gamma": float(gamma),
-            "loss": float(global_loss(self.problem, xbar)),
+            "loss": float(loss),
             "grad_norm_sq": float(gbar @ gbar),
             "consensus_sq": self.consensus_sq(xbar),
-            "weight_mass": self.weight_mass(),
+            "weight_mass": mass,
             "bias_sq": bias_sq,
-            "x_bar": [float(v) for v in xbar],
+            "x_bar": xbar.tolist(),
         }
         self._records.append(rec)
 
@@ -322,9 +339,9 @@ class Simulation:
             self.protocol.end_block(self.states)
         if self._pool is not None:
             self._pool.shutdown(wait=True)
-        xbar = self.mean_x()
-        gbar = global_gradient(self.problem, xbar)
-        final_loss = float(global_loss(self.problem, xbar))
+        xbar, _ = self._metric_point()
+        final_loss, gbar = global_loss_and_gradient(self.problem, xbar)
+        final_loss = float(final_loss)
         losses = [r["loss"] for r in self._records] + [final_loss]
         summary = {
             "final_loss": final_loss,

@@ -214,14 +214,20 @@ def validate_strong_connectivity(schedule: TopologySchedule) -> None:
 
 
 def custom_schedule(m: int, rounds) -> TopologySchedule:
-    """Build a custom schedule from a list of per-round edge lists."""
+    """Build a custom schedule from a list of per-round edge lists.
+
+    An edge listed twice in one round is refused: the column-stochastic
+    mixing matrix would count it twice in the sender's out-degree.
+    """
     norm = []
-    for edges in rounds:
-        clean = []
+    for r, edges in enumerate(rounds):
+        clean = {}  # edges in order, as an ordered set
         for e in edges:
             i, j = int(e[0]), int(e[1])
             if not (0 <= i < m and 0 <= j < m):
                 raise ConfigError(f"edge ({i},{j}) out of range for m={m}")
-            clean.append((i, j))
+            if (i, j) in clean:
+                raise ConfigError(f"round {r} lists edge ({i},{j}) twice")
+            clean[i, j] = None
         norm.append(tuple(clean))
     return TopologySchedule(kind="custom", m=m, rounds=tuple(norm))

@@ -28,13 +28,26 @@ _QUAD = {
     "kind": "quadratic", "dimension": 6, "l_min": 0.5, "l_max": 2.0,
     "heterogeneity": 1.0, "noise": {"kind": "additive-gaussian", "sigma2": 0.5},
 }
+_LOGISTIC = {
+    "kind": "logistic", "dimension": 5, "samples_per_worker": 12, "heterogeneity": 0.5,
+    "noise": {"kind": "minibatch", "batch_size": 4},
+}
+_MLP = {
+    "kind": "mlp", "input_dim": 3, "hidden": 4, "samples_per_worker": 10,
+    "heterogeneity": 0.5, "noise": {"kind": "minibatch", "batch_size": 3},
+}
+_QUAD_CLOUD = {
+    **_QUAD, "samples_per_worker": 7, "sample_spread": 0.5,
+    "noise": {"kind": "minibatch", "batch_size": 3},
+}
 _NESTEROV = {"kind": "sgd-nesterov", "beta_local": 0.9, "buffer_strategy": "maintain"}
 _GEOMETRIC = {"kind": "geometric", "p": 0.5, "cap": 3}
 
 
-def _case(m, protocol, topology="exponential-directed", base=None, rounds=(), **extra):
+def _case(m, protocol, topology="exponential-directed", base=None, rounds=(), problem=None,
+          **extra):
     return {
-        "problem": {**_QUAD, "m": m},
+        "problem": {**(problem or _QUAD), "m": m},
         "base": base or {"kind": "plain-sgd"},
         "slowmo": {"alpha": 1.0, "beta": 0.5, "tau": 4},
         "gamma": {"kind": "constant", "value": 0.05},
@@ -72,6 +85,22 @@ CASES = {
     "osgp-geometric-m5-noaverage": _case(
         5, "osgp", slowmo={"alpha": 1.0, "beta": 0.5, "tau": 4, "noaverage": True},
         osgp={"staleness": 3, "delay": _GEOMETRIC},
+    ),
+    "allreduce-m4-nesterov": _case(4, "allreduce", base=_NESTEROV),
+    "local-m3": _case(3, "local"),
+    "double-average-m4": _case(4, "double-average", base=_NESTEROV),
+    "logistic-minibatch-sgp-m4": _case(4, "sgp", problem=_LOGISTIC),
+    "logistic-fullbatch-allreduce-m3": _case(
+        3, "allreduce", base={"kind": "adam", "buffer_strategy": "average"},
+        problem={**_LOGISTIC, "noise": {"kind": "additive-gaussian", "sigma2": 0.5}},
+    ),
+    "mlp-minibatch-dpsgd-m4": _case(4, "dpsgd", problem=_MLP),
+    "quadratic-cloud-minibatch-osgp-m4": _case(
+        4, "osgp", problem=_QUAD_CLOUD, osgp={"staleness": 2, "delay": _GEOMETRIC},
+    ),
+    "sgp-exponential-m5-log-bias": _case(5, "sgp", base=_NESTEROV, log_bias=True),
+    "osgp-geometric-m6-cadence3": _case(
+        6, "osgp", metric_cadence=3, osgp={"staleness": 2, "delay": _GEOMETRIC},
     ),
 }
 

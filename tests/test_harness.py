@@ -291,6 +291,65 @@ def test_bad_integer_fields_are_config_errors(case, tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+BAD_FLOAT_FIELDS = {
+    "gamma-nan": lambda raw: raw["gamma"].update(value=math.nan),
+    "gamma-inf": lambda raw: raw["gamma"].update(value=math.inf),
+    "gamma-as-string": lambda raw: raw["gamma"].update(value="0.1"),
+    "gamma-as-bool": lambda raw: raw["gamma"].update(value=True),
+    "gamma-huge-int": lambda raw: raw["gamma"].update(value=10**400),
+    "sigma2-nan": lambda raw: raw["problem"]["noise"].update(sigma2=math.nan),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FLOAT_FIELDS))
+def test_bad_float_fields_are_config_errors(case, tmp_path, capsys):
+    raw = _raw()
+    BAD_FLOAT_FIELDS[case](raw)
+    with pytest.raises(ConfigError):
+        parse_config(raw)
+    cfg_path = _write_cfg(tmp_path, raw)
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_float_fields_accept_integers():
+    raw = _raw(gamma={"value": 1})
+    raw["slowmo"]["alpha"] = 1
+    assert parse_config(raw).gamma.value == 1
+
+
+BAD_CUSTOM_EDGES = {
+    "string-endpoint": [[["a", 1]]],
+    "float-endpoint": [[[1.5, 0]]],
+    "bool-endpoint": [[[True, 0]]],
+    "negative-endpoint": [[[-1, 0]]],
+    "three-element-edge": [[[0, 1, 1]]],
+    "scalar-edge": [[1]],
+    "round-not-a-list": [{"0": 1}],
+    "rounds-not-a-list": "0-1",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CUSTOM_EDGES))
+def test_bad_custom_edges_are_config_errors(case, tmp_path, capsys):
+    raw = _raw(protocol="sgp", topology={"kind": "custom", "rounds": BAD_CUSTOM_EDGES[case]})
+    with pytest.raises(ConfigError):
+        parse_config(raw)
+    cfg_path = _write_cfg(tmp_path, raw)
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_duplicate_custom_edge_is_a_config_error(tmp_path, capsys):
+    raw = _raw(protocol="sgp",
+               topology={"kind": "custom", "rounds": [[[0, 1], [1, 0]], [[1, 0], [0, 1], [1, 0]]]})
+    with pytest.raises(ConfigError, match=r"round 1 lists edge \(1,0\) twice"):
+        build_simulation(parse_config(raw))
+    cfg_path = _write_cfg(tmp_path, raw)
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
 def test_cli_rejects_negative_seed_override(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path, _raw())
     assert main(["run", "--config", cfg_path, "--seed", "-1",

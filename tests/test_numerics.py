@@ -16,6 +16,7 @@ from slowmo_sim import (
     build_quadratic,
     global_gradient,
     global_loss,
+    global_loss_and_gradient,
     make_worker_rngs,
     problem_constants,
     rng_stream,
@@ -183,8 +184,58 @@ def test_quadratic_validation():
     noise = NoiseModel("additive-gaussian", sigma2=0.0)
     with pytest.raises(ConfigError):
         QuadraticProblem(np.array([[1.0, 0.5], [0.0, 1.0]]), [np.zeros(2)], noise)
+    asym = np.array([[1.0, 0.5], [0.0, 1.0]])
+    with pytest.raises(ConfigError, match="symmetric"):  # checked at every distinct matrix
+        QuadraticProblem([np.eye(2), np.eye(2), asym], [np.zeros(2)] * 3, noise)
+    with pytest.raises(ConfigError, match="shape"):
+        QuadraticProblem([np.eye(2), np.eye(3)], [np.zeros(2)] * 2, noise)
     with pytest.raises(ConfigError):  # minibatch needs a sample cloud
         QuadraticProblem(np.eye(2), [np.zeros(2)], NoiseModel("minibatch", batch_size=1))
+
+
+def test_shared_curvature_is_checked_once(monkeypatch):
+    calls = []
+    real = np.allclose
+    monkeypatch.setattr(np, "allclose", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    QuadraticProblem(np.eye(3), [np.zeros(3)] * 8, NoiseModel("additive-gaussian"))
+    assert len(calls) == 1
+
+
+def _fused_cases():
+    gauss = NoiseModel("additive-gaussian", sigma2=0.3)
+    rng = np.random.default_rng(4)
+    mats = []
+    for _ in range(3):
+        a = rng.standard_normal((4, 4))
+        mats.append(a @ a.T + np.eye(4))
+    return {
+        "quadratic-shared": build_quadratic(m=3, dimension=4, noise=gauss, seed=2,
+                                            l_min=0.5, l_max=2.0, heterogeneity=1.0),
+        "quadratic-per-worker": QuadraticProblem(
+            mats, [rng.standard_normal(4) for _ in range(3)], gauss),
+        "quadratic-cloud": build_quadratic(
+            m=3, dimension=4, noise=NoiseModel("minibatch", batch_size=2), seed=2,
+            l_min=0.5, l_max=2.0, heterogeneity=1.0, samples_per_worker=5),
+        "logistic": build_logistic(m=3, dimension=4, samples_per_worker=9, noise=gauss,
+                                   seed=2, heterogeneity=0.5),
+        "mlp": build_mlp(m=3, input_dim=3, hidden=4, samples_per_worker=9, noise=gauss,
+                         seed=2, heterogeneity=0.5),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_fused_cases()))
+def test_loss_and_gradient_equal_the_separate_oracles_bit_for_bit(kind):
+    prob = _fused_cases()[kind]
+    rng = np.random.default_rng(9)
+    for _ in range(3):
+        x = rng.standard_normal(prob.dimension)
+        for i in range(prob.num_workers):
+            loss, grad = prob.worker_loss_and_gradient(i, x)
+            assert loss == prob.worker_loss(i, x)
+            assert np.array_equal(grad, prob.worker_gradient(i, x))
+        loss, grad = global_loss_and_gradient(prob, x)
+        assert loss == global_loss(prob, x)
+        assert np.array_equal(grad, global_gradient(prob, x))
 
 
 def test_check_point_shape_guard(identity_quadratic):

@@ -12,6 +12,7 @@ from slowmo_sim import (
     MetricsTrace,
     NoiseModel,
     NumericalAbort,
+    ProtocolError,
     QuadraticProblem,
     Simulation,
     SlowMoConfig,
@@ -146,6 +147,25 @@ def test_weight_mass_includes_in_flight_messages():
     trace = sim.run()
     for r in trace.records:
         assert abs(r["weight_mass"] - 4.0) < 1e-9
+
+
+@pytest.mark.parametrize("noaverage, bad_round", [(False, 4), (True, 8)])
+def test_mass_drift_is_a_protocol_error(noaverage, bad_round):
+    # round 8 is the last one: the drift is caught by the final summary
+    sim = Simulation(_problem(m=4), BaseOptimizerConfig(kind="plain-sgd"),
+                     SlowMoConfig(alpha=1.0, beta=0.5, tau=3, noaverage=noaverage),
+                     protocol="sgp", gamma=0.05, seed=0, T=3)
+    real = sim.protocol.apply_round
+
+    def corrupting(states, half_x, round_index):
+        real(states, half_x, round_index)
+        if round_index == bad_round:
+            states[2].w += 1e-6
+
+    sim.protocol.apply_round = corrupting
+    with pytest.raises(ProtocolError, match=f"at round {bad_round + 1}"):
+        sim.run()
+    assert [r["round"] for r in sim._records] == list(range(bad_round + 1))
 
 
 def test_consensus_metric_is_zero_under_allreduce_at_block_starts():

@@ -127,6 +127,8 @@ def test_custom_schedule_validation():
     assert out_edges(sched, 0) == [(0, 1), (1, 2), (2, 0)]
     with pytest.raises(ConfigError):  # custom kinds have no single out-neighbor
         out_neighbor(sched, 1, 0)
+    with pytest.raises(ConfigError, match=r"round 1 lists edge \(2,0\) twice"):
+        custom_schedule(3, [[(0, 1)], [(2, 0), (1, 2), (2, 0)]])
 
 
 def test_unknown_kind_rejected():
