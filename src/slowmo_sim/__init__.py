@@ -14,7 +14,7 @@ from .comm_protocols import (
     InFlightMessage,
     MessageQueues,
     SlotMixing,
-    WorkerState,
+    WorkerStates,
     double_average,
     exact_average,
     gossip_round,
@@ -38,6 +38,7 @@ from .numerics import (
     Problem,
     ProblemConstants,
     QuadraticProblem,
+    WorkerStreams,
     build_logistic,
     build_mlp,
     build_quadratic,

@@ -118,8 +118,7 @@ def _cmd_estimate_v(args) -> int:
     if args.seed is not None:
         cfg = replace_seed(cfg, args.seed)
     problem = build_problem(cfg)
-    est = estimate_V(problem, cfg.base, protocol=cfg.protocol,
-                     samples=args.samples, seed=cfg.seed)
+    est = estimate_V(problem, cfg.base, samples=args.samples, seed=cfg.seed)
     out = {"V": est.value, "std_error": est.std_error, "samples": est.samples}
     if cfg.base.kind == "plain-sgd" and problem.noise.kind == "additive-gaussian":
         out["plain_sgd_theory"] = problem.noise.sigma2 / problem.num_workers

@@ -1,7 +1,8 @@
 """Inner-loop communication protocols.
 
-Every protocol consumes the workers' half-steps x - gamma*d for one round and
-produces the post-communication states:
+Every protocol consumes the stepping workers' half-steps x - gamma*d for one
+round, as rows of one array, and updates the stacked worker states
+(``WorkerStates``: x (m, d), w (m,)) in place:
 
     allreduce       exact average of the half-steps every round
     local           no communication at all
@@ -31,28 +32,49 @@ bit-reproducible; delivered messages drain in (send round, sender rank) order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .base_optimizers import OptimizerBuffers
 from .errors import ConfigError, ProtocolError
-from .numerics import STREAM_DELAY, rng_stream
+from .numerics import STREAM_DELAY, rank_sum, rng_stream
 from .topology import MixingMatrix, TopologySchedule, mixing_matrix, out_neighbor
 
 PROTOCOL_NAMES = ("allreduce", "local", "dpsgd", "sgp", "osgp", "double-average")
 
 
-@dataclass
-class WorkerState:
-    """One worker: parameters x, push-sum weight w, optimizer buffers."""
+class WorkerStates:
+    """Every worker's state, stacked with the worker index first: parameters
+    ``x`` (m, d), push-sum weights ``w`` (m,) and the optimizer buffers."""
 
-    x: np.ndarray
-    buffers: OptimizerBuffers
-    w: float = 1.0
+    def __init__(self, x: np.ndarray, buffers: OptimizerBuffers):
+        self.x = x
+        self.w = np.ones(len(x))
+        self.buffers = buffers
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def __getitem__(self, i: int) -> "WorkerView":
+        return WorkerView(self.x[i], float(self.w[i]))
 
     @property
     def z(self) -> np.ndarray:
-        """De-biased iterate x / w (equals x whenever w == 1). Read-only."""
+        """De-biased iterates x / w, (m, d) (equal to x wherever w == 1)."""
+        if (self.w <= 0.0).any():
+            raise ProtocolError(f"push-sum weight underflow (w={self.w.min()})")
+        return self.x / self.w[:, None]
+
+
+class WorkerView(NamedTuple):
+    """Worker i of a WorkerStates: ``x`` is a view of its row, ``w`` a copy of its weight."""
+
+    x: np.ndarray
+    w: float
+
+    @property
+    def z(self) -> np.ndarray:
         if self.w <= 0.0:
             raise ProtocolError(f"push-sum weight underflow (w={self.w})")
         return self.x / self.w
@@ -146,21 +168,13 @@ class DelayModel:
         return np.minimum(rng.geometric(self.p, size=count) - 1, self.cap).tolist()
 
 
-def rank_sum(vectors: list[np.ndarray]) -> np.ndarray:
-    """sum_i v_i as a new array, accumulated in ascending worker rank."""
-    total = vectors[0].copy()
-    for v in vectors[1:]:
-        total += v
-    return total
-
-
-def exact_average(states: list[WorkerState]) -> np.ndarray:
+def exact_average(states: WorkerStates) -> np.ndarray:
     """(1/m) sum_i z_i, accumulated in ascending worker rank.
 
     Uses the de-biased iterate, which coincides with x whenever w == 1, so
     the same reduction serves plain and push-sum protocols.
     """
-    return rank_sum([s.z for s in states]) / len(states)
+    return rank_sum(states.z) / len(states)
 
 
 class SlotMixing:
@@ -168,8 +182,8 @@ class SlotMixing:
 
     Slot c holds (rows, cols, weights) of every row's c-th nonzero, columns
     ascending within a row. ``doubly``: rows sum to 1 too (MixingMatrix has
-    checked the columns). ``self_weight[i]`` is p[i, i]; ``peer[j]`` is the
-    (receiver, weight) of sender j's out-edge on a one-peer graph.
+    checked the columns). ``self_weight`` is the diagonal p[i, i]; ``peer[j]``
+    is the (receiver, weight) of sender j's out-edge on a one-peer graph.
     """
 
     def __init__(self, mixing: MixingMatrix):
@@ -182,7 +196,7 @@ class SlotMixing:
             (rows[position == c], cols[position == c], weights[position == c, None])
             for c in range(int(position.max()) + 1)
         ]
-        self.self_weight = np.diag(p).tolist()
+        self.self_weight = np.diag(p).copy()
         off = rows != cols
         self.peer = dict(zip(cols[off].tolist(), zip(rows[off].tolist(), weights[off].tolist())))
 
@@ -203,89 +217,91 @@ class SlotMixing:
         return out
 
 
-def gossip_round(
-    states: list[WorkerState], mixing: SlotMixing, half_x: list[np.ndarray]
-) -> list[WorkerState]:
-    """One doubly-stochastic gossip round: x_i <- sum_j p[i,j] half_x[j]."""
+def gossip_round(states: WorkerStates, mixing: SlotMixing, half: np.ndarray) -> WorkerStates:
+    """One doubly-stochastic gossip round: x_i <- sum_j p[i,j] half[j]."""
     if not mixing.doubly:
         raise ProtocolError("doubly-stochastic gossip needs row sums 1 within 1e-12")
-    for s, x in zip(states, mixing.mix(np.stack(half_x))):
-        s.x = x
+    states.x = mixing.mix(half)
     return states
 
 
-def pushsum_round(
-    states: list[WorkerState], mixing: SlotMixing, half_x: list[np.ndarray]
-) -> list[WorkerState]:
+def pushsum_round(states: WorkerStates, mixing: SlotMixing, half: np.ndarray) -> WorkerStates:
     """One synchronous push-sum round: mix x and w by the same column-stochastic matrix."""
-    new_x = mixing.mix(np.stack(half_x))
-    new_w = mixing.mix(np.array([[s.w] for s in states]))[:, 0].tolist()
-    for s, x, w in zip(states, new_x, new_w):
-        s.x = x
-        s.w = w
+    states.x = mixing.mix(half)
+    states.w = mixing.mix(states.w[:, None])[:, 0]
     return states
 
 
-def double_average(states: list[WorkerState]) -> list[WorkerState]:
+def double_average(states: WorkerStates) -> WorkerStates:
     """Exact average of both parameters and momentum buffers across workers."""
-    x_mean = rank_sum([s.x for s in states]) / len(states)
-    h_mean = rank_sum([s.buffers.h for s in states]) / len(states)
-    for s in states:
-        s.x = x_mean.copy()
-        s.buffers.h[:] = h_mean
+    m = len(states)
+    states.x[:] = rank_sum(states.x) / m
+    states.buffers.h[:] = rank_sum(states.buffers.h) / m
     return states
+
+
+def _absorb(states: WorkerStates, inboxes: dict[int, list[InFlightMessage]]) -> list[int]:
+    """Add every delivered payload to its receiver, in inbox order; returns the receivers."""
+    for i, inbox in inboxes.items():
+        for msg in inbox:
+            states.x[i] += msg.payload_x
+            states.w[i] += msg.payload_w
+    return list(inboxes)
 
 
 def osgp_step(
-    state: WorkerState,
-    half_x: np.ndarray | None,
-    p_self: float,
-    inbox: list[InFlightMessage],
-    count_since_last: int,
+    states: WorkerStates,
+    half: np.ndarray,
+    senders: np.ndarray,
+    self_weight: np.ndarray,
+    inboxes: dict[int, list[InFlightMessage]],
+    count_since_last: np.ndarray,
     staleness_limit: int,
-) -> tuple[WorkerState, int, bool]:
-    """One worker's OSGP bookkeeping after its (possible) send.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One OSGP round's bookkeeping for every worker, after the sends.
 
-    ``half_x is None`` marks a worker whose clock is stalled this round: it
-    took no gradient step and sent nothing, it only watches its inbox. An
-    active worker keeps p_self of its own half-step (the rest is in flight),
-    then drains whatever arrived. Returns (state, count_since_last, stalled):
-    a drain resets the counter; an active worker that has waited
-    ``staleness_limit`` rounds without receiving blocks.
+    The ``senders`` (ascending; row r of ``half`` is the r-th one's
+    half-step) keep ``self_weight`` of their half-step and weight, the rest
+    being in flight. Workers whose clock is stalled this round took no step
+    and sent nothing; they only watch their inbox. Then every worker drains
+    what arrived. Returns (count_since_last, stalled): a drain resets the
+    counter; a sender that has waited ``staleness_limit`` rounds without
+    receiving blocks, and a stalled worker stays blocked until mail comes.
     """
-    if half_x is not None:
-        state.x = p_self * half_x
-        state.w = p_self * state.w
-    received = False
-    for msg in inbox:
-        state.x += msg.payload_x
-        state.w += msg.payload_w
-        received = True
-    if received:
-        return state, 0, False
-    if half_x is None:
-        return state, count_since_last, True
-    if count_since_last >= staleness_limit:
-        return state, count_since_last, True
-    return state, count_since_last + 1, False
+    p = self_weight[senders]
+    states.x[senders] = p[:, None] * half
+    states.w[senders] = p * states.w[senders]
+    received = np.zeros(len(states), dtype=bool)
+    received[_absorb(states, inboxes)] = True
+    sent = np.zeros(len(states), dtype=bool)
+    sent[senders] = True
+    waiting = count_since_last < staleness_limit
+    count = np.where(received, 0, count_since_last + (sent & waiting))
+    return count, ~received & ~(sent & waiting)
 
 
 class _ProtocolBase:
-    """Kernel-facing adapter: one object per run, consulted every round."""
+    """Kernel-facing adapter: one object per run, consulted every round.
+
+    ``apply_round(states, half, round_index)`` gets the stacked states and
+    the (n, d) half-steps x - gamma*d of the n workers ``active_workers()``
+    named, in that order.
+    """
 
     name = "abstract"
     debias = False
 
     def __init__(self, m: int):
         self.m = m
+        self._everyone = np.arange(m)
 
-    def active_workers(self) -> list[int]:
-        return list(range(self.m))
+    def active_workers(self) -> np.ndarray:
+        return self._everyone
 
-    def apply_round(self, states, half_x: dict, round_index: int) -> None:
+    def apply_round(self, states: WorkerStates, half: np.ndarray, round_index: int) -> None:
         raise NotImplementedError
 
-    def end_block(self, states) -> None:
+    def end_block(self, states: WorkerStates) -> None:
         """Called after the last inner round of each outer iteration."""
 
     def inflight_sums(self, dimension: int) -> tuple[np.ndarray, float]:
@@ -295,26 +311,22 @@ class _ProtocolBase:
 class LocalProtocol(_ProtocolBase):
     name = "local"
 
-    def apply_round(self, states, half_x, round_index):
-        for i in range(self.m):
-            states[i].x = half_x[i]
+    def apply_round(self, states, half, round_index):
+        states.x = half
 
 
 class AllReduceProtocol(_ProtocolBase):
     name = "allreduce"
 
-    def apply_round(self, states, half_x, round_index):
-        mean = rank_sum([half_x[i] for i in range(self.m)]) / self.m
-        for i in range(self.m):
-            states[i].x = mean.copy()
+    def apply_round(self, states, half, round_index):
+        states.x[:] = rank_sum(half) / self.m
 
 
 class DoubleAverageProtocol(_ProtocolBase):
     name = "double-average"
 
-    def apply_round(self, states, half_x, round_index):
-        for i in range(self.m):
-            states[i].x = half_x[i]
+    def apply_round(self, states, half, round_index):
+        states.x = half
 
     def end_block(self, states):
         double_average(states)
@@ -342,8 +354,7 @@ class GossipProtocol(_ProtocolBase):
         super().__init__(m)
         self.mixing = _MixingCache(schedule, "doubly")
 
-    def apply_round(self, states, half_x, round_index):
-        half = [half_x[i] for i in range(self.m)]
+    def apply_round(self, states, half, round_index):
         gossip_round(states, self.mixing.at(round_index), half)
 
 
@@ -355,8 +366,7 @@ class PushSumProtocol(_ProtocolBase):
         super().__init__(m)
         self.mixing = _MixingCache(schedule, "column")
 
-    def apply_round(self, states, half_x, round_index):
-        half = [half_x[i] for i in range(self.m)]
+    def apply_round(self, states, half, round_index):
         pushsum_round(states, self.mixing.at(round_index), half)
 
 
@@ -376,30 +386,29 @@ class OverlapPushSumProtocol(_ProtocolBase):
         self.delay = delay
         self.mixing = _MixingCache(schedule, "column")
         self.queues = MessageQueues()
-        self.count_since_last = [0] * m
-        self.stalled = [False] * m
+        self.count_since_last = np.zeros(m, dtype=np.int64)
+        self.stalled = np.zeros(m, dtype=bool)
         self._delay_rng = rng_stream(seed, STREAM_DELAY, 0)
         self._last_sched: dict[tuple[int, int], int] = {}
 
     def active_workers(self):
-        return [i for i in range(self.m) if not self.stalled[i]]
+        return np.flatnonzero(~self.stalled)
 
-    def apply_round(self, states, half_x, round_index):
-        m = self.m
-        if m == 1:
+    def apply_round(self, states, half, round_index):
+        if self.m == 1:
             # no peers: degenerate synchronous case, never stalls
-            if 0 in half_x:
-                states[0].x = half_x[0]
+            states.x = half
             return
-        if not half_x and self.queues.empty():
+        senders = self.active_workers()
+        if not senders.size and self.queues.empty():
             raise ProtocolError(
                 "every worker is stalled and no messages are in flight"
             )
         mix = self.mixing.at(round_index)
         # sends happen first, in ascending rank, so delay draws are ordered
-        senders = sorted(half_x)
-        lags = self.delay.draw(self._delay_rng, len(senders))
-        for i, lag in zip(senders, lags):
+        lags = self.delay.draw(self._delay_rng, senders.size)
+        weights = states.w.tolist()
+        for row, (i, lag) in enumerate(zip(senders.tolist(), lags)):
             nbr, weight = mix.peer[i]
             deliver = round_index + lag
             edge = (i, nbr)
@@ -413,32 +422,20 @@ class OverlapPushSumProtocol(_ProtocolBase):
                     receiver=nbr,
                     send_round=round_index,
                     deliver_round=deliver,
-                    payload_x=weight * half_x[i],
-                    payload_w=weight * states[i].w,
+                    payload_x=weight * half[row],
+                    payload_w=weight * weights[i],
                 )
             )
-        inboxes = self.queues.deliver(round_index)
-        for i in range(m):
-            _, count, stalled = osgp_step(
-                states[i],
-                half_x.get(i),
-                mix.self_weight[i],
-                inboxes.get(i, []),
-                self.count_since_last[i],
-                self.staleness,
-            )
-            self.count_since_last[i] = count
-            self.stalled[i] = stalled
+        self.count_since_last, self.stalled = osgp_step(
+            states, half, senders, mix.self_weight, self.queues.deliver(round_index),
+            self.count_since_last, self.staleness,
+        )
 
     def end_block(self, states):
         """Drain barrier: flush every queue before the block's exact average."""
-        inboxes = self.queues.drain_all()
-        for i in range(self.m):
-            for msg in inboxes.get(i, []):
-                states[i].x += msg.payload_x
-                states[i].w += msg.payload_w
-            self.count_since_last[i] = 0
-            self.stalled[i] = False
+        _absorb(states, self.queues.drain_all())
+        self.count_since_last[:] = 0
+        self.stalled[:] = False
 
     def inflight_sums(self, dimension):
         return self.queues.pending_sums(dimension)

@@ -114,8 +114,11 @@ class ProblemConfig:
     def __post_init__(self):
         if self.kind not in ("quadratic", "logistic", "mlp"):
             raise ConfigError(f"unknown problem kind {self.kind!r}")
-        if self.m < 1:
-            raise ConfigError("problem.m must be >= 1")
+        for name in ("m", "dimension", "input_dim", "hidden"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"problem.{name} must be >= 1")
+        if self.samples_per_worker < 0:
+            raise ConfigError("problem.samples_per_worker must be >= 0")
         if self.heterogeneity < 0:
             raise ConfigError("heterogeneity must be >= 0")
         if self.kind == "quadratic":
@@ -214,6 +217,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     gamma_raw = _take(top["gamma"], {
         "kind": "constant", "value": 0.1, "milestones": [], "decay": 0.1,
     }, "gamma")
+    if not isinstance(gamma_raw["milestones"], list):
+        raise ConfigError(f"gamma.milestones must be a list, got {gamma_raw['milestones']!r}")
+    for ms in gamma_raw["milestones"]:
+        _check_int(ms, "gamma.milestones entry", minimum=0)
     gamma = GammaSchedule(
         value=gamma_raw["value"], kind=gamma_raw["kind"],
         milestones=tuple(gamma_raw["milestones"]), decay=gamma_raw["decay"],
@@ -254,9 +261,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if top[key] is not None:
             _check_int(top[key], key)
     _check_int(top["seed"], "seed", minimum=0)
-    if top["execution"] not in ("sequential", "parallel"):
-        raise ConfigError("execution must be 'sequential' or 'parallel'")
+    if top["execution"] == "parallel":
+        raise ConfigError("execution mode 'parallel' was removed; runs are always sequential")
+    if top["execution"] != "sequential":
+        raise ConfigError(f"execution must be 'sequential', got {top['execution']!r}")
     _check_int(top["metric_cadence"], "metric_cadence", minimum=1)
+    if not isinstance(top["grid"], dict):
+        raise ConfigError(f"grid must be an object, got {top['grid']!r}")
 
     return ExperimentConfig(
         problem=problem, base=base, slowmo=slowmo, gamma=gamma,
@@ -335,7 +346,6 @@ def build_simulation(cfg: ExperimentConfig, seed: int | None = None) -> Simulati
         x0=initial_point(cfg, problem.dimension),
         metric_cadence=cfg.metric_cadence,
         log_bias=cfg.log_bias,
-        parallel=cfg.execution == "parallel",
     )
 
 

@@ -46,6 +46,70 @@ def make_worker_rngs(seed: int, m: int) -> list[np.random.Generator]:
     return [rng_stream(seed, STREAM_NOISE, i) for i in range(m)]
 
 
+class WorkerStreams:
+    """Per-worker gradient-noise streams, plus standard normal rows pre-drawn
+    from them in blocks.
+
+    ``standard_normal((block, d))`` uses up a Philox stream exactly as
+    ``block`` calls of ``standard_normal(d)`` do, so a worker's k-th row is
+    its k-th single draw. Each worker has its own cursor: a worker that does
+    not step draws nothing. A problem takes its noise either through
+    ``normal_rows`` or from ``generators`` directly, never both.
+    """
+
+    def __init__(self, seed: int, m: int, dimension: int, block: int):
+        self.generators = make_worker_rngs(seed, m)
+        self._shape = (m, block, dimension)
+        self._rows = None  # allocated on first use
+        self._cursor = np.full(m, block)
+        self._lockstep = True  # every call so far took a row from every worker
+
+    def normal_rows(self, workers: np.ndarray) -> np.ndarray:
+        """The next N(0, I) row of each worker in ``workers`` (distinct,
+        ascending), (n, d). The result may be a view of the pre-drawn block."""
+        m, block, d = self._shape
+        if self._rows is None:
+            self._rows = np.empty(self._shape)
+        cursor = self._cursor
+        if self._lockstep and len(workers) == m:
+            c = int(cursor[0])
+            if c == block:
+                for i, gen in enumerate(self.generators):
+                    self._rows[i] = gen.standard_normal((block, d))
+                c = 0
+            cursor[:] = c + 1
+            return self._rows[:, c]
+        self._lockstep = False
+        for i in workers[cursor[workers] == block].tolist():
+            self._rows[i] = self.generators[i].standard_normal((block, d))
+            cursor[i] = 0
+        rows = self._rows[workers, cursor[workers]]
+        cursor[workers] += 1
+        return rows
+
+
+def rank_sum(rows: np.ndarray, start: float = -0.0) -> np.ndarray:
+    """``start`` plus the rows of an (n, d) array, added left to right in
+    ascending row order, bit for bit. The default -0.0 leaves the first row
+    as it is, like ``total = rows[0].copy(); total += row; ...``; start 0.0
+    is the same loop from ``np.zeros(d)``.
+
+    ``rows.sum(axis=0)`` would start from +0.0 (an all -0.0 column loses its
+    sign) and sum a single column pairwise; cumsum is sequential.
+    """
+    if rows.shape[1] == 1:
+        return np.cumsum(rows, axis=0)[-1] + start
+    return np.add.reduce(rows, axis=0, initial=start)
+
+
+def float_sum(values) -> float:
+    """Python floats added left to right from 0.0 (``np.sum`` would pair them)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Gradient noise specification.
@@ -118,6 +182,25 @@ class Problem:
         loss and gradient share work override this to do that work once."""
         return self.worker_loss(worker_id, x), self.worker_gradient(worker_id, x)
 
+    def losses_and_gradients(self, x: np.ndarray) -> tuple[list[float], np.ndarray]:
+        """Every worker's (loss, gradient) at x: m floats and an (m, d) stack."""
+        pairs = [self.worker_loss_and_gradient(i, x) for i in range(self.num_workers)]
+        return [loss for loss, _ in pairs], np.stack([g for _, g in pairs])
+
+    def stochastic_gradients(
+        self, points: np.ndarray, workers: np.ndarray, streams: WorkerStreams
+    ) -> np.ndarray:
+        """One stochastic gradient per row: worker ``workers[r]`` at ``points[r]``,
+        as a new (n, d) array the caller may overwrite.
+
+        Bit for bit the ``worker_stochastic_gradient`` calls in row order,
+        each worker drawing from its own stream; subclasses may batch them.
+        """
+        return np.stack([
+            worker_stochastic_gradient(self, i, x, streams.generators[i])
+            for i, x in zip(workers.tolist(), points)
+        ])
+
     def check_worker(self, worker_id: int) -> None:
         if not (0 <= worker_id < self.num_workers):
             raise ConfigError(f"unknown worker_id {worker_id} (m={self.num_workers})")
@@ -187,17 +270,11 @@ def global_gradient(problem: Problem, x: np.ndarray) -> np.ndarray:
 
 def global_loss_and_gradient(problem: Problem, x: np.ndarray) -> tuple[float, np.ndarray]:
     """(global_loss, global_gradient) at x, bit for bit, from one
-    worker_loss_and_gradient call per worker in ascending rank."""
+    loss-and-gradient evaluation of every worker, summed in ascending rank."""
     x = problem.check_point(x)
     m = problem.num_workers
-    loss, grad = problem.worker_loss_and_gradient(0, x)
-    total_loss = 0.0 + loss  # from 0.0, as global_loss sums
-    total_grad = grad.copy()
-    for i in range(1, m):
-        loss, grad = problem.worker_loss_and_gradient(i, x)
-        total_loss += loss
-        total_grad += grad
-    return total_loss / m, total_grad / m
+    losses, grads = problem.losses_and_gradients(x)
+    return float_sum(losses) / m, rank_sum(grads) / m
 
 
 def power_iteration(mat: np.ndarray, tol: float = 1e-10, max_iter: int = 100_000) -> float:
@@ -257,6 +334,8 @@ class QuadraticProblem(Problem):
         self.shared_curvature = all(a is self.a_mats[0] for a in self.a_mats) or all(
             np.array_equal(a, self.a_mats[0]) for a in self.a_mats
         )
+        # every worker's objective in stacked form: one A, centers as rows
+        self._centers = np.stack(b_vecs) if self.shared_curvature and samples is None else None
 
     def shard_size(self, worker_id):
         if self.samples is None:
@@ -281,6 +360,26 @@ class QuadraticProblem(Problem):
         g = self.a_mats[worker_id] @ r
         return float(0.5 * r @ g), g
 
+    def losses_and_gradients(self, x):
+        if self._centers is None:
+            return super().losses_and_gradients(x)
+        r = x - self._centers
+        g = self._stacked_matvec(r)
+        return row_dots(0.5 * r, g).tolist(), g
+
+    def stochastic_gradients(self, points, workers, streams):
+        if self._centers is None:
+            return super().stochastic_gradients(points, workers, streams)
+        centers = self._centers if len(workers) == self.num_workers else self._centers[workers]
+        g = self._stacked_matvec(points - centers)
+        if self.noise.sigma2 > 0:
+            g += np.sqrt(self.noise.sigma2 / self.dimension) * streams.normal_rows(workers)
+        return g
+
+    def _stacked_matvec(self, rows):
+        # the stacked gemv A @ r per row matches A @ r bit for bit; rows @ A.T does not
+        return (self.a_mats[0] @ rows[..., None])[..., 0]
+
     def minibatch_gradient(self, worker_id, x, idx):
         center = self.samples[worker_id][idx].mean(axis=0)
         return self.a_mats[worker_id] @ (x - center)
@@ -292,6 +391,11 @@ class QuadraticProblem(Problem):
         rhs = sum(self.a_mats[i] @ self.b_vecs[i] for i in range(m)) / m
         sol, *_ = np.linalg.lstsq(a_bar, rhs, rcond=None)
         return sol
+
+
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] @ b[i] for every row, each bit for bit the 1-D dot."""
+    return (a[:, None, :] @ b[:, :, None]).ravel()
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:

@@ -4,40 +4,47 @@ The kernel owns the clocks, per-worker RNG streams, message queues, metric
 recording, and NaN policing; the algorithmic content lives in slowmo (outer
 loop), base_optimizers (inner directions), and comm_protocols (rounds).
 
-Determinism contract: for a fixed problem and seed the produced trace is
-bitwise reproducible, including under the threaded execution mode. Workers
-only ever touch their own state and their own RNG stream inside a round;
-every cross-worker reduction runs on the coordinating thread in ascending
-rank order after all per-worker work has been collected.
+Stacked-state contract: worker state is held as arrays with the worker
+index first (``WorkerStates``: x (m, d), w (m,), optimizer buffers (m, d)
+and adam step indices (m,)). A round makes one batched call per layer: the
+problem's ``stochastic_gradients`` for the stepping workers, one
+``local_direction``, one protocol ``apply_round`` on the (n, d) half-steps
+and, when a record is due, one loss-and-gradient evaluation plus row-wise
+dots. Every batched form adds in ascending worker rank and is bit for bit
+the per-worker loop it replaces, so for a fixed problem and seed the trace
+is bitwise reproducible and independent of how the state is laid out.
 
 Metrics are recorded at the start of every inner round (subject to
 ``metric_cadence``), so with cadence 1 a run of T outer iterations of length
 tau yields exactly tau*T records; record r describes the state the r-th step
 was taken from, and costs one loss-and-gradient evaluation per worker at
-x_bar. The average iterate x_bar counts in-flight push-sum payloads so no
-mass ever escapes the metrics; every record (and the final summary) refuses
-a push-sum mass that has drifted from m.
+x_bar. Recording never touches the trajectory. The average iterate x_bar
+counts in-flight push-sum payloads so no mass ever escapes the metrics;
+every record (and the final summary) refuses a push-sum mass that has
+drifted from m.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .base_optimizers import BaseOptimizerConfig, OptimizerBuffers, local_direction
-from .comm_protocols import DelayModel, WorkerState, make_protocol, rank_sum
+from .comm_protocols import DelayModel, WorkerStates, make_protocol
 from .errors import ConfigError, NumericalAbort, ProtocolError
 from .numerics import (
     Problem,
-    # unused here, but the benchmark's tracer wraps these two at this site
+    WorkerStreams,
+    float_sum,
+    # unused here, but the benchmark's tracer wraps these three at this site
     global_gradient,
     global_loss,
     global_loss_and_gradient,
-    make_worker_rngs,
+    rank_sum,
+    row_dots,
     worker_full_gradient,
     worker_stochastic_gradient,
 )
@@ -103,7 +110,6 @@ class Simulation:
         x0: np.ndarray | None = None,
         metric_cadence: int = 1,
         log_bias: bool = False,
-        parallel: bool = False,
     ):
         self.problem = problem
         self.base_config = base_config or BaseOptimizerConfig()
@@ -163,29 +169,32 @@ class Simulation:
         if x0 is None:
             x0 = np.zeros(self.d)
         x0 = problem.check_point(x0)
-        self.states = [
-            WorkerState(x=x0.copy(), buffers=OptimizerBuffers.fresh(self.base_config, self.d))
-            for _ in range(self.m)
-        ]
-        self.worker_rngs = make_worker_rngs(seed, self.m)
+        self.states = WorkerStates(
+            np.tile(x0, (self.m, 1)), OptimizerBuffers.fresh(self.base_config, self.m, self.d)
+        )
+        self.worker_streams = WorkerStreams(seed, self.m, self.d, tau)
         self.clock = SimClock()
         self.slow = SlowMoState(x_outer=x0.copy(), u=np.zeros(self.d), t=0)
-        self.x_outer_local = [x0.copy() for _ in range(self.m)]
-        self.u_local = [np.zeros(self.d) for _ in range(self.m)]
+        self.x_outer_local = np.tile(x0, (self.m, 1))
+        self.u_local = np.zeros((self.m, self.d))
 
         self.slow_average_calls = 0  # line-6 exact averages actually performed
         self.block_dbar_sums: list[np.ndarray] = []
         self._records: list[dict] = []
-        self._pool = ThreadPoolExecutor(max_workers=self.m) if parallel else None
         self._trace: MetricsTrace | None = None
 
     # ------------------------------------------------------------------ #
     # kernel services used by slowmo.run_outer_iteration
     # ------------------------------------------------------------------ #
 
+    def points(self) -> np.ndarray:
+        """Where the workers evaluate gradients: z when the protocol de-biases, else x
+        (without de-biasing w is exactly 1.0, where x / w is x bit for bit)."""
+        return self.states.z if self.protocol.debias else self.states.x
+
     def mean_x(self, inflight_x: np.ndarray) -> np.ndarray:
         """Average of worker parameters plus the in-flight payload sum ``inflight_x``."""
-        total = rank_sum([s.x for s in self.states])
+        total = rank_sum(self.states.x)
         total += inflight_x
         return total / self.m
 
@@ -194,7 +203,7 @@ class Simulation:
 
         Raises ProtocolError when it has drifted from m by more than 1e-9 m.
         """
-        mass = sum(s.w for s in self.states) + inflight_w
+        mass = float(sum(self.states.w.tolist()) + inflight_w)
         if abs(mass - self.m) > 1e-9 * self.m:
             raise ProtocolError(
                 f"push-sum mass {mass!r} != m={self.m} at round {self.clock.round}"
@@ -207,13 +216,8 @@ class Simulation:
         return self.mean_x(inflight_x), self.weight_mass(inflight_w)
 
     def consensus_sq(self, xbar: np.ndarray) -> float:
-        # without de-biasing w is exactly 1.0, where x / w is x bit for bit
-        debias = self.protocol.debias
-        acc = 0.0
-        for s in self.states:
-            diff = (s.z if debias else s.x) - xbar
-            acc += float(diff @ diff)
-        return acc / self.m
+        diff = self.points() - xbar
+        return float_sum(row_dots(diff, diff).tolist()) / self.m
 
     def _expected_direction_gap_sq(self, xbar, gbar) -> float | None:
         """||grad f(x_bar) - (1/m) sum_i E[d_i]||^2, when available in closed form."""
@@ -222,17 +226,12 @@ class Simulation:
             return None
         if len(self.protocol.active_workers()) != self.m:
             return None
-        acc = np.zeros(self.d)
-        for i, s in enumerate(self.states):
-            pt = s.z if self.protocol.debias else s.x
-            e = worker_full_gradient(self.problem, i, pt)
-            if kind == "plain-sgd":
-                acc += e
-            else:  # sgd-nesterov: E[d] = bl^2 h + (1 + bl) grad
-                bl = self.base_config.beta_local
-                acc += bl * bl * s.buffers.h + (1.0 + bl) * e
-        acc /= self.m
-        diff = gbar - acc
+        pts = self.points()
+        expected = np.stack([worker_full_gradient(self.problem, i, pts[i]) for i in range(self.m)])
+        if kind == "sgd-nesterov":  # E[d] = bl^2 h + (1 + bl) grad
+            bl = self.base_config.beta_local
+            expected = bl * bl * self.states.buffers.h + (1.0 + bl) * expected
+        diff = gbar - rank_sum(expected, start=0.0) / self.m
         return float(diff @ diff)
 
     def record_metrics(self, gamma: float) -> None:
@@ -255,13 +254,6 @@ class Simulation:
         }
         self._records.append(rec)
 
-    def _compute_worker(self, i: int, gamma: float):
-        s = self.states[i]
-        pt = s.z if self.protocol.debias else s.x
-        g = worker_stochastic_gradient(self.problem, i, pt, self.worker_rngs[i])
-        d, _ = local_direction(self.base_config, s.buffers, g)
-        return d, s.x - gamma * d
-
     def inner_round(self, gamma: float) -> np.ndarray:
         """One inner step for every non-stalled worker plus one protocol round.
 
@@ -269,16 +261,17 @@ class Simulation:
         workers contribute nothing), used for the slow-buffer identity.
         """
         active = self.protocol.active_workers()
-        if self._pool is not None and len(active) > 1:
-            futures = [(i, self._pool.submit(self._compute_worker, i, gamma)) for i in active]
-            results = {i: f.result() for i, f in futures}
+        rows = slice(None) if len(active) == self.m else active  # views of the whole stack
+        if len(active):
+            grads = self.problem.stochastic_gradients(self.points()[rows], active, self.worker_streams)
+            d = local_direction(self.base_config, self.states.buffers, grads, rows)
+            dsum = rank_sum(d, start=0.0)
+            # x - gamma * d, written over d (a fresh array, no longer needed)
+            half = np.subtract(self.states.x[rows], np.multiply(d, gamma, out=d), out=d)
         else:
-            results = {i: self._compute_worker(i, gamma) for i in active}
-        half = {i: results[i][1] for i in active}
+            half = np.empty((0, self.d))
+            dsum = np.zeros(self.d)
         self.protocol.apply_round(self.states, half, self.clock.round)
-        dsum = np.zeros(self.d)
-        for i in active:
-            dsum += results[i][0]
         dsum /= self.m
         self.clock.round += 1
         self.clock.k += 1
@@ -286,10 +279,9 @@ class Simulation:
         return dsum
 
     def _check_finite(self) -> None:
-        finite = np.isfinite(np.stack([s.x for s in self.states])).all(axis=1)
-        finite &= np.isfinite([s.w for s in self.states])
-        if finite.all():
+        if np.isfinite(self.states.x).all() and np.isfinite(self.states.w).all():
             return
+        finite = np.isfinite(self.states.x).all(axis=1) & np.isfinite(self.states.w)
         i = int(np.argmin(finite))  # the first worker with a non-finite value
         diag = {
             "t": self.clock.t, "k": self.clock.k,
@@ -337,8 +329,6 @@ class Simulation:
         if self.slowmo_config.noaverage:
             # one final drain so the summary sees all in-flight mass
             self.protocol.end_block(self.states)
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
         xbar, _ = self._metric_point()
         final_loss, gbar = global_loss_and_gradient(self.problem, xbar)
         final_loss = float(final_loss)

@@ -96,7 +96,8 @@ def slow_update(
     alpha: float,
     beta: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One slow momentum update; returns (u_next, x_next)."""
+    """One slow momentum update; returns (u_next, x_next). Stacked (m, d)
+    arguments update every row independently, one private update per worker."""
     if gamma <= 0.0:
         raise ConfigError("slow update needs gamma > 0")
     u_next = beta * u + (x_t0 - x_ttau) / gamma
@@ -115,12 +116,8 @@ def run_outer_iteration(sim) -> None:
     gamma = sim.gamma_schedule.at(t)
     block_len = sim.block_lengths[t]
 
-    apply_buffer_strategy(sim.base_config, [s.buffers for s in sim.states])
-
-    if cfg.noaverage:
-        x_start = [x.copy() for x in sim.x_outer_local]
-    else:
-        x_start = sim.slow.x_outer.copy()
+    apply_buffer_strategy(sim.base_config, sim.states.buffers)
+    x_start = sim.x_outer_local if cfg.noaverage else sim.slow.x_outer
 
     dbar_sum = np.zeros(sim.problem.dimension)
     for _ in range(block_len):
@@ -128,27 +125,23 @@ def run_outer_iteration(sim) -> None:
         dbar_sum += sim.inner_round(gamma)
     sim.block_dbar_sums.append(dbar_sum)
 
+    states = sim.states
     if cfg.noaverage:
-        # private slow updates in z-space; x is rescaled so w is untouched
-        for i, s in enumerate(sim.states):
-            u_next, z_next = slow_update(
-                x_start[i], s.z, sim.u_local[i], gamma, cfg.alpha, cfg.beta
-            )
-            sim.u_local[i] = u_next
-            sim.x_outer_local[i] = z_next
-            s.x = s.w * z_next
+        # private slow updates in z-space, one row per worker; x is rescaled
+        # so w is untouched
+        sim.u_local, sim.x_outer_local = slow_update(
+            x_start, states.z, sim.u_local, gamma, cfg.alpha, cfg.beta
+        )
+        states.x = states.w[:, None] * sim.x_outer_local
     else:
-        sim.protocol.end_block(sim.states)
-        x_avg = exact_average(sim.states)
+        sim.protocol.end_block(states)
+        x_avg = exact_average(states)
         sim.slow_average_calls += 1
-        u_next, x_next = slow_update(
+        sim.slow.u, sim.slow.x_outer = slow_update(
             x_start, x_avg, sim.slow.u, gamma, cfg.alpha, cfg.beta
         )
-        sim.slow.u = u_next
-        sim.slow.x_outer = x_next
-        for s in sim.states:
-            s.x = x_next.copy()
-            s.w = 1.0
+        states.x[:] = sim.slow.x_outer
+        states.w[:] = 1.0
 
     sim.clock.t += 1
     sim.clock.k = 0

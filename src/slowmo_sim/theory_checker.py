@@ -31,7 +31,7 @@ import numpy as np
 
 from .base_optimizers import BaseOptimizerConfig, OptimizerBuffers, local_direction
 from .errors import ConfigError
-from .numerics import Problem, make_worker_rngs, worker_stochastic_gradient
+from .numerics import Problem, WorkerStreams, global_gradient, make_worker_rngs, rank_sum
 
 SEED_FLOOR = 20  # minimum runs for the LHS expectation
 
@@ -140,33 +140,28 @@ class VEstimate:
 def estimate_V(
     problem: Problem,
     base_config: BaseOptimizerConfig,
-    protocol: str = "local",
     samples: int = 100_000,
     seed: int = 0,
     x: np.ndarray | None = None,
-    buffers: list[OptimizerBuffers] | None = None,
+    buffers: OptimizerBuffers | None = None,
 ) -> VEstimate:
     """Monte-Carlo estimate of V = Var[(1/m) sum_i d_i] at a fixed state.
 
     Column- and doubly-stochastic communication preserve the worker average
     of the update directions, so the averaged-direction distribution is the
-    same for every supported protocol; the argument is accepted for
-    interface symmetry and validated only.
+    same for every supported protocol. ``buffers`` is the workers' stacked
+    optimizer state the directions start from (fresh by default); every
+    sample starts from it again.
     """
     if samples < 100:
         raise ConfigError("estimate_V needs at least 100 samples")
-    if protocol not in ("local", "allreduce", "dpsgd", "sgp", "osgp", "double-average"):
-        raise ConfigError(f"unknown protocol {protocol!r}")
     m, d = problem.num_workers, problem.dimension
     x = np.zeros(d) if x is None else problem.check_point(x)
-    rngs = make_worker_rngs(seed, m)
 
     if base_config.kind == "plain-sgd" and problem.noise.kind == "additive-gaussian":
         # d_i = grad_i + eta_i: draw the noise in bulk, one block per worker
-        mean_full = problem.worker_gradient(0, x).copy()
-        for i in range(1, m):
-            mean_full += problem.worker_gradient(i, x)
-        mean_full /= m
+        rngs = make_worker_rngs(seed, m)
+        mean_full = global_gradient(problem, x)
         scale = math.sqrt(problem.noise.sigma2 / d)
         noise_mean = np.zeros((samples, d))
         for i in range(m):
@@ -174,16 +169,16 @@ def estimate_V(
         noise_mean /= m
         dbars = mean_full[None, :] + noise_mean
     else:
-        base_bufs = buffers or [OptimizerBuffers.fresh(base_config, d) for _ in range(m)]
+        if buffers is None:
+            buffers = OptimizerBuffers.fresh(base_config, m, d)
+        streams = WorkerStreams(seed, m, d, block=64)
+        workers = np.arange(m)
+        points = np.tile(x, (m, 1))
         dbars = np.empty((samples, d))
         for s_idx in range(samples):
-            acc = np.zeros(d)
-            for i in range(m):
-                bufs = base_bufs[i].copy()
-                g = worker_stochastic_gradient(problem, i, x, rngs[i])
-                direction, _ = local_direction(base_config, bufs, g)
-                acc += direction
-            dbars[s_idx] = acc / m
+            grads = problem.stochastic_gradients(points, workers, streams)
+            directions = local_direction(base_config, buffers.copy(), grads)
+            dbars[s_idx] = rank_sum(directions, start=0.0) / m
 
     dev = dbars - dbars.mean(axis=0)
     v_samples = (dev**2).sum(axis=1)

@@ -14,7 +14,7 @@ from slowmo_sim import (
     OptimizerBuffers,
     ProtocolError,
     SlotMixing,
-    WorkerState,
+    WorkerStates,
     double_average,
     exact_average,
     gossip_round,
@@ -33,15 +33,15 @@ from slowmo_sim.topology import (
 
 
 def _states(xs, ws=None):
-    cfg = BaseOptimizerConfig()
-    out = []
-    for i, x in enumerate(xs):
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        s = WorkerState(x=x, buffers=OptimizerBuffers.fresh(cfg, x.size))
-        if ws is not None:
-            s.w = ws[i]
-        out.append(s)
-    return out
+    x = np.array(xs, dtype=np.float64).reshape(len(xs), -1)
+    states = WorkerStates(x, OptimizerBuffers.fresh(BaseOptimizerConfig(), *x.shape))
+    if ws is not None:
+        states.w[:] = ws
+    return states
+
+
+def _everyone(states):
+    return states.x.copy()
 
 
 # --------------------------------------------------------------------------- #
@@ -60,10 +60,12 @@ def test_exact_average_debiases_by_w():
 
 
 def test_degenerate_weight_rejected():
-    s = _states([[1.0]])[0]
-    s.w = 0.0
+    states = _states([[1.0], [2.0]])
+    states.w[1] = 0.0
     with pytest.raises(ProtocolError):
-        _ = s.z
+        _ = states.z
+    with pytest.raises(ProtocolError):
+        _ = states[1].z
 
 
 # --------------------------------------------------------------------------- #
@@ -78,12 +80,11 @@ def test_gossip_preserves_mean_and_reaches_consensus():
     mean0 = xs.mean(axis=0)
     for k in range(3):
         mix = SlotMixing(mixing_matrix(sched, k, "doubly"))
-        gossip_round(states, mix, [s.x.copy() for s in states])
-        mean_k = np.mean([s.x for s in states], axis=0)
+        gossip_round(states, mix, _everyone(states))
+        mean_k = states.x.mean(axis=0)
         assert np.allclose(mean_k, mean0, atol=1e-13)
     # the hop-1/2/4 pairwise exchanges implement a full dimension exchange
-    for s in states:
-        assert np.allclose(s.x, mean0, atol=1e-13)
+    assert np.allclose(states.x, mean0, atol=1e-13)
 
 
 def test_gossip_rejects_column_only_matrix():
@@ -94,7 +95,7 @@ def test_gossip_rejects_column_only_matrix():
     rows = mix.matrix.sum(axis=1)
     assert np.max(np.abs(rows - 1.0)) > 1e-6
     with pytest.raises(ProtocolError):
-        gossip_round(states, SlotMixing(mix), [s.x.copy() for s in states])
+        gossip_round(states, SlotMixing(mix), _everyone(states))
 
 
 def test_pushsum_conserves_mass_and_mean():
@@ -105,9 +106,9 @@ def test_pushsum_conserves_mass_and_mean():
     sum_x0 = xs.sum(axis=0)
     for k in range(12):
         mix = SlotMixing(mixing_matrix(sched, k % 3, "column"))
-        pushsum_round(states, mix, [s.x.copy() for s in states])
-        assert np.allclose(sum(s.x for s in states), sum_x0, atol=1e-12)
-        assert sum(s.w for s in states) == pytest.approx(8.0, abs=1e-12)
+        pushsum_round(states, mix, _everyone(states))
+        assert np.allclose(states.x.sum(axis=0), sum_x0, atol=1e-12)
+        assert states.w.sum() == pytest.approx(8.0, abs=1e-12)
 
 
 def test_pushsum_consensus_on_power_of_two():
@@ -120,20 +121,18 @@ def test_pushsum_consensus_on_power_of_two():
     mean0 = xs.mean(axis=0)
     for k in range(3):
         mix = SlotMixing(mixing_matrix(sched, k, "column"))
-        pushsum_round(states, mix, [s.x.copy() for s in states])
-    for s in states:
-        assert np.allclose(s.z, mean0, atol=1e-12)
-        assert s.w == pytest.approx(1.0, abs=1e-12)
+        pushsum_round(states, mix, _everyone(states))
+    assert np.allclose(states.z, mean0, atol=1e-12)
+    assert np.allclose(states.w, 1.0, atol=1e-12)
 
 
 def test_double_average_synchronizes_momentum():
     states = _states([[1.0], [3.0]])
-    states[0].buffers.h[:] = 2.0
-    states[1].buffers.h[:] = 6.0
+    states.buffers.h[0] = 2.0
+    states.buffers.h[1] = 6.0
     double_average(states)
-    for s in states:
-        assert s.x[0] == 2.0
-        assert s.buffers.h[0] == 4.0
+    assert np.all(states.x == 2.0)
+    assert np.all(states.buffers.h == 4.0)
 
 
 # --------------------------------------------------------------------------- #
@@ -199,30 +198,37 @@ def _msg(x, w, snd=1, rcv=0, sr=0, dr=0):
                            deliver_round=dr, payload_x=np.array([x]), payload_w=w)
 
 
+def _osgp_step(states, half, senders, inboxes, count, limit=4, p_self=0.5):
+    m = len(states)
+    return osgp_step(states, np.array(half, dtype=np.float64).reshape(len(senders), -1)
+                     if senders else np.empty((0, states.x.shape[1])),
+                     np.array(senders, dtype=np.int64), np.full(m, p_self), inboxes,
+                     np.array(count), limit)
+
+
 def test_osgp_step_active_send_and_receive():
-    s = _states([[4.0]])[0]
-    s, count, stalled = osgp_step(
-        s, half_x=np.array([4.0]), p_self=0.5,
-        inbox=[_msg(1.0, 0.5)], count_since_last=3, staleness_limit=4,
-    )
-    assert s.x[0] == 3.0 and s.w == 1.0      # kept half, absorbed one message
-    assert count == 0 and not stalled        # receipt resets the counter
+    s = _states([[4.0]])
+    count, stalled = _osgp_step(s, [[4.0]], [0], {0: [_msg(1.0, 0.5)]}, [3])
+    assert s.x[0, 0] == 3.0 and s.w[0] == 1.0  # kept half, absorbed one message
+    assert count[0] == 0 and not stalled[0]    # receipt resets the counter
 
 
 def test_osgp_step_counts_toward_stall():
-    s = _states([[4.0]])[0]
-    s, count, stalled = osgp_step(s, np.array([4.0]), 0.5, [], 1, staleness_limit=4)
-    assert count == 2 and not stalled
-    s, count, stalled = osgp_step(s, s.x.copy(), 0.5, [], 4, staleness_limit=4)
-    assert stalled and count == 4
+    s = _states([[4.0]])
+    count, stalled = _osgp_step(s, [[4.0]], [0], {}, [1])
+    assert count[0] == 2 and not stalled[0]
+    count, stalled = _osgp_step(s, s.x.copy(), [0], {}, [4])
+    assert stalled[0] and count[0] == 4
 
 
 def test_osgp_step_stalled_worker_only_listens():
-    s = _states([[4.0]])[0]
-    s.w = 0.25
-    s, count, stalled = osgp_step(s, None, 0.5, [_msg(2.0, 0.5)], 4, staleness_limit=4)
-    assert s.x[0] == 6.0 and s.w == 0.75     # x untouched except for receipt
-    assert count == 0 and not stalled
+    s = _states([[4.0], [1.0]], ws=[0.25, 1.0])
+    count, stalled = _osgp_step(s, [[1.0]], [1], {0: [_msg(2.0, 0.5)]}, [4, 0])
+    assert s.x[0, 0] == 6.0 and s.w[0] == 0.75  # x untouched except for receipt
+    assert count[0] == 0 and not stalled[0]
+    assert s.x[1, 0] == 0.5 and count[1] == 1 and not stalled[1]
+    count, stalled = _osgp_step(s, np.empty((0, 1)), [], {}, count)
+    assert stalled.all() and count.tolist() == [0, 1]  # nobody sent or received
 
 
 # --------------------------------------------------------------------------- #
@@ -232,17 +238,14 @@ def test_osgp_step_stalled_worker_only_listens():
 def test_allreduce_adapter_reaches_exact_consensus():
     proto = make_protocol("allreduce", 3)
     states = _states([[0.0], [0.0], [0.0]])
-    half = {0: np.array([1.0]), 1: np.array([2.0]), 2: np.array([4.0])}
-    proto.apply_round(states, half, 0)
-    for s in states:
-        assert s.x[0] == (1.0 + 2.0 + 4.0) / 3.0
+    proto.apply_round(states, np.array([[1.0], [2.0], [4.0]]), 0)
+    assert np.all(states.x == (1.0 + 2.0 + 4.0) / 3.0)
 
 
 def test_local_adapter_keeps_workers_apart():
     proto = make_protocol("local", 2)
     states = _states([[0.0], [0.0]])
-    half = {0: np.array([1.0]), 1: np.array([2.0])}
-    proto.apply_round(states, half, 0)
+    proto.apply_round(states, np.array([[1.0], [2.0]]), 0)
     assert states[0].x[0] == 1.0 and states[1].x[0] == 2.0
 
 
@@ -267,12 +270,9 @@ def test_osgp_zero_delay_matches_synchronous_pushsum():
     proto = _osgp(m, delay=DelayModel(kind="constant", rounds=0))
     sync = make_protocol("sgp", m, schedule=sched)
     for k in range(50):
-        half_a = {i: a[i].x.copy() for i in range(m)}
-        half_b = {i: b[i].x.copy() for i in range(m)}
-        proto.apply_round(a, half_a, k)
-        sync.apply_round(b, half_b, k)
-    for sa, sb in zip(a, b):
-        assert np.array_equal(sa.x, sb.x) and sa.w == sb.w
+        proto.apply_round(a, _everyone(a), k)
+        sync.apply_round(b, _everyone(b), k)
+    assert np.array_equal(a.x, b.x) and np.array_equal(a.w, b.w)
 
 
 def test_osgp_delay_keeps_weight_in_range_and_mass_fixed():
@@ -281,15 +281,13 @@ def test_osgp_delay_keeps_weight_in_range_and_mass_fixed():
     rng = rng_stream(8, 0, 0)
     states = _states(list(rng.standard_normal((m, 2))))
     for k in range(200):
-        half = {i: states[i].x.copy() for i in proto.active_workers()}
-        proto.apply_round(states, half, k)
+        proto.apply_round(states, states.x[proto.active_workers()], k)
         x_fly, w_fly = proto.inflight_sums(2)
-        mass = sum(s.w for s in states) + w_fly
+        mass = states.w.sum() + w_fly
         assert mass == pytest.approx(m, abs=1e-9)
-        for s in states:
-            assert 0.0 < s.w <= m + 1e-12
+        assert np.all((0.0 < states.w) & (states.w <= m + 1e-12))
     proto.end_block(states)
-    assert sum(s.w for s in states) == pytest.approx(m, abs=1e-9)
+    assert states.w.sum() == pytest.approx(m, abs=1e-9)
     assert proto.queues.empty()
 
 
@@ -306,8 +304,7 @@ def test_osgp_stall_and_recovery():
             stall_seen = True
         elif stall_seen:
             recovered = True
-        half = {i: states[i].x.copy() for i in active}
-        proto.apply_round(states, half, k)
+        proto.apply_round(states, states.x[active], k)
     assert stall_seen and recovered
 
 
@@ -319,8 +316,7 @@ def test_osgp_fifo_delivery_per_edge():
     states = _states(list(rng.standard_normal((m, 2))))
     seen: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for k in range(150):
-        half = {i: states[i].x.copy() for i in proto.active_workers()}
-        proto.apply_round(states, half, k)
+        proto.apply_round(states, states.x[proto.active_workers()], k)
         for due in proto.queues._due.values():
             for msg in due:
                 edge = (msg.sender, msg.receiver)
@@ -336,29 +332,29 @@ def test_osgp_single_worker_never_stalls():
     proto = _osgp(1, staleness=1, delay=DelayModel(kind="constant", rounds=5))
     states = _states([[2.0]])
     for k in range(10):
-        assert proto.active_workers() == [0]
-        proto.apply_round(states, {0: states[0].x.copy()}, k)
+        assert proto.active_workers().tolist() == [0]
+        proto.apply_round(states, _everyone(states), k)
     assert states[0].w == pytest.approx(1.0)
 
 
 def test_osgp_all_stalled_with_empty_queues_is_a_deadlock():
     proto = _osgp(2, staleness=1)
     states = _states([[0.0], [1.0]])
-    proto.stalled = [True, True]
-    assert proto.active_workers() == []
+    proto.stalled[:] = True
+    assert proto.active_workers().tolist() == []
     with pytest.raises(ProtocolError):
-        proto.apply_round(states, {}, 0)
+        proto.apply_round(states, np.empty((0, 1)), 0)
 
 
 def test_osgp_all_stalled_with_messages_in_flight_waits():
     proto = _osgp(2, staleness=1, delay=DelayModel(kind="constant", rounds=1))
     states = _states([[0.0], [1.0]])
-    proto.apply_round(states, {0: states[0].x.copy(), 1: states[1].x.copy()}, 0)
-    proto.stalled = [True, True]
+    proto.apply_round(states, _everyone(states), 0)
+    proto.stalled[:] = True
     assert not proto.queues.empty()
-    proto.apply_round(states, {}, 1)  # both messages land; nobody raises
+    proto.apply_round(states, np.empty((0, 1)), 1)  # both messages land; nobody raises
     assert proto.queues.empty()
-    assert proto.active_workers() == [0, 1]
+    assert proto.active_workers().tolist() == [0, 1]
 
 
 # --------------------------------------------------------------------------- #
@@ -373,8 +369,8 @@ def test_pushsum_mass_invariant_random_starts(seed, m):
     states = _states(list(rng.standard_normal((m, 2))))
     for k in range(2 * sched.period):
         mix = SlotMixing(mixing_matrix(sched, k % sched.period, "column"))
-        pushsum_round(states, mix, [s.x.copy() for s in states])
-    assert sum(s.w for s in states) == pytest.approx(m, abs=1e-12)
+        pushsum_round(states, mix, _everyone(states))
+    assert states.w.sum() == pytest.approx(m, abs=1e-12)
 
 
 # --------------------------------------------------------------------------- #
@@ -478,17 +474,15 @@ def test_slot_mixing_matches_dense_loop_bit_for_bit(case, seed):
         ws = list(rng.random(m) + 0.5)
         slots = SlotMixing(mix)
 
-        states = _states([h.copy() for h in half], ws=ws)
-        pushsum_round(states, slots, [h.copy() for h in half])
+        states = _states(half, ws=ws)
+        pushsum_round(states, slots, half.copy())
         ref_x, ref_w = _dense_pushsum(mix.matrix, list(half), ws)
-        for s, x, w in zip(states, ref_x, ref_w):
-            assert _same_bits(s.x, x) and _same_bits(s.w, w)
+        assert _same_bits(states.x, ref_x) and _same_bits(states.w, ref_w)
 
         if mix.stochasticity == "doubly":
-            states = _states([h.copy() for h in half])
-            gossip_round(states, slots, [h.copy() for h in half])
-            for s, x in zip(states, _dense_gossip(mix.matrix, list(half))):
-                assert _same_bits(s.x, x)
+            states = _states(half)
+            gossip_round(states, slots, half.copy())
+            assert _same_bits(states.x, _dense_gossip(mix.matrix, list(half)))
 
 
 def test_mixing_is_compiled_once_per_period_entry(monkeypatch):
@@ -505,7 +499,7 @@ def test_mixing_is_compiled_once_per_period_entry(monkeypatch):
     proto = make_protocol("sgp", m, schedule=sched)
     states = _states(list(rng_stream(10, 0, 0).standard_normal((m, 2))))
     for k in range(4 * sched.period):
-        proto.apply_round(states, {i: s.x.copy() for i, s in enumerate(states)}, k)
+        proto.apply_round(states, _everyone(states), k)
     assert built == list(range(sched.period))
 
 

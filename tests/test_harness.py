@@ -1,11 +1,18 @@
 """Config schema, experiment harness, sweeps, and the command-line surface."""
 
+import contextlib
+import copy
 import csv
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slowmo_sim import (
     ConfigError,
@@ -312,6 +319,37 @@ def test_bad_float_fields_are_config_errors(case, tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+BAD_MILESTONES = {
+    "string-entry": ["a"],
+    "scalar": 5,
+    "string": "ab",
+    "float-entry": [1.5],
+    "bool-entry": [True],
+    "negative-entry": [-1],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MILESTONES))
+def test_bad_milestones_are_config_errors(case, tmp_path, capsys):
+    raw = _raw(gamma={"kind": "step", "value": 0.05, "milestones": BAD_MILESTONES[case]})
+    with pytest.raises(ConfigError, match="milestones"):
+        parse_config(raw)
+    cfg_path = _write_cfg(tmp_path, raw)
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_execution_accepts_only_sequential(tmp_path, capsys):
+    assert parse_config(_raw(execution="sequential")).execution == "sequential"
+    with pytest.raises(ConfigError, match="removed"):
+        parse_config(_raw(execution="parallel"))
+    with pytest.raises(ConfigError):
+        parse_config(_raw(execution="threads"))
+    cfg_path = _write_cfg(tmp_path, _raw(execution="parallel"))
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 1
+    assert "removed" in capsys.readouterr().err
+
+
 def test_float_fields_accept_integers():
     raw = _raw(gamma={"value": 1})
     raw["slowmo"]["alpha"] = 1
@@ -420,3 +458,83 @@ def test_cli_check_bound(tmp_path, capsys):
     report = json.loads(report_path.read_text())
     assert report["holds"] is None
     capsys.readouterr()
+
+
+# --------------------------------------------------------------------------- #
+# hostile configs: one leaf replaced, the rest valid
+# --------------------------------------------------------------------------- #
+
+_FULL_RAW = {
+    "problem": {
+        "kind": "quadratic", "m": 4, "dimension": 3, "heterogeneity": 0.5,
+        "noise": {"kind": "additive-gaussian", "sigma2": 0.2, "batch_size": 0},
+        "l_min": 0.5, "l_max": 2.0, "samples_per_worker": 0, "sample_spread": 1.0,
+        "input_dim": 4, "hidden": 8,
+    },
+    "base": {"kind": "adam", "buffer_strategy": "average", "beta_local": 0.9,
+             "beta1": 0.9, "beta2": 0.999, "eps": 1e-8},
+    "slowmo": {"alpha": 1.0, "beta": 0.5, "tau": 3, "noaverage": False},
+    "gamma": {"kind": "step", "value": 0.05, "milestones": [1], "decay": 0.5},
+    "protocol": "osgp",
+    "topology": {"kind": "exponential-directed", "rounds": []},
+    "osgp": {"staleness": 2, "delay": {"kind": "geometric", "rounds": 1, "p": 0.5, "cap": 3}},
+    "init": {"kind": "gaussian", "scale": 1.0},
+    "T": 1, "seed": 3, "metric_cadence": 1, "log_bias": True,
+    "execution": "sequential", "grid": {},
+}
+_VALID_RAWS = [
+    _FULL_RAW,
+    {**_FULL_RAW, "protocol": "sgp", "base": {"kind": "sgd-nesterov"},
+     "topology": {"kind": "custom", "rounds": [[[0, 1], [1, 2], [2, 3], [3, 0]]]}},
+    {**_FULL_RAW, "protocol": "dpsgd", "slowmo": {"tau": 2, "noaverage": True},
+     "problem": {"kind": "logistic", "m": 2, "dimension": 3, "samples_per_worker": 6,
+                 "noise": {"kind": "minibatch", "batch_size": 2}}},
+    {**_FULL_RAW, "protocol": "double-average", "base": {"kind": "sgd-nesterov"},
+     "problem": {"kind": "mlp", "m": 2, "input_dim": 2, "hidden": 3, "samples_per_worker": 5,
+                 "noise": {"kind": "minibatch", "batch_size": 2}}},
+]
+_HOSTILE = (
+    st.sampled_from(["x", True, None, [], [[]], {"k": 1}, {"kind": {"k": []}}, math.nan])
+    | st.integers(-3, -1)
+    | st.floats(-5.0, -1e-3)
+)
+
+
+def _leaves(tree, path=()):
+    if isinstance(tree, (dict, list)) and tree:
+        items = tree.items() if isinstance(tree, dict) else enumerate(tree)
+        for key, value in items:
+            yield from _leaves(value, path + (key,))
+    else:
+        yield path
+
+
+_LEAVES = [(i, path) for i, raw in enumerate(_VALID_RAWS) for path in _leaves(raw)]
+
+
+@given(st.sampled_from(_LEAVES), _HOSTILE)
+@settings(max_examples=200, deadline=None)
+def test_one_hostile_leaf_runs_or_is_a_config_error(leaf, value):
+    index, path = leaf
+    raw = copy.deepcopy(_VALID_RAWS[index])
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        build_simulation(parse_config(raw)).run()  # T = 1
+        return
+    except ConfigError:
+        pass
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        cfg_path = Path(tmp) / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        code = main(["run", "--config", str(cfg_path), "--out", str(Path(tmp) / "out")])
+    assert code == 1
+    assert err.getvalue().startswith("config error") and "Traceback" not in err.getvalue()
+
+
+def test_every_valid_raw_runs():
+    for raw in _VALID_RAWS:
+        build_simulation(parse_config(raw)).run()

@@ -188,6 +188,5 @@ def test_double_average_runs_and_synchronizes_buffers():
                      SlowMoConfig(alpha=1.0, beta=0.5, tau=3),
                      protocol="double-average", gamma=0.05, T=4, seed=1)
     sim.run()
-    h0 = sim.states[0].buffers.h
-    for s in sim.states[1:]:
-        assert np.allclose(s.buffers.h, h0, atol=1e-12)
+    h = sim.states.buffers.h
+    assert np.allclose(h, h[0], atol=1e-12)

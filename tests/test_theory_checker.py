@@ -139,8 +139,6 @@ def test_estimate_v_input_guards():
                             NoiseModel("additive-gaussian", sigma2=1.0))
     with pytest.raises(ConfigError):
         estimate_V(prob, BaseOptimizerConfig(), samples=99)
-    with pytest.raises(ConfigError):
-        estimate_V(prob, BaseOptimizerConfig(), protocol="carrier-pigeon")
 
 
 # --------------------------------------------------------------------------- #
