@@ -32,6 +32,20 @@ from .simkernel import Simulation
 from .slowmo import GammaSchedule, SlowMoConfig
 from .topology import TOPOLOGY_KINDS
 
+# Ceilings on sizes, so an absurd value is a config error and not an
+# OverflowError, an allocation that cannot succeed or a run that never ends.
+# A value below a ceiling may still need more memory or time than a machine
+# has.
+MAX_STEPS = 10**9  # inner steps (T * slowmo.tau, or total_steps), osgp delays
+MAX_WORKERS = 10**5  # problem.m
+MAX_DIMENSION = 10**7  # problem.dimension, input_dim, hidden, samples_per_worker
+MAX_QUADRATIC_DIMENSION = 2**14  # a quadratic's d x d matrix: 2 GiB
+
+
+def _check_ceiling(value: int, name: str, ceiling: int) -> None:
+    if value > ceiling:
+        raise ConfigError(f"{name} must be <= {ceiling}, got {value}")
+
 
 def _check_int(value, name: str, minimum: int | None = None) -> None:
     """Integer fields take integers only: no bools, floats or strings."""
@@ -119,9 +133,14 @@ class ProblemConfig:
                 raise ConfigError(f"problem.{name} must be >= 1")
         if self.samples_per_worker < 0:
             raise ConfigError("problem.samples_per_worker must be >= 0")
+        _check_ceiling(self.m, "problem.m", MAX_WORKERS)
+        for name in ("dimension", "input_dim", "hidden", "samples_per_worker"):
+            _check_ceiling(getattr(self, name), f"problem.{name}", MAX_DIMENSION)
         if self.heterogeneity < 0:
             raise ConfigError("heterogeneity must be >= 0")
         if self.kind == "quadratic":
+            _check_ceiling(self.dimension, "a quadratic's problem.dimension",
+                           MAX_QUADRATIC_DIMENSION)
             if self.l_min <= 0 or self.l_max < self.l_min:
                 raise ConfigError("need 0 < l_min <= l_max")
             if self.noise.kind == "minibatch" and self.samples_per_worker < 1:
@@ -239,6 +258,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     delay_raw = _take(osgp_raw.pop("delay"), {
         "kind": "constant", "rounds": 0, "p": 0.5, "cap": 8,
     }, "osgp.delay")
+    for key in ("rounds", "cap"):
+        _check_ceiling(delay_raw[key], f"osgp.delay.{key}", MAX_STEPS)
     osgp = OsgpConfig(staleness=osgp_raw["staleness"], delay=DelayModel(**delay_raw))
 
     init_raw = _take(top["init"], {"kind": "zeros", "scale": 1.0}, "init")
@@ -260,6 +281,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     for key in ("T", "total_steps"):
         if top[key] is not None:
             _check_int(top[key], key)
+    if top["T"] is not None:
+        _check_ceiling(top["T"] * slowmo.tau, "T * slowmo.tau", MAX_STEPS)
+    else:
+        _check_ceiling(top["total_steps"], "total_steps", MAX_STEPS)
     _check_int(top["seed"], "seed", minimum=0)
     if top["execution"] == "parallel":
         raise ConfigError("execution mode 'parallel' was removed; runs are always sequential")

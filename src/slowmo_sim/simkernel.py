@@ -133,14 +133,12 @@ class Simulation:
         if T is not None:
             if T < 1:
                 raise ConfigError("T must be >= 1")
-            self.block_lengths = [tau] * T
-        else:
-            if total_steps < 1:
-                raise ConfigError("total_steps must be >= 1")
-            full, rem = divmod(total_steps, tau)
-            self.block_lengths = [tau] * full + ([rem] if rem else [])
-        self.T = len(self.block_lengths)
-        self.partial_final_block = self.block_lengths[-1] != tau
+            total_steps = tau * T
+        elif total_steps < 1:
+            raise ConfigError("total_steps must be >= 1")
+        self.total_steps = total_steps
+        self.T = -(-total_steps // tau)
+        self.partial_final_block = total_steps % tau != 0
 
         if protocol == "double-average":
             if self.base_config.kind != "sgd-nesterov":
@@ -172,7 +170,9 @@ class Simulation:
         self.states = WorkerStates(
             np.tile(x0, (self.m, 1)), OptimizerBuffers.fresh(self.base_config, self.m, self.d)
         )
-        self.worker_streams = WorkerStreams(seed, self.m, self.d, tau)
+        # any block size gives the same rows; at most 64 keeps the (m, block, d)
+        # buffer from growing with tau
+        self.worker_streams = WorkerStreams(seed, self.m, self.d, min(tau, 64))
         self.clock = SimClock()
         self.slow = SlowMoState(x_outer=x0.copy(), u=np.zeros(self.d), t=0)
         self.x_outer_local = np.tile(x0, (self.m, 1))
@@ -301,6 +301,11 @@ class Simulation:
     # ------------------------------------------------------------------ #
     # driving
     # ------------------------------------------------------------------ #
+
+    def block_length(self, t: int) -> int:
+        """Inner steps of outer iteration t: tau, or what is left of total_steps."""
+        tau = self.slowmo_config.tau
+        return min(tau, self.total_steps - t * tau)
 
     def run(self) -> MetricsTrace:
         while self.clock.t < self.T:

@@ -114,7 +114,7 @@ def run_outer_iteration(sim) -> None:
     cfg = sim.slowmo_config
     t = sim.clock.t
     gamma = sim.gamma_schedule.at(t)
-    block_len = sim.block_lengths[t]
+    block_len = sim.block_length(t)
 
     apply_buffer_strategy(sim.base_config, sim.states.buffers)
     x_start = sim.x_outer_local if cfg.noaverage else sim.slow.x_outer

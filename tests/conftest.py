@@ -1,9 +1,31 @@
 """Shared fixtures: small problems that are cheap to evaluate."""
 
+import os
+
 import numpy as np
 import pytest
 
 from slowmo_sim import NoiseModel, QuadraticProblem, build_logistic, build_quadratic
+
+
+def _blas_line():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy without the dict form, or no BLAS entry
+        blas = "unknown"
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    return f"numpy {np.__version__}, BLAS {blas}, OPENBLAS_NUM_THREADS={threads}"
+
+
+def pytest_report_header(config):
+    """Which numpy and BLAS ran the suite: wide-d results depend on both."""
+    return _blas_line()
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    if config.get_verbosity() < 0:  # -q hides the header; say it at the end instead
+        terminalreporter.write_line(_blas_line())
 
 
 @pytest.fixture

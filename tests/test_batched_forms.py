@@ -5,6 +5,11 @@ its state was stacked. Equality is exact: ``np.array_equal`` plus equal sign
 bits, so a -0.0 that turns into +0.0 fails too.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -197,3 +202,84 @@ def test_stacked_consensus_matches_per_worker_loop(protocol):
         diff = (s.z if sim.protocol.debias else s.x) - xbar
         acc += float(diff @ diff)
     assert sim.consensus_sq(xbar) == acc / 5
+
+
+# --------------------------------------------------------------------------- #
+# the row-blocked stacked gemv of a shared curvature
+# --------------------------------------------------------------------------- #
+
+# one block (d < 64), block edges, a remainder block of 32-63 rows, wide d
+BLOCKED_DIMS = (31, 32, 33, 63, 64, 65, 95, 96, 97, 257, 1001, 2003)
+# From d = 97 on, OpenBLAS may split a d x d gemv across its threads, and
+# then the per-row reference A @ r itself can depend on the thread count:
+# those cases run in a subprocess with one BLAS thread.
+THREADED_FROM = 97
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _shared_quadratic(m, d, rng, sigma2=0.0):
+    """A shared symmetric A built without BLAS, so it has the same bits at
+    any BLAS thread count (build_quadratic's QR and product do not)."""
+    g = rng.standard_normal((d, d))
+    a = (g + g.T) * (0.25 / np.sqrt(d))
+    a[np.diag_indices(d)] += 2.0
+    centers = _signed_rows(rng, (m, d))
+    return QuadraticProblem(a, list(centers), NoiseModel("additive-gaussian", sigma2=sigma2))
+
+
+def check_blocked_gemv(d):
+    """The blocked gemv, the oracle and the metric evaluation against per-row A @ r."""
+    rng = np.random.default_rng(d)
+    for m in (1, 3, 16):
+        prob = _shared_quadratic(m, d, rng)
+        a, centers = prob.a_mats[0], prob.b_vecs
+        rows = _signed_rows(rng, (m, d))
+        assert _same_bits(prob._stacked_matvec(rows), [a @ r for r in rows]), (m, d)
+        streams = WorkerStreams(3, m, d, block=4)
+        for workers in (np.arange(m), np.arange(0, m, 2), np.array([m - 1])):
+            points = _signed_rows(rng, (len(workers), d))
+            got = prob.stochastic_gradients(points, workers, streams)
+            want = [a @ (x - centers[i]) for i, x in zip(workers.tolist(), points)]
+            assert _same_bits(got, want), (m, d, workers)
+        x = _signed_rows(rng, (d,))
+        losses, grads = prob.losses_and_gradients(x)
+        want = [prob.worker_loss_and_gradient(i, x) for i in range(m)]
+        assert losses == [loss for loss, _ in want], (m, d)
+        assert _same_bits(grads, [g for _, g in want]), (m, d)
+
+
+def _run_python(code, blas_threads):
+    """Run ``code`` in a fresh interpreter with OpenBLAS pinned; return its stdout."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
+               PYTHONPATH=os.pathsep.join([str(_ROOT / "src"), str(_ROOT / "tests")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.parametrize("d", [d for d in BLOCKED_DIMS if d < THREADED_FROM])
+def test_blocked_gemv_is_the_per_row_gemv(d):
+    check_blocked_gemv(d)
+
+
+def test_blocked_gemv_is_the_per_row_gemv_at_one_blas_thread():
+    dims = [d for d in BLOCKED_DIMS if d >= THREADED_FROM]
+    _run_python(f"import test_batched_forms as t\nfor d in {dims}: t.check_blocked_gemv(d)", 1)
+
+
+_THREAD_RUN = """
+import numpy as np
+import test_batched_forms as t
+from slowmo_sim import BaseOptimizerConfig, Simulation, SlowMoConfig
+prob = t._shared_quadratic(4, 1500, np.random.default_rng(11), sigma2=0.5)
+sim = Simulation(prob, BaseOptimizerConfig(kind="sgd-nesterov"), SlowMoConfig(tau=3, beta=0.5),
+                 protocol="sgp", gamma=0.05, T=1, seed=2)
+print(sim.run().trace_hash())
+"""
+
+
+def test_shared_curvature_trajectory_does_not_depend_on_blas_threads():
+    # at d = 1500 a whole-matrix gemv gives different bits at 1 and 2 threads
+    hashes = {_run_python(_THREAD_RUN, threads) for threads in (1, 2)}
+    assert len(hashes) == 1, hashes

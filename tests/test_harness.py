@@ -26,7 +26,15 @@ from slowmo_sim import (
     run_sweep,
 )
 from slowmo_sim.cli import main
-from slowmo_sim.config import initial_point, load_config, replace_seed
+from slowmo_sim.config import (
+    MAX_DIMENSION,
+    MAX_QUADRATIC_DIMENSION,
+    MAX_STEPS,
+    MAX_WORKERS,
+    initial_point,
+    load_config,
+    replace_seed,
+)
 from slowmo_sim.harness import assemble_bound_inputs, bound_report, expand_grid
 
 BASE_RAW = {
@@ -319,6 +327,41 @@ def test_bad_float_fields_are_config_errors(case, tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+OVER_CEILING = {
+    "T-10**30": lambda raw: raw.update(T=10**30),
+    "T-2**63": lambda raw: raw.update(T=2**63),
+    "T-times-tau": lambda raw: raw.update(T=MAX_STEPS // 3 + 1),  # tau = 3
+    "total-steps": lambda raw: (raw.pop("T"), raw.update(total_steps=MAX_STEPS + 1)),
+    "m": lambda raw: raw["problem"].update(m=MAX_WORKERS + 1),
+    "m-10**30": lambda raw: raw["problem"].update(m=10**30),
+    "dimension": lambda raw: raw["problem"].update(dimension=MAX_QUADRATIC_DIMENSION + 1),
+    "logistic-dimension": lambda raw: raw.update(problem={
+        "kind": "logistic", "m": 2, "dimension": MAX_DIMENSION + 1, "samples_per_worker": 4}),
+    "samples": lambda raw: raw["problem"].update(samples_per_worker=2**63),
+    "delay-cap": lambda raw: raw.update(osgp={"delay": {"kind": "geometric", "cap": 10**30}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVER_CEILING))
+def test_sizes_over_their_ceiling_are_config_errors(case, tmp_path, capsys):
+    raw = _raw()
+    OVER_CEILING[case](raw)
+    with pytest.raises(ConfigError, match="must be <="):
+        parse_config(raw)
+    cfg_path = _write_cfg(tmp_path, raw)
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_sizes_at_their_ceiling_parse():
+    parse_config(_raw(T=MAX_STEPS // 3))
+    raw = _raw()
+    raw.pop("T")
+    parse_config({**raw, "total_steps": MAX_STEPS})
+    parse_config(_raw(problem={"kind": "quadratic", "m": MAX_WORKERS,
+                               "dimension": MAX_QUADRATIC_DIMENSION}))
+
+
 BAD_MILESTONES = {
     "string-entry": ["a"],
     "scalar": 5,
@@ -496,6 +539,7 @@ _VALID_RAWS = [
 _HOSTILE = (
     st.sampled_from(["x", True, None, [], [[]], {"k": 1}, {"kind": {"k": []}}, math.nan])
     | st.integers(-3, -1)
+    | st.sampled_from([10**30, 2**63])
     | st.floats(-5.0, -1e-3)
 )
 

@@ -75,6 +75,17 @@ def test_summary_counts_partial_final_block():
     assert trace.summary["blocks"] == 3
     assert trace.summary["partial_final_block"] is True
     assert trace.summary["aborted"] is False
+    assert [sim.block_length(t) for t in range(3)] == [3, 3, 2]
+
+
+def test_block_lengths_are_computed_not_listed():
+    # a T far beyond any index-sized list still builds (parse_config caps it)
+    sim = _sim(T=10**30)
+    assert sim.T == 10**30 and sim.partial_final_block is False
+    assert sim.block_length(0) == sim.block_length(10**30 - 1) == 3
+    sim = _sim(T=None, total_steps=3 * 10**30 + 1)
+    assert sim.T == 10**30 + 1 and sim.partial_final_block is True
+    assert sim.block_length(10**30 - 1) == 3 and sim.block_length(10**30) == 1
 
 
 def test_metric_cadence_thins_records():
