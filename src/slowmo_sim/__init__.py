@@ -48,7 +48,6 @@ from .numerics import (
     make_worker_rngs,
     problem_constants,
     rng_stream,
-    worker_full_gradient,
     worker_stochastic_gradient,
 )
 from .simkernel import MetricsTrace, SimClock, Simulation

@@ -9,7 +9,15 @@ import json
 import math
 import os
 
-from .config import ExperimentConfig, build_simulation, parse_config, replace_seed, resolved_dict
+from .config import (
+    ExperimentConfig,
+    _check_float,
+    _check_int,
+    build_simulation,
+    parse_config,
+    replace_seed,
+    resolved_dict,
+)
 from .errors import ConfigError, NumericalAbort
 from .simkernel import SUMMARY_FIELDS, MetricsTrace
 from .theory_checker import (
@@ -61,7 +69,7 @@ def equivalence_check(
         }
     worst = 0.0
     for rec_a, rec_b in zip(ra, rb):
-        xa, xb = rec_a["x_bar"], rec_b["x_bar"]
+        xa, xb = _x_bar(rec_a), _x_bar(rec_b)
         if len(xa) != len(xb):
             return {
                 "passed": False,
@@ -79,6 +87,17 @@ def equivalence_check(
         "tol": tol,
         "reason": None if worst <= tol else f"max |x_bar gap| {worst:.3e} > tol",
     }
+
+
+def _x_bar(record: dict) -> list:
+    # max() would take a NaN gap for no gap and pass the check
+    xb = record.get("x_bar")
+    if not isinstance(xb, list) or not all(
+        type(v) in (int, float) and math.isfinite(v) for v in xb
+    ):
+        raise ConfigError(f"trace record at round {record.get('round')!r} "
+                          "has no x_bar list of finite numbers")
+    return xb
 
 
 def run_experiment(
@@ -154,7 +173,10 @@ def _sweep_one(args) -> dict:
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir: str, fmt: str = "both", jobs: int = 1) -> list[dict]:
-    """Expand the grid and run every point; independent runs may go in parallel."""
+    """Expand the grid and run every point; independent runs may go in
+    parallel, in at most min(jobs, grid points, CPUs) processes."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     combos = expand_grid(cfg)
     os.makedirs(out_dir, exist_ok=True)
     tasks = []
@@ -164,10 +186,12 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str, fmt: str = "both", jobs: int 
         sub_resolved = resolved_dict(sub_cfg)
         tasks.append((sub_resolved, sub_dir, fmt))
         index.append({"run": idx, "dir": sub_dir, "overrides": overrides})
-    if jobs > 1:
+    # the default fork start method forks every worker at the first submit
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_one, tasks))
     else:
         results = [_sweep_one(task) for task in tasks]
@@ -193,6 +217,8 @@ def assemble_bound_inputs(constants: dict, traces) -> tuple[BoundInputs, list[st
     local-step surrogate; {"mode": "value", "value": v} passes v through.
     Returns extra condition-not-met reasons (e.g. surrogate validity).
     """
+    if not isinstance(constants, dict):
+        raise ConfigError("constants must be a JSON object")
     vals = dict(_CONSTANT_FIELDS)
     for key in constants:
         if key not in vals:
@@ -201,26 +227,29 @@ def assemble_bound_inputs(constants: dict, traces) -> tuple[BoundInputs, list[st
     for key, v in vals.items():
         if v is None:
             raise ConfigError(f"constants file is missing {key!r}")
+        if key in ("m", "tau", "T"):
+            _check_int(v, key, minimum=1)
+        elif key != "bias":
+            _check_float(v, key)
 
     bias_spec = vals["bias"]
-    mode = bias_spec.get("mode", "value") if isinstance(bias_spec, dict) else "value"
+    if not isinstance(bias_spec, dict):
+        raise ConfigError(f"bias must be an object, got {bias_spec!r}")
+    mode = bias_spec.get("mode", "value")
     reasons = []
     if mode == "measured":
         bias_term = measured_bias_term(traces)
     elif mode == "surrogate":
+        sigma2, zeta2 = _bias_number(bias_spec, "sigma2"), _bias_number(bias_spec, "zeta2")
         try:
             bias_term = local_sgd_bias_surrogate(
-                gamma=vals["gamma"], L=vals["L"],
-                sigma2=bias_spec["sigma2"], zeta2=bias_spec["zeta2"],
-                tau=vals["tau"],
+                gamma=vals["gamma"], L=vals["L"], sigma2=sigma2, zeta2=zeta2, tau=vals["tau"],
             )
         except ConfigError as exc:
             reasons.append(str(exc))
             bias_term = 0.0
     elif mode == "value":
-        if not isinstance(bias_spec, dict) or "value" not in bias_spec:
-            raise ConfigError('bias mode "value" needs a "value" entry')
-        bias_term = float(bias_spec["value"])
+        bias_term = _bias_number(bias_spec, "value")
     else:
         raise ConfigError(f"unknown bias mode {mode!r}")
 
@@ -234,9 +263,19 @@ def assemble_bound_inputs(constants: dict, traces) -> tuple[BoundInputs, list[st
     return inputs, reasons
 
 
+def _bias_number(bias_spec: dict, key: str) -> float:
+    if key not in bias_spec:
+        raise ConfigError(f'bias mode "{bias_spec.get("mode", "value")}" needs a "{key}" entry')
+    _check_float(bias_spec[key], f"bias.{key}")
+    return float(bias_spec[key])
+
+
 def bound_report(constants: dict, traces) -> dict:
-    inputs, extra_reasons = assemble_bound_inputs(constants, traces)
-    report = check_bound(traces, inputs)
+    try:
+        inputs, extra_reasons = assemble_bound_inputs(constants, traces)
+        report = check_bound(traces, inputs)
+    except OverflowError as exc:  # e.g. L**2 of a finite but huge L, or a huge m
+        raise ConfigError(f"bound constants overflow a float: {exc}") from exc
     if extra_reasons:
         report["reasons"] = extra_reasons + report["reasons"]
         report["condition_met"] = False

@@ -172,22 +172,20 @@ class Problem:
         self.noise = noise
 
     # subclasses implement these three
-    def worker_loss(self, worker_id: int, x: np.ndarray) -> float:
+    def worker_gradient(
+        self, worker_id: int, x: np.ndarray, idx: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Exact gradient at x of worker ``worker_id``'s objective over its
+        shard rows ``idx``, or over the whole objective when ``idx`` is None."""
         raise NotImplementedError
 
-    def worker_gradient(self, worker_id: int, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def minibatch_gradient(self, worker_id: int, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    def worker_loss_and_gradient(self, worker_id: int, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """Worker ``worker_id``'s loss at x and ``worker_gradient(worker_id, x)``,
+        bit for bit."""
         raise NotImplementedError
 
     def shard_size(self, worker_id: int) -> int:
         raise NotImplementedError
-
-    def worker_loss_and_gradient(self, worker_id: int, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """(worker_loss, worker_gradient) at x, bit for bit. Subclasses whose
-        loss and gradient share work override this to do that work once."""
-        return self.worker_loss(worker_id, x), self.worker_gradient(worker_id, x)
 
     def losses_and_gradients(self, x: np.ndarray) -> tuple[list[float], np.ndarray]:
         """Every worker's (loss, gradient) at x: m floats and an (m, d) stack."""
@@ -219,13 +217,6 @@ class Problem:
         return x
 
 
-def worker_full_gradient(problem: Problem, worker_id: int, x: np.ndarray) -> np.ndarray:
-    """Exact gradient of worker ``worker_id``'s local objective at x."""
-    problem.check_worker(worker_id)
-    x = problem.check_point(x)
-    return problem.worker_gradient(worker_id, x)
-
-
 def worker_stochastic_gradient(
     problem: Problem, worker_id: int, x: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
@@ -254,30 +245,23 @@ def worker_stochastic_gradient(
         idx = np.arange(n)
     else:
         idx = np.sort(rng.choice(n, size=b, replace=False))
-    return problem.minibatch_gradient(worker_id, x, idx)
+    return problem.worker_gradient(worker_id, x, idx)
 
 
 def global_loss(problem: Problem, x: np.ndarray) -> float:
     """f(x) = (1/m) sum_i f_i(x), accumulated in ascending worker order."""
-    x = problem.check_point(x)
-    total = 0.0
-    for i in range(problem.num_workers):
-        total += problem.worker_loss(i, x)
-    return total / problem.num_workers
+    return global_loss_and_gradient(problem, x)[0]
 
 
 def global_gradient(problem: Problem, x: np.ndarray) -> np.ndarray:
     """Exact gradient of the global objective, rank-ordered accumulation."""
-    x = problem.check_point(x)
-    total = problem.worker_gradient(0, x).copy()
-    for i in range(1, problem.num_workers):
-        total += problem.worker_gradient(i, x)
-    return total / problem.num_workers
+    return global_loss_and_gradient(problem, x)[1]
 
 
 def global_loss_and_gradient(problem: Problem, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """(global_loss, global_gradient) at x, bit for bit, from one
-    loss-and-gradient evaluation of every worker, summed in ascending rank."""
+    """(f(x), grad f(x)) from one loss-and-gradient evaluation of every
+    worker: losses added from 0.0 and gradients from worker 0's, both in
+    ascending rank, each total divided by m."""
     x = problem.check_point(x)
     m = problem.num_workers
     losses, grads = problem.losses_and_gradients(x)
@@ -324,7 +308,7 @@ class QuadraticProblem(Problem):
         self.a_mats = [np.asarray(a, dtype=np.float64) for a in a_mats]
         if len(self.a_mats) != m:
             raise ConfigError("need one curvature matrix per worker (or one shared)")
-        for a in {id(a): a for a in self.a_mats}.values():  # each distinct matrix once
+        for a in self.distinct_curvatures():
             if a.shape != (d, d):
                 raise ConfigError("curvature matrix shape mismatch")
             if not np.allclose(a, a.T, atol=1e-12):
@@ -349,28 +333,30 @@ class QuadraticProblem(Problem):
         stops = [*starts[1:], d]
         self._row_blocks = [(self.a_mats[0][s], s) for s in map(slice, starts, stops)]
 
+    def distinct_curvatures(self) -> list[np.ndarray]:
+        """Each distinct curvature matrix once, by identity: one when shared."""
+        return list({id(a): a for a in self.a_mats}.values())
+
     def shard_size(self, worker_id):
         if self.samples is None:
             raise ConfigError("quadratic problem has no sample cloud")
         return self.samples[worker_id].shape[0]
 
-    def worker_loss(self, worker_id, x):
-        a = self.a_mats[worker_id]
-        if self.samples is not None:
-            diffs = x[None, :] - self.samples[worker_id]
-            return float(0.5 * np.einsum("nd,de,ne->n", diffs, a, diffs).mean())
-        r = x - self.b_vecs[worker_id]
-        return float(0.5 * r @ (a @ r))
-
-    def worker_gradient(self, worker_id, x):
-        return self.a_mats[worker_id] @ (x - self.b_vecs[worker_id])
+    def worker_gradient(self, worker_id, x, idx=None):
+        if idx is None:
+            center = self.b_vecs[worker_id]
+        else:
+            center = self.samples[worker_id][idx].mean(axis=0)
+        return self.a_mats[worker_id] @ (x - center)
 
     def worker_loss_and_gradient(self, worker_id, x):
-        if self.samples is not None:
-            return super().worker_loss_and_gradient(worker_id, x)
+        a = self.a_mats[worker_id]
         r = x - self.b_vecs[worker_id]
-        g = self.a_mats[worker_id] @ r
-        return float(0.5 * r @ g), g
+        g = a @ r
+        if self.samples is None:
+            return float(0.5 * r @ g), g
+        diffs = x[None, :] - self.samples[worker_id]
+        return float(0.5 * np.einsum("nd,de,ne->n", diffs, a, diffs).mean()), g
 
     def losses_and_gradients(self, x):
         if self._centers is None:
@@ -404,10 +390,6 @@ class QuadraticProblem(Problem):
         for a_rows, s in self._row_blocks:
             np.matmul(a_rows, cols, out=out[:, s, None])
         return out
-
-    def minibatch_gradient(self, worker_id, x, idx):
-        center = self.samples[worker_id][idx].mean(axis=0)
-        return self.a_mats[worker_id] @ (x - center)
 
     def minimizer(self) -> np.ndarray:
         """Exact global minimizer (least-squares solve of the stationarity system)."""
@@ -450,27 +432,17 @@ class LogisticProblem(Problem):
     def shard_size(self, worker_id):
         return self.features[worker_id].shape[0]
 
-    @staticmethod
-    def _margin_gradient(feats, labs, margins):
-        coeff = -labs * _sigmoid(-margins)
-        return (feats.T @ coeff) / feats.shape[0]
+    def _margins_and_gradient(self, worker_id, x, rows):
+        feats, labs = self.features[worker_id][rows], self.labels[worker_id][rows]
+        margins = labs * (feats @ x)
+        return margins, (feats.T @ (-labs * _sigmoid(-margins))) / feats.shape[0]
 
-    def worker_loss(self, worker_id, x):
-        margins = self.labels[worker_id] * (self.features[worker_id] @ x)
-        return float(np.logaddexp(0.0, -margins).mean())
-
-    def worker_gradient(self, worker_id, x):
-        return self.minibatch_gradient(worker_id, x, slice(None))
+    def worker_gradient(self, worker_id, x, idx=None):
+        return self._margins_and_gradient(worker_id, x, slice(None) if idx is None else idx)[1]
 
     def worker_loss_and_gradient(self, worker_id, x):
-        feats, labs = self.features[worker_id], self.labels[worker_id]
-        margins = labs * (feats @ x)
-        loss = float(np.logaddexp(0.0, -margins).mean())
-        return loss, self._margin_gradient(feats, labs, margins)
-
-    def minibatch_gradient(self, worker_id, x, idx):
-        feats, labs = self.features[worker_id][idx], self.labels[worker_id][idx]
-        return self._margin_gradient(feats, labs, labs * (feats @ x))
+        margins, grad = self._margins_and_gradient(worker_id, x, slice(None))
+        return float(np.logaddexp(0.0, -margins).mean()), grad
 
 
 class MlpProblem(Problem):
@@ -504,15 +476,14 @@ class MlpProblem(Problem):
         b2 = x[-1]
         return w1, b1, w2, b2
 
-    def _loss_grad_subset(self, x, feats, targs, want_grad):
+    def _loss_and_gradient(self, worker_id, x, rows):
+        feats, targs = self.features[worker_id][rows], self.targets[worker_id][rows]
         w1, b1, w2, b2 = self._unpack(x)
         n = feats.shape[0]
         hid = np.tanh(feats @ w1.T + b1)
         out = hid @ w2 + b2
         err = out - targs
         loss = float(0.5 * np.mean(err**2))
-        if not want_grad:
-            return loss, None
         e = err / n
         g_w2 = hid.T @ e
         g_b2 = e.sum()
@@ -523,36 +494,19 @@ class MlpProblem(Problem):
         grad = np.concatenate([g_w1.ravel(), g_b1, g_w2, [g_b2]])
         return loss, grad
 
-    def worker_loss(self, worker_id, x):
-        loss, _ = self._loss_grad_subset(
-            x, self.features[worker_id], self.targets[worker_id], False
-        )
-        return loss
-
-    def worker_gradient(self, worker_id, x):
-        return self.worker_loss_and_gradient(worker_id, x)[1]
+    def worker_gradient(self, worker_id, x, idx=None):
+        return self._loss_and_gradient(worker_id, x, slice(None) if idx is None else idx)[1]
 
     def worker_loss_and_gradient(self, worker_id, x):
-        return self._loss_grad_subset(
-            x, self.features[worker_id], self.targets[worker_id], True
-        )
-
-    def minibatch_gradient(self, worker_id, x, idx):
-        _, grad = self._loss_grad_subset(
-            x, self.features[worker_id][idx], self.targets[worker_id][idx], True
-        )
-        return grad
+        return self._loss_and_gradient(worker_id, x, slice(None))
 
 
 def _zeta2_on_grid(problem: Problem, points: list[np.ndarray]) -> float:
-    worst = 0.0
+    worst, m = 0.0, problem.num_workers
     for x in points:
-        g = global_gradient(problem, x)
-        acc = 0.0
-        for i in range(problem.num_workers):
-            diff = g - problem.worker_gradient(i, x)
-            acc += float(diff @ diff)
-        worst = max(worst, acc / problem.num_workers)
+        grads = problem.losses_and_gradients(x)[1]
+        diffs = rank_sum(grads) / m - grads
+        worst = max(worst, float_sum(row_dots(diffs, diffs).tolist()) / m)
     return worst
 
 
@@ -600,12 +554,12 @@ def _estimate_lipschitz(problem: Problem, pairs: int = 2000, safety: float = 1.5
 def problem_constants(problem: Problem) -> ProblemConstants:
     """Smoothness L, gradient noise sigma^2, heterogeneity zeta^2, and f_inf.
 
-    Quadratics get exact L (power iteration on each A_i), exact f_inf, and a
-    zeta^2 evaluated exactly on a reference grid (constant in x when the
-    curvature is shared, in which case it is flagged exact). Logistic L uses
-    the Gram-matrix bound lambda_max(F^T F / 4n); the mlp L is sampled. The
-    additive-gaussian sigma^2 is exact by construction; the minibatch one is
-    a Monte-Carlo estimate.
+    Quadratics get exact L (power iteration on each distinct A_i), exact
+    f_inf, and a zeta^2 evaluated exactly on a reference grid (constant in x
+    when the curvature is shared, in which case it is flagged exact).
+    Logistic L uses the Gram-matrix bound lambda_max(F^T F / 4n); the mlp L
+    is sampled. The additive-gaussian sigma^2 is exact by construction; the
+    minibatch one is a Monte-Carlo estimate.
     """
     m = problem.num_workers
     grid = _reference_grid(problem)
@@ -623,28 +577,18 @@ def problem_constants(problem: Problem) -> ProblemConstants:
     else:
         zeta2, zeta2_exact = _zeta2_on_grid(problem, grid), False
 
-    if isinstance(problem, QuadraticProblem):
-        lips = max(power_iteration(a) for a in problem.a_mats)
+    exact = isinstance(problem, QuadraticProblem)
+    if exact:
+        lips = max(power_iteration(a) for a in problem.distinct_curvatures())
         f_inf = global_loss(problem, problem.minimizer())
-        return ProblemConstants(
-            L=lips, sigma2=sigma2, zeta2=zeta2, f_inf=f_inf,
-            L_exact=True, sigma2_exact=sigma2_exact, zeta2_exact=zeta2_exact,
-            f_inf_exact=True,
-        )
-    if isinstance(problem, LogisticProblem):
-        lips = max(
-            power_iteration(f.T @ f / (4.0 * f.shape[0])) for f in problem.features
-        )
-        return ProblemConstants(
-            L=lips, sigma2=sigma2, zeta2=zeta2, f_inf=0.0,
-            L_exact=False, sigma2_exact=sigma2_exact, zeta2_exact=zeta2_exact,
-            f_inf_exact=False,
-        )
-    lips = _estimate_lipschitz(problem)
+    elif isinstance(problem, LogisticProblem):
+        lips = max(power_iteration(f.T @ f / (4.0 * f.shape[0])) for f in problem.features)
+        f_inf = 0.0
+    else:
+        lips, f_inf = _estimate_lipschitz(problem), 0.0
     return ProblemConstants(
-        L=lips, sigma2=sigma2, zeta2=zeta2, f_inf=0.0,
-        L_exact=False, sigma2_exact=sigma2_exact, zeta2_exact=zeta2_exact,
-        f_inf_exact=False,
+        L=lips, sigma2=sigma2, zeta2=zeta2, f_inf=f_inf,
+        L_exact=exact, sigma2_exact=sigma2_exact, zeta2_exact=zeta2_exact, f_inf_exact=exact,
     )
 
 

@@ -45,7 +45,6 @@ from .numerics import (
     global_loss_and_gradient,
     rank_sum,
     row_dots,
-    worker_full_gradient,
     worker_stochastic_gradient,
 )
 from .slowmo import GammaSchedule, SlowMoConfig, SlowMoState, run_outer_iteration
@@ -84,6 +83,9 @@ class MetricsTrace:
     @staticmethod
     def from_jsonl(text: str) -> "MetricsTrace":
         records = [json.loads(line) for line in text.splitlines() if line.strip()]
+        for rec in records:
+            if not isinstance(rec, dict):
+                raise ConfigError(f"trace records must be JSON objects, got {type(rec).__name__}")
         return MetricsTrace(records=records)
 
     def trace_hash(self) -> str:
@@ -227,7 +229,7 @@ class Simulation:
         if len(self.protocol.active_workers()) != self.m:
             return None
         pts = self.points()
-        expected = np.stack([worker_full_gradient(self.problem, i, pts[i]) for i in range(self.m)])
+        expected = np.stack([self.problem.worker_gradient(i, pts[i]) for i in range(self.m)])
         if kind == "sgd-nesterov":  # E[d] = bl^2 h + (1 + bl) grad
             bl = self.base_config.beta_local
             expected = bl * bl * self.states.buffers.h + (1.0 + bl) * expected

@@ -34,6 +34,7 @@ from .errors import ConfigError
 from .numerics import Problem, WorkerStreams, global_gradient, make_worker_rngs, rank_sum
 
 SEED_FLOOR = 20  # minimum runs for the LHS expectation
+MAX_V_SAMPLES = 10**7  # estimate_V keeps a (samples, d) array
 
 
 @dataclass(frozen=True)
@@ -153,8 +154,8 @@ def estimate_V(
     optimizer state the directions start from (fresh by default); every
     sample starts from it again.
     """
-    if samples < 100:
-        raise ConfigError("estimate_V needs at least 100 samples")
+    if not 100 <= samples <= MAX_V_SAMPLES:
+        raise ConfigError(f"estimate_V needs 100 to {MAX_V_SAMPLES} samples, got {samples}")
     m, d = problem.num_workers, problem.dimension
     x = np.zeros(d) if x is None else problem.check_point(x)
 
@@ -195,7 +196,15 @@ def lhs_from_records(records: list[dict], tau: int, T: int) -> float:
             f"trace has {len(records)} records, expected tau*T = {expected} "
             "(bound checks need metric_cadence = 1 and full blocks)"
         )
-    return float(np.mean([r["grad_norm_sq"] for r in records]))
+    return float(np.mean([_record_number(r, "grad_norm_sq") for r in records]))
+
+
+def _record_number(record: dict, key: str):
+    # the simulator never writes a NaN; one would make the LHS NaN and the verdict False
+    value = record.get(key)
+    if type(value) not in (int, float) or math.isnan(value):
+        raise ConfigError(f"trace record needs a number {key!r}, got {value!r}")
+    return value
 
 
 def measured_bias_term(traces) -> float:
@@ -208,7 +217,7 @@ def measured_bias_term(traces) -> float:
                 raise ConfigError(
                     "trace lacks bias_sq values; rerun with bias logging enabled"
                 )
-            vals.append(r["bias_sq"])
+            vals.append(_record_number(r, "bias_sq"))
     if not vals:
         raise ConfigError("no records to measure the bias term from")
     return float(np.mean(vals))

@@ -1,4 +1,8 @@
-"""Independently coded baselines that special cases must reproduce.
+"""Independently coded baselines that the simulator must reproduce.
+
+The rank-ordered oracle loops call each worker's own oracle one at a time
+and add in ascending rank, the way the kernel did before its state was
+stacked; the stacked and global oracle forms must equal them bit for bit.
 
 Each reference shares the simulator's per-worker RNG construction so that a
 run with the same seed consumes the same gradient draws in the same order.
@@ -12,15 +16,43 @@ classical algorithms.
 * block momentum     == local protocol, plain-sgd base, beta > 0 (the
   classic block-wise filtering recursion, coded in its original form)
 
-Every function returns the sequence of pre-step average iterates, matching
-the trace records the simulator writes.
+Every algorithm reference returns the sequence of pre-step average
+iterates, matching the trace records the simulator writes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .numerics import Problem, make_worker_rngs, worker_stochastic_gradient
+from slowmo_sim.numerics import Problem, make_worker_rngs, worker_stochastic_gradient
+
+
+def worker_losses_and_gradients(
+    problem: Problem, x: np.ndarray
+) -> tuple[list[float], list[np.ndarray]]:
+    """Every worker's loss and gradient at x, one per-worker call each."""
+    pairs = [problem.worker_loss_and_gradient(i, x) for i in range(problem.num_workers)]
+    return [loss for loss, _ in pairs], [g for _, g in pairs]
+
+
+def global_loss_and_gradient_reference(problem: Problem, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """(1/m) sum_i f_i(x) with the losses added from 0.0, and (1/m) sum_i
+    grad f_i(x) with the gradients added to worker 0's, both in rank order."""
+    losses, grads = worker_losses_and_gradients(problem, x)
+    loss = 0.0
+    for value in losses:
+        loss += value
+    return loss / problem.num_workers, _mean(grads)
+
+
+def stochastic_gradients_reference(
+    problem: Problem, points: np.ndarray, workers: np.ndarray, rngs: list
+) -> np.ndarray:
+    """One ``worker_stochastic_gradient`` call per row, worker ``workers[r]``
+    at ``points[r]`` drawing from its own generator ``rngs[workers[r]]``."""
+    grads = [worker_stochastic_gradient(problem, i, x, rngs[i])
+             for i, x in zip(workers.tolist(), points)]
+    return np.reshape(grads, (len(workers), problem.dimension))
 
 
 def _mean(vectors: list[np.ndarray]) -> np.ndarray:

@@ -31,7 +31,7 @@ from slowmo_sim import (
 from slowmo_sim.comm_protocols import WorkerStates
 from slowmo_sim.base_optimizers import OptimizerBuffers
 from slowmo_sim.numerics import rng_stream
-from slowmo_sim.references import (
+from references import (
     heavy_ball_reference,
     local_sgd_reference,
     lookahead_reference,

@@ -1,8 +1,9 @@
 """Every batched form of the stacked kernel against the per-worker loop it replaces.
 
-The references below are the per-worker expressions the kernel used before
-its state was stacked. Equality is exact: ``np.array_equal`` plus equal sign
-bits, so a -0.0 that turns into +0.0 fails too.
+The references are the per-worker expressions the kernel used before its
+state was stacked: the rank-ordered oracle loops in ``references.py`` and
+the direction rule below. Equality is exact: ``np.array_equal`` plus equal
+sign bits, so a -0.0 that turns into +0.0 fails too.
 """
 
 import os
@@ -22,14 +23,16 @@ from slowmo_sim import (
     SlowMoConfig,
     WorkerStreams,
     build_quadratic,
-    global_gradient,
-    global_loss,
     global_loss_and_gradient,
     local_direction,
     make_worker_rngs,
-    worker_stochastic_gradient,
 )
 from slowmo_sim.numerics import rank_sum
+from references import (
+    global_loss_and_gradient_reference,
+    stochastic_gradients_reference,
+    worker_losses_and_gradients,
+)
 
 SHAPES = [(m, d) for m in (1, 3, 16) for d in (1, 2, 4, 10, 37)]
 
@@ -83,9 +86,7 @@ def test_stacked_quadratic_oracle_matches_per_worker_calls(m, d):
         workers = np.flatnonzero(rng.random(m) < 0.7) if step % 2 else np.arange(m)
         points = _signed_rows(rng, (len(workers), d))
         got = prob.stochastic_gradients(points, workers, streams)
-        want = [worker_stochastic_gradient(prob, i, x, rngs[i])
-                for i, x in zip(workers.tolist(), points)]
-        assert _same_bits(got, np.reshape(want, (len(workers), d)))
+        assert _same_bits(got, stochastic_gradients_reference(prob, points, workers, rngs))
 
 
 def test_noiseless_stacked_oracle_draws_nothing():
@@ -103,8 +104,7 @@ def test_default_oracle_loops_over_the_per_worker_call():
                             NoiseModel("additive-gaussian", sigma2=0.3))
     points = np.array([[0.5, -1.0], [2.0, 0.25]])
     got = prob.stochastic_gradients(points, np.arange(2), WorkerStreams(1, 2, 2, block=3))
-    rngs = make_worker_rngs(1, 2)
-    want = [worker_stochastic_gradient(prob, i, points[i], rngs[i]) for i in range(2)]
+    want = stochastic_gradients_reference(prob, points, np.arange(2), make_worker_rngs(1, 2))
     assert _same_bits(got, want)
 
 
@@ -183,9 +183,14 @@ def test_stacked_directions_match_per_worker_rule(kind, m, d):
 def test_stacked_loss_and_gradient_match_per_worker_sums(m, d):
     prob = _quadratic(m, d)
     x = _signed_rows(np.random.default_rng(d), (d,))
+    losses, grads = prob.losses_and_gradients(x)
+    want_losses, want_grads = worker_losses_and_gradients(prob, x)
+    assert losses == want_losses
+    assert _same_bits(grads, want_grads)
     loss, grad = global_loss_and_gradient(prob, x)
-    assert loss == global_loss(prob, x)
-    assert _same_bits(grad, global_gradient(prob, x))
+    want_loss, want_grad = global_loss_and_gradient_reference(prob, x)
+    assert loss == want_loss
+    assert _same_bits(grad, want_grad)
 
 
 @pytest.mark.parametrize("protocol", ["local", "sgp", "osgp"])
@@ -243,9 +248,9 @@ def check_blocked_gemv(d):
             assert _same_bits(got, want), (m, d, workers)
         x = _signed_rows(rng, (d,))
         losses, grads = prob.losses_and_gradients(x)
-        want = [prob.worker_loss_and_gradient(i, x) for i in range(m)]
-        assert losses == [loss for loss, _ in want], (m, d)
-        assert _same_bits(grads, [g for _, g in want]), (m, d)
+        want_losses, want_grads = worker_losses_and_gradients(prob, x)
+        assert losses == want_losses, (m, d)
+        assert _same_bits(grads, want_grads), (m, d)
 
 
 def _run_python(code, blas_threads):

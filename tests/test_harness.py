@@ -1,12 +1,15 @@
 """Config schema, experiment harness, sweeps, and the command-line surface."""
 
+import concurrent.futures
 import contextlib
 import copy
 import csv
 import io
 import json
 import math
+import os
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -191,6 +194,67 @@ def test_expand_grid_cartesian_product():
     assert betas == [0.0, 0.5] and seeds == [1, 2, 3]
     # the expanded configs carry no grid of their own
     assert all(not c.grid for _, c in combos)
+
+
+@pytest.mark.parametrize("jobs, points, cpus, pool", [
+    (100_000, 2, 2, 2),
+    (100_000, 3, 8, 3),
+    (2, 3, 8, 2),
+    (5, 3, 1, None),  # one CPU: no pool
+    (1, 3, 8, None),
+])
+def test_sweep_pool_is_bounded_by_grid_points_and_cpus(jobs, points, cpus, pool, tmp_path,
+                                                       monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Records the pool size it is asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    cfg = parse_config(_raw(T=1, grid={"seed": list(range(points))}))
+    index = run_sweep(cfg, str(tmp_path / "sweep"), fmt="jsonl", jobs=jobs)
+    assert [entry["status"] for entry in index] == ["ok"] * points
+    assert sizes == ([] if pool is None else [pool])
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_sweep_jobs_below_one_are_config_errors(jobs, tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path, _raw(grid={"seed": [1, 2]}))
+    code = main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "sw"),
+                 "--jobs", str(jobs)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("config error")
+    assert not (tmp_path / "sw").exists()
+
+
+EXAMPLE_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
+
+def test_example_configs_exist():
+    assert len(EXAMPLE_CONFIGS) >= 4
+
+
+@pytest.mark.parametrize("path", EXAMPLE_CONFIGS, ids=lambda p: p.name)
+def test_example_config_builds_and_runs_one_block(path):
+    cfg = load_config(str(path))
+    for _, point in expand_grid(cfg):
+        build_simulation(point)
+    for _, point in expand_grid(replace(cfg, T=1, total_steps=None)):
+        summary = build_simulation(point).run().summary
+        assert summary["blocks"] == 1 and not summary["aborted"]
 
 
 def test_run_sweep_writes_index_and_runs(tmp_path):
@@ -501,6 +565,60 @@ def test_cli_check_bound(tmp_path, capsys):
     report = json.loads(report_path.read_text())
     assert report["holds"] is None
     capsys.readouterr()
+
+
+BOUND_CONSTANTS = {  # matches a run of _raw(): m = 2, tau = 3, T = 4
+    "delta": 1.0, "m": 2, "tau": 3, "T": 4, "L": 2.0, "V": 0.1,
+    "alpha": 1.0, "beta": 0.5, "gamma": 0.05, "bias": {"mode": "value", "value": 0.0},
+}
+_CHECK_BOUND = ["check-bound", "--constants", "{constants}", "--traces", "{trace}"]
+_CHECK_EQUIVALENCE = ["check-equivalence", "--trace-a", "{trace}", "--trace-b", "{trace}"]
+
+
+def _without(key):
+    return lambda records: [{k: v for k, v in r.items() if k != key} for r in records]
+
+
+# name: (command line, edit of the bound constants, edit of the trace records)
+MALFORMED_CHECKER_INPUTS = {
+    "delta-not-a-number": (_CHECK_BOUND, lambda c: {**c, "delta": "x"}, None),
+    "m-not-an-integer": (_CHECK_BOUND, lambda c: {**c, "m": 2.7}, None),
+    "tau-not-an-integer": (_CHECK_BOUND, lambda c: {**c, "tau": 3.0}, None),
+    "T-not-an-integer": (_CHECK_BOUND, lambda c: {**c, "T": "4"}, None),
+    "constants-not-an-object": (_CHECK_BOUND, lambda c: [c], None),
+    "surrogate-without-sigma2": (
+        _CHECK_BOUND, lambda c: {**c, "bias": {"mode": "surrogate", "zeta2": 0.0}}, None),
+    "bias-value-not-a-number": (
+        _CHECK_BOUND, lambda c: {**c, "bias": {"mode": "value", "value": "x"}}, None),
+    "huge-L": (_CHECK_BOUND, lambda c: {**c, "L": 1e300}, None),
+    "record-without-grad-norm-sq": (_CHECK_BOUND, None, _without("grad_norm_sq")),
+    "grad-norm-sq-nan": (
+        _CHECK_BOUND, None, lambda records: [{**records[0], "grad_norm_sq": math.nan}] + records[1:]),
+    "record-without-x-bar": (_CHECK_EQUIVALENCE, None, _without("x_bar")),
+    "x-bar-not-finite": (  # max() takes a NaN gap for no gap
+        _CHECK_EQUIVALENCE, None, lambda records: [{**records[0], "x_bar": [math.nan] * 3}]),
+    "bare-number-line": (_CHECK_BOUND, None, lambda records: [3] + records[1:]),
+    "bare-number-line-equivalence": (_CHECK_EQUIVALENCE, None, lambda records: records + [3]),
+    "estimate-v-samples-over-ceiling": (
+        ["estimate-v", "--config", "{config}", "--samples", str(10**11)], None, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CHECKER_INPUTS))
+def test_malformed_checker_input_is_a_config_error(case, tmp_path, capsys):
+    argv, edit_constants, edit_records = MALFORMED_CHECKER_INPUTS[case]
+    constants, records = BOUND_CONSTANTS, build_simulation(parse_config(_raw())).run().records
+    if edit_constants:
+        constants = edit_constants(copy.deepcopy(constants))
+    if edit_records:
+        records = edit_records(copy.deepcopy(records))
+    paths = {"config": _write_cfg(tmp_path, _raw()), "constants": str(tmp_path / "constants.json"),
+             "trace": str(tmp_path / "trace.jsonl")}
+    Path(paths["constants"]).write_text(json.dumps(constants))
+    Path(paths["trace"]).write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "Traceback" not in err
 
 
 # --------------------------------------------------------------------------- #

@@ -20,10 +20,11 @@ from slowmo_sim import (
     make_worker_rngs,
     problem_constants,
     rng_stream,
-    worker_full_gradient,
     worker_stochastic_gradient,
 )
+from slowmo_sim import numerics
 from slowmo_sim.numerics import STREAM_DATA, STREAM_NOISE, power_iteration
+from references import global_loss_and_gradient_reference
 
 
 # --------------------------------------------------------------------------- #
@@ -68,7 +69,7 @@ def test_additive_noise_power(identity_quadratic):
     # E ||g - grad||^2 = sigma^2 regardless of dimension
     prob = identity_quadratic
     x = np.array([0.3, -0.2, 0.1, 0.5])
-    exact = worker_full_gradient(prob, 0, x)
+    exact = prob.worker_gradient(0, x)
     rng = rng_stream(0, STREAM_NOISE, 0)
     draws = 20_000
     sq = np.empty(draws)
@@ -81,7 +82,7 @@ def test_additive_noise_power(identity_quadratic):
 def test_additive_noise_unbiased(identity_quadratic):
     prob = identity_quadratic
     x = np.array([0.3, -0.2, 0.1, 0.5])
-    exact = worker_full_gradient(prob, 1, x)
+    exact = prob.worker_gradient(1, x)
     rng = rng_stream(1, STREAM_NOISE, 0)
     draws = 50_000
     acc = np.zeros(4)
@@ -100,13 +101,13 @@ def test_minibatch_full_batch_is_exact(small_logistic):
     x = np.array([0.1, -0.4, 0.2])
     rng = rng_stream(0, STREAM_NOISE, 0)
     g = worker_stochastic_gradient(prob, 0, x, rng)
-    assert np.array_equal(g, worker_full_gradient(prob, 0, x))
+    assert np.array_equal(g, prob.worker_gradient(0, x))
 
 
 def test_minibatch_unbiased(small_logistic):
     prob = small_logistic
     x = np.array([0.1, -0.4, 0.2])
-    exact = worker_full_gradient(prob, 1, x)
+    exact = prob.worker_gradient(1, x)
     rng = rng_stream(2, STREAM_NOISE, 0)
     draws = 40_000
     acc = np.zeros(3)
@@ -158,8 +159,8 @@ def test_gradients_match_finite_differences(builder):
     for i in range(prob.num_workers):
         for _ in range(4):
             x = 0.5 * rng.standard_normal(prob.dimension)
-            g = worker_full_gradient(prob, i, x)
-            fd = _fd_gradient(lambda p: prob.worker_loss(i, p), x)
+            g = prob.worker_gradient(i, x)
+            fd = _fd_gradient(lambda p: prob.worker_loss_and_gradient(i, p)[0], x)
             denom = max(np.linalg.norm(g), 1e-8)
             assert np.linalg.norm(g - fd) / denom < 1e-5
 
@@ -225,17 +226,24 @@ def _fused_cases():
 
 @pytest.mark.parametrize("kind", sorted(_fused_cases()))
 def test_loss_and_gradient_equal_the_separate_oracles_bit_for_bit(kind):
+    # worker_gradient over every shard row, over the whole objective and
+    # from the loss-and-gradient call: one gradient, bit for bit
     prob = _fused_cases()[kind]
+    has_rows = not isinstance(prob, QuadraticProblem) or prob.samples is not None
     rng = np.random.default_rng(9)
     for _ in range(3):
         x = rng.standard_normal(prob.dimension)
         for i in range(prob.num_workers):
-            loss, grad = prob.worker_loss_and_gradient(i, x)
-            assert loss == prob.worker_loss(i, x)
-            assert np.array_equal(grad, prob.worker_gradient(i, x))
+            grad = prob.worker_gradient(i, x)
+            assert np.array_equal(grad, prob.worker_loss_and_gradient(i, x)[1])
+            if has_rows:
+                every_row = np.arange(prob.shard_size(i))
+                assert np.array_equal(prob.worker_gradient(i, x, every_row), grad)
+        want_loss, want_grad = global_loss_and_gradient_reference(prob, x)
         loss, grad = global_loss_and_gradient(prob, x)
-        assert loss == global_loss(prob, x)
-        assert np.array_equal(grad, global_gradient(prob, x))
+        assert loss == want_loss == global_loss(prob, x)
+        assert np.array_equal(grad, want_grad)
+        assert np.array_equal(global_gradient(prob, x), want_grad)
 
 
 def test_check_point_shape_guard(identity_quadratic):
@@ -250,9 +258,9 @@ def test_global_gradient_is_mean_of_workers(seed):
                            heterogeneity=0.7,
                            noise=NoiseModel("additive-gaussian", sigma2=0.0))
     x = rng_stream(seed, STREAM_DATA, 0).standard_normal(3)
-    manual = worker_full_gradient(prob, 0, x).copy()
+    manual = prob.worker_gradient(0, x).copy()
     for i in range(1, 4):
-        manual += worker_full_gradient(prob, i, x)
+        manual += prob.worker_gradient(i, x)
     manual /= 4
     assert np.allclose(global_gradient(prob, x), manual, atol=1e-14)
 
@@ -265,7 +273,7 @@ def test_quadratic_gradient_is_affine(seed):
                            noise=NoiseModel("additive-gaussian", sigma2=0.0))
     rng = rng_stream(seed, STREAM_DATA, 1)
     x, y = rng.standard_normal(3), rng.standard_normal(3)
-    lhs = worker_full_gradient(prob, 0, x) - worker_full_gradient(prob, 0, y)
+    lhs = prob.worker_gradient(0, x) - prob.worker_gradient(0, y)
     assert np.allclose(lhs, prob.a_mats[0] @ (x - y), atol=1e-12)
 
 
@@ -286,6 +294,17 @@ def test_problem_constants_identity_quadratic(identity_quadratic):
     assert c.zeta2 == pytest.approx(1.0, abs=1e-12) and c.zeta2_exact
     # optimum sits at the midpoint of the two centers
     assert c.f_inf == pytest.approx(0.5, abs=1e-12) and c.f_inf_exact
+
+
+def test_shared_curvature_is_power_iterated_once(monkeypatch):
+    prob = build_quadratic(m=8, dimension=5, seed=3, l_min=0.5, l_max=2.0, heterogeneity=1.0,
+                           noise=NoiseModel("additive-gaussian", sigma2=0.1))
+    want = power_iteration(prob.a_mats[0])
+    calls = []
+    monkeypatch.setattr(numerics, "power_iteration",
+                        lambda mat: calls.append(1) or power_iteration(mat))
+    assert problem_constants(prob).L == want
+    assert len(calls) == 1
 
 
 def test_problem_constants_single_worker_zeta_zero():

@@ -14,7 +14,7 @@ from slowmo_sim import (
     build_quadratic,
     slow_update,
 )
-from slowmo_sim.references import (
+from references import (
     block_momentum_reference,
     heavy_ball_reference,
     local_sgd_reference,
