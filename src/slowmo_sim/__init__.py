@@ -11,8 +11,6 @@ from .base_optimizers import (
 )
 from .comm_protocols import (
     DelayModel,
-    InFlightMessage,
-    MessageQueues,
     SlotMixing,
     WorkerStates,
     double_average,
@@ -66,7 +64,6 @@ from .theory_checker import (
     theorem1_terms,
 )
 from .topology import (
-    MixingMatrix,
     TopologySchedule,
     custom_schedule,
     mixing_matrix,

@@ -21,12 +21,16 @@ protocol's core invariant; the kernel records it and raises ProtocolError
 when it drifts.
 
 Gossip and push-sum rounds mix through a sparse ``SlotMixing`` form of the
-round's matrix, built and validated once per period entry: a round costs
-O(nnz * d), O(m * d) on one-peer graphs, and adds each row's terms in
-ascending sender rank, so trajectories match a dense double loop bit for bit.
+round's matrix, compiled from the nonzeros ``topology.mixing_matrix`` builds
+out of the edge list (no m x m array) and validated once per period entry: a
+round costs O(nnz * d), O(m * d) on one-peer graphs, and adds each row's
+terms in ascending sender rank, so trajectories match a dense double loop
+bit for bit. OSGP keeps its in-flight messages as one batch of arrays per
+send round.
 
 All cross-worker reductions accumulate in ascending worker rank so traces are
-bit-reproducible; delivered messages drain in (send round, sender rank) order.
+bit-reproducible; delivered messages drain in (send round, sender rank) order
+and in-flight sums add in (sender, receiver, send round) order.
 """
 
 from __future__ import annotations
@@ -38,8 +42,8 @@ import numpy as np
 
 from .base_optimizers import OptimizerBuffers
 from .errors import ConfigError, ProtocolError
-from .numerics import STREAM_DELAY, rank_sum, rng_stream
-from .topology import MixingMatrix, TopologySchedule, mixing_matrix, out_neighbor
+from .numerics import STREAM_DELAY, float_sum, rank_sum, rng_stream
+from .topology import TopologySchedule, mixing_matrix, out_neighbor
 
 PROTOCOL_NAMES = ("allreduce", "local", "dpsgd", "sgp", "osgp", "double-average")
 
@@ -78,64 +82,6 @@ class WorkerView(NamedTuple):
         if self.w <= 0.0:
             raise ProtocolError(f"push-sum weight underflow (w={self.w})")
         return self.x / self.w
-
-
-@dataclass
-class InFlightMessage:
-    """A pre-scaled push-sum payload travelling between two workers."""
-
-    sender: int
-    receiver: int
-    send_round: int
-    deliver_round: int
-    payload_x: np.ndarray
-    payload_w: float
-
-
-class MessageQueues:
-    """In-flight messages, bucketed by the round they are due."""
-
-    def __init__(self):
-        self._due: dict[int, list[InFlightMessage]] = {}
-
-    def send(self, msg: InFlightMessage) -> None:
-        self._due.setdefault(msg.deliver_round, []).append(msg)
-
-    def _collect(self, rounds) -> dict[int, list[InFlightMessage]]:
-        picked = [msg for r in rounds for msg in self._due.pop(r)]
-        picked.sort(key=lambda msg: (msg.send_round, msg.sender))
-        inboxes: dict[int, list[InFlightMessage]] = {}
-        for msg in picked:
-            inboxes.setdefault(msg.receiver, []).append(msg)
-        return inboxes
-
-    def deliver(self, round_index: int) -> dict[int, list[InFlightMessage]]:
-        """Pop everything scheduled for delivery at or before this round.
-
-        Per receiver, messages arrive in (send_round, sender rank) order;
-        per-edge FIFO order is preserved because senders keep delivery
-        rounds monotone along each edge.
-        """
-        return self._collect([r for r in self._due if r <= round_index])
-
-    def drain_all(self) -> dict[int, list[InFlightMessage]]:
-        """Barrier: deliver every queued message regardless of schedule."""
-        return self._collect(list(self._due))
-
-    def empty(self) -> bool:
-        return not self._due
-
-    def pending_sums(self, dimension: int) -> tuple[np.ndarray, float]:
-        """(sum of payload_x, sum of payload_w) over all queued messages,
-        added in (sender, receiver) order and FIFO order within an edge."""
-        msgs = [msg for bucket in self._due.values() for msg in bucket]
-        msgs.sort(key=lambda msg: (msg.sender, msg.receiver, msg.send_round))
-        vec = np.zeros(dimension)
-        mass = 0.0
-        for msg in msgs:
-            vec += msg.payload_x
-            mass += msg.payload_w
-        return vec, mass
 
 
 @dataclass(frozen=True)
@@ -178,27 +124,33 @@ def exact_average(states: WorkerStates) -> np.ndarray:
 
 
 class SlotMixing:
-    """A mixing matrix in padded-row ("slot") form.
+    """A mixing matrix p in padded-row ("slot") form, compiled from its
+    nonzeros (rows, cols, weights), listed row by row with columns ascending.
 
-    Slot c holds (rows, cols, weights) of every row's c-th nonzero, columns
-    ascending within a row. ``doubly``: rows sum to 1 too (MixingMatrix has
-    checked the columns). ``self_weight`` is the diagonal p[i, i]; ``peer[j]``
-    is the (receiver, weight) of sender j's out-edge on a one-peer graph.
+    Slot c holds (rows, cols, weights) of every row's c-th nonzero.
+    ``doubly``: rows sum to 1 too. ``self_weight`` is the diagonal p[i, i];
+    on a one-peer graph ``receiver[j]`` and ``send_weight[j]`` are sender
+    j's out-edge and its weight (j itself and 0 for a worker without one).
     """
 
-    def __init__(self, mixing: MixingMatrix):
-        p = mixing.matrix
-        self.doubly = bool(np.max(np.abs(p.sum(axis=1) - 1.0)) <= 1e-12)
-        rows, cols = np.nonzero(p)  # row-major: columns ascend within each row
-        weights = p[rows, cols]
+    def __init__(self, m: int, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray):
+        if (weights < 0).any():
+            raise ConfigError("mixing weights must be nonnegative")
+        if np.max(np.abs(np.bincount(cols, weights, minlength=m) - 1.0)) > 1e-12:
+            raise ConfigError("columns must sum to 1")
+        self.doubly = bool(np.max(np.abs(np.bincount(rows, weights, minlength=m) - 1.0)) <= 1e-12)
         position = np.arange(rows.size) - np.searchsorted(rows, rows)
         self.slots = [
             (rows[position == c], cols[position == c], weights[position == c, None])
             for c in range(int(position.max()) + 1)
         ]
-        self.self_weight = np.diag(p).copy()
-        off = rows != cols
-        self.peer = dict(zip(cols[off].tolist(), zip(rows[off].tolist(), weights[off].tolist())))
+        diag, off = rows == cols, rows != cols
+        self.self_weight = np.zeros(m)
+        self.self_weight[rows[diag]] = weights[diag]
+        self.receiver = np.arange(m)
+        self.receiver[cols[off]] = rows[off]
+        self.send_weight = np.zeros(m)
+        self.send_weight[cols[off]] = weights[off]
 
     def mix(self, values: np.ndarray) -> np.ndarray:
         """out[i] = sum_j p[i, j] values[j] over the rows of ``values``.
@@ -240,41 +192,21 @@ def double_average(states: WorkerStates) -> WorkerStates:
     return states
 
 
-def _absorb(states: WorkerStates, inboxes: dict[int, list[InFlightMessage]]) -> list[int]:
-    """Add every delivered payload to its receiver, in inbox order; returns the receivers."""
-    for i, inbox in inboxes.items():
-        for msg in inbox:
-            states.x[i] += msg.payload_x
-            states.w[i] += msg.payload_w
-    return list(inboxes)
-
-
 def osgp_step(
-    states: WorkerStates,
-    half: np.ndarray,
-    senders: np.ndarray,
-    self_weight: np.ndarray,
-    inboxes: dict[int, list[InFlightMessage]],
+    sent: np.ndarray,
+    received: np.ndarray,
     count_since_last: np.ndarray,
     staleness_limit: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One OSGP round's bookkeeping for every worker, after the sends.
+    """One OSGP round's counter and stall bookkeeping for every worker, from
+    the (m,) masks of the workers that sent and that received this round.
 
-    The ``senders`` (ascending; row r of ``half`` is the r-th one's
-    half-step) keep ``self_weight`` of their half-step and weight, the rest
-    being in flight. Workers whose clock is stalled this round took no step
-    and sent nothing; they only watch their inbox. Then every worker drains
-    what arrived. Returns (count_since_last, stalled): a drain resets the
-    counter; a sender that has waited ``staleness_limit`` rounds without
-    receiving blocks, and a stalled worker stays blocked until mail comes.
+    Workers whose clock is stalled this round took no step and sent nothing;
+    they only watch their inbox. Returns (count_since_last, stalled): a
+    receipt resets the counter; a sender that has waited ``staleness_limit``
+    rounds without receiving blocks, and a stalled worker stays blocked
+    until mail comes.
     """
-    p = self_weight[senders]
-    states.x[senders] = p[:, None] * half
-    states.w[senders] = p * states.w[senders]
-    received = np.zeros(len(states), dtype=bool)
-    received[_absorb(states, inboxes)] = True
-    sent = np.zeros(len(states), dtype=bool)
-    sent[senders] = True
     waiting = count_since_last < staleness_limit
     count = np.where(received, 0, count_since_last + (sent & waiting))
     return count, ~received & ~(sent & waiting)
@@ -343,7 +275,8 @@ class _MixingCache:
     def at(self, round_index: int) -> SlotMixing:
         key = round_index % self.schedule.period
         if key not in self._cache:
-            self._cache[key] = SlotMixing(mixing_matrix(self.schedule, key, self.stochasticity))
+            self._cache[key] = SlotMixing(
+                self.schedule.m, *mixing_matrix(self.schedule, key, self.stochasticity))
         return self._cache[key]
 
 
@@ -370,8 +303,30 @@ class PushSumProtocol(_ProtocolBase):
         pushsum_round(states, self.mixing.at(round_index), half)
 
 
+class _Batch(NamedTuple):
+    """The push-sum messages sent in one round, one row per sender: a
+    one-peer round is a bijection, so each receiver appears at most once."""
+
+    send_round: int
+    senders: np.ndarray
+    receivers: np.ndarray
+    deliver: np.ndarray  # delivery rounds
+    x: np.ndarray  # (n, d) pre-scaled payloads
+    w: np.ndarray  # (n,) push-sum weights
+
+    def take(self, keep: np.ndarray) -> "_Batch":
+        return _Batch(self.send_round, *(column[keep] for column in self[1:]))
+
+
 class OverlapPushSumProtocol(_ProtocolBase):
-    """Push-sum with delayed, non-blocking messages and a staleness bound."""
+    """Push-sum with delayed, non-blocking messages and a staleness bound.
+
+    In-flight messages are kept as one ``_Batch`` per send round, in send
+    order. Walking the batches in that order delivers each receiver's
+    messages in (send round, sender) order. Per-edge FIFO delivery is a
+    clamp on the ``(period, m)`` array of each edge's last delivery round:
+    on a one-peer graph edge (round % period, sender) is a distinct edge.
+    """
 
     name = "osgp"
     debias = True
@@ -385,11 +340,11 @@ class OverlapPushSumProtocol(_ProtocolBase):
         self.staleness = staleness
         self.delay = delay
         self.mixing = _MixingCache(schedule, "column")
-        self.queues = MessageQueues()
+        self.batches: list[_Batch] = []
+        self.last_delivery = np.full((schedule.period, m), -1, dtype=np.int64)
         self.count_since_last = np.zeros(m, dtype=np.int64)
         self.stalled = np.zeros(m, dtype=bool)
         self._delay_rng = rng_stream(seed, STREAM_DELAY, 0)
-        self._last_sched: dict[tuple[int, int], int] = {}
 
     def active_workers(self):
         return np.flatnonzero(~self.stalled)
@@ -399,46 +354,61 @@ class OverlapPushSumProtocol(_ProtocolBase):
             # no peers: degenerate synchronous case, never stalls
             states.x = half
             return
-        senders = self.active_workers()
-        if not senders.size and self.queues.empty():
+        sent = ~self.stalled
+        senders = np.flatnonzero(sent)
+        if not senders.size and not self.batches:
             raise ProtocolError(
                 "every worker is stalled and no messages are in flight"
             )
         mix = self.mixing.at(round_index)
-        # sends happen first, in ascending rank, so delay draws are ordered
-        lags = self.delay.draw(self._delay_rng, senders.size)
-        weights = states.w.tolist()
-        for row, (i, lag) in enumerate(zip(senders.tolist(), lags)):
-            nbr, weight = mix.peer[i]
-            deliver = round_index + lag
-            edge = (i, nbr)
-            prev = self._last_sched.get(edge, -1)
-            if deliver < prev:
-                deliver = prev  # clamp so per-edge delivery stays FIFO
-            self._last_sched[edge] = deliver
-            self.queues.send(
-                InFlightMessage(
-                    sender=i,
-                    receiver=nbr,
-                    send_round=round_index,
-                    deliver_round=deliver,
-                    payload_x=weight * half[row],
-                    payload_w=weight * weights[i],
-                )
-            )
+        # delays are drawn for the senders in ascending rank
+        lags = np.array(self.delay.draw(self._delay_rng, senders.size), dtype=np.int64)
+        last = self.last_delivery[round_index % len(self.last_delivery)]
+        deliver = np.maximum(round_index + lags, last[senders])  # FIFO per edge
+        last[senders] = deliver
+        if senders.size:
+            weight = mix.send_weight[senders]
+            self.batches.append(_Batch(round_index, senders, mix.receiver[senders], deliver,
+                                       weight[:, None] * half, weight * states.w[senders]))
+        keep = mix.self_weight[senders]
+        states.x[senders] = keep[:, None] * half
+        states.w[senders] = keep * states.w[senders]
         self.count_since_last, self.stalled = osgp_step(
-            states, half, senders, mix.self_weight, self.queues.deliver(round_index),
-            self.count_since_last, self.staleness,
+            sent, self._deliver(states, round_index), self.count_since_last, self.staleness,
         )
 
+    def _deliver(self, states, round_index) -> np.ndarray:
+        """Add every payload due by ``round_index`` to its receiver, batch by
+        batch in send order; returns the (m,) mask of receivers."""
+        received = np.zeros(self.m, dtype=bool)
+        pending = []
+        for batch in self.batches:
+            due = batch.deliver <= round_index
+            if not due.all():
+                pending.append(batch.take(~due))
+                batch = batch.take(due)
+            states.x[batch.receivers] += batch.x
+            states.w[batch.receivers] += batch.w
+            received[batch.receivers] = True
+        self.batches = pending
+        return received
+
     def end_block(self, states):
-        """Drain barrier: flush every queue before the block's exact average."""
-        _absorb(states, self.queues.drain_all())
+        """Drain barrier: deliver every message before the block's exact average."""
+        self._deliver(states, np.inf)
         self.count_since_last[:] = 0
         self.stalled[:] = False
 
     def inflight_sums(self, dimension):
-        return self.queues.pending_sums(dimension)
+        """(sum of payloads, sum of weights) in flight, each added from zero in
+        (sender, receiver, send round) order."""
+        if not self.batches:
+            return np.zeros(dimension), 0.0
+        columns = [np.concatenate(column) for column in zip(*(b[1:] for b in self.batches))]
+        senders, receivers, _, x, w = columns
+        rounds = np.concatenate([np.full(b.senders.size, b.send_round) for b in self.batches])
+        order = np.lexsort((rounds, receivers, senders))
+        return rank_sum(x[order], start=0.0), float_sum(w[order].tolist())
 
 
 def make_protocol(

@@ -1,4 +1,4 @@
-"""Communication graph schedules and mixing matrices.
+"""Communication graph schedules and their sparse mixing matrices.
 
 The workhorse is the time-varying exponential directed graph: at round k,
 worker i sends to (i + 2^(k mod P)) mod m with P = floor(log2(m-1)) + 1, so
@@ -88,32 +88,7 @@ def out_edges(schedule: TopologySchedule, round_index: int) -> list[tuple[int, i
     return [tuple(e) for e in edges]
 
 
-@dataclass(frozen=True)
-class MixingMatrix:
-    """An m x m mixing matrix tagged with its stochasticity kind."""
-
-    matrix: np.ndarray
-    stochasticity: str  # "column" | "doubly"
-
-    def __post_init__(self):
-        p = self.matrix
-        m = p.shape[0]
-        if p.shape != (m, m):
-            raise ConfigError("mixing matrix must be square")
-        if np.any(p < 0):
-            raise ConfigError("mixing weights must be nonnegative")
-        cols = p.sum(axis=0)
-        if np.max(np.abs(cols - 1.0)) > 1e-12:
-            raise ConfigError("columns must sum to 1")
-        if self.stochasticity == "doubly":
-            rows = p.sum(axis=1)
-            if np.max(np.abs(rows - 1.0)) > 1e-12:
-                raise ConfigError("rows must sum to 1 for doubly-stochastic mixing")
-        elif self.stochasticity != "column":
-            raise ConfigError(f"unknown stochasticity {self.stochasticity!r}")
-
-
-def _matching_from_edges(m: int, edges: list[tuple[int, int]]) -> list[tuple[int, int]]:
+def _matching_partners(m: int, edges: list[tuple[int, int]]) -> np.ndarray:
     """Symmetrize a round's directed edges into a perfect matching, or fail.
 
     Workers are paired greedily in index order, each taking its smallest
@@ -121,7 +96,7 @@ def _matching_from_edges(m: int, edges: list[tuple[int, int]]) -> list[tuple[int
     schedules produce, this walks each cycle and pairs adjacent workers
     (m=8, hop 1 gives (0,1), (2,3), (4,5), (6,7)), succeeding exactly when
     every cycle has even length. Any leftover worker means the round has no
-    pairwise exchange pattern and it is rejected.
+    pairwise exchange pattern and it is rejected. Returns each worker's partner.
     """
     nbrs: list[set[int]] = [set() for _ in range(m)]
     for i, j in edges:
@@ -137,53 +112,44 @@ def _matching_from_edges(m: int, edges: list[tuple[int, int]]) -> list[tuple[int
                 partner[i] = j
                 partner[j] = i
                 break
-    if any(p == -1 for p in partner):
+    if -1 in partner:
         raise ConfigError(
             "round edges cannot be symmetrized into a perfect matching; "
             "doubly-stochastic gossip needs pairwise exchanges"
         )
-    return [(i, partner[i]) for i in range(m) if i < partner[i]]
+    return np.array(partner, dtype=np.int64)
 
 
 def mixing_matrix(
     schedule: TopologySchedule, round_index: int, stochasticity: str
-) -> MixingMatrix:
-    """Mixing matrix for one round.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzeros (rows, cols, weights) of one round's mixing matrix p,
+    row by row with columns ascending within a row; no m x m array is built.
 
-    column: p[j,j] = 1/2 and p[out(j),j] = 1/2 for one-peer kinds (uniform
-    over self plus out-edges otherwise). doubly: 1/2-1/2 symmetric pairwise
-    averaging built from the same hop sequence. complete: uniform 1/m. A
-    round with no edges yields the identity.
+    column: p[j,j] = 1/(1 + out-degree of j) and p[j,i] = 1/(1 + out-degree
+    of i) for each edge i -> j (1/2 on self and on the single out-edge of a
+    one-peer kind). doubly: 1/2-1/2 symmetric pairwise averaging built from
+    the same hop sequence. complete (and m = 1): uniform 1/m. A round with no
+    edges yields the identity.
     """
+    if stochasticity not in ("column", "doubly"):
+        raise ConfigError(f"unknown stochasticity {stochasticity!r}")
     m = schedule.m
-    if m == 1:
-        return MixingMatrix(np.ones((1, 1)), stochasticity)
-    if schedule.kind == "complete":
-        return MixingMatrix(np.full((m, m), 1.0 / m), stochasticity)
-
+    if m == 1 or schedule.kind == "complete":
+        return np.repeat(np.arange(m), m), np.tile(np.arange(m), m), np.full(m * m, 1.0 / m)
     edges = out_edges(schedule, round_index)
-    if stochasticity == "column":
-        p = np.zeros((m, m))
-        out_count = np.zeros(m, dtype=int)
-        for i, j in edges:
-            if i != j:
-                out_count[i] += 1
-        for j in range(m):
-            share = 1.0 / (1.0 + out_count[j])
-            p[j, j] = share
-        for i, j in edges:
-            if i != j:
-                p[j, i] = 1.0 / (1.0 + out_count[i])
-        return MixingMatrix(p, "column")
+    workers = np.arange(m)
     if stochasticity == "doubly":
-        pairs = _matching_from_edges(m, edges)
-        p = np.zeros((m, m))
-        np.fill_diagonal(p, 0.5)
-        for i, j in pairs:
-            p[i, j] = 0.5
-            p[j, i] = 0.5
-        return MixingMatrix(p, "doubly")
-    raise ConfigError(f"unknown stochasticity {stochasticity!r}")
+        pairs = np.sort(np.stack([workers, _matching_partners(m, edges)], axis=1), axis=1)
+        return np.repeat(workers, 2), pairs.ravel(), np.full(2 * m, 0.5)
+    senders, receivers = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    off = senders != receivers
+    senders, receivers = senders[off], receivers[off]
+    share = 1.0 / (1.0 + np.bincount(senders, minlength=m))
+    rows = np.concatenate([workers, receivers])
+    cols = np.concatenate([workers, senders])
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order], share[cols[order]]
 
 
 def validate_strong_connectivity(schedule: TopologySchedule) -> None:

@@ -18,13 +18,24 @@ classical algorithms.
 
 Every algorithm reference returns the sequence of pre-step average
 iterates, matching the trace records the simulator writes.
+
+``OsgpReference`` is overlap push-sum kept one message at a time, the
+protocol-level baseline for the batched in-flight store.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from slowmo_sim.numerics import Problem, make_worker_rngs, worker_stochastic_gradient
+from slowmo_sim.errors import ProtocolError
+from slowmo_sim.numerics import (
+    STREAM_DELAY,
+    Problem,
+    make_worker_rngs,
+    rng_stream,
+    worker_stochastic_gradient,
+)
+from slowmo_sim.topology import out_neighbor
 
 
 def worker_losses_and_gradients(
@@ -152,3 +163,73 @@ def block_momentum_reference(
         w = w + delta
         xs = [w.copy() for _ in range(m)]
     return history
+
+
+class OsgpReference:
+    """Overlap push-sum on a one-peer schedule (m >= 2), one message per tuple.
+
+    Each round, every worker that is not stalled keeps half of its half-step
+    and of its weight and mails the other half to its out-neighbor, in
+    ascending rank, with a transit time drawn from the run's delay stream; a
+    message is never due before an earlier one on the same edge. Then each
+    receiver adds its due messages in (send round, sender) order, and the
+    staleness counters advance. ``drain`` is the block-end barrier.
+    """
+
+    def __init__(self, schedule, staleness, delay, seed, x):
+        self.schedule = schedule
+        self.staleness = staleness
+        self.delay = delay
+        self.rng = rng_stream(seed, STREAM_DELAY, 0)
+        self.x = [row.copy() for row in x]
+        self.w = [1.0] * schedule.m
+        self.count = [0] * schedule.m
+        self.stalled = [False] * schedule.m
+        self.messages = []  # (send round, sender, receiver, due round, x, w)
+        self.last_due = {}  # (sender, receiver) -> due round of its latest message
+
+    def active(self) -> list[int]:
+        return [i for i, stalled in enumerate(self.stalled) if not stalled]
+
+    def round(self, half: np.ndarray, k: int) -> None:
+        senders = self.active()
+        if not senders and not self.messages:
+            raise ProtocolError("every worker is stalled and no messages are in flight")
+        lags = self.delay.draw(self.rng, len(senders))
+        for row, i, lag in zip(half, senders, lags):
+            j = out_neighbor(self.schedule, i, k)
+            due = max(k + lag, self.last_due.get((i, j), -1))
+            self.last_due[i, j] = due
+            self.messages.append((k, i, j, due, 0.5 * row, 0.5 * self.w[i]))
+            self.x[i] = 0.5 * row
+            self.w[i] = 0.5 * self.w[i]
+        received = self._deliver(lambda msg: msg[3] <= k)
+        for i in range(self.schedule.m):
+            if i in received:
+                self.count[i], self.stalled[i] = 0, False
+            elif i in senders and self.count[i] < self.staleness:
+                self.count[i], self.stalled[i] = self.count[i] + 1, False
+            else:
+                self.stalled[i] = True
+
+    def drain(self) -> None:
+        self._deliver(lambda msg: True)
+        self.count = [0] * self.schedule.m
+        self.stalled = [False] * self.schedule.m
+
+    def _deliver(self, is_due) -> set[int]:
+        due = sorted((msg for msg in self.messages if is_due(msg)), key=lambda msg: msg[:2])
+        self.messages = [msg for msg in self.messages if not is_due(msg)]
+        for _, _, j, _, x, w in due:
+            self.x[j] = self.x[j] + x
+            self.w[j] = self.w[j] + w
+        return {msg[2] for msg in due}
+
+    def inflight_sums(self, dimension: int) -> tuple[np.ndarray, float]:
+        """Pending payloads and weights, each added from zero in (sender,
+        receiver, send round) order."""
+        x, w = np.zeros(dimension), 0.0
+        for msg in sorted(self.messages, key=lambda msg: (msg[1], msg[2], msg[0])):
+            x = x + msg[4]
+            w = w + msg[5]
+        return x, w

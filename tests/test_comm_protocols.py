@@ -9,8 +9,6 @@ from slowmo_sim import (
     BaseOptimizerConfig,
     ConfigError,
     DelayModel,
-    InFlightMessage,
-    MessageQueues,
     OptimizerBuffers,
     ProtocolError,
     SlotMixing,
@@ -25,11 +23,12 @@ from slowmo_sim import (
 from slowmo_sim import comm_protocols
 from slowmo_sim.numerics import rng_stream
 from slowmo_sim.topology import (
-    MixingMatrix,
     TopologySchedule,
     custom_schedule,
     mixing_matrix,
 )
+
+from references import OsgpReference
 
 
 def _states(xs, ws=None):
@@ -42,6 +41,22 @@ def _states(xs, ws=None):
 
 def _everyone(states):
     return states.x.copy()
+
+
+def _slots(sched, k, stochasticity):
+    return SlotMixing(sched.m, *mixing_matrix(sched, k, stochasticity))
+
+
+def _dense(sched, k, stochasticity):
+    rows, cols, weights = mixing_matrix(sched, k, stochasticity)
+    p = np.zeros((sched.m, sched.m))
+    p[rows, cols] = weights
+    return p
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 # --------------------------------------------------------------------------- #
@@ -79,7 +94,7 @@ def test_gossip_preserves_mean_and_reaches_consensus():
     states = _states(list(xs))
     mean0 = xs.mean(axis=0)
     for k in range(3):
-        mix = SlotMixing(mixing_matrix(sched, k, "doubly"))
+        mix = _slots(sched, k, "doubly")
         gossip_round(states, mix, _everyone(states))
         mean_k = states.x.mean(axis=0)
         assert np.allclose(mean_k, mean0, atol=1e-13)
@@ -90,12 +105,11 @@ def test_gossip_preserves_mean_and_reaches_consensus():
 def test_gossip_rejects_column_only_matrix():
     # two senders aimed at one receiver: column-stochastic but not row-stochastic
     sched = custom_schedule(3, [[(0, 1), (2, 1)]])
-    mix = mixing_matrix(sched, 0, "column")
+    mix = _slots(sched, 0, "column")
     states = _states([[1.0], [2.0], [3.0]])
-    rows = mix.matrix.sum(axis=1)
-    assert np.max(np.abs(rows - 1.0)) > 1e-6
+    assert not mix.doubly
     with pytest.raises(ProtocolError):
-        gossip_round(states, SlotMixing(mix), _everyone(states))
+        gossip_round(states, mix, _everyone(states))
 
 
 def test_pushsum_conserves_mass_and_mean():
@@ -105,7 +119,7 @@ def test_pushsum_conserves_mass_and_mean():
     states = _states(list(xs))
     sum_x0 = xs.sum(axis=0)
     for k in range(12):
-        mix = SlotMixing(mixing_matrix(sched, k % 3, "column"))
+        mix = _slots(sched, k % 3, "column")
         pushsum_round(states, mix, _everyone(states))
         assert np.allclose(states.x.sum(axis=0), sum_x0, atol=1e-12)
         assert states.w.sum() == pytest.approx(8.0, abs=1e-12)
@@ -120,7 +134,7 @@ def test_pushsum_consensus_on_power_of_two():
     states = _states(list(xs))
     mean0 = xs.mean(axis=0)
     for k in range(3):
-        mix = SlotMixing(mixing_matrix(sched, k, "column"))
+        mix = _slots(sched, k, "column")
         pushsum_round(states, mix, _everyone(states))
     assert np.allclose(states.z, mean0, atol=1e-12)
     assert np.allclose(states.w, 1.0, atol=1e-12)
@@ -169,65 +183,61 @@ def test_delay_model_validation():
         DelayModel(kind="geometric", p=0.0)
 
 
+def _batch(send_round, senders, receivers, deliver, xs, w=0.5):
+    n = len(senders)
+    return comm_protocols._Batch(send_round, np.array(senders), np.array(receivers),
+                                 np.array(deliver), np.array(xs, dtype=float).reshape(n, 1),
+                                 np.full(n, w))
+
+
 def test_message_queue_delivery_order_and_sums():
-    q = MessageQueues()
-    mk = lambda snd, rcv, sr, dr, val: InFlightMessage(
-        sender=snd, receiver=rcv, send_round=sr, deliver_round=dr,
-        payload_x=np.array([val]), payload_w=0.5,
-    )
-    q.send(mk(1, 0, 2, 5, 10.0))
-    q.send(mk(0, 0, 1, 5, 20.0))
-    q.send(mk(2, 0, 3, 9, 30.0))
-    x_sum, w_sum = q.pending_sums(1)
-    assert x_sum[0] == 60.0 and w_sum == 1.5
-    got = q.deliver(5)
-    # both round-5 deliveries arrive ordered by (send_round, sender)
-    assert [m.payload_x[0] for m in got[0]] == [20.0, 10.0]
-    assert not q.empty()
-    rest = q.drain_all()
-    assert [m.payload_x[0] for m in rest[0]] == [30.0]
-    assert q.empty()
+    # 2**53 + 1 rounds to 2**53, so receiver 0 ends at 2**53 + 2 only if its
+    # messages add in (send round, sender) order: 1.0 + 1.0 + 2**53
+    proto = _osgp(4, staleness=10)
+    proto.batches = [
+        _batch(1, [0, 2], [0, 3], [5, 9], [1.0, 30.0]),
+        _batch(2, [1], [0], [5], [2.0**53]),
+    ]
+    states = _states([[1.0], [0.0], [0.0], [0.0]])
+    x_sum, w_sum = proto.inflight_sums(1)
+    # in-flight sums add by sender first: 0.0 + 1.0 + 2**53 loses the 1.0
+    assert x_sum[0] == 2.0**53 + 30.0 and w_sum == 1.5
+    proto.stalled[:] = True
+    proto.apply_round(states, np.empty((0, 1)), 5)  # nobody sends; two messages land
+    assert states.x[:, 0].tolist() == [2.0**53 + 2, 0.0, 0.0, 0.0]
+    assert states.w.tolist() == [2.0, 1.0, 1.0, 1.0]
+    assert proto.inflight_sums(1) == (np.array([30.0]), 0.5)
+    assert proto.active_workers().tolist() == [0]
+    assert proto.batches
+    proto.end_block(states)
+    assert states.x[3, 0] == 30.0 and states.w[3] == 1.5
+    assert not proto.batches
 
 
 # --------------------------------------------------------------------------- #
 # the overlap step function
 # --------------------------------------------------------------------------- #
 
-def _msg(x, w, snd=1, rcv=0, sr=0, dr=0):
-    return InFlightMessage(sender=snd, receiver=rcv, send_round=sr,
-                           deliver_round=dr, payload_x=np.array([x]), payload_w=w)
-
-
-def _osgp_step(states, half, senders, inboxes, count, limit=4, p_self=0.5):
-    m = len(states)
-    return osgp_step(states, np.array(half, dtype=np.float64).reshape(len(senders), -1)
-                     if senders else np.empty((0, states.x.shape[1])),
-                     np.array(senders, dtype=np.int64), np.full(m, p_self), inboxes,
-                     np.array(count), limit)
+def _osgp_step(sent, received, count, limit=4):
+    return osgp_step(np.array(sent), np.array(received), np.array(count), limit)
 
 
 def test_osgp_step_active_send_and_receive():
-    s = _states([[4.0]])
-    count, stalled = _osgp_step(s, [[4.0]], [0], {0: [_msg(1.0, 0.5)]}, [3])
-    assert s.x[0, 0] == 3.0 and s.w[0] == 1.0  # kept half, absorbed one message
-    assert count[0] == 0 and not stalled[0]    # receipt resets the counter
+    count, stalled = _osgp_step([True], [True], [3])
+    assert count[0] == 0 and not stalled[0]
 
 
 def test_osgp_step_counts_toward_stall():
-    s = _states([[4.0]])
-    count, stalled = _osgp_step(s, [[4.0]], [0], {}, [1])
+    count, stalled = _osgp_step([True], [False], [1])
     assert count[0] == 2 and not stalled[0]
-    count, stalled = _osgp_step(s, s.x.copy(), [0], {}, [4])
+    count, stalled = _osgp_step([True], [False], [4])
     assert stalled[0] and count[0] == 4
 
 
 def test_osgp_step_stalled_worker_only_listens():
-    s = _states([[4.0], [1.0]], ws=[0.25, 1.0])
-    count, stalled = _osgp_step(s, [[1.0]], [1], {0: [_msg(2.0, 0.5)]}, [4, 0])
-    assert s.x[0, 0] == 6.0 and s.w[0] == 0.75  # x untouched except for receipt
-    assert count[0] == 0 and not stalled[0]
-    assert s.x[1, 0] == 0.5 and count[1] == 1 and not stalled[1]
-    count, stalled = _osgp_step(s, np.empty((0, 1)), [], {}, count)
+    count, stalled = _osgp_step([False, True], [True, False], [4, 0])
+    assert count.tolist() == [0, 1] and not stalled.any()
+    count, stalled = _osgp_step([False, False], [False, False], count)
     assert stalled.all() and count.tolist() == [0, 1]  # nobody sent or received
 
 
@@ -288,7 +298,7 @@ def test_osgp_delay_keeps_weight_in_range_and_mass_fixed():
         assert np.all((0.0 < states.w) & (states.w <= m + 1e-12))
     proto.end_block(states)
     assert states.w.sum() == pytest.approx(m, abs=1e-9)
-    assert proto.queues.empty()
+    assert not proto.batches
 
 
 def test_osgp_stall_and_recovery():
@@ -317,10 +327,9 @@ def test_osgp_fifo_delivery_per_edge():
     seen: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for k in range(150):
         proto.apply_round(states, states.x[proto.active_workers()], k)
-        for due in proto.queues._due.values():
-            for msg in due:
-                edge = (msg.sender, msg.receiver)
-                seen.setdefault(edge, []).append((msg.send_round, msg.deliver_round))
+        for batch in proto.batches:
+            for edge in zip(batch.senders.tolist(), batch.receivers.tolist(), batch.deliver):
+                seen.setdefault(edge[:2], []).append((batch.send_round, edge[2]))
     for log in seen.values():
         log = sorted(set(log))
         for (s0, d0), (s1, d1) in zip(log, log[1:]):
@@ -351,9 +360,9 @@ def test_osgp_all_stalled_with_messages_in_flight_waits():
     states = _states([[0.0], [1.0]])
     proto.apply_round(states, _everyone(states), 0)
     proto.stalled[:] = True
-    assert not proto.queues.empty()
+    assert proto.batches
     proto.apply_round(states, np.empty((0, 1)), 1)  # both messages land; nobody raises
-    assert proto.queues.empty()
+    assert not proto.batches
     assert proto.active_workers().tolist() == [0, 1]
 
 
@@ -368,9 +377,64 @@ def test_pushsum_mass_invariant_random_starts(seed, m):
     rng = rng_stream(seed, 0, 0)
     states = _states(list(rng.standard_normal((m, 2))))
     for k in range(2 * sched.period):
-        mix = SlotMixing(mixing_matrix(sched, k % sched.period, "column"))
+        mix = _slots(sched, k % sched.period, "column")
         pushsum_round(states, mix, _everyone(states))
     assert states.w.sum() == pytest.approx(m, abs=1e-12)
+
+
+# --------------------------------------------------------------------------- #
+# batched OSGP against the per-message reference
+# --------------------------------------------------------------------------- #
+
+def _matches_reference(proto, states, ref):
+    x_fly, w_fly = proto.inflight_sums(states.x.shape[1])
+    ref_x, ref_w = ref.inflight_sums(states.x.shape[1])
+    return (_same_bits(states.x, ref.x) and _same_bits(states.w, ref.w)
+            and proto.stalled.tolist() == ref.stalled
+            and proto.count_since_last.tolist() == ref.count
+            and _same_bits(x_fly, ref_x) and _same_bits(w_fly, ref_w))
+
+
+@given(
+    st.sampled_from([2, 3, 5, 8, 16]),
+    st.sampled_from(["exponential-directed", "ring-directed"]),
+    st.one_of(
+        st.builds(DelayModel, kind=st.just("constant"), rounds=st.integers(0, 4)),
+        st.builds(DelayModel, kind=st.just("geometric"), p=st.sampled_from([0.3, 0.6]),
+                  cap=st.integers(0, 4)),
+    ),
+    st.integers(0, 4),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_osgp_batches_match_per_message_reference(m, kind, delay, staleness, seed):
+    sched = TopologySchedule(kind=kind, m=m)
+    proto = make_protocol("osgp", m, schedule=sched, staleness=staleness, delay=delay,
+                          seed=seed)
+    rng = np.random.default_rng(seed)
+    x0 = rng.standard_normal((m, 2))
+    x0[rng.random(x0.shape) < 0.1] = -0.0
+    states = _states(x0)
+    ref = OsgpReference(sched, staleness, delay, seed, x0)
+    for k in range(40):
+        forced = rng.random(m) < 0.15  # stall some workers from outside
+        proto.stalled |= forced
+        ref.stalled = [a or b for a, b in zip(ref.stalled, forced.tolist())]
+        active = proto.active_workers()
+        assert active.tolist() == ref.active()
+        half = states.x[active] - 0.1 * rng.standard_normal((active.size, 2))
+        try:
+            proto.apply_round(states, half.copy(), k)
+        except ProtocolError:
+            with pytest.raises(ProtocolError):
+                ref.round(half.copy(), k)
+            return
+        ref.round(half.copy(), k)
+        assert _matches_reference(proto, states, ref)
+        if rng.random() < 0.1:
+            proto.end_block(states)
+            ref.drain()
+            assert _matches_reference(proto, states, ref) and not proto.batches
 
 
 # --------------------------------------------------------------------------- #
@@ -406,18 +470,13 @@ def _dense_pushsum(p, half_x, ws):
     return out_x, out_w
 
 
-def _same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
-
-
 def _schedule_matrices(kind, m):
     sched = TopologySchedule(kind=kind, m=m)
     out = []
     for k in range(sched.period):
         for stochasticity in ("column", "doubly"):
             try:
-                out.append(mixing_matrix(sched, k, stochasticity))
+                out.append((_dense(sched, k, stochasticity), stochasticity))
             except ConfigError:
                 pass  # no perfect matching this round: not a doubly schedule
     return out
@@ -430,7 +489,7 @@ def _custom_matrices(rng, m):
         edges = {tuple(rng.integers(0, m, size=2).tolist()) for _ in range(n_edges)}
         rounds.append(sorted(edges))
     sched = custom_schedule(m, rounds)
-    return [mixing_matrix(sched, k, "column") for k in range(sched.period)]
+    return [(_dense(sched, k, "column"), "column") for k in range(sched.period)]
 
 
 def _ragged_matrix(rng, m):
@@ -444,7 +503,7 @@ def _ragged_matrix(rng, m):
         if not mask[:, j].any():
             mask[rng.choice(kept), j] = True
     p = np.where(mask, rng.random((m, m)) + 0.1, 0.0)
-    return MixingMatrix(p / p.sum(axis=0), "column")
+    return p / p.sum(axis=0)
 
 
 MIXING_CASES = (
@@ -464,25 +523,26 @@ def test_slot_mixing_matches_dense_loop_bit_for_bit(case, seed):
     if kind == "custom":
         matrices = _custom_matrices(rng, m)
     elif kind == "ragged":
-        matrices = [_ragged_matrix(rng, m)]
+        matrices = [(_ragged_matrix(rng, m), "column")]
     else:
         matrices = _schedule_matrices(kind, m)
-    for mix in matrices:
+    for p, stochasticity in matrices:
         half = rng.standard_normal((m, 3))
         half[rng.random(half.shape) < 0.1] = 0.0
         half[rng.random(half.shape) < 0.1] = -0.0
         ws = list(rng.random(m) + 0.5)
-        slots = SlotMixing(mix)
+        rows, cols = np.nonzero(p)
+        slots = SlotMixing(m, rows, cols, p[rows, cols])
 
         states = _states(half, ws=ws)
         pushsum_round(states, slots, half.copy())
-        ref_x, ref_w = _dense_pushsum(mix.matrix, list(half), ws)
+        ref_x, ref_w = _dense_pushsum(p, list(half), ws)
         assert _same_bits(states.x, ref_x) and _same_bits(states.w, ref_w)
 
-        if mix.stochasticity == "doubly":
+        if stochasticity == "doubly":
             states = _states(half)
             gossip_round(states, slots, half.copy())
-            assert _same_bits(states.x, _dense_gossip(mix.matrix, list(half)))
+            assert _same_bits(states.x, _dense_gossip(p, list(half)))
 
 
 def test_mixing_is_compiled_once_per_period_entry(monkeypatch):

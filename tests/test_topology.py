@@ -1,5 +1,7 @@
 """Directed graph schedules, mixing matrices, connectivity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from slowmo_sim import (
     ConfigError,
-    MixingMatrix,
+    SlotMixing,
     TopologySchedule,
     custom_schedule,
     mixing_matrix,
@@ -15,6 +17,14 @@ from slowmo_sim import (
     validate_strong_connectivity,
 )
 from slowmo_sim.topology import out_edges
+
+
+def _dense(sched, k, stochasticity):
+    """The round's m x m matrix, filled in from the nonzeros mixing_matrix returns."""
+    rows, cols, weights = mixing_matrix(sched, k, stochasticity)
+    p = np.zeros((sched.m, sched.m))
+    p[rows, cols] = weights
+    return p
 
 
 def test_exponential_hops_m8():
@@ -62,19 +72,18 @@ def test_out_edges_have_no_self_loops():
 
 def test_column_stochastic_mixing_shares():
     sched = TopologySchedule(kind="exponential-directed", m=8)
-    mix = mixing_matrix(sched, 0, "column")
-    col_sums = mix.matrix.sum(axis=0)
+    p = _dense(sched, 0, "column")
+    col_sums = p.sum(axis=0)
     assert np.allclose(col_sums, 1.0, atol=1e-12)
     # out-degree one everywhere: sender keeps 1/2, ships 1/2
-    assert mix.matrix[0, 0] == pytest.approx(0.5)
-    assert mix.matrix[1, 0] == pytest.approx(0.5)
+    assert p[0, 0] == pytest.approx(0.5)
+    assert p[1, 0] == pytest.approx(0.5)
 
 
 def test_doubly_stochastic_matching_matrix():
     sched = TopologySchedule(kind="exponential-directed", m=8)
     for k in range(sched.period):
-        mix = mixing_matrix(sched, k, "doubly")
-        w = mix.matrix
+        w = _dense(sched, k, "doubly")
         assert np.allclose(w, w.T, atol=0)
         assert np.allclose(w.sum(axis=0), 1.0, atol=1e-12)
         assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
@@ -91,16 +100,60 @@ def test_no_perfect_matching_raises():
 
 def test_complete_mixing():
     sched = TopologySchedule(kind="complete", m=4)
-    mix = mixing_matrix(sched, 0, "doubly")
-    assert np.allclose(mix.matrix, 0.25)
+    assert np.allclose(_dense(sched, 0, "doubly"), 0.25)
+
+
+@pytest.mark.parametrize("kind,m", [("exponential-directed", 9), ("ring-directed", 5),
+                                    ("complete", 3), ("exponential-directed", 1)])
+@pytest.mark.parametrize("stochasticity", ["column", "doubly"])
+def test_nonzeros_come_row_by_row_with_columns_ascending(kind, m, stochasticity):
+    sched = TopologySchedule(kind=kind, m=m)
+    for k in range(sched.period):
+        try:
+            rows, cols, weights = mixing_matrix(sched, k, stochasticity)
+        except ConfigError:
+            continue  # no perfect matching this round
+        assert np.array_equal(np.lexsort((cols, rows)), np.arange(rows.size))
+        assert len(set(zip(rows.tolist(), cols.tolist()))) == rows.size
+        assert (weights > 0).all()
+
+
+def test_custom_column_weights_follow_out_degree():
+    sched = custom_schedule(3, [[(0, 1), (0, 2), (1, 1)]])
+    p = _dense(sched, 0, "column")
+    third = 1.0 / 3.0
+    assert np.array_equal(p, [[third, 0.0, 0.0], [third, 1.0, 0.0], [third, 0.0, 1.0]])
+
+
+def test_unknown_stochasticity_rejected():
+    for m in (1, 4):
+        with pytest.raises(ConfigError):
+            mixing_matrix(TopologySchedule(kind="exponential-directed", m=m), 0, "row")
 
 
 def test_mixing_matrix_validation():
-    bad = np.array([[0.9, 0.0], [0.0, 1.0]])
-    with pytest.raises(ConfigError):
-        MixingMatrix(bad, "column")
-    ok = MixingMatrix(np.eye(2), "doubly")
-    assert ok.matrix.shape == (2, 2)
+    rows, cols = np.array([0, 1]), np.array([0, 1])
+    with pytest.raises(ConfigError, match="sum to 1"):
+        SlotMixing(2, rows, cols, np.array([0.9, 1.0]))
+    with pytest.raises(ConfigError, match="nonnegative"):
+        SlotMixing(3, np.array([0, 0, 1, 2]), np.array([0, 1, 1, 2]),
+                   np.array([1.0, 1.5, -0.5, 1.0]))
+    ok = SlotMixing(2, rows, cols, np.array([1.0, 1.0]))
+    assert ok.doubly and ok.self_weight.tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("stochasticity", ["column", "doubly"])
+def test_exponential_round_builds_no_dense_matrix(stochasticity):
+    # a dense 4096 x 4096 float64 matrix alone would be 128 MiB
+    sched = TopologySchedule(kind="exponential-directed", m=4096)
+    tracemalloc.start()
+    try:
+        rows, _, _ = mixing_matrix(sched, 3, stochasticity)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.size == 2 * 4096
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("m", [2, 3, 5, 8, 16, 33])
