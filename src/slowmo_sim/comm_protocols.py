@@ -394,8 +394,10 @@ class OverlapPushSumProtocol(_ProtocolBase):
         return received
 
     def end_block(self, states):
-        """Drain barrier: deliver every message before the block's exact average."""
+        """Drain barrier: deliver every message before the block's exact average.
+        Nothing is in flight after it, so no edge's FIFO clamp carries over."""
         self._deliver(states, np.inf)
+        self.last_delivery[:] = -1
         self.count_since_last[:] = 0
         self.stalled[:] = False
 

@@ -173,7 +173,8 @@ class OsgpReference:
     ascending rank, with a transit time drawn from the run's delay stream; a
     message is never due before an earlier one on the same edge. Then each
     receiver adds its due messages in (send round, sender) order, and the
-    staleness counters advance. ``drain`` is the block-end barrier.
+    staleness counters advance. ``drain`` is the block-end barrier: it
+    delivers everything, so no edge's FIFO clamp outlives it.
     """
 
     def __init__(self, schedule, staleness, delay, seed, x):
@@ -214,6 +215,7 @@ class OsgpReference:
 
     def drain(self) -> None:
         self._deliver(lambda msg: True)
+        self.last_due = {}
         self.count = [0] * self.schedule.m
         self.stalled = [False] * self.schedule.m
 

@@ -337,6 +337,22 @@ def test_osgp_fifo_delivery_per_edge():
                 assert d0 <= d1, "later send scheduled before an earlier one"
 
 
+def test_osgp_drain_resets_the_fifo_clamp():
+    # the drain at round 0 flushes the delay-5 messages, so a 0-delay
+    # message sent at round 1 is due at round 1, not behind them at round 5
+    sched = TopologySchedule(kind="ring-directed", m=2)
+    proto = make_protocol("osgp", 2, schedule=sched, staleness=4,
+                          delay=DelayModel(kind="constant", rounds=5))
+    states = _states([[1.0], [3.0]])
+    proto.apply_round(states, _everyone(states), 0)
+    assert proto.batches[0].deliver.tolist() == [5, 5]
+    proto.end_block(states)
+    proto.delay = DelayModel(kind="constant", rounds=0)
+    proto.apply_round(states, _everyone(states), 1)
+    assert not proto.batches
+    assert states.x[:, 0].tolist() == [2.0, 2.0] and states.w.tolist() == [1.0, 1.0]
+
+
 def test_osgp_single_worker_never_stalls():
     proto = _osgp(1, staleness=1, delay=DelayModel(kind="constant", rounds=5))
     states = _states([[2.0]])
