@@ -15,7 +15,6 @@ from .config import build_problem, load_config, replace_seed
 from .errors import ConfigError, NumericalAbort
 from .harness import (
     bound_report,
-    emit_metrics,
     equivalence_check,
     run_experiment,
     run_sweep,

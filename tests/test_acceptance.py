@@ -9,7 +9,6 @@ before asserting, so a red run still names the criterion that broke.
 import math
 
 import numpy as np
-import pytest
 
 from slowmo_sim import (
     BaseOptimizerConfig,
