@@ -50,9 +50,7 @@ class TopologySchedule:
 
 
 def _exponential_period(m: int) -> int:
-    if m <= 2:
-        return 1
-    return int(np.floor(np.log2(m - 1))) + 1
+    return max(1, (m - 1).bit_length())  # floor(log2(m - 1)) + 1, in integers
 
 
 def out_neighbor(schedule: TopologySchedule, worker_id: int, round_index: int) -> int:

@@ -35,7 +35,8 @@ def test_exponential_hops_m8():
     assert out_neighbor(sched, 6, 1) == 0  # wraps mod m
 
 
-@pytest.mark.parametrize("m,period", [(2, 1), (3, 2), (8, 3), (9, 4), (16, 4), (17, 5)])
+@pytest.mark.parametrize("m,period", [(1, 1), (2, 1), (3, 2), (8, 3), (9, 4), (16, 4), (17, 5),
+                                      (2**53, 53)])
 def test_exponential_period(m, period):
     assert TopologySchedule(kind="exponential-directed", m=m).period == period
 
