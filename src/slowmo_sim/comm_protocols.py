@@ -406,10 +406,11 @@ class OverlapPushSumProtocol(_ProtocolBase):
         (sender, receiver, send round) order."""
         if not self.batches:
             return np.zeros(dimension), 0.0
-        columns = [np.concatenate(column) for column in zip(*(b[1:] for b in self.batches))]
-        senders, receivers, _, x, w = columns
-        rounds = np.concatenate([np.full(b.senders.size, b.send_round) for b in self.batches])
-        order = np.lexsort((rounds, receivers, senders))
+        senders, receivers, _, x, w = (
+            np.concatenate(column) for column in zip(*(b[1:] for b in self.batches)))
+        # lexsort is stable and the batches are in send order, so ties on
+        # (sender, receiver) stay in send-round order
+        order = np.lexsort((receivers, senders))
         return rank_sum(x[order], start=0.0), float_sum(w[order].tolist())
 
 
