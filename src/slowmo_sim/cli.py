@@ -10,8 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
-from .config import build_problem, load_config, replace_seed
+from .config import build_problem, load_config
 from .errors import ConfigError, NumericalAbort
 from .harness import (
     bound_report,
@@ -20,7 +21,7 @@ from .harness import (
     run_sweep,
 )
 from .simkernel import MetricsTrace
-from .theory_checker import estimate_V
+from .theory_checker import estimate_V, plain_sgd_V
 
 
 class _Parser(argparse.ArgumentParser):
@@ -115,12 +116,12 @@ def _cmd_check_equivalence(args) -> int:
 def _cmd_estimate_v(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg = replace_seed(cfg, args.seed)
+        cfg = replace(cfg, seed=args.seed)
     problem = build_problem(cfg)
     est = estimate_V(problem, cfg.base, samples=args.samples, seed=cfg.seed)
     out = {"V": est.value, "std_error": est.std_error, "samples": est.samples}
     if cfg.base.kind == "plain-sgd" and problem.noise.kind == "additive-gaussian":
-        out["plain_sgd_theory"] = problem.noise.sigma2 / problem.num_workers
+        out["plain_sgd_theory"] = plain_sgd_V(problem.noise.sigma2, problem.num_workers)
     print(json.dumps(out))
     return 0
 

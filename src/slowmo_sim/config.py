@@ -1,24 +1,26 @@
 """Experiment configuration: strict JSON parsing and simulation assembly.
 
-``parse_config`` turns a raw dict (usually loaded from JSON) into an
-ExperimentConfig, rejecting unknown fields anywhere in the tree and
-enforcing cross-field rules (e.g. double-average needs the sgd-nesterov
-base, beta = 1 is never valid). ``resolved_dict`` dumps every field
-explicitly, defaults included, so a run can always be reproduced from its
-resolved.json alone. ``build_simulation`` turns the config into a ready
-Simulation.
+Each config section is a frozen dataclass that alone declares its fields'
+names, defaults and types and checks its own values; ExperimentConfig
+checks the rules across sections (double-average needs the sgd-nesterov
+base). ``parse_config`` builds one from a raw dict, usually loaded from
+JSON, rejecting unknown fields anywhere in the tree. ``resolved_dict`` dumps
+every field explicitly, defaults included, so a run can always be reproduced
+from its resolved.json alone. ``build_simulation`` turns the config into a
+ready Simulation.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
 from .base_optimizers import BaseOptimizerConfig
-from .comm_protocols import PROTOCOL_NAMES, DelayModel
+from .comm_protocols import PROTOCOL_NAMES, DelayModel, check_double_average
 from .errors import ConfigError
 from .numerics import (
     STREAM_MISC,
@@ -67,46 +69,75 @@ def _check_float(value, name: str) -> None:
         raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
-def _parse_rounds(rounds) -> tuple:
-    """Custom topology rounds: a list of rounds, each a list of [sender, receiver]."""
-    if not isinstance(rounds, list):
-        raise ConfigError(f"topology.rounds must be a list, got {rounds!r}")
-    parsed = []
-    for r, edges in enumerate(rounds):
-        if not isinstance(edges, list):
-            raise ConfigError(f"topology.rounds[{r}] must be a list of edges, got {edges!r}")
-        for e in edges:
-            if not isinstance(e, list) or len(e) != 2:
-                raise ConfigError(
-                    f"topology.rounds[{r}] edge {e!r} must be a [sender, receiver] pair"
-                )
-            for endpoint in e:
-                _check_int(endpoint, f"topology.rounds[{r}] edge endpoint", minimum=0)
-        parsed.append(tuple((e[0], e[1]) for e in edges))
-    return tuple(parsed)
+def _milestone(value, name: str) -> int:
+    _check_int(value, name, minimum=0)
+    return value
 
 
-def _take(raw: dict, allowed: dict, path: str) -> dict:
-    """Pop known keys (applying defaults); any leftover key is an error.
-    A field whose default is an int or a bool must be given as one; a field
-    whose default is a float must be a finite int or float."""
+def _round(edges, name: str) -> tuple:
+    """One custom topology round: a list of [sender, receiver] pairs."""
+    if not isinstance(edges, list):
+        raise ConfigError(f"{name} must be a list of edges, got {edges!r}")
+    for e in edges:
+        if not isinstance(e, list) or len(e) != 2:
+            raise ConfigError(f"{name} edge {e!r} must be a [sender, receiver] pair")
+        for endpoint in e:
+            _check_int(endpoint, f"{name} edge endpoint", minimum=0)
+    return tuple((e[0], e[1]) for e in edges)
+
+
+# how the entries of each tuple field are checked, by field name
+_TUPLE_ENTRIES = {"milestones": _milestone, "rounds": _round}
+
+
+@functools.cache
+def _field_table(cls) -> dict:
+    """Each field's (default, nested dataclass or None); factories run once, here."""
+    table = {}
+    for f in fields(cls):
+        default = f.default if f.default_factory is MISSING else f.default_factory()
+        table[f.name] = (default, type(default) if is_dataclass(default) else None)
+    return table
+
+
+def _parse(cls, raw, path: str):
+    """Build the config dataclass ``cls`` from a JSON object. Missing fields
+    take their defaults and unknown ones are an error. A field whose default
+    is a dataclass is parsed the same way; a leaf is checked by the type of
+    its default: a bool must be a bool, an int (or a None default) an int, a
+    float a finite number, a tuple a list and a dict an object. Value and
+    cross-field rules are the dataclasses' own ``__post_init__`` checks."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{path or 'config'} must be an object")
-    out = {}
-    raw = dict(raw)
-    for key, default in allowed.items():
-        value = out[key] = raw.pop(key, default)
-        name = f"{path}.{key}" if path else key
-        if type(default) is bool and type(value) is not bool:
-            raise ConfigError(f"{name} must be true or false, got {value!r}")
-        if type(default) is int:
-            _check_int(value, name)
-        if type(default) is float:
-            _check_float(value, name)
-    if raw:
-        where = f" in {path}" if path else ""
-        raise ConfigError(f"unknown config field(s){where}: {sorted(raw)}")
-    return out
+    table = _field_table(cls)
+    values = {}
+    for name, value in raw.items():
+        if name not in table:
+            where = f" in {path}" if path else ""
+            unknown = sorted(key for key in raw if key not in table)
+            raise ConfigError(f"unknown config field(s){where}: {unknown}")
+        default, nested = table[name]
+        where = f"{path}.{name}" if path else name
+        if nested is not None:
+            value = _parse(nested, value, where)
+        elif type(default) is bool:
+            if type(value) is not bool:
+                raise ConfigError(f"{where} must be true or false, got {value!r}")
+        elif type(default) is int or (default is None and value is not None):
+            _check_int(value, where)
+        elif type(default) is float:
+            _check_float(value, where)
+        elif type(default) is tuple:
+            if not isinstance(value, list):
+                raise ConfigError(f"{where} must be a list, got {value!r}")
+            entry = _TUPLE_ENTRIES[name]
+            value = tuple(entry(v, f"{where}[{i}]") for i, v in enumerate(value))
+        elif type(default) is dict:
+            if not isinstance(value, dict):
+                raise ConfigError(f"{where} must be an object, got {value!r}")
+            value = dict(value)
+        values[name] = value
+    return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -170,17 +201,32 @@ class OsgpConfig:
     def __post_init__(self):
         if self.staleness < 0:
             raise ConfigError("osgp.staleness must be >= 0")
+        for key in ("rounds", "cap"):
+            _check_ceiling(getattr(self.delay, key), f"osgp.delay.{key}", MAX_STEPS)
+
+
+@dataclass(frozen=True)
+class TopologyConfig:
+    """The gossip graph: a built-in kind, or ``custom`` with rounds of edges."""
+
+    kind: str = "exponential-directed"
+    rounds: tuple = ()
+
+    def __post_init__(self):
+        if self.kind not in TOPOLOGY_KINDS:
+            raise ConfigError(f"unknown topology kind {self.kind!r}")
+        if self.kind == "custom" and not self.rounds:
+            raise ConfigError("custom topology needs a nonempty rounds list")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    problem: ProblemConfig
-    base: BaseOptimizerConfig
-    slowmo: SlowMoConfig
-    gamma: GammaSchedule
+    problem: ProblemConfig = field(default_factory=ProblemConfig)
+    base: BaseOptimizerConfig = field(default_factory=BaseOptimizerConfig)
+    slowmo: SlowMoConfig = field(default_factory=SlowMoConfig)
+    gamma: GammaSchedule = field(default_factory=GammaSchedule)
     protocol: str = "allreduce"
-    topology: str = "exponential-directed"
-    custom_rounds: tuple = ()
+    topology: TopologyConfig = field(default_factory=TopologyConfig)
     osgp: OsgpConfig = field(default_factory=OsgpConfig)
     init: InitConfig = field(default_factory=InitConfig)
     T: int | None = None
@@ -191,117 +237,28 @@ class ExperimentConfig:
     execution: str = "sequential"
     grid: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        """The rules that span fields or sections."""
+        if self.protocol not in PROTOCOL_NAMES:
+            raise ConfigError(f"unknown protocol {self.protocol!r}")
+        check_double_average(self.protocol, self.base.kind, self.slowmo.noaverage)
+        if (self.T is None) == (self.total_steps is None):
+            raise ConfigError("specify exactly one of T / total_steps")
+        if self.T is not None:
+            _check_ceiling(self.T * self.slowmo.tau, "T * slowmo.tau", MAX_STEPS)
+        else:
+            _check_ceiling(self.total_steps, "total_steps", MAX_STEPS)
+        _check_int(self.seed, "seed", minimum=0)
+        if self.execution == "parallel":
+            raise ConfigError("execution mode 'parallel' was removed; runs are always sequential")
+        if self.execution != "sequential":
+            raise ConfigError(f"execution must be 'sequential', got {self.execution!r}")
+        if self.metric_cadence < 1:
+            raise ConfigError("metric_cadence must be >= 1")
+
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    top = _take(raw, {
-        "problem": {},
-        "base": {},
-        "slowmo": {},
-        "gamma": {},
-        "protocol": "allreduce",
-        "topology": {},
-        "osgp": {},
-        "init": {},
-        "T": None,
-        "total_steps": None,
-        "seed": 0,
-        "metric_cadence": 1,
-        "log_bias": False,
-        "execution": "sequential",
-        "grid": {},
-    }, "")
-
-    prob_raw = _take(top["problem"], {
-        "kind": "quadratic", "m": 1, "dimension": 10, "heterogeneity": 0.0,
-        "noise": {}, "l_min": 1.0, "l_max": 1.0, "samples_per_worker": 0,
-        "sample_spread": 1.0, "input_dim": 4, "hidden": 8,
-    }, "problem")
-    noise_raw = _take(prob_raw.pop("noise"), {
-        "kind": "additive-gaussian", "sigma2": 0.0, "batch_size": 0,
-    }, "problem.noise")
-    noise = NoiseModel(**noise_raw)
-    problem = ProblemConfig(noise=noise, **prob_raw)
-
-    base_raw = _take(top["base"], {
-        "kind": "plain-sgd", "buffer_strategy": "reset", "beta_local": 0.9,
-        "beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
-    }, "base")
-    base = BaseOptimizerConfig(**base_raw)
-
-    slowmo_raw = _take(top["slowmo"], {
-        "alpha": 1.0, "beta": 0.7, "tau": 12, "noaverage": False,
-    }, "slowmo")
-    slowmo = SlowMoConfig(**slowmo_raw)
-
-    gamma_raw = _take(top["gamma"], {
-        "kind": "constant", "value": 0.1, "milestones": [], "decay": 0.1,
-    }, "gamma")
-    if not isinstance(gamma_raw["milestones"], list):
-        raise ConfigError(f"gamma.milestones must be a list, got {gamma_raw['milestones']!r}")
-    for ms in gamma_raw["milestones"]:
-        _check_int(ms, "gamma.milestones entry", minimum=0)
-    gamma = GammaSchedule(
-        value=gamma_raw["value"], kind=gamma_raw["kind"],
-        milestones=tuple(gamma_raw["milestones"]), decay=gamma_raw["decay"],
-    )
-
-    topo_raw = _take(top["topology"], {
-        "kind": "exponential-directed", "rounds": [],
-    }, "topology")
-    if topo_raw["kind"] not in TOPOLOGY_KINDS:
-        raise ConfigError(f"unknown topology kind {topo_raw['kind']!r}")
-    custom_rounds = _parse_rounds(topo_raw["rounds"])
-    if topo_raw["kind"] == "custom" and not custom_rounds:
-        raise ConfigError("custom topology needs a nonempty rounds list")
-
-    osgp_raw = _take(top["osgp"], {"staleness": 4, "delay": {}}, "osgp")
-    delay_raw = _take(osgp_raw.pop("delay"), {
-        "kind": "constant", "rounds": 0, "p": 0.5, "cap": 8,
-    }, "osgp.delay")
-    for key in ("rounds", "cap"):
-        _check_ceiling(delay_raw[key], f"osgp.delay.{key}", MAX_STEPS)
-    osgp = OsgpConfig(staleness=osgp_raw["staleness"], delay=DelayModel(**delay_raw))
-
-    init_raw = _take(top["init"], {"kind": "zeros", "scale": 1.0}, "init")
-    init = InitConfig(**init_raw)
-
-    protocol = top["protocol"]
-    if protocol not in PROTOCOL_NAMES:
-        raise ConfigError(f"unknown protocol {protocol!r}")
-    if protocol == "double-average" and base.kind != "sgd-nesterov":
-        raise ConfigError(
-            "double-average averages momentum buffers and requires the "
-            "sgd-nesterov base"
-        )
-    if protocol == "double-average" and slowmo.noaverage:
-        raise ConfigError("double-average cannot run with noaverage")
-
-    if (top["T"] is None) == (top["total_steps"] is None):
-        raise ConfigError("specify exactly one of T / total_steps")
-    for key in ("T", "total_steps"):
-        if top[key] is not None:
-            _check_int(top[key], key)
-    if top["T"] is not None:
-        _check_ceiling(top["T"] * slowmo.tau, "T * slowmo.tau", MAX_STEPS)
-    else:
-        _check_ceiling(top["total_steps"], "total_steps", MAX_STEPS)
-    _check_int(top["seed"], "seed", minimum=0)
-    if top["execution"] == "parallel":
-        raise ConfigError("execution mode 'parallel' was removed; runs are always sequential")
-    if top["execution"] != "sequential":
-        raise ConfigError(f"execution must be 'sequential', got {top['execution']!r}")
-    _check_int(top["metric_cadence"], "metric_cadence", minimum=1)
-    if not isinstance(top["grid"], dict):
-        raise ConfigError(f"grid must be an object, got {top['grid']!r}")
-
-    return ExperimentConfig(
-        problem=problem, base=base, slowmo=slowmo, gamma=gamma,
-        protocol=protocol, topology=topo_raw["kind"], custom_rounds=custom_rounds,
-        osgp=osgp, init=init, T=top["T"], total_steps=top["total_steps"],
-        seed=top["seed"], metric_cadence=top["metric_cadence"],
-        log_bias=top["log_bias"], execution=top["execution"],
-        grid=dict(top["grid"]),
-    )
+    return _parse(ExperimentConfig, raw, "")
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -317,9 +274,7 @@ def resolved_dict(cfg: ExperimentConfig) -> dict:
     """Every field explicit, defaults included; JSON-serializable."""
     out = asdict(cfg)
     out["gamma"]["milestones"] = list(out["gamma"]["milestones"])
-    out["custom_rounds"] = [list(map(list, rnd)) for rnd in out["custom_rounds"]]
-    # topology nests back the way parse_config reads it
-    out["topology"] = {"kind": out["topology"], "rounds": out.pop("custom_rounds")}
+    out["topology"]["rounds"] = [list(map(list, rnd)) for rnd in out["topology"]["rounds"]]
     return out
 
 
@@ -350,10 +305,8 @@ def initial_point(cfg: ExperimentConfig, dimension: int) -> np.ndarray:
     return cfg.init.scale * rng.standard_normal(dimension)
 
 
-def build_simulation(cfg: ExperimentConfig, seed: int | None = None) -> Simulation:
-    """Assemble the Simulation; ``seed`` overrides the config's seed."""
-    if seed is not None:
-        cfg = replace_seed(cfg, seed)
+def build_simulation(cfg: ExperimentConfig) -> Simulation:
+    """Assemble the Simulation the config describes."""
     problem = build_problem(cfg)
     return Simulation(
         problem=problem,
@@ -363,8 +316,8 @@ def build_simulation(cfg: ExperimentConfig, seed: int | None = None) -> Simulati
         gamma=cfg.gamma,
         T=cfg.T,
         total_steps=cfg.total_steps,
-        topology=cfg.topology,
-        custom_rounds=cfg.custom_rounds or None,
+        topology=cfg.topology.kind,
+        custom_rounds=cfg.topology.rounds or None,
         staleness=cfg.osgp.staleness,
         delay=cfg.osgp.delay,
         seed=cfg.seed,
@@ -372,8 +325,3 @@ def build_simulation(cfg: ExperimentConfig, seed: int | None = None) -> Simulati
         metric_cadence=cfg.metric_cadence,
         log_bias=cfg.log_bias,
     )
-
-
-def replace_seed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
-    _check_int(seed, "seed", minimum=0)
-    return replace(cfg, seed=seed)

@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import os
+from dataclasses import replace
 
 from .config import (
     ExperimentConfig,
@@ -15,7 +16,6 @@ from .config import (
     _check_int,
     build_simulation,
     parse_config,
-    replace_seed,
     resolved_dict,
 )
 from .errors import ConfigError, NumericalAbort
@@ -90,13 +90,13 @@ def equivalence_check(
 
 
 def _x_bar(record: dict) -> list:
-    # max() would take a NaN gap for no gap and pass the check
+    # max() would take a NaN gap for no gap and pass the check, and fails on []
     xb = record.get("x_bar")
-    if not isinstance(xb, list) or not all(
+    if not isinstance(xb, list) or not xb or not all(
         type(v) in (int, float) and math.isfinite(v) for v in xb
     ):
         raise ConfigError(f"trace record at round {record.get('round')!r} "
-                          "has no x_bar list of finite numbers")
+                          "has no nonempty x_bar list of finite numbers")
     return xb
 
 
@@ -113,7 +113,7 @@ def run_experiment(
     propagates.
     """
     if seed is not None:
-        cfg = replace_seed(cfg, seed)
+        cfg = replace(cfg, seed=seed)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "resolved.json"), "w") as fh:
         json.dump(resolved_dict(cfg), fh, indent=2)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .base_optimizers import BaseOptimizerConfig, OptimizerBuffers, local_direction
-from .comm_protocols import DelayModel, WorkerStates, make_protocol
+from .comm_protocols import DelayModel, WorkerStates, check_double_average, make_protocol
 from .errors import ConfigError, NumericalAbort, ProtocolError
 from .numerics import (
     Problem,
@@ -142,15 +142,7 @@ class Simulation:
         self.T = -(-total_steps // tau)
         self.partial_final_block = total_steps % tau != 0
 
-        if protocol == "double-average":
-            if self.base_config.kind != "sgd-nesterov":
-                raise ConfigError(
-                    "double-average averages momentum buffers and is defined "
-                    "for the sgd-nesterov base only"
-                )
-            if self.slowmo_config.noaverage:
-                raise ConfigError("double-average requires block-end averaging; "
-                                  "it cannot run with noaverage")
+        check_double_average(protocol, self.base_config.kind, self.slowmo_config.noaverage)
 
         schedule = None
         if protocol in ("dpsgd", "sgp", "osgp"):
@@ -176,7 +168,7 @@ class Simulation:
         # buffer from growing with tau
         self.worker_streams = WorkerStreams(seed, self.m, self.d, min(tau, 64))
         self.clock = SimClock()
-        self.slow = SlowMoState(x_outer=x0.copy(), u=np.zeros(self.d), t=0)
+        self.slow = SlowMoState(x_outer=x0.copy(), u=np.zeros(self.d))
         self.x_outer_local = np.tile(x0, (self.m, 1))
         self.u_local = np.zeros((self.m, self.d))
 

@@ -56,7 +56,7 @@ class GammaSchedule:
     milestone (milestones are outer-iteration indices, strictly increasing).
     """
 
-    value: float
+    value: float = 0.1
     kind: str = "constant"
     milestones: tuple[int, ...] = ()
     decay: float = 0.1
@@ -81,11 +81,10 @@ class GammaSchedule:
 
 @dataclass
 class SlowMoState:
-    """Outer iterate, slow momentum buffer, and outer iteration count."""
+    """Outer iterate and slow momentum buffer (the kernel's clock counts t)."""
 
     x_outer: np.ndarray
     u: np.ndarray
-    t: int = 0
 
 
 def slow_update(
@@ -145,4 +144,3 @@ def run_outer_iteration(sim) -> None:
 
     sim.clock.t += 1
     sim.clock.k = 0
-    sim.slow.t = sim.clock.t

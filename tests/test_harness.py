@@ -36,7 +36,6 @@ from slowmo_sim.config import (
     MAX_WORKERS,
     initial_point,
     load_config,
-    replace_seed,
 )
 from slowmo_sim.harness import assemble_bound_inputs, bound_report, expand_grid
 
@@ -73,12 +72,23 @@ def test_parse_minimal_config():
     assert cfg.seed == 7
 
 
+UNKNOWN_KEY_SECTIONS = [
+    (), ("problem",), ("problem", "noise"), ("base",), ("slowmo",), ("gamma",),
+    ("topology",), ("osgp",), ("osgp", "delay"), ("init",),
+]
+
+
 def test_unknown_keys_are_reported_with_their_path():
-    raw = _raw()
-    raw["slowmo"]["momentum"] = 0.9
-    with pytest.raises(ConfigError) as exc:
-        parse_config(raw)
-    assert "slowmo" in str(exc.value) and "momentum" in str(exc.value)
+    for section in UNKNOWN_KEY_SECTIONS:
+        raw = copy.deepcopy(_FULL_RAW)
+        node = raw
+        for key in section:
+            node = node[key]
+        node["momentum"] = 0.9
+        with pytest.raises(ConfigError) as exc:
+            parse_config(raw)
+        where = f" in {'.'.join(section)}:" if section else "field(s):"
+        assert where in str(exc.value) and "momentum" in str(exc.value)
 
 
 def test_cross_field_rules():
@@ -98,9 +108,11 @@ def test_resolved_dict_round_trips():
     raw = _raw(protocol="osgp")
     raw["topology"] = {"kind": "exponential-directed"}
     raw["osgp"] = {"staleness": 3, "delay": {"kind": "geometric", "p": 0.5, "cap": 4}}
-    cfg = parse_config(raw)
-    clone = parse_config(resolved_dict(cfg))
-    assert clone == cfg
+    # the valid raws add custom rounds and step milestones
+    for case in [raw, *_VALID_RAWS]:
+        cfg = parse_config(case)
+        clone = parse_config(resolved_dict(cfg))
+        assert clone == cfg
 
 
 def test_build_simulation_and_run():
@@ -116,7 +128,7 @@ def test_config_to_trace_is_a_pure_function():
     h1 = build_simulation(cfg).run().trace_hash()
     h2 = build_simulation(cfg).run().trace_hash()
     assert h1 == h2
-    h3 = build_simulation(replace_seed(cfg, 8)).run().trace_hash()
+    h3 = build_simulation(replace(cfg, seed=8)).run().trace_hash()
     assert h1 != h3
 
 
@@ -597,6 +609,8 @@ MALFORMED_CHECKER_INPUTS = {
     "record-without-x-bar": (_CHECK_EQUIVALENCE, None, _without("x_bar")),
     "x-bar-not-finite": (  # max() takes a NaN gap for no gap
         _CHECK_EQUIVALENCE, None, lambda records: [{**records[0], "x_bar": [math.nan] * 3}]),
+    "x-bar-empty": (  # max() of no gaps at all
+        _CHECK_EQUIVALENCE, None, lambda records: [{**records[0], "x_bar": []}]),
     "bare-number-line": (_CHECK_BOUND, None, lambda records: [3] + records[1:]),
     "bare-number-line-equivalence": (_CHECK_EQUIVALENCE, None, lambda records: records + [3]),
     "estimate-v-samples-over-ceiling": (
