@@ -27,15 +27,8 @@ from test_harness import _VALID_RAWS
 
 PINNED_PATH = Path(__file__).with_name("resolved_hashes.json")
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
-
-
-def _configs() -> dict:
-    cases = {f"configs/{p.name}": p for p in sorted(CONFIG_DIR.glob("*.json"))}
-    cases.update({f"valid-raw-{i}": raw for i, raw in enumerate(_VALID_RAWS)})
-    return cases
-
-
-CASES = _configs()
+CASES = {f"configs/{p.name}": p for p in sorted(CONFIG_DIR.glob("*.json"))}
+CASES.update({f"valid-raw-{i}": raw for i, raw in enumerate(_VALID_RAWS)})
 
 
 def resolved_hash(name: str) -> str:
