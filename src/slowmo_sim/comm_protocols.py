@@ -48,15 +48,6 @@ from .topology import TopologySchedule, mixing_matrix, out_neighbor
 PROTOCOL_NAMES = ("allreduce", "local", "dpsgd", "sgp", "osgp", "double-average")
 
 
-def check_double_average(protocol: str, base_kind: str, noaverage: bool) -> None:
-    """double-average averages sgd-nesterov momentum buffers at the block-end average."""
-    if protocol == "double-average" and base_kind != "sgd-nesterov":
-        raise ConfigError("double-average averages momentum buffers and requires the "
-                          "sgd-nesterov base")
-    if protocol == "double-average" and noaverage:
-        raise ConfigError("double-average cannot run with noaverage")
-
-
 class WorkerStates:
     """Every worker's state, stacked with the worker index first: parameters
     ``x`` (m, d), push-sum weights ``w`` (m,) and the optimizer buffers."""

@@ -6,8 +6,10 @@ checks the rules across sections (double-average needs the sgd-nesterov
 base). ``parse_config`` builds one from a raw dict, usually loaded from
 JSON, rejecting unknown fields anywhere in the tree. ``resolved_dict`` dumps
 every field explicitly, defaults included, so a run can always be reproduced
-from its resolved.json alone. ``build_simulation`` turns the config into a
-ready Simulation.
+from its resolved.json alone. ``build_simulation`` builds the problem and
+start point from the config and hands both, with the config itself, to
+``Simulation``, which runs no checks of its own: every rule on a run's
+settings lives here.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 import numpy as np
 
 from .base_optimizers import BaseOptimizerConfig
-from .comm_protocols import PROTOCOL_NAMES, DelayModel, check_double_average
+from .comm_protocols import PROTOCOL_NAMES, DelayModel
 from .errors import ConfigError
 from .numerics import (
     STREAM_MISC,
@@ -241,20 +243,26 @@ class ExperimentConfig:
         """The rules that span fields or sections."""
         if self.protocol not in PROTOCOL_NAMES:
             raise ConfigError(f"unknown protocol {self.protocol!r}")
-        check_double_average(self.protocol, self.base.kind, self.slowmo.noaverage)
+        if self.protocol == "double-average":
+            if self.base.kind != "sgd-nesterov":
+                raise ConfigError("double-average averages momentum buffers and requires "
+                                  "the sgd-nesterov base")
+            if self.slowmo.noaverage:
+                raise ConfigError("double-average cannot run with noaverage")
         if (self.T is None) == (self.total_steps is None):
             raise ConfigError("specify exactly one of T / total_steps")
         if self.T is not None:
+            _check_int(self.T, "T", minimum=1)
             _check_ceiling(self.T * self.slowmo.tau, "T * slowmo.tau", MAX_STEPS)
         else:
+            _check_int(self.total_steps, "total_steps", minimum=1)
             _check_ceiling(self.total_steps, "total_steps", MAX_STEPS)
         _check_int(self.seed, "seed", minimum=0)
         if self.execution == "parallel":
             raise ConfigError("execution mode 'parallel' was removed; runs are always sequential")
         if self.execution != "sequential":
             raise ConfigError(f"execution must be 'sequential', got {self.execution!r}")
-        if self.metric_cadence < 1:
-            raise ConfigError("metric_cadence must be >= 1")
+        _check_int(self.metric_cadence, "metric_cadence", minimum=1)
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -308,20 +316,4 @@ def initial_point(cfg: ExperimentConfig, dimension: int) -> np.ndarray:
 def build_simulation(cfg: ExperimentConfig) -> Simulation:
     """Assemble the Simulation the config describes."""
     problem = build_problem(cfg)
-    return Simulation(
-        problem=problem,
-        base_config=cfg.base,
-        slowmo_config=cfg.slowmo,
-        protocol=cfg.protocol,
-        gamma=cfg.gamma,
-        T=cfg.T,
-        total_steps=cfg.total_steps,
-        topology=cfg.topology.kind,
-        custom_rounds=cfg.topology.rounds or None,
-        staleness=cfg.osgp.staleness,
-        delay=cfg.osgp.delay,
-        seed=cfg.seed,
-        x0=initial_point(cfg, problem.dimension),
-        metric_cadence=cfg.metric_cadence,
-        log_bias=cfg.log_bias,
-    )
+    return Simulation(problem, cfg, initial_point(cfg, problem.dimension))

@@ -163,8 +163,7 @@ def expand_grid(cfg: ExperimentConfig) -> list[tuple[dict, ExperimentConfig]]:
 
 
 def _sweep_one(args) -> dict:
-    resolved, out_dir, fmt = args
-    cfg = parse_config(resolved)
+    cfg, out_dir, fmt = args
     try:
         trace = run_experiment(cfg, out_dir, fmt)
         return {"out_dir": out_dir, "status": "ok", "final_loss": trace.summary["final_loss"]}
@@ -183,8 +182,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str, fmt: str = "both", jobs: int 
     index = []
     for idx, (overrides, sub_cfg) in enumerate(combos):
         sub_dir = os.path.join(out_dir, f"run_{idx:03d}")
-        sub_resolved = resolved_dict(sub_cfg)
-        tasks.append((sub_resolved, sub_dir, fmt))
+        tasks.append((sub_cfg, sub_dir, fmt))
         index.append({"run": idx, "dir": sub_dir, "overrides": overrides})
     # the default fork start method forks every worker at the first submit
     workers = min(jobs, len(tasks), os.cpu_count() or 1)

@@ -4,6 +4,13 @@ The kernel owns the clocks, per-worker RNG streams, message queues, metric
 recording, and NaN policing; the algorithmic content lives in slowmo (outer
 loop), base_optimizers (inner directions), and comm_protocols (rounds).
 
+A run is described once, by a ``config.ExperimentConfig`` that checked its
+own values when it was built. ``Simulation(problem, cfg, x0)`` takes that
+config as it is and reads its sections (``cfg.base``, ``cfg.slowmo``,
+``cfg.gamma``, ``cfg.protocol``, ...) where they are used; ``problem`` and
+``x0`` (zeros when None) are the objective and start point, which
+``config.build_simulation`` builds from ``cfg.problem`` and ``cfg.init``.
+
 Stacked-state contract: worker state is held as arrays with the worker
 index first (``WorkerStates``: x (m, d), w (m,), optimizer buffers (m, d)
 and adam step indices (m,)). A round makes one batched call per layer: the
@@ -29,11 +36,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .base_optimizers import BaseOptimizerConfig, OptimizerBuffers, local_direction
-from .comm_protocols import DelayModel, WorkerStates, check_double_average, make_protocol
+from .base_optimizers import OptimizerBuffers, local_direction
+from .comm_protocols import WorkerStates, make_protocol
 from .errors import ConfigError, NumericalAbort, ProtocolError
 from .numerics import (
     Problem,
@@ -47,8 +55,11 @@ from .numerics import (
     row_dots,
     worker_stochastic_gradient,
 )
-from .slowmo import GammaSchedule, SlowMoConfig, SlowMoState, run_outer_iteration
+from .slowmo import SlowMoState, run_outer_iteration
 from .topology import TopologySchedule, custom_schedule, validate_strong_connectivity
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import ExperimentConfig
 
 RECORD_FIELDS = (
     "t", "k", "round", "gamma", "loss", "grad_norm_sq",
@@ -95,78 +106,35 @@ class MetricsTrace:
 class Simulation:
     """One experiment: a problem, a protocol, a base optimizer, a slow loop."""
 
-    def __init__(
-        self,
-        problem: Problem,
-        base_config: BaseOptimizerConfig | None = None,
-        slowmo_config: SlowMoConfig | None = None,
-        protocol: str = "allreduce",
-        gamma: float | GammaSchedule = 0.1,
-        T: int | None = None,
-        total_steps: int | None = None,
-        topology: str = "exponential-directed",
-        custom_rounds=None,
-        staleness: int = 4,
-        delay: DelayModel | None = None,
-        seed: int = 0,
-        x0: np.ndarray | None = None,
-        metric_cadence: int = 1,
-        log_bias: bool = False,
-    ):
+    def __init__(self, problem: Problem, cfg: ExperimentConfig, x0: np.ndarray | None = None):
         self.problem = problem
-        self.base_config = base_config or BaseOptimizerConfig()
-        self.slowmo_config = slowmo_config or SlowMoConfig()
+        self.cfg = cfg
         self.m = problem.num_workers
         self.d = problem.dimension
-        self.seed = seed
-        self.metric_cadence = int(metric_cadence)
-        if self.metric_cadence < 1:
-            raise ConfigError("metric_cadence must be >= 1")
-        self.log_bias = log_bias
-
-        if isinstance(gamma, GammaSchedule):
-            self.gamma_schedule = gamma
-        else:
-            self.gamma_schedule = GammaSchedule(value=float(gamma))
-
-        if (T is None) == (total_steps is None):
-            raise ConfigError("specify exactly one of T or total_steps")
-        tau = self.slowmo_config.tau
-        if T is not None:
-            if T < 1:
-                raise ConfigError("T must be >= 1")
-            total_steps = tau * T
-        elif total_steps < 1:
-            raise ConfigError("total_steps must be >= 1")
-        self.total_steps = total_steps
-        self.T = -(-total_steps // tau)
-        self.partial_final_block = total_steps % tau != 0
-
-        check_double_average(protocol, self.base_config.kind, self.slowmo_config.noaverage)
+        tau = cfg.slowmo.tau
+        self.total_steps = tau * cfg.T if cfg.total_steps is None else cfg.total_steps
+        self.T = -(-self.total_steps // tau)
+        self.partial_final_block = self.total_steps % tau != 0
 
         schedule = None
-        if protocol in ("dpsgd", "sgp", "osgp"):
-            if topology == "custom":
-                if custom_rounds is None:
-                    raise ConfigError("custom topology needs explicit rounds")
-                schedule = custom_schedule(self.m, custom_rounds)
+        if cfg.protocol in ("dpsgd", "sgp", "osgp"):
+            if cfg.topology.kind == "custom":
+                schedule = custom_schedule(self.m, cfg.topology.rounds)
             else:
-                schedule = TopologySchedule(kind=topology, m=self.m)
+                schedule = TopologySchedule(kind=cfg.topology.kind, m=self.m)
             validate_strong_connectivity(schedule)
         self.protocol = make_protocol(
-            protocol, self.m, schedule=schedule, staleness=staleness,
-            delay=delay, seed=seed,
+            cfg.protocol, self.m, schedule=schedule, staleness=cfg.osgp.staleness,
+            delay=cfg.osgp.delay, seed=cfg.seed,
         )
 
-        if x0 is None:
-            x0 = np.zeros(self.d)
-        x0 = problem.check_point(x0)
+        x0 = problem.check_point(np.zeros(self.d) if x0 is None else x0)
         self.states = WorkerStates(
-            np.tile(x0, (self.m, 1)), OptimizerBuffers.fresh(self.base_config, self.m, self.d)
+            np.tile(x0, (self.m, 1)), OptimizerBuffers.fresh(cfg.base, self.m, self.d)
         )
         # any block size gives the same rows; at most 64 keeps the (m, block, d)
         # buffer from growing with tau
-        self.worker_streams = WorkerStreams(seed, self.m, self.d, min(tau, 64))
+        self.worker_streams = WorkerStreams(cfg.seed, self.m, self.d, min(tau, 64))
         self.clock = SimClock()
         self.slow = SlowMoState(x_outer=x0.copy(), u=np.zeros(self.d))
         self.x_outer_local = np.tile(x0, (self.m, 1))
@@ -215,7 +183,7 @@ class Simulation:
 
     def _expected_direction_gap_sq(self, xbar, gbar) -> float | None:
         """||grad f(x_bar) - (1/m) sum_i E[d_i]||^2, when available in closed form."""
-        kind = self.base_config.kind
+        kind = self.cfg.base.kind
         if kind == "adam":
             return None
         if len(self.protocol.active_workers()) != self.m:
@@ -223,17 +191,17 @@ class Simulation:
         pts = self.points()
         expected = np.stack([self.problem.worker_gradient(i, pts[i]) for i in range(self.m)])
         if kind == "sgd-nesterov":  # E[d] = bl^2 h + (1 + bl) grad
-            bl = self.base_config.beta_local
+            bl = self.cfg.base.beta_local
             expected = bl * bl * self.states.buffers.h + (1.0 + bl) * expected
         diff = gbar - rank_sum(expected, start=0.0) / self.m
         return float(diff @ diff)
 
     def record_metrics(self, gamma: float) -> None:
-        if self.clock.round % self.metric_cadence != 0:
+        if self.clock.round % self.cfg.metric_cadence != 0:
             return
         xbar, mass = self._metric_point()
         loss, gbar = global_loss_and_gradient(self.problem, xbar)
-        bias_sq = self._expected_direction_gap_sq(xbar, gbar) if self.log_bias else None
+        bias_sq = self._expected_direction_gap_sq(xbar, gbar) if self.cfg.log_bias else None
         rec = {
             "t": self.clock.t,
             "k": self.clock.k,
@@ -258,7 +226,7 @@ class Simulation:
         rows = slice(None) if len(active) == self.m else active  # views of the whole stack
         if len(active):
             grads = self.problem.stochastic_gradients(self.points()[rows], active, self.worker_streams)
-            d = local_direction(self.base_config, self.states.buffers, grads, rows)
+            d = local_direction(self.cfg.base, self.states.buffers, grads, rows)
             dsum = rank_sum(d, start=0.0)
             # x - gamma * d, written over d (a fresh array, no longer needed)
             half = np.subtract(self.states.x[rows], np.multiply(d, gamma, out=d), out=d)
@@ -298,7 +266,7 @@ class Simulation:
 
     def block_length(self, t: int) -> int:
         """Inner steps of outer iteration t: tau, or what is left of total_steps."""
-        tau = self.slowmo_config.tau
+        tau = self.cfg.slowmo.tau
         return min(tau, self.total_steps - t * tau)
 
     def run(self) -> MetricsTrace:
@@ -312,20 +280,20 @@ class Simulation:
             "dimension": self.d,
             "problem": self.problem.kind,
             "protocol": self.protocol.name,
-            "base": self.base_config.kind,
-            "tau": self.slowmo_config.tau,
-            "alpha": self.slowmo_config.alpha,
-            "beta": self.slowmo_config.beta,
-            "noaverage": self.slowmo_config.noaverage,
+            "base": self.cfg.base.kind,
+            "tau": self.cfg.slowmo.tau,
+            "alpha": self.cfg.slowmo.alpha,
+            "beta": self.cfg.slowmo.beta,
+            "noaverage": self.cfg.slowmo.noaverage,
             "T": self.T,
-            "seed": self.seed,
-            "metric_cadence": self.metric_cadence,
+            "seed": self.cfg.seed,
+            "metric_cadence": self.cfg.metric_cadence,
         }
 
     def finish(self) -> MetricsTrace:
         if self._trace is not None:
             return self._trace
-        if self.slowmo_config.noaverage:
+        if self.cfg.slowmo.noaverage:
             # one final drain so the summary sees all in-flight mass
             self.protocol.end_block(self.states)
         xbar, _ = self._metric_point()

@@ -110,12 +110,12 @@ def run_outer_iteration(sim) -> None:
     ``sim`` is a simkernel.Simulation; this function owns the algorithmic
     skeleton while the kernel provides rounds, metrics, clocks, and queues.
     """
-    cfg = sim.slowmo_config
+    cfg = sim.cfg.slowmo
     t = sim.clock.t
-    gamma = sim.gamma_schedule.at(t)
+    gamma = sim.cfg.gamma.at(t)
     block_len = sim.block_length(t)
 
-    apply_buffer_strategy(sim.base_config, sim.states.buffers)
+    apply_buffer_strategy(sim.cfg.base, sim.states.buffers)
     x_start = sim.x_outer_local if cfg.noaverage else sim.slow.x_outer
 
     dbar_sum = np.zeros(sim.problem.dimension)

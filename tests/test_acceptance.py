@@ -14,6 +14,8 @@ from slowmo_sim import (
     BaseOptimizerConfig,
     BoundInputs,
     DelayModel,
+    ExperimentConfig,
+    GammaSchedule,
     NoiseModel,
     QuadraticProblem,
     Simulation,
@@ -28,6 +30,7 @@ from slowmo_sim import (
     prescribed_gamma,
 )
 from slowmo_sim.comm_protocols import WorkerStates
+from slowmo_sim.config import OsgpConfig
 from slowmo_sim.base_optimizers import OptimizerBuffers
 from slowmo_sim.numerics import rng_stream
 from references import (
@@ -62,41 +65,44 @@ def test_criterion_1_reduction_suite():
     # (a) tau=1, alpha=1, beta=0.9, exact averaging == heavy-ball SGD
     prob_a = build_quadratic(m=4, dimension=10, noise=noise, seed=31,
                              l_min=0.5, l_max=2.0, heterogeneity=1.0)
-    sim = Simulation(prob_a, BaseOptimizerConfig(kind="plain-sgd"),
-                     SlowMoConfig(alpha=1.0, beta=0.9, tau=1),
-                     protocol="allreduce", gamma=0.02, T=100, seed=1)
+    sim = Simulation(prob_a, ExperimentConfig(
+        base=BaseOptimizerConfig(kind="plain-sgd"),
+        slowmo=SlowMoConfig(alpha=1.0, beta=0.9, tau=1), protocol="allreduce",
+        gamma=GammaSchedule(value=0.02), T=100, seed=1))
     diff_a = _max_diff(_xbars(sim.run()),
                        heavy_ball_reference(prob_a, 0.02, 0.9, 100, seed=1))
 
     # (b) alpha=1, beta=0: plain local SGD
     prob_b = build_quadratic(m=4, dimension=6, noise=noise, seed=32,
                              l_min=0.5, l_max=2.0, heterogeneity=1.0)
-    sim = Simulation(prob_b, BaseOptimizerConfig(kind="plain-sgd"),
-                     SlowMoConfig(alpha=1.0, beta=0.0, tau=12),
-                     protocol="local", gamma=0.05, T=9, seed=2)
+    sim = Simulation(prob_b, ExperimentConfig(
+        base=BaseOptimizerConfig(kind="plain-sgd"),
+        slowmo=SlowMoConfig(alpha=1.0, beta=0.0, tau=12), protocol="local",
+        gamma=GammaSchedule(value=0.05), T=9, seed=2))
     diff_b = _max_diff(_xbars(sim.run()),
                        local_sgd_reference(prob_b, 0.05, tau=12, T=9, seed=2))
 
     # (c) m=1, beta=0, alpha=0.5: the slow/fast-weights interpolation
     prob_c = build_quadratic(m=1, dimension=6, noise=noise, seed=33,
                              l_min=0.5, l_max=2.0)
-    sim = Simulation(prob_c, BaseOptimizerConfig(kind="plain-sgd"),
-                     SlowMoConfig(alpha=0.5, beta=0.0, tau=5),
-                     protocol="local", gamma=0.08, T=10, seed=3)
+    sim = Simulation(prob_c, ExperimentConfig(
+        base=BaseOptimizerConfig(kind="plain-sgd"),
+        slowmo=SlowMoConfig(alpha=0.5, beta=0.0, tau=5), protocol="local",
+        gamma=GammaSchedule(value=0.08), T=10, seed=3))
     diff_c = _max_diff(_xbars(sim.run()),
                        lookahead_reference(prob_c, 0.08, alpha=0.5, tau=5, T=10, seed=3))
 
     # (d) zero-delay overlap push-sum == synchronous push-sum, 200 rounds, m=8
     prob_d = build_quadratic(m=8, dimension=5, noise=noise, seed=34,
                              l_min=0.5, l_max=2.0, heterogeneity=1.0)
-    kw = dict(gamma=0.03, total_steps=200, seed=4)
-    sgp = Simulation(prob_d, BaseOptimizerConfig(kind="plain-sgd"),
-                     SlowMoConfig(alpha=1.0, beta=0.5, tau=12),
-                     protocol="sgp", **kw)
-    osgp = Simulation(prob_d, BaseOptimizerConfig(kind="plain-sgd"),
-                      SlowMoConfig(alpha=1.0, beta=0.5, tau=12),
-                      protocol="osgp", delay=DelayModel(kind="constant", rounds=0),
-                      **kw)
+    kw = dict(gamma=GammaSchedule(value=0.03), total_steps=200, seed=4)
+    sgp = Simulation(prob_d, ExperimentConfig(
+        base=BaseOptimizerConfig(kind="plain-sgd"),
+        slowmo=SlowMoConfig(alpha=1.0, beta=0.5, tau=12), protocol="sgp", **kw))
+    osgp = Simulation(prob_d, ExperimentConfig(
+        base=BaseOptimizerConfig(kind="plain-sgd"),
+        slowmo=SlowMoConfig(alpha=1.0, beta=0.5, tau=12), protocol="osgp",
+        osgp=OsgpConfig(delay=DelayModel(kind="constant", rounds=0)), **kw))
     diff_d = _max_diff(_xbars(sgp.run()), _xbars(osgp.run()))
 
     passed = diff_a <= 1e-10 and diff_b <= 1e-10 and diff_c <= 1e-10 and diff_d <= 1e-12
@@ -122,12 +128,12 @@ def test_criterion_2_pushsum_invariants():
         for protocol in ("sgp", "osgp"):
             kw = {}
             if protocol == "osgp":
-                kw = dict(delay=DelayModel(kind="geometric", p=0.5, cap=3),
-                          staleness=6)
-            sim = Simulation(prob, BaseOptimizerConfig(kind="plain-sgd"),
-                             SlowMoConfig(alpha=1.0, beta=0.5, tau=12),
-                             protocol=protocol, gamma=0.02,
-                             total_steps=1000, seed=m, **kw)
+                kw = dict(osgp=OsgpConfig(staleness=6,
+                                          delay=DelayModel(kind="geometric", p=0.5, cap=3)))
+            sim = Simulation(prob, ExperimentConfig(
+                base=BaseOptimizerConfig(kind="plain-sgd"),
+                slowmo=SlowMoConfig(alpha=1.0, beta=0.5, tau=12), protocol=protocol,
+                gamma=GammaSchedule(value=0.02), total_steps=1000, seed=m, **kw))
             trace = sim.run()
             assert len(trace.records) == 1000
             err = max(abs(r["weight_mass"] - m) for r in trace.records)
@@ -200,10 +206,11 @@ def test_criterion_4_convergence_bound():
         gamma = prescribed_gamma(m, tau, T, 1.0, beta)
         traces = []
         for seed in range(20):
-            sim = Simulation(prob, BaseOptimizerConfig(kind="plain-sgd"),
-                             SlowMoConfig(alpha=1.0, beta=beta, tau=tau),
-                             protocol="allreduce", gamma=gamma, T=T,
-                             seed=seed, x0=_BOUND_X0, log_bias=(tau == 1))
+            sim = Simulation(prob, ExperimentConfig(
+                base=BaseOptimizerConfig(kind="plain-sgd"),
+                slowmo=SlowMoConfig(alpha=1.0, beta=beta, tau=tau), protocol="allreduce",
+                gamma=GammaSchedule(value=gamma), T=T, seed=seed,
+                log_bias=(tau == 1)), _BOUND_X0)
             traces.append(sim.run())
         if tau == 1:
             bias = measured_bias_term(traces)  # exactly zero here
@@ -234,10 +241,10 @@ def test_criterion_5_linear_speedup_direction():
         gamma = prescribed_gamma(m, tau, T, 1.0, beta)
         per_seed = []
         for seed in range(20):
-            sim = Simulation(prob, BaseOptimizerConfig(kind="plain-sgd"),
-                             SlowMoConfig(alpha=1.0, beta=beta, tau=tau),
-                             protocol="local", gamma=gamma, T=T,
-                             seed=seed, x0=_BOUND_X0)
+            sim = Simulation(prob, ExperimentConfig(
+                base=BaseOptimizerConfig(kind="plain-sgd"),
+                slowmo=SlowMoConfig(alpha=1.0, beta=beta, tau=tau), protocol="local",
+                gamma=GammaSchedule(value=gamma), T=T, seed=seed), _BOUND_X0)
             per_seed.append(lhs_from_records(sim.run().records, tau, T))
         mean = float(np.mean(per_seed))
         se = float(np.std(per_seed, ddof=1) / math.sqrt(len(per_seed)))
@@ -269,10 +276,10 @@ def test_criterion_6_momentum_improves_base():
         for seed in range(900, 905):
             finals = {}
             for beta in (0.0, 0.5):
-                sim = Simulation(prob, BaseOptimizerConfig(kind="plain-sgd"),
-                                 SlowMoConfig(alpha=1.0, beta=beta, tau=12),
-                                 protocol=protocol, gamma=gamma, T=T,
-                                 seed=seed, metric_cadence=1000)
+                sim = Simulation(prob, ExperimentConfig(
+                    base=BaseOptimizerConfig(kind="plain-sgd"),
+                    slowmo=SlowMoConfig(alpha=1.0, beta=beta, tau=12), protocol=protocol,
+                    gamma=GammaSchedule(value=gamma), T=T, seed=seed, metric_cadence=1000))
                 finals[beta] = sim.run().summary["final_loss"]
             if finals[0.5] < finals[0.0]:
                 wins += 1
@@ -288,13 +295,15 @@ def test_criterion_6_momentum_improves_base():
 
 def test_criterion_7_noaverage_variant():
     prob = _desk_logistic()
-    kw = dict(protocol="sgp", gamma=0.5, T=30, seed=77, metric_cadence=1000)
-    avg = Simulation(prob, BaseOptimizerConfig(kind="plain-sgd"),
-                     SlowMoConfig(alpha=1.0, beta=0.5, tau=12), **kw)
+    kw = dict(protocol="sgp", gamma=GammaSchedule(value=0.5), T=30, seed=77,
+              metric_cadence=1000)
+    avg = Simulation(prob, ExperimentConfig(
+        base=BaseOptimizerConfig(kind="plain-sgd"),
+        slowmo=SlowMoConfig(alpha=1.0, beta=0.5, tau=12), **kw))
     loss_avg = avg.run().summary["final_loss"]
-    noavg = Simulation(prob, BaseOptimizerConfig(kind="plain-sgd"),
-                       SlowMoConfig(alpha=1.0, beta=0.5, tau=12, noaverage=True),
-                       **kw)
+    noavg = Simulation(prob, ExperimentConfig(
+        base=BaseOptimizerConfig(kind="plain-sgd"),
+        slowmo=SlowMoConfig(alpha=1.0, beta=0.5, tau=12, noaverage=True), **kw))
     loss_noavg = noavg.run().summary["final_loss"]
     rel = abs(loss_noavg - loss_avg) / abs(loss_avg)
     ok = (noavg.slow_average_calls == 0 and avg.slow_average_calls == 30
@@ -320,11 +329,10 @@ def test_criterion_8_buffer_strategies():
     ok = True
     for kind in ("sgd-nesterov", "adam"):
         for strategy in ("reset", "maintain", "average"):
-            sim = Simulation(prob,
-                             BaseOptimizerConfig(kind=kind, buffer_strategy=strategy),
-                             SlowMoConfig(alpha=1.0, beta=0.5, tau=tau),
-                             protocol="local", gamma=0.02,
-                             total_steps=total, seed=5)
+            sim = Simulation(prob, ExperimentConfig(
+                base=BaseOptimizerConfig(kind=kind, buffer_strategy=strategy),
+                slowmo=SlowMoConfig(alpha=1.0, beta=0.5, tau=tau), protocol="local",
+                gamma=GammaSchedule(value=0.02), total_steps=total, seed=5))
             sim.run()
             if kind == "adam":
                 indices = set(sim.states.buffers.step.tolist())
@@ -358,13 +366,13 @@ def test_criterion_9_determinism():
     for protocol in ("allreduce", "sgp", "osgp"):
         kw = {}
         if protocol == "osgp":
-            kw = dict(delay=DelayModel(kind="geometric", p=0.5, cap=3))
+            kw = dict(osgp=OsgpConfig(delay=DelayModel(kind="geometric", p=0.5, cap=3)))
         traces = []
         for cadence in (1, 3, 7, 1):
-            sim = Simulation(prob, BaseOptimizerConfig(kind="sgd-nesterov"),
-                             SlowMoConfig(alpha=1.0, beta=0.5, tau=3),
-                             protocol=protocol, gamma=0.05, T=5, seed=99,
-                             metric_cadence=cadence, **kw)
+            sim = Simulation(prob, ExperimentConfig(
+                base=BaseOptimizerConfig(kind="sgd-nesterov"),
+                slowmo=SlowMoConfig(alpha=1.0, beta=0.5, tau=3), protocol=protocol,
+                gamma=GammaSchedule(value=0.05), T=5, seed=99, metric_cadence=cadence, **kw))
             traces.append(sim.run())
         full = {r["round"]: r for r in traces[0].records}
         same = traces[0].trace_hash() == traces[-1].trace_hash() and all(

@@ -16,6 +16,8 @@ import pytest
 
 from slowmo_sim import (
     BaseOptimizerConfig,
+    ExperimentConfig,
+    GammaSchedule,
     NoiseModel,
     OptimizerBuffers,
     QuadraticProblem,
@@ -196,8 +198,9 @@ def test_stacked_loss_and_gradient_match_per_worker_sums(m, d):
 @pytest.mark.parametrize("protocol", ["local", "sgp", "osgp"])
 def test_stacked_consensus_matches_per_worker_loop(protocol):
     prob = _quadratic(5, 4)
-    sim = Simulation(prob, BaseOptimizerConfig(), SlowMoConfig(tau=3), protocol=protocol,
-                     gamma=0.05, T=2, seed=4, metric_cadence=100)
+    sim = Simulation(prob, ExperimentConfig(
+        base=BaseOptimizerConfig(), slowmo=SlowMoConfig(tau=3), protocol=protocol,
+        gamma=GammaSchedule(value=0.05), T=2, seed=4, metric_cadence=100))
     for _ in range(4):
         sim.inner_round(0.05)
     xbar = sim.mean_x(sim.protocol.inflight_sums(4)[0])
@@ -276,10 +279,12 @@ def test_blocked_gemv_is_the_per_row_gemv_at_one_blas_thread():
 _THREAD_RUN = """
 import numpy as np
 import test_batched_forms as t
-from slowmo_sim import BaseOptimizerConfig, Simulation, SlowMoConfig
+from slowmo_sim import (BaseOptimizerConfig, ExperimentConfig, GammaSchedule, Simulation,
+                        SlowMoConfig)
 prob = t._shared_quadratic(4, 1500, np.random.default_rng(11), sigma2=0.5)
-sim = Simulation(prob, BaseOptimizerConfig(kind="sgd-nesterov"), SlowMoConfig(tau=3, beta=0.5),
-                 protocol="sgp", gamma=0.05, T=1, seed=2)
+sim = Simulation(prob, ExperimentConfig(
+    base=BaseOptimizerConfig(kind="sgd-nesterov"), slowmo=SlowMoConfig(tau=3, beta=0.5),
+    protocol="sgp", gamma=GammaSchedule(value=0.05), T=1, seed=2))
 print(sim.run().trace_hash())
 """
 

@@ -28,6 +28,7 @@ from slowmo_sim import (
     run_experiment,
     run_sweep,
 )
+from slowmo_sim import harness
 from slowmo_sim.cli import main
 from slowmo_sim.config import (
     MAX_DIMENSION,
@@ -242,6 +243,55 @@ def test_sweep_pool_is_bounded_by_grid_points_and_cpus(jobs, points, cpus, pool,
     assert sizes == ([] if pool is None else [pool])
 
 
+def test_sweep_parses_and_resolves_each_point_once(tmp_path, monkeypatch):
+    cfg = parse_config(_raw(T=1, grid={"seed": [1, 2, 3, 4]}))
+    points = [point for _, point in expand_grid(cfg)]
+    calls = dict.fromkeys(["parse_config", "resolved_dict"], 0)
+    for name in calls:
+        def counting(*args, _name=name, _real=getattr(harness, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(harness, name, counting)
+    run_sweep(cfg, str(tmp_path / "sweep"), fmt="jsonl", jobs=1)
+    # expand_grid parses each point and dumps the base config once; each
+    # run dumps its own resolved.json
+    assert calls == {"parse_config": 4, "resolved_dict": 5}
+    for idx, point in enumerate(points):
+        written = (tmp_path / "sweep" / f"run_{idx:03d}" / "resolved.json").read_text()
+        assert written == json.dumps(resolved_dict(point), indent=2) + "\n"
+
+
+def test_sweep_through_a_process_pool_writes_the_serial_bytes(tmp_path, monkeypatch):
+    # the parsed sub-configs reach the pool's workers by pickle
+    sizes = []
+
+    class SizedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SizedPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfg = parse_config(_raw(T=2, protocol="osgp", grid={"seed": [1, 2]},
+                            gamma={"kind": "step", "value": 0.05, "milestones": [1]}))
+    serial = run_sweep(cfg, str(tmp_path / "serial"), fmt="jsonl", jobs=1)
+    pooled = run_sweep(cfg, str(tmp_path / "pooled"), fmt="jsonl", jobs=2)
+    assert sizes == [2]
+    assert [e["status"] for e in pooled] == ["ok", "ok"]
+    assert [e["final_loss"] for e in pooled] == [e["final_loss"] for e in serial]
+    for run in ("run_000", "run_001"):
+        for name in ("trace.jsonl", "resolved.json"):
+            got = (tmp_path / "pooled" / run / name).read_bytes()
+            assert got == (tmp_path / "serial" / run / name).read_bytes(), (run, name)
+
+
+def test_sweep_with_an_invalid_point_runs_nothing(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path, _raw(grid={"T": [2, 0]}))
+    assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "sw")]) == 1
+    assert capsys.readouterr().err.startswith("config error")
+    assert not (tmp_path / "sw").exists()
+
+
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_sweep_jobs_below_one_are_config_errors(jobs, tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path, _raw(grid={"seed": [1, 2]}))
@@ -368,6 +418,9 @@ BAD_INTEGER_FIELDS = {
     "seed-as-bool": lambda raw: raw.update(seed=True),
     "cadence-as-float": lambda raw: raw.update(metric_cadence=2.5),
     "tau-as-float": lambda raw: raw["slowmo"].update(tau=2.5),
+    "T-zero": lambda raw: raw.update(T=0),
+    "T-negative": lambda raw: raw.update(T=-3),
+    "total-steps-zero": lambda raw: (raw.pop("T"), raw.update(total_steps=0)),
 }
 
 
@@ -380,6 +433,7 @@ def test_bad_integer_fields_are_config_errors(case, tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path, raw)
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 1
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()  # no resolved.json for a run that cannot start
 
 
 BAD_FLOAT_FIELDS = {

@@ -181,6 +181,16 @@ def test_quadratic_minimizer_is_stationary(random_quadratic):
     assert np.linalg.norm(global_gradient(random_quadratic, x_star)) < 1e-10
 
 
+@pytest.mark.parametrize("d", [2, 5, 64, 333])
+def test_built_curvature_starts_on_a_cache_line(d):
+    # the blocked gemv's speed follows A's alignment, which malloc leaves to chance
+    prob = build_quadratic(m=2, dimension=d, seed=d, l_min=0.5, l_max=2.0,
+                           noise=NoiseModel("additive-gaussian", sigma2=0.0))
+    a = prob.a_mats[0]
+    assert a.ctypes.data % 64 == 0 and a.flags.c_contiguous
+    assert np.array_equal(a, a.T)
+
+
 def test_quadratic_validation():
     noise = NoiseModel("additive-gaussian", sigma2=0.0)
     with pytest.raises(ConfigError):

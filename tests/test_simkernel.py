@@ -9,6 +9,8 @@ from slowmo_sim import (
     BaseOptimizerConfig,
     ConfigError,
     DelayModel,
+    ExperimentConfig,
+    GammaSchedule,
     MetricsTrace,
     NoiseModel,
     NumericalAbort,
@@ -19,6 +21,7 @@ from slowmo_sim import (
     build_quadratic,
     global_loss,
 )
+from slowmo_sim.config import MAX_STEPS, OsgpConfig
 from slowmo_sim.simkernel import RECORD_FIELDS
 
 
@@ -28,12 +31,13 @@ def _problem(m=3, sigma2=0.4, seed=17):
                            noise=NoiseModel("additive-gaussian", sigma2=sigma2))
 
 
-def _sim(prob=None, protocol="allreduce", seed=0, **kw):
+def _sim(prob=None, protocol="allreduce", seed=0, x0=None, **kw):
     prob = prob or _problem()
     kw.setdefault("T", 4)
-    return Simulation(prob, BaseOptimizerConfig(kind="plain-sgd"),
-                      SlowMoConfig(alpha=1.0, beta=0.5, tau=3),
-                      protocol=protocol, gamma=0.05, seed=seed, **kw)
+    cfg = ExperimentConfig(base=BaseOptimizerConfig(kind="plain-sgd"),
+                           slowmo=SlowMoConfig(alpha=1.0, beta=0.5, tau=3),
+                           protocol=protocol, gamma=GammaSchedule(value=0.05), seed=seed, **kw)
+    return Simulation(prob, cfg, x0)
 
 
 # --------------------------------------------------------------------------- #
@@ -56,10 +60,11 @@ def test_one_worker_noiseless_loss_sequence():
     # x halves each step: pre-step losses 0.5, 0.125, 0.03125
     prob = QuadraticProblem(np.array([[1.0]]), [np.zeros(1)],
                             NoiseModel("additive-gaussian", sigma2=0.0))
-    sim = Simulation(prob, BaseOptimizerConfig(kind="plain-sgd"),
-                     SlowMoConfig(alpha=1.0, beta=0.0, tau=1),
-                     protocol="local", gamma=0.5, total_steps=3,
-                     x0=np.array([1.0]))
+    sim = Simulation(prob, ExperimentConfig(
+        base=BaseOptimizerConfig(kind="plain-sgd"),
+        slowmo=SlowMoConfig(alpha=1.0, beta=0.0, tau=1),
+        protocol="local", gamma=GammaSchedule(value=0.5), total_steps=3),
+        np.array([1.0]))
     trace = sim.run()
     losses = [r["loss"] for r in trace.records]
     assert losses == pytest.approx([0.5, 0.125, 0.03125], abs=1e-15)
@@ -79,13 +84,15 @@ def test_summary_counts_partial_final_block():
 
 
 def test_block_lengths_are_computed_not_listed():
-    # a T far beyond any index-sized list still builds (parse_config caps it)
-    sim = _sim(T=10**30)
-    assert sim.T == 10**30 and sim.partial_final_block is False
-    assert sim.block_length(0) == sim.block_length(10**30 - 1) == 3
-    sim = _sim(T=None, total_steps=3 * 10**30 + 1)
-    assert sim.T == 10**30 + 1 and sim.partial_final_block is True
-    assert sim.block_length(10**30 - 1) == 3 and sim.block_length(10**30) == 1
+    # runs at the step ceiling build at once: a list of their block lengths
+    # would hold 10**9 / 3 entries
+    T = MAX_STEPS // 3
+    sim = _sim(T=T)
+    assert sim.T == T and sim.partial_final_block is False
+    assert sim.block_length(0) == sim.block_length(T - 1) == 3
+    sim = _sim(T=None, total_steps=MAX_STEPS)  # 10**9 = 3 * T + 1
+    assert sim.T == T + 1 and sim.partial_final_block is True
+    assert sim.block_length(T - 1) == 3 and sim.block_length(T) == 1
 
 
 def test_metric_cadence_thins_records():
@@ -132,7 +139,8 @@ def test_trace_hash_reacts_to_any_change():
 @pytest.mark.parametrize("protocol", ["allreduce", "local", "dpsgd", "sgp", "osgp"])
 def test_bitwise_repeatability(protocol):
     prob = _problem(m=4)
-    kw = {"delay": DelayModel(kind="geometric", p=0.5, cap=3)} if protocol == "osgp" else {}
+    kw = {"osgp": OsgpConfig(delay=DelayModel(kind="geometric", p=0.5, cap=3))} \
+        if protocol == "osgp" else {}
     h1 = _sim(prob, protocol=protocol, seed=13, **kw).run().trace_hash()
     h2 = _sim(prob, protocol=protocol, seed=13, **kw).run().trace_hash()
     assert h1 == h2
@@ -143,7 +151,8 @@ def test_metric_cadence_does_not_move_the_trajectory(protocol):
     # recording reads the state only: thinning the records keeps every
     # shared record and the final summary bit for bit
     prob = _problem(m=4)
-    kw = {"delay": DelayModel(kind="geometric", p=0.5, cap=3)} if protocol == "osgp" else {}
+    kw = {"osgp": OsgpConfig(delay=DelayModel(kind="geometric", p=0.5, cap=3))} \
+        if protocol == "osgp" else {}
     runs = {c: _sim(prob, protocol=protocol, seed=8, T=7, metric_cadence=c, **kw).run()
             for c in (1, 3, 7)}
     full = {r["round"]: r for r in runs[1].records}
@@ -163,7 +172,7 @@ def test_metric_cadence_does_not_move_the_trajectory(protocol):
 def test_weight_mass_includes_in_flight_messages():
     prob = _problem(m=4)
     sim = _sim(prob, protocol="osgp", seed=3, T=8,
-               delay=DelayModel(kind="geometric", p=0.4, cap=4), staleness=6)
+               osgp=OsgpConfig(staleness=6, delay=DelayModel(kind="geometric", p=0.4, cap=4)))
     trace = sim.run()
     for r in trace.records:
         assert abs(r["weight_mass"] - 4.0) < 1e-9
@@ -172,9 +181,10 @@ def test_weight_mass_includes_in_flight_messages():
 @pytest.mark.parametrize("noaverage, bad_round", [(False, 4), (True, 8)])
 def test_mass_drift_is_a_protocol_error(noaverage, bad_round):
     # round 8 is the last one: the drift is caught by the final summary
-    sim = Simulation(_problem(m=4), BaseOptimizerConfig(kind="plain-sgd"),
-                     SlowMoConfig(alpha=1.0, beta=0.5, tau=3, noaverage=noaverage),
-                     protocol="sgp", gamma=0.05, seed=0, T=3)
+    sim = Simulation(_problem(m=4), ExperimentConfig(
+        base=BaseOptimizerConfig(kind="plain-sgd"),
+        slowmo=SlowMoConfig(alpha=1.0, beta=0.5, tau=3, noaverage=noaverage),
+        protocol="sgp", gamma=GammaSchedule(value=0.05), seed=0, T=3))
     real = sim.protocol.apply_round
 
     def corrupting(states, half_x, round_index):
@@ -203,9 +213,10 @@ def test_bias_is_zero_when_workers_agree_and_gradients_are_exact():
     # plain SGD, allreduce, tau=1: every record sees all workers at x_bar,
     # where mean_i E[d_i] equals the global gradient exactly
     prob = _problem(sigma2=1.0)
-    sim = Simulation(prob, BaseOptimizerConfig(kind="plain-sgd"),
-                     SlowMoConfig(alpha=1.0, beta=0.5, tau=1),
-                     protocol="allreduce", gamma=0.05, T=6, seed=0, log_bias=True)
+    sim = Simulation(prob, ExperimentConfig(
+        base=BaseOptimizerConfig(kind="plain-sgd"),
+        slowmo=SlowMoConfig(alpha=1.0, beta=0.5, tau=1),
+        protocol="allreduce", gamma=GammaSchedule(value=0.05), T=6, seed=0, log_bias=True))
     trace = sim.run()
     for r in trace.records:
         assert r["bias_sq"] == pytest.approx(0.0, abs=1e-24)
@@ -217,10 +228,11 @@ def test_bias_is_positive_once_workers_drift():
     prob = QuadraticProblem([np.array([[1.0]]), np.array([[3.0]])],
                             [np.array([2.0]), np.array([-2.0])],
                             NoiseModel("additive-gaussian", sigma2=0.0))
-    sim = Simulation(prob, BaseOptimizerConfig(kind="plain-sgd"),
-                     SlowMoConfig(alpha=1.0, beta=0.0, tau=4),
-                     protocol="local", gamma=0.05, T=2, seed=0, log_bias=True,
-                     x0=np.array([1.0]))
+    sim = Simulation(prob, ExperimentConfig(
+        base=BaseOptimizerConfig(kind="plain-sgd"),
+        slowmo=SlowMoConfig(alpha=1.0, beta=0.0, tau=4),
+        protocol="local", gamma=GammaSchedule(value=0.05), T=2, seed=0, log_bias=True),
+        np.array([1.0]))
     trace = sim.run()
     for r in trace.records:
         if r["k"] == 0:
@@ -230,9 +242,10 @@ def test_bias_is_positive_once_workers_drift():
 
 
 def test_bias_is_unavailable_for_adam():
-    sim = Simulation(_problem(), BaseOptimizerConfig(kind="adam"),
-                     SlowMoConfig(alpha=1.0, beta=0.5, tau=2),
-                     protocol="allreduce", gamma=0.01, T=2, seed=0, log_bias=True)
+    sim = Simulation(_problem(), ExperimentConfig(
+        base=BaseOptimizerConfig(kind="adam"),
+        slowmo=SlowMoConfig(alpha=1.0, beta=0.5, tau=2),
+        protocol="allreduce", gamma=GammaSchedule(value=0.01), T=2, seed=0, log_bias=True))
     trace = sim.run()
     assert all(r["bias_sq"] is None for r in trace.records)
 
@@ -244,10 +257,11 @@ def test_bias_is_unavailable_for_adam():
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_divergence_aborts_with_partial_trace():
     prob = _problem(sigma2=0.0)
-    sim = Simulation(prob, BaseOptimizerConfig(kind="plain-sgd"),
-                     SlowMoConfig(alpha=1.0, beta=0.0, tau=2),
-                     protocol="allreduce", gamma=1e6, T=50, seed=0,
-                     x0=np.ones(3))
+    sim = Simulation(prob, ExperimentConfig(
+        base=BaseOptimizerConfig(kind="plain-sgd"),
+        slowmo=SlowMoConfig(alpha=1.0, beta=0.0, tau=2),
+        protocol="allreduce", gamma=GammaSchedule(value=1e6), T=50, seed=0),
+        np.ones(3))
     with pytest.raises(NumericalAbort) as exc:
         sim.run()
     err = exc.value

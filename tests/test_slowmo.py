@@ -7,6 +7,7 @@ import pytest
 from slowmo_sim import (
     BaseOptimizerConfig,
     ConfigError,
+    ExperimentConfig,
     GammaSchedule,
     NoiseModel,
     Simulation,
@@ -85,27 +86,30 @@ def _max_diff(sim_hist, ref_hist):
 def test_reduces_to_heavy_ball():
     # tau=1, alpha=1, exact averaging: u becomes a plain momentum buffer
     prob = _noisy_quadratic(m=2)
-    sim = Simulation(prob, BaseOptimizerConfig(kind="plain-sgd"),
-                     SlowMoConfig(alpha=1.0, beta=0.3, tau=1),
-                     protocol="allreduce", gamma=0.05, T=40, seed=11)
+    sim = Simulation(prob, ExperimentConfig(
+        base=BaseOptimizerConfig(kind="plain-sgd"),
+        slowmo=SlowMoConfig(alpha=1.0, beta=0.3, tau=1), protocol="allreduce",
+        gamma=GammaSchedule(value=0.05), T=40, seed=11))
     ref = heavy_ball_reference(prob, gamma=0.05, beta=0.3, steps=40, seed=11)
     assert _max_diff(_xbar_trace(sim), ref) <= 1e-10
 
 
 def test_reduces_to_local_sgd():
     prob = _noisy_quadratic(m=3)
-    sim = Simulation(prob, BaseOptimizerConfig(kind="plain-sgd"),
-                     SlowMoConfig(alpha=1.0, beta=0.0, tau=5),
-                     protocol="local", gamma=0.08, T=8, seed=5)
+    sim = Simulation(prob, ExperimentConfig(
+        base=BaseOptimizerConfig(kind="plain-sgd"),
+        slowmo=SlowMoConfig(alpha=1.0, beta=0.0, tau=5), protocol="local",
+        gamma=GammaSchedule(value=0.08), T=8, seed=5))
     ref = local_sgd_reference(prob, gamma=0.08, tau=5, T=8, seed=5)
     assert _max_diff(_xbar_trace(sim), ref) <= 1e-10
 
 
 def test_reduces_to_lookahead():
     prob = _noisy_quadratic(m=1)
-    sim = Simulation(prob, BaseOptimizerConfig(kind="plain-sgd"),
-                     SlowMoConfig(alpha=0.3, beta=0.0, tau=4),
-                     protocol="local", gamma=0.1, T=6, seed=9)
+    sim = Simulation(prob, ExperimentConfig(
+        base=BaseOptimizerConfig(kind="plain-sgd"),
+        slowmo=SlowMoConfig(alpha=0.3, beta=0.0, tau=4), protocol="local",
+        gamma=GammaSchedule(value=0.1), T=6, seed=9))
     ref = lookahead_reference(prob, gamma=0.1, alpha=0.3, tau=4, T=6, seed=9)
     assert _max_diff(_xbar_trace(sim), ref) <= 1e-10
 
@@ -114,9 +118,10 @@ def test_reduces_to_block_momentum_filtering():
     # local protocol + plain SGD + slow momentum == the classic block update
     # recursion with block momentum beta and block learning rate alpha
     prob = _noisy_quadratic(m=4)
-    sim = Simulation(prob, BaseOptimizerConfig(kind="plain-sgd"),
-                     SlowMoConfig(alpha=0.9, beta=0.4, tau=6),
-                     protocol="local", gamma=0.05, T=7, seed=21)
+    sim = Simulation(prob, ExperimentConfig(
+        base=BaseOptimizerConfig(kind="plain-sgd"),
+        slowmo=SlowMoConfig(alpha=0.9, beta=0.4, tau=6), protocol="local",
+        gamma=GammaSchedule(value=0.05), T=7, seed=21))
     ref = block_momentum_reference(prob, gamma=0.05, tau=6, T=7,
                                    block_momentum=0.4, block_lr=0.9, seed=21)
     assert _max_diff(_xbar_trace(sim), ref) <= 1e-10
@@ -132,9 +137,10 @@ def test_u_accumulates_averaged_directions(protocol):
     # the sum of averaged directions, so u satisfies a pure EMA recursion
     prob = _noisy_quadratic(m=3)
     beta = 0.6
-    sim = Simulation(prob, BaseOptimizerConfig(kind="sgd-nesterov"),
-                     SlowMoConfig(alpha=0.7, beta=beta, tau=4),
-                     protocol=protocol, gamma=0.03, T=6, seed=2)
+    sim = Simulation(prob, ExperimentConfig(
+        base=BaseOptimizerConfig(kind="sgd-nesterov"),
+        slowmo=SlowMoConfig(alpha=0.7, beta=beta, tau=4), protocol=protocol,
+        gamma=GammaSchedule(value=0.03), T=6, seed=2))
     sim.run()
     u_rec = np.zeros(prob.dimension)
     for dbar_sum in sim.block_dbar_sums:
@@ -150,9 +156,10 @@ def test_u_after_one_block_is_gamma_invariant():
                            noise=NoiseModel("additive-gaussian", sigma2=0.0))
     us = []
     for gamma in (0.01, 0.1, 1.0):
-        sim = Simulation(prob, BaseOptimizerConfig(kind="plain-sgd"),
-                         SlowMoConfig(alpha=1.0, beta=0.9, tau=1),
-                         protocol="allreduce", gamma=gamma, T=1, seed=0)
+        sim = Simulation(prob, ExperimentConfig(
+            base=BaseOptimizerConfig(kind="plain-sgd"),
+            slowmo=SlowMoConfig(alpha=1.0, beta=0.9, tau=1), protocol="allreduce",
+            gamma=GammaSchedule(value=gamma), T=1, seed=0))
         sim.run()
         us.append(sim.slow.u.copy())
     for u in us[1:]:
@@ -161,9 +168,10 @@ def test_u_after_one_block_is_gamma_invariant():
 
 def test_noaverage_never_calls_the_exact_average():
     prob = _noisy_quadratic(m=3)
-    sim = Simulation(prob, BaseOptimizerConfig(kind="plain-sgd"),
-                     SlowMoConfig(alpha=1.0, beta=0.5, tau=4, noaverage=True),
-                     protocol="local", gamma=0.05, T=5, seed=3)
+    sim = Simulation(prob, ExperimentConfig(
+        base=BaseOptimizerConfig(kind="plain-sgd"),
+        slowmo=SlowMoConfig(alpha=1.0, beta=0.5, tau=4, noaverage=True), protocol="local",
+        gamma=GammaSchedule(value=0.05), T=5, seed=3))
     sim.run()
     assert sim.slow_average_calls == 0
     # without any synchronization the workers genuinely drift apart
@@ -173,20 +181,23 @@ def test_noaverage_never_calls_the_exact_average():
 def test_double_average_rejects_incompatible_setups():
     prob = _noisy_quadratic(m=2)
     with pytest.raises(ConfigError):
-        Simulation(prob, BaseOptimizerConfig(kind="adam"),
-                   SlowMoConfig(alpha=1.0, beta=0.5, tau=2),
-                   protocol="double-average", gamma=0.05, T=2)
+        Simulation(prob, ExperimentConfig(
+            base=BaseOptimizerConfig(kind="adam"),
+            slowmo=SlowMoConfig(alpha=1.0, beta=0.5, tau=2), protocol="double-average",
+            gamma=GammaSchedule(value=0.05), T=2))
     with pytest.raises(ConfigError):
-        Simulation(prob, BaseOptimizerConfig(kind="sgd-nesterov"),
-                   SlowMoConfig(alpha=1.0, beta=0.5, tau=2, noaverage=True),
-                   protocol="double-average", gamma=0.05, T=2)
+        Simulation(prob, ExperimentConfig(
+            base=BaseOptimizerConfig(kind="sgd-nesterov"),
+            slowmo=SlowMoConfig(alpha=1.0, beta=0.5, tau=2, noaverage=True),
+            protocol="double-average", gamma=GammaSchedule(value=0.05), T=2))
 
 
 def test_double_average_runs_and_synchronizes_buffers():
     prob = _noisy_quadratic(m=3)
-    sim = Simulation(prob, BaseOptimizerConfig(kind="sgd-nesterov"),
-                     SlowMoConfig(alpha=1.0, beta=0.5, tau=3),
-                     protocol="double-average", gamma=0.05, T=4, seed=1)
+    sim = Simulation(prob, ExperimentConfig(
+        base=BaseOptimizerConfig(kind="sgd-nesterov"),
+        slowmo=SlowMoConfig(alpha=1.0, beta=0.5, tau=3), protocol="double-average",
+        gamma=GammaSchedule(value=0.05), T=4, seed=1))
     sim.run()
     h = sim.states.buffers.h
     assert np.allclose(h, h[0], atol=1e-12)
