@@ -34,7 +34,6 @@ from .numerics import (
     MlpProblem,
     NoiseModel,
     Problem,
-    ProblemConstants,
     QuadraticProblem,
     WorkerStreams,
     build_logistic,
@@ -44,7 +43,6 @@ from .numerics import (
     global_loss,
     global_loss_and_gradient,
     make_worker_rngs,
-    problem_constants,
     rng_stream,
     worker_stochastic_gradient,
 )

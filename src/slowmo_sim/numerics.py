@@ -1,4 +1,4 @@
-"""Problem definitions, stochastic gradient oracles, and problem constants.
+"""Problem definitions and their exact and stochastic gradient oracles.
 
 Three objective families are supported, each sharded across ``m`` workers:
 
@@ -12,7 +12,9 @@ Three objective families are supported, each sharded across ``m`` workers:
 Gradient noise comes from one of two models: ``additive-gaussian`` adds
 N(0, (sigma^2/d) I) to the exact worker gradient (so E||eta||^2 = sigma^2
 independent of dimension), and ``minibatch`` returns the gradient of ``b``
-shard points sampled uniformly without replacement.
+shard points sampled uniformly without replacement. ``Problem.gradients`` is
+the stacked exact oracle: one exact gradient per (worker, point) row, which
+the additive noise and the kernel's log-bias metric both start from.
 
 All randomness flows through counter-based Philox streams derived from
 ``(seed, namespace, index)`` so that worker streams are independent and
@@ -60,8 +62,9 @@ class WorkerStreams:
     ``standard_normal((block, d))`` uses up a Philox stream exactly as
     ``block`` calls of ``standard_normal(d)`` do, so a worker's k-th row is
     its k-th single draw. Each worker has its own cursor: a worker that does
-    not step draws nothing. A problem takes its noise either through
-    ``normal_rows`` or from ``generators`` directly, never both.
+    not step draws nothing. Additive noise is taken through ``normal_rows``
+    and minibatch indices from ``generators`` directly; a problem has one
+    noise kind, so it never does both.
     """
 
     def __init__(self, seed: int, m: int, dimension: int, block: int):
@@ -138,25 +141,6 @@ class NoiseModel:
             raise ConfigError("minibatch noise requires batch_size >= 1")
 
 
-@dataclass(frozen=True)
-class ProblemConstants:
-    """Smoothness / noise / heterogeneity constants with exactness flags.
-
-    Non-quadratic kinds report estimate-flagged values, never silently exact.
-    ``f_inf`` is the exact optimum for quadratics and the lower bound 0 for
-    the nonnegative losses.
-    """
-
-    L: float
-    sigma2: float
-    zeta2: float
-    f_inf: float
-    L_exact: bool = True
-    sigma2_exact: bool = True
-    zeta2_exact: bool = True
-    f_inf_exact: bool = True
-
-
 class Problem:
     """Base class: ``m`` workers, shared parameter dimension ``d``."""
 
@@ -192,6 +176,12 @@ class Problem:
         pairs = [self.worker_loss_and_gradient(i, x) for i in range(self.num_workers)]
         return [loss for loss, _ in pairs], np.stack([g for _, g in pairs])
 
+    def gradients(self, points: np.ndarray, workers: np.ndarray) -> np.ndarray:
+        """Exact gradient of worker ``workers[r]`` at ``points[r]`` for every
+        row, as a new (n, d) array: bit for bit the ``worker_gradient`` calls
+        in row order. Subclasses may batch them."""
+        return np.stack([self.worker_gradient(i, x) for i, x in zip(workers.tolist(), points)])
+
     def stochastic_gradients(
         self, points: np.ndarray, workers: np.ndarray, streams: WorkerStreams
     ) -> np.ndarray:
@@ -199,12 +189,19 @@ class Problem:
         as a new (n, d) array the caller may overwrite.
 
         Bit for bit the ``worker_stochastic_gradient`` calls in row order,
-        each worker drawing from its own stream; subclasses may batch them.
+        each worker drawing from its own stream: additive noise comes from
+        ``streams.normal_rows``, which draws what those calls draw.
         """
-        return np.stack([
-            worker_stochastic_gradient(self, i, x, streams.generators[i])
-            for i, x in zip(workers.tolist(), points)
-        ])
+        noise = self.noise
+        if noise.kind == "minibatch":
+            return np.stack([
+                worker_stochastic_gradient(self, i, x, streams.generators[i])
+                for i, x in zip(workers.tolist(), points)
+            ])
+        g = self.gradients(points, workers)
+        if noise.sigma2 > 0:
+            g += np.sqrt(noise.sigma2 / self.dimension) * streams.normal_rows(workers)
+        return g
 
     def check_worker(self, worker_id: int) -> None:
         if not (0 <= worker_id < self.num_workers):
@@ -266,25 +263,6 @@ def global_loss_and_gradient(problem: Problem, x: np.ndarray) -> tuple[float, np
     m = problem.num_workers
     losses, grads = problem.losses_and_gradients(x)
     return float_sum(losses) / m, rank_sum(grads) / m
-
-
-def power_iteration(mat: np.ndarray, tol: float = 1e-10, max_iter: int = 100_000) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix to ``tol`` relative accuracy."""
-    d = mat.shape[0]
-    v = rng_stream(0, STREAM_MISC, 7).standard_normal(d)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = mat @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        lam_new = float(v @ (mat @ v))
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
-            return lam_new
-        lam = lam_new
-    return lam
 
 
 class QuadraticProblem(Problem):
@@ -365,14 +343,11 @@ class QuadraticProblem(Problem):
         g = self._stacked_matvec(r)
         return row_dots(0.5 * r, g).tolist(), g
 
-    def stochastic_gradients(self, points, workers, streams):
+    def gradients(self, points, workers):
         if self._centers is None:
-            return super().stochastic_gradients(points, workers, streams)
+            return super().gradients(points, workers)
         centers = self._centers if len(workers) == self.num_workers else self._centers[workers]
-        g = self._stacked_matvec(points - centers)
-        if self.noise.sigma2 > 0:
-            g += np.sqrt(self.noise.sigma2 / self.dimension) * streams.normal_rows(workers)
-        return g
+        return self._stacked_matvec(points - centers)
 
     def _stacked_matvec(self, rows):
         # A @ r for every row r, bit for bit the 1-D gemv at one BLAS thread
@@ -390,14 +365,6 @@ class QuadraticProblem(Problem):
         for a_rows, s in self._row_blocks:
             np.matmul(a_rows, cols, out=out[:, s, None])
         return out
-
-    def minimizer(self) -> np.ndarray:
-        """Exact global minimizer (least-squares solve of the stationarity system)."""
-        m = self.num_workers
-        a_bar = sum(self.a_mats) / m
-        rhs = sum(self.a_mats[i] @ self.b_vecs[i] for i in range(m)) / m
-        sol, *_ = np.linalg.lstsq(a_bar, rhs, rcond=None)
-        return sol
 
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -499,97 +466,6 @@ class MlpProblem(Problem):
 
     def worker_loss_and_gradient(self, worker_id, x):
         return self._loss_and_gradient(worker_id, x, slice(None))
-
-
-def _zeta2_on_grid(problem: Problem, points: list[np.ndarray]) -> float:
-    worst, m = 0.0, problem.num_workers
-    for x in points:
-        grads = problem.losses_and_gradients(x)[1]
-        diffs = rank_sum(grads) / m - grads
-        worst = max(worst, float_sum(row_dots(diffs, diffs).tolist()) / m)
-    return worst
-
-
-def _reference_grid(problem: Problem, count: int = 8, scale: float = 2.0) -> list[np.ndarray]:
-    rng = rng_stream(0, STREAM_MISC, 11)
-    pts = [np.zeros(problem.dimension)]
-    for _ in range(count):
-        pts.append(scale * rng.standard_normal(problem.dimension))
-    return pts
-
-
-def _estimate_sigma2_minibatch(problem: Problem, points, draws: int = 400) -> float:
-    rng = rng_stream(0, STREAM_MISC, 13)
-    worst = 0.0
-    for x in points:
-        for i in range(problem.num_workers):
-            full = problem.worker_gradient(i, x)
-            acc = 0.0
-            for _ in range(draws):
-                g = worker_stochastic_gradient(problem, i, x, rng)
-                diff = g - full
-                acc += float(diff @ diff)
-            worst = max(worst, acc / draws)
-    return worst
-
-
-def _estimate_lipschitz(problem: Problem, pairs: int = 2000, safety: float = 1.5) -> float:
-    rng = rng_stream(0, STREAM_MISC, 17)
-    d = problem.dimension
-    worst = 0.0
-    for _ in range(pairs):
-        x = rng.standard_normal(d)
-        y = rng.standard_normal(d)
-        gap = np.linalg.norm(x - y)
-        if gap < 1e-9:
-            continue
-        for i in range(problem.num_workers):
-            num = np.linalg.norm(
-                problem.worker_gradient(i, x) - problem.worker_gradient(i, y)
-            )
-            worst = max(worst, num / gap)
-    return safety * worst
-
-
-def problem_constants(problem: Problem) -> ProblemConstants:
-    """Smoothness L, gradient noise sigma^2, heterogeneity zeta^2, and f_inf.
-
-    Quadratics get exact L (power iteration on each distinct A_i), exact
-    f_inf, and a zeta^2 evaluated exactly on a reference grid (constant in x
-    when the curvature is shared, in which case it is flagged exact).
-    Logistic L uses the Gram-matrix bound lambda_max(F^T F / 4n); the mlp L
-    is sampled. The additive-gaussian sigma^2 is exact by construction; the
-    minibatch one is a Monte-Carlo estimate.
-    """
-    m = problem.num_workers
-    grid = _reference_grid(problem)
-
-    if problem.noise.kind == "additive-gaussian":
-        sigma2, sigma2_exact = problem.noise.sigma2, True
-    else:
-        sigma2, sigma2_exact = _estimate_sigma2_minibatch(problem, grid[:3]), False
-
-    if m == 1:
-        zeta2, zeta2_exact = 0.0, True
-    elif isinstance(problem, QuadraticProblem) and problem.shared_curvature:
-        # gradient differences are constant in x, the grid evaluation is exact
-        zeta2, zeta2_exact = _zeta2_on_grid(problem, grid[:1]), True
-    else:
-        zeta2, zeta2_exact = _zeta2_on_grid(problem, grid), False
-
-    exact = isinstance(problem, QuadraticProblem)
-    if exact:
-        lips = max(power_iteration(a) for a in problem.distinct_curvatures())
-        f_inf = global_loss(problem, problem.minimizer())
-    elif isinstance(problem, LogisticProblem):
-        lips = max(power_iteration(f.T @ f / (4.0 * f.shape[0])) for f in problem.features)
-        f_inf = 0.0
-    else:
-        lips, f_inf = _estimate_lipschitz(problem), 0.0
-    return ProblemConstants(
-        L=lips, sigma2=sigma2, zeta2=zeta2, f_inf=f_inf,
-        L_exact=exact, sigma2_exact=sigma2_exact, zeta2_exact=zeta2_exact, f_inf_exact=exact,
-    )
 
 
 # ---------------------------------------------------------------------------

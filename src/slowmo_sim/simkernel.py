@@ -136,12 +136,11 @@ class Simulation:
         # buffer from growing with tau
         self.worker_streams = WorkerStreams(cfg.seed, self.m, self.d, min(tau, 64))
         self.clock = SimClock()
-        self.slow = SlowMoState(x_outer=x0.copy(), u=np.zeros(self.d))
-        self.x_outer_local = np.tile(x0, (self.m, 1))
-        self.u_local = np.zeros((self.m, self.d))
+        # noaverage: one private slow iterate and buffer per worker, as rows
+        shape = (self.m, self.d) if cfg.slowmo.noaverage else (self.d,)
+        self.slow = SlowMoState(x_outer=np.broadcast_to(x0, shape).copy(), u=np.zeros(shape))
 
         self.slow_average_calls = 0  # line-6 exact averages actually performed
-        self.block_dbar_sums: list[np.ndarray] = []
         self._records: list[dict] = []
         self._trace: MetricsTrace | None = None
 
@@ -186,10 +185,10 @@ class Simulation:
         kind = self.cfg.base.kind
         if kind == "adam":
             return None
-        if len(self.protocol.active_workers()) != self.m:
+        active = self.protocol.active_workers()
+        if len(active) != self.m:
             return None
-        pts = self.points()
-        expected = np.stack([self.problem.worker_gradient(i, pts[i]) for i in range(self.m)])
+        expected = self.problem.gradients(self.points(), active)
         if kind == "sgd-nesterov":  # E[d] = bl^2 h + (1 + bl) grad
             bl = self.cfg.base.beta_local
             expected = bl * bl * self.states.buffers.h + (1.0 + bl) * expected
@@ -216,29 +215,23 @@ class Simulation:
         }
         self._records.append(rec)
 
-    def inner_round(self, gamma: float) -> np.ndarray:
-        """One inner step for every non-stalled worker plus one protocol round.
-
-        Returns the round's averaged direction (1/m) sum_i d_i (stalled
-        workers contribute nothing), used for the slow-buffer identity.
-        """
+    def inner_round(self, gamma: float) -> None:
+        """One inner step for every non-stalled worker plus one protocol round:
+        a stochastic gradient and a local direction per stepping worker, the
+        half-steps x - gamma d, then the protocol's mixing of them."""
         active = self.protocol.active_workers()
         rows = slice(None) if len(active) == self.m else active  # views of the whole stack
         if len(active):
             grads = self.problem.stochastic_gradients(self.points()[rows], active, self.worker_streams)
             d = local_direction(self.cfg.base, self.states.buffers, grads, rows)
-            dsum = rank_sum(d, start=0.0)
             # x - gamma * d, written over d (a fresh array, no longer needed)
             half = np.subtract(self.states.x[rows], np.multiply(d, gamma, out=d), out=d)
         else:
             half = np.empty((0, self.d))
-            dsum = np.zeros(self.d)
         self.protocol.apply_round(self.states, half, self.clock.round)
-        dsum /= self.m
         self.clock.round += 1
         self.clock.k += 1
         self._check_finite()
-        return dsum
 
     def _check_finite(self) -> None:
         if np.isfinite(self.states.x).all() and np.isfinite(self.states.w).all():

@@ -81,7 +81,8 @@ class GammaSchedule:
 
 @dataclass
 class SlowMoState:
-    """Outer iterate and slow momentum buffer (the kernel's clock counts t)."""
+    """Outer iterate and slow momentum buffer (the kernel's clock counts t):
+    (d,) arrays, or (m, d) stacks of private per-worker rows under noaverage."""
 
     x_outer: np.ndarray
     u: np.ndarray
@@ -116,30 +117,27 @@ def run_outer_iteration(sim) -> None:
     block_len = sim.block_length(t)
 
     apply_buffer_strategy(sim.cfg.base, sim.states.buffers)
-    x_start = sim.x_outer_local if cfg.noaverage else sim.slow.x_outer
 
-    dbar_sum = np.zeros(sim.problem.dimension)
     for _ in range(block_len):
         sim.record_metrics(gamma)
-        dbar_sum += sim.inner_round(gamma)
-    sim.block_dbar_sums.append(dbar_sum)
+        sim.inner_round(gamma)
 
-    states = sim.states
+    states, slow = sim.states, sim.slow
     if cfg.noaverage:
         # private slow updates in z-space, one row per worker; x is rescaled
         # so w is untouched
-        sim.u_local, sim.x_outer_local = slow_update(
-            x_start, states.z, sim.u_local, gamma, cfg.alpha, cfg.beta
+        slow.u, slow.x_outer = slow_update(
+            slow.x_outer, states.z, slow.u, gamma, cfg.alpha, cfg.beta
         )
-        states.x = states.w[:, None] * sim.x_outer_local
+        states.x = states.w[:, None] * slow.x_outer
     else:
         sim.protocol.end_block(states)
         x_avg = exact_average(states)
         sim.slow_average_calls += 1
-        sim.slow.u, sim.slow.x_outer = slow_update(
-            x_start, x_avg, sim.slow.u, gamma, cfg.alpha, cfg.beta
+        slow.u, slow.x_outer = slow_update(
+            slow.x_outer, x_avg, slow.u, gamma, cfg.alpha, cfg.beta
         )
-        states.x[:] = sim.slow.x_outer
+        states.x[:] = slow.x_outer
         states.w[:] = 1.0
 
     sim.clock.t += 1

@@ -53,6 +53,15 @@ def _exponential_period(m: int) -> int:
     return max(1, (m - 1).bit_length())  # floor(log2(m - 1)) + 1, in integers
 
 
+def _hop(schedule: TopologySchedule, round_index: int) -> int:
+    """How far round ``round_index`` of a one-peer-per-round kind sends."""
+    if schedule.kind == "exponential-directed":
+        return 1 << (round_index % _exponential_period(schedule.m))
+    if schedule.kind == "ring-directed":
+        return 1
+    raise ConfigError(f"{schedule.kind} topology has no single out-neighbor")
+
+
 def out_neighbor(schedule: TopologySchedule, worker_id: int, round_index: int) -> int:
     """Single out-neighbor for one-peer-per-round kinds.
 
@@ -64,13 +73,7 @@ def out_neighbor(schedule: TopologySchedule, worker_id: int, round_index: int) -
         raise ConfigError(f"unknown worker_id {worker_id}")
     if m == 1:
         return 0
-    if schedule.kind == "exponential-directed":
-        p = _exponential_period(m)
-        hop = 1 << (round_index % p)
-        return (worker_id + hop) % m
-    if schedule.kind == "ring-directed":
-        return (worker_id + 1) % m
-    raise ConfigError(f"{schedule.kind} topology has no single out-neighbor")
+    return (worker_id + _hop(schedule, round_index)) % m
 
 
 def out_edges(schedule: TopologySchedule, round_index: int) -> list[tuple[int, int]]:
@@ -79,7 +82,9 @@ def out_edges(schedule: TopologySchedule, round_index: int) -> list[tuple[int, i
     if m == 1:
         return []
     if schedule.kind in ("exponential-directed", "ring-directed"):
-        return [(i, out_neighbor(schedule, i, round_index)) for i in range(m)]
+        senders = np.arange(m)
+        receivers = (senders + _hop(schedule, round_index)) % m
+        return list(zip(senders.tolist(), receivers.tolist()))
     if schedule.kind == "complete":
         return [(i, j) for i in range(m) for j in range(m) if i != j]
     edges = schedule.rounds[round_index % len(schedule.rounds)]

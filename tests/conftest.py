@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from slowmo_sim import NoiseModel, QuadraticProblem, build_logistic, build_quadratic
+from slowmo_sim import NoiseModel, QuadraticProblem, build_logistic
 
 
 def _blas_line():
@@ -42,14 +42,6 @@ def noiseless_quadratic():
     e1 = np.array([1.0, 0.0, 0.0, 0.0])
     noise = NoiseModel("additive-gaussian", sigma2=0.0)
     return QuadraticProblem(np.eye(4), [e1, -e1], noise)
-
-
-@pytest.fixture
-def random_quadratic():
-    return build_quadratic(
-        m=3, dimension=5, noise=NoiseModel("additive-gaussian", sigma2=0.5),
-        seed=7, l_min=0.5, l_max=2.0, heterogeneity=1.0,
-    )
 
 
 @pytest.fixture

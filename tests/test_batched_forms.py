@@ -24,6 +24,8 @@ from slowmo_sim import (
     Simulation,
     SlowMoConfig,
     WorkerStreams,
+    build_logistic,
+    build_mlp,
     build_quadratic,
     global_loss_and_gradient,
     local_direction,
@@ -87,6 +89,8 @@ def test_stacked_quadratic_oracle_matches_per_worker_calls(m, d):
     for step in range(9):  # crosses two block refills
         workers = np.flatnonzero(rng.random(m) < 0.7) if step % 2 else np.arange(m)
         points = _signed_rows(rng, (len(workers), d))
+        want = [prob.worker_gradient(i, x) for i, x in zip(workers.tolist(), points)]
+        assert _same_bits(prob.gradients(points, workers), np.reshape(want, points.shape))
         got = prob.stochastic_gradients(points, workers, streams)
         assert _same_bits(got, stochastic_gradients_reference(prob, points, workers, rngs))
 
@@ -100,14 +104,34 @@ def test_noiseless_stacked_oracle_draws_nothing():
 
 
 def test_default_oracle_loops_over_the_per_worker_call():
-    # per-worker curvature keeps the default loop
-    mats = [np.array([[1.0, 0.2], [0.2, 2.0]]), np.array([[3.0, 0.0], [0.0, 0.5]])]
-    prob = QuadraticProblem(mats, [np.ones(2), -np.ones(2)],
-                            NoiseModel("additive-gaussian", sigma2=0.3))
-    points = np.array([[0.5, -1.0], [2.0, 0.25]])
-    got = prob.stochastic_gradients(points, np.arange(2), WorkerStreams(1, 2, 2, block=3))
-    want = stochastic_gradients_reference(prob, points, np.arange(2), make_worker_rngs(1, 2))
-    assert _same_bits(got, want)
+    # problems without a stacked gemv: the exact oracle loops worker_gradient,
+    # and additive noise comes from the block draws of each worker's stream
+    m, d = 5, 4
+    gauss = NoiseModel("additive-gaussian", sigma2=0.3)
+    rng = np.random.default_rng(8)
+    mats = [a @ a.T + np.eye(d) for a in rng.standard_normal((m, d, d))]
+    problems = {
+        "quadratic-per-worker": QuadraticProblem(mats, list(rng.standard_normal((m, d))), gauss),
+        "quadratic-cloud": build_quadratic(m=m, dimension=d, noise=gauss, seed=2, l_min=0.5,
+                                           l_max=2.0, heterogeneity=1.0, samples_per_worker=6),
+        "logistic": build_logistic(m=m, dimension=d, samples_per_worker=9, noise=gauss, seed=2,
+                                   heterogeneity=0.5),
+        "logistic-minibatch": build_logistic(m=m, dimension=d, samples_per_worker=9, seed=2,
+                                             noise=NoiseModel("minibatch", batch_size=3)),
+        "mlp": build_mlp(m=m, input_dim=3, hidden=2, samples_per_worker=9, noise=gauss, seed=2,
+                         heterogeneity=0.5),
+    }
+    for name, prob in problems.items():
+        streams = WorkerStreams(1, m, prob.dimension, block=3)
+        rngs = make_worker_rngs(1, m)
+        for step in range(9):  # stalled workers fall behind, so refills come apart
+            stepping = rng.choice(m, size=rng.integers(1, m), replace=False)
+            workers = np.sort(stepping) if step % 2 else np.arange(m)
+            points = _signed_rows(rng, (len(workers), prob.dimension))
+            want = [prob.worker_gradient(i, x) for i, x in zip(workers.tolist(), points)]
+            assert _same_bits(prob.gradients(points, workers), np.reshape(want, points.shape)), name
+            got = prob.stochastic_gradients(points, workers, streams)
+            assert _same_bits(got, stochastic_gradients_reference(prob, points, workers, rngs)), name
 
 
 @pytest.mark.parametrize("block", [1, 3, 12])
@@ -210,6 +234,31 @@ def test_stacked_consensus_matches_per_worker_loop(protocol):
         diff = (s.z if sim.protocol.debias else s.x) - xbar
         acc += float(diff @ diff)
     assert sim.consensus_sq(xbar) == acc / 5
+
+
+def test_logistic_log_bias_is_the_per_worker_gradient_loop():
+    # ||grad f(x_bar) - (1/m) sum_i E[d_i]||^2 with E[d_i] = bl^2 h_i + (1 + bl) grad f_i(z_i)
+    prob = build_logistic(m=5, dimension=4, samples_per_worker=9, seed=2, heterogeneity=0.5,
+                          noise=NoiseModel("additive-gaussian", sigma2=0.3))
+    bl = 0.8
+    sim = Simulation(prob, ExperimentConfig(
+        base=BaseOptimizerConfig(kind="sgd-nesterov", beta_local=bl), slowmo=SlowMoConfig(tau=3),
+        protocol="sgp", gamma=GammaSchedule(value=0.05), T=3, seed=4, log_bias=True))
+    want = []
+    record = sim.record_metrics
+
+    def record_with_reference(gamma):
+        record(gamma)
+        total = np.zeros(prob.dimension)
+        for i, (z, h) in enumerate(zip(sim.points(), sim.states.buffers.h)):
+            total += bl * bl * h + (1.0 + bl) * prob.worker_gradient(i, z)
+        xbar = np.array(sim._records[-1]["x_bar"])  # the point just recorded
+        diff = global_loss_and_gradient_reference(prob, xbar)[1] - total / prob.num_workers
+        want.append(float(diff @ diff))
+
+    sim.record_metrics = record_with_reference
+    got = [rec["bias_sq"] for rec in sim.run().records]
+    assert len(got) == 9 and got == want
 
 
 # --------------------------------------------------------------------------- #

@@ -1,4 +1,4 @@
-"""RNG streams, noise models, problem oracles, and constants."""
+"""RNG streams, noise models, and problem oracles."""
 
 import math
 
@@ -18,12 +18,10 @@ from slowmo_sim import (
     global_loss,
     global_loss_and_gradient,
     make_worker_rngs,
-    problem_constants,
     rng_stream,
     worker_stochastic_gradient,
 )
-from slowmo_sim import numerics
-from slowmo_sim.numerics import STREAM_DATA, STREAM_NOISE, power_iteration
+from slowmo_sim.numerics import STREAM_DATA, STREAM_NOISE
 from references import global_loss_and_gradient_reference
 
 
@@ -176,11 +174,6 @@ def test_quadratic_global_loss_oracle(identity_quadratic):
     assert np.allclose(g, 0.0, atol=1e-15)
 
 
-def test_quadratic_minimizer_is_stationary(random_quadratic):
-    x_star = random_quadratic.minimizer()
-    assert np.linalg.norm(global_gradient(random_quadratic, x_star)) < 1e-10
-
-
 @pytest.mark.parametrize("d", [2, 5, 64, 333])
 def test_built_curvature_starts_on_a_cache_line(d):
     # the blocked gemv's speed follows A's alignment, which malloc leaves to chance
@@ -286,59 +279,3 @@ def test_quadratic_gradient_is_affine(seed):
     lhs = prob.worker_gradient(0, x) - prob.worker_gradient(0, y)
     assert np.allclose(lhs, prob.a_mats[0] @ (x - y), atol=1e-12)
 
-
-# --------------------------------------------------------------------------- #
-# constants
-# --------------------------------------------------------------------------- #
-
-def test_power_iteration_on_known_spectrum():
-    mat = np.diag([1.0, 2.0, 5.0])
-    assert power_iteration(mat) == pytest.approx(5.0, rel=1e-9)
-
-
-def test_problem_constants_identity_quadratic(identity_quadratic):
-    c = problem_constants(identity_quadratic)
-    assert c.L == pytest.approx(1.0, rel=1e-9) and c.L_exact
-    assert c.sigma2 == 1.0 and c.sigma2_exact
-    # grad_i(x) - grad(x) = -/+ e1 everywhere, so zeta^2 = 1 exactly
-    assert c.zeta2 == pytest.approx(1.0, abs=1e-12) and c.zeta2_exact
-    # optimum sits at the midpoint of the two centers
-    assert c.f_inf == pytest.approx(0.5, abs=1e-12) and c.f_inf_exact
-
-
-def test_shared_curvature_is_power_iterated_once(monkeypatch):
-    prob = build_quadratic(m=8, dimension=5, seed=3, l_min=0.5, l_max=2.0, heterogeneity=1.0,
-                           noise=NoiseModel("additive-gaussian", sigma2=0.1))
-    want = power_iteration(prob.a_mats[0])
-    calls = []
-    monkeypatch.setattr(numerics, "power_iteration",
-                        lambda mat: calls.append(1) or power_iteration(mat))
-    assert problem_constants(prob).L == want
-    assert len(calls) == 1
-
-
-def test_problem_constants_single_worker_zeta_zero():
-    prob = build_quadratic(m=1, dimension=3, seed=2, l_min=1.0, l_max=2.0,
-                           noise=NoiseModel("additive-gaussian", sigma2=0.3))
-    c = problem_constants(prob)
-    assert c.zeta2 == 0.0 and c.zeta2_exact
-
-
-def test_problem_constants_estimates_are_flagged(small_logistic):
-    c = problem_constants(small_logistic)
-    assert not c.L_exact and not c.sigma2_exact and not c.zeta2_exact
-    assert c.L > 0 and c.sigma2 > 0 and c.zeta2 > 0
-    # lower bound 0 for a nonnegative loss
-    assert c.f_inf == 0.0
-
-
-def test_lipschitz_constant_bounds_gradient_differences(small_logistic):
-    c = problem_constants(small_logistic)
-    rng = rng_stream(13, STREAM_DATA, 0)
-    worst = 0.0
-    for _ in range(1000):
-        x, y = rng.standard_normal(3), rng.standard_normal(3)
-        num = np.linalg.norm(global_gradient(small_logistic, x)
-                             - global_gradient(small_logistic, y))
-        worst = max(worst, num / max(np.linalg.norm(x - y), 1e-12))
-    assert worst <= c.L * (1 + 1e-9)

@@ -13,8 +13,11 @@ from slowmo_sim import (
     Simulation,
     SlowMoConfig,
     build_quadratic,
+    local_direction,
     slow_update,
 )
+from slowmo_sim import simkernel
+from slowmo_sim.numerics import rank_sum
 from references import (
     block_momentum_reference,
     heavy_ball_reference,
@@ -132,18 +135,30 @@ def test_reduces_to_block_momentum_filtering():
 # --------------------------------------------------------------------------- #
 
 @pytest.mark.parametrize("protocol", ["allreduce", "local"])
-def test_u_accumulates_averaged_directions(protocol):
+def test_u_accumulates_averaged_directions(protocol, monkeypatch):
     # with a constant gamma, (x_{t,0} - xbar_{t,tau})/gamma telescopes into
     # the sum of averaged directions, so u satisfies a pure EMA recursion
     prob = _noisy_quadratic(m=3)
-    beta = 0.6
+    beta, tau = 0.6, 4
+    dbars = []
+
+    def recording_direction(*args, **kwargs):
+        d = local_direction(*args, **kwargs)
+        dbars.append(rank_sum(d, start=0.0) / prob.num_workers)  # before d is overwritten
+        return d
+
+    monkeypatch.setattr(simkernel, "local_direction", recording_direction)
     sim = Simulation(prob, ExperimentConfig(
         base=BaseOptimizerConfig(kind="sgd-nesterov"),
-        slowmo=SlowMoConfig(alpha=0.7, beta=beta, tau=4), protocol=protocol,
+        slowmo=SlowMoConfig(alpha=0.7, beta=beta, tau=tau), protocol=protocol,
         gamma=GammaSchedule(value=0.03), T=6, seed=2))
     sim.run()
+    assert len(dbars) == tau * 6
     u_rec = np.zeros(prob.dimension)
-    for dbar_sum in sim.block_dbar_sums:
+    for t in range(6):
+        dbar_sum = np.zeros(prob.dimension)
+        for dbar in dbars[t * tau:(t + 1) * tau]:
+            dbar_sum += dbar
         u_rec = beta * u_rec + dbar_sum
     scale = max(np.linalg.norm(sim.slow.u), 1e-12)
     assert np.linalg.norm(u_rec - sim.slow.u) / scale < 1e-9
