@@ -22,6 +22,7 @@ from .comm_protocols import (
 )
 from .config import (
     ExperimentConfig,
+    ProblemConfig,
     build_simulation,
     load_config,
     parse_config,

@@ -68,13 +68,6 @@ class OptimizerBuffers:
         v = np.zeros((m, dimension)) if config.kind == "adam" else None
         return OptimizerBuffers(h=np.zeros((m, dimension)), v=v, step=np.zeros(m, dtype=np.int64))
 
-    def copy(self) -> "OptimizerBuffers":
-        return OptimizerBuffers(
-            h=self.h.copy(),
-            v=None if self.v is None else self.v.copy(),
-            step=self.step.copy(),
-        )
-
 
 def _bias_corrections(base: float, steps: np.ndarray):
     """1 - base**l for each row's l, as Python powers (numpy's differ in the

@@ -73,9 +73,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args) -> int:
+def _load(args):
+    """The config file ``args.config``, with ``--seed`` in place of its seed if given."""
     cfg = load_config(args.config)
-    trace = run_experiment(cfg, args.out, fmt=args.format, seed=args.seed)
+    return cfg if args.seed is None else replace(cfg, seed=args.seed)
+
+
+def _cmd_run(args) -> int:
+    trace = run_experiment(_load(args), args.out, fmt=args.format)
     print(json.dumps({"out": args.out, **trace.summary}))
     return 0
 
@@ -114,9 +119,7 @@ def _cmd_check_equivalence(args) -> int:
 
 
 def _cmd_estimate_v(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    cfg = _load(args)
     problem = build_problem(cfg)
     est = estimate_V(problem, cfg.base, samples=args.samples, seed=cfg.seed)
     out = {"V": est.value, "std_error": est.std_error, "samples": est.samples}

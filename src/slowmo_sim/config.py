@@ -287,23 +287,10 @@ def resolved_dict(cfg: ExperimentConfig) -> dict:
 
 
 def build_problem(cfg: ExperimentConfig):
-    p = cfg.problem
-    if p.kind == "quadratic":
-        return build_quadratic(
-            m=p.m, dimension=p.dimension, noise=p.noise, seed=cfg.seed,
-            l_min=p.l_min, l_max=p.l_max, heterogeneity=p.heterogeneity,
-            samples_per_worker=p.samples_per_worker, sample_spread=p.sample_spread,
-        )
-    if p.kind == "logistic":
-        return build_logistic(
-            m=p.m, dimension=p.dimension, samples_per_worker=p.samples_per_worker,
-            noise=p.noise, seed=cfg.seed, heterogeneity=p.heterogeneity,
-        )
-    return build_mlp(
-        m=p.m, input_dim=p.input_dim, hidden=p.hidden,
-        samples_per_worker=p.samples_per_worker, noise=p.noise,
-        seed=cfg.seed, heterogeneity=p.heterogeneity,
-    )
+    # the builders are looked up at call time, so a wrapper set on this
+    # module's names (as a tracer does) sees every build
+    builders = {"quadratic": build_quadratic, "logistic": build_logistic, "mlp": build_mlp}
+    return builders[cfg.problem.kind](cfg.problem, cfg.seed)
 
 
 def initial_point(cfg: ExperimentConfig, dimension: int) -> np.ndarray:

@@ -8,7 +8,6 @@ import itertools
 import json
 import math
 import os
-from dataclasses import replace
 
 from .config import (
     ExperimentConfig,
@@ -100,25 +99,19 @@ def _x_bar(record: dict) -> list:
     return xb
 
 
-def run_experiment(
-    cfg: ExperimentConfig,
-    out_dir: str,
-    fmt: str = "both",
-    seed: int | None = None,
-) -> MetricsTrace:
+def run_experiment(cfg: ExperimentConfig, out_dir: str, fmt: str = "both") -> MetricsTrace:
     """Build, run, and persist one experiment under ``out_dir``.
 
-    Writes resolved.json first so even aborted runs are reproducible; on a
-    numerical abort the partial trace is flushed before the exception
+    A run that cannot be built writes nothing. Otherwise resolved.json is
+    written before the run starts, so even aborted runs are reproducible;
+    on a numerical abort the partial trace is flushed before the exception
     propagates.
     """
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
+    sim = build_simulation(cfg)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "resolved.json"), "w") as fh:
         json.dump(resolved_dict(cfg), fh, indent=2)
         fh.write("\n")
-    sim = build_simulation(cfg)
     try:
         trace = sim.run()
     except NumericalAbort as abort:

@@ -24,10 +24,14 @@ reproducible regardless of execution order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import ProblemConfig
 
 # Stream namespaces. Keeping them distinct means data generation, gradient
 # noise, and communication delays never share a stream.
@@ -180,7 +184,8 @@ class Problem:
         """Exact gradient of worker ``workers[r]`` at ``points[r]`` for every
         row, as a new (n, d) array: bit for bit the ``worker_gradient`` calls
         in row order. Subclasses may batch them."""
-        return np.stack([self.worker_gradient(i, x) for i, x in zip(workers.tolist(), points)])
+        grads = [self.worker_gradient(i, x) for i, x in zip(workers.tolist(), points)]
+        return np.reshape(grads, (len(workers), self.dimension))
 
     def stochastic_gradients(
         self, points: np.ndarray, workers: np.ndarray, streams: WorkerStreams
@@ -194,10 +199,9 @@ class Problem:
         """
         noise = self.noise
         if noise.kind == "minibatch":
-            return np.stack([
-                worker_stochastic_gradient(self, i, x, streams.generators[i])
-                for i, x in zip(workers.tolist(), points)
-            ])
+            grads = [worker_stochastic_gradient(self, i, x, streams.generators[i])
+                     for i, x in zip(workers.tolist(), points)]
+            return np.reshape(grads, (len(workers), self.dimension))
         g = self.gradients(points, workers)
         if noise.sigma2 > 0:
             g += np.sqrt(noise.sigma2 / self.dimension) * streams.normal_rows(workers)
@@ -266,31 +270,27 @@ def global_loss_and_gradient(problem: Problem, x: np.ndarray) -> tuple[float, np
 
 
 class QuadraticProblem(Problem):
-    """Per-worker quadratic 0.5 (x - b_i)^T A_i (x - b_i).
+    """Per-worker quadratic 0.5 (x - b_i)^T A (x - b_i), one A for every worker.
 
-    ``a_mats`` may be a single shared matrix or one per worker. When
-    ``samples`` is given (one (n, d) array of centers per worker) the worker
-    objective becomes the mean over its sample cloud, b_i is the cloud mean,
-    and minibatch noise draws from the cloud.
+    When ``samples`` is given (one (n, d) array of centers per worker) the
+    worker objective becomes the mean over its sample cloud, b_i is the cloud
+    mean, and minibatch noise draws from the cloud. Every product with A goes
+    through ``_stacked_matvec``, whose bits did not depend on the BLAS thread
+    count on any shape tried.
     """
 
     kind = "quadratic"
 
-    def __init__(self, a_mats, b_vecs, noise: NoiseModel, samples=None):
+    def __init__(self, a, b_vecs, noise: NoiseModel, samples=None):
         b_vecs = [np.asarray(b, dtype=np.float64) for b in b_vecs]
         m = len(b_vecs)
         d = b_vecs[0].shape[0]
         super().__init__(m, d, noise)
-        if isinstance(a_mats, np.ndarray) and a_mats.ndim == 2:
-            a_mats = [np.asarray(a_mats, dtype=np.float64)] * m
-        self.a_mats = [np.asarray(a, dtype=np.float64) for a in a_mats]
-        if len(self.a_mats) != m:
-            raise ConfigError("need one curvature matrix per worker (or one shared)")
-        for a in self.distinct_curvatures():
-            if a.shape != (d, d):
-                raise ConfigError("curvature matrix shape mismatch")
-            if not np.allclose(a, a.T, atol=1e-12):
-                raise ConfigError("curvature matrices must be symmetric")
+        self.a = np.asarray(a, dtype=np.float64)
+        if self.a.shape != (d, d):
+            raise ConfigError("curvature matrix shape mismatch")
+        if not np.allclose(self.a, self.a.T, atol=1e-12):
+            raise ConfigError("curvature matrix must be symmetric")
         self.samples = None
         if samples is not None:
             self.samples = [np.asarray(s, dtype=np.float64) for s in samples]
@@ -299,21 +299,12 @@ class QuadraticProblem(Problem):
             b_vecs = [s.mean(axis=0) for s in self.samples]
         elif noise.kind == "minibatch":
             raise ConfigError("minibatch noise on a quadratic requires a sample cloud")
-        self.b_vecs = b_vecs
-        self.shared_curvature = all(a is self.a_mats[0] for a in self.a_mats) or all(
-            np.array_equal(a, self.a_mats[0]) for a in self.a_mats
-        )
-        # every worker's objective in stacked form: one A, centers as rows
-        self._centers = np.stack(b_vecs) if self.shared_curvature and samples is None else None
+        self.centers = np.stack(b_vecs)  # every worker's b_i as a row
         # row blocks of A for _stacked_matvec: starts at multiples of
         # MATVEC_BLOCK, the last block takes the remainder
         starts = range(0, max(d // MATVEC_BLOCK, 1) * MATVEC_BLOCK, MATVEC_BLOCK)
         stops = [*starts[1:], d]
-        self._row_blocks = [(self.a_mats[0][s], s) for s in map(slice, starts, stops)]
-
-    def distinct_curvatures(self) -> list[np.ndarray]:
-        """Each distinct curvature matrix once, by identity: one when shared."""
-        return list({id(a): a for a in self.a_mats}.values())
+        self._row_blocks = [(self.a[s], s) for s in map(slice, starts, stops)]
 
     def shard_size(self, worker_id):
         if self.samples is None:
@@ -322,32 +313,33 @@ class QuadraticProblem(Problem):
 
     def worker_gradient(self, worker_id, x, idx=None):
         if idx is None:
-            center = self.b_vecs[worker_id]
+            center = self.centers[worker_id]
         else:
             center = self.samples[worker_id][idx].mean(axis=0)
-        return self.a_mats[worker_id] @ (x - center)
+        return self._stacked_matvec((x - center)[None])[0]
 
     def worker_loss_and_gradient(self, worker_id, x):
-        a = self.a_mats[worker_id]
-        r = x - self.b_vecs[worker_id]
-        g = a @ r
+        r = x - self.centers[worker_id]
+        g = self._stacked_matvec(r[None])[0]
         if self.samples is None:
             return float(0.5 * r @ g), g
-        diffs = x[None, :] - self.samples[worker_id]
-        return float(0.5 * np.einsum("nd,de,ne->n", diffs, a, diffs).mean()), g
+        return self._cloud_loss(worker_id, x), g
 
     def losses_and_gradients(self, x):
-        if self._centers is None:
-            return super().losses_and_gradients(x)
-        r = x - self._centers
+        r = x - self.centers
         g = self._stacked_matvec(r)
-        return row_dots(0.5 * r, g).tolist(), g
+        if self.samples is None:
+            return row_dots(0.5 * r, g).tolist(), g
+        return [self._cloud_loss(i, x) for i in range(self.num_workers)], g
 
     def gradients(self, points, workers):
-        if self._centers is None:
-            return super().gradients(points, workers)
-        centers = self._centers if len(workers) == self.num_workers else self._centers[workers]
+        centers = self.centers if len(workers) == self.num_workers else self.centers[workers]
         return self._stacked_matvec(points - centers)
+
+    def _cloud_loss(self, worker_id, x):
+        """Worker ``worker_id``'s loss: the mean over its sample cloud."""
+        diffs = x - self.samples[worker_id]
+        return float(0.5 * np.einsum("nd,de,ne->n", diffs, self.a, diffs).mean())
 
     def _stacked_matvec(self, rows):
         # A @ r for every row r, bit for bit the 1-D gemv at one BLAS thread
@@ -359,7 +351,7 @@ class QuadraticProblem(Problem):
         # m = 16 and d = 90-2040). A separate short tail block changes bits,
         # so the remainder rides on the last block.
         if len(self._row_blocks) == 1:
-            return (self.a_mats[0] @ rows[..., None])[..., 0]
+            return (self.a @ rows[..., None])[..., 0]
         out = np.empty(rows.shape)
         cols = rows[..., None]
         for a_rows, s in self._row_blocks:
@@ -472,111 +464,74 @@ class MlpProblem(Problem):
 # synthetic problem builders (used by the config layer)
 # ---------------------------------------------------------------------------
 
-def build_quadratic(
-    m: int,
-    dimension: int,
-    noise: NoiseModel,
-    seed: int,
-    l_min: float = 1.0,
-    l_max: float = 1.0,
-    heterogeneity: float = 0.0,
-    samples_per_worker: int = 0,
-    sample_spread: float = 1.0,
-) -> QuadraticProblem:
-    """Shared-curvature quadratic with worker centers spread by ``heterogeneity``."""
+def build_quadratic(p: ProblemConfig, seed: int) -> QuadraticProblem:
+    """Shared-curvature quadratic with worker centers spread by ``p.heterogeneity``."""
     rng = rng_stream(seed, STREAM_DATA, 0)
-    if dimension == 1:
-        a = np.array([[l_max]])
+    d = p.dimension
+    if d == 1:
+        a = np.array([[p.l_max]])
     else:
         # R and q are dropped and a is symmetrised in place (same bits as
         # 0.5 * (a + a.T)) to keep set-up's peak memory down at large d.
         # a starts on a 64-byte cache line, as then do its row blocks at
         # d = 2000: the blocked gemv ran 13-14 ms there against 15.5-16.5 ms
         # at 16 or 48 bytes past one, where malloc left it by chance.
-        q = np.linalg.qr(rng.standard_normal((dimension, dimension)))[0]
-        eigs = np.linspace(float(l_min), float(l_max), dimension)
-        buf = np.empty(dimension * dimension + 8)
+        q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        eigs = np.linspace(float(p.l_min), float(p.l_max), d)
+        buf = np.empty(d * d + 8)
         start = -buf.ctypes.data % 64 // 8
-        a = buf[start:start + dimension * dimension].reshape(dimension, dimension)
+        a = buf[start:start + d * d].reshape(d, d)
         np.matmul(q * eigs, q.T, out=a)
         del q
         a += a.T
         a *= 0.5
-    b_vecs = []
-    for i in range(m):
-        wrng = rng_stream(seed, STREAM_DATA, 1 + i)
-        b_vecs.append(heterogeneity * wrng.standard_normal(dimension))
+    b_vecs = [p.heterogeneity * rng_stream(seed, STREAM_DATA, 1 + i).standard_normal(d)
+              for i in range(p.m)]
     samples = None
-    if samples_per_worker > 0:
-        samples = []
-        for i in range(m):
-            srng = rng_stream(seed, STREAM_DATA, 1000 + i)
-            cloud = b_vecs[i] + sample_spread * srng.standard_normal(
-                (samples_per_worker, dimension)
-            )
-            samples.append(cloud)
-    return QuadraticProblem(a, b_vecs, noise, samples=samples)
+    if p.samples_per_worker > 0:
+        samples = [
+            b + p.sample_spread * rng_stream(seed, STREAM_DATA, 1000 + i).standard_normal(
+                (p.samples_per_worker, d))
+            for i, b in enumerate(b_vecs)
+        ]
+    return QuadraticProblem(a, b_vecs, p.noise, samples=samples)
 
 
-def _flip_probability(heterogeneity: float, worker_id: int, m: int) -> float:
-    return heterogeneity * worker_id / max(m - 1, 1)
-
-
-def build_logistic(
-    m: int,
-    dimension: int,
-    samples_per_worker: int,
-    noise: NoiseModel,
-    seed: int,
-    heterogeneity: float = 0.0,
-) -> LogisticProblem:
-    """Gaussian features, labels from a shared ground-truth direction.
+def _labelled_shards(p: ProblemConfig, seed: int, input_dim: int, teacher):
+    """Each worker's Gaussian features f and +/-1 labels sign(teacher(f)).
 
     Worker i flips each label independently with probability
-    heterogeneity * i / (m - 1), so heterogeneity tunes zeta^2 from ~0 upward.
+    heterogeneity * i / (m - 1), so heterogeneity tunes zeta^2 from ~0
+    upward. The flips are drawn from the worker's data stream only when
+    that probability is above 0.
     """
-    base = rng_stream(seed, STREAM_DATA, 0)
-    w_true = base.standard_normal(dimension)
+    feats, labels = [], []
+    for i in range(p.m):
+        wrng = rng_stream(seed, STREAM_DATA, 1 + i)
+        f = wrng.standard_normal((p.samples_per_worker, input_dim))
+        y = np.where(teacher(f) >= 0, 1.0, -1.0)
+        p_flip = p.heterogeneity * i / max(p.m - 1, 1)
+        if p_flip > 0:
+            y = np.where(wrng.random(p.samples_per_worker) < p_flip, -y, y)
+        feats.append(f)
+        labels.append(y)
+    return feats, labels
+
+
+def build_logistic(p: ProblemConfig, seed: int) -> LogisticProblem:
+    """Labels from a shared ground-truth direction, flipped per worker."""
+    w_true = rng_stream(seed, STREAM_DATA, 0).standard_normal(p.dimension)
     w_true /= np.linalg.norm(w_true)
-    feats, labs = [], []
-    for i in range(m):
-        wrng = rng_stream(seed, STREAM_DATA, 1 + i)
-        f = wrng.standard_normal((samples_per_worker, dimension))
-        y = np.where(f @ w_true >= 0, 1.0, -1.0)
-        p_flip = _flip_probability(heterogeneity, i, m)
-        if p_flip > 0:
-            flips = wrng.random(samples_per_worker) < p_flip
-            y = np.where(flips, -y, y)
-        feats.append(f)
-        labs.append(y)
-    return LogisticProblem(feats, labs, noise)
+    feats, labels = _labelled_shards(p, seed, p.dimension, lambda f: f @ w_true)
+    return LogisticProblem(feats, labels, p.noise)
 
 
-def build_mlp(
-    m: int,
-    input_dim: int,
-    hidden: int,
-    samples_per_worker: int,
-    noise: NoiseModel,
-    seed: int,
-    heterogeneity: float = 0.0,
-) -> MlpProblem:
-    """Teacher-generated +/-1 targets with the same label-flip scheme as logistic."""
+def build_mlp(p: ProblemConfig, seed: int) -> MlpProblem:
+    """Targets from a random tanh teacher, flipped per worker as in logistic."""
     base = rng_stream(seed, STREAM_DATA, 0)
-    w1_t = base.standard_normal((hidden, input_dim))
-    b1_t = 0.1 * base.standard_normal(hidden)
-    w2_t = base.standard_normal(hidden)
-    b2_t = 0.0
-    feats, targs = [], []
-    for i in range(m):
-        wrng = rng_stream(seed, STREAM_DATA, 1 + i)
-        f = wrng.standard_normal((samples_per_worker, input_dim))
-        raw = np.tanh(f @ w1_t.T + b1_t) @ w2_t + b2_t
-        y = np.where(raw >= 0, 1.0, -1.0)
-        p_flip = _flip_probability(heterogeneity, i, m)
-        if p_flip > 0:
-            flips = wrng.random(samples_per_worker) < p_flip
-            y = np.where(flips, -y, y)
-        feats.append(f)
-        targs.append(y)
-    return MlpProblem(feats, targs, hidden, noise)
+    w1_t = base.standard_normal((p.hidden, p.input_dim))
+    b1_t = 0.1 * base.standard_normal(p.hidden)
+    w2_t = base.standard_normal(p.hidden)
+    feats, targets = _labelled_shards(
+        p, seed, p.input_dim, lambda f: np.tanh(f @ w1_t.T + b1_t) @ w2_t)
+    return MlpProblem(feats, targets, p.hidden, p.noise)

@@ -143,21 +143,18 @@ def estimate_V(
     base_config: BaseOptimizerConfig,
     samples: int = 100_000,
     seed: int = 0,
-    x: np.ndarray | None = None,
-    buffers: OptimizerBuffers | None = None,
 ) -> VEstimate:
-    """Monte-Carlo estimate of V = Var[(1/m) sum_i d_i] at a fixed state.
+    """Monte-Carlo estimate of V = Var[(1/m) sum_i d_i] at x = 0 with fresh
+    optimizer buffers; every sample starts from fresh buffers again.
 
     Column- and doubly-stochastic communication preserve the worker average
     of the update directions, so the averaged-direction distribution is the
-    same for every supported protocol. ``buffers`` is the workers' stacked
-    optimizer state the directions start from (fresh by default); every
-    sample starts from it again.
+    same for every supported protocol.
     """
     if not 100 <= samples <= MAX_V_SAMPLES:
         raise ConfigError(f"estimate_V needs 100 to {MAX_V_SAMPLES} samples, got {samples}")
     m, d = problem.num_workers, problem.dimension
-    x = np.zeros(d) if x is None else problem.check_point(x)
+    x = np.zeros(d)
 
     if base_config.kind == "plain-sgd" and problem.noise.kind == "additive-gaussian":
         # d_i = grad_i + eta_i: draw the noise in bulk, one block per worker
@@ -170,15 +167,14 @@ def estimate_V(
         noise_mean /= m
         dbars = mean_full[None, :] + noise_mean
     else:
-        if buffers is None:
-            buffers = OptimizerBuffers.fresh(base_config, m, d)
         streams = WorkerStreams(seed, m, d, block=64)
         workers = np.arange(m)
         points = np.tile(x, (m, 1))
         dbars = np.empty((samples, d))
         for s_idx in range(samples):
             grads = problem.stochastic_gradients(points, workers, streams)
-            directions = local_direction(base_config, buffers.copy(), grads)
+            buffers = OptimizerBuffers.fresh(base_config, m, d)
+            directions = local_direction(base_config, buffers, grads)
             dbars[s_idx] = rank_sum(directions, start=0.0) / m
 
     dev = dbars - dbars.mean(axis=0)

@@ -17,6 +17,7 @@ from slowmo_sim import (
     ExperimentConfig,
     GammaSchedule,
     NoiseModel,
+    ProblemConfig,
     QuadraticProblem,
     Simulation,
     SlowMoConfig,
@@ -63,8 +64,8 @@ def test_criterion_1_reduction_suite():
     noise = NoiseModel("additive-gaussian", sigma2=0.4)
 
     # (a) tau=1, alpha=1, beta=0.9, exact averaging == heavy-ball SGD
-    prob_a = build_quadratic(m=4, dimension=10, noise=noise, seed=31,
-                             l_min=0.5, l_max=2.0, heterogeneity=1.0)
+    prob_a = build_quadratic(ProblemConfig(m=4, dimension=10, noise=noise, l_min=0.5, l_max=2.0,
+                                           heterogeneity=1.0), seed=31)
     sim = Simulation(prob_a, ExperimentConfig(
         base=BaseOptimizerConfig(kind="plain-sgd"),
         slowmo=SlowMoConfig(alpha=1.0, beta=0.9, tau=1), protocol="allreduce",
@@ -73,8 +74,8 @@ def test_criterion_1_reduction_suite():
                        heavy_ball_reference(prob_a, 0.02, 0.9, 100, seed=1))
 
     # (b) alpha=1, beta=0: plain local SGD
-    prob_b = build_quadratic(m=4, dimension=6, noise=noise, seed=32,
-                             l_min=0.5, l_max=2.0, heterogeneity=1.0)
+    prob_b = build_quadratic(ProblemConfig(m=4, dimension=6, noise=noise, l_min=0.5, l_max=2.0,
+                                           heterogeneity=1.0), seed=32)
     sim = Simulation(prob_b, ExperimentConfig(
         base=BaseOptimizerConfig(kind="plain-sgd"),
         slowmo=SlowMoConfig(alpha=1.0, beta=0.0, tau=12), protocol="local",
@@ -83,8 +84,8 @@ def test_criterion_1_reduction_suite():
                        local_sgd_reference(prob_b, 0.05, tau=12, T=9, seed=2))
 
     # (c) m=1, beta=0, alpha=0.5: the slow/fast-weights interpolation
-    prob_c = build_quadratic(m=1, dimension=6, noise=noise, seed=33,
-                             l_min=0.5, l_max=2.0)
+    prob_c = build_quadratic(ProblemConfig(m=1, dimension=6, noise=noise, l_min=0.5,
+                                           l_max=2.0), seed=33)
     sim = Simulation(prob_c, ExperimentConfig(
         base=BaseOptimizerConfig(kind="plain-sgd"),
         slowmo=SlowMoConfig(alpha=0.5, beta=0.0, tau=5), protocol="local",
@@ -93,8 +94,8 @@ def test_criterion_1_reduction_suite():
                        lookahead_reference(prob_c, 0.08, alpha=0.5, tau=5, T=10, seed=3))
 
     # (d) zero-delay overlap push-sum == synchronous push-sum, 200 rounds, m=8
-    prob_d = build_quadratic(m=8, dimension=5, noise=noise, seed=34,
-                             l_min=0.5, l_max=2.0, heterogeneity=1.0)
+    prob_d = build_quadratic(ProblemConfig(m=8, dimension=5, noise=noise, l_min=0.5, l_max=2.0,
+                                           heterogeneity=1.0), seed=34)
     kw = dict(gamma=GammaSchedule(value=0.03), total_steps=200, seed=4)
     sgp = Simulation(prob_d, ExperimentConfig(
         base=BaseOptimizerConfig(kind="plain-sgd"),
@@ -123,8 +124,8 @@ def test_criterion_2_pushsum_invariants():
     noise = NoiseModel("additive-gaussian", sigma2=0.5)
     worst_mass_err = 0.0
     for m in (2, 8, 15):
-        prob = build_quadratic(m=m, dimension=3, noise=noise, seed=40 + m,
-                               l_min=0.5, l_max=2.0, heterogeneity=1.0)
+        prob = build_quadratic(ProblemConfig(m=m, dimension=3, noise=noise, l_min=0.5, l_max=2.0,
+                                             heterogeneity=1.0), seed=40 + m)
         for protocol in ("sgp", "osgp"):
             kw = {}
             if protocol == "osgp":
@@ -261,9 +262,9 @@ def test_criterion_5_linear_speedup_direction():
 # --------------------------------------------------------------------------- #
 
 def _desk_logistic():
-    return build_logistic(m=8, dimension=10, samples_per_worker=64,
-                          noise=NoiseModel("minibatch", batch_size=8),
-                          seed=42, heterogeneity=0.6)
+    return build_logistic(ProblemConfig(kind="logistic", m=8, dimension=10, samples_per_worker=64,
+                                        noise=NoiseModel("minibatch", batch_size=8),
+                                        heterogeneity=0.6), seed=42)
 
 
 def test_criterion_6_momentum_improves_base():
@@ -322,8 +323,8 @@ def test_criterion_7_noaverage_variant():
 
 def test_criterion_8_buffer_strategies():
     noise = NoiseModel("additive-gaussian", sigma2=0.3)
-    prob = build_quadratic(m=3, dimension=4, noise=noise, seed=60,
-                           l_min=0.5, l_max=2.0, heterogeneity=0.5)
+    prob = build_quadratic(ProblemConfig(m=3, dimension=4, noise=noise, l_min=0.5, l_max=2.0,
+                                         heterogeneity=0.5), seed=60)
     tau, total = 4, 11  # blocks 4+4+3: ends mid-block with t=2, k=3
     checked = []
     ok = True
@@ -359,8 +360,8 @@ def _state_summary(trace):
 
 def test_criterion_9_determinism():
     noise = NoiseModel("additive-gaussian", sigma2=0.4)
-    prob = build_quadratic(m=4, dimension=3, noise=noise, seed=70,
-                           l_min=0.5, l_max=2.0, heterogeneity=1.0)
+    prob = build_quadratic(ProblemConfig(m=4, dimension=3, noise=noise, l_min=0.5, l_max=2.0,
+                                         heterogeneity=1.0), seed=70)
     ok = True
     details = []
     for protocol in ("allreduce", "sgp", "osgp"):

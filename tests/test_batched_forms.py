@@ -9,6 +9,7 @@ sign bits, so a -0.0 that turns into +0.0 fails too.
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from slowmo_sim import (
     GammaSchedule,
     NoiseModel,
     OptimizerBuffers,
+    ProblemConfig,
     QuadraticProblem,
     Simulation,
     SlowMoConfig,
@@ -54,8 +56,9 @@ def _signed_rows(rng, shape):
 
 
 def _quadratic(m, d, sigma2=0.7):
-    return build_quadratic(m=m, dimension=d, seed=5, l_min=0.5, l_max=2.0, heterogeneity=1.0,
-                           noise=NoiseModel("additive-gaussian", sigma2=sigma2))
+    return build_quadratic(ProblemConfig(m=m, dimension=d, l_min=0.5, l_max=2.0, heterogeneity=1.0,
+                                         noise=NoiseModel("additive-gaussian", sigma2=sigma2)),
+                           seed=5)
 
 
 # --------------------------------------------------------------------------- #
@@ -104,32 +107,37 @@ def test_noiseless_stacked_oracle_draws_nothing():
 
 
 def test_default_oracle_loops_over_the_per_worker_call():
-    # problems without a stacked gemv: the exact oracle loops worker_gradient,
-    # and additive noise comes from the block draws of each worker's stream
+    # every problem kind: the exact oracle is the worker_gradient loop, bit
+    # for bit; additive noise comes from the block draws of each worker's
+    # stream and minibatch noise from its generator; no worker gives (0, d)
     m, d = 5, 4
     gauss = NoiseModel("additive-gaussian", sigma2=0.3)
+    minibatch = NoiseModel("minibatch", batch_size=3)
     rng = np.random.default_rng(8)
-    mats = [a @ a.T + np.eye(d) for a in rng.standard_normal((m, d, d))]
+    cloud = ProblemConfig(m=m, dimension=d, noise=gauss, l_min=0.5, l_max=2.0,
+                          heterogeneity=1.0, samples_per_worker=6)
+    logistic = ProblemConfig(kind="logistic", m=m, dimension=d, samples_per_worker=9,
+                             noise=gauss, heterogeneity=0.5)
     problems = {
-        "quadratic-per-worker": QuadraticProblem(mats, list(rng.standard_normal((m, d))), gauss),
-        "quadratic-cloud": build_quadratic(m=m, dimension=d, noise=gauss, seed=2, l_min=0.5,
-                                           l_max=2.0, heterogeneity=1.0, samples_per_worker=6),
-        "logistic": build_logistic(m=m, dimension=d, samples_per_worker=9, noise=gauss, seed=2,
-                                   heterogeneity=0.5),
-        "logistic-minibatch": build_logistic(m=m, dimension=d, samples_per_worker=9, seed=2,
-                                             noise=NoiseModel("minibatch", batch_size=3)),
-        "mlp": build_mlp(m=m, input_dim=3, hidden=2, samples_per_worker=9, noise=gauss, seed=2,
-                         heterogeneity=0.5),
+        "quadratic-cloud": build_quadratic(cloud, seed=2),
+        "quadratic-cloud-minibatch": build_quadratic(replace(cloud, noise=minibatch), seed=2),
+        "logistic": build_logistic(logistic, seed=2),
+        "logistic-minibatch": build_logistic(replace(logistic, noise=minibatch), seed=2),
+        "mlp": build_mlp(ProblemConfig(kind="mlp", m=m, input_dim=3, hidden=2,
+                                       samples_per_worker=9, noise=gauss, heterogeneity=0.5),
+                         seed=2),
     }
     for name, prob in problems.items():
         streams = WorkerStreams(1, m, prob.dimension, block=3)
         rngs = make_worker_rngs(1, m)
-        for step in range(9):  # stalled workers fall behind, so refills come apart
-            stepping = rng.choice(m, size=rng.integers(1, m), replace=False)
-            workers = np.sort(stepping) if step % 2 else np.arange(m)
+        # stalled workers fall behind, so refills come apart
+        subsets = [np.sort(rng.choice(m, size=rng.integers(1, m), replace=False)) if step % 2
+                   else np.arange(m) for step in range(9)]
+        for workers in subsets + [np.flatnonzero(np.zeros(m, bool))]:
             points = _signed_rows(rng, (len(workers), prob.dimension))
             want = [prob.worker_gradient(i, x) for i, x in zip(workers.tolist(), points)]
-            assert _same_bits(prob.gradients(points, workers), np.reshape(want, points.shape)), name
+            got = prob.gradients(points, workers)
+            assert _same_bits(got, np.reshape(want, points.shape)), name
             got = prob.stochastic_gradients(points, workers, streams)
             assert _same_bits(got, stochastic_gradients_reference(prob, points, workers, rngs)), name
 
@@ -189,7 +197,7 @@ def test_stacked_directions_match_per_worker_rule(kind, m, d):
         want = [_reference_direction(config, bufs.h[i], None if bufs.v is None else bufs.v[i],
                                      int(bufs.step[i]), g[r])
                 for r, i in enumerate(picked.tolist())]
-        before = bufs.copy()
+        before_h, before_step = bufs.h.copy(), bufs.step.copy()
         got = local_direction(config, bufs, g, rows)
         assert _same_bits(got, np.reshape([w[0] for w in want], g.shape))
         for (_, h, v, l), i in zip(want, picked.tolist()):
@@ -197,8 +205,8 @@ def test_stacked_directions_match_per_worker_rule(kind, m, d):
             if v is not None:
                 assert _same_bits(bufs.v[i], v)
         idle = np.setdiff1d(np.arange(m), picked)
-        assert _same_bits(bufs.h[idle], before.h[idle])
-        assert np.array_equal(bufs.step[idle], before.step[idle])
+        assert _same_bits(bufs.h[idle], before_h[idle])
+        assert np.array_equal(bufs.step[idle], before_step[idle])
 
 
 # --------------------------------------------------------------------------- #
@@ -238,8 +246,9 @@ def test_stacked_consensus_matches_per_worker_loop(protocol):
 
 def test_logistic_log_bias_is_the_per_worker_gradient_loop():
     # ||grad f(x_bar) - (1/m) sum_i E[d_i]||^2 with E[d_i] = bl^2 h_i + (1 + bl) grad f_i(z_i)
-    prob = build_logistic(m=5, dimension=4, samples_per_worker=9, seed=2, heterogeneity=0.5,
-                          noise=NoiseModel("additive-gaussian", sigma2=0.3))
+    prob = build_logistic(ProblemConfig(kind="logistic", m=5, dimension=4, samples_per_worker=9,
+                                        heterogeneity=0.5,
+                                        noise=NoiseModel("additive-gaussian", sigma2=0.3)), seed=2)
     bl = 0.8
     sim = Simulation(prob, ExperimentConfig(
         base=BaseOptimizerConfig(kind="sgd-nesterov", beta_local=bl), slowmo=SlowMoConfig(tau=3),
@@ -274,14 +283,19 @@ THREADED_FROM = 97
 _ROOT = Path(__file__).resolve().parent.parent
 
 
-def _shared_quadratic(m, d, rng, sigma2=0.0):
+def _shared_quadratic(m, d, rng, sigma2=0.0, cloud=0):
     """A shared symmetric A built without BLAS, so it has the same bits at
-    any BLAS thread count (build_quadratic's QR and product do not)."""
+    any BLAS thread count (build_quadratic's QR and product do not). With
+    ``cloud`` > 0 each worker has that many samples around its center, and
+    the noise is minibatches of two of them."""
     g = rng.standard_normal((d, d))
     a = (g + g.T) * (0.25 / np.sqrt(d))
     a[np.diag_indices(d)] += 2.0
     centers = _signed_rows(rng, (m, d))
-    return QuadraticProblem(a, list(centers), NoiseModel("additive-gaussian", sigma2=sigma2))
+    if not cloud:
+        return QuadraticProblem(a, list(centers), NoiseModel("additive-gaussian", sigma2=sigma2))
+    samples = [c + rng.standard_normal((cloud, d)) for c in centers]
+    return QuadraticProblem(a, list(centers), NoiseModel("minibatch", batch_size=2), samples)
 
 
 def check_blocked_gemv(d):
@@ -289,7 +303,7 @@ def check_blocked_gemv(d):
     rng = np.random.default_rng(d)
     for m in (1, 3, 16):
         prob = _shared_quadratic(m, d, rng)
-        a, centers = prob.a_mats[0], prob.b_vecs
+        a, centers = prob.a, prob.centers
         rows = _signed_rows(rng, (m, d))
         assert _same_bits(prob._stacked_matvec(rows), [a @ r for r in rows]), (m, d)
         streams = WorkerStreams(3, m, d, block=4)
@@ -303,6 +317,16 @@ def check_blocked_gemv(d):
         want_losses, want_grads = worker_losses_and_gradients(prob, x)
         assert losses == want_losses, (m, d)
         assert _same_bits(grads, want_grads), (m, d)
+        assert _same_bits(grads, [a @ (x - c) for c in centers]), (m, d)
+        # a sample cloud: minibatch gradients and the per-worker cloud losses
+        prob = _shared_quadratic(m, d, rng, cloud=5)
+        a, idx = prob.a, np.array([1, 3])
+        for i, x in enumerate(_signed_rows(rng, (m, d))):
+            want = a @ (x - prob.samples[i][idx].mean(axis=0))
+            assert _same_bits(prob.worker_gradient(i, x, idx), want), (m, d, i)
+        losses, grads = prob.losses_and_gradients(x)
+        assert losses == worker_losses_and_gradients(prob, x)[0], (m, d)
+        assert _same_bits(grads, [a @ (x - c) for c in prob.centers]), (m, d)
 
 
 def _run_python(code, blas_threads):
@@ -330,15 +354,17 @@ import numpy as np
 import test_batched_forms as t
 from slowmo_sim import (BaseOptimizerConfig, ExperimentConfig, GammaSchedule, Simulation,
                         SlowMoConfig)
-prob = t._shared_quadratic(4, 1500, np.random.default_rng(11), sigma2=0.5)
-sim = Simulation(prob, ExperimentConfig(
+cfg = ExperimentConfig(
     base=BaseOptimizerConfig(kind="sgd-nesterov"), slowmo=SlowMoConfig(tau=3, beta=0.5),
-    protocol="sgp", gamma=GammaSchedule(value=0.05), T=1, seed=2))
-print(sim.run().trace_hash())
+    protocol="sgp", gamma=GammaSchedule(value=0.05), T=1, seed=2)
+for kw in ({"sigma2": 0.5}, {"cloud": 6}):
+    prob = t._shared_quadratic(4, 1500, np.random.default_rng(11), **kw)
+    print(Simulation(prob, cfg).run().trace_hash())
 """
 
 
 def test_shared_curvature_trajectory_does_not_depend_on_blas_threads():
-    # at d = 1500 a whole-matrix gemv gives different bits at 1 and 2 threads
+    # at d = 1500 a whole-matrix gemv gives different bits at 1 and 2 threads;
+    # the second run is a sample cloud with minibatch noise
     hashes = {_run_python(_THREAD_RUN, threads) for threads in (1, 2)}
     assert len(hashes) == 1, hashes

@@ -561,6 +561,27 @@ def test_duplicate_custom_edge_is_a_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+UNBUILDABLE = {
+    "osgp-complete": {"protocol": "osgp", "topology": {"kind": "complete"}},
+    "osgp-custom": {"protocol": "osgp", "topology": {"kind": "custom", "rounds": [[[0, 1]]]}},
+    "edge-out-of-range": {"protocol": "sgp",
+                          "topology": {"kind": "custom", "rounds": [[[0, 2], [1, 0]]]}},
+    "edge-twice": {"protocol": "sgp",
+                   "topology": {"kind": "custom", "rounds": [[[0, 1], [1, 0], [0, 1]]]}},
+    "not-strongly-connected": {"protocol": "sgp",
+                               "topology": {"kind": "custom", "rounds": [[[0, 1]]]}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNBUILDABLE))
+def test_run_that_cannot_be_built_writes_nothing(case, tmp_path, capsys):
+    # each of these parses, and build_simulation rejects it
+    cfg_path = _write_cfg(tmp_path, _raw(**UNBUILDABLE[case]))
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_cli_rejects_negative_seed_override(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path, _raw())
     assert main(["run", "--config", cfg_path, "--seed", "-1",
@@ -583,7 +604,8 @@ def test_cli_abort_exit_code(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path, raw)
     code = main(["run", "--config", cfg_path, "--out", str(tmp_path / "x")])
     assert code == 2
-    # even aborted runs leave a partial trace behind
+    # even aborted runs leave their resolved config and a partial trace behind
+    assert (tmp_path / "x" / "resolved.json").exists()
     assert (tmp_path / "x" / "trace.jsonl").exists()
     capsys.readouterr()
 

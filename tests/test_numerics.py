@@ -1,6 +1,7 @@
 """RNG streams, noise models, and problem oracles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from slowmo_sim import (
     ConfigError,
     NoiseModel,
+    ProblemConfig,
     QuadraticProblem,
     build_logistic,
     build_mlp,
@@ -92,10 +94,9 @@ def test_additive_noise_unbiased(identity_quadratic):
 
 
 def test_minibatch_full_batch_is_exact(small_logistic):
-    prob = build_logistic(
-        m=2, dimension=3, samples_per_worker=12,
-        noise=NoiseModel("minibatch", batch_size=12), seed=3, heterogeneity=0.4,
-    )
+    prob = build_logistic(ProblemConfig(kind="logistic", m=2, dimension=3, samples_per_worker=12,
+                                        noise=NoiseModel("minibatch", batch_size=12),
+                                        heterogeneity=0.4), seed=3)
     x = np.array([0.1, -0.4, 0.2])
     rng = rng_stream(0, STREAM_NOISE, 0)
     g = worker_stochastic_gradient(prob, 0, x, rng)
@@ -119,10 +120,8 @@ def test_minibatch_unbiased(small_logistic):
 
 
 def test_minibatch_batch_too_large(small_logistic):
-    prob = build_logistic(
-        m=2, dimension=3, samples_per_worker=4,
-        noise=NoiseModel("minibatch", batch_size=9), seed=3,
-    )
+    prob = build_logistic(ProblemConfig(kind="logistic", m=2, dimension=3, samples_per_worker=4,
+                                        noise=NoiseModel("minibatch", batch_size=9)), seed=3)
     with pytest.raises(ConfigError):
         worker_stochastic_gradient(prob, 0, np.zeros(3), rng_stream(0, 1, 0))
 
@@ -143,16 +142,18 @@ def _fd_gradient(f, x, h=1e-6):
 @pytest.mark.parametrize("builder", ["quadratic", "logistic", "mlp"])
 def test_gradients_match_finite_differences(builder):
     if builder == "quadratic":
-        prob = build_quadratic(m=3, dimension=4, seed=11, l_min=0.5, l_max=3.0,
-                               heterogeneity=1.0,
-                               noise=NoiseModel("additive-gaussian", sigma2=0.0))
+        prob = build_quadratic(ProblemConfig(m=3, dimension=4, l_min=0.5, l_max=3.0,
+                                             heterogeneity=1.0,
+                                             noise=NoiseModel("additive-gaussian", sigma2=0.0)),
+                               seed=11)
     elif builder == "logistic":
-        prob = build_logistic(m=3, dimension=4, samples_per_worker=10, seed=11,
-                              heterogeneity=0.5,
-                              noise=NoiseModel("minibatch", batch_size=5))
+        prob = build_logistic(ProblemConfig(kind="logistic", m=3, dimension=4,
+                                            samples_per_worker=10, heterogeneity=0.5,
+                                            noise=NoiseModel("minibatch", batch_size=5)), seed=11)
     else:
-        prob = build_mlp(m=2, input_dim=3, hidden=4, samples_per_worker=8, seed=11,
-                         noise=NoiseModel("additive-gaussian", sigma2=0.0))
+        prob = build_mlp(ProblemConfig(kind="mlp", m=2, input_dim=3, hidden=4,
+                                       samples_per_worker=8,
+                                       noise=NoiseModel("additive-gaussian", sigma2=0.0)), seed=11)
     rng = rng_stream(99, STREAM_DATA, 0)
     for i in range(prob.num_workers):
         for _ in range(4):
@@ -177,22 +178,20 @@ def test_quadratic_global_loss_oracle(identity_quadratic):
 @pytest.mark.parametrize("d", [2, 5, 64, 333])
 def test_built_curvature_starts_on_a_cache_line(d):
     # the blocked gemv's speed follows A's alignment, which malloc leaves to chance
-    prob = build_quadratic(m=2, dimension=d, seed=d, l_min=0.5, l_max=2.0,
-                           noise=NoiseModel("additive-gaussian", sigma2=0.0))
-    a = prob.a_mats[0]
+    prob = build_quadratic(ProblemConfig(m=2, dimension=d, l_min=0.5, l_max=2.0,
+                                         noise=NoiseModel("additive-gaussian", sigma2=0.0)),
+                           seed=d)
+    a = prob.a
     assert a.ctypes.data % 64 == 0 and a.flags.c_contiguous
     assert np.array_equal(a, a.T)
 
 
 def test_quadratic_validation():
     noise = NoiseModel("additive-gaussian", sigma2=0.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="symmetric"):
         QuadraticProblem(np.array([[1.0, 0.5], [0.0, 1.0]]), [np.zeros(2)], noise)
-    asym = np.array([[1.0, 0.5], [0.0, 1.0]])
-    with pytest.raises(ConfigError, match="symmetric"):  # checked at every distinct matrix
-        QuadraticProblem([np.eye(2), np.eye(2), asym], [np.zeros(2)] * 3, noise)
     with pytest.raises(ConfigError, match="shape"):
-        QuadraticProblem([np.eye(2), np.eye(3)], [np.zeros(2)] * 2, noise)
+        QuadraticProblem(np.eye(3), [np.zeros(2)] * 2, noise)
     with pytest.raises(ConfigError):  # minibatch needs a sample cloud
         QuadraticProblem(np.eye(2), [np.zeros(2)], NoiseModel("minibatch", batch_size=1))
 
@@ -207,23 +206,19 @@ def test_shared_curvature_is_checked_once(monkeypatch):
 
 def _fused_cases():
     gauss = NoiseModel("additive-gaussian", sigma2=0.3)
-    rng = np.random.default_rng(4)
-    mats = []
-    for _ in range(3):
-        a = rng.standard_normal((4, 4))
-        mats.append(a @ a.T + np.eye(4))
+    quadratic = ProblemConfig(m=3, dimension=4, noise=gauss, l_min=0.5, l_max=2.0,
+                              heterogeneity=1.0)
     return {
-        "quadratic-shared": build_quadratic(m=3, dimension=4, noise=gauss, seed=2,
-                                            l_min=0.5, l_max=2.0, heterogeneity=1.0),
-        "quadratic-per-worker": QuadraticProblem(
-            mats, [rng.standard_normal(4) for _ in range(3)], gauss),
+        "quadratic-shared": build_quadratic(quadratic, seed=2),
         "quadratic-cloud": build_quadratic(
-            m=3, dimension=4, noise=NoiseModel("minibatch", batch_size=2), seed=2,
-            l_min=0.5, l_max=2.0, heterogeneity=1.0, samples_per_worker=5),
-        "logistic": build_logistic(m=3, dimension=4, samples_per_worker=9, noise=gauss,
-                                   seed=2, heterogeneity=0.5),
-        "mlp": build_mlp(m=3, input_dim=3, hidden=4, samples_per_worker=9, noise=gauss,
-                         seed=2, heterogeneity=0.5),
+            replace(quadratic, noise=NoiseModel("minibatch", batch_size=2), samples_per_worker=5),
+            seed=2),
+        "logistic": build_logistic(ProblemConfig(kind="logistic", m=3, dimension=4,
+                                                 samples_per_worker=9, noise=gauss,
+                                                 heterogeneity=0.5), seed=2),
+        "mlp": build_mlp(ProblemConfig(kind="mlp", m=3, input_dim=3, hidden=4,
+                                       samples_per_worker=9, noise=gauss, heterogeneity=0.5),
+                         seed=2),
     }
 
 
@@ -257,9 +252,9 @@ def test_check_point_shape_guard(identity_quadratic):
 @given(st.integers(0, 2 ** 31 - 1))
 @settings(max_examples=25, deadline=None)
 def test_global_gradient_is_mean_of_workers(seed):
-    prob = build_quadratic(m=4, dimension=3, seed=5, l_min=1.0, l_max=2.0,
-                           heterogeneity=0.7,
-                           noise=NoiseModel("additive-gaussian", sigma2=0.0))
+    prob = build_quadratic(ProblemConfig(m=4, dimension=3, l_min=1.0, l_max=2.0, heterogeneity=0.7,
+                                         noise=NoiseModel("additive-gaussian", sigma2=0.0)),
+                           seed=5)
     x = rng_stream(seed, STREAM_DATA, 0).standard_normal(3)
     manual = prob.worker_gradient(0, x).copy()
     for i in range(1, 4):
@@ -271,11 +266,11 @@ def test_global_gradient_is_mean_of_workers(seed):
 @given(st.integers(0, 2 ** 31 - 1))
 @settings(max_examples=25, deadline=None)
 def test_quadratic_gradient_is_affine(seed):
-    prob = build_quadratic(m=2, dimension=3, seed=21, l_min=0.5, l_max=4.0,
-                           heterogeneity=1.0,
-                           noise=NoiseModel("additive-gaussian", sigma2=0.0))
+    prob = build_quadratic(ProblemConfig(m=2, dimension=3, l_min=0.5, l_max=4.0, heterogeneity=1.0,
+                                         noise=NoiseModel("additive-gaussian", sigma2=0.0)),
+                           seed=21)
     rng = rng_stream(seed, STREAM_DATA, 1)
     x, y = rng.standard_normal(3), rng.standard_normal(3)
     lhs = prob.worker_gradient(0, x) - prob.worker_gradient(0, y)
-    assert np.allclose(lhs, prob.a_mats[0] @ (x - y), atol=1e-12)
+    assert np.allclose(lhs, prob.a @ (x - y), atol=1e-12)
 

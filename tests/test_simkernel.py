@@ -14,10 +14,12 @@ from slowmo_sim import (
     MetricsTrace,
     NoiseModel,
     NumericalAbort,
+    ProblemConfig,
     ProtocolError,
     QuadraticProblem,
     Simulation,
     SlowMoConfig,
+    build_logistic,
     build_quadratic,
     global_loss,
 )
@@ -26,9 +28,9 @@ from slowmo_sim.simkernel import RECORD_FIELDS
 
 
 def _problem(m=3, sigma2=0.4, seed=17):
-    return build_quadratic(m=m, dimension=3, seed=seed, l_min=0.5, l_max=2.0,
-                           heterogeneity=1.0,
-                           noise=NoiseModel("additive-gaussian", sigma2=sigma2))
+    return build_quadratic(ProblemConfig(m=m, dimension=3, l_min=0.5, l_max=2.0, heterogeneity=1.0,
+                                         noise=NoiseModel("additive-gaussian", sigma2=sigma2)),
+                           seed=seed)
 
 
 def _sim(prob=None, protocol="allreduce", seed=0, x0=None, **kw):
@@ -223,16 +225,16 @@ def test_bias_is_zero_when_workers_agree_and_gradients_are_exact():
 
 
 def test_bias_is_positive_once_workers_drift():
-    # shared curvature would make the averaged direction exact by linearity,
-    # so give the workers different Hessians
-    prob = QuadraticProblem([np.array([[1.0]]), np.array([[3.0]])],
-                            [np.array([2.0]), np.array([-2.0])],
-                            NoiseModel("additive-gaussian", sigma2=0.0))
+    # a quadratic's shared curvature would make the averaged direction exact
+    # by linearity, so the workers have logistic objectives
+    prob = build_logistic(ProblemConfig(kind="logistic", m=2, dimension=3, samples_per_worker=10,
+                                        heterogeneity=1.0,
+                                        noise=NoiseModel("additive-gaussian", sigma2=0.0)),
+                          seed=1)
     sim = Simulation(prob, ExperimentConfig(
         base=BaseOptimizerConfig(kind="plain-sgd"),
         slowmo=SlowMoConfig(alpha=1.0, beta=0.0, tau=4),
-        protocol="local", gamma=GammaSchedule(value=0.05), T=2, seed=0, log_bias=True),
-        np.array([1.0]))
+        protocol="local", gamma=GammaSchedule(value=0.5), T=2, seed=0, log_bias=True))
     trace = sim.run()
     for r in trace.records:
         if r["k"] == 0:

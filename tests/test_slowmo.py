@@ -10,6 +10,7 @@ from slowmo_sim import (
     ExperimentConfig,
     GammaSchedule,
     NoiseModel,
+    ProblemConfig,
     Simulation,
     SlowMoConfig,
     build_quadratic,
@@ -71,9 +72,9 @@ def test_gamma_schedule_constant_and_step():
 # --------------------------------------------------------------------------- #
 
 def _noisy_quadratic(m, d=3, seed=17):
-    return build_quadratic(m=m, dimension=d, seed=seed, l_min=0.5, l_max=2.0,
-                           heterogeneity=1.0,
-                           noise=NoiseModel("additive-gaussian", sigma2=0.4))
+    return build_quadratic(ProblemConfig(m=m, dimension=d, l_min=0.5, l_max=2.0, heterogeneity=1.0,
+                                         noise=NoiseModel("additive-gaussian", sigma2=0.4)),
+                           seed=seed)
 
 
 def _xbar_trace(sim):
@@ -166,9 +167,9 @@ def test_u_accumulates_averaged_directions(protocol, monkeypatch):
 
 def test_u_after_one_block_is_gamma_invariant():
     # at tau=1 with no gradient noise, u_1 = dbar(x_0) whatever gamma is
-    prob = build_quadratic(m=2, dimension=3, seed=4, l_min=1.0, l_max=2.0,
-                           heterogeneity=1.0,
-                           noise=NoiseModel("additive-gaussian", sigma2=0.0))
+    prob = build_quadratic(ProblemConfig(m=2, dimension=3, l_min=1.0, l_max=2.0, heterogeneity=1.0,
+                                         noise=NoiseModel("additive-gaussian", sigma2=0.0)),
+                           seed=4)
     us = []
     for gamma in (0.01, 0.1, 1.0):
         sim = Simulation(prob, ExperimentConfig(

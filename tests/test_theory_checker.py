@@ -10,6 +10,7 @@ from slowmo_sim import (
     BoundInputs,
     ConfigError,
     NoiseModel,
+    ProblemConfig,
     QuadraticProblem,
     build_logistic,
     check_bound,
@@ -117,8 +118,8 @@ def test_estimate_v_matches_additive_theory():
 
 
 def test_estimate_v_general_path_runs():
-    prob = build_logistic(m=2, dimension=3, samples_per_worker=10,
-                          noise=NoiseModel("minibatch", batch_size=3), seed=1)
+    prob = build_logistic(ProblemConfig(kind="logistic", m=2, dimension=3, samples_per_worker=10,
+                                        noise=NoiseModel("minibatch", batch_size=3)), seed=1)
     est = estimate_V(prob, BaseOptimizerConfig(kind="sgd-nesterov"), samples=400)
     assert est.value > 0 and est.std_error > 0
 
