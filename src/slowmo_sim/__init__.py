@@ -64,7 +64,6 @@ from .theory_checker import (
 )
 from .topology import (
     TopologySchedule,
-    custom_schedule,
     mixing_matrix,
     out_neighbor,
     validate_strong_connectivity,

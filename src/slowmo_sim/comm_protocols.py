@@ -22,7 +22,8 @@ when it drifts.
 
 Gossip and push-sum rounds mix through a sparse ``SlotMixing`` form of the
 round's matrix, compiled from the nonzeros ``topology.mixing_matrix`` builds
-out of the edge list (no m x m array) and validated once per period entry: a
+out of the edge list (no m x m array) and validated once per period entry
+(every entry when a dpsgd protocol is built, on first use for push-sum): a
 round costs O(nnz * d), O(m * d) on one-peer graphs, and adds each row's
 terms in ascending sender rank, so trajectories match a dense double loop
 bit for bit. OSGP keeps its in-flight messages as one batch of arrays per
@@ -36,7 +37,7 @@ and in-flight sums add in (sender, receiver, send round) order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -45,7 +46,8 @@ from .errors import ConfigError, ProtocolError
 from .numerics import STREAM_DELAY, float_sum, rank_sum, rng_stream
 from .topology import TopologySchedule, mixing_matrix, out_neighbor
 
-PROTOCOL_NAMES = ("allreduce", "local", "dpsgd", "sgp", "osgp", "double-average")
+if TYPE_CHECKING:  # config imports this module
+    from .config import ExperimentConfig
 
 
 class WorkerStates:
@@ -215,15 +217,17 @@ def osgp_step(
 class _ProtocolBase:
     """Kernel-facing adapter: one object per run, consulted every round.
 
-    ``apply_round(states, half, round_index)`` gets the stacked states and
-    the (n, d) half-steps x - gamma*d of the n workers ``active_workers()``
-    named, in that order.
+    Every protocol is built as ``cls(cfg, m, schedule)`` from the run's
+    config, its worker count and its topology schedule (None for the kinds
+    that do not mix). ``apply_round(states, half, round_index)`` gets the
+    stacked states and the (n, d) half-steps x - gamma*d of the n workers
+    ``active_workers()`` named, in that order.
     """
 
     name = "abstract"
     debias = False
 
-    def __init__(self, m: int):
+    def __init__(self, cfg: ExperimentConfig, m: int, schedule: TopologySchedule | None):
         self.m = m
         self._everyone = np.arange(m)
 
@@ -264,43 +268,47 @@ class DoubleAverageProtocol(_ProtocolBase):
         double_average(states)
 
 
-class _MixingCache:
-    """The schedule's mixing matrices, validated and compiled once per period entry."""
+class _MixingProtocol(_ProtocolBase):
+    """A protocol that mixes through its topology schedule's matrices, each
+    validated and compiled once per period entry."""
 
-    def __init__(self, schedule: TopologySchedule, stochasticity: str):
+    stochasticity = "column"
+
+    def __init__(self, cfg, m, schedule):
+        super().__init__(cfg, m, schedule)
         self.schedule = schedule
-        self.stochasticity = stochasticity
-        self._cache: dict[int, SlotMixing] = {}
+        self._compiled: dict[int, SlotMixing] = {}
 
-    def at(self, round_index: int) -> SlotMixing:
+    def mixing(self, round_index: int) -> SlotMixing:
         key = round_index % self.schedule.period
-        if key not in self._cache:
-            self._cache[key] = SlotMixing(
-                self.schedule.m, *mixing_matrix(self.schedule, key, self.stochasticity))
-        return self._cache[key]
+        if key not in self._compiled:
+            self._compiled[key] = SlotMixing(
+                self.m, *mixing_matrix(self.schedule, key, self.stochasticity))
+        return self._compiled[key]
 
 
-class GossipProtocol(_ProtocolBase):
+class GossipProtocol(_MixingProtocol):
+    """Compiles its whole period when built, so a round whose edges cannot
+    be paired is a ConfigError before the run starts."""
+
     name = "dpsgd"
+    stochasticity = "doubly"
 
-    def __init__(self, m, schedule: TopologySchedule):
-        super().__init__(m)
-        self.mixing = _MixingCache(schedule, "doubly")
+    def __init__(self, cfg, m, schedule):
+        super().__init__(cfg, m, schedule)
+        for k in range(schedule.period):
+            self.mixing(k)
 
     def apply_round(self, states, half, round_index):
-        gossip_round(states, self.mixing.at(round_index), half)
+        gossip_round(states, self.mixing(round_index), half)
 
 
-class PushSumProtocol(_ProtocolBase):
+class PushSumProtocol(_MixingProtocol):
     name = "sgp"
     debias = True
 
-    def __init__(self, m, schedule: TopologySchedule):
-        super().__init__(m)
-        self.mixing = _MixingCache(schedule, "column")
-
     def apply_round(self, states, half, round_index):
-        pushsum_round(states, self.mixing.at(round_index), half)
+        pushsum_round(states, self.mixing(round_index), half)
 
 
 class _Batch(NamedTuple):
@@ -318,7 +326,7 @@ class _Batch(NamedTuple):
         return _Batch(self.send_round, *(column[keep] for column in self[1:]))
 
 
-class OverlapPushSumProtocol(_ProtocolBase):
+class OverlapPushSumProtocol(_MixingProtocol):
     """Push-sum with delayed, non-blocking messages and a staleness bound.
 
     In-flight messages are kept as one ``_Batch`` per send round, in send
@@ -331,20 +339,16 @@ class OverlapPushSumProtocol(_ProtocolBase):
     name = "osgp"
     debias = True
 
-    def __init__(self, m, schedule: TopologySchedule, staleness: int,
-                 delay: DelayModel, seed: int):
-        super().__init__(m)
-        if staleness < 0:
-            raise ConfigError("staleness bound must be >= 0")
+    def __init__(self, cfg, m, schedule):
+        super().__init__(cfg, m, schedule)
         out_neighbor(schedule, 0, 0)  # ConfigError unless every worker has one out-neighbor
-        self.staleness = staleness
-        self.delay = delay
-        self.mixing = _MixingCache(schedule, "column")
+        self.staleness = cfg.osgp.staleness
+        self.delay = cfg.osgp.delay
         self.batches: list[_Batch] = []
         self.last_delivery = np.full((schedule.period, m), -1, dtype=np.int64)
         self.count_since_last = np.zeros(m, dtype=np.int64)
         self.stalled = np.zeros(m, dtype=bool)
-        self._delay_rng = rng_stream(seed, STREAM_DELAY, 0)
+        self._delay_rng = rng_stream(cfg.seed, STREAM_DELAY, 0)
 
     def active_workers(self):
         return np.flatnonzero(~self.stalled)
@@ -360,7 +364,7 @@ class OverlapPushSumProtocol(_ProtocolBase):
             raise ProtocolError(
                 "every worker is stalled and no messages are in flight"
             )
-        mix = self.mixing.at(round_index)
+        mix = self.mixing(round_index)
         # delays are drawn for the senders in ascending rank
         lags = np.array(self.delay.draw(self._delay_rng, senders.size), dtype=np.int64)
         last = self.last_delivery[round_index % len(self.last_delivery)]
@@ -414,28 +418,22 @@ class OverlapPushSumProtocol(_ProtocolBase):
         return rank_sum(x[order], start=0.0), float_sum(w[order].tolist())
 
 
+PROTOCOLS = {
+    "allreduce": AllReduceProtocol,
+    "local": LocalProtocol,
+    "dpsgd": GossipProtocol,
+    "sgp": PushSumProtocol,
+    "osgp": OverlapPushSumProtocol,
+    "double-average": DoubleAverageProtocol,
+}
+PROTOCOL_NAMES = tuple(PROTOCOLS)
+# the protocols that need a topology schedule
+MIXING_PROTOCOLS = frozenset(n for n, cls in PROTOCOLS.items() if issubclass(cls, _MixingProtocol))
+
+
 def make_protocol(
-    name: str,
-    m: int,
-    schedule: TopologySchedule | None = None,
-    staleness: int = 4,
-    delay: DelayModel | None = None,
-    seed: int = 0,
+    cfg: ExperimentConfig, m: int, schedule: TopologySchedule | None
 ) -> _ProtocolBase:
-    if name == "local":
-        return LocalProtocol(m)
-    if name == "allreduce":
-        return AllReduceProtocol(m)
-    if name == "double-average":
-        return DoubleAverageProtocol(m)
-    if schedule is None:
-        raise ConfigError(f"protocol {name!r} needs a topology schedule")
-    if name == "dpsgd":
-        return GossipProtocol(m, schedule)
-    if name == "sgp":
-        return PushSumProtocol(m, schedule)
-    if name == "osgp":
-        return OverlapPushSumProtocol(
-            m, schedule, staleness, delay or DelayModel(), seed
-        )
-    raise ConfigError(f"unknown protocol {name!r}")
+    """The protocol ``cfg.protocol`` names, for m workers; a mixing protocol
+    mixes by ``schedule``, which the others ignore."""
+    return PROTOCOLS[cfg.protocol](cfg, m, schedule)

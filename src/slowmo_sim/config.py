@@ -8,8 +8,10 @@ JSON, rejecting unknown fields anywhere in the tree. ``resolved_dict`` dumps
 every field explicitly, defaults included, so a run can always be reproduced
 from its resolved.json alone. ``build_simulation`` builds the problem and
 start point from the config and hands both, with the config itself, to
-``Simulation``, which runs no checks of its own: every rule on a run's
-settings lives here.
+``Simulation``. The rules on a run's settings live here, except the ones
+that need its topology, which ``Simulation`` checks as it builds the
+schedule and protocol: custom edges, connectivity, dpsgd's pairing and
+osgp's one peer. Either way a bad config fails before anything is written.
 """
 
 from __future__ import annotations
@@ -176,13 +178,11 @@ class ProblemConfig:
                            MAX_QUADRATIC_DIMENSION)
             if self.l_min <= 0 or self.l_max < self.l_min:
                 raise ConfigError("need 0 < l_min <= l_max")
-            if self.noise.kind == "minibatch" and self.samples_per_worker < 1:
-                raise ConfigError(
-                    "minibatch noise on a quadratic needs samples_per_worker >= 1"
-                )
-        else:
-            if self.samples_per_worker < 1:
-                raise ConfigError(f"{self.kind} needs samples_per_worker >= 1")
+        elif self.samples_per_worker < 1:
+            raise ConfigError(f"{self.kind} needs samples_per_worker >= 1")
+        if self.noise.kind == "minibatch" and self.noise.batch_size > self.samples_per_worker:
+            raise ConfigError(f"problem.noise.batch_size {self.noise.batch_size} exceeds "
+                              f"problem.samples_per_worker {self.samples_per_worker}")
 
 
 @dataclass(frozen=True)
@@ -217,8 +217,9 @@ class TopologyConfig:
     def __post_init__(self):
         if self.kind not in TOPOLOGY_KINDS:
             raise ConfigError(f"unknown topology kind {self.kind!r}")
-        if self.kind == "custom" and not self.rounds:
-            raise ConfigError("custom topology needs a nonempty rounds list")
+        if (self.kind == "custom") != bool(self.rounds):
+            raise ConfigError("topology.rounds must be nonempty for the custom kind, "
+                              "and empty for the others")
 
 
 @dataclass(frozen=True)

@@ -56,8 +56,11 @@ def emit_metrics(trace: MetricsTrace, out_dir: str, fmt: str = "both") -> dict:
 def equivalence_check(
     trace_a: MetricsTrace, trace_b: MetricsTrace, tol: float = 1e-10
 ) -> dict:
-    """Compare the average-iterate sequences of two traces coordinatewise."""
+    """Compare the average-iterate sequences of two traces coordinatewise.
+    Two traces with no records are a ConfigError, not a pass."""
     ra, rb = trace_a.records, trace_b.records
+    if not ra and not rb:
+        raise ConfigError("both traces hold no records, so there is nothing to compare")
     if len(ra) != len(rb):
         return {
             "passed": False,
@@ -198,6 +201,8 @@ _CONSTANT_FIELDS = {
     "delta": None, "m": None, "tau": None, "T": None, "L": None, "V": None,
     "alpha": 1.0, "beta": 0.0, "gamma": None, "bias": {},
 }
+# the bias spec's keys besides "mode", by mode
+_BIAS_KEYS = {"measured": (), "surrogate": ("sigma2", "zeta2"), "value": ("value",)}
 
 
 def assemble_bound_inputs(constants: dict, traces) -> tuple[BoundInputs, list[str]]:
@@ -206,7 +211,8 @@ def assemble_bound_inputs(constants: dict, traces) -> tuple[BoundInputs, list[st
     bias modes: {"mode": "measured"} averages the logged per-step gaps;
     {"mode": "surrogate", "sigma2": s, "zeta2": z} uses the plain-SGD
     local-step surrogate; {"mode": "value", "value": v} passes v through.
-    Returns extra condition-not-met reasons (e.g. surrogate validity).
+    A bias key the mode does not read is refused. Returns extra
+    condition-not-met reasons (e.g. surrogate validity).
     """
     if not isinstance(constants, dict):
         raise ConfigError("constants must be a JSON object")
@@ -227,6 +233,11 @@ def assemble_bound_inputs(constants: dict, traces) -> tuple[BoundInputs, list[st
     if not isinstance(bias_spec, dict):
         raise ConfigError(f"bias must be an object, got {bias_spec!r}")
     mode = bias_spec.get("mode", "value")
+    if not isinstance(mode, str) or mode not in _BIAS_KEYS:
+        raise ConfigError(f"unknown bias mode {mode!r}")
+    stray = sorted(set(bias_spec) - {"mode", *_BIAS_KEYS[mode]})
+    if stray:
+        raise ConfigError(f'bias mode "{mode}" does not read {stray}')
     reasons = []
     if mode == "measured":
         bias_term = measured_bias_term(traces)
@@ -239,10 +250,8 @@ def assemble_bound_inputs(constants: dict, traces) -> tuple[BoundInputs, list[st
         except ConfigError as exc:
             reasons.append(str(exc))
             bias_term = 0.0
-    elif mode == "value":
-        bias_term = _bias_number(bias_spec, "value")
     else:
-        raise ConfigError(f"unknown bias mode {mode!r}")
+        bias_term = _bias_number(bias_spec, "value")
 
     inputs = BoundInputs(
         delta=float(vals["delta"]), m=int(vals["m"]), tau=int(vals["tau"]),

@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .base_optimizers import OptimizerBuffers, local_direction
-from .comm_protocols import WorkerStates, make_protocol
+from .comm_protocols import MIXING_PROTOCOLS, WorkerStates, make_protocol
 from .errors import ConfigError, NumericalAbort, ProtocolError
 from .numerics import (
     Problem,
@@ -56,7 +56,7 @@ from .numerics import (
     worker_stochastic_gradient,
 )
 from .slowmo import SlowMoState, run_outer_iteration
-from .topology import TopologySchedule, custom_schedule, validate_strong_connectivity
+from .topology import TopologySchedule, validate_strong_connectivity
 
 if TYPE_CHECKING:  # config imports this module
     from .config import ExperimentConfig
@@ -82,9 +82,8 @@ class SimClock:
 
 @dataclass
 class MetricsTrace:
-    """Recorded metrics plus a run summary and descriptive metadata."""
+    """Recorded metrics plus a run summary."""
 
-    meta: dict = field(default_factory=dict)
     records: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
 
@@ -117,16 +116,10 @@ class Simulation:
         self.partial_final_block = self.total_steps % tau != 0
 
         schedule = None
-        if cfg.protocol in ("dpsgd", "sgp", "osgp"):
-            if cfg.topology.kind == "custom":
-                schedule = custom_schedule(self.m, cfg.topology.rounds)
-            else:
-                schedule = TopologySchedule(kind=cfg.topology.kind, m=self.m)
+        if cfg.protocol in MIXING_PROTOCOLS:
+            schedule = TopologySchedule(cfg.topology.kind, self.m, cfg.topology.rounds)
             validate_strong_connectivity(schedule)
-        self.protocol = make_protocol(
-            cfg.protocol, self.m, schedule=schedule, staleness=cfg.osgp.staleness,
-            delay=cfg.osgp.delay, seed=cfg.seed,
-        )
+        self.protocol = make_protocol(cfg, self.m, schedule)
 
         x0 = problem.check_point(np.zeros(self.d) if x0 is None else x0)
         self.states = WorkerStates(
@@ -242,11 +235,7 @@ class Simulation:
             "t": self.clock.t, "k": self.clock.k,
             "round": self.clock.round, "worker": i,
         }
-        trace = MetricsTrace(
-            meta=self._meta(),
-            records=list(self._records),
-            summary={"aborted": True, **diag},
-        )
+        trace = MetricsTrace(records=list(self._records), summary={"aborted": True, **diag})
         raise NumericalAbort(
             f"non-finite state on worker {i} at t={self.clock.t} k={self.clock.k}",
             diagnostic=diag,
@@ -266,22 +255,6 @@ class Simulation:
         while self.clock.t < self.T:
             run_outer_iteration(self)
         return self.finish()
-
-    def _meta(self) -> dict:
-        return {
-            "m": self.m,
-            "dimension": self.d,
-            "problem": self.problem.kind,
-            "protocol": self.protocol.name,
-            "base": self.cfg.base.kind,
-            "tau": self.cfg.slowmo.tau,
-            "alpha": self.cfg.slowmo.alpha,
-            "beta": self.cfg.slowmo.beta,
-            "noaverage": self.cfg.slowmo.noaverage,
-            "T": self.T,
-            "seed": self.cfg.seed,
-            "metric_cadence": self.cfg.metric_cadence,
-        }
 
     def finish(self) -> MetricsTrace:
         if self._trace is not None:
@@ -303,5 +276,5 @@ class Simulation:
             "partial_final_block": self.partial_final_block,
             "aborted": False,
         }
-        self._trace = MetricsTrace(meta=self._meta(), records=self._records, summary=summary)
+        self._trace = MetricsTrace(records=self._records, summary=summary)
         return self._trace

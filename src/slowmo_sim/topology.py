@@ -25,7 +25,10 @@ class TopologySchedule:
     """A periodic schedule of directed out-edges.
 
     For ``custom`` kind, ``rounds`` holds one list of (sender, receiver)
-    pairs per round in the period; other kinds generate edges on the fly.
+    pairs per round in the period, kept as tuples; other kinds generate
+    edges on the fly and take no rounds. An edge listed twice in one round
+    is refused: the column-stochastic mixing matrix would count it twice in
+    the sender's out-degree.
     """
 
     kind: str
@@ -37,8 +40,18 @@ class TopologySchedule:
             raise ConfigError(f"unknown topology kind {self.kind!r}")
         if self.m < 1:
             raise ConfigError("topology needs m >= 1")
-        if self.kind == "custom" and len(self.rounds) == 0:
-            raise ConfigError("custom topology needs at least one round")
+        if (self.kind == "custom") != (len(self.rounds) > 0):
+            raise ConfigError("a custom topology needs at least one round; other kinds take none")
+        rounds = tuple(tuple((int(i), int(j)) for i, j in edges) for edges in self.rounds)
+        for r, edges in enumerate(rounds):
+            seen = set()
+            for i, j in edges:
+                if not (0 <= i < self.m and 0 <= j < self.m):
+                    raise ConfigError(f"edge ({i},{j}) out of range for m={self.m}")
+                if (i, j) in seen:
+                    raise ConfigError(f"round {r} lists edge ({i},{j}) twice")
+                seen.add((i, j))
+        object.__setattr__(self, "rounds", rounds)
 
     @property
     def period(self) -> int:
@@ -87,11 +100,10 @@ def out_edges(schedule: TopologySchedule, round_index: int) -> list[tuple[int, i
         return list(zip(senders.tolist(), receivers.tolist()))
     if schedule.kind == "complete":
         return [(i, j) for i in range(m) for j in range(m) if i != j]
-    edges = schedule.rounds[round_index % len(schedule.rounds)]
-    return [tuple(e) for e in edges]
+    return list(schedule.rounds[round_index % len(schedule.rounds)])
 
 
-def _matching_partners(m: int, edges: list[tuple[int, int]]) -> np.ndarray:
+def _matching_partners(m: int, edges: list[tuple[int, int]], r: int) -> np.ndarray:
     """Symmetrize a round's directed edges into a perfect matching, or fail.
 
     Workers are paired greedily in index order, each taking its smallest
@@ -99,7 +111,8 @@ def _matching_partners(m: int, edges: list[tuple[int, int]]) -> np.ndarray:
     schedules produce, this walks each cycle and pairs adjacent workers
     (m=8, hop 1 gives (0,1), (2,3), (4,5), (6,7)), succeeding exactly when
     every cycle has even length. Any leftover worker means the round has no
-    pairwise exchange pattern and it is rejected. Returns each worker's partner.
+    pairwise exchange pattern and round ``r`` is rejected. Returns each
+    worker's partner.
     """
     nbrs: list[set[int]] = [set() for _ in range(m)]
     for i, j in edges:
@@ -117,7 +130,7 @@ def _matching_partners(m: int, edges: list[tuple[int, int]]) -> np.ndarray:
                 break
     if -1 in partner:
         raise ConfigError(
-            "round edges cannot be symmetrized into a perfect matching; "
+            f"round {r} edges cannot be symmetrized into a perfect matching; "
             "doubly-stochastic gossip needs pairwise exchanges"
         )
     return np.array(partner, dtype=np.int64)
@@ -143,7 +156,8 @@ def mixing_matrix(
     edges = out_edges(schedule, round_index)
     workers = np.arange(m)
     if stochasticity == "doubly":
-        pairs = np.sort(np.stack([workers, _matching_partners(m, edges)], axis=1), axis=1)
+        partners = _matching_partners(m, edges, round_index % schedule.period)
+        pairs = np.sort(np.stack([workers, partners], axis=1), axis=1)
         return np.repeat(workers, 2), pairs.ravel(), np.full(2 * m, 0.5)
     senders, receivers = np.array(edges, dtype=np.int64).reshape(-1, 2).T
     off = senders != receivers
@@ -180,23 +194,3 @@ def validate_strong_connectivity(schedule: TopologySchedule) -> None:
 
     if len(reach(0, adj)) != m or len(reach(0, radj)) != m:
         raise ConfigError("topology union over one period is not strongly connected")
-
-
-def custom_schedule(m: int, rounds) -> TopologySchedule:
-    """Build a custom schedule from a list of per-round edge lists.
-
-    An edge listed twice in one round is refused: the column-stochastic
-    mixing matrix would count it twice in the sender's out-degree.
-    """
-    norm = []
-    for r, edges in enumerate(rounds):
-        clean = {}  # edges in order, as an ordered set
-        for e in edges:
-            i, j = int(e[0]), int(e[1])
-            if not (0 <= i < m and 0 <= j < m):
-                raise ConfigError(f"edge ({i},{j}) out of range for m={m}")
-            if (i, j) in clean:
-                raise ConfigError(f"round {r} lists edge ({i},{j}) twice")
-            clean[i, j] = None
-        norm.append(tuple(clean))
-    return TopologySchedule(kind="custom", m=m, rounds=tuple(norm))

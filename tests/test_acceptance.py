@@ -142,7 +142,7 @@ def test_criterion_2_pushsum_invariants():
 
     # de-biased consensus under zero gradients: 50 exponential rounds, m=8
     sched = TopologySchedule(kind="exponential-directed", m=8)
-    proto = make_protocol("sgp", 8, schedule=sched)
+    proto = make_protocol(ExperimentConfig(protocol="sgp", T=1), 8, sched)
     rng = rng_stream(50, 0, 0)
     xs = rng.standard_normal((8, 4))
     mean0 = xs.mean(axis=0)

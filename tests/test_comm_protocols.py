@@ -9,6 +9,7 @@ from slowmo_sim import (
     BaseOptimizerConfig,
     ConfigError,
     DelayModel,
+    ExperimentConfig,
     OptimizerBuffers,
     ProtocolError,
     SlotMixing,
@@ -20,15 +21,20 @@ from slowmo_sim import (
     osgp_step,
     pushsum_round,
 )
-from slowmo_sim import comm_protocols
+from slowmo_sim import comm_protocols, parse_config
+from slowmo_sim.config import OsgpConfig
 from slowmo_sim.numerics import rng_stream
 from slowmo_sim.topology import (
     TopologySchedule,
-    custom_schedule,
     mixing_matrix,
 )
 
 from references import OsgpReference
+
+
+def _cfg(protocol, **sections):
+    """A one-block config for ``protocol``; ``sections`` replace its defaults."""
+    return ExperimentConfig(protocol=protocol, T=1, **sections)
 
 
 def _states(xs, ws=None):
@@ -104,7 +110,7 @@ def test_gossip_preserves_mean_and_reaches_consensus():
 
 def test_gossip_rejects_column_only_matrix():
     # two senders aimed at one receiver: column-stochastic but not row-stochastic
-    sched = custom_schedule(3, [[(0, 1), (2, 1)]])
+    sched = TopologySchedule("custom", 3, [[(0, 1), (2, 1)]])
     mix = _slots(sched, 0, "column")
     states = _states([[1.0], [2.0], [3.0]])
     assert not mix.doubly
@@ -246,28 +252,31 @@ def test_osgp_step_stalled_worker_only_listens():
 # --------------------------------------------------------------------------- #
 
 def test_allreduce_adapter_reaches_exact_consensus():
-    proto = make_protocol("allreduce", 3)
+    proto = make_protocol(_cfg("allreduce"), 3, None)
     states = _states([[0.0], [0.0], [0.0]])
     proto.apply_round(states, np.array([[1.0], [2.0], [4.0]]), 0)
     assert np.all(states.x == (1.0 + 2.0 + 4.0) / 3.0)
 
 
 def test_local_adapter_keeps_workers_apart():
-    proto = make_protocol("local", 2)
+    proto = make_protocol(_cfg("local"), 2, None)
     states = _states([[0.0], [0.0]])
     proto.apply_round(states, np.array([[1.0], [2.0]]), 0)
     assert states[0].x[0] == 1.0 and states[1].x[0] == 2.0
 
 
 def test_unknown_protocol_rejected():
-    with pytest.raises(ConfigError):
-        make_protocol("broadcast", 4)
+    with pytest.raises(ConfigError, match="unknown protocol 'broadcast'"):
+        parse_config({"protocol": "broadcast", "T": 1})
+
+
+def _osgp_cfg(staleness=4, delay=None, seed=0):
+    return _cfg("osgp", osgp=OsgpConfig(staleness, delay or DelayModel()), seed=seed)
 
 
 def _osgp(m=4, staleness=4, delay=None, seed=0):
     sched = TopologySchedule(kind="exponential-directed", m=m)
-    return make_protocol("osgp", m, schedule=sched, staleness=staleness,
-                         delay=delay, seed=seed)
+    return make_protocol(_osgp_cfg(staleness, delay, seed), m, sched)
 
 
 def test_osgp_zero_delay_matches_synchronous_pushsum():
@@ -278,7 +287,7 @@ def test_osgp_zero_delay_matches_synchronous_pushsum():
     a = _states(list(xs))
     b = _states([x.copy() for x in xs])
     proto = _osgp(m, delay=DelayModel(kind="constant", rounds=0))
-    sync = make_protocol("sgp", m, schedule=sched)
+    sync = make_protocol(_cfg("sgp"), m, sched)
     for k in range(50):
         proto.apply_round(a, _everyone(a), k)
         sync.apply_round(b, _everyone(b), k)
@@ -341,8 +350,7 @@ def test_osgp_drain_resets_the_fifo_clamp():
     # the drain at round 0 flushes the delay-5 messages, so a 0-delay
     # message sent at round 1 is due at round 1, not behind them at round 5
     sched = TopologySchedule(kind="ring-directed", m=2)
-    proto = make_protocol("osgp", 2, schedule=sched, staleness=4,
-                          delay=DelayModel(kind="constant", rounds=5))
+    proto = make_protocol(_osgp_cfg(4, DelayModel(kind="constant", rounds=5)), 2, sched)
     states = _states([[1.0], [3.0]])
     proto.apply_round(states, _everyone(states), 0)
     assert proto.batches[0].deliver.tolist() == [5, 5]
@@ -425,8 +433,7 @@ def _matches_reference(proto, states, ref):
 @settings(max_examples=60, deadline=None)
 def test_osgp_batches_match_per_message_reference(m, kind, delay, staleness, seed):
     sched = TopologySchedule(kind=kind, m=m)
-    proto = make_protocol("osgp", m, schedule=sched, staleness=staleness, delay=delay,
-                          seed=seed)
+    proto = make_protocol(_osgp_cfg(staleness, delay, seed), m, sched)
     rng = np.random.default_rng(seed)
     x0 = rng.standard_normal((m, 2))
     x0[rng.random(x0.shape) < 0.1] = -0.0
@@ -504,7 +511,7 @@ def _custom_matrices(rng, m):
         n_edges = int(rng.integers(0, 2 * m + 1))
         edges = {tuple(rng.integers(0, m, size=2).tolist()) for _ in range(n_edges)}
         rounds.append(sorted(edges))
-    sched = custom_schedule(m, rounds)
+    sched = TopologySchedule("custom", m, rounds)
     return [(_dense(sched, k, "column"), "column") for k in range(sched.period)]
 
 
@@ -572,16 +579,34 @@ def test_mixing_is_compiled_once_per_period_entry(monkeypatch):
     monkeypatch.setattr(comm_protocols, "mixing_matrix", counting)
     m = 8
     sched = TopologySchedule(kind="exponential-directed", m=m)
-    proto = make_protocol("sgp", m, schedule=sched)
+    proto = make_protocol(_cfg("sgp"), m, sched)
+    assert built == []  # push-sum compiles each entry on its first round
     states = _states(list(rng_stream(10, 0, 0).standard_normal((m, 2))))
     for k in range(4 * sched.period):
         proto.apply_round(states, _everyone(states), k)
     assert built == list(range(sched.period))
 
+    built.clear()
+    proto = make_protocol(_cfg("dpsgd"), m, sched)
+    assert built == list(range(sched.period))  # dpsgd compiles its whole period when built
+    for k in range(4 * sched.period):
+        proto.apply_round(states, _everyone(states), k)
+    assert built == list(range(sched.period))
+
+
+@pytest.mark.parametrize("kind, m, rounds, bad_round", [
+    ("ring-directed", 3, (), 0),
+    ("exponential-directed", 6, (), 1),  # the hop-2 round is two 3-cycles
+    ("custom", 4, [[(0, 1), (2, 3)], [(1, 2), (3, 0)], [(0, 1), (1, 2)]], 2),
+])
+def test_dpsgd_rejects_an_unpairable_round_when_built(kind, m, rounds, bad_round):
+    with pytest.raises(ConfigError, match=f"round {bad_round} edges cannot .* perfect matching"):
+        make_protocol(_cfg("dpsgd"), m, TopologySchedule(kind, m, rounds))
+
 
 def test_osgp_rejects_topologies_without_a_single_out_neighbor():
     complete = TopologySchedule(kind="complete", m=3)
-    custom = custom_schedule(3, [[(0, 1), (1, 2), (2, 0)]])
+    custom = TopologySchedule("custom", 3, [[(0, 1), (1, 2), (2, 0)]])
     for sched in (complete, custom):
         with pytest.raises(ConfigError):
-            make_protocol("osgp", 3, schedule=sched)
+            make_protocol(_osgp_cfg(), 3, sched)

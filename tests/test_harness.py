@@ -119,9 +119,9 @@ def test_resolved_dict_round_trips():
 def test_build_simulation_and_run():
     cfg = parse_config(_raw())
     sim = build_simulation(cfg)
+    assert sim.cfg is cfg and sim.protocol.name == "allreduce"
     trace = sim.run()
     assert len(trace.records) == 12
-    assert trace.meta["protocol"] == "allreduce"
 
 
 def test_config_to_trace_is_a_pure_function():
@@ -171,8 +171,7 @@ def test_equivalence_check_reports_max_diff():
     verdict = equivalence_check(a, b)
     assert verdict["passed"] and verdict["max_abs_diff"] == 0.0
     # perturb one coordinate of one record
-    bad = MetricsTrace(meta=b.meta, records=[dict(r) for r in b.records],
-                       summary=b.summary)
+    bad = MetricsTrace(records=[dict(r) for r in b.records], summary=b.summary)
     bumped = list(bad.records[3]["x_bar"])
     bumped[0] += 1e-6
     bad.records[3]["x_bar"] = bumped
@@ -561,7 +560,18 @@ def test_duplicate_custom_edge_is_a_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def _workers(m, **problem):
+    return {"problem": {**BASE_RAW["problem"], "m": m, **problem}}
+
+
+# overrides of _raw() that parse_config or build_simulation must refuse
 UNBUILDABLE = {
+    "dpsgd-ring-m3": {"protocol": "dpsgd", "topology": {"kind": "ring-directed"}, **_workers(3)},
+    "dpsgd-exponential-m6": {"protocol": "dpsgd", **_workers(6)},
+    "dpsgd-custom-third-round-unpairable": {
+        "protocol": "dpsgd", **_workers(4),
+        "topology": {"kind": "custom",
+                     "rounds": [[[0, 1], [2, 3]], [[1, 2], [3, 0]], [[0, 1], [1, 2]]]}},
     "osgp-complete": {"protocol": "osgp", "topology": {"kind": "complete"}},
     "osgp-custom": {"protocol": "osgp", "topology": {"kind": "custom", "rounds": [[[0, 1]]]}},
     "edge-out-of-range": {"protocol": "sgp",
@@ -570,16 +580,42 @@ UNBUILDABLE = {
                    "topology": {"kind": "custom", "rounds": [[[0, 1], [1, 0], [0, 1]]]}},
     "not-strongly-connected": {"protocol": "sgp",
                                "topology": {"kind": "custom", "rounds": [[[0, 1]]]}},
+    "rounds-on-a-generated-kind": {"topology": {"kind": "ring-directed", "rounds": [[[0, 1]]]}},
+    "batch-size-over-shard": _workers(2, samples_per_worker=4,
+                                      noise={"kind": "minibatch", "batch_size": 5}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(UNBUILDABLE))
 def test_run_that_cannot_be_built_writes_nothing(case, tmp_path, capsys):
-    # each of these parses, and build_simulation rejects it
-    cfg_path = _write_cfg(tmp_path, _raw(**UNBUILDABLE[case]))
+    raw = _raw(**UNBUILDABLE[case])
+    with pytest.raises(ConfigError):
+        run_experiment(parse_config(raw), str(tmp_path / "direct"))
+    assert not (tmp_path / "direct" / "resolved.json").exists()
+    cfg_path = _write_cfg(tmp_path, raw)
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 1
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+def test_batch_size_over_the_shard_is_refused_when_parsed():
+    raw = _raw(**UNBUILDABLE["batch-size-over-shard"])
+    with pytest.raises(ConfigError, match="batch_size 5 exceeds problem.samples_per_worker 4"):
+        parse_config(raw)
+    raw["problem"]["noise"]["batch_size"] = 4  # the whole shard is a valid batch
+    build_simulation(parse_config(raw)).run()
+
+
+def test_sweep_over_a_batch_size_too_large_runs_nothing(tmp_path, capsys):
+    raw = _raw(**_workers(2, samples_per_worker=4, noise={"kind": "minibatch", "batch_size": 3}),
+               grid={"problem.noise.batch_size": [3, 5]})
+    with pytest.raises(ConfigError, match="exceeds"):
+        run_sweep(parse_config(raw), str(tmp_path / "direct"))
+    assert not (tmp_path / "direct").exists()
+    cfg_path = _write_cfg(tmp_path, raw)
+    assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "sw")]) == 1
+    assert capsys.readouterr().err.startswith("config error")
+    assert not (tmp_path / "sw").exists()
 
 
 def test_cli_rejects_negative_seed_override(tmp_path, capsys):
@@ -678,6 +714,13 @@ MALFORMED_CHECKER_INPUTS = {
         _CHECK_BOUND, lambda c: {**c, "bias": {"mode": "surrogate", "zeta2": 0.0}}, None),
     "bias-value-not-a-number": (
         _CHECK_BOUND, lambda c: {**c, "bias": {"mode": "value", "value": "x"}}, None),
+    "bias-value-stray-key": (
+        _CHECK_BOUND, lambda c: {**c, "bias": {"mode": "value", "value": 0, "typo": 1}}, None),
+    "bias-surrogate-stray-zeta": (
+        _CHECK_BOUND,
+        lambda c: {**c, "bias": {"mode": "surrogate", "sigma2": 0.1, "zeta2": 0.0, "zeta": 1.0}},
+        None),
+    "bias-mode-not-a-string": (_CHECK_BOUND, lambda c: {**c, "bias": {"mode": ["value"]}}, None),
     "huge-L": (_CHECK_BOUND, lambda c: {**c, "L": 1e300}, None),
     "record-without-grad-norm-sq": (_CHECK_BOUND, None, _without("grad_norm_sq")),
     "grad-norm-sq-nan": (
@@ -689,6 +732,7 @@ MALFORMED_CHECKER_INPUTS = {
         _CHECK_EQUIVALENCE, None, lambda records: [{**records[0], "x_bar": []}]),
     "bare-number-line": (_CHECK_BOUND, None, lambda records: [3] + records[1:]),
     "bare-number-line-equivalence": (_CHECK_EQUIVALENCE, None, lambda records: records + [3]),
+    "empty-traces-equivalence": (_CHECK_EQUIVALENCE, None, lambda records: []),
     "estimate-v-samples-over-ceiling": (
         ["estimate-v", "--config", "{config}", "--samples", str(10**11)], None, None),
 }

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from slowmo_sim import (
     ConfigError,
+    LogisticProblem,
     NoiseModel,
     ProblemConfig,
     QuadraticProblem,
@@ -120,9 +121,13 @@ def test_minibatch_unbiased(small_logistic):
 
 
 def test_minibatch_batch_too_large(small_logistic):
-    prob = build_logistic(ProblemConfig(kind="logistic", m=2, dimension=3, samples_per_worker=4,
-                                        noise=NoiseModel("minibatch", batch_size=9)), seed=3)
-    with pytest.raises(ConfigError):
+    # a config is refused when it is built; a problem built by hand, at the draw
+    with pytest.raises(ConfigError, match="batch_size 9 exceeds"):
+        ProblemConfig(kind="logistic", m=2, dimension=3, samples_per_worker=4,
+                      noise=NoiseModel("minibatch", batch_size=9))
+    prob = LogisticProblem(small_logistic.features, small_logistic.labels,
+                           NoiseModel("minibatch", batch_size=13))  # 12-row shards
+    with pytest.raises(ConfigError, match="exceeds shard size"):
         worker_stochastic_gradient(prob, 0, np.zeros(3), rng_stream(0, 1, 0))
 
 

@@ -11,7 +11,6 @@ from slowmo_sim import (
     ConfigError,
     SlotMixing,
     TopologySchedule,
-    custom_schedule,
     mixing_matrix,
     out_neighbor,
     validate_strong_connectivity,
@@ -120,7 +119,7 @@ def test_nonzeros_come_row_by_row_with_columns_ascending(kind, m, stochasticity)
 
 
 def test_custom_column_weights_follow_out_degree():
-    sched = custom_schedule(3, [[(0, 1), (0, 2), (1, 1)]])
+    sched = TopologySchedule("custom", 3, [[(0, 1), (0, 2), (1, 1)]])
     p = _dense(sched, 0, "column")
     third = 1.0 / 3.0
     assert np.array_equal(p, [[third, 0.0, 0.0], [third, 1.0, 0.0], [third, 0.0, 1.0]])
@@ -166,23 +165,28 @@ def test_standard_schedules_strongly_connected(m):
 def test_disconnected_custom_schedule_rejected():
     # two components that never exchange
     rounds = [[(0, 1), (1, 0), (2, 3), (3, 2)]]
-    sched = custom_schedule(4, rounds)
+    sched = TopologySchedule("custom", 4, rounds)
     with pytest.raises(ConfigError):
         validate_strong_connectivity(sched)
 
 
 def test_custom_schedule_validation():
+    with pytest.raises(ConfigError, match=r"edge \(0,5\) out of range for m=3"):
+        TopologySchedule(kind="custom", m=3, rounds=(((0, 5),),))
+    with pytest.raises(ConfigError, match="out of range"):
+        TopologySchedule("custom", 3, [[(0, 1)], [(-1, 2)]])
     with pytest.raises(ConfigError):
-        custom_schedule(3, [[(0, 5)]])  # endpoint out of range
+        TopologySchedule("custom", 3, [])  # need at least one round
     with pytest.raises(ConfigError):
-        custom_schedule(3, [])  # need at least one round
-    sched = custom_schedule(3, [[(0, 1), (1, 2), (2, 0)]])
+        TopologySchedule("ring-directed", 3, [[(0, 1)]])  # only custom kinds take rounds
+    sched = TopologySchedule("custom", 3, [[[0, 1], [1, 2], [2, 0]]])
     assert sched.period == 1
+    assert sched.rounds == (((0, 1), (1, 2), (2, 0)),)  # kept as tuples
     assert out_edges(sched, 0) == [(0, 1), (1, 2), (2, 0)]
     with pytest.raises(ConfigError):  # custom kinds have no single out-neighbor
         out_neighbor(sched, 1, 0)
     with pytest.raises(ConfigError, match=r"round 1 lists edge \(2,0\) twice"):
-        custom_schedule(3, [[(0, 1)], [(2, 0), (1, 2), (2, 0)]])
+        TopologySchedule(kind="custom", m=3, rounds=(((0, 1),), ((2, 0), (1, 2), (2, 0))))
 
 
 def test_unknown_kind_rejected():
