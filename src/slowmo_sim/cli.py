@@ -12,7 +12,7 @@ import json
 import sys
 from dataclasses import replace
 
-from .config import build_problem, load_config
+from .config import build_problem, load_config, read_text
 from .errors import ConfigError, NumericalAbort
 from .harness import (
     bound_report,
@@ -31,10 +31,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_trace(path: str) -> MetricsTrace:
     try:
-        with open(path) as fh:
-            return MetricsTrace.from_jsonl(fh.read())
-    except OSError as exc:
-        raise ConfigError(f"cannot read trace {path}: {exc}") from exc
+        return MetricsTrace.from_jsonl(read_text(path, "trace"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"trace {path} is not valid JSONL: {exc}") from exc
 
@@ -96,9 +93,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_check_bound(args) -> int:
     try:
-        with open(args.constants) as fh:
-            constants = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        constants = json.loads(read_text(args.constants, "constants file"))
+    except json.JSONDecodeError as exc:
         raise ConfigError(f"cannot read constants file: {exc}") from exc
     traces = [_load_trace(p) for p in args.traces]
     report = bound_report(constants, traces)

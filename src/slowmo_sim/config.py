@@ -270,12 +270,21 @@ def parse_config(raw: dict) -> ExperimentConfig:
     return _parse(ExperimentConfig, raw, "")
 
 
+def read_text(path: str, what: str) -> str:
+    """The UTF-8 text of the ``what`` file at ``path``; a file that is
+    missing, unreadable or not UTF-8 is a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def load_config(path: str) -> ExperimentConfig:
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+    try:
+        raw = json.loads(read_text(path, "config"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     return parse_config(raw)
 
 

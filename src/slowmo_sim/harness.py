@@ -57,7 +57,10 @@ def equivalence_check(
     trace_a: MetricsTrace, trace_b: MetricsTrace, tol: float = 1e-10
 ) -> dict:
     """Compare the average-iterate sequences of two traces coordinatewise.
-    Two traces with no records are a ConfigError, not a pass."""
+    Two traces with no records, or a tolerance that is negative or not
+    finite, are a ConfigError, not a verdict."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ConfigError(f"tolerance must be a finite number >= 0, got {tol!r}")
     ra, rb = trace_a.records, trace_b.records
     if not ra and not rb:
         raise ConfigError("both traces hold no records, so there is nothing to compare")
@@ -205,8 +208,11 @@ _CONSTANT_FIELDS = {
 _BIAS_KEYS = {"measured": (), "surrogate": ("sigma2", "zeta2"), "value": ("value",)}
 
 
-def assemble_bound_inputs(constants: dict, traces) -> tuple[BoundInputs, list[str]]:
-    """Build BoundInputs from a constants dict plus traces (for measured bias).
+def assemble_bound_inputs(
+    constants: dict, traces: list[list[dict]]
+) -> tuple[BoundInputs, list[str]]:
+    """Build BoundInputs from a constants dict plus the traces' record lists
+    (for measured bias).
 
     bias modes: {"mode": "measured"} averages the logged per-step gaps;
     {"mode": "surrogate", "sigma2": s, "zeta2": z} uses the plain-SGD
@@ -270,10 +276,11 @@ def _bias_number(bias_spec: dict, key: str) -> float:
     return float(bias_spec[key])
 
 
-def bound_report(constants: dict, traces) -> dict:
+def bound_report(constants: dict, traces: list[MetricsTrace]) -> dict:
+    records = [t.records for t in traces]
     try:
-        inputs, extra_reasons = assemble_bound_inputs(constants, traces)
-        report = check_bound(traces, inputs)
+        inputs, extra_reasons = assemble_bound_inputs(constants, records)
+        report = check_bound(records, inputs)
     except OverflowError as exc:  # e.g. L**2 of a finite but huge L, or a huge m
         raise ConfigError(f"bound constants overflow a float: {exc}") from exc
     if extra_reasons:

@@ -12,9 +12,18 @@ Three objective families are supported, each sharded across ``m`` workers:
 Gradient noise comes from one of two models: ``additive-gaussian`` adds
 N(0, (sigma^2/d) I) to the exact worker gradient (so E||eta||^2 = sigma^2
 independent of dimension), and ``minibatch`` returns the gradient of ``b``
-shard points sampled uniformly without replacement. ``Problem.gradients`` is
-the stacked exact oracle: one exact gradient per (worker, point) row, which
-the additive noise and the kernel's log-bias metric both start from.
+shard points sampled uniformly without replacement.
+
+Stacked contract: a problem keeps every worker's data as one array with the
+worker index first (quadratic ``centers`` (m, d) and sample clouds
+``samples`` (m, n, d); logistic ``features`` (m, n, d) and ``labels``
+(m, n); MLP ``features`` (m, n, p) and ``targets`` (m, n)) and implements
+two batched methods. ``gradients(points, workers, idx=None)`` is the exact
+gradient of worker ``workers[r]`` at ``points[r]`` for every row, over its
+shard rows ``idx[r]`` when an (n, b) ``idx`` is given, and
+``losses_and_gradients(points, workers)`` adds each row's loss. One row of
+``points`` is shared by every worker. The stochastic, global and log-bias
+oracles each make one such call.
 
 All randomness flows through counter-based Philox streams derived from
 ``(seed, namespace, index)`` so that worker streams are independent and
@@ -145,47 +154,54 @@ class NoiseModel:
             raise ConfigError("minibatch noise requires batch_size >= 1")
 
 
+def _stacked(shards, name: str, ndim: int) -> np.ndarray:
+    """``shards`` as one C-ordered float64 array of ``ndim`` axes with the
+    worker index first, with no empty axis (no copy when it already is one)."""
+    try:
+        stack = np.ascontiguousarray(shards, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # ragged shards do not stack
+        raise ConfigError(f"{name} shards do not stack into one array: {exc}") from None
+    if stack.ndim != ndim or 0 in stack.shape:
+        raise ConfigError(f"{name} shards must stack into {ndim} nonempty axes, "
+                          f"got shape {stack.shape}")
+    return stack
+
+
 class Problem:
-    """Base class: ``m`` workers, shared parameter dimension ``d``."""
+    """Base class: ``m`` workers, shared parameter dimension ``d``.
+
+    A subclass sets ``shard_size`` (the rows of each worker's shard) and
+    implements the stacked ``gradients`` and ``losses_and_gradients`` of the
+    module docstring, each returning new arrays: an (n, d) gradient stack,
+    and the (n,) losses with the same gradients, bit for bit. ``workers``
+    are distinct and ascending.
+    """
 
     kind = "abstract"
+    shard_size = 0
 
     def __init__(self, num_workers: int, dimension: int, noise: NoiseModel):
-        if num_workers < 1:
-            raise ConfigError("num_workers must be >= 1")
-        if dimension < 1:
-            raise ConfigError("dimension must be >= 1")
         self.num_workers = num_workers
         self.dimension = dimension
         self.noise = noise
 
-    # subclasses implement these three
-    def worker_gradient(
-        self, worker_id: int, x: np.ndarray, idx: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Exact gradient at x of worker ``worker_id``'s objective over its
-        shard rows ``idx``, or over the whole objective when ``idx`` is None."""
-        raise NotImplementedError
+    def _shards(self, stack: np.ndarray, workers: np.ndarray, idx: np.ndarray | None = None):
+        """What rows ``workers`` read of ``stack`` (m, ...): ``stack`` itself for
+        every worker, else a gathered copy (of shard rows ``idx`` when given)."""
+        if idx is not None:
+            return stack[workers[:, None], idx]
+        return stack if len(workers) == self.num_workers else stack[workers]
 
-    def worker_loss_and_gradient(self, worker_id: int, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """Worker ``worker_id``'s loss at x and ``worker_gradient(worker_id, x)``,
-        bit for bit."""
-        raise NotImplementedError
-
-    def shard_size(self, worker_id: int) -> int:
-        raise NotImplementedError
-
-    def losses_and_gradients(self, x: np.ndarray) -> tuple[list[float], np.ndarray]:
-        """Every worker's (loss, gradient) at x: m floats and an (m, d) stack."""
-        pairs = [self.worker_loss_and_gradient(i, x) for i in range(self.num_workers)]
-        return [loss for loss, _ in pairs], np.stack([g for _, g in pairs])
-
-    def gradients(self, points: np.ndarray, workers: np.ndarray) -> np.ndarray:
-        """Exact gradient of worker ``workers[r]`` at ``points[r]`` for every
-        row, as a new (n, d) array: bit for bit the ``worker_gradient`` calls
-        in row order. Subclasses may batch them."""
-        grads = [self.worker_gradient(i, x) for i, x in zip(workers.tolist(), points)]
-        return np.reshape(grads, (len(workers), self.dimension))
+    def minibatch_rows(self, rng: np.random.Generator) -> np.ndarray:
+        """One minibatch of shard rows drawn from ``rng``: ``batch_size`` rows
+        uniformly without replacement, sorted, so the full batch is every row
+        in order and reproduces the exact gradient bit for bit."""
+        n, b = self.shard_size, self.noise.batch_size
+        if b > n:
+            raise ConfigError(f"batch_size {b} exceeds shard size {n}")
+        if b == n:
+            return np.arange(n)
+        return np.sort(rng.choice(n, size=b, replace=False))
 
     def stochastic_gradients(
         self, points: np.ndarray, workers: np.ndarray, streams: WorkerStreams
@@ -199,17 +215,14 @@ class Problem:
         """
         noise = self.noise
         if noise.kind == "minibatch":
-            grads = [worker_stochastic_gradient(self, i, x, streams.generators[i])
-                     for i, x in zip(workers.tolist(), points)]
-            return np.reshape(grads, (len(workers), self.dimension))
+            idx = np.empty((len(workers), noise.batch_size), dtype=np.intp)
+            for r, i in enumerate(workers.tolist()):
+                idx[r] = self.minibatch_rows(streams.generators[i])
+            return self.gradients(points, workers, idx)
         g = self.gradients(points, workers)
         if noise.sigma2 > 0:
             g += np.sqrt(noise.sigma2 / self.dimension) * streams.normal_rows(workers)
         return g
-
-    def check_worker(self, worker_id: int) -> None:
-        if not (0 <= worker_id < self.num_workers):
-            raise ConfigError(f"unknown worker_id {worker_id} (m={self.num_workers})")
 
     def check_point(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -221,32 +234,22 @@ class Problem:
 def worker_stochastic_gradient(
     problem: Problem, worker_id: int, x: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """One stochastic gradient draw for the given worker.
+    """One stochastic gradient draw for the given worker: the stacked oracle
+    on one row.
 
     additive-gaussian: exact gradient plus N(0, (sigma^2/d) I) noise.
-    minibatch: gradient of ``b`` uniformly sampled shard points (without
-    replacement, indices sorted so the full batch reproduces the exact
-    gradient bit for bit).
+    minibatch: gradient over ``problem.minibatch_rows(rng)``.
     """
-    problem.check_worker(worker_id)
+    if not 0 <= worker_id < problem.num_workers:
+        raise ConfigError(f"unknown worker_id {worker_id} (m={problem.num_workers})")
     x = problem.check_point(x)
-    noise = problem.noise
-    if noise.kind == "additive-gaussian":
-        g = problem.worker_gradient(worker_id, x)
-        if noise.sigma2 > 0:
-            scale = np.sqrt(noise.sigma2 / problem.dimension)
-            g = g + scale * rng.standard_normal(problem.dimension)
-        return g
-    # minibatch
-    n = problem.shard_size(worker_id)
-    b = noise.batch_size
-    if b > n:
-        raise ConfigError(f"batch_size {b} exceeds shard size {n}")
-    if b == n:
-        idx = np.arange(n)
-    else:
-        idx = np.sort(rng.choice(n, size=b, replace=False))
-    return problem.worker_gradient(worker_id, x, idx)
+    worker, noise = np.array([worker_id]), problem.noise
+    if noise.kind == "minibatch":
+        return problem.gradients(x[None], worker, problem.minibatch_rows(rng)[None])[0]
+    g = problem.gradients(x[None], worker)[0]
+    if noise.sigma2 > 0:
+        g += np.sqrt(noise.sigma2 / problem.dimension) * rng.standard_normal(problem.dimension)
+    return g
 
 
 def global_loss(problem: Problem, x: np.ndarray) -> float:
@@ -265,26 +268,25 @@ def global_loss_and_gradient(problem: Problem, x: np.ndarray) -> tuple[float, np
     ascending rank, each total divided by m."""
     x = problem.check_point(x)
     m = problem.num_workers
-    losses, grads = problem.losses_and_gradients(x)
-    return float_sum(losses) / m, rank_sum(grads) / m
+    losses, grads = problem.losses_and_gradients(x[None], np.arange(m))
+    return float_sum(losses.tolist()) / m, rank_sum(grads) / m
 
 
 class QuadraticProblem(Problem):
     """Per-worker quadratic 0.5 (x - b_i)^T A (x - b_i), one A for every worker.
 
-    When ``samples`` is given (one (n, d) array of centers per worker) the
-    worker objective becomes the mean over its sample cloud, b_i is the cloud
-    mean, and minibatch noise draws from the cloud. Every product with A goes
-    through ``_stacked_matvec``, whose bits did not depend on the BLAS thread
-    count on any shape tried.
+    ``centers`` holds every b_i as a row, (m, d). When ``samples`` (m, n, d)
+    is given, worker i's objective becomes the mean over its sample cloud
+    ``samples[i]``, b_i is the cloud mean, and minibatch noise draws from the
+    cloud. Every product with A goes through ``_stacked_matvec``, whose bits
+    did not depend on the BLAS thread count on any shape tried.
     """
 
     kind = "quadratic"
 
-    def __init__(self, a, b_vecs, noise: NoiseModel, samples=None):
-        b_vecs = [np.asarray(b, dtype=np.float64) for b in b_vecs]
-        m = len(b_vecs)
-        d = b_vecs[0].shape[0]
+    def __init__(self, a, centers, noise: NoiseModel, samples=None):
+        centers = _stacked(centers, "center", 2)
+        m, d = centers.shape
         super().__init__(m, d, noise)
         self.a = np.asarray(a, dtype=np.float64)
         if self.a.shape != (d, d):
@@ -293,53 +295,39 @@ class QuadraticProblem(Problem):
             raise ConfigError("curvature matrix must be symmetric")
         self.samples = None
         if samples is not None:
-            self.samples = [np.asarray(s, dtype=np.float64) for s in samples]
+            self.samples = _stacked(samples, "sample", 3)
+            if self.samples.shape[::2] != (m, d):
+                raise ConfigError(f"sample clouds of shape {self.samples.shape} do not "
+                                  f"match {m} centers of dimension {d}")
+            self.shard_size = self.samples.shape[1]
             # the effective center is the floating-point mean of the cloud,
             # so full-batch minibatch gradients match the exact gradient
-            b_vecs = [s.mean(axis=0) for s in self.samples]
+            centers = self.samples.mean(axis=1)
         elif noise.kind == "minibatch":
             raise ConfigError("minibatch noise on a quadratic requires a sample cloud")
-        self.centers = np.stack(b_vecs)  # every worker's b_i as a row
+        self.centers = centers
         # row blocks of A for _stacked_matvec: starts at multiples of
         # MATVEC_BLOCK, the last block takes the remainder
         starts = range(0, max(d // MATVEC_BLOCK, 1) * MATVEC_BLOCK, MATVEC_BLOCK)
         stops = [*starts[1:], d]
         self._row_blocks = [(self.a[s], s) for s in map(slice, starts, stops)]
 
-    def shard_size(self, worker_id):
-        if self.samples is None:
-            raise ConfigError("quadratic problem has no sample cloud")
-        return self.samples[worker_id].shape[0]
-
-    def worker_gradient(self, worker_id, x, idx=None):
+    def gradients(self, points, workers, idx=None):
         if idx is None:
-            center = self.centers[worker_id]
+            centers = self._shards(self.centers, workers)
         else:
-            center = self.samples[worker_id][idx].mean(axis=0)
-        return self._stacked_matvec((x - center)[None])[0]
-
-    def worker_loss_and_gradient(self, worker_id, x):
-        r = x - self.centers[worker_id]
-        g = self._stacked_matvec(r[None])[0]
-        if self.samples is None:
-            return float(0.5 * r @ g), g
-        return self._cloud_loss(worker_id, x), g
-
-    def losses_and_gradients(self, x):
-        r = x - self.centers
-        g = self._stacked_matvec(r)
-        if self.samples is None:
-            return row_dots(0.5 * r, g).tolist(), g
-        return [self._cloud_loss(i, x) for i in range(self.num_workers)], g
-
-    def gradients(self, points, workers):
-        centers = self.centers if len(workers) == self.num_workers else self.centers[workers]
+            centers = self._shards(self.samples, workers, idx).mean(axis=1)
         return self._stacked_matvec(points - centers)
 
-    def _cloud_loss(self, worker_id, x):
-        """Worker ``worker_id``'s loss: the mean over its sample cloud."""
-        diffs = x - self.samples[worker_id]
-        return float(0.5 * np.einsum("nd,de,ne->n", diffs, self.a, diffs).mean())
+    def losses_and_gradients(self, points, workers):
+        r = points - self._shards(self.centers, workers)
+        g = self._stacked_matvec(r)
+        if self.samples is None:
+            return row_dots(0.5 * r, g), g
+        # the mean over each sample cloud, one einsum row per sample
+        diffs = (points[:, None] - self._shards(self.samples, workers)).reshape(-1, self.dimension)
+        sq = np.einsum("nd,de,ne->n", diffs, self.a, diffs).reshape(len(workers), -1)
+        return 0.5 * sq.mean(axis=1), g
 
     def _stacked_matvec(self, rows):
         # A @ r for every row r, bit for bit the 1-D gemv at one BLAS thread
@@ -369,43 +357,44 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * t))
 
 
+def _matvecs(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """mats[r] @ vecs[r] for every r: one gemv per matrix, bit for bit the 2-D by 1-D product."""
+    return (mats @ vecs[..., None])[..., 0]
+
+
 class LogisticProblem(Problem):
-    """Binary logistic regression; shards are (features, +/-1 labels) pairs."""
+    """Binary logistic regression; worker i's shard is ``features[i]`` (n, d)
+    with +/-1 ``labels[i]`` (n,)."""
 
     kind = "logistic"
 
     def __init__(self, features, labels, noise: NoiseModel):
-        features = [np.asarray(f, dtype=np.float64) for f in features]
-        labels = [np.asarray(y, dtype=np.float64) for y in labels]
-        m = len(features)
-        d = features[0].shape[1]
+        features = _stacked(features, "feature", 3)
+        labels = _stacked(labels, "label", 2)
+        m, n, d = features.shape
         super().__init__(m, d, noise)
-        for f, y in zip(features, labels):
-            if f.shape[1] != d or f.shape[0] != y.shape[0]:
-                raise ConfigError("feature/label shard shape mismatch")
-            if not np.all(np.abs(y) == 1.0):
-                raise ConfigError("labels must be +/-1")
+        if labels.shape != (m, n):
+            raise ConfigError(f"label shards {labels.shape} do not match feature shards {(m, n)}")
+        if not np.all(np.abs(labels) == 1.0):
+            raise ConfigError("labels must be +/-1")
         self.features = features
         self.labels = labels
+        self.shard_size = n
 
-    def shard_size(self, worker_id):
-        return self.features[worker_id].shape[0]
+    def gradients(self, points, workers, idx=None):
+        return self.losses_and_gradients(points, workers, idx)[1]
 
-    def _margins_and_gradient(self, worker_id, x, rows):
-        feats, labs = self.features[worker_id][rows], self.labels[worker_id][rows]
-        margins = labs * (feats @ x)
-        return margins, (feats.T @ (-labs * _sigmoid(-margins))) / feats.shape[0]
-
-    def worker_gradient(self, worker_id, x, idx=None):
-        return self._margins_and_gradient(worker_id, x, slice(None) if idx is None else idx)[1]
-
-    def worker_loss_and_gradient(self, worker_id, x):
-        margins, grad = self._margins_and_gradient(worker_id, x, slice(None))
-        return float(np.logaddexp(0.0, -margins).mean()), grad
+    def losses_and_gradients(self, points, workers, idx=None):
+        feats = self._shards(self.features, workers, idx)
+        labs = self._shards(self.labels, workers, idx)
+        margins = labs * _matvecs(feats, points)
+        grads = _matvecs(feats.transpose(0, 2, 1), -labs * _sigmoid(-margins)) / feats.shape[1]
+        return np.logaddexp(0.0, -margins).mean(axis=1), grads
 
 
 class MlpProblem(Problem):
-    """Two-layer tanh network, squared error against +/-1 targets.
+    """Two-layer tanh network, squared error against +/-1 targets; worker
+    i's shard is ``features[i]`` (n, p) with ``targets[i]`` (n,).
 
     Parameters are packed flat as [W1 (h x p), b1 (h), w2 (h), b2 (1)].
     """
@@ -413,51 +402,41 @@ class MlpProblem(Problem):
     kind = "mlp"
 
     def __init__(self, features, targets, hidden: int, noise: NoiseModel):
-        features = [np.asarray(f, dtype=np.float64) for f in features]
-        targets = [np.asarray(y, dtype=np.float64) for y in targets]
-        m = len(features)
-        p = features[0].shape[1]
-        d = hidden * p + hidden + hidden + 1
-        super().__init__(m, d, noise)
+        features = _stacked(features, "feature", 3)
+        targets = _stacked(targets, "target", 2)
+        m, n, p = features.shape
+        super().__init__(m, hidden * p + hidden + hidden + 1, noise)
+        if targets.shape != (m, n):
+            raise ConfigError(f"target shards {targets.shape} do not match feature shards {(m, n)}")
         self.input_dim = p
         self.hidden = hidden
         self.features = features
         self.targets = targets
+        self.shard_size = n
 
-    def shard_size(self, worker_id):
-        return self.features[worker_id].shape[0]
+    def gradients(self, points, workers, idx=None):
+        return self.losses_and_gradients(points, workers, idx)[1]
 
-    def _unpack(self, x):
+    def losses_and_gradients(self, points, workers, idx=None):
+        feats = self._shards(self.features, workers, idx)
+        targs = self._shards(self.targets, workers, idx)
         h, p = self.hidden, self.input_dim
-        w1 = x[: h * p].reshape(h, p)
-        b1 = x[h * p : h * p + h]
-        w2 = x[h * p + h : h * p + 2 * h]
-        b2 = x[-1]
-        return w1, b1, w2, b2
-
-    def _loss_and_gradient(self, worker_id, x, rows):
-        feats, targs = self.features[worker_id][rows], self.targets[worker_id][rows]
-        w1, b1, w2, b2 = self._unpack(x)
-        n = feats.shape[0]
-        hid = np.tanh(feats @ w1.T + b1)
-        out = hid @ w2 + b2
-        err = out - targs
-        loss = float(0.5 * np.mean(err**2))
+        w1 = points[:, : h * p].reshape(len(points), h, p)
+        b1 = points[:, h * p : h * p + h]
+        w2 = points[:, h * p + h : h * p + 2 * h]
+        b2 = points[:, -1:]
+        n = feats.shape[1]
+        hid = np.tanh(feats @ w1.transpose(0, 2, 1) + b1[:, None])
+        err = _matvecs(hid, w2) + b2 - targs
+        losses = 0.5 * np.mean(err**2, axis=1)
         e = err / n
-        g_w2 = hid.T @ e
-        g_b2 = e.sum()
-        d_hid = np.outer(e, w2)
-        d_pre = d_hid * (1.0 - hid**2)
-        g_w1 = d_pre.T @ feats
-        g_b1 = d_pre.sum(axis=0)
-        grad = np.concatenate([g_w1.ravel(), g_b1, g_w2, [g_b2]])
-        return loss, grad
-
-    def worker_gradient(self, worker_id, x, idx=None):
-        return self._loss_and_gradient(worker_id, x, slice(None) if idx is None else idx)[1]
-
-    def worker_loss_and_gradient(self, worker_id, x):
-        return self._loss_and_gradient(worker_id, x, slice(None))
+        g_w2 = _matvecs(hid.transpose(0, 2, 1), e)
+        g_b2 = e.sum(axis=1, keepdims=True)
+        d_pre = e[..., None] * w2[:, None] * (1.0 - hid**2)
+        g_w1 = d_pre.transpose(0, 2, 1) @ feats
+        g_b1 = d_pre.sum(axis=1)
+        grads = np.concatenate([g_w1.reshape(len(feats), h * p), g_b1, g_w2, g_b2], axis=1)
+        return losses, grads
 
 
 # ---------------------------------------------------------------------------
@@ -485,16 +464,18 @@ def build_quadratic(p: ProblemConfig, seed: int) -> QuadraticProblem:
         del q
         a += a.T
         a *= 0.5
-    b_vecs = [p.heterogeneity * rng_stream(seed, STREAM_DATA, 1 + i).standard_normal(d)
-              for i in range(p.m)]
+    centers = np.empty((p.m, d))
+    for i, row in enumerate(centers):
+        rng_stream(seed, STREAM_DATA, 1 + i).standard_normal(out=row)
+    centers *= p.heterogeneity
     samples = None
     if p.samples_per_worker > 0:
-        samples = [
-            b + p.sample_spread * rng_stream(seed, STREAM_DATA, 1000 + i).standard_normal(
-                (p.samples_per_worker, d))
-            for i, b in enumerate(b_vecs)
-        ]
-    return QuadraticProblem(a, b_vecs, p.noise, samples=samples)
+        samples = np.empty((p.m, p.samples_per_worker, d))
+        for i, cloud in enumerate(samples):
+            rng_stream(seed, STREAM_DATA, 1000 + i).standard_normal(out=cloud)
+        samples *= p.sample_spread
+        samples += centers[:, None]
+    return QuadraticProblem(a, centers, p.noise, samples=samples)
 
 
 def _labelled_shards(p: ProblemConfig, seed: int, input_dim: int, teacher):
@@ -505,16 +486,15 @@ def _labelled_shards(p: ProblemConfig, seed: int, input_dim: int, teacher):
     upward. The flips are drawn from the worker's data stream only when
     that probability is above 0.
     """
-    feats, labels = [], []
-    for i in range(p.m):
+    feats = np.empty((p.m, p.samples_per_worker, input_dim))
+    labels = np.empty((p.m, p.samples_per_worker))
+    for i, (f, y) in enumerate(zip(feats, labels)):
         wrng = rng_stream(seed, STREAM_DATA, 1 + i)
-        f = wrng.standard_normal((p.samples_per_worker, input_dim))
-        y = np.where(teacher(f) >= 0, 1.0, -1.0)
+        wrng.standard_normal(out=f)
+        y[:] = np.where(teacher(f) >= 0, 1.0, -1.0)
         p_flip = p.heterogeneity * i / max(p.m - 1, 1)
         if p_flip > 0:
-            y = np.where(wrng.random(p.samples_per_worker) < p_flip, -y, y)
-        feats.append(f)
-        labels.append(y)
+            y[wrng.random(p.samples_per_worker) < p_flip] *= -1.0
     return feats, labels
 
 

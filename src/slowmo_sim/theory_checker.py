@@ -203,11 +203,11 @@ def _record_number(record: dict, key: str):
     return value
 
 
-def measured_bias_term(traces) -> float:
-    """Average logged expected-direction gap over all records of all traces."""
+def measured_bias_term(traces: list[list[dict]]) -> float:
+    """Average logged expected-direction gap over all records of all traces,
+    each trace a list of records."""
     vals = []
-    for tr in traces:
-        records = tr.records if hasattr(tr, "records") else tr
+    for records in traces:
         for r in records:
             if r.get("bias_sq") is None:
                 raise ConfigError(
@@ -219,17 +219,14 @@ def measured_bias_term(traces) -> float:
     return float(np.mean(vals))
 
 
-def check_bound(traces, inputs: BoundInputs) -> dict:
+def check_bound(traces: list[list[dict]], inputs: BoundInputs) -> dict:
     """Compare the measured LHS against the bound's right-hand side.
 
-    ``traces`` is a list of MetricsTrace (or raw record lists), one per seed.
-    The report never asserts pass/fail unless every premise holds: enough
-    seeds, the step-count condition, and the gamma_eff prescription.
+    ``traces`` holds one list of records per seed. The report never asserts
+    pass/fail unless every premise holds: enough seeds, the step-count
+    condition, and the gamma_eff prescription.
     """
-    per_seed = []
-    for tr in traces:
-        records = tr.records if hasattr(tr, "records") else tr
-        per_seed.append(lhs_from_records(records, inputs.tau, inputs.T))
+    per_seed = [lhs_from_records(records, inputs.tau, inputs.T) for records in traces]
     n = len(per_seed)
     lhs = float(np.mean(per_seed))
     lhs_se = float(np.std(per_seed, ddof=1) / math.sqrt(n)) if n > 1 else float("nan")

@@ -1,8 +1,15 @@
 """Independently coded baselines that the simulator must reproduce.
 
-The rank-ordered oracle loops call each worker's own oracle one at a time
-and add in ascending rank, the way the kernel did before its state was
-stacked; the stacked and global oracle forms must equal them bit for bit.
+The oracle references are per-worker transcriptions of each problem's loss
+and gradient formulas, written one worker at a time from the problem's
+stacked data (quadratic ``centers`` (m, d) and ``samples`` (m, n, d),
+logistic ``features`` (m, n, d) and ``labels`` (m, n), MLP ``features``
+(m, n, p) and ``targets`` (m, n)). The package implements only the stacked
+oracle, ``gradients(points, workers, idx)`` and
+``losses_and_gradients(points, workers)``; every stacked and global form
+must equal these references bit for bit. The rank-ordered loops add the
+per-worker results in ascending rank, the way the kernel did before its
+state was stacked.
 
 Each reference shares the simulator's per-worker RNG construction so that a
 run with the same seed consumes the same gradient draws in the same order.
@@ -30,19 +37,92 @@ import numpy as np
 from slowmo_sim.errors import ProtocolError
 from slowmo_sim.numerics import (
     STREAM_DELAY,
+    LogisticProblem,
+    MlpProblem,
     Problem,
+    QuadraticProblem,
     make_worker_rngs,
     rng_stream,
-    worker_stochastic_gradient,
 )
 from slowmo_sim.topology import out_neighbor
+
+
+def _sigmoid(t):
+    return 0.5 * (1.0 + np.tanh(0.5 * t))
+
+
+def reference_loss_and_gradient(
+    problem: Problem, i: int, x: np.ndarray, idx: np.ndarray | None = None
+) -> tuple[float, np.ndarray]:
+    """Worker i's loss and gradient at x over its shard rows ``idx`` (every
+    row when None), from that worker's data alone."""
+    rows = slice(None) if idx is None else idx
+    if isinstance(problem, QuadraticProblem):
+        a = problem.a
+        if problem.samples is None:
+            r = x - problem.centers[i]
+            g = a @ r
+            return float(0.5 * r @ g), g
+        cloud = problem.samples[i]
+        g = a @ (x - cloud[rows].mean(axis=0))
+        diffs = x - cloud[rows]
+        return float(0.5 * np.einsum("nd,de,ne->n", diffs, a, diffs).mean()), g
+    if isinstance(problem, LogisticProblem):
+        feats, labs = problem.features[i][rows], problem.labels[i][rows]
+        margins = labs * (feats @ x)
+        g = (feats.T @ (-labs * _sigmoid(-margins))) / feats.shape[0]
+        return float(np.logaddexp(0.0, -margins).mean()), g
+    if isinstance(problem, MlpProblem):
+        feats, targs = problem.features[i][rows], problem.targets[i][rows]
+        h, p = problem.hidden, problem.input_dim
+        w1 = x[: h * p].reshape(h, p)
+        b1 = x[h * p : h * p + h]
+        w2 = x[h * p + h : h * p + 2 * h]
+        b2 = x[-1]
+        n = feats.shape[0]
+        hid = np.tanh(feats @ w1.T + b1)
+        out = hid @ w2 + b2
+        err = out - targs
+        loss = float(0.5 * np.mean(err**2))
+        e = err / n
+        g_w2 = hid.T @ e
+        g_b2 = e.sum()
+        d_hid = np.outer(e, w2)
+        d_pre = d_hid * (1.0 - hid**2)
+        g_w1 = d_pre.T @ feats
+        g_b1 = d_pre.sum(axis=0)
+        return loss, np.concatenate([g_w1.ravel(), g_b1, g_w2, [g_b2]])
+    raise TypeError(f"no reference for {type(problem).__name__}")
+
+
+def reference_gradient(problem: Problem, i: int, x: np.ndarray, idx=None) -> np.ndarray:
+    return reference_loss_and_gradient(problem, i, x, idx)[1]
+
+
+def reference_stochastic_gradient(
+    problem: Problem, i: int, x: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Worker i's stochastic gradient at x: its exact gradient plus
+    N(0, (sigma^2/d) I) noise, or its gradient over ``b`` shard rows drawn
+    uniformly without replacement and sorted (every row when b is the
+    shard size)."""
+    noise = problem.noise
+    if noise.kind == "additive-gaussian":
+        g = reference_gradient(problem, i, x)
+        if noise.sigma2 > 0:
+            scale = np.sqrt(noise.sigma2 / problem.dimension)
+            g = g + scale * rng.standard_normal(problem.dimension)
+        return g
+    n, b = problem.shard_size, noise.batch_size
+    idx = np.arange(n) if b == n else np.sort(rng.choice(n, size=b, replace=False))
+    return reference_gradient(problem, i, x, idx)
 
 
 def worker_losses_and_gradients(
     problem: Problem, x: np.ndarray
 ) -> tuple[list[float], list[np.ndarray]]:
-    """Every worker's loss and gradient at x, one per-worker call each."""
-    pairs = [problem.worker_loss_and_gradient(i, x) for i in range(problem.num_workers)]
+    """Every worker's loss and gradient at x, one reference call each."""
+    pairs = [reference_loss_and_gradient(problem, i, x) for i in range(problem.num_workers)]
     return [loss for loss, _ in pairs], [g for _, g in pairs]
 
 
@@ -59,9 +139,9 @@ def global_loss_and_gradient_reference(problem: Problem, x: np.ndarray) -> tuple
 def stochastic_gradients_reference(
     problem: Problem, points: np.ndarray, workers: np.ndarray, rngs: list
 ) -> np.ndarray:
-    """One ``worker_stochastic_gradient`` call per row, worker ``workers[r]``
+    """One ``reference_stochastic_gradient`` per row, worker ``workers[r]``
     at ``points[r]`` drawing from its own generator ``rngs[workers[r]]``."""
-    grads = [worker_stochastic_gradient(problem, i, x, rngs[i])
+    grads = [reference_stochastic_gradient(problem, i, x, rngs[i])
              for i, x in zip(workers.tolist(), points)]
     return np.reshape(grads, (len(workers), problem.dimension))
 
@@ -84,9 +164,9 @@ def heavy_ball_reference(
     history = []
     for _ in range(steps):
         history.append(x.copy())
-        gbar = worker_stochastic_gradient(problem, 0, x, rngs[0]).copy()
+        gbar = reference_stochastic_gradient(problem, 0, x, rngs[0]).copy()
         for i in range(1, m):
-            gbar += worker_stochastic_gradient(problem, i, x, rngs[i])
+            gbar += reference_stochastic_gradient(problem, i, x, rngs[i])
         gbar /= m
         h = beta * h + gbar
         x = x - gamma * h
@@ -105,7 +185,7 @@ def local_sgd_reference(
         for _ in range(tau):
             history.append(_mean(xs))
             for i in range(m):
-                g = worker_stochastic_gradient(problem, i, xs[i], rngs[i])
+                g = reference_stochastic_gradient(problem, i, xs[i], rngs[i])
                 xs[i] = xs[i] - gamma * g
         avg = _mean(xs)
         xs = [avg.copy() for _ in range(m)]
@@ -124,7 +204,7 @@ def lookahead_reference(
         fast = slow.copy()
         for _ in range(tau):
             history.append(fast.copy())
-            g = worker_stochastic_gradient(problem, 0, fast, rng)
+            g = reference_stochastic_gradient(problem, 0, fast, rng)
             fast = fast - gamma * g
         slow = slow + alpha * (fast - slow)
     return history
@@ -156,7 +236,7 @@ def block_momentum_reference(
         for _ in range(tau):
             history.append(_mean(xs))
             for i in range(m):
-                g = worker_stochastic_gradient(problem, i, xs[i], rngs[i])
+                g = reference_stochastic_gradient(problem, i, xs[i], rngs[i])
                 xs[i] = xs[i] - gamma * g
         block_grad = _mean(xs) - w
         delta = block_momentum * delta + block_lr * block_grad

@@ -214,14 +214,14 @@ def test_criterion_4_convergence_bound():
                 log_bias=(tau == 1)), _BOUND_X0)
             traces.append(sim.run())
         if tau == 1:
-            bias = measured_bias_term(traces)  # exactly zero here
+            bias = measured_bias_term([t.records for t in traces])  # exactly zero here
         else:
             bias = local_sgd_bias_surrogate(gamma, L, sigma2, 0.0, tau)
         inputs = BoundInputs(delta=delta, m=m, tau=tau, T=T, L=L,
                              V=sigma2 / m, alpha=1.0, beta=beta,
                              bias_term=bias,
                              gamma_eff=gamma_eff(1.0, gamma, beta))
-        report = check_bound(traces, inputs)
+        report = check_bound([t.records for t in traces], inputs)
         held = report["condition_met"] and report["holds"]
         all_hold = all_hold and bool(held)
         lines.append(f"tau={tau} beta={beta}: LHS {report['lhs']:.4f} "

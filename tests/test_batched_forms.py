@@ -1,8 +1,8 @@
 """Every batched form of the stacked kernel against the per-worker loop it replaces.
 
-The references are the per-worker expressions the kernel used before its
-state was stacked: the rank-ordered oracle loops in ``references.py`` and
-the direction rule below. Equality is exact: ``np.array_equal`` plus equal
+The references are per-worker expressions coded apart from the package:
+the oracle formulas and rank-ordered loops in ``references.py`` and the
+direction rule below. Equality is exact: ``np.array_equal`` plus equal
 sign bits, so a -0.0 that turns into +0.0 fails too.
 """
 
@@ -32,10 +32,13 @@ from slowmo_sim import (
     global_loss_and_gradient,
     local_direction,
     make_worker_rngs,
+    worker_stochastic_gradient,
 )
 from slowmo_sim.numerics import rank_sum
 from references import (
     global_loss_and_gradient_reference,
+    reference_gradient,
+    reference_stochastic_gradient,
     stochastic_gradients_reference,
     worker_losses_and_gradients,
 )
@@ -92,7 +95,7 @@ def test_stacked_quadratic_oracle_matches_per_worker_calls(m, d):
     for step in range(9):  # crosses two block refills
         workers = np.flatnonzero(rng.random(m) < 0.7) if step % 2 else np.arange(m)
         points = _signed_rows(rng, (len(workers), d))
-        want = [prob.worker_gradient(i, x) for i, x in zip(workers.tolist(), points)]
+        want = [reference_gradient(prob, i, x) for i, x in zip(workers.tolist(), points)]
         assert _same_bits(prob.gradients(points, workers), np.reshape(want, points.shape))
         got = prob.stochastic_gradients(points, workers, streams)
         assert _same_bits(got, stochastic_gradients_reference(prob, points, workers, rngs))
@@ -106,40 +109,74 @@ def test_noiseless_stacked_oracle_draws_nothing():
     assert [g.random() for g in streams.generators] == [g.random() for g in fresh]
 
 
-def test_default_oracle_loops_over_the_per_worker_call():
-    # every problem kind: the exact oracle is the worker_gradient loop, bit
-    # for bit; additive noise comes from the block draws of each worker's
-    # stream and minibatch noise from its generator; no worker gives (0, d)
+def _oracle_cases():
     m, d = 5, 4
     gauss = NoiseModel("additive-gaussian", sigma2=0.3)
     minibatch = NoiseModel("minibatch", batch_size=3)
-    rng = np.random.default_rng(8)
     cloud = ProblemConfig(m=m, dimension=d, noise=gauss, l_min=0.5, l_max=2.0,
                           heterogeneity=1.0, samples_per_worker=6)
     logistic = ProblemConfig(kind="logistic", m=m, dimension=d, samples_per_worker=9,
                              noise=gauss, heterogeneity=0.5)
-    problems = {
+    mlp = ProblemConfig(kind="mlp", m=m, input_dim=3, hidden=2, samples_per_worker=9,
+                        noise=gauss, heterogeneity=0.5)
+    return {
+        "quadratic": _quadratic(m, d),
         "quadratic-cloud": build_quadratic(cloud, seed=2),
         "quadratic-cloud-minibatch": build_quadratic(replace(cloud, noise=minibatch), seed=2),
         "logistic": build_logistic(logistic, seed=2),
         "logistic-minibatch": build_logistic(replace(logistic, noise=minibatch), seed=2),
-        "mlp": build_mlp(ProblemConfig(kind="mlp", m=m, input_dim=3, hidden=2,
-                                       samples_per_worker=9, noise=gauss, heterogeneity=0.5),
-                         seed=2),
+        "mlp": build_mlp(mlp, seed=2),
+        "mlp-minibatch": build_mlp(replace(mlp, noise=minibatch), seed=2),
+        # one hidden unit: the bias gradient sums a single column
+        "mlp-one-unit-minibatch": build_mlp(replace(mlp, hidden=1, samples_per_worker=20,
+                                                    noise=NoiseModel("minibatch", batch_size=12)),
+                                            seed=2),
     }
-    for name, prob in problems.items():
-        streams = WorkerStreams(1, m, prob.dimension, block=3)
-        rngs = make_worker_rngs(1, m)
+
+
+def _check_stacked_oracle(prob, subsets, rng, name):
+    """Exact and stochastic stacked oracles against the per-worker references,
+    bit for bit, on each subset of workers in turn."""
+    m = prob.num_workers
+    streams = WorkerStreams(1, m, prob.dimension, block=3)
+    rngs = make_worker_rngs(1, m)
+    for workers in subsets:
+        points = _signed_rows(rng, (len(workers), prob.dimension))
+        want = [reference_gradient(prob, i, x) for i, x in zip(workers.tolist(), points)]
+        assert _same_bits(prob.gradients(points, workers), np.reshape(want, points.shape)), name
+        got = prob.stochastic_gradients(points, workers, streams)
+        assert _same_bits(got, stochastic_gradients_reference(prob, points, workers, rngs)), name
+
+
+def test_default_oracle_loops_over_the_per_worker_call():
+    # every problem kind: the stacked exact oracle is the per-worker reference
+    # loop, bit for bit; additive noise comes from the block draws of each
+    # worker's stream and minibatch rows from its generator; on every worker,
+    # stalled subsets, no worker (giving (0, d)) and one row
+    rng = np.random.default_rng(8)
+    for name, prob in _oracle_cases().items():
+        m = prob.num_workers
         # stalled workers fall behind, so refills come apart
         subsets = [np.sort(rng.choice(m, size=rng.integers(1, m), replace=False)) if step % 2
                    else np.arange(m) for step in range(9)]
-        for workers in subsets + [np.flatnonzero(np.zeros(m, bool))]:
-            points = _signed_rows(rng, (len(workers), prob.dimension))
-            want = [prob.worker_gradient(i, x) for i, x in zip(workers.tolist(), points)]
-            got = prob.gradients(points, workers)
-            assert _same_bits(got, np.reshape(want, points.shape)), name
-            got = prob.stochastic_gradients(points, workers, streams)
-            assert _same_bits(got, stochastic_gradients_reference(prob, points, workers, rngs)), name
+        subsets += [np.flatnonzero(np.zeros(m, bool)), np.array([m - 1]), np.array([1])]
+        _check_stacked_oracle(prob, subsets, rng, name)
+        # worker_stochastic_gradient is the stacked oracle on one row
+        x = _signed_rows(rng, (prob.dimension,))
+        for i in range(m):
+            got = worker_stochastic_gradient(prob, i, x, make_worker_rngs(6, m)[i])
+            want = reference_stochastic_gradient(prob, i, x, make_worker_rngs(6, m)[i])
+            assert _same_bits(got, want), (name, i)
+
+
+def test_stacked_logistic_oracle_at_the_benchmark_shape():
+    # m = 8 workers, minibatches of 8 rows, d = 20000
+    prob = build_logistic(ProblemConfig(kind="logistic", m=8, dimension=20000,
+                                        samples_per_worker=16, heterogeneity=0.6,
+                                        noise=NoiseModel("minibatch", batch_size=8)), seed=1)
+    rng = np.random.default_rng(3)
+    subsets = [np.arange(8), np.array([0, 3, 4, 7]), np.array([5])]
+    _check_stacked_oracle(prob, subsets, rng, "logistic-d20000")
 
 
 @pytest.mark.parametrize("block", [1, 3, 12])
@@ -217,9 +254,9 @@ def test_stacked_directions_match_per_worker_rule(kind, m, d):
 def test_stacked_loss_and_gradient_match_per_worker_sums(m, d):
     prob = _quadratic(m, d)
     x = _signed_rows(np.random.default_rng(d), (d,))
-    losses, grads = prob.losses_and_gradients(x)
+    losses, grads = prob.losses_and_gradients(x[None], np.arange(m))
     want_losses, want_grads = worker_losses_and_gradients(prob, x)
-    assert losses == want_losses
+    assert losses.tolist() == want_losses
     assert _same_bits(grads, want_grads)
     loss, grad = global_loss_and_gradient(prob, x)
     want_loss, want_grad = global_loss_and_gradient_reference(prob, x)
@@ -260,7 +297,7 @@ def test_logistic_log_bias_is_the_per_worker_gradient_loop():
         record(gamma)
         total = np.zeros(prob.dimension)
         for i, (z, h) in enumerate(zip(sim.points(), sim.states.buffers.h)):
-            total += bl * bl * h + (1.0 + bl) * prob.worker_gradient(i, z)
+            total += bl * bl * h + (1.0 + bl) * reference_gradient(prob, i, z)
         xbar = np.array(sim._records[-1]["x_bar"])  # the point just recorded
         diff = global_loss_and_gradient_reference(prob, xbar)[1] - total / prob.num_workers
         want.append(float(diff @ diff))
@@ -313,19 +350,21 @@ def check_blocked_gemv(d):
             want = [a @ (x - centers[i]) for i, x in zip(workers.tolist(), points)]
             assert _same_bits(got, want), (m, d, workers)
         x = _signed_rows(rng, (d,))
-        losses, grads = prob.losses_and_gradients(x)
+        losses, grads = prob.losses_and_gradients(x[None], np.arange(m))
         want_losses, want_grads = worker_losses_and_gradients(prob, x)
-        assert losses == want_losses, (m, d)
+        assert losses.tolist() == want_losses, (m, d)
         assert _same_bits(grads, want_grads), (m, d)
         assert _same_bits(grads, [a @ (x - c) for c in centers]), (m, d)
         # a sample cloud: minibatch gradients and the per-worker cloud losses
         prob = _shared_quadratic(m, d, rng, cloud=5)
         a, idx = prob.a, np.array([1, 3])
-        for i, x in enumerate(_signed_rows(rng, (m, d))):
-            want = a @ (x - prob.samples[i][idx].mean(axis=0))
-            assert _same_bits(prob.worker_gradient(i, x, idx), want), (m, d, i)
-        losses, grads = prob.losses_and_gradients(x)
-        assert losses == worker_losses_and_gradients(prob, x)[0], (m, d)
+        points = _signed_rows(rng, (m, d))
+        got = prob.gradients(points, np.arange(m), np.tile(idx, (m, 1)))
+        want = [a @ (x - prob.samples[i][idx].mean(axis=0)) for i, x in enumerate(points)]
+        assert _same_bits(got, want), (m, d)
+        x = points[-1]
+        losses, grads = prob.losses_and_gradients(x[None], np.arange(m))
+        assert losses.tolist() == worker_losses_and_gradients(prob, x)[0], (m, d)
         assert _same_bits(grads, [a @ (x - c) for c in prob.centers]), (m, d)
 
 

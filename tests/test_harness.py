@@ -178,6 +178,10 @@ def test_equivalence_check_reports_max_diff():
     verdict = equivalence_check(a, bad)
     assert not verdict["passed"]
     assert verdict["max_abs_diff"] == pytest.approx(1e-6, rel=1e-6)
+    assert equivalence_check(a, b, tol=0.0)["passed"]  # identical traces at tolerance 0
+    for tol in (math.nan, math.inf, -1e-12):
+        with pytest.raises(ConfigError, match="tolerance"):
+            equivalence_check(a, b, tol=tol)
 
 
 def test_run_experiment_writes_artifacts(tmp_path):
@@ -352,7 +356,8 @@ def test_assemble_bound_inputs_surrogate_and_value(tmp_path):
         "bias": {"mode": "value", "value": 0.02},
     }
     traces = _bound_traces(raw, range(3))
-    inputs, extra = assemble_bound_inputs(constants, traces)
+    records = [t.records for t in traces]
+    inputs, extra = assemble_bound_inputs(constants, records)
     assert inputs.bias_term == 0.02 and extra == []
     report = bound_report(constants, traces)
     assert report["holds"] is None  # 3 seeds is not enough for a verdict
@@ -360,7 +365,7 @@ def test_assemble_bound_inputs_surrogate_and_value(tmp_path):
 
     constants["bias"] = {"mode": "surrogate", "sigma2": 100.0, "zeta2": 0.0}
     constants["gamma"] = 10.0  # gamma*L*tau way outside the surrogate range
-    inputs2, extra2 = assemble_bound_inputs(constants, traces)
+    inputs2, extra2 = assemble_bound_inputs(constants, records)
     assert inputs2.bias_term == 0.0
     assert extra2 and "surrogate" in extra2[0]
     report2 = bound_report(constants, traces)
@@ -735,6 +740,25 @@ MALFORMED_CHECKER_INPUTS = {
     "empty-traces-equivalence": (_CHECK_EQUIVALENCE, None, lambda records: []),
     "estimate-v-samples-over-ceiling": (
         ["estimate-v", "--config", "{config}", "--samples", str(10**11)], None, None),
+    # files that are missing or not UTF-8, in every role a file plays
+    **{f"config-{kind}-{command}": ([command, "--config", "{%s}" % kind, "--out", "{out}"],
+                                    None, None)
+       for kind in ("missing", "not_utf8") for command in ("run", "sweep")},
+    **{f"config-{kind}-estimate-v": (["estimate-v", "--config", "{%s}" % kind], None, None)
+       for kind in ("missing", "not_utf8")},
+    "trace-missing-equivalence": (
+        ["check-equivalence", "--trace-a", "{trace}", "--trace-b", "{missing}"], None, None),
+    "trace-not-utf8-equivalence": (
+        ["check-equivalence", "--trace-a", "{not_utf8}", "--trace-b", "{trace}"], None, None),
+    "trace-not-utf8-bound": (
+        ["check-bound", "--constants", "{constants}", "--traces", "{not_utf8}"], None, None),
+    "constants-missing": (
+        ["check-bound", "--constants", "{missing}", "--traces", "{trace}"], None, None),
+    "constants-not-utf8": (
+        ["check-bound", "--constants", "{not_utf8}", "--traces", "{trace}"], None, None),
+    # a tolerance that is negative or not finite decides nothing
+    **{f"tol-{name}": (_CHECK_EQUIVALENCE + ["--tol", tol], None, None)
+       for name, tol in (("nan", "nan"), ("negative", "-1"), ("inf", "inf"), ("minus-inf", "-inf"))},
 }
 
 
@@ -747,12 +771,15 @@ def test_malformed_checker_input_is_a_config_error(case, tmp_path, capsys):
     if edit_records:
         records = edit_records(copy.deepcopy(records))
     paths = {"config": _write_cfg(tmp_path, _raw()), "constants": str(tmp_path / "constants.json"),
-             "trace": str(tmp_path / "trace.jsonl")}
+             "trace": str(tmp_path / "trace.jsonl"), "missing": str(tmp_path / "missing.json"),
+             "not_utf8": str(tmp_path / "latin1.json"), "out": str(tmp_path / "out")}
     Path(paths["constants"]).write_text(json.dumps(constants))
     Path(paths["trace"]).write_text("".join(json.dumps(r) + "\n" for r in records))
+    Path(paths["not_utf8"]).write_bytes('{"seed": "\u00e9"}\n'.encode("latin-1"))
     assert main([arg.format(**paths) for arg in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error") and "Traceback" not in err
+    assert not os.path.exists(paths["out"])
 
 
 # --------------------------------------------------------------------------- #

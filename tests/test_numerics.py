@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from slowmo_sim import (
     ConfigError,
     LogisticProblem,
+    MlpProblem,
     NoiseModel,
     ProblemConfig,
     QuadraticProblem,
@@ -25,7 +26,16 @@ from slowmo_sim import (
     worker_stochastic_gradient,
 )
 from slowmo_sim.numerics import STREAM_DATA, STREAM_NOISE
-from references import global_loss_and_gradient_reference
+from references import (
+    global_loss_and_gradient_reference,
+    reference_loss_and_gradient,
+    worker_losses_and_gradients,
+)
+
+
+def _gradient(prob, i, x):
+    """Worker i's exact gradient at x: the stacked oracle on one row."""
+    return prob.gradients(x[None], np.array([i]))[0]
 
 
 # --------------------------------------------------------------------------- #
@@ -70,7 +80,7 @@ def test_additive_noise_power(identity_quadratic):
     # E ||g - grad||^2 = sigma^2 regardless of dimension
     prob = identity_quadratic
     x = np.array([0.3, -0.2, 0.1, 0.5])
-    exact = prob.worker_gradient(0, x)
+    exact = _gradient(prob, 0, x)
     rng = rng_stream(0, STREAM_NOISE, 0)
     draws = 20_000
     sq = np.empty(draws)
@@ -83,7 +93,7 @@ def test_additive_noise_power(identity_quadratic):
 def test_additive_noise_unbiased(identity_quadratic):
     prob = identity_quadratic
     x = np.array([0.3, -0.2, 0.1, 0.5])
-    exact = prob.worker_gradient(1, x)
+    exact = _gradient(prob, 1, x)
     rng = rng_stream(1, STREAM_NOISE, 0)
     draws = 50_000
     acc = np.zeros(4)
@@ -101,13 +111,13 @@ def test_minibatch_full_batch_is_exact(small_logistic):
     x = np.array([0.1, -0.4, 0.2])
     rng = rng_stream(0, STREAM_NOISE, 0)
     g = worker_stochastic_gradient(prob, 0, x, rng)
-    assert np.array_equal(g, prob.worker_gradient(0, x))
+    assert np.array_equal(g, _gradient(prob, 0, x))
 
 
 def test_minibatch_unbiased(small_logistic):
     prob = small_logistic
     x = np.array([0.1, -0.4, 0.2])
-    exact = prob.worker_gradient(1, x)
+    exact = _gradient(prob, 1, x)
     rng = rng_stream(2, STREAM_NOISE, 0)
     draws = 40_000
     acc = np.zeros(3)
@@ -163,8 +173,8 @@ def test_gradients_match_finite_differences(builder):
     for i in range(prob.num_workers):
         for _ in range(4):
             x = 0.5 * rng.standard_normal(prob.dimension)
-            g = prob.worker_gradient(i, x)
-            fd = _fd_gradient(lambda p: prob.worker_loss_and_gradient(i, p)[0], x)
+            g = _gradient(prob, i, x)
+            fd = _fd_gradient(lambda p: prob.losses_and_gradients(p[None], np.array([i]))[0][0], x)
             denom = max(np.linalg.norm(g), 1e-8)
             assert np.linalg.norm(g - fd) / denom < 1e-5
 
@@ -199,6 +209,50 @@ def test_quadratic_validation():
         QuadraticProblem(np.eye(3), [np.zeros(2)] * 2, noise)
     with pytest.raises(ConfigError):  # minibatch needs a sample cloud
         QuadraticProblem(np.eye(2), [np.zeros(2)], NoiseModel("minibatch", batch_size=1))
+    with pytest.raises(ConfigError, match="do not stack"):  # ragged centers
+        QuadraticProblem(np.eye(2), [np.zeros(2), np.zeros(3)], noise)
+    centers = [np.zeros(2)] * 2
+    with pytest.raises(ConfigError, match="do not stack"):  # clouds of different sizes
+        QuadraticProblem(np.eye(2), centers, noise, samples=[np.zeros((3, 2)), np.zeros((4, 2))])
+    with pytest.raises(ConfigError, match="do not match"):  # one cloud per center
+        QuadraticProblem(np.eye(2), centers, noise, samples=np.zeros((3, 4, 2)))
+    with pytest.raises(ConfigError, match="do not match"):  # clouds of the wrong dimension
+        QuadraticProblem(np.eye(2), centers, noise, samples=np.zeros((2, 4, 3)))
+    with pytest.raises(ConfigError, match="nonempty"):  # empty clouds
+        QuadraticProblem(np.eye(2), centers, noise, samples=np.zeros((2, 0, 2)))
+
+
+def test_logistic_validation():
+    noise = NoiseModel("additive-gaussian", sigma2=0.0)
+    feats, labels = np.ones((2, 3, 4)), np.ones((2, 3))
+    with pytest.raises(ConfigError, match="do not stack"):  # shards of different sizes
+        LogisticProblem([np.ones((3, 4)), np.ones((5, 4))], [np.ones(3), np.ones(5)], noise)
+    with pytest.raises(ConfigError, match="do not stack"):  # features of different widths
+        LogisticProblem([np.ones((3, 4)), np.ones((3, 5))], labels, noise)
+    with pytest.raises(ConfigError, match="do not stack"):  # ragged labels
+        LogisticProblem(feats, [np.ones(3), np.ones(2)], noise)
+    with pytest.raises(ConfigError, match="do not match"):  # labels for other shards
+        LogisticProblem(feats, np.ones((2, 4)), noise)
+    with pytest.raises(ConfigError, match="nonempty"):  # 2-D features
+        LogisticProblem(np.ones((3, 4)), labels, noise)
+    with pytest.raises(ConfigError, match="nonempty"):  # empty shards
+        LogisticProblem(np.ones((2, 0, 4)), np.ones((2, 0)), noise)
+    with pytest.raises(ConfigError, match="labels must be"):
+        LogisticProblem(feats, np.zeros((2, 3)), noise)
+
+
+def test_mlp_validation():
+    noise = NoiseModel("additive-gaussian", sigma2=0.0)
+    feats, targets = np.ones((2, 3, 4)), np.ones((2, 3))
+    with pytest.raises(ConfigError, match="do not stack"):  # shards of different sizes
+        MlpProblem([np.ones((3, 4)), np.ones((5, 4))], [np.ones(3), np.ones(5)], 2, noise)
+    with pytest.raises(ConfigError, match="do not stack"):  # ragged targets
+        MlpProblem(feats, [np.ones(3), np.ones(2)], 2, noise)
+    with pytest.raises(ConfigError, match="do not match"):  # targets for other shards
+        MlpProblem(feats, np.ones((3, 3)), 2, noise)
+    with pytest.raises(ConfigError, match="nonempty"):  # one target per row, not a column
+        MlpProblem(feats, np.ones((2, 3, 1)), 2, noise)
+    assert MlpProblem(feats, targets, 2, noise).dimension == 2 * 4 + 2 + 2 + 1
 
 
 def test_shared_curvature_is_checked_once(monkeypatch):
@@ -218,35 +272,52 @@ def _fused_cases():
         "quadratic-cloud": build_quadratic(
             replace(quadratic, noise=NoiseModel("minibatch", batch_size=2), samples_per_worker=5),
             seed=2),
+        "quadratic-one-sample": build_quadratic(
+            replace(quadratic, noise=NoiseModel("minibatch", batch_size=1), samples_per_worker=1),
+            seed=2),
         "logistic": build_logistic(ProblemConfig(kind="logistic", m=3, dimension=4,
                                                  samples_per_worker=9, noise=gauss,
                                                  heterogeneity=0.5), seed=2),
         "mlp": build_mlp(ProblemConfig(kind="mlp", m=3, input_dim=3, hidden=4,
                                        samples_per_worker=9, noise=gauss, heterogeneity=0.5),
                          seed=2),
+        "mlp-one-unit": build_mlp(ProblemConfig(kind="mlp", m=3, input_dim=1, hidden=1,
+                                                samples_per_worker=20, noise=gauss,
+                                                heterogeneity=0.5), seed=2),
     }
 
 
 @pytest.mark.parametrize("kind", sorted(_fused_cases()))
 def test_loss_and_gradient_equal_the_separate_oracles_bit_for_bit(kind):
-    # worker_gradient over every shard row, over the whole objective and
-    # from the loss-and-gradient call: one gradient, bit for bit
+    # one gradient, bit for bit: the stacked oracle over every shard row,
+    # over the whole objective and from the loss-and-gradient call, for every
+    # worker, a subset and one row, each equal to the per-worker reference,
+    # whose losses the loss-and-gradient call also gives
     prob = _fused_cases()[kind]
-    has_rows = not isinstance(prob, QuadraticProblem) or prob.samples is not None
+    m = prob.num_workers
     rng = np.random.default_rng(9)
     for _ in range(3):
         x = rng.standard_normal(prob.dimension)
-        for i in range(prob.num_workers):
-            grad = prob.worker_gradient(i, x)
-            assert np.array_equal(grad, prob.worker_loss_and_gradient(i, x)[1])
-            if has_rows:
-                every_row = np.arange(prob.shard_size(i))
-                assert np.array_equal(prob.worker_gradient(i, x, every_row), grad)
+        want_losses, want_grads = worker_losses_and_gradients(prob, x)
+        for workers in (np.arange(m), np.array([0, m - 1]), np.array([1])):
+            losses, grads = prob.losses_and_gradients(x[None], workers)
+            assert losses.tolist() == [want_losses[i] for i in workers.tolist()]
+            assert np.array_equal(grads, [want_grads[i] for i in workers.tolist()])
+            assert np.array_equal(prob.gradients(x[None], workers), grads)
+            if prob.shard_size:
+                every_row = np.tile(np.arange(prob.shard_size), (len(workers), 1))
+                assert np.array_equal(prob.gradients(x[None], workers, every_row), grads)
         want_loss, want_grad = global_loss_and_gradient_reference(prob, x)
         loss, grad = global_loss_and_gradient(prob, x)
         assert loss == want_loss == global_loss(prob, x)
         assert np.array_equal(grad, want_grad)
         assert np.array_equal(global_gradient(prob, x), want_grad)
+        # shard rows picked out of order: the reference on the same rows
+        idx = rng.permutation(prob.shard_size)[:2] if prob.shard_size > 1 else None
+        if idx is not None:
+            got = prob.gradients(np.tile(x, (m, 1)), np.arange(m), np.tile(idx, (m, 1)))
+            want = [reference_loss_and_gradient(prob, i, x, idx)[1] for i in range(m)]
+            assert np.array_equal(got, want)
 
 
 def test_check_point_shape_guard(identity_quadratic):
@@ -261,9 +332,9 @@ def test_global_gradient_is_mean_of_workers(seed):
                                          noise=NoiseModel("additive-gaussian", sigma2=0.0)),
                            seed=5)
     x = rng_stream(seed, STREAM_DATA, 0).standard_normal(3)
-    manual = prob.worker_gradient(0, x).copy()
+    manual = _gradient(prob, 0, x).copy()
     for i in range(1, 4):
-        manual += prob.worker_gradient(i, x)
+        manual += _gradient(prob, i, x)
     manual /= 4
     assert np.allclose(global_gradient(prob, x), manual, atol=1e-14)
 
@@ -276,6 +347,6 @@ def test_quadratic_gradient_is_affine(seed):
                            seed=21)
     rng = rng_stream(seed, STREAM_DATA, 1)
     x, y = rng.standard_normal(3), rng.standard_normal(3)
-    lhs = prob.worker_gradient(0, x) - prob.worker_gradient(0, y)
+    lhs = _gradient(prob, 0, x) - _gradient(prob, 0, y)
     assert np.allclose(lhs, prob.a @ (x - y), atol=1e-12)
 
