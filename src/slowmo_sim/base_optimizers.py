@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .numerics import rank_sum
+from .numerics import group_sums, repeat_groups
 
 OPTIMIZER_KINDS = ("plain-sgd", "sgd-nesterov", "adam")
 BUFFER_STRATEGIES = ("reset", "maintain", "average")
@@ -141,12 +141,15 @@ def _adam_step(config: BaseOptimizerConfig, h, v, steps, g, out) -> None:
     out /= tmp
 
 
-def apply_buffer_strategy(config: BaseOptimizerConfig, buffers: OptimizerBuffers) -> OptimizerBuffers:
+def apply_buffer_strategy(
+    config: BaseOptimizerConfig, buffers: OptimizerBuffers, groups: int = 1
+) -> OptimizerBuffers:
     """Apply the configured strategy at the start of an outer iteration.
 
-    ``average`` replaces every worker's buffer with the exact cross-worker
-    mean, accumulated in ascending worker order; step indices are left
-    untouched (they agree across workers in lockstep schedules anyway).
+    ``average`` replaces every worker's buffer with the exact mean over the
+    workers of its group (``groups`` equal runs of consecutive rows),
+    accumulated in ascending worker order; step indices are left untouched
+    (they agree across workers in lockstep schedules anyway).
     """
     strat = config.buffer_strategy
     if strat == "reset":
@@ -155,8 +158,8 @@ def apply_buffer_strategy(config: BaseOptimizerConfig, buffers: OptimizerBuffers
             buffers.v[:] = 0.0
         buffers.step[:] = 0
     elif strat == "average":
-        m = len(buffers.h)
-        buffers.h[:] = rank_sum(buffers.h) / m
+        m = len(buffers.h) // groups
+        buffers.h[:] = repeat_groups(group_sums(buffers.h, groups) / m, m)
         if buffers.v is not None:
-            buffers.v[:] = rank_sum(buffers.v) / m
+            buffers.v[:] = repeat_groups(group_sums(buffers.v, groups) / m, m)
     return buffers

@@ -32,6 +32,12 @@ send round.
 All cross-worker reductions accumulate in ascending worker rank so traces are
 bit-reproducible; delivered messages drain in (send round, sender rank) order
 and in-flight sums add in (sender, receiver, send round) order.
+
+A protocol serves S groups of m workers (one per seed of a stacked run)
+as S*m rows: averages reduce per group, mixing is block-diagonal (each
+group's edge list offset by g*m), and OSGP draws each group's delays from
+its own stream and checks each group's stalls apart. S = 1 is the
+ordinary run.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ import numpy as np
 
 from .base_optimizers import OptimizerBuffers
 from .errors import ConfigError, ProtocolError
-from .numerics import STREAM_DELAY, float_sum, rank_sum, rng_stream
+from .numerics import STREAM_DELAY, group_sums, repeat_groups, rng_stream
 from .topology import TopologySchedule, mixing_matrix, out_neighbor
 
 if TYPE_CHECKING:  # config imports this module
@@ -116,13 +122,14 @@ class DelayModel:
         return np.minimum(rng.geometric(self.p, size=count) - 1, self.cap).tolist()
 
 
-def exact_average(states: WorkerStates) -> np.ndarray:
-    """(1/m) sum_i z_i, accumulated in ascending worker rank.
+def exact_average(states: WorkerStates, groups: int = 1) -> np.ndarray:
+    """(groups, d): (1/m) sum_i z_i of each group of m workers, accumulated
+    in ascending worker rank.
 
     Uses the de-biased iterate, which coincides with x whenever w == 1, so
     the same reduction serves plain and push-sum protocols.
     """
-    return rank_sum(states.z) / len(states)
+    return group_sums(states.z, groups) / (len(states) // groups)
 
 
 class SlotMixing:
@@ -186,11 +193,12 @@ def pushsum_round(states: WorkerStates, mixing: SlotMixing, half: np.ndarray) ->
     return states
 
 
-def double_average(states: WorkerStates) -> WorkerStates:
-    """Exact average of both parameters and momentum buffers across workers."""
-    m = len(states)
-    states.x[:] = rank_sum(states.x) / m
-    states.buffers.h[:] = rank_sum(states.buffers.h) / m
+def double_average(states: WorkerStates, groups: int = 1) -> WorkerStates:
+    """Exact average of both parameters and momentum buffers across each
+    group's workers."""
+    m = len(states) // groups
+    states.x[:] = repeat_groups(group_sums(states.x, groups) / m, m)
+    states.buffers.h[:] = repeat_groups(group_sums(states.buffers.h, groups) / m, m)
     return states
 
 
@@ -217,19 +225,22 @@ def osgp_step(
 class _ProtocolBase:
     """Kernel-facing adapter: one object per run, consulted every round.
 
-    Every protocol is built as ``cls(cfg, m, schedule)`` from the run's
-    config, its worker count and its topology schedule (None for the kinds
-    that do not mix). ``apply_round(states, half, round_index)`` gets the
-    stacked states and the (n, d) half-steps x - gamma*d of the n workers
-    ``active_workers()`` named, in that order.
+    Every protocol is built as ``cls(cfg, m, schedule, seeds)`` from the
+    run's config, its worker count per group, its topology schedule (None for
+    the kinds that do not mix) and one seed per group. ``apply_round(states,
+    half, round_index)`` gets the stacked states and the (n, d) half-steps
+    x - gamma*d of the n rows ``active_workers()`` named, in that order.
     """
 
     name = "abstract"
     debias = False
 
-    def __init__(self, cfg: ExperimentConfig, m: int, schedule: TopologySchedule | None):
+    def __init__(self, cfg: ExperimentConfig, m: int, schedule: TopologySchedule | None,
+                 seeds: tuple):
         self.m = m
-        self._everyone = np.arange(m)
+        self.groups = len(seeds)
+        self.rows = self.groups * m
+        self._everyone = np.arange(self.rows)
 
     def active_workers(self) -> np.ndarray:
         return self._everyone
@@ -240,8 +251,12 @@ class _ProtocolBase:
     def end_block(self, states: WorkerStates) -> None:
         """Called after the last inner round of each outer iteration."""
 
-    def inflight_sums(self, dimension: int) -> tuple[np.ndarray, float]:
-        return np.zeros(dimension), 0.0
+    def inflight_sums(self, dimension: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each group's (sum of payloads (S, d), sum of weights (S,)) in flight."""
+        return np.zeros((self.groups, dimension)), np.zeros(self.groups)
+
+    def clear_payloads(self, group: int) -> None:
+        """Zero the in-flight payloads that ``group``'s workers sent."""
 
 
 class LocalProtocol(_ProtocolBase):
@@ -255,7 +270,7 @@ class AllReduceProtocol(_ProtocolBase):
     name = "allreduce"
 
     def apply_round(self, states, half, round_index):
-        states.x[:] = rank_sum(half) / self.m
+        states.x[:] = repeat_groups(group_sums(half, self.groups) / self.m, self.m)
 
 
 class DoubleAverageProtocol(_ProtocolBase):
@@ -265,7 +280,7 @@ class DoubleAverageProtocol(_ProtocolBase):
         states.x = half
 
     def end_block(self, states):
-        double_average(states)
+        double_average(states, self.groups)
 
 
 class _MixingProtocol(_ProtocolBase):
@@ -274,16 +289,21 @@ class _MixingProtocol(_ProtocolBase):
 
     stochasticity = "column"
 
-    def __init__(self, cfg, m, schedule):
-        super().__init__(cfg, m, schedule)
+    def __init__(self, cfg, m, schedule, seeds):
+        super().__init__(cfg, m, schedule, seeds)
         self.schedule = schedule
         self._compiled: dict[int, SlotMixing] = {}
 
     def mixing(self, round_index: int) -> SlotMixing:
+        """The round's matrix over all S*m rows: block-diagonal, one copy of
+        the schedule's matrix per group."""
         key = round_index % self.schedule.period
         if key not in self._compiled:
+            rows, cols, weights = mixing_matrix(self.schedule, key, self.stochasticity)
+            offsets = np.repeat(np.arange(self.groups) * self.m, rows.size)
             self._compiled[key] = SlotMixing(
-                self.m, *mixing_matrix(self.schedule, key, self.stochasticity))
+                self.rows, np.tile(rows, self.groups) + offsets,
+                np.tile(cols, self.groups) + offsets, np.tile(weights, self.groups))
         return self._compiled[key]
 
 
@@ -294,8 +314,8 @@ class GossipProtocol(_MixingProtocol):
     name = "dpsgd"
     stochasticity = "doubly"
 
-    def __init__(self, cfg, m, schedule):
-        super().__init__(cfg, m, schedule)
+    def __init__(self, cfg, m, schedule, seeds):
+        super().__init__(cfg, m, schedule, seeds)
         for k in range(schedule.period):
             self.mixing(k)
 
@@ -339,16 +359,16 @@ class OverlapPushSumProtocol(_MixingProtocol):
     name = "osgp"
     debias = True
 
-    def __init__(self, cfg, m, schedule):
-        super().__init__(cfg, m, schedule)
+    def __init__(self, cfg, m, schedule, seeds):
+        super().__init__(cfg, m, schedule, seeds)
         out_neighbor(schedule, 0, 0)  # ConfigError unless every worker has one out-neighbor
         self.staleness = cfg.osgp.staleness
         self.delay = cfg.osgp.delay
         self.batches: list[_Batch] = []
-        self.last_delivery = np.full((schedule.period, m), -1, dtype=np.int64)
-        self.count_since_last = np.zeros(m, dtype=np.int64)
-        self.stalled = np.zeros(m, dtype=bool)
-        self._delay_rng = rng_stream(cfg.seed, STREAM_DELAY, 0)
+        self.last_delivery = np.full((schedule.period, self.rows), -1, dtype=np.int64)
+        self.count_since_last = np.zeros(self.rows, dtype=np.int64)
+        self.stalled = np.zeros(self.rows, dtype=bool)
+        self._delay_rngs = [rng_stream(seed, STREAM_DELAY, 0) for seed in seeds]
 
     def active_workers(self):
         return np.flatnonzero(~self.stalled)
@@ -360,13 +380,19 @@ class OverlapPushSumProtocol(_MixingProtocol):
             return
         sent = ~self.stalled
         senders = np.flatnonzero(sent)
-        if not senders.size and not self.batches:
-            raise ProtocolError(
-                "every worker is stalled and no messages are in flight"
-            )
+        counts = np.bincount(senders // self.m, minlength=self.groups)
+        if not counts.all():
+            flying = np.zeros(self.groups, dtype=bool)
+            for batch in self.batches:
+                flying[batch.senders // self.m] = True
+            if (~flying & (counts == 0)).any():
+                raise ProtocolError(
+                    "every worker is stalled and no messages are in flight"
+                )
         mix = self.mixing(round_index)
-        # delays are drawn for the senders in ascending rank
-        lags = np.array(self.delay.draw(self._delay_rng, senders.size), dtype=np.int64)
+        # each group draws the delays of its senders in ascending rank
+        lags = np.array([lag for rng, count in zip(self._delay_rngs, counts.tolist())
+                         for lag in self.delay.draw(rng, count)], dtype=np.int64)
         last = self.last_delivery[round_index % len(self.last_delivery)]
         deliver = np.maximum(round_index + lags, last[senders])  # FIFO per edge
         last[senders] = deliver
@@ -384,7 +410,7 @@ class OverlapPushSumProtocol(_MixingProtocol):
     def _deliver(self, states, round_index) -> np.ndarray:
         """Add every payload due by ``round_index`` to its receiver, batch by
         batch in send order; returns the (m,) mask of receivers."""
-        received = np.zeros(self.m, dtype=bool)
+        received = np.zeros(self.rows, dtype=bool)
         pending = []
         for batch in self.batches:
             due = batch.deliver <= round_index
@@ -406,16 +432,24 @@ class OverlapPushSumProtocol(_MixingProtocol):
         self.stalled[:] = False
 
     def inflight_sums(self, dimension):
-        """(sum of payloads, sum of weights) in flight, each added from zero in
-        (sender, receiver, send round) order."""
+        """Each group's (sum of payloads, sum of weights) in flight, each
+        added from zero in (sender, receiver, send round) order."""
+        x_sum, w_sum = super().inflight_sums(dimension)
         if not self.batches:
-            return np.zeros(dimension), 0.0
+            return x_sum, w_sum
         senders, receivers, _, x, w = (
             np.concatenate(column) for column in zip(*(b[1:] for b in self.batches)))
         # lexsort is stable and the batches are in send order, so ties on
-        # (sender, receiver) stay in send-round order
+        # (sender, receiver) stay in send-round order; add.at adds in that order
         order = np.lexsort((receivers, senders))
-        return rank_sum(x[order], start=0.0), float_sum(w[order].tolist())
+        groups = senders[order] // self.m
+        np.add.at(x_sum, groups, x[order])
+        np.add.at(w_sum, groups, w[order])
+        return x_sum, w_sum
+
+    def clear_payloads(self, group):
+        for batch in self.batches:
+            batch.x[batch.senders // self.m == group] = 0.0
 
 
 PROTOCOLS = {
@@ -432,8 +466,10 @@ MIXING_PROTOCOLS = frozenset(n for n, cls in PROTOCOLS.items() if issubclass(cls
 
 
 def make_protocol(
-    cfg: ExperimentConfig, m: int, schedule: TopologySchedule | None
+    cfg: ExperimentConfig, m: int, schedule: TopologySchedule | None, seeds=None
 ) -> _ProtocolBase:
-    """The protocol ``cfg.protocol`` names, for m workers; a mixing protocol
-    mixes by ``schedule``, which the others ignore."""
-    return PROTOCOLS[cfg.protocol](cfg, m, schedule)
+    """The protocol ``cfg.protocol`` names, for one group of m workers per
+    seed in ``seeds`` (default: ``cfg.seed`` alone); a mixing protocol mixes
+    by ``schedule``, which the others ignore."""
+    seeds = (cfg.seed,) if seeds is None else tuple(seeds)
+    return PROTOCOLS[cfg.protocol](cfg, m, schedule, seeds)

@@ -8,8 +8,10 @@ JSON, rejecting unknown fields anywhere in the tree. ``resolved_dict`` dumps
 every field explicitly, defaults included, so a run can always be reproduced
 from its resolved.json alone. ``build_simulation`` builds the problem and
 start point from the config and hands both, with the config itself, to
-``Simulation``. The rules on a run's settings live here, except the ones
-that need its topology, which ``Simulation`` checks as it builds the
+``Simulation``; given several configs that differ only in seed, it stacks
+their problems and start points into one simulation of one group per
+seed. The rules on a run's settings live here, except the ones that need
+its topology, which ``Simulation`` checks as it builds the
 schedule and protocol: custom edges, connectivity, dpsgd's pairing and
 osgp's one peer. Either way a bad config fails before anything is written.
 """
@@ -19,7 +21,8 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from collections.abc import Sequence
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -33,6 +36,7 @@ from .numerics import (
     build_mlp,
     build_quadratic,
     rng_stream,
+    stack_problems,
 )
 from .simkernel import Simulation
 from .slowmo import GammaSchedule, SlowMoConfig
@@ -310,7 +314,13 @@ def initial_point(cfg: ExperimentConfig, dimension: int) -> np.ndarray:
     return cfg.init.scale * rng.standard_normal(dimension)
 
 
-def build_simulation(cfg: ExperimentConfig) -> Simulation:
-    """Assemble the Simulation the config describes."""
-    problem = build_problem(cfg)
-    return Simulation(problem, cfg, initial_point(cfg, problem.dimension))
+def build_simulation(cfg: ExperimentConfig | Sequence[ExperimentConfig]) -> Simulation:
+    """Assemble the Simulation the config describes. A sequence of configs
+    that differ only in ``seed`` is one stacked simulation, a group per
+    config in order, each with its own problem and start point."""
+    cfgs = [cfg] if isinstance(cfg, ExperimentConfig) else list(cfg)
+    if any(replace(c, seed=cfgs[0].seed) != cfgs[0] for c in cfgs[1:]):
+        raise ConfigError("only configs that differ in nothing but seed run as one simulation")
+    problem = stack_problems([build_problem(c) for c in cfgs])
+    x0 = np.array([initial_point(c, problem.dimension) for c in cfgs])
+    return Simulation(problem, cfgs[0], x0, seeds=[c.seed for c in cfgs])

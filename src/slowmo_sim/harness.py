@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import os
+from dataclasses import replace
 
 from .config import (
     ExperimentConfig,
@@ -38,9 +39,12 @@ def emit_metrics(trace: MetricsTrace, out_dir: str, fmt: str = "both") -> dict:
     paths = {}
     if fmt in ("jsonl", "both"):
         path = os.path.join(out_dir, "trace.jsonl")
-        body = trace.to_jsonl()
+        # line by line: the bytes of to_jsonl() plus a final newline, with
+        # no copy of the whole text in memory (4 MB a run at d = 20000)
         with open(path, "w") as fh:
-            fh.write(body + ("\n" if body else ""))
+            for rec in trace.records:
+                fh.write(json.dumps(rec))
+                fh.write("\n")
         paths["jsonl"] = path
     if fmt in ("csv", "both"):
         path = os.path.join(out_dir, "summary.csv")
@@ -113,19 +117,29 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, fmt: str = "both") -> Me
     on a numerical abort the partial trace is flushed before the exception
     propagates.
     """
-    sim = build_simulation(cfg)
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "resolved.json"), "w") as fh:
-        json.dump(resolved_dict(cfg), fh, indent=2)
-        fh.write("\n")
-    try:
-        trace = sim.run()
-    except NumericalAbort as abort:
-        if abort.trace is not None:
-            emit_metrics(abort.trace, out_dir, fmt)
-        raise
-    emit_metrics(trace, out_dir, fmt)
-    return trace
+    (outcome,) = run_experiments([cfg], [out_dir], fmt)
+    if isinstance(outcome, NumericalAbort):
+        raise outcome
+    return outcome
+
+
+def run_experiments(cfgs: list, out_dirs: list, fmt: str = "both") -> list:
+    """``run_experiment`` for configs that differ only in seed, as one
+    stacked simulation: one outcome per config, its MetricsTrace or the
+    NumericalAbort that ended it, each written to its directory as a run of
+    that config alone would write it."""
+    sim = build_simulation(cfgs)
+    for cfg, out_dir in zip(cfgs, out_dirs):
+        os.makedirs(out_dir, exist_ok=True)
+        with open(os.path.join(out_dir, "resolved.json"), "w") as fh:
+            json.dump(resolved_dict(cfg), fh, indent=2)
+            fh.write("\n")
+    outcomes = sim.run_groups()
+    for outcome, out_dir in zip(outcomes, out_dirs):
+        trace = outcome.trace if isinstance(outcome, NumericalAbort) else outcome
+        if trace is not None:
+            emit_metrics(trace, out_dir, fmt)
+    return outcomes
 
 
 def _set_path(tree: dict, dotted: str, value) -> None:
@@ -161,39 +175,75 @@ def expand_grid(cfg: ExperimentConfig) -> list[tuple[dict, ExperimentConfig]]:
     return expanded
 
 
-def _sweep_one(args) -> dict:
-    cfg, out_dir, fmt = args
-    try:
-        trace = run_experiment(cfg, out_dir, fmt)
-        return {"out_dir": out_dir, "status": "ok", "final_loss": trace.summary["final_loss"]}
-    except NumericalAbort as abort:
-        return {"out_dir": out_dir, "status": "aborted", "detail": str(abort)}
+# Problem bytes one stacked sweep simulation may hold: a chunk stacks as many
+# seeds as fit (at least one), so a d = 2000 quadratic (30.5 MiB of A) runs
+# alone while small problems stack every seed.
+STACK_BYTES = 32 * 2**20
+
+
+def _problem_bytes(p) -> int:
+    """Bytes of the float64 arrays a problem built from ``p`` holds."""
+    if p.kind == "quadratic":
+        return 8 * p.dimension * (p.dimension + p.m * (1 + p.samples_per_worker))
+    width = p.dimension if p.kind == "logistic" else p.input_dim
+    return 8 * p.m * p.samples_per_worker * (width + 1)
+
+
+def _stack_chunks(points: list) -> list[list[int]]:
+    """Indices of the grid points, in chunks that run as one simulation each:
+    points whose configs differ only in seed, in grid order, as many per
+    chunk as STACK_BYTES holds."""
+    groups: list[tuple[ExperimentConfig, list[int]]] = []
+    for idx, point in enumerate(points):
+        key = replace(point, seed=0)
+        for other, members in groups:
+            if other == key:
+                members.append(idx)
+                break
+        else:
+            groups.append((key, [idx]))
+    chunks = []
+    for key, members in groups:
+        size = max(1, STACK_BYTES // _problem_bytes(key.problem))
+        chunks += [members[i:i + size] for i in range(0, len(members), size)]
+    return chunks
+
+
+def _sweep_chunk(args) -> list[dict]:
+    cfgs, out_dirs, fmt = args
+    return [
+        {"status": "aborted", "detail": str(outcome)} if isinstance(outcome, NumericalAbort)
+        else {"status": "ok", "final_loss": outcome.summary["final_loss"]}
+        for outcome in run_experiments(cfgs, out_dirs, fmt)
+    ]
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir: str, fmt: str = "both", jobs: int = 1) -> list[dict]:
-    """Expand the grid and run every point; independent runs may go in
-    parallel, in at most min(jobs, grid points, CPUs) processes."""
+    """Expand the grid and run every point. Points that differ only in seed
+    run as one stacked simulation (in chunks under STACK_BYTES), each
+    writing what its own run would; chunks may go in parallel, in at most
+    min(jobs, chunks, CPUs) processes."""
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     combos = expand_grid(cfg)
     os.makedirs(out_dir, exist_ok=True)
-    tasks = []
-    index = []
-    for idx, (overrides, sub_cfg) in enumerate(combos):
-        sub_dir = os.path.join(out_dir, f"run_{idx:03d}")
-        tasks.append((sub_cfg, sub_dir, fmt))
-        index.append({"run": idx, "dir": sub_dir, "overrides": overrides})
+    index = [{"run": idx, "dir": os.path.join(out_dir, f"run_{idx:03d}"), "overrides": overrides}
+             for idx, (overrides, _) in enumerate(combos)]
+    chunks = _stack_chunks([point for _, point in combos])
+    tasks = [([combos[i][1] for i in chunk], [index[i]["dir"] for i in chunk], fmt)
+             for chunk in chunks]
     # the default fork start method forks every worker at the first submit
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_one, tasks))
+            results = list(pool.map(_sweep_chunk, tasks))
     else:
-        results = [_sweep_one(task) for task in tasks]
-    for entry, result in zip(index, results):
-        entry.update({k: v for k, v in result.items() if k != "out_dir"})
+        results = [_sweep_chunk(task) for task in tasks]
+    for chunk, chunk_results in zip(chunks, results):
+        for i, result in zip(chunk, chunk_results):
+            index[i].update(result)
     with open(os.path.join(out_dir, "sweep_index.json"), "w") as fh:
         json.dump(index, fh, indent=2)
         fh.write("\n")

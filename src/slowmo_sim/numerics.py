@@ -25,6 +25,12 @@ shard rows ``idx[r]`` when an (n, b) ``idx`` is given, and
 ``points`` is shared by every worker. The stochastic, global and log-bias
 oracles each make one such call.
 
+Groups: ``stack_problems`` concatenates S problems of one kind and shape
+along the worker axis, so that the rows of group g are g*m ... (g+1)*m - 1.
+A quadratic keeps one curvature matrix when every group shares it, else
+one per group. ``group_sums`` reduces each group's rows in ascending rank,
+bit for bit the reduction of that group alone.
+
 All randomness flows through counter-based Philox streams derived from
 ``(seed, namespace, index)`` so that worker streams are independent and
 reproducible regardless of execution order.
@@ -70,7 +76,8 @@ def make_worker_rngs(seed: int, m: int) -> list[np.random.Generator]:
 
 class WorkerStreams:
     """Per-worker gradient-noise streams, plus standard normal rows pre-drawn
-    from them in blocks.
+    from them in blocks. ``seed`` is one seed, or a sequence of S seeds for S
+    groups of m rows: row g*m + i draws from stream (seed[g], NOISE, i).
 
     ``standard_normal((block, d))`` uses up a Philox stream exactly as
     ``block`` calls of ``standard_normal(d)`` do, so a worker's k-th row is
@@ -80,11 +87,13 @@ class WorkerStreams:
     noise kind, so it never does both.
     """
 
-    def __init__(self, seed: int, m: int, dimension: int, block: int):
-        self.generators = make_worker_rngs(seed, m)
-        self._shape = (m, block, dimension)
+    def __init__(self, seed, m: int, dimension: int, block: int):
+        self.generators = [gen for s in np.atleast_1d(seed).tolist()
+                           for gen in make_worker_rngs(s, m)]
+        rows = len(self.generators)
+        self._shape = (rows, block, dimension)
         self._rows = None  # allocated on first use
-        self._cursor = np.full(m, block)
+        self._cursor = np.full(rows, block)
         self._lockstep = True  # every call so far took a row from every worker
 
     def normal_rows(self, workers: np.ndarray) -> np.ndarray:
@@ -121,16 +130,27 @@ def rank_sum(rows: np.ndarray, start: float = -0.0) -> np.ndarray:
     sign) and sum a single column pairwise; cumsum is sequential.
     """
     if rows.shape[1] == 1:
-        return np.cumsum(rows, axis=0)[-1] + start
+        return rows.cumsum(axis=0)[-1] + start
     return np.add.reduce(rows, axis=0, initial=start)
 
 
-def float_sum(values) -> float:
-    """Python floats added left to right from 0.0 (``np.sum`` would pair them)."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
+def group_sums(rows: np.ndarray, groups: int, start: float = -0.0) -> np.ndarray:
+    """(groups, d): ``rank_sum`` of each of the ``groups`` equal runs of
+    consecutive rows of an (n, d) array, each bit for bit that group's own
+    ``rank_sum``. Scalars go in as an (n, 1) column; with start 0.0 each
+    group's sum is its Python floats added left to right from 0.0."""
+    if groups == 1:
+        return rank_sum(rows, start)[None]
+    stack = rows.reshape(groups, -1, rows.shape[1])
+    if rows.shape[1] == 1:
+        return stack.cumsum(axis=1)[:, -1] + start
+    return np.add.reduce(stack, axis=1, initial=start)
+
+
+def repeat_groups(values: np.ndarray, m: int) -> np.ndarray:
+    """(S, ...) group values as one row per worker, m rows a group (as they
+    are when S = 1, where they broadcast)."""
+    return values if len(values) == 1 else values.repeat(m, axis=0)
 
 
 @dataclass(frozen=True)
@@ -266,15 +286,27 @@ def global_loss_and_gradient(problem: Problem, x: np.ndarray) -> tuple[float, np
     """(f(x), grad f(x)) from one loss-and-gradient evaluation of every
     worker: losses added from 0.0 and gradients from worker 0's, both in
     ascending rank, each total divided by m."""
-    x = problem.check_point(x)
-    m = problem.num_workers
-    losses, grads = problem.losses_and_gradients(x[None], np.arange(m))
-    return float_sum(losses.tolist()) / m, rank_sum(grads) / m
+    losses, grads = group_losses_and_gradients(problem, problem.check_point(x)[None])
+    return float(losses[0]), grads[0]
+
+
+def group_losses_and_gradients(problem: Problem, points: np.ndarray):
+    """(S,) losses and (S, d) gradients of each group's objective at its
+    row of ``points`` (S, d), for a problem of S groups of m workers: one
+    loss-and-gradient evaluation of every worker, reduced per group as
+    ``global_loss_and_gradient`` reduces one group."""
+    groups = len(points)
+    m = problem.num_workers // groups
+    losses, grads = problem.losses_and_gradients(
+        repeat_groups(points, m), np.arange(problem.num_workers))
+    return group_sums(losses[:, None], groups, 0.0)[:, 0] / m, group_sums(grads, groups) / m
 
 
 class QuadraticProblem(Problem):
-    """Per-worker quadratic 0.5 (x - b_i)^T A (x - b_i), one A for every worker.
+    """Per-worker quadratic 0.5 (x - b_i)^T A (x - b_i).
 
+    ``a`` is one (d, d) matrix for every worker, or a (G, d, d) stack with
+    one matrix for each of G equal groups of consecutive workers.
     ``centers`` holds every b_i as a row, (m, d). When ``samples`` (m, n, d)
     is given, worker i's objective becomes the mean over its sample cloud
     ``samples[i]``, b_i is the cloud mean, and minibatch noise draws from the
@@ -289,9 +321,9 @@ class QuadraticProblem(Problem):
         m, d = centers.shape
         super().__init__(m, d, noise)
         self.a = np.asarray(a, dtype=np.float64)
-        if self.a.shape != (d, d):
+        if self.a.shape[-2:] != (d, d) or self.a.ndim not in (2, 3) or m % self.a[..., 0, 0].size:
             raise ConfigError("curvature matrix shape mismatch")
-        if not np.allclose(self.a, self.a.T, atol=1e-12):
+        if not np.allclose(self.a, np.swapaxes(self.a, -1, -2), atol=1e-12):
             raise ConfigError("curvature matrix must be symmetric")
         self.samples = None
         if samples is not None:
@@ -306,44 +338,71 @@ class QuadraticProblem(Problem):
         elif noise.kind == "minibatch":
             raise ConfigError("minibatch noise on a quadratic requires a sample cloud")
         self.centers = centers
-        # row blocks of A for _stacked_matvec: starts at multiples of
-        # MATVEC_BLOCK, the last block takes the remainder
+        # row blocks of A for _matvec: starts at multiples of MATVEC_BLOCK,
+        # the last block takes the remainder
         starts = range(0, max(d // MATVEC_BLOCK, 1) * MATVEC_BLOCK, MATVEC_BLOCK)
-        stops = [*starts[1:], d]
-        self._row_blocks = [(self.a[s], s) for s in map(slice, starts, stops)]
+        self._row_blocks = list(map(slice, starts, [*starts[1:], d]))
 
     def gradients(self, points, workers, idx=None):
         if idx is None:
             centers = self._shards(self.centers, workers)
         else:
             centers = self._shards(self.samples, workers, idx).mean(axis=1)
-        return self._stacked_matvec(points - centers)
+        return self._stacked_matvec(points - centers, workers)
 
     def losses_and_gradients(self, points, workers):
         r = points - self._shards(self.centers, workers)
-        g = self._stacked_matvec(r)
+        g = self._stacked_matvec(r, workers)
         if self.samples is None:
             return row_dots(0.5 * r, g), g
         # the mean over each sample cloud, one einsum row per sample
-        diffs = (points[:, None] - self._shards(self.samples, workers)).reshape(-1, self.dimension)
-        sq = np.einsum("nd,de,ne->n", diffs, self.a, diffs).reshape(len(workers), -1)
+        diffs = points[:, None] - self._shards(self.samples, workers)
+        sq = np.empty(diffs.shape[:2])
+        for a, rows in self._curvatures(workers):
+            flat = diffs[rows].reshape(-1, self.dimension)
+            sq[rows] = np.einsum("nd,de,ne->n", flat, a, flat).reshape(-1, sq.shape[1])
         return 0.5 * sq.mean(axis=1), g
 
-    def _stacked_matvec(self, rows):
-        # A @ r for every row r, bit for bit the 1-D gemv at one BLAS thread
-        # (rows @ A.T, a gemm, is not). Each row block of A is loaded into
-        # cache once and serves every row before the next block, instead of
-        # the whole of A being streamed once per row. The blocked result
-        # also had the same bits at 1 and 2 OpenBLAS threads on every shape
-        # tried, where a whole d x d gemv did not (102 of 196 shapes with
-        # m = 16 and d = 90-2040). A separate short tail block changes bits,
-        # so the remainder rides on the last block.
+    def _curvatures(self, workers):
+        """(A, rows) pairs: each curvature matrix with the slice of the
+        (ascending) ``workers`` it serves."""
+        if self.a.ndim == 2:
+            return [(self.a, slice(None))]
+        size = self.num_workers // len(self.a)
+        bounds = np.searchsorted(workers, np.arange(len(self.a) + 1) * size).tolist()
+        return [(a, slice(lo, hi)) for a, lo, hi in zip(self.a, bounds, bounds[1:]) if hi > lo]
+
+    def _stacked_matvec(self, rows, workers):
+        """A @ r for every row r, with the A of the row's worker. One product
+        per curvature matrix, or one over every group when every row is
+        asked for."""
+        if self.a.ndim == 2:
+            return self._matvec(self.a, rows)
+        if len(workers) == self.num_workers:
+            groups = len(self.a)
+            return self._matvec(self.a[:, None], rows.reshape(groups, -1, rows.shape[1])
+                                ).reshape(rows.shape)
+        out = np.empty(rows.shape)
+        for a, part in self._curvatures(workers):
+            out[part] = self._matvec(a, rows[part])
+        return out
+
+    def _matvec(self, a, rows):
+        # a (d, d), or (G, 1, d, d) against rows (G, m, d): bit for bit the
+        # 1-D gemv of each row at one BLAS thread (rows @ A.T, a gemm, is
+        # not). Each row block of A is loaded into cache once and serves
+        # every row before the next block, instead of the whole of A being
+        # streamed once per row. The blocked result also had the same bits
+        # at 1 and 2 OpenBLAS threads on every shape tried, where a whole
+        # d x d gemv did not (102 of 196 shapes with m = 16 and d =
+        # 90-2040). A separate short tail block changes bits, so the
+        # remainder rides on the last block.
         if len(self._row_blocks) == 1:
-            return (self.a @ rows[..., None])[..., 0]
+            return (a @ rows[..., None])[..., 0]
         out = np.empty(rows.shape)
         cols = rows[..., None]
-        for a_rows, s in self._row_blocks:
-            np.matmul(a_rows, cols, out=out[:, s, None])
+        for s in self._row_blocks:
+            np.matmul(a[..., s, :], cols, out=out[..., s, None])
         return out
 
 
@@ -437,6 +496,33 @@ class MlpProblem(Problem):
         g_b1 = d_pre.sum(axis=1)
         grads = np.concatenate([g_w1.reshape(len(feats), h * p), g_b1, g_w2, g_b2], axis=1)
         return losses, grads
+
+
+def stack_problems(problems: list) -> Problem:
+    """S problems of one kind, noise and shape as one problem of S groups of
+    m workers, their shards concatenated along the worker axis in order. A
+    single problem comes back as it is. Quadratics that all hold the same A
+    object share it; otherwise A is stacked, one (d, d) matrix per group."""
+    first = problems[0]
+    if len(problems) == 1:
+        return first
+    shape = (type(first), first.num_workers, first.dimension, first.noise,
+             getattr(first, "hidden", None))
+    if any((type(p), p.num_workers, p.dimension, p.noise, getattr(p, "hidden", None)) != shape
+           for p in problems):
+        raise ConfigError("stacked problems must share their kind, m, d and noise")
+
+    def cat(name):
+        return np.concatenate([getattr(p, name) for p in problems])
+
+    if isinstance(first, QuadraticProblem):
+        same = all(p.a is first.a for p in problems)
+        a = first.a if same else np.stack([p.a for p in problems])
+        return QuadraticProblem(a, cat("centers"), first.noise,
+                                None if first.samples is None else cat("samples"))
+    if isinstance(first, LogisticProblem):
+        return LogisticProblem(cat("features"), cat("labels"), first.noise)
+    return MlpProblem(cat("features"), cat("targets"), first.hidden, first.noise)
 
 
 # ---------------------------------------------------------------------------

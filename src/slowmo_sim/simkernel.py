@@ -5,30 +5,45 @@ recording, and NaN policing; the algorithmic content lives in slowmo (outer
 loop), base_optimizers (inner directions), and comm_protocols (rounds).
 
 A run is described once, by a ``config.ExperimentConfig`` that checked its
-own values when it was built. ``Simulation(problem, cfg, x0)`` takes that
-config as it is and reads its sections (``cfg.base``, ``cfg.slowmo``,
+own values when it was built. ``Simulation(problem, cfg, x0, seeds)`` takes
+that config as it is and reads its sections (``cfg.base``, ``cfg.slowmo``,
 ``cfg.gamma``, ``cfg.protocol``, ...) where they are used; ``problem`` and
 ``x0`` (zeros when None) are the objective and start point, which
 ``config.build_simulation`` builds from ``cfg.problem`` and ``cfg.init``.
 
-Stacked-state contract: worker state is held as arrays with the worker
-index first (``WorkerStates``: x (m, d), w (m,), optimizer buffers (m, d)
-and adam step indices (m,)). A round makes one batched call per layer: the
-problem's ``stochastic_gradients`` for the stepping workers, one
+Stacked-state contract: one simulation runs S groups, one per seed in
+``seeds`` (default: ``cfg.seed`` alone), of m workers each, as S*m rows;
+the rows of group g are g*m ... (g+1)*m - 1. Worker state is held as arrays
+with the row index first (``WorkerStates``: x (S*m, d), w (S*m,), optimizer
+buffers (S*m, d) and adam step indices (S*m,)). Each group has its own
+seed (its rows' noise streams and its OSGP delay stream), shards (the
+problem's rows, see ``numerics.stack_problems``), x0 (a row of an (S, d)
+``x0``), slow state (x_outer and u are (S, d), or (S*m, d) under
+noaverage) and trace. Groups never mix: averages reduce per group and
+gossip is block-diagonal. S = 1 is the ordinary run.
+
+A round makes one batched call per layer over every row: the problem's
+``stochastic_gradients`` for the stepping workers, one
 ``local_direction``, one protocol ``apply_round`` on the (n, d) half-steps
 and, when a record is due, one loss-and-gradient evaluation plus row-wise
-dots. Every batched form adds in ascending worker rank and is bit for bit
-the per-worker loop it replaces, so for a fixed problem and seed the trace
-is bitwise reproducible and independent of how the state is laid out.
+dots. Every batched form adds in ascending worker rank within a group and
+is bit for bit the per-worker loop it replaces, so each group's trace is
+bit for bit the trace of its seed run alone, independent of how the state
+is laid out and of which groups run beside it.
 
 Metrics are recorded at the start of every inner round (subject to
 ``metric_cadence``), so with cadence 1 a run of T outer iterations of length
-tau yields exactly tau*T records; record r describes the state the r-th step
-was taken from, and costs one loss-and-gradient evaluation per worker at
-x_bar. Recording never touches the trajectory. The average iterate x_bar
-counts in-flight push-sum payloads so no mass ever escapes the metrics;
-every record (and the final summary) refuses a push-sum mass that has
-drifted from m.
+tau yields exactly tau*T records per group; record r describes the state
+the r-th step was taken from, and costs one loss-and-gradient evaluation
+per worker at the group's x_bar. Recording never touches the trajectory.
+The average iterate x_bar counts in-flight push-sum payloads so no mass
+ever escapes the metrics; every record (and the final summary) refuses a
+push-sum mass that has drifted from m.
+
+A group whose state turns non-finite ends its own trace there with a
+``NumericalAbort`` (records so far, summary ``aborted``), as a run of that
+seed alone would; its rows are zeroed from then on and the other groups
+go on. The run ends when every group has ended.
 """
 
 from __future__ import annotations
@@ -46,12 +61,12 @@ from .errors import ConfigError, NumericalAbort, ProtocolError
 from .numerics import (
     Problem,
     WorkerStreams,
-    float_sum,
     # unused here, but the benchmark's tracer wraps these three at this site
     global_gradient,
     global_loss,
-    global_loss_and_gradient,
-    rank_sum,
+    group_losses_and_gradients,
+    group_sums,
+    repeat_groups,
     row_dots,
     worker_stochastic_gradient,
 )
@@ -103,13 +118,19 @@ class MetricsTrace:
 
 
 class Simulation:
-    """One experiment: a problem, a protocol, a base optimizer, a slow loop."""
+    """One experiment, or S of them that differ only in seed: a problem, a
+    protocol, a base optimizer, a slow loop."""
 
-    def __init__(self, problem: Problem, cfg: ExperimentConfig, x0: np.ndarray | None = None):
+    def __init__(self, problem: Problem, cfg: ExperimentConfig, x0: np.ndarray | None = None,
+                 seeds=None):
         self.problem = problem
         self.cfg = cfg
-        self.m = problem.num_workers
-        self.d = problem.dimension
+        self.seeds = (cfg.seed,) if seeds is None else tuple(seeds)
+        self.groups = S = len(self.seeds)
+        if S < 1 or problem.num_workers % S:
+            raise ConfigError(f"{problem.num_workers} workers do not split into {S} groups")
+        self.m = m = problem.num_workers // S
+        self.d = d = problem.dimension
         tau = cfg.slowmo.tau
         self.total_steps = tau * cfg.T if cfg.total_steps is None else cfg.total_steps
         self.T = -(-self.total_steps // tau)
@@ -117,25 +138,29 @@ class Simulation:
 
         schedule = None
         if cfg.protocol in MIXING_PROTOCOLS:
-            schedule = TopologySchedule(cfg.topology.kind, self.m, cfg.topology.rounds)
+            schedule = TopologySchedule(cfg.topology.kind, m, cfg.topology.rounds)
             validate_strong_connectivity(schedule)
-        self.protocol = make_protocol(cfg, self.m, schedule)
+        self.protocol = make_protocol(cfg, m, schedule, self.seeds)
 
-        x0 = problem.check_point(np.zeros(self.d) if x0 is None else x0)
-        self.states = WorkerStates(
-            np.tile(x0, (self.m, 1)), OptimizerBuffers.fresh(cfg.base, self.m, self.d)
-        )
-        # any block size gives the same rows; at most 64 keeps the (m, block, d)
-        # buffer from growing with tau
-        self.worker_streams = WorkerStreams(cfg.seed, self.m, self.d, min(tau, 64))
+        # one start point per group, or one for every group
+        x0 = np.zeros((S, d)) if x0 is None else np.array(x0, dtype=np.float64)
+        if x0.shape != (S, d):
+            x0 = np.tile(problem.check_point(x0), (S, 1))
+        self.states = WorkerStates(np.repeat(x0, m, axis=0),
+                                   OptimizerBuffers.fresh(cfg.base, S * m, d))
+        # any block size gives the same rows; at most 64 keeps the
+        # (S*m, block, d) buffer from growing with tau
+        self.worker_streams = WorkerStreams(self.seeds, m, d, min(tau, 64))
         self.clock = SimClock()
         # noaverage: one private slow iterate and buffer per worker, as rows
-        shape = (self.m, self.d) if cfg.slowmo.noaverage else (self.d,)
-        self.slow = SlowMoState(x_outer=np.broadcast_to(x0, shape).copy(), u=np.zeros(shape))
+        x_outer = np.repeat(x0, m, axis=0) if cfg.slowmo.noaverage else x0
+        self.slow = SlowMoState(x_outer=x_outer, u=np.zeros(x_outer.shape))
 
         self.slow_average_calls = 0  # line-6 exact averages actually performed
-        self._records: list[dict] = []
-        self._trace: MetricsTrace | None = None
+        self._records: list[list[dict]] = [[] for _ in range(S)]
+        self.alive = np.ones(S, dtype=bool)
+        self._dead_rows = None  # the rows of the groups that have ended, once one has
+        self._outcomes: list = [None] * S
 
     # ------------------------------------------------------------------ #
     # kernel services used by slowmo.run_outer_iteration
@@ -147,73 +172,77 @@ class Simulation:
         return self.states.z if self.protocol.debias else self.states.x
 
     def mean_x(self, inflight_x: np.ndarray) -> np.ndarray:
-        """Average of worker parameters plus the in-flight payload sum ``inflight_x``."""
-        total = rank_sum(self.states.x)
+        """(S, d): each group's average of worker parameters plus its in-flight
+        payload sum, a row of ``inflight_x``."""
+        total = group_sums(self.states.x, self.groups)
         total += inflight_x
         return total / self.m
 
-    def weight_mass(self, inflight_w: float) -> float:
-        """Sum of push-sum weights plus in-flight weight ``inflight_w``.
+    def weight_mass(self, inflight_w: np.ndarray) -> np.ndarray:
+        """(S,): each group's sum of push-sum weights plus its in-flight weight.
 
-        Raises ProtocolError when it has drifted from m by more than 1e-9 m.
+        Raises ProtocolError when a live group's has drifted from m by more
+        than 1e-9 m.
         """
-        mass = float(sum(self.states.w.tolist()) + inflight_w)
-        if abs(mass - self.m) > 1e-9 * self.m:
-            raise ProtocolError(
-                f"push-sum mass {mass!r} != m={self.m} at round {self.clock.round}"
-            )
+        mass = group_sums(self.states.w[:, None], self.groups, 0.0)[:, 0] + inflight_w
+        drift = self.alive & (np.abs(mass - self.m) > 1e-9 * self.m)
+        if drift.any():
+            raise ProtocolError(f"push-sum mass {float(mass[drift][0])!r} != m={self.m} "
+                                f"at round {self.clock.round}")
         return mass
 
-    def _metric_point(self) -> tuple[np.ndarray, float]:
-        """(x_bar, weight mass) from one scan of the in-flight messages."""
+    def _metric_point(self) -> tuple[np.ndarray, np.ndarray]:
+        """(x_bar, weight mass) of each group from one scan of the in-flight messages."""
         inflight_x, inflight_w = self.protocol.inflight_sums(self.d)
         return self.mean_x(inflight_x), self.weight_mass(inflight_w)
 
-    def consensus_sq(self, xbar: np.ndarray) -> float:
-        diff = self.points() - xbar
-        return float_sum(row_dots(diff, diff).tolist()) / self.m
+    def consensus_sq(self, xbar: np.ndarray) -> np.ndarray:
+        """(S,): each group's mean squared distance of its points from its x_bar."""
+        diff = self.points() - repeat_groups(xbar, self.m)
+        return group_sums(row_dots(diff, diff)[:, None], self.groups, 0.0)[:, 0] / self.m
 
-    def _expected_direction_gap_sq(self, xbar, gbar) -> float | None:
-        """||grad f(x_bar) - (1/m) sum_i E[d_i]||^2, when available in closed form."""
+    def _expected_direction_gap_sq(self, xbar, gbar) -> list:
+        """||grad f(x_bar) - (1/m) sum_i E[d_i]||^2 of each group, when
+        available in closed form (None otherwise)."""
         kind = self.cfg.base.kind
         if kind == "adam":
-            return None
+            return [None] * self.groups
+        # only a group whose every worker steps has the closed form
         active = self.protocol.active_workers()
-        if len(active) != self.m:
-            return None
-        expected = self.problem.gradients(self.points(), active)
+        full = np.bincount(active // self.m, minlength=self.groups) == self.m
+        if not full.any():
+            return [None] * self.groups
+        expected = self.problem.gradients(self.points(), np.arange(len(self.states)))
         if kind == "sgd-nesterov":  # E[d] = bl^2 h + (1 + bl) grad
             bl = self.cfg.base.beta_local
             expected = bl * bl * self.states.buffers.h + (1.0 + bl) * expected
-        diff = gbar - rank_sum(expected, start=0.0) / self.m
-        return float(diff @ diff)
+        diff = gbar - group_sums(expected, self.groups, 0.0) / self.m
+        return [gap if ok else None for gap, ok in zip(row_dots(diff, diff).tolist(), full)]
 
     def record_metrics(self, gamma: float) -> None:
         if self.clock.round % self.cfg.metric_cadence != 0:
             return
-        xbar, mass = self._metric_point()
-        loss, gbar = global_loss_and_gradient(self.problem, xbar)
-        bias_sq = self._expected_direction_gap_sq(xbar, gbar) if self.cfg.log_bias else None
-        rec = {
-            "t": self.clock.t,
-            "k": self.clock.k,
-            "round": self.clock.round,
-            "gamma": float(gamma),
-            "loss": float(loss),
-            "grad_norm_sq": float(gbar @ gbar),
-            "consensus_sq": self.consensus_sq(xbar),
-            "weight_mass": mass,
-            "bias_sq": bias_sq,
-            "x_bar": xbar.tolist(),
-        }
-        self._records.append(rec)
+        xbar, masses = self._metric_point()
+        losses, gbar = group_losses_and_gradients(self.problem, xbar)
+        biases = ([None] * self.groups if not self.cfg.log_bias
+                  else self._expected_direction_gap_sq(xbar, gbar))
+        t, k, rnd, gamma = self.clock.t, self.clock.k, self.clock.round, float(gamma)
+        columns = zip(self._records, self.alive, losses.tolist(), row_dots(gbar, gbar).tolist(),
+                      self.consensus_sq(xbar).tolist(), masses.tolist(), biases, xbar.tolist())
+        for records, alive, loss, grad_sq, consensus, mass, bias, x_bar in columns:
+            if alive:
+                records.append({
+                    "t": t, "k": k, "round": rnd, "gamma": gamma, "loss": loss,
+                    "grad_norm_sq": grad_sq, "consensus_sq": consensus, "weight_mass": mass,
+                    "bias_sq": bias, "x_bar": x_bar,
+                })
 
     def inner_round(self, gamma: float) -> None:
         """One inner step for every non-stalled worker plus one protocol round:
         a stochastic gradient and a local direction per stepping worker, the
         half-steps x - gamma d, then the protocol's mixing of them."""
         active = self.protocol.active_workers()
-        rows = slice(None) if len(active) == self.m else active  # views of the whole stack
+        rows = slice(None) if len(active) == len(self.states) else active  # views of the stack
         if len(active):
             grads = self.problem.stochastic_gradients(self.points()[rows], active, self.worker_streams)
             d = local_direction(self.cfg.base, self.states.buffers, grads, rows)
@@ -227,20 +256,48 @@ class Simulation:
         self._check_finite()
 
     def _check_finite(self) -> None:
-        if np.isfinite(self.states.x).all() and np.isfinite(self.states.w).all():
+        """End the trace of every group whose state has turned non-finite;
+        raise the NumericalAbort of the last one once no group is left."""
+        x, w = self.states.x, self.states.w
+        if self._dead_rows is not None:
+            x[self._dead_rows] = 0.0
+        if np.isfinite(x).all() and np.isfinite(w).all():
             return
-        finite = np.isfinite(self.states.x).all(axis=1) & np.isfinite(self.states.w)
-        i = int(np.argmin(finite))  # the first worker with a non-finite value
-        diag = {
-            "t": self.clock.t, "k": self.clock.k,
-            "round": self.clock.round, "worker": i,
-        }
-        trace = MetricsTrace(records=list(self._records), summary={"aborted": True, **diag})
-        raise NumericalAbort(
-            f"non-finite state on worker {i} at t={self.clock.t} k={self.clock.k}",
-            diagnostic=diag,
-            trace=trace,
-        )
+        finite = (np.isfinite(x).all(axis=1) & np.isfinite(w)).reshape(self.groups, self.m)
+        for g in np.flatnonzero(~finite.all(axis=1)).tolist():
+            i = int(np.argmin(finite[g]))  # the group's first worker with a non-finite value
+            diag = {
+                "t": self.clock.t, "k": self.clock.k,
+                "round": self.clock.round, "worker": i,
+            }
+            trace = MetricsTrace(records=list(self._records[g]),
+                                 summary={"aborted": True, **diag})
+            self._outcomes[g] = NumericalAbort(
+                f"non-finite state on worker {i} at t={self.clock.t} k={self.clock.k}",
+                diagnostic=diag,
+                trace=trace,
+            )
+            self._retire(g)
+        if not self.alive.any():
+            raise self._outcomes[g]
+
+    def _retire(self, g: int) -> None:
+        """Take group g out of the run: zero every value of its rows (x is
+        zeroed again after each round), so they stay finite and cost
+        nothing but arithmetic; the other groups never read them."""
+        self.alive[g] = False
+        self._dead_rows = np.repeat(~self.alive, self.m)
+        rows = slice(g * self.m, (g + 1) * self.m)
+        states, slow = self.states, self.slow
+        states.x[rows] = 0.0
+        states.w[rows] = 1.0
+        for buf in (states.buffers.h, states.buffers.v):
+            if buf is not None:
+                buf[rows] = 0.0
+        slow_rows = rows if self.cfg.slowmo.noaverage else g
+        slow.x_outer[slow_rows] = 0.0
+        slow.u[slow_rows] = 0.0
+        self.protocol.clear_payloads(g)
 
     # ------------------------------------------------------------------ #
     # driving
@@ -252,29 +309,47 @@ class Simulation:
         return min(tau, self.total_steps - t * tau)
 
     def run(self) -> MetricsTrace:
-        while self.clock.t < self.T:
-            run_outer_iteration(self)
+        """Run a one-group simulation to its trace; a NumericalAbort propagates."""
+        if self.groups != 1:
+            raise ConfigError(f"a run of {self.groups} groups has one outcome per group: "
+                              "use run_groups()")
+        (outcome,) = self.run_groups()
+        if isinstance(outcome, NumericalAbort):
+            raise outcome
+        return outcome
+
+    def run_groups(self) -> list:
+        """Run every group; one outcome per group, in order: its MetricsTrace,
+        or the NumericalAbort that ended it (partial trace attached)."""
+        try:
+            while self.clock.t < self.T:
+                run_outer_iteration(self)
+        except NumericalAbort:  # every group has ended
+            pass
         return self.finish()
 
-    def finish(self) -> MetricsTrace:
-        if self._trace is not None:
-            return self._trace
+    def finish(self) -> list:
+        if None not in self._outcomes:
+            return self._outcomes
         if self.cfg.slowmo.noaverage:
             # one final drain so the summary sees all in-flight mass
             self.protocol.end_block(self.states)
         xbar, _ = self._metric_point()
-        final_loss, gbar = global_loss_and_gradient(self.problem, xbar)
-        final_loss = float(final_loss)
-        losses = [r["loss"] for r in self._records] + [final_loss]
-        summary = {
-            "final_loss": final_loss,
-            "final_grad_norm_sq": float(gbar @ gbar),
-            "final_consensus_sq": self.consensus_sq(xbar),
-            "min_loss": min(losses),
-            "steps": self.clock.round,
-            "blocks": self.clock.t,
-            "partial_final_block": self.partial_final_block,
-            "aborted": False,
-        }
-        self._trace = MetricsTrace(records=self._records, summary=summary)
-        return self._trace
+        final_loss, gbar = group_losses_and_gradients(self.problem, xbar)
+        columns = zip(final_loss.tolist(), row_dots(gbar, gbar).tolist(),
+                      self.consensus_sq(xbar).tolist())
+        for g, (loss, grad_sq, consensus) in enumerate(columns):
+            if not self.alive[g]:
+                continue
+            summary = {
+                "final_loss": loss,
+                "final_grad_norm_sq": grad_sq,
+                "final_consensus_sq": consensus,
+                "min_loss": min([r["loss"] for r in self._records[g]] + [loss]),
+                "steps": self.clock.round,
+                "blocks": self.clock.t,
+                "partial_final_block": self.partial_final_block,
+                "aborted": False,
+            }
+            self._outcomes[g] = MetricsTrace(records=self._records[g], summary=summary)
+        return self._outcomes

@@ -28,6 +28,7 @@ import numpy as np
 from .base_optimizers import apply_buffer_strategy
 from .comm_protocols import exact_average
 from .errors import ConfigError
+from .numerics import repeat_groups
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,8 @@ class GammaSchedule:
 @dataclass
 class SlowMoState:
     """Outer iterate and slow momentum buffer (the kernel's clock counts t):
-    (d,) arrays, or (m, d) stacks of private per-worker rows under noaverage."""
+    (S, d) stacks with one row per group, or (S*m, d) stacks of private
+    per-worker rows under noaverage."""
 
     x_outer: np.ndarray
     u: np.ndarray
@@ -96,8 +98,9 @@ def slow_update(
     alpha: float,
     beta: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One slow momentum update; returns (u_next, x_next). Stacked (m, d)
-    arguments update every row independently, one private update per worker."""
+    """One slow momentum update; returns (u_next, x_next). Stacked (n, d)
+    arguments update every row independently: one update per group, or one
+    private update per worker."""
     if gamma <= 0.0:
         raise ConfigError("slow update needs gamma > 0")
     u_next = beta * u + (x_t0 - x_ttau) / gamma
@@ -116,7 +119,7 @@ def run_outer_iteration(sim) -> None:
     gamma = sim.cfg.gamma.at(t)
     block_len = sim.block_length(t)
 
-    apply_buffer_strategy(sim.cfg.base, sim.states.buffers)
+    apply_buffer_strategy(sim.cfg.base, sim.states.buffers, sim.groups)
 
     for _ in range(block_len):
         sim.record_metrics(gamma)
@@ -132,12 +135,12 @@ def run_outer_iteration(sim) -> None:
         states.x = states.w[:, None] * slow.x_outer
     else:
         sim.protocol.end_block(states)
-        x_avg = exact_average(states)
+        x_avg = exact_average(states, sim.groups)
         sim.slow_average_calls += 1
         slow.u, slow.x_outer = slow_update(
             slow.x_outer, x_avg, slow.u, gamma, cfg.alpha, cfg.beta
         )
-        states.x[:] = slow.x_outer
+        states.x[:] = repeat_groups(slow.x_outer, sim.m)
         states.w[:] = 1.0
 
     sim.clock.t += 1

@@ -16,6 +16,7 @@ from slowmo_sim import (
     DelayModel,
     ExperimentConfig,
     GammaSchedule,
+    MetricsTrace,
     NoiseModel,
     ProblemConfig,
     QuadraticProblem,
@@ -29,6 +30,7 @@ from slowmo_sim import (
     local_sgd_bias_surrogate,
     make_protocol,
     prescribed_gamma,
+    stack_problems,
 )
 from slowmo_sim.comm_protocols import WorkerStates
 from slowmo_sim.config import OsgpConfig
@@ -189,6 +191,16 @@ def _bound_problem(m):
 
 
 _BOUND_X0 = np.array([1.0, -1.0, 0.5, -1.5])
+_SEEDS = range(20)
+
+
+def _seed_traces(prob, cfg):
+    """One trace per seed in _SEEDS, from one stacked run over the shared
+    problem: each is bit for bit the seed's run alone."""
+    sim = Simulation(stack_problems([prob] * len(_SEEDS)), cfg, _BOUND_X0, seeds=_SEEDS)
+    traces = sim.run_groups()
+    assert all(isinstance(trace, MetricsTrace) for trace in traces)
+    return traces
 
 
 def test_criterion_4_convergence_bound():
@@ -205,14 +217,10 @@ def test_criterion_4_convergence_bound():
     all_hold = True
     for tau, beta, T in configs:
         gamma = prescribed_gamma(m, tau, T, 1.0, beta)
-        traces = []
-        for seed in range(20):
-            sim = Simulation(prob, ExperimentConfig(
-                base=BaseOptimizerConfig(kind="plain-sgd"),
-                slowmo=SlowMoConfig(alpha=1.0, beta=beta, tau=tau), protocol="allreduce",
-                gamma=GammaSchedule(value=gamma), T=T, seed=seed,
-                log_bias=(tau == 1)), _BOUND_X0)
-            traces.append(sim.run())
+        traces = _seed_traces(prob, ExperimentConfig(
+            base=BaseOptimizerConfig(kind="plain-sgd"),
+            slowmo=SlowMoConfig(alpha=1.0, beta=beta, tau=tau), protocol="allreduce",
+            gamma=GammaSchedule(value=gamma), T=T, log_bias=(tau == 1)))
         if tau == 1:
             bias = measured_bias_term([t.records for t in traces])  # exactly zero here
         else:
@@ -240,13 +248,11 @@ def test_criterion_5_linear_speedup_direction():
     for m in (1, 4, 16):
         prob = _bound_problem(m)
         gamma = prescribed_gamma(m, tau, T, 1.0, beta)
-        per_seed = []
-        for seed in range(20):
-            sim = Simulation(prob, ExperimentConfig(
-                base=BaseOptimizerConfig(kind="plain-sgd"),
-                slowmo=SlowMoConfig(alpha=1.0, beta=beta, tau=tau), protocol="local",
-                gamma=GammaSchedule(value=gamma), T=T, seed=seed), _BOUND_X0)
-            per_seed.append(lhs_from_records(sim.run().records, tau, T))
+        traces = _seed_traces(prob, ExperimentConfig(
+            base=BaseOptimizerConfig(kind="plain-sgd"),
+            slowmo=SlowMoConfig(alpha=1.0, beta=beta, tau=tau), protocol="local",
+            gamma=GammaSchedule(value=gamma), T=T))
+        per_seed = [lhs_from_records(trace.records, tau, T) for trace in traces]
         mean = float(np.mean(per_seed))
         se = float(np.std(per_seed, ddof=1) / math.sqrt(len(per_seed)))
         stats.append((m, mean, se))

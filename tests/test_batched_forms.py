@@ -32,9 +32,10 @@ from slowmo_sim import (
     global_loss_and_gradient,
     local_direction,
     make_worker_rngs,
+    stack_problems,
     worker_stochastic_gradient,
 )
-from slowmo_sim.numerics import rank_sum
+from slowmo_sim.numerics import group_sums, rank_sum
 from references import (
     global_loss_and_gradient_reference,
     reference_gradient,
@@ -80,6 +81,19 @@ def test_rank_sum_is_the_rank_ordered_loop(m, d):
     for row in rows:
         from_zeros += row
     assert _same_bits(rank_sum(rows, start=0.0), from_zeros)
+
+
+@pytest.mark.parametrize("m, d", SHAPES + [(9, 3), (256, 10)])
+@pytest.mark.parametrize("groups", [1, 2, 5])
+def test_group_sums_are_each_groups_rank_sum(groups, m, d):
+    rows = _signed_rows(np.random.default_rng(m * 100 + d + groups), (groups * m, d))
+    rows[:m, 0] = -0.0
+    for start in (-0.0, 0.0):
+        want = [rank_sum(rows[g * m:(g + 1) * m], start) for g in range(groups)]
+        assert _same_bits(group_sums(rows, groups, start), want)
+    # a column of scalars from 0.0: each group's Python floats added left to right
+    sums = group_sums(rows[:, :1], groups, 0.0)[:, 0].tolist()
+    assert sums == [sum(rows[g * m:(g + 1) * m, 0].tolist()) for g in range(groups)]
 
 
 # --------------------------------------------------------------------------- #
@@ -272,13 +286,13 @@ def test_stacked_consensus_matches_per_worker_loop(protocol):
         gamma=GammaSchedule(value=0.05), T=2, seed=4, metric_cadence=100))
     for _ in range(4):
         sim.inner_round(0.05)
-    xbar = sim.mean_x(sim.protocol.inflight_sums(4)[0])
+    (xbar,) = sim.mean_x(sim.protocol.inflight_sums(4)[0])
     acc = 0.0
     for i in range(5):
         s = sim.states[i]
         diff = (s.z if sim.protocol.debias else s.x) - xbar
         acc += float(diff @ diff)
-    assert sim.consensus_sq(xbar) == acc / 5
+    assert sim.consensus_sq(xbar[None]).tolist() == [acc / 5]
 
 
 def test_logistic_log_bias_is_the_per_worker_gradient_loop():
@@ -298,7 +312,7 @@ def test_logistic_log_bias_is_the_per_worker_gradient_loop():
         total = np.zeros(prob.dimension)
         for i, (z, h) in enumerate(zip(sim.points(), sim.states.buffers.h)):
             total += bl * bl * h + (1.0 + bl) * reference_gradient(prob, i, z)
-        xbar = np.array(sim._records[-1]["x_bar"])  # the point just recorded
+        xbar = np.array(sim._records[0][-1]["x_bar"])  # the point just recorded
         diff = global_loss_and_gradient_reference(prob, xbar)[1] - total / prob.num_workers
         want.append(float(diff @ diff))
 
@@ -342,7 +356,10 @@ def check_blocked_gemv(d):
         prob = _shared_quadratic(m, d, rng)
         a, centers = prob.a, prob.centers
         rows = _signed_rows(rng, (m, d))
-        assert _same_bits(prob._stacked_matvec(rows), [a @ r for r in rows]), (m, d)
+        assert _same_bits(prob._stacked_matvec(rows, np.arange(m)), [a @ r for r in rows]), (m, d)
+        if m == 3 and d < THREADED_FROM:  # two or three row blocks from d = 64
+            check_stacked_curvatures([prob] + [_shared_quadratic(m, d, rng) for _ in range(2)],
+                                     rng)
         streams = WorkerStreams(3, m, d, block=4)
         for workers in (np.arange(m), np.arange(0, m, 2), np.array([m - 1])):
             points = _signed_rows(rng, (len(workers), d))
@@ -366,6 +383,38 @@ def check_blocked_gemv(d):
         losses, grads = prob.losses_and_gradients(x[None], np.arange(m))
         assert losses.tolist() == worker_losses_and_gradients(prob, x)[0], (m, d)
         assert _same_bits(grads, [a @ (x - c) for c in prob.centers]), (m, d)
+
+
+def check_stacked_curvatures(problems, rng):
+    """Three quadratics with their own A, stacked: every product, loss and
+    minibatch gradient of a row is its own problem's, for every row and for
+    a subset (one A per group then)."""
+    m, d = problems[0].num_workers, problems[0].dimension
+    stacked = stack_problems(problems)
+    assert stacked.a.shape == (3, d, d)
+    everyone = np.arange(3 * m)
+    points = _signed_rows(rng, (3 * m, d))
+    for workers in (everyone, everyone[::2], everyone[m:]):
+        pts = points[workers]
+        want = [problems[i // m].a @ (x - stacked.centers[i]) for i, x in zip(workers, pts)]
+        assert _same_bits(stacked.gradients(pts, workers), want), (m, d, workers)
+        losses, grads = stacked.losses_and_gradients(pts, workers)
+        assert _same_bits(grads, want), (m, d, workers)
+        for g, prob in enumerate(problems):
+            mine = workers // m == g
+            alone = prob.losses_and_gradients(pts[mine], workers[mine] - g * m)
+            assert losses[mine].tolist() == alone[0].tolist(), (m, d, workers)
+    clouds = [_shared_quadratic(m, d, rng, cloud=5) for _ in range(3)]
+    stacked = stack_problems(clouds)
+    idx = np.tile([1, 3], (3 * m, 1))
+    got = stacked.gradients(points, everyone, idx)
+    losses = stacked.losses_and_gradients(points[::2], everyone[::2])[0]
+    for g, prob in enumerate(clouds):
+        part = slice(g * m, (g + 1) * m)
+        assert _same_bits(got[part], prob.gradients(points[part], np.arange(m), idx[part]))
+        mine = everyone[::2] // m == g
+        alone = prob.losses_and_gradients(points[::2][mine], everyone[::2][mine] - g * m)[0]
+        assert losses[mine].tolist() == alone.tolist(), (m, d)
 
 
 def _run_python(code, blas_threads):

@@ -207,12 +207,13 @@ def test_message_queue_delivery_order_and_sums():
     states = _states([[1.0], [0.0], [0.0], [0.0]])
     x_sum, w_sum = proto.inflight_sums(1)
     # in-flight sums add by sender first: 0.0 + 1.0 + 2**53 loses the 1.0
-    assert x_sum[0] == 2.0**53 + 30.0 and w_sum == 1.5
+    assert x_sum.tolist() == [[2.0**53 + 30.0]] and w_sum.tolist() == [1.5]
     proto.stalled[:] = True
     proto.apply_round(states, np.empty((0, 1)), 5)  # nobody sends; two messages land
     assert states.x[:, 0].tolist() == [2.0**53 + 2, 0.0, 0.0, 0.0]
     assert states.w.tolist() == [2.0, 1.0, 1.0, 1.0]
-    assert proto.inflight_sums(1) == (np.array([30.0]), 0.5)
+    x_sum, w_sum = proto.inflight_sums(1)
+    assert x_sum.tolist() == [[30.0]] and w_sum.tolist() == [0.5]
     assert proto.active_workers().tolist() == [0]
     assert proto.batches
     proto.end_block(states)
@@ -411,7 +412,7 @@ def test_pushsum_mass_invariant_random_starts(seed, m):
 # --------------------------------------------------------------------------- #
 
 def _matches_reference(proto, states, ref):
-    x_fly, w_fly = proto.inflight_sums(states.x.shape[1])
+    (x_fly,), (w_fly,) = proto.inflight_sums(states.x.shape[1])
     ref_x, ref_w = ref.inflight_sums(states.x.shape[1])
     return (_same_bits(states.x, ref.x) and _same_bits(states.w, ref.w)
             and proto.stalled.tolist() == ref.stalled

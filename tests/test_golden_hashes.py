@@ -105,6 +105,10 @@ CASES = {
 }
 
 
+# each case also runs as the middle group of a stack of three seeds
+STACK_SEEDS = (5, 11, 23)
+
+
 def trace_hash(name: str) -> str:
     return build_simulation(parse_config(CASES[name])).run().trace_hash()
 
@@ -119,7 +123,16 @@ def test_golden_file_covers_every_case():
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_trace_hash_is_pinned(name):
+    """The pinned hash, from the case's seed run alone and as one group of
+    a stacked run of three seeds, whose other two groups equal their own
+    runs alone (records and summary)."""
     assert trace_hash(name) == _golden()[name]
+    cfgs = [parse_config({**CASES[name], "seed": seed}) for seed in STACK_SEEDS]
+    stacked = build_simulation(cfgs).run_groups()
+    assert stacked[1].trace_hash() == _golden()[name]
+    for cfg, trace in zip(cfgs, stacked):
+        alone = build_simulation(cfg).run()
+        assert (trace.trace_hash(), trace.summary) == (alone.trace_hash(), alone.summary)
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import shutil
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from slowmo_sim import (
     ConfigError,
     MetricsTrace,
+    NumericalAbort,
     build_simulation,
     emit_metrics,
     equivalence_check,
@@ -191,6 +193,7 @@ def test_run_experiment_writes_artifacts(tmp_path):
     assert (out / "resolved.json").exists()
     assert (out / "trace.jsonl").exists()
     assert (out / "summary.csv").exists()
+    assert (out / "trace.jsonl").read_text() == trace.to_jsonl() + "\n"
     resolved = json.loads((out / "resolved.json").read_text())
     assert parse_config(resolved) == cfg
     assert trace.summary["aborted"] is False
@@ -221,6 +224,8 @@ def test_expand_grid_cartesian_product():
 ])
 def test_sweep_pool_is_bounded_by_grid_points_and_cpus(jobs, points, cpus, pool, tmp_path,
                                                        monkeypatch):
+    # the pool runs stacked chunks: each beta's two seeds are one chunk, so
+    # ``points`` betas make ``points`` chunks
     sizes = []
 
     class RecordingPool:
@@ -240,9 +245,10 @@ def test_sweep_pool_is_bounded_by_grid_points_and_cpus(jobs, points, cpus, pool,
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    cfg = parse_config(_raw(T=1, grid={"seed": list(range(points))}))
+    cfg = parse_config(_raw(T=1, grid={"slowmo.beta": [0.1 * b for b in range(points)],
+                                       "seed": [1, 2]}))
     index = run_sweep(cfg, str(tmp_path / "sweep"), fmt="jsonl", jobs=jobs)
-    assert [entry["status"] for entry in index] == ["ok"] * points
+    assert [entry["status"] for entry in index] == ["ok"] * 2 * points
     assert sizes == ([] if pool is None else [pool])
 
 
@@ -275,14 +281,15 @@ def test_sweep_through_a_process_pool_writes_the_serial_bytes(tmp_path, monkeypa
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SizedPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    cfg = parse_config(_raw(T=2, protocol="osgp", grid={"seed": [1, 2]},
+    # two chunks, one per beta, of two seeds each
+    cfg = parse_config(_raw(T=2, protocol="osgp", grid={"slowmo.beta": [0.3, 0.5], "seed": [1, 2]},
                             gamma={"kind": "step", "value": 0.05, "milestones": [1]}))
     serial = run_sweep(cfg, str(tmp_path / "serial"), fmt="jsonl", jobs=1)
     pooled = run_sweep(cfg, str(tmp_path / "pooled"), fmt="jsonl", jobs=2)
     assert sizes == [2]
-    assert [e["status"] for e in pooled] == ["ok", "ok"]
+    assert [e["status"] for e in pooled] == ["ok"] * 4
     assert [e["final_loss"] for e in pooled] == [e["final_loss"] for e in serial]
-    for run in ("run_000", "run_001"):
+    for run in ("run_000", "run_001", "run_002", "run_003"):
         for name in ("trace.jsonl", "resolved.json"):
             got = (tmp_path / "pooled" / run / name).read_bytes()
             assert got == (tmp_path / "serial" / run / name).read_bytes(), (run, name)
@@ -320,6 +327,75 @@ def test_example_config_builds_and_runs_one_block(path):
     for _, point in expand_grid(replace(cfg, T=1, total_steps=None)):
         summary = build_simulation(point).run().summary
         assert summary["blocks"] == 1 and not summary["aborted"]
+
+
+# two grids for the stacked sweep: the shape of configs/beta_sweep.json (seed
+# x slowmo.beta) with T shortened, and a seed grid of osgp runs whose gamma
+# makes each seed diverge at a different round (416-420), with messages in
+# flight
+_BETA_GRID = {**json.loads((Path(__file__).resolve().parents[1] / "configs"
+                            / "beta_sweep.json").read_text()), "T": 3}
+_DIVERGING_GRID = _raw(
+    problem={"kind": "quadratic", "m": 4, "dimension": 3, "l_min": 0.5, "l_max": 2.0,
+             "heterogeneity": 0.5, "noise": {"kind": "additive-gaussian", "sigma2": 0.2}},
+    protocol="osgp", osgp={"staleness": 2, "delay": {"kind": "geometric", "p": 0.5, "cap": 3}},
+    init={"kind": "gaussian", "scale": 1.0}, gamma={"value": 3.0}, T=150,
+    grid={"seed": [1, 2, 3, 4, 5]},
+)
+
+
+def _solo_sweep(cfg, out_dir, fmt):
+    """What a sweep of solo runs writes: every grid point through run_experiment."""
+    index = []
+    for idx, (overrides, point) in enumerate(expand_grid(cfg)):
+        entry = {"run": idx, "dir": os.path.join(out_dir, f"run_{idx:03d}"),
+                 "overrides": overrides}
+        try:
+            trace = run_experiment(point, entry["dir"], fmt)
+            entry.update(status="ok", final_loss=trace.summary["final_loss"])
+        except NumericalAbort as abort:
+            entry.update(status="aborted", detail=str(abort))
+        index.append(entry)
+    with open(os.path.join(out_dir, "sweep_index.json"), "w") as fh:
+        json.dump(index, fh, indent=2)
+        fh.write("\n")
+
+
+def _tree_bytes(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize("seeds_per_chunk", [None, 1, 2])
+@pytest.mark.parametrize("grid", ["beta", "diverging"])
+def test_stacked_sweep_writes_the_bytes_of_solo_runs(grid, seeds_per_chunk, tmp_path,
+                                                     monkeypatch):
+    # every file of every run directory and sweep_index.json, aborted runs
+    # and their partial traces included; a byte budget that holds one or two
+    # seeds' problems splits each group of seeds into chunks of that size
+    cfg = parse_config(_BETA_GRID if grid == "beta" else _DIVERGING_GRID)
+    points = [point for _, point in expand_grid(cfg)]
+    if seeds_per_chunk is not None:
+        monkeypatch.setattr(harness, "STACK_BYTES",
+                            seeds_per_chunk * harness._problem_bytes(cfg.problem))
+    per_group = {None: [5], 1: [1] * 5, 2: [2, 2, 1]}[seeds_per_chunk]
+    chunks = harness._stack_chunks(points)
+    assert [len(chunk) for chunk in chunks] == per_group * (len(points) // 5)
+    out = tmp_path / "sweep"
+    _solo_sweep(cfg, str(out), "both")
+    want = _tree_bytes(out)
+    shutil.rmtree(out)
+    index = run_sweep(cfg, str(out), fmt="both")
+    assert _tree_bytes(out) == want
+    statuses = [entry["status"] for entry in index]
+    if grid == "diverging":
+        assert statuses == ["aborted"] * 5
+        rounds = [json.loads((out / f"run_{i:03d}" / "trace.jsonl").read_text()
+                             .splitlines()[-1])["round"] for i in range(5)]
+        assert len(set(rounds)) == 5
+    else:
+        assert statuses == ["ok"] * len(points)
 
 
 def test_run_sweep_writes_index_and_runs(tmp_path):

@@ -21,7 +21,10 @@ from slowmo_sim import (
     SlowMoConfig,
     build_logistic,
     build_quadratic,
+    build_simulation,
     global_loss,
+    parse_config,
+    stack_problems,
 )
 from slowmo_sim.config import MAX_STEPS, OsgpConfig
 from slowmo_sim.simkernel import RECORD_FIELDS
@@ -197,7 +200,7 @@ def test_mass_drift_is_a_protocol_error(noaverage, bad_round):
     sim.protocol.apply_round = corrupting
     with pytest.raises(ProtocolError, match=f"at round {bad_round + 1}"):
         sim.run()
-    assert [r["round"] for r in sim._records] == list(range(bad_round + 1))
+    assert [r["round"] for r in sim._records[0]] == list(range(bad_round + 1))
 
 
 def test_consensus_metric_is_zero_under_allreduce_at_block_starts():
@@ -290,3 +293,40 @@ def test_finite_check_reports_the_first_bad_worker(bad):
     assert exc.value.diagnostic["worker"] == min(bad)
     sim.states = _sim(_problem(m=4)).states
     sim._check_finite()  # all finite: no abort
+
+
+# --------------------------------------------------------------------------- #
+# stacked groups
+# --------------------------------------------------------------------------- #
+
+@pytest.mark.parametrize("protocol", ["allreduce", "sgp", "osgp"])
+def test_a_non_finite_group_ends_alone(protocol):
+    # group 1's third worker goes bad before the first step: its trace ends
+    # there with no records, and groups 0 and 2 are their runs alone
+    prob = _problem(m=4)
+    cfg = _sim(prob, protocol=protocol).cfg
+    sim = Simulation(stack_problems([prob] * 3), cfg, seeds=[0, 1, 2])
+    sim.states.x[4 + 2, 1] = math.nan
+    sim._check_finite()  # two groups are left: nothing is raised
+    assert sim.alive.tolist() == [True, False, True]
+    first, bad, last = sim.run_groups()
+    assert isinstance(bad, NumericalAbort)
+    assert bad.diagnostic == {"t": 0, "k": 0, "round": 0, "worker": 2}
+    assert bad.trace.records == [] and bad.trace.summary["aborted"] is True
+    for seed, trace in ((0, first), (2, last)):
+        alone = _sim(prob, protocol=protocol, seed=seed).run()
+        assert (trace.trace_hash(), trace.summary) == (alone.trace_hash(), alone.summary)
+
+
+def test_groups_need_one_config_and_run_groups():
+    prob = _problem(m=4)
+    with pytest.raises(ConfigError, match="do not split into 3 groups"):
+        Simulation(prob, _sim(prob).cfg, seeds=[0, 1, 2])
+    sim = Simulation(stack_problems([prob] * 2), _sim(prob).cfg, seeds=[0, 1])
+    with pytest.raises(ConfigError, match="run_groups"):
+        sim.run()
+    raw = {"problem": {"m": 2, "dimension": 3}, "T": 2}
+    with pytest.raises(ConfigError, match="differ in nothing but seed"):
+        build_simulation([parse_config({**raw, "seed": 1}), parse_config({**raw, "T": 3})])
+    with pytest.raises(ConfigError, match="share their kind"):
+        stack_problems([prob, _problem(m=2)])
