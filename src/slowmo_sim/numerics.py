@@ -516,6 +516,8 @@ def stack_problems(problems: list) -> Problem:
         return np.concatenate([getattr(p, name) for p in problems])
 
     if isinstance(first, QuadraticProblem):
+        if any(p.a.ndim == 3 for p in problems):  # its groups would be renumbered
+            raise ConfigError("a quadratic that already holds one A per group does not stack")
         same = all(p.a is first.a for p in problems)
         a = first.a if same else np.stack([p.a for p in problems])
         return QuadraticProblem(a, cat("centers"), first.noise,

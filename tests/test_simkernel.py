@@ -330,3 +330,5 @@ def test_groups_need_one_config_and_run_groups():
         build_simulation([parse_config({**raw, "seed": 1}), parse_config({**raw, "T": 3})])
     with pytest.raises(ConfigError, match="share their kind"):
         stack_problems([prob, _problem(m=2)])
+    with pytest.raises(ConfigError, match="does not stack"):
+        stack_problems([stack_problems([prob, _problem(m=4, seed=3)])] * 2)
