@@ -128,6 +128,9 @@ def run_experiments(cfgs: list, out_dirs: list, fmt: str = "both") -> list:
     stacked simulation: one outcome per config, its MetricsTrace or the
     NumericalAbort that ended it, each written to its directory as a run of
     that config alone would write it."""
+    if len(cfgs) != len(out_dirs):
+        raise ConfigError(f"{len(cfgs)} configs need as many output directories, "
+                          f"got {len(out_dirs)}")
     sim = build_simulation(cfgs)
     for cfg, out_dir in zip(cfgs, out_dirs):
         os.makedirs(out_dir, exist_ok=True)
@@ -136,9 +139,8 @@ def run_experiments(cfgs: list, out_dirs: list, fmt: str = "both") -> list:
             fh.write("\n")
     outcomes = sim.run_groups()
     for outcome, out_dir in zip(outcomes, out_dirs):
-        trace = outcome.trace if isinstance(outcome, NumericalAbort) else outcome
-        if trace is not None:
-            emit_metrics(trace, out_dir, fmt)
+        emit_metrics(outcome.trace if isinstance(outcome, NumericalAbort) else outcome,
+                     out_dir, fmt)
     return outcomes
 
 

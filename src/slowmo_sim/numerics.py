@@ -28,8 +28,9 @@ oracles each make one such call.
 Groups: ``stack_problems`` concatenates S problems of one kind and shape
 along the worker axis, so that the rows of group g are g*m ... (g+1)*m - 1.
 A quadratic keeps one curvature matrix when every group shares it, else
-one per group. ``group_sums`` reduces each group's rows in ascending rank,
-bit for bit the reduction of that group alone.
+one per group. ``group_sums`` is the one rank-ordered reduction: it adds
+each group's rows in ascending rank, bit for bit the reduction of that
+group alone, and a single run (S = 1) is the one-group case.
 
 All randomness flows through counter-based Philox streams derived from
 ``(seed, namespace, index)`` so that worker streams are independent and
@@ -120,27 +121,18 @@ class WorkerStreams:
         return rows
 
 
-def rank_sum(rows: np.ndarray, start: float = -0.0) -> np.ndarray:
-    """``start`` plus the rows of an (n, d) array, added left to right in
-    ascending row order, bit for bit. The default -0.0 leaves the first row
-    as it is, like ``total = rows[0].copy(); total += row; ...``; start 0.0
-    is the same loop from ``np.zeros(d)``.
+def group_sums(rows: np.ndarray, groups: int, start: float = -0.0) -> np.ndarray:
+    """(groups, d): ``start`` plus the rows of each of the ``groups`` equal
+    runs of consecutive rows of an (n, d) array, added left to right in
+    ascending row order, bit for bit. The default -0.0 leaves a group's first
+    row as it is, like ``total = rows[0].copy(); total += row; ...``; start
+    0.0 is the same loop from ``np.zeros(d)``. Scalars go in as an (n, 1)
+    column; with start 0.0 each group's sum is its Python floats added left
+    to right from 0.0. This is the package's one rank-ordered reduction.
 
     ``rows.sum(axis=0)`` would start from +0.0 (an all -0.0 column loses its
     sign) and sum a single column pairwise; cumsum is sequential.
     """
-    if rows.shape[1] == 1:
-        return rows.cumsum(axis=0)[-1] + start
-    return np.add.reduce(rows, axis=0, initial=start)
-
-
-def group_sums(rows: np.ndarray, groups: int, start: float = -0.0) -> np.ndarray:
-    """(groups, d): ``rank_sum`` of each of the ``groups`` equal runs of
-    consecutive rows of an (n, d) array, each bit for bit that group's own
-    ``rank_sum``. Scalars go in as an (n, 1) column; with start 0.0 each
-    group's sum is its Python floats added left to right from 0.0."""
-    if groups == 1:
-        return rank_sum(rows, start)[None]
     stack = rows.reshape(groups, -1, rows.shape[1])
     if rows.shape[1] == 1:
         return stack.cumsum(axis=1)[:, -1] + start
@@ -191,10 +183,11 @@ class Problem:
     """Base class: ``m`` workers, shared parameter dimension ``d``.
 
     A subclass sets ``shard_size`` (the rows of each worker's shard) and
-    implements the stacked ``gradients`` and ``losses_and_gradients`` of the
-    module docstring, each returning new arrays: an (n, d) gradient stack,
-    and the (n,) losses with the same gradients, bit for bit. ``workers``
-    are distinct and ascending.
+    implements the stacked ``losses_and_gradients`` of the module docstring,
+    returning new arrays: the (n,) losses and an (n, d) gradient stack.
+    ``gradients`` returns those gradients; a subclass with a cheaper form
+    that has the same bits overrides it. ``workers`` are distinct and
+    ascending.
     """
 
     kind = "abstract"
@@ -211,6 +204,9 @@ class Problem:
         if idx is not None:
             return stack[workers[:, None], idx]
         return stack if len(workers) == self.num_workers else stack[workers]
+
+    def gradients(self, points, workers, idx=None):
+        return self.losses_and_gradients(points, workers, idx)[1]
 
     def minibatch_rows(self, rng: np.random.Generator) -> np.ndarray:
         """One minibatch of shard rows drawn from ``rng``: ``batch_size`` rows
@@ -397,8 +393,6 @@ class QuadraticProblem(Problem):
         # d x d gemv did not (102 of 196 shapes with m = 16 and d =
         # 90-2040). A separate short tail block changes bits, so the
         # remainder rides on the last block.
-        if len(self._row_blocks) == 1:
-            return (a @ rows[..., None])[..., 0]
         out = np.empty(rows.shape)
         cols = rows[..., None]
         for s in self._row_blocks:
@@ -440,9 +434,6 @@ class LogisticProblem(Problem):
         self.labels = labels
         self.shard_size = n
 
-    def gradients(self, points, workers, idx=None):
-        return self.losses_and_gradients(points, workers, idx)[1]
-
     def losses_and_gradients(self, points, workers, idx=None):
         feats = self._shards(self.features, workers, idx)
         labs = self._shards(self.labels, workers, idx)
@@ -473,9 +464,6 @@ class MlpProblem(Problem):
         self.targets = targets
         self.shard_size = n
 
-    def gradients(self, points, workers, idx=None):
-        return self.losses_and_gradients(points, workers, idx)[1]
-
     def losses_and_gradients(self, points, workers, idx=None):
         feats = self._shards(self.features, workers, idx)
         targs = self._shards(self.targets, workers, idx)
@@ -503,6 +491,8 @@ def stack_problems(problems: list) -> Problem:
     m workers, their shards concatenated along the worker axis in order. A
     single problem comes back as it is. Quadratics that all hold the same A
     object share it; otherwise A is stacked, one (d, d) matrix per group."""
+    if not problems:
+        raise ConfigError("an empty list of problems (or configs) does not stack")
     first = problems[0]
     if len(problems) == 1:
         return first

@@ -35,7 +35,8 @@ Metrics are recorded at the start of every inner round (subject to
 ``metric_cadence``), so with cadence 1 a run of T outer iterations of length
 tau yields exactly tau*T records per group; record r describes the state
 the r-th step was taken from, and costs one loss-and-gradient evaluation
-per worker at the group's x_bar. Recording never touches the trajectory.
+per worker at the group's x_bar. A record and the final summary read the
+same ``evaluate``. Recording never touches the trajectory.
 The average iterate x_bar counts in-flight push-sum payloads so no mass
 ever escapes the metrics; every record (and the final summary) refuses a
 push-sum mass that has drifted from m.
@@ -191,11 +192,6 @@ class Simulation:
                                 f"at round {self.clock.round}")
         return mass
 
-    def _metric_point(self) -> tuple[np.ndarray, np.ndarray]:
-        """(x_bar, weight mass) of each group from one scan of the in-flight messages."""
-        inflight_x, inflight_w = self.protocol.inflight_sums(self.d)
-        return self.mean_x(inflight_x), self.weight_mass(inflight_w)
-
     def consensus_sq(self, xbar: np.ndarray) -> np.ndarray:
         """(S,): each group's mean squared distance of its points from its x_bar."""
         diff = self.points() - repeat_groups(xbar, self.m)
@@ -219,23 +215,29 @@ class Simulation:
         diff = gbar - group_sums(expected, self.groups, 0.0) / self.m
         return [gap if ok else None for gap, ok in zip(row_dots(diff, diff).tolist(), full)]
 
+    def evaluate(self) -> tuple:
+        """(x_bar, weight mass, loss, gradient, squared gradient norm,
+        consensus) of each group, what a record and the summary report: one
+        scan of the in-flight messages and one loss-and-gradient evaluation
+        of every worker at its group's x_bar."""
+        inflight_x, inflight_w = self.protocol.inflight_sums(self.d)
+        xbar = self.mean_x(inflight_x)
+        masses = self.weight_mass(inflight_w)
+        losses, gbar = group_losses_and_gradients(self.problem, xbar)
+        return xbar, masses, losses, gbar, row_dots(gbar, gbar), self.consensus_sq(xbar)
+
     def record_metrics(self, gamma: float) -> None:
         if self.clock.round % self.cfg.metric_cadence != 0:
             return
-        xbar, masses = self._metric_point()
-        losses, gbar = group_losses_and_gradients(self.problem, xbar)
+        xbar, masses, losses, gbar, grad_sq, consensus = self.evaluate()
         biases = ([None] * self.groups if not self.cfg.log_bias
                   else self._expected_direction_gap_sq(xbar, gbar))
-        t, k, rnd, gamma = self.clock.t, self.clock.k, self.clock.round, float(gamma)
-        columns = zip(self._records, self.alive, losses.tolist(), row_dots(gbar, gbar).tolist(),
-                      self.consensus_sq(xbar).tolist(), masses.tolist(), biases, xbar.tolist())
-        for records, alive, loss, grad_sq, consensus, mass, bias, x_bar in columns:
+        clock = (self.clock.t, self.clock.k, self.clock.round, float(gamma))
+        columns = zip(self._records, self.alive, losses.tolist(), grad_sq.tolist(),
+                      consensus.tolist(), masses.tolist(), biases, xbar.tolist())
+        for records, alive, *values in columns:
             if alive:
-                records.append({
-                    "t": t, "k": k, "round": rnd, "gamma": gamma, "loss": loss,
-                    "grad_norm_sq": grad_sq, "consensus_sq": consensus, "weight_mass": mass,
-                    "bias_sq": bias, "x_bar": x_bar,
-                })
+                records.append(dict(zip(RECORD_FIELDS, (*clock, *values))))
 
     def inner_round(self, gamma: float) -> None:
         """One inner step for every non-stalled worker plus one protocol round:
@@ -334,22 +336,12 @@ class Simulation:
         if self.cfg.slowmo.noaverage:
             # one final drain so the summary sees all in-flight mass
             self.protocol.end_block(self.states)
-        xbar, _ = self._metric_point()
-        final_loss, gbar = group_losses_and_gradients(self.problem, xbar)
-        columns = zip(final_loss.tolist(), row_dots(gbar, gbar).tolist(),
-                      self.consensus_sq(xbar).tolist())
-        for g, (loss, grad_sq, consensus) in enumerate(columns):
-            if not self.alive[g]:
-                continue
-            summary = {
-                "final_loss": loss,
-                "final_grad_norm_sq": grad_sq,
-                "final_consensus_sq": consensus,
-                "min_loss": min([r["loss"] for r in self._records[g]] + [loss]),
-                "steps": self.clock.round,
-                "blocks": self.clock.t,
-                "partial_final_block": self.partial_final_block,
-                "aborted": False,
-            }
-            self._outcomes[g] = MetricsTrace(records=self._records[g], summary=summary)
+        _, _, losses, _, grad_sq, consensus = self.evaluate()
+        run = (self.clock.round, self.clock.t, self.partial_final_block, False)
+        finals = zip(losses.tolist(), grad_sq.tolist(), consensus.tolist())
+        for g, (loss, *final) in enumerate(finals):
+            if self.alive[g]:
+                min_loss = min([r["loss"] for r in self._records[g]] + [loss])
+                summary = dict(zip(SUMMARY_FIELDS, (loss, *final, min_loss, *run)))
+                self._outcomes[g] = MetricsTrace(records=self._records[g], summary=summary)
         return self._outcomes

@@ -31,7 +31,7 @@ import numpy as np
 
 from .base_optimizers import BaseOptimizerConfig, OptimizerBuffers, local_direction
 from .errors import ConfigError
-from .numerics import Problem, WorkerStreams, global_gradient, make_worker_rngs, rank_sum
+from .numerics import Problem, WorkerStreams, global_gradient, group_sums, make_worker_rngs
 
 SEED_FLOOR = 20  # minimum runs for the LHS expectation
 MAX_V_SAMPLES = 10**7  # estimate_V keeps a (samples, d) array
@@ -175,7 +175,7 @@ def estimate_V(
             grads = problem.stochastic_gradients(points, workers, streams)
             buffers = OptimizerBuffers.fresh(base_config, m, d)
             directions = local_direction(base_config, buffers, grads)
-            dbars[s_idx] = rank_sum(directions, start=0.0) / m
+            dbars[s_idx] = group_sums(directions, 1, 0.0)[0] / m
 
     dev = dbars - dbars.mean(axis=0)
     v_samples = (dev**2).sum(axis=1)

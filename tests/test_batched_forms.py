@@ -35,7 +35,7 @@ from slowmo_sim import (
     stack_problems,
     worker_stochastic_gradient,
 )
-from slowmo_sim.numerics import group_sums, rank_sum
+from slowmo_sim.numerics import group_sums
 from references import (
     global_loss_and_gradient_reference,
     reference_gradient,
@@ -69,18 +69,22 @@ def _quadratic(m, d, sigma2=0.7):
 # reductions
 # --------------------------------------------------------------------------- #
 
+def _rank_loop(rows, start):
+    """``start`` plus the rows, added one at a time in ascending row order:
+    from -0.0 this is ``total = rows[0].copy(); total += row; ...``."""
+    total = np.full(rows.shape[1], start)
+    for row in rows:
+        total += row
+    return total
+
+
 @pytest.mark.parametrize("m, d", SHAPES + [(1000, 1), (9, 3), (256, 10)])
 def test_rank_sum_is_the_rank_ordered_loop(m, d):
+    # the one-group reduction
     rows = _signed_rows(np.random.default_rng(m * 100 + d), (m, d))
     rows[:, 0] = -0.0  # an all -0.0 column keeps its sign
-    total = rows[0].copy()
-    for row in rows[1:]:
-        total += row
-    assert _same_bits(rank_sum(rows), total)
-    from_zeros = np.zeros(d)
-    for row in rows:
-        from_zeros += row
-    assert _same_bits(rank_sum(rows, start=0.0), from_zeros)
+    for start in (-0.0, 0.0):
+        assert _same_bits(group_sums(rows, 1, start), [_rank_loop(rows, start)])
 
 
 @pytest.mark.parametrize("m, d", SHAPES + [(9, 3), (256, 10)])
@@ -89,7 +93,7 @@ def test_group_sums_are_each_groups_rank_sum(groups, m, d):
     rows = _signed_rows(np.random.default_rng(m * 100 + d + groups), (groups * m, d))
     rows[:m, 0] = -0.0
     for start in (-0.0, 0.0):
-        want = [rank_sum(rows[g * m:(g + 1) * m], start) for g in range(groups)]
+        want = [_rank_loop(rows[g * m:(g + 1) * m], start) for g in range(groups)]
         assert _same_bits(group_sums(rows, groups, start), want)
     # a column of scalars from 0.0: each group's Python floats added left to right
     sums = group_sums(rows[:, :1], groups, 0.0)[:, 0].tolist()

@@ -199,6 +199,17 @@ def test_run_experiment_writes_artifacts(tmp_path):
     assert trace.summary["aborted"] is False
 
 
+def test_run_experiments_needs_one_directory_per_config(tmp_path):
+    cfgs = [parse_config(_raw(seed=seed)) for seed in (1, 2)]
+    dirs = [str(tmp_path / name) for name in ("a", "b")]
+    for n_cfgs, n_dirs in ((2, 1), (1, 2)):
+        with pytest.raises(ConfigError, match="as many output directories"):
+            harness.run_experiments(cfgs[:n_cfgs], dirs[:n_dirs])
+    assert not any(tmp_path.iterdir())
+    with pytest.raises(ConfigError, match="empty list"):
+        harness.run_experiments([], [])
+
+
 # --------------------------------------------------------------------------- #
 # sweeps
 # --------------------------------------------------------------------------- #

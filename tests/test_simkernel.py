@@ -88,6 +88,36 @@ def test_summary_counts_partial_final_block():
     assert [sim.block_length(t) for t in range(3)] == [3, 3, 2]
 
 
+_SUMMARY_RAW = {
+    "problem": {"kind": "quadratic", "m": 4, "dimension": 5, "l_min": 0.5, "l_max": 2.0,
+                "heterogeneity": 1.0, "noise": {"kind": "additive-gaussian", "sigma2": 0.3}},
+    "slowmo": {"alpha": 1.0, "beta": 0.5, "tau": 3},
+    "gamma": {"value": 0.05},
+    "seed": 3,
+    "init": {"kind": "gaussian", "scale": 1.0},
+}
+
+
+# noaverage is left out: its finish drains payloads that a record counts as in flight
+@pytest.mark.parametrize("protocol, extra", [
+    ("allreduce", {"base": {"kind": "adam", "buffer_strategy": "average"}}),
+    ("local", {}),
+    ("sgp", {"problem": {"kind": "logistic", "m": 4, "dimension": 5, "samples_per_worker": 12,
+                         "heterogeneity": 0.5, "noise": {"kind": "minibatch", "batch_size": 4}}}),
+    ("dpsgd", {}),
+    ("double-average", {"base": {"kind": "sgd-nesterov", "beta_local": 0.9,
+                                 "buffer_strategy": "maintain"}}),
+    ("osgp", {"osgp": {"staleness": 1, "delay": {"kind": "geometric", "p": 0.5, "cap": 3}}}),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_the_summary_is_the_record_the_next_block_starts_from(protocol, extra):
+    raw = {**_SUMMARY_RAW, "protocol": protocol, **extra}
+    summary = build_simulation(parse_config({**raw, "T": 2})).run().summary
+    record = build_simulation(parse_config({**raw, "T": 3})).run().records[2 * 3]
+    assert (record["t"], record["k"]) == (2, 0)
+    keys = ("loss", "grad_norm_sq", "consensus_sq")
+    assert [summary[f"final_{key}"] for key in keys] == [record[key] for key in keys]
+
+
 def test_block_lengths_are_computed_not_listed():
     # runs at the step ceiling build at once: a list of their block lengths
     # would hold 10**9 / 3 entries
@@ -332,3 +362,7 @@ def test_groups_need_one_config_and_run_groups():
         stack_problems([prob, _problem(m=2)])
     with pytest.raises(ConfigError, match="does not stack"):
         stack_problems([stack_problems([prob, _problem(m=4, seed=3)])] * 2)
+    with pytest.raises(ConfigError, match="empty list"):
+        stack_problems([])
+    with pytest.raises(ConfigError, match="empty list"):
+        build_simulation([])

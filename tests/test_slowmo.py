@@ -18,7 +18,7 @@ from slowmo_sim import (
     slow_update,
 )
 from slowmo_sim import simkernel
-from slowmo_sim.numerics import rank_sum
+from slowmo_sim.numerics import group_sums
 from references import (
     block_momentum_reference,
     heavy_ball_reference,
@@ -145,7 +145,7 @@ def test_u_accumulates_averaged_directions(protocol, monkeypatch):
 
     def recording_direction(*args, **kwargs):
         d = local_direction(*args, **kwargs)
-        dbars.append(rank_sum(d, start=0.0) / prob.num_workers)  # before d is overwritten
+        dbars.append(group_sums(d, 1, 0.0)[0] / prob.num_workers)  # before d is overwritten
         return d
 
     monkeypatch.setattr(simkernel, "local_direction", recording_direction)
