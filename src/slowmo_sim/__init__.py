@@ -13,12 +13,9 @@ from .comm_protocols import (
     DelayModel,
     SlotMixing,
     WorkerStates,
-    double_average,
     exact_average,
-    gossip_round,
     make_protocol,
     osgp_step,
-    pushsum_round,
 )
 from .config import (
     ExperimentConfig,

@@ -99,10 +99,13 @@ def _cmd_check_bound(args) -> int:
     traces = [_load_trace(p) for p in args.traces]
     report = bound_report(constants, traces)
     text = json.dumps(report, indent=2)
-    print(text)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write report {args.out}: {exc.strerror or exc}") from exc
+    print(text)
     if report["condition_met"] and not report["holds"]:
         return 3
     return 0

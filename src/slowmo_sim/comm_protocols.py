@@ -69,7 +69,7 @@ class WorkerStates:
         return len(self.x)
 
     def __getitem__(self, i: int) -> "WorkerView":
-        return WorkerView(self.x[i], float(self.w[i]))
+        return WorkerView(self.x[i])
 
     @property
     def z(self) -> np.ndarray:
@@ -80,16 +80,9 @@ class WorkerStates:
 
 
 class WorkerView(NamedTuple):
-    """Worker i of a WorkerStates: ``x`` is a view of its row, ``w`` a copy of its weight."""
+    """Worker i of a WorkerStates: ``x`` is a view of its row."""
 
     x: np.ndarray
-    w: float
-
-    @property
-    def z(self) -> np.ndarray:
-        if self.w <= 0.0:
-            raise ProtocolError(f"push-sum weight underflow (w={self.w})")
-        return self.x / self.w
 
 
 @dataclass(frozen=True)
@@ -178,30 +171,6 @@ class SlotMixing:
         return out
 
 
-def gossip_round(states: WorkerStates, mixing: SlotMixing, half: np.ndarray) -> WorkerStates:
-    """One doubly-stochastic gossip round: x_i <- sum_j p[i,j] half[j]."""
-    if not mixing.doubly:
-        raise ProtocolError("doubly-stochastic gossip needs row sums 1 within 1e-12")
-    states.x = mixing.mix(half)
-    return states
-
-
-def pushsum_round(states: WorkerStates, mixing: SlotMixing, half: np.ndarray) -> WorkerStates:
-    """One synchronous push-sum round: mix x and w by the same column-stochastic matrix."""
-    states.x = mixing.mix(half)
-    states.w = mixing.mix(states.w[:, None])[:, 0]
-    return states
-
-
-def double_average(states: WorkerStates, groups: int = 1) -> WorkerStates:
-    """Exact average of both parameters and momentum buffers across each
-    group's workers."""
-    m = len(states) // groups
-    states.x[:] = repeat_groups(group_sums(states.x, groups) / m, m)
-    states.buffers.h[:] = repeat_groups(group_sums(states.buffers.h, groups) / m, m)
-    return states
-
-
 def osgp_step(
     sent: np.ndarray,
     received: np.ndarray,
@@ -232,7 +201,6 @@ class _ProtocolBase:
     x - gamma*d of the n rows ``active_workers()`` named, in that order.
     """
 
-    name = "abstract"
     debias = False
 
     def __init__(self, cfg: ExperimentConfig, m: int, schedule: TopologySchedule | None,
@@ -260,27 +228,23 @@ class _ProtocolBase:
 
 
 class LocalProtocol(_ProtocolBase):
-    name = "local"
-
     def apply_round(self, states, half, round_index):
         states.x = half
 
 
 class AllReduceProtocol(_ProtocolBase):
-    name = "allreduce"
-
     def apply_round(self, states, half, round_index):
         states.x[:] = repeat_groups(group_sums(half, self.groups) / self.m, self.m)
 
 
 class DoubleAverageProtocol(_ProtocolBase):
-    name = "double-average"
-
     def apply_round(self, states, half, round_index):
         states.x = half
 
     def end_block(self, states):
-        double_average(states, self.groups)
+        """Exact average of both parameters and momentum buffers in each group."""
+        for rows in (states.x, states.buffers.h):
+            rows[:] = repeat_groups(group_sums(rows, self.groups) / self.m, self.m)
 
 
 class _MixingProtocol(_ProtocolBase):
@@ -308,27 +272,32 @@ class _MixingProtocol(_ProtocolBase):
 
 
 class GossipProtocol(_MixingProtocol):
-    """Compiles its whole period when built, so a round whose edges cannot
-    be paired is a ConfigError before the run starts."""
+    """Doubly-stochastic gossip: x_i <- sum_j p[i,j] half[j]. Compiles its
+    whole period when built, so a round whose edges cannot be paired is a
+    ConfigError, and one whose rows do not sum to 1 a ProtocolError, before
+    the run starts."""
 
-    name = "dpsgd"
     stochasticity = "doubly"
 
     def __init__(self, cfg, m, schedule, seeds):
         super().__init__(cfg, m, schedule, seeds)
         for k in range(schedule.period):
-            self.mixing(k)
+            if not self.mixing(k).doubly:
+                raise ProtocolError("doubly-stochastic gossip needs row sums 1 within 1e-12")
 
     def apply_round(self, states, half, round_index):
-        gossip_round(states, self.mixing(round_index), half)
+        states.x = self.mixing(round_index).mix(half)
 
 
 class PushSumProtocol(_MixingProtocol):
-    name = "sgp"
+    """Synchronous push-sum: x and w mix by the same column-stochastic matrix."""
+
     debias = True
 
     def apply_round(self, states, half, round_index):
-        pushsum_round(states, self.mixing(round_index), half)
+        mix = self.mixing(round_index)
+        states.x = mix.mix(half)
+        states.w = mix.mix(states.w[:, None])[:, 0]
 
 
 class _Batch(NamedTuple):
@@ -356,7 +325,6 @@ class OverlapPushSumProtocol(_MixingProtocol):
     on a one-peer graph edge (round % period, sender) is a distinct edge.
     """
 
-    name = "osgp"
     debias = True
 
     def __init__(self, cfg, m, schedule, seeds):

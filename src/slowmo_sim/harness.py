@@ -31,11 +31,23 @@ from .theory_checker import (
 FORMATS = ("jsonl", "csv", "both")
 
 
-def emit_metrics(trace: MetricsTrace, out_dir: str, fmt: str = "both") -> dict:
-    """Write trace.jsonl and/or summary.csv with stable field ordering."""
+def _check_format(fmt: str) -> None:
     if fmt not in FORMATS:
         raise ConfigError(f"unknown output format {fmt!r}")
-    os.makedirs(out_dir, exist_ok=True)
+
+
+def _make_dir(path: str) -> None:
+    """``os.makedirs``; a path that cannot be a directory is a ConfigError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc.strerror or exc}") from exc
+
+
+def emit_metrics(trace: MetricsTrace, out_dir: str, fmt: str = "both") -> dict:
+    """Write trace.jsonl and/or summary.csv with stable field ordering."""
+    _check_format(fmt)
+    _make_dir(out_dir)
     paths = {}
     if fmt in ("jsonl", "both"):
         path = os.path.join(out_dir, "trace.jsonl")
@@ -68,34 +80,22 @@ def equivalence_check(
     ra, rb = trace_a.records, trace_b.records
     if not ra and not rb:
         raise ConfigError("both traces hold no records, so there is nothing to compare")
+    worst, steps, reason = 0.0, len(ra), None
     if len(ra) != len(rb):
-        return {
-            "passed": False,
-            "max_abs_diff": math.inf,
-            "steps_compared": 0,
-            "tol": tol,
-            "reason": f"trace lengths differ: {len(ra)} vs {len(rb)}",
-        }
-    worst = 0.0
-    for rec_a, rec_b in zip(ra, rb):
-        xa, xb = _x_bar(rec_a), _x_bar(rec_b)
-        if len(xa) != len(xb):
-            return {
-                "passed": False,
-                "max_abs_diff": math.inf,
-                "steps_compared": 0,
-                "tol": tol,
-                "reason": "iterate dimensions differ",
-            }
-        gap = max(abs(a - b) for a, b in zip(xa, xb))
-        worst = max(worst, gap)
-    return {
-        "passed": worst <= tol,
-        "max_abs_diff": worst,
-        "steps_compared": len(ra),
-        "tol": tol,
-        "reason": None if worst <= tol else f"max |x_bar gap| {worst:.3e} > tol",
-    }
+        reason = f"trace lengths differ: {len(ra)} vs {len(rb)}"
+    else:
+        for rec_a, rec_b in zip(ra, rb):
+            xa, xb = _x_bar(rec_a), _x_bar(rec_b)
+            if len(xa) != len(xb):
+                reason = "iterate dimensions differ"
+                break
+            worst = max(worst, max(abs(a - b) for a, b in zip(xa, xb)))
+    if reason is not None:  # nothing was compared
+        worst, steps = math.inf, 0
+    elif worst > tol:
+        reason = f"max |x_bar gap| {worst:.3e} > tol"
+    return {"passed": reason is None, "max_abs_diff": worst, "steps_compared": steps,
+            "tol": tol, "reason": reason}
 
 
 def _x_bar(record: dict) -> list:
@@ -112,10 +112,11 @@ def _x_bar(record: dict) -> list:
 def run_experiment(cfg: ExperimentConfig, out_dir: str, fmt: str = "both") -> MetricsTrace:
     """Build, run, and persist one experiment under ``out_dir``.
 
-    A run that cannot be built writes nothing. Otherwise resolved.json is
-    written before the run starts, so even aborted runs are reproducible;
-    on a numerical abort the partial trace is flushed before the exception
-    propagates.
+    A run that cannot be built, or that names an unknown ``fmt``, writes
+    nothing, and one whose ``out_dir`` cannot be a directory runs no round.
+    Otherwise resolved.json is written before the run starts, so even
+    aborted runs are reproducible; on a numerical abort the partial trace
+    is flushed before the exception propagates.
     """
     (outcome,) = run_experiments([cfg], [out_dir], fmt)
     if isinstance(outcome, NumericalAbort):
@@ -128,12 +129,13 @@ def run_experiments(cfgs: list, out_dirs: list, fmt: str = "both") -> list:
     stacked simulation: one outcome per config, its MetricsTrace or the
     NumericalAbort that ended it, each written to its directory as a run of
     that config alone would write it."""
+    _check_format(fmt)
     if len(cfgs) != len(out_dirs):
         raise ConfigError(f"{len(cfgs)} configs need as many output directories, "
                           f"got {len(out_dirs)}")
     sim = build_simulation(cfgs)
     for cfg, out_dir in zip(cfgs, out_dirs):
-        os.makedirs(out_dir, exist_ok=True)
+        _make_dir(out_dir)
         with open(os.path.join(out_dir, "resolved.json"), "w") as fh:
             json.dump(resolved_dict(cfg), fh, indent=2)
             fh.write("\n")
@@ -225,10 +227,11 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str, fmt: str = "both", jobs: int 
     run as one stacked simulation (in chunks under STACK_BYTES), each
     writing what its own run would; chunks may go in parallel, in at most
     min(jobs, chunks, CPUs) processes."""
+    _check_format(fmt)
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     combos = expand_grid(cfg)
-    os.makedirs(out_dir, exist_ok=True)
+    _make_dir(out_dir)
     index = [{"run": idx, "dir": os.path.join(out_dir, f"run_{idx:03d}"), "overrides": overrides}
              for idx, (overrides, _) in enumerate(combos)]
     chunks = _stack_chunks([point for _, point in combos])

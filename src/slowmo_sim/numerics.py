@@ -190,7 +190,6 @@ class Problem:
     ascending.
     """
 
-    kind = "abstract"
     shard_size = 0
 
     def __init__(self, num_workers: int, dimension: int, noise: NoiseModel):
@@ -310,8 +309,6 @@ class QuadraticProblem(Problem):
     did not depend on the BLAS thread count on any shape tried.
     """
 
-    kind = "quadratic"
-
     def __init__(self, a, centers, noise: NoiseModel, samples=None):
         centers = _stacked(centers, "center", 2)
         m, d = centers.shape
@@ -419,8 +416,6 @@ class LogisticProblem(Problem):
     """Binary logistic regression; worker i's shard is ``features[i]`` (n, d)
     with +/-1 ``labels[i]`` (n,)."""
 
-    kind = "logistic"
-
     def __init__(self, features, labels, noise: NoiseModel):
         features = _stacked(features, "feature", 3)
         labels = _stacked(labels, "label", 2)
@@ -448,8 +443,6 @@ class MlpProblem(Problem):
 
     Parameters are packed flat as [W1 (h x p), b1 (h), w2 (h), b2 (1)].
     """
-
-    kind = "mlp"
 
     def __init__(self, features, targets, hidden: int, noise: NoiseModel):
         features = _stacked(features, "feature", 3)

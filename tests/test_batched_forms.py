@@ -291,10 +291,10 @@ def test_stacked_consensus_matches_per_worker_loop(protocol):
     for _ in range(4):
         sim.inner_round(0.05)
     (xbar,) = sim.mean_x(sim.protocol.inflight_sums(4)[0])
+    rows = sim.states.z if sim.protocol.debias else sim.states.x
     acc = 0.0
     for i in range(5):
-        s = sim.states[i]
-        diff = (s.z if sim.protocol.debias else s.x) - xbar
+        diff = rows[i] - xbar
         acc += float(diff @ diff)
     assert sim.consensus_sq(xbar[None]).tolist() == [acc / 5]
 

@@ -14,12 +14,9 @@ from slowmo_sim import (
     ProtocolError,
     SlotMixing,
     WorkerStates,
-    double_average,
     exact_average,
-    gossip_round,
     make_protocol,
     osgp_step,
-    pushsum_round,
 )
 from slowmo_sim import comm_protocols, parse_config
 from slowmo_sim.config import OsgpConfig
@@ -85,8 +82,6 @@ def test_degenerate_weight_rejected():
     states.w[1] = 0.0
     with pytest.raises(ProtocolError):
         _ = states.z
-    with pytest.raises(ProtocolError):
-        _ = states[1].z
 
 
 # --------------------------------------------------------------------------- #
@@ -99,23 +94,24 @@ def test_gossip_preserves_mean_and_reaches_consensus():
     xs = rng.standard_normal((8, 3))
     states = _states(list(xs))
     mean0 = xs.mean(axis=0)
+    proto = make_protocol(_cfg("dpsgd"), 8, sched)
     for k in range(3):
-        mix = _slots(sched, k, "doubly")
-        gossip_round(states, mix, _everyone(states))
+        proto.apply_round(states, _everyone(states), k)
         mean_k = states.x.mean(axis=0)
         assert np.allclose(mean_k, mean0, atol=1e-13)
     # the hop-1/2/4 pairwise exchanges implement a full dimension exchange
     assert np.allclose(states.x, mean0, atol=1e-13)
 
 
-def test_gossip_rejects_column_only_matrix():
+def test_gossip_rejects_column_only_matrix(monkeypatch):
     # two senders aimed at one receiver: column-stochastic but not row-stochastic
+    real = comm_protocols.mixing_matrix
+    monkeypatch.setattr(comm_protocols, "mixing_matrix",
+                        lambda schedule, k, stochasticity: real(schedule, k, "column"))
     sched = TopologySchedule("custom", 3, [[(0, 1), (2, 1)]])
-    mix = _slots(sched, 0, "column")
-    states = _states([[1.0], [2.0], [3.0]])
-    assert not mix.doubly
-    with pytest.raises(ProtocolError):
-        gossip_round(states, mix, _everyone(states))
+    assert not _slots(sched, 0, "column").doubly
+    with pytest.raises(ProtocolError, match="row sums"):
+        make_protocol(_cfg("dpsgd"), 3, sched)
 
 
 def test_pushsum_conserves_mass_and_mean():
@@ -124,9 +120,9 @@ def test_pushsum_conserves_mass_and_mean():
     xs = rng.standard_normal((8, 4))
     states = _states(list(xs))
     sum_x0 = xs.sum(axis=0)
+    proto = make_protocol(_cfg("sgp"), 8, sched)
     for k in range(12):
-        mix = _slots(sched, k % 3, "column")
-        pushsum_round(states, mix, _everyone(states))
+        proto.apply_round(states, _everyone(states), k)
         assert np.allclose(states.x.sum(axis=0), sum_x0, atol=1e-12)
         assert states.w.sum() == pytest.approx(8.0, abs=1e-12)
 
@@ -139,9 +135,9 @@ def test_pushsum_consensus_on_power_of_two():
     xs = rng.standard_normal((8, 2))
     states = _states(list(xs))
     mean0 = xs.mean(axis=0)
+    proto = make_protocol(_cfg("sgp"), 8, sched)
     for k in range(3):
-        mix = _slots(sched, k, "column")
-        pushsum_round(states, mix, _everyone(states))
+        proto.apply_round(states, _everyone(states), k)
     assert np.allclose(states.z, mean0, atol=1e-12)
     assert np.allclose(states.w, 1.0, atol=1e-12)
 
@@ -150,7 +146,8 @@ def test_double_average_synchronizes_momentum():
     states = _states([[1.0], [3.0]])
     states.buffers.h[0] = 2.0
     states.buffers.h[1] = 6.0
-    double_average(states)
+    cfg = _cfg("double-average", base=BaseOptimizerConfig(kind="sgd-nesterov"))
+    make_protocol(cfg, 2, None).end_block(states)
     assert np.all(states.x == 2.0)
     assert np.all(states.buffers.h == 4.0)
 
@@ -368,7 +365,7 @@ def test_osgp_single_worker_never_stalls():
     for k in range(10):
         assert proto.active_workers().tolist() == [0]
         proto.apply_round(states, _everyone(states), k)
-    assert states[0].w == pytest.approx(1.0)
+    assert states.w[0] == pytest.approx(1.0)
 
 
 def test_osgp_all_stalled_with_empty_queues_is_a_deadlock():
@@ -401,9 +398,9 @@ def test_pushsum_mass_invariant_random_starts(seed, m):
     sched = TopologySchedule(kind="exponential-directed", m=m)
     rng = rng_stream(seed, 0, 0)
     states = _states(list(rng.standard_normal((m, 2))))
+    proto = make_protocol(_cfg("sgp"), m, sched)
     for k in range(2 * sched.period):
-        mix = _slots(sched, k % sched.period, "column")
-        pushsum_round(states, mix, _everyone(states))
+        proto.apply_round(states, _everyone(states), k)
     assert states.w.sum() == pytest.approx(m, abs=1e-12)
 
 
@@ -558,15 +555,11 @@ def test_slot_mixing_matches_dense_loop_bit_for_bit(case, seed):
         rows, cols = np.nonzero(p)
         slots = SlotMixing(m, rows, cols, p[rows, cols])
 
-        states = _states(half, ws=ws)
-        pushsum_round(states, slots, half.copy())
         ref_x, ref_w = _dense_pushsum(p, list(half), ws)
-        assert _same_bits(states.x, ref_x) and _same_bits(states.w, ref_w)
-
+        assert _same_bits(slots.mix(half), ref_x)
+        assert _same_bits(slots.mix(np.array(ws)[:, None])[:, 0], ref_w)
         if stochasticity == "doubly":
-            states = _states(half)
-            gossip_round(states, slots, half.copy())
-            assert _same_bits(states.x, _dense_gossip(p, list(half)))
+            assert _same_bits(slots.mix(half), _dense_gossip(p, list(half)))
 
 
 def test_mixing_is_compiled_once_per_period_entry(monkeypatch):

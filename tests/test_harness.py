@@ -22,6 +22,7 @@ from slowmo_sim import (
     ConfigError,
     MetricsTrace,
     NumericalAbort,
+    Simulation,
     build_simulation,
     emit_metrics,
     equivalence_check,
@@ -32,6 +33,7 @@ from slowmo_sim import (
 )
 from slowmo_sim import harness
 from slowmo_sim.cli import main
+from slowmo_sim.comm_protocols import PROTOCOLS
 from slowmo_sim.config import (
     MAX_DIMENSION,
     MAX_QUADRATIC_DIMENSION,
@@ -121,7 +123,7 @@ def test_resolved_dict_round_trips():
 def test_build_simulation_and_run():
     cfg = parse_config(_raw())
     sim = build_simulation(cfg)
-    assert sim.cfg is cfg and sim.protocol.name == "allreduce"
+    assert sim.cfg is cfg and type(sim.protocol) is PROTOCOLS["allreduce"]
     trace = sim.run()
     assert len(trace.records) == 12
 
@@ -184,6 +186,30 @@ def test_equivalence_check_reports_max_diff():
     for tol in (math.nan, math.inf, -1e-12):
         with pytest.raises(ConfigError, match="tolerance"):
             equivalence_check(a, b, tol=tol)
+
+
+def test_equivalence_check_verdict_when_nothing_can_be_compared():
+    a = build_simulation(parse_config(_raw())).run()
+    shorter = MetricsTrace(records=a.records[:-1], summary=a.summary)
+    narrower = MetricsTrace(records=[{**r, "x_bar": r["x_bar"][:-1]} for r in a.records],
+                            summary=a.summary)
+    n = len(a.records)
+    for other, reason in ((shorter, f"trace lengths differ: {n} vs {n - 1}"),
+                          (narrower, "iterate dimensions differ")):
+        assert equivalence_check(a, other) == {
+            "passed": False, "max_abs_diff": math.inf, "steps_compared": 0,
+            "tol": 1e-10, "reason": reason}
+
+
+@pytest.mark.parametrize("runner", ["run_experiment", "run_sweep"])
+def test_unknown_format_is_refused_before_anything_is_built(runner, tmp_path, monkeypatch):
+    rounds = []
+    monkeypatch.setattr(Simulation, "inner_round", lambda self, *args: rounds.append(args))
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match="unknown output format 'bogus'"):
+        getattr(harness, runner)(parse_config(_raw(grid={"seed": [1, 2]})), str(out), fmt="bogus")
+    assert not out.exists() and not (out / "sweep_index.json").exists()
+    assert rounds == []
 
 
 def test_run_experiment_writes_artifacts(tmp_path):
@@ -867,6 +893,36 @@ def test_malformed_checker_input_is_a_config_error(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error") and "Traceback" not in err
     assert not os.path.exists(paths["out"])
+
+
+# name: (command line, the path the error must name)
+UNWRITABLE_OUTPUTS = {
+    "run-out-is-a-file": (["run", "--config", "{config}", "--out", "{file}"], "{file}"),
+    "sweep-out-is-a-file": (["sweep", "--config", "{config}", "--out", "{file}"], "{file}"),
+    "run-out-under-a-file": (
+        ["run", "--config", "{config}", "--out", "{file}/sub"], "{file}/sub"),
+    "check-bound-out-in-a-missing-dir": (
+        _CHECK_BOUND + ["--out", "{missing}/r.json"], "{missing}/r.json"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE_OUTPUTS))
+def test_unwritable_output_path_is_a_config_error(case, tmp_path, capsys, monkeypatch):
+    argv, target = UNWRITABLE_OUTPUTS[case]
+    records = build_simulation(parse_config(_raw())).run().records
+    paths = {"config": _write_cfg(tmp_path, _raw()), "constants": str(tmp_path / "constants.json"),
+             "trace": str(tmp_path / "trace.jsonl"), "file": str(tmp_path / "file"),
+             "missing": str(tmp_path / "missing")}
+    Path(paths["constants"]).write_text(json.dumps(BOUND_CONSTANTS))
+    Path(paths["trace"]).write_text("".join(json.dumps(r) + "\n" for r in records))
+    Path(paths["file"]).write_text("not a directory\n")
+    rounds = []
+    monkeypatch.setattr(Simulation, "inner_round", lambda self, *args: rounds.append(args))
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert target.format(**paths) in err
+    assert rounds == []
 
 
 # --------------------------------------------------------------------------- #
