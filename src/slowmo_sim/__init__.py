@@ -42,7 +42,6 @@ from .numerics import (
     global_loss_and_gradient,
     make_worker_rngs,
     rng_stream,
-    stack_problems,
     worker_stochastic_gradient,
 )
 from .simkernel import MetricsTrace, SimClock, Simulation

@@ -12,11 +12,12 @@ import json
 import sys
 from dataclasses import replace
 
-from .config import build_problem, load_config, read_text
+from .config import build_problem, load_config, read_json
 from .errors import ConfigError, NumericalAbort
 from .harness import (
     bound_report,
     equivalence_check,
+    open_output,
     run_experiment,
     run_sweep,
 )
@@ -30,10 +31,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_trace(path: str) -> MetricsTrace:
-    try:
-        return MetricsTrace.from_jsonl(read_text(path, "trace"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"trace {path} is not valid JSONL: {exc}") from exc
+    return read_json(path, "trace", MetricsTrace.from_jsonl)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,19 +90,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_check_bound(args) -> int:
-    try:
-        constants = json.loads(read_text(args.constants, "constants file"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"cannot read constants file: {exc}") from exc
+    constants = read_json(args.constants, "constants file")
     traces = [_load_trace(p) for p in args.traces]
     report = bound_report(constants, traces)
     text = json.dumps(report, indent=2)
     if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise ConfigError(f"cannot write report {args.out}: {exc.strerror or exc}") from exc
+        with open_output(args.out) as fh:
+            fh.write(text + "\n")
     print(text)
     if report["condition_met"] and not report["holds"]:
         return 3

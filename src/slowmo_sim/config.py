@@ -6,14 +6,15 @@ checks the rules across sections (double-average needs the sgd-nesterov
 base). ``parse_config`` builds one from a raw dict, usually loaded from
 JSON, rejecting unknown fields anywhere in the tree. ``resolved_dict`` dumps
 every field explicitly, defaults included, so a run can always be reproduced
-from its resolved.json alone. ``build_simulation`` builds the problem and
-start point from the config and hands both, with the config itself, to
-``Simulation``; given several configs that differ only in seed, it stacks
-their problems and start points into one simulation of one group per
-seed. The rules on a run's settings live here, except the ones that need
-its topology, which ``Simulation`` checks as it builds the
-schedule and protocol: custom edges, connectivity, dpsgd's pairing and
-osgp's one peer. Either way a bad config fails before anything is written.
+from its resolved.json alone. ``build_simulation(cfg, seeds)`` builds the
+problem and start point from the config and hands both, with the config
+itself, to ``Simulation``; given a sequence of seeds, it builds one stacked
+simulation of one group per seed, group g being the run of
+``replace(cfg, seed=seeds[g])``. The rules on a run's settings live here,
+except the ones that need its topology, which ``Simulation`` checks as it
+builds the schedule and protocol: custom edges, connectivity, dpsgd's
+pairing and osgp's one peer. Either way a bad config fails before anything
+is written.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-from collections.abc import Sequence
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
@@ -36,7 +36,7 @@ from .numerics import (
     build_mlp,
     build_quadratic,
     rng_stream,
-    stack_problems,
+    seed_list,
 )
 from .simkernel import Simulation
 from .slowmo import GammaSchedule, SlowMoConfig
@@ -274,22 +274,23 @@ def parse_config(raw: dict) -> ExperimentConfig:
     return _parse(ExperimentConfig, raw, "")
 
 
-def read_text(path: str, what: str) -> str:
-    """The UTF-8 text of the ``what`` file at ``path``; a file that is
-    missing, unreadable or not UTF-8 is a ConfigError."""
+def read_json(path: str, what: str, decode=json.loads):
+    """``decode`` of the UTF-8 text of the ``what`` file at ``path``. A file
+    that is missing, unreadable or not UTF-8 is a ConfigError, and so is
+    text that is not valid JSON or nests too deep for the decoder."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        return decode(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ConfigError(f"invalid JSON in {what} {path}: {exc}") from exc
 
 
 def load_config(path: str) -> ExperimentConfig:
-    try:
-        raw = json.loads(read_text(path, "config"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    return parse_config(raw)
+    return parse_config(read_json(path, "config"))
 
 
 def resolved_dict(cfg: ExperimentConfig) -> dict:
@@ -300,11 +301,12 @@ def resolved_dict(cfg: ExperimentConfig) -> dict:
     return out
 
 
-def build_problem(cfg: ExperimentConfig):
+def build_problem(cfg: ExperimentConfig, seeds=None):
+    """``cfg.problem`` for ``cfg.seed``, or one group of it per seed in ``seeds``."""
     # the builders are looked up at call time, so a wrapper set on this
     # module's names (as a tracer does) sees every build
     builders = {"quadratic": build_quadratic, "logistic": build_logistic, "mlp": build_mlp}
-    return builders[cfg.problem.kind](cfg.problem, cfg.seed)
+    return builders[cfg.problem.kind](cfg.problem, cfg.seed if seeds is None else seeds)
 
 
 def initial_point(cfg: ExperimentConfig, dimension: int) -> np.ndarray:
@@ -314,13 +316,11 @@ def initial_point(cfg: ExperimentConfig, dimension: int) -> np.ndarray:
     return cfg.init.scale * rng.standard_normal(dimension)
 
 
-def build_simulation(cfg: ExperimentConfig | Sequence[ExperimentConfig]) -> Simulation:
-    """Assemble the Simulation the config describes. A sequence of configs
-    that differ only in ``seed`` is one stacked simulation, a group per
-    config in order, each with its own problem and start point."""
-    cfgs = [cfg] if isinstance(cfg, ExperimentConfig) else list(cfg)
-    if any(replace(c, seed=cfgs[0].seed) != cfgs[0] for c in cfgs[1:]):
-        raise ConfigError("only configs that differ in nothing but seed run as one simulation")
-    problem = stack_problems([build_problem(c) for c in cfgs])
-    x0 = np.array([initial_point(c, problem.dimension) for c in cfgs])
-    return Simulation(problem, cfgs[0], x0, seeds=[c.seed for c in cfgs])
+def build_simulation(cfg: ExperimentConfig, seeds=None) -> Simulation:
+    """Assemble the Simulation the config describes. For a sequence of seeds
+    it is one stacked simulation, a group per seed in order, each with the
+    problem and start point of its seed."""
+    seeds = seed_list(cfg.seed if seeds is None else seeds)
+    problem = build_problem(cfg, seeds)
+    x0 = np.array([initial_point(replace(cfg, seed=s), problem.dimension) for s in seeds])
+    return Simulation(problem, cfg, x0, seeds=seeds)

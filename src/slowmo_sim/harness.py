@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import csv
 import itertools
@@ -44,6 +45,23 @@ def _make_dir(path: str) -> None:
         raise ConfigError(f"cannot create output directory {path}: {exc.strerror or exc}") from exc
 
 
+@contextlib.contextmanager
+def open_output(path: str, newline: str | None = None):
+    """``open(path, "w")`` for an output file; a file that cannot be opened
+    or written is a ConfigError naming its path."""
+    try:
+        with open(path, "w", newline=newline) as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _write_json(path: str, value) -> None:
+    with open_output(path) as fh:
+        json.dump(value, fh, indent=2)
+        fh.write("\n")
+
+
 def emit_metrics(trace: MetricsTrace, out_dir: str, fmt: str = "both") -> dict:
     """Write trace.jsonl and/or summary.csv with stable field ordering."""
     _check_format(fmt)
@@ -53,14 +71,14 @@ def emit_metrics(trace: MetricsTrace, out_dir: str, fmt: str = "both") -> dict:
         path = os.path.join(out_dir, "trace.jsonl")
         # line by line: the bytes of to_jsonl() plus a final newline, with
         # no copy of the whole text in memory (4 MB a run at d = 20000)
-        with open(path, "w") as fh:
+        with open_output(path) as fh:
             for rec in trace.records:
                 fh.write(json.dumps(rec))
                 fh.write("\n")
         paths["jsonl"] = path
     if fmt in ("csv", "both"):
         path = os.path.join(out_dir, "summary.csv")
-        with open(path, "w", newline="") as fh:
+        with open_output(path, newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(SUMMARY_FIELDS))
             writer.writeheader()
             if trace.summary:
@@ -118,27 +136,25 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, fmt: str = "both") -> Me
     aborted runs are reproducible; on a numerical abort the partial trace
     is flushed before the exception propagates.
     """
-    (outcome,) = run_experiments([cfg], [out_dir], fmt)
+    (outcome,) = run_experiments(cfg, [cfg.seed], [out_dir], fmt)
     if isinstance(outcome, NumericalAbort):
         raise outcome
     return outcome
 
 
-def run_experiments(cfgs: list, out_dirs: list, fmt: str = "both") -> list:
-    """``run_experiment`` for configs that differ only in seed, as one
-    stacked simulation: one outcome per config, its MetricsTrace or the
-    NumericalAbort that ended it, each written to its directory as a run of
-    that config alone would write it."""
+def run_experiments(cfg: ExperimentConfig, seeds: list, out_dirs: list, fmt: str = "both") -> list:
+    """``run_experiment`` for each seed of one config, as one stacked
+    simulation: one outcome per seed, its MetricsTrace or the NumericalAbort
+    that ended it, each written to its directory as a run of
+    ``replace(cfg, seed=seed)`` alone would write it."""
     _check_format(fmt)
-    if len(cfgs) != len(out_dirs):
-        raise ConfigError(f"{len(cfgs)} configs need as many output directories, "
+    if len(seeds) != len(out_dirs):
+        raise ConfigError(f"{len(seeds)} seeds need as many output directories, "
                           f"got {len(out_dirs)}")
-    sim = build_simulation(cfgs)
-    for cfg, out_dir in zip(cfgs, out_dirs):
+    sim = build_simulation(cfg, seeds)
+    for seed, out_dir in zip(seeds, out_dirs):
         _make_dir(out_dir)
-        with open(os.path.join(out_dir, "resolved.json"), "w") as fh:
-            json.dump(resolved_dict(cfg), fh, indent=2)
-            fh.write("\n")
+        _write_json(os.path.join(out_dir, "resolved.json"), resolved_dict(replace(cfg, seed=seed)))
     outcomes = sim.run_groups()
     for outcome, out_dir in zip(outcomes, out_dirs):
         emit_metrics(outcome.trace if isinstance(outcome, NumericalAbort) else outcome,
@@ -214,11 +230,11 @@ def _stack_chunks(points: list) -> list[list[int]]:
 
 
 def _sweep_chunk(args) -> list[dict]:
-    cfgs, out_dirs, fmt = args
+    cfg, seeds, out_dirs, fmt = args
     return [
         {"status": "aborted", "detail": str(outcome)} if isinstance(outcome, NumericalAbort)
         else {"status": "ok", "final_loss": outcome.summary["final_loss"]}
-        for outcome in run_experiments(cfgs, out_dirs, fmt)
+        for outcome in run_experiments(cfg, seeds, out_dirs, fmt)
     ]
 
 
@@ -235,8 +251,8 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str, fmt: str = "both", jobs: int 
     index = [{"run": idx, "dir": os.path.join(out_dir, f"run_{idx:03d}"), "overrides": overrides}
              for idx, (overrides, _) in enumerate(combos)]
     chunks = _stack_chunks([point for _, point in combos])
-    tasks = [([combos[i][1] for i in chunk], [index[i]["dir"] for i in chunk], fmt)
-             for chunk in chunks]
+    tasks = [(combos[chunk[0]][1], [combos[i][1].seed for i in chunk],
+              [index[i]["dir"] for i in chunk], fmt) for chunk in chunks]
     # the default fork start method forks every worker at the first submit
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
@@ -249,9 +265,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str, fmt: str = "both", jobs: int 
     for chunk, chunk_results in zip(chunks, results):
         for i, result in zip(chunk, chunk_results):
             index[i].update(result)
-    with open(os.path.join(out_dir, "sweep_index.json"), "w") as fh:
-        json.dump(index, fh, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "sweep_index.json"), index)
     return index
 
 

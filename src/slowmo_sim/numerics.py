@@ -25,12 +25,13 @@ shard rows ``idx[r]`` when an (n, b) ``idx`` is given, and
 ``points`` is shared by every worker. The stochastic, global and log-bias
 oracles each make one such call.
 
-Groups: ``stack_problems`` concatenates S problems of one kind and shape
-along the worker axis, so that the rows of group g are g*m ... (g+1)*m - 1.
-A quadratic keeps one curvature matrix when every group shares it, else
-one per group. ``group_sums`` is the one rank-ordered reduction: it adds
-each group's rows in ascending rank, bit for bit the reduction of that
-group alone, and a single run (S = 1) is the one-group case.
+Groups: a problem of S groups of m workers holds group g in rows g*m ...
+(g+1)*m - 1; the builders take one seed or S seeds and draw each group's
+data from its seed's streams. A quadratic holds one A for every worker or
+an (S, d, d) stack of one per group. ``group_sums`` is the one rank-ordered
+reduction: it adds each group's rows in ascending rank, bit for bit the
+reduction of that group alone, and a single run (S = 1) is the one-group
+case.
 
 All randomness flows through counter-based Philox streams derived from
 ``(seed, namespace, index)`` so that worker streams are independent and
@@ -75,6 +76,14 @@ def make_worker_rngs(seed: int, m: int) -> list[np.random.Generator]:
     return [rng_stream(seed, STREAM_NOISE, i) for i in range(m)]
 
 
+def seed_list(seed) -> list:
+    """One seed, or a sequence of S seeds, as a list of S >= 1 seeds."""
+    seeds = np.atleast_1d(seed).tolist()
+    if not seeds:
+        raise ConfigError("an empty list of seeds builds nothing")
+    return seeds
+
+
 class WorkerStreams:
     """Per-worker gradient-noise streams, plus standard normal rows pre-drawn
     from them in blocks. ``seed`` is one seed, or a sequence of S seeds for S
@@ -89,8 +98,7 @@ class WorkerStreams:
     """
 
     def __init__(self, seed, m: int, dimension: int, block: int):
-        self.generators = [gen for s in np.atleast_1d(seed).tolist()
-                           for gen in make_worker_rngs(s, m)]
+        self.generators = [gen for s in seed_list(seed) for gen in make_worker_rngs(s, m)]
         rows = len(self.generators)
         self._shape = (rows, block, dimension)
         self._rows = None  # allocated on first use
@@ -479,110 +487,95 @@ class MlpProblem(Problem):
         return losses, grads
 
 
-def stack_problems(problems: list) -> Problem:
-    """S problems of one kind, noise and shape as one problem of S groups of
-    m workers, their shards concatenated along the worker axis in order. A
-    single problem comes back as it is. Quadratics that all hold the same A
-    object share it; otherwise A is stacked, one (d, d) matrix per group."""
-    if not problems:
-        raise ConfigError("an empty list of problems (or configs) does not stack")
-    first = problems[0]
-    if len(problems) == 1:
-        return first
-    shape = (type(first), first.num_workers, first.dimension, first.noise,
-             getattr(first, "hidden", None))
-    if any((type(p), p.num_workers, p.dimension, p.noise, getattr(p, "hidden", None)) != shape
-           for p in problems):
-        raise ConfigError("stacked problems must share their kind, m, d and noise")
-
-    def cat(name):
-        return np.concatenate([getattr(p, name) for p in problems])
-
-    if isinstance(first, QuadraticProblem):
-        if any(p.a.ndim == 3 for p in problems):  # its groups would be renumbered
-            raise ConfigError("a quadratic that already holds one A per group does not stack")
-        same = all(p.a is first.a for p in problems)
-        a = first.a if same else np.stack([p.a for p in problems])
-        return QuadraticProblem(a, cat("centers"), first.noise,
-                                None if first.samples is None else cat("samples"))
-    if isinstance(first, LogisticProblem):
-        return LogisticProblem(cat("features"), cat("labels"), first.noise)
-    return MlpProblem(cat("features"), cat("targets"), first.hidden, first.noise)
-
-
 # ---------------------------------------------------------------------------
 # synthetic problem builders (used by the config layer)
 # ---------------------------------------------------------------------------
 
-def build_quadratic(p: ProblemConfig, seed: int) -> QuadraticProblem:
-    """Shared-curvature quadratic with worker centers spread by ``p.heterogeneity``."""
-    rng = rng_stream(seed, STREAM_DATA, 0)
-    d = p.dimension
+def build_quadratic(p: ProblemConfig, seed) -> QuadraticProblem:
+    """Quadratic with worker centers spread by ``p.heterogeneity`` and one A
+    for every worker; a sequence of S seeds builds S groups of m workers,
+    each with the A, centers and clouds of its seed."""
+    seeds = seed_list(seed)
+    S, m, d = len(seeds), p.m, p.dimension
     if d == 1:
-        a = np.array([[p.l_max]])
+        a = np.array([[p.l_max]])  # every seed's A
     else:
-        # R and q are dropped and a is symmetrised in place (same bits as
-        # 0.5 * (a + a.T)) to keep set-up's peak memory down at large d.
-        # a starts on a 64-byte cache line, as then do its row blocks at
-        # d = 2000: the blocked gemv ran 13-14 ms there against 15.5-16.5 ms
-        # at 16 or 48 bytes past one, where malloc left it by chance.
-        q = np.linalg.qr(rng.standard_normal((d, d)))[0]
         eigs = np.linspace(float(p.l_min), float(p.l_max), d)
-        buf = np.empty(d * d + 8)
-        start = -buf.ctypes.data % 64 // 8
-        a = buf[start:start + d * d].reshape(d, d)
-        np.matmul(q * eigs, q.T, out=a)
-        del q
-        a += a.T
-        a *= 0.5
-    centers = np.empty((p.m, d))
-    for i, row in enumerate(centers):
-        rng_stream(seed, STREAM_DATA, 1 + i).standard_normal(out=row)
+        for g, s in enumerate(seeds):
+            q = np.linalg.qr(rng_stream(s, STREAM_DATA, 0).standard_normal((d, d)))[0]
+            if g == 0:
+                # after the first QR: allocated before it, set-up's peak at
+                # d = 2000 grew 30 MiB. The first A starts on a 64-byte cache
+                # line, as then do its row blocks at d = 2000: the blocked
+                # gemv ran 13-14 ms there against 15.5-16.5 ms at 16 or 48
+                # bytes past one, where malloc left it by chance.
+                buf = np.empty(S * d * d + 8)
+                start = -buf.ctypes.data % 64 // 8
+                stack = buf[start:start + S * d * d].reshape(S, d, d)
+            # R and q are dropped and A is symmetrised in place (same bits
+            # as 0.5 * (a + a.T)) to keep set-up's peak memory down
+            a = stack[g]
+            np.matmul(q * eigs, q.T, out=a)
+            del q
+            a += a.T
+            a *= 0.5
+        a = stack[0] if S == 1 else stack
+    centers = np.empty((S * m, d))
+    for r, row in enumerate(centers):
+        rng_stream(seeds[r // m], STREAM_DATA, 1 + r % m).standard_normal(out=row)
     centers *= p.heterogeneity
     samples = None
     if p.samples_per_worker > 0:
-        samples = np.empty((p.m, p.samples_per_worker, d))
-        for i, cloud in enumerate(samples):
-            rng_stream(seed, STREAM_DATA, 1000 + i).standard_normal(out=cloud)
+        samples = np.empty((S * m, p.samples_per_worker, d))
+        for r, cloud in enumerate(samples):
+            rng_stream(seeds[r // m], STREAM_DATA, 1000 + r % m).standard_normal(out=cloud)
         samples *= p.sample_spread
         samples += centers[:, None]
     return QuadraticProblem(a, centers, p.noise, samples=samples)
 
 
-def _labelled_shards(p: ProblemConfig, seed: int, input_dim: int, teacher):
-    """Each worker's Gaussian features f and +/-1 labels sign(teacher(f)).
+def _labelled_shards(p: ProblemConfig, seed, input_dim: int, teacher):
+    """Each worker's Gaussian features f and +/-1 labels sign(t(f)), where
+    t = teacher(rng) is drawn from stream 0 of the worker's seed.
 
     Worker i flips each label independently with probability
     heterogeneity * i / (m - 1), so heterogeneity tunes zeta^2 from ~0
     upward. The flips are drawn from the worker's data stream only when
     that probability is above 0.
     """
-    feats = np.empty((p.m, p.samples_per_worker, input_dim))
-    labels = np.empty((p.m, p.samples_per_worker))
-    for i, (f, y) in enumerate(zip(feats, labels)):
-        wrng = rng_stream(seed, STREAM_DATA, 1 + i)
+    seeds, m, n = seed_list(seed), p.m, p.samples_per_worker
+    teachers = [teacher(rng_stream(s, STREAM_DATA, 0)) for s in seeds]
+    feats = np.empty((len(seeds) * m, n, input_dim))
+    labels = np.empty((len(seeds) * m, n))
+    for r, (f, y) in enumerate(zip(feats, labels)):
+        g, i = divmod(r, m)
+        wrng = rng_stream(seeds[g], STREAM_DATA, 1 + i)
         wrng.standard_normal(out=f)
-        y[:] = np.where(teacher(f) >= 0, 1.0, -1.0)
-        p_flip = p.heterogeneity * i / max(p.m - 1, 1)
+        y[:] = np.where(teachers[g](f) >= 0, 1.0, -1.0)
+        p_flip = p.heterogeneity * i / max(m - 1, 1)
         if p_flip > 0:
-            y[wrng.random(p.samples_per_worker) < p_flip] *= -1.0
+            y[wrng.random(n) < p_flip] *= -1.0
     return feats, labels
 
 
-def build_logistic(p: ProblemConfig, seed: int) -> LogisticProblem:
-    """Labels from a shared ground-truth direction, flipped per worker."""
-    w_true = rng_stream(seed, STREAM_DATA, 0).standard_normal(p.dimension)
-    w_true /= np.linalg.norm(w_true)
-    feats, labels = _labelled_shards(p, seed, p.dimension, lambda f: f @ w_true)
-    return LogisticProblem(feats, labels, p.noise)
+def build_logistic(p: ProblemConfig, seed) -> LogisticProblem:
+    """Labels from a seed's ground-truth direction, flipped per worker; S
+    seeds build S groups, as in ``build_quadratic``."""
+    def teacher(rng):
+        w_true = rng.standard_normal(p.dimension)
+        w_true /= np.linalg.norm(w_true)
+        return lambda f: f @ w_true
+
+    return LogisticProblem(*_labelled_shards(p, seed, p.dimension, teacher), p.noise)
 
 
-def build_mlp(p: ProblemConfig, seed: int) -> MlpProblem:
-    """Targets from a random tanh teacher, flipped per worker as in logistic."""
-    base = rng_stream(seed, STREAM_DATA, 0)
-    w1_t = base.standard_normal((p.hidden, p.input_dim))
-    b1_t = 0.1 * base.standard_normal(p.hidden)
-    w2_t = base.standard_normal(p.hidden)
-    feats, targets = _labelled_shards(
-        p, seed, p.input_dim, lambda f: np.tanh(f @ w1_t.T + b1_t) @ w2_t)
-    return MlpProblem(feats, targets, p.hidden, p.noise)
+def build_mlp(p: ProblemConfig, seed) -> MlpProblem:
+    """Targets from a seed's random tanh teacher, flipped per worker as in
+    logistic; S seeds build S groups, as in ``build_quadratic``."""
+    def teacher(rng):
+        w1_t = rng.standard_normal((p.hidden, p.input_dim))
+        b1_t = 0.1 * rng.standard_normal(p.hidden)
+        w2_t = rng.standard_normal(p.hidden)
+        return lambda f: np.tanh(f @ w1_t.T + b1_t) @ w2_t
+
+    return MlpProblem(*_labelled_shards(p, seed, p.input_dim, teacher), p.hidden, p.noise)

@@ -16,8 +16,8 @@ Stacked-state contract: one simulation runs S groups, one per seed in
 the rows of group g are g*m ... (g+1)*m - 1. Worker state is held as arrays
 with the row index first (``WorkerStates``: x (S*m, d), w (S*m,), optimizer
 buffers (S*m, d) and adam step indices (S*m,)). Each group has its own
-seed (its rows' noise streams and its OSGP delay stream), shards (the
-problem's rows, see ``numerics.stack_problems``), x0 (a row of an (S, d)
+seed (its rows' noise streams and its OSGP delay stream), shards (its rows
+of the one problem the builders draw for S seeds), x0 (a row of an (S, d)
 ``x0``), slow state (x_outer and u are (S, d), or (S*m, d) under
 noaverage) and trace. Groups never mix: averages reduce per group and
 gossip is block-diagonal. S = 1 is the ordinary run.
@@ -69,6 +69,7 @@ from .numerics import (
     group_sums,
     repeat_groups,
     row_dots,
+    seed_list,
     worker_stochastic_gradient,
 )
 from .slowmo import SlowMoState, run_outer_iteration
@@ -126,9 +127,9 @@ class Simulation:
                  seeds=None):
         self.problem = problem
         self.cfg = cfg
-        self.seeds = (cfg.seed,) if seeds is None else tuple(seeds)
+        self.seeds = tuple(seed_list(cfg.seed if seeds is None else seeds))
         self.groups = S = len(self.seeds)
-        if S < 1 or problem.num_workers % S:
+        if problem.num_workers % S:
             raise ConfigError(f"{problem.num_workers} workers do not split into {S} groups")
         self.m = m = problem.num_workers // S
         self.d = d = problem.dimension

@@ -30,7 +30,6 @@ from slowmo_sim import (
     local_sgd_bias_surrogate,
     make_protocol,
     prescribed_gamma,
-    stack_problems,
 )
 from slowmo_sim.comm_protocols import WorkerStates
 from slowmo_sim.config import OsgpConfig
@@ -194,10 +193,11 @@ _BOUND_X0 = np.array([1.0, -1.0, 0.5, -1.5])
 _SEEDS = range(20)
 
 
-def _seed_traces(prob, cfg):
-    """One trace per seed in _SEEDS, from one stacked run over the shared
-    problem: each is bit for bit the seed's run alone."""
-    sim = Simulation(stack_problems([prob] * len(_SEEDS)), cfg, _BOUND_X0, seeds=_SEEDS)
+def _seed_traces(m, cfg):
+    """One trace per seed in _SEEDS, from one stacked run of m workers a
+    seed over one shared problem (one A, S*m centers): each is bit for bit
+    the seed's run of _bound_problem(m) alone."""
+    sim = Simulation(_bound_problem(len(_SEEDS) * m), cfg, _BOUND_X0, seeds=_SEEDS)
     traces = sim.run_groups()
     assert all(isinstance(trace, MetricsTrace) for trace in traces)
     return traces
@@ -206,7 +206,6 @@ def _seed_traces(prob, cfg):
 def test_criterion_4_convergence_bound():
     m, L, sigma2 = 2, 1.0, 1.0
     delta = 0.5 * float(_BOUND_X0 @ _BOUND_X0)  # f(x0) - f* = 2.25
-    prob = _bound_problem(m)
     configs = [  # (tau, beta, T) with T chosen so the surrogate range holds
         (1, 0.0, 2592),
         (1, 0.5, 2592),
@@ -217,7 +216,7 @@ def test_criterion_4_convergence_bound():
     all_hold = True
     for tau, beta, T in configs:
         gamma = prescribed_gamma(m, tau, T, 1.0, beta)
-        traces = _seed_traces(prob, ExperimentConfig(
+        traces = _seed_traces(m, ExperimentConfig(
             base=BaseOptimizerConfig(kind="plain-sgd"),
             slowmo=SlowMoConfig(alpha=1.0, beta=beta, tau=tau), protocol="allreduce",
             gamma=GammaSchedule(value=gamma), T=T, log_bias=(tau == 1)))
@@ -246,9 +245,8 @@ def test_criterion_5_linear_speedup_direction():
     tau, T, beta = 12, 400, 0.5
     stats = []
     for m in (1, 4, 16):
-        prob = _bound_problem(m)
         gamma = prescribed_gamma(m, tau, T, 1.0, beta)
-        traces = _seed_traces(prob, ExperimentConfig(
+        traces = _seed_traces(m, ExperimentConfig(
             base=BaseOptimizerConfig(kind="plain-sgd"),
             slowmo=SlowMoConfig(alpha=1.0, beta=beta, tau=tau), protocol="local",
             gamma=GammaSchedule(value=gamma), T=T))

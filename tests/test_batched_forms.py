@@ -32,7 +32,6 @@ from slowmo_sim import (
     global_loss_and_gradient,
     local_direction,
     make_worker_rngs,
-    stack_problems,
     worker_stochastic_gradient,
 )
 from slowmo_sim.numerics import group_sums
@@ -389,12 +388,20 @@ def check_blocked_gemv(d):
         assert _same_bits(grads, [a @ (x - c) for c in prob.centers]), (m, d)
 
 
+def _stack(problems):
+    """Quadratics of one shape as one problem of a group each, one A per group."""
+    samples = [p.samples for p in problems]
+    return QuadraticProblem(np.stack([p.a for p in problems]),
+                            np.concatenate([p.centers for p in problems]), problems[0].noise,
+                            None if samples[0] is None else np.concatenate(samples))
+
+
 def check_stacked_curvatures(problems, rng):
     """Three quadratics with their own A, stacked: every product, loss and
     minibatch gradient of a row is its own problem's, for every row and for
     a subset (one A per group then)."""
     m, d = problems[0].num_workers, problems[0].dimension
-    stacked = stack_problems(problems)
+    stacked = _stack(problems)
     assert stacked.a.shape == (3, d, d)
     everyone = np.arange(3 * m)
     points = _signed_rows(rng, (3 * m, d))
@@ -409,7 +416,7 @@ def check_stacked_curvatures(problems, rng):
             alone = prob.losses_and_gradients(pts[mine], workers[mine] - g * m)
             assert losses[mine].tolist() == alone[0].tolist(), (m, d, workers)
     clouds = [_shared_quadratic(m, d, rng, cloud=5) for _ in range(3)]
-    stacked = stack_problems(clouds)
+    stacked = _stack(clouds)
     idx = np.tile([1, 3], (3 * m, 1))
     got = stacked.gradients(points, everyone, idx)
     losses = stacked.losses_and_gradients(points[::2], everyone[::2])[0]

@@ -15,6 +15,7 @@ file alone.
 
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -127,11 +128,11 @@ def test_trace_hash_is_pinned(name):
     a stacked run of three seeds, whose other two groups equal their own
     runs alone (records and summary)."""
     assert trace_hash(name) == _golden()[name]
-    cfgs = [parse_config({**CASES[name], "seed": seed}) for seed in STACK_SEEDS]
-    stacked = build_simulation(cfgs).run_groups()
+    cfg = parse_config(CASES[name])
+    stacked = build_simulation(cfg, STACK_SEEDS).run_groups()
     assert stacked[1].trace_hash() == _golden()[name]
-    for cfg, trace in zip(cfgs, stacked):
-        alone = build_simulation(cfg).run()
+    for seed, trace in zip(STACK_SEEDS, stacked):
+        alone = build_simulation(replace(cfg, seed=seed)).run()
         assert (trace.trace_hash(), trace.summary) == (alone.trace_hash(), alone.summary)
 
 

@@ -226,14 +226,15 @@ def test_run_experiment_writes_artifacts(tmp_path):
 
 
 def test_run_experiments_needs_one_directory_per_config(tmp_path):
-    cfgs = [parse_config(_raw(seed=seed)) for seed in (1, 2)]
+    # one directory per seed of the config, and at least one seed
+    cfg, seeds = parse_config(_raw()), [1, 2]
     dirs = [str(tmp_path / name) for name in ("a", "b")]
-    for n_cfgs, n_dirs in ((2, 1), (1, 2)):
+    for n_seeds, n_dirs in ((2, 1), (1, 2)):
         with pytest.raises(ConfigError, match="as many output directories"):
-            harness.run_experiments(cfgs[:n_cfgs], dirs[:n_dirs])
+            harness.run_experiments(cfg, seeds[:n_seeds], dirs[:n_dirs])
+    with pytest.raises(ConfigError, match="empty list of seeds"):
+        harness.run_experiments(cfg, [], [])
     assert not any(tmp_path.iterdir())
-    with pytest.raises(ConfigError, match="empty list"):
-        harness.run_experiments([], [])
 
 
 # --------------------------------------------------------------------------- #
@@ -923,6 +924,42 @@ def test_unwritable_output_path_is_a_config_error(case, tmp_path, capsys, monkey
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert target.format(**paths) in err
     assert rounds == []
+
+
+# name: (command line, the output file made a directory); the error names it
+UNWRITABLE_FILES = {
+    "resolved-json": (["run", "--config", "{config}", "--out", "{out}"], "resolved.json"),
+    "trace-jsonl": (["run", "--config", "{config}", "--out", "{out}"], "trace.jsonl"),
+    "summary-csv": (["run", "--config", "{config}", "--out", "{out}"], "summary.csv"),
+    "sweep-index-json": (["sweep", "--config", "{config}", "--out", "{out}"], "sweep_index.json"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE_FILES))
+def test_unwritable_output_file_is_a_config_error(case, tmp_path, capsys):
+    argv, name = UNWRITABLE_FILES[case]
+    paths = {"config": _write_cfg(tmp_path, _raw()), "out": str(tmp_path / "out")}
+    target = os.path.join(paths["out"], name)
+    os.makedirs(target)
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert target in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "{nested}", "--out", "{out}"],
+    ["check-equivalence", "--trace-a", "{nested}", "--trace-b", "{nested}"],
+    ["check-bound", "--constants", "{nested}", "--traces", "{nested}"],
+], ids=lambda argv: argv[0])
+def test_deeply_nested_json_is_a_config_error(argv, tmp_path, capsys):
+    # nested past the decoder's recursion limit, where it raises RecursionError
+    paths = {"nested": str(tmp_path / "nested.json"), "out": str(tmp_path / "out")}
+    Path(paths["nested"]).write_text("[" * 200_000 + "]" * 200_000 + "\n")
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert paths["nested"] in err and not os.path.exists(paths["out"])
 
 
 # --------------------------------------------------------------------------- #

@@ -201,6 +201,40 @@ def test_built_curvature_starts_on_a_cache_line(d):
     assert np.array_equal(a, a.T)
 
 
+_QUADRATIC = ProblemConfig(m=3, dimension=3, l_min=0.5, l_max=2.0, heterogeneity=0.8)
+# name: (builder, problem config, the stacked arrays besides a quadratic's A)
+STACKED_BUILDS = {
+    "quadratic-d1": (build_quadratic, replace(_QUADRATIC, dimension=1), ("centers",)),
+    "quadratic": (build_quadratic, _QUADRATIC, ("centers",)),
+    "quadratic-cloud": (build_quadratic, replace(_QUADRATIC, samples_per_worker=4),
+                        ("centers", "samples")),
+    "logistic": (build_logistic, ProblemConfig(kind="logistic", m=3, dimension=4,
+                                               samples_per_worker=5, heterogeneity=0.6),
+                 ("features", "labels")),
+    "mlp": (build_mlp, ProblemConfig(kind="mlp", m=3, input_dim=3, hidden=4,
+                                     samples_per_worker=5, heterogeneity=0.6),
+            ("features", "targets")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STACKED_BUILDS))
+def test_stacked_builders_equal_the_per_seed_builds(case):
+    # S = 3 seeds build one problem whose group g is seed g's build alone,
+    # bit for bit; d = 1 shares its one A, d > 1 holds one A per group
+    builder, p, names = STACKED_BUILDS[case]
+    seeds = [5, 0, 11]
+    stacked, alone = builder(p, seeds), [builder(p, seed) for seed in seeds]
+    assert type(stacked) is type(alone[0]) and stacked.num_workers == 3 * p.m
+    for name in names:
+        got, want = getattr(stacked, name), np.concatenate([getattr(q, name) for q in alone])
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    if builder is build_quadratic:
+        curvatures = [stacked.a] * 3 if p.dimension == 1 else list(stacked.a)
+        assert stacked.a.ndim == (2 if p.dimension == 1 else 3)
+        for a, q in zip(curvatures, alone):
+            assert a.tobytes() == q.a.tobytes()
+
+
 def test_quadratic_validation():
     noise = NoiseModel("additive-gaussian", sigma2=0.0)
     with pytest.raises(ConfigError, match="symmetric"):

@@ -24,8 +24,8 @@ from slowmo_sim import (
     build_simulation,
     global_loss,
     parse_config,
-    stack_problems,
 )
+from slowmo_sim import config
 from slowmo_sim.config import MAX_STEPS, OsgpConfig
 from slowmo_sim.simkernel import RECORD_FIELDS
 
@@ -34,6 +34,11 @@ def _problem(m=3, sigma2=0.4, seed=17):
     return build_quadratic(ProblemConfig(m=m, dimension=3, l_min=0.5, l_max=2.0, heterogeneity=1.0,
                                          noise=NoiseModel("additive-gaussian", sigma2=sigma2)),
                            seed=seed)
+
+
+def _stacked(prob, groups):
+    """``prob``'s workers once per group: one shared A over groups * m centers."""
+    return QuadraticProblem(prob.a, np.tile(prob.centers, (groups, 1)), prob.noise)
 
 
 def _sim(prob=None, protocol="allreduce", seed=0, x0=None, **kw):
@@ -335,7 +340,7 @@ def test_a_non_finite_group_ends_alone(protocol):
     # there with no records, and groups 0 and 2 are their runs alone
     prob = _problem(m=4)
     cfg = _sim(prob, protocol=protocol).cfg
-    sim = Simulation(stack_problems([prob] * 3), cfg, seeds=[0, 1, 2])
+    sim = Simulation(_stacked(prob, 3), cfg, seeds=[0, 1, 2])
     sim.states.x[4 + 2, 1] = math.nan
     sim._check_finite()  # two groups are left: nothing is raised
     assert sim.alive.tolist() == [True, False, True]
@@ -348,21 +353,18 @@ def test_a_non_finite_group_ends_alone(protocol):
         assert (trace.trace_hash(), trace.summary) == (alone.trace_hash(), alone.summary)
 
 
-def test_groups_need_one_config_and_run_groups():
+def test_groups_need_one_config_and_run_groups(monkeypatch):
     prob = _problem(m=4)
     with pytest.raises(ConfigError, match="do not split into 3 groups"):
         Simulation(prob, _sim(prob).cfg, seeds=[0, 1, 2])
-    sim = Simulation(stack_problems([prob] * 2), _sim(prob).cfg, seeds=[0, 1])
+    sim = Simulation(_stacked(prob, 2), _sim(prob).cfg, seeds=[0, 1])
     with pytest.raises(ConfigError, match="run_groups"):
         sim.run()
-    raw = {"problem": {"m": 2, "dimension": 3}, "T": 2}
-    with pytest.raises(ConfigError, match="differ in nothing but seed"):
-        build_simulation([parse_config({**raw, "seed": 1}), parse_config({**raw, "T": 3})])
-    with pytest.raises(ConfigError, match="share their kind"):
-        stack_problems([prob, _problem(m=2)])
-    with pytest.raises(ConfigError, match="does not stack"):
-        stack_problems([stack_problems([prob, _problem(m=4, seed=3)])] * 2)
-    with pytest.raises(ConfigError, match="empty list"):
-        stack_problems([])
-    with pytest.raises(ConfigError, match="empty list"):
-        build_simulation([])
+    # an empty seed list is refused before anything is built
+    builds = []
+    monkeypatch.setattr(config, "build_quadratic", lambda *args: builds.append(args))
+    cfg = parse_config({"problem": {"m": 2, "dimension": 3}, "T": 2})
+    for build in (lambda: build_simulation(cfg, []), lambda: Simulation(prob, cfg, seeds=[])):
+        with pytest.raises(ConfigError, match="empty list of seeds"):
+            build()
+    assert builds == []
