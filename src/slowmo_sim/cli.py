@@ -18,6 +18,7 @@ from .harness import (
     bound_report,
     equivalence_check,
     open_output,
+    read_x_bar,
     run_experiment,
     run_sweep,
 )
@@ -32,6 +33,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_trace(path: str) -> MetricsTrace:
     return read_json(path, "trace", MetricsTrace.from_jsonl)
+
+
+def _load_trace_and_x_bar(path: str) -> MetricsTrace:
+    """The trace at ``path`` with the x_bar block of the xbar.npy beside it."""
+    trace = _load_trace(path)
+    trace.x_bar = read_x_bar(path)
+    return trace
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,7 +112,8 @@ def _cmd_check_bound(args) -> int:
 
 
 def _cmd_check_equivalence(args) -> int:
-    report = equivalence_check(_load_trace(args.trace_a), _load_trace(args.trace_b), args.tol)
+    report = equivalence_check(_load_trace_and_x_bar(args.trace_a),
+                               _load_trace_and_x_bar(args.trace_b), args.tol)
     print(json.dumps(report, indent=2))
     return 0 if report["passed"] else 3
 

@@ -294,8 +294,12 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def resolved_dict(cfg: ExperimentConfig) -> dict:
-    """Every field explicit, defaults included; JSON-serializable."""
-    out = asdict(cfg)
+    """Every field explicit, defaults included; JSON-serializable. A grid
+    that nests too deep to copy is a ConfigError."""
+    try:
+        out = asdict(cfg)
+    except RecursionError as exc:
+        raise ConfigError(f"grid nests too deep to resolve: {exc}") from exc
     out["gamma"]["milestones"] = list(out["gamma"]["milestones"])
     out["topology"]["rounds"] = [list(map(list, rnd)) for rnd in out["topology"]["rounds"]]
     return out

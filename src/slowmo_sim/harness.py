@@ -11,6 +11,8 @@ import math
 import os
 from dataclasses import replace
 
+import numpy as np
+
 from .config import (
     ExperimentConfig,
     _check_float,
@@ -30,6 +32,8 @@ from .theory_checker import (
 )
 
 FORMATS = ("jsonl", "csv", "both")
+# the file beside trace.jsonl that holds the trace's x_bar block
+XBAR_FILE = "xbar.npy"
 
 
 def _check_format(fmt: str) -> None:
@@ -46,11 +50,11 @@ def _make_dir(path: str) -> None:
 
 
 @contextlib.contextmanager
-def open_output(path: str, newline: str | None = None):
-    """``open(path, "w")`` for an output file; a file that cannot be opened
+def open_output(path: str, mode: str = "w", newline: str | None = None):
+    """``open(path, mode)`` for an output file; a file that cannot be opened
     or written is a ConfigError naming its path."""
     try:
-        with open(path, "w", newline=newline) as fh:
+        with open(path, mode, newline=newline) as fh:
             yield fh
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
@@ -63,19 +67,23 @@ def _write_json(path: str, value) -> None:
 
 
 def emit_metrics(trace: MetricsTrace, out_dir: str, fmt: str = "both") -> dict:
-    """Write trace.jsonl and/or summary.csv with stable field ordering."""
+    """Write trace.jsonl with the x_bar block beside it as xbar.npy, and/or
+    summary.csv, with stable field ordering."""
     _check_format(fmt)
     _make_dir(out_dir)
     paths = {}
     if fmt in ("jsonl", "both"):
         path = os.path.join(out_dir, "trace.jsonl")
-        # line by line: the bytes of to_jsonl() plus a final newline, with
-        # no copy of the whole text in memory (4 MB a run at d = 20000)
+        # the bytes of to_jsonl() plus a final newline
         with open_output(path) as fh:
             for rec in trace.records:
                 fh.write(json.dumps(rec))
                 fh.write("\n")
         paths["jsonl"] = path
+        path = os.path.join(out_dir, XBAR_FILE)
+        with open_output(path, "wb") as fh:
+            np.save(fh, trace.x_bar, allow_pickle=False)
+        paths["x_bar"] = path
     if fmt in ("csv", "both"):
         path = os.path.join(out_dir, "summary.csv")
         with open_output(path, newline="") as fh:
@@ -87,43 +95,55 @@ def emit_metrics(trace: MetricsTrace, out_dir: str, fmt: str = "both") -> dict:
     return paths
 
 
+def read_x_bar(trace_path: str) -> np.ndarray:
+    """The x_bar block of the trace at ``trace_path``, from the xbar.npy
+    beside it. A file that is missing, unreadable, truncated, pickled or an
+    object array, or that holds anything but a 2-D float64 array, is a
+    ConfigError."""
+    path = os.path.join(os.path.dirname(trace_path), XBAR_FILE)
+    try:
+        with open(path, "rb") as fh:
+            x_bar = np.load(fh, allow_pickle=False)
+    # MemoryError: a header whose shape no memory holds
+    except (OSError, ValueError, EOFError, MemoryError) as exc:
+        raise ConfigError(f"cannot read x_bar file {path}: {exc}") from exc
+    if not isinstance(x_bar, np.ndarray) or x_bar.dtype != np.float64 or x_bar.ndim != 2:
+        raise ConfigError(f"x_bar file {path} must hold a 2-D float64 array")
+    return x_bar
+
+
 def equivalence_check(
     trace_a: MetricsTrace, trace_b: MetricsTrace, tol: float = 1e-10
 ) -> dict:
     """Compare the average-iterate sequences of two traces coordinatewise.
-    Two traces with no records, or a tolerance that is negative or not
-    finite, are a ConfigError, not a verdict."""
+    Two traces with no records, a trace whose x_bar rows do not match its
+    records or are empty or not finite, or a tolerance that is negative or
+    not finite, are a ConfigError, not a verdict."""
     if not (math.isfinite(tol) and tol >= 0):
         raise ConfigError(f"tolerance must be a finite number >= 0, got {tol!r}")
-    ra, rb = trace_a.records, trace_b.records
-    if not ra and not rb:
+    if not trace_a.records and not trace_b.records:
         raise ConfigError("both traces hold no records, so there is nothing to compare")
-    worst, steps, reason = 0.0, len(ra), None
-    if len(ra) != len(rb):
-        reason = f"trace lengths differ: {len(ra)} vs {len(rb)}"
+    xa, xb = _x_bar(trace_a), _x_bar(trace_b)
+    worst, steps, reason = math.inf, 0, None
+    if len(xa) != len(xb):
+        reason = f"trace lengths differ: {len(xa)} vs {len(xb)}"
+    elif xa.shape != xb.shape:
+        reason = "iterate dimensions differ"
     else:
-        for rec_a, rec_b in zip(ra, rb):
-            xa, xb = _x_bar(rec_a), _x_bar(rec_b)
-            if len(xa) != len(xb):
-                reason = "iterate dimensions differ"
-                break
-            worst = max(worst, max(abs(a - b) for a, b in zip(xa, xb)))
-    if reason is not None:  # nothing was compared
-        worst, steps = math.inf, 0
-    elif worst > tol:
-        reason = f"max |x_bar gap| {worst:.3e} > tol"
+        worst, steps = float(np.max(np.abs(xa - xb))), len(xa)
+        if worst > tol:
+            reason = f"max |x_bar gap| {worst:.3e} > tol"
     return {"passed": reason is None, "max_abs_diff": worst, "steps_compared": steps,
             "tol": tol, "reason": reason}
 
 
-def _x_bar(record: dict) -> list:
-    # max() would take a NaN gap for no gap and pass the check, and fails on []
-    xb = record.get("x_bar")
-    if not isinstance(xb, list) or not xb or not all(
-        type(v) in (int, float) and math.isfinite(v) for v in xb
-    ):
-        raise ConfigError(f"trace record at round {record.get('round')!r} "
-                          "has no nonempty x_bar list of finite numbers")
+def _x_bar(trace: MetricsTrace) -> np.ndarray:
+    # a NaN gap would compare as no gap and pass the check
+    xb = trace.x_bar
+    if len(xb) != len(trace.records):
+        raise ConfigError(f"a trace of {len(trace.records)} records has {len(xb)} rows of x_bar")
+    if len(xb) and (xb.shape[1] == 0 or not np.isfinite(xb).all()):
+        raise ConfigError("a trace's x_bar rows must be nonempty and finite")
     return xb
 
 
@@ -152,9 +172,10 @@ def run_experiments(cfg: ExperimentConfig, seeds: list, out_dirs: list, fmt: str
         raise ConfigError(f"{len(seeds)} seeds need as many output directories, "
                           f"got {len(out_dirs)}")
     sim = build_simulation(cfg, seeds)
-    for seed, out_dir in zip(seeds, out_dirs):
+    resolved = [resolved_dict(replace(cfg, seed=seed)) for seed in seeds]
+    for out_dir, tree in zip(out_dirs, resolved):
         _make_dir(out_dir)
-        _write_json(os.path.join(out_dir, "resolved.json"), resolved_dict(replace(cfg, seed=seed)))
+        _write_json(os.path.join(out_dir, "resolved.json"), tree)
     outcomes = sim.run_groups()
     for outcome, out_dir in zip(outcomes, out_dirs):
         emit_metrics(outcome.trace if isinstance(outcome, NumericalAbort) else outcome,

@@ -324,7 +324,10 @@ class QuadraticProblem(Problem):
         self.a = np.asarray(a, dtype=np.float64)
         if self.a.shape[-2:] != (d, d) or self.a.ndim not in (2, 3) or m % self.a[..., 0, 0].size:
             raise ConfigError("curvature matrix shape mismatch")
-        if not np.allclose(self.a, np.swapaxes(self.a, -1, -2), atol=1e-12):
+        # the exact test first: it needs no float temporaries, and a built A
+        # passes it (NaN fails both tests)
+        transpose = np.swapaxes(self.a, -1, -2)
+        if not (np.array_equal(self.a, transpose) or np.allclose(self.a, transpose, atol=1e-12)):
             raise ConfigError("curvature matrix must be symmetric")
         self.samples = None
         if samples is not None:

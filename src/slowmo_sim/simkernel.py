@@ -80,7 +80,7 @@ if TYPE_CHECKING:  # config imports this module
 
 RECORD_FIELDS = (
     "t", "k", "round", "gamma", "loss", "grad_norm_sq",
-    "consensus_sq", "weight_mass", "bias_sq", "x_bar",
+    "consensus_sq", "weight_mass", "bias_sq",
 )
 SUMMARY_FIELDS = (
     "final_loss", "final_grad_norm_sq", "final_consensus_sq",
@@ -99,10 +99,14 @@ class SimClock:
 
 @dataclass
 class MetricsTrace:
-    """Recorded metrics plus a run summary."""
+    """Recorded metrics plus a run summary: one dict of scalars per record
+    (``RECORD_FIELDS``), and the records' average iterates as the rows of
+    one (n_records, d) float64 array, ``x_bar``. A trace read from its JSONL
+    alone holds no rows of ``x_bar``."""
 
     records: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
+    x_bar: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
 
     def to_jsonl(self) -> str:
         return "\n".join(json.dumps(rec) for rec in self.records)
@@ -116,7 +120,10 @@ class MetricsTrace:
         return MetricsTrace(records=records)
 
     def trace_hash(self) -> str:
-        return hashlib.sha256(self.to_jsonl().encode()).hexdigest()
+        """SHA-256 of the JSONL text followed by the bytes of ``x_bar``."""
+        digest = hashlib.sha256(self.to_jsonl().encode())
+        digest.update(self.x_bar.tobytes())
+        return digest.hexdigest()
 
 
 class Simulation:
@@ -160,6 +167,7 @@ class Simulation:
 
         self.slow_average_calls = 0  # line-6 exact averages actually performed
         self._records: list[list[dict]] = [[] for _ in range(S)]
+        self._x_bars: list[np.ndarray] = []  # each record's (S, d) x_bar, in order
         self.alive = np.ones(S, dtype=bool)
         self._dead_rows = None  # the rows of the groups that have ended, once one has
         self._outcomes: list = [None] * S
@@ -234,8 +242,9 @@ class Simulation:
         biases = ([None] * self.groups if not self.cfg.log_bias
                   else self._expected_direction_gap_sq(xbar, gbar))
         clock = (self.clock.t, self.clock.k, self.clock.round, float(gamma))
+        self._x_bars.append(xbar)
         columns = zip(self._records, self.alive, losses.tolist(), grad_sq.tolist(),
-                      consensus.tolist(), masses.tolist(), biases, xbar.tolist())
+                      consensus.tolist(), masses.tolist(), biases)
         for records, alive, *values in columns:
             if alive:
                 records.append(dict(zip(RECORD_FIELDS, (*clock, *values))))
@@ -273,8 +282,8 @@ class Simulation:
                 "t": self.clock.t, "k": self.clock.k,
                 "round": self.clock.round, "worker": i,
             }
-            trace = MetricsTrace(records=list(self._records[g]),
-                                 summary={"aborted": True, **diag})
+            trace = MetricsTrace(records=self._records[g], summary={"aborted": True, **diag},
+                                 x_bar=self._x_bar_block()[g])
             self._outcomes[g] = NumericalAbort(
                 f"non-finite state on worker {i} at t={self.clock.t} k={self.clock.k}",
                 diagnostic=diag,
@@ -339,10 +348,19 @@ class Simulation:
             self.protocol.end_block(self.states)
         _, _, losses, _, grad_sq, consensus = self.evaluate()
         run = (self.clock.round, self.clock.t, self.partial_final_block, False)
+        block = self._x_bar_block()
         finals = zip(losses.tolist(), grad_sq.tolist(), consensus.tolist())
         for g, (loss, *final) in enumerate(finals):
             if self.alive[g]:
                 min_loss = min([r["loss"] for r in self._records[g]] + [loss])
                 summary = dict(zip(SUMMARY_FIELDS, (loss, *final, min_loss, *run)))
-                self._outcomes[g] = MetricsTrace(records=self._records[g], summary=summary)
+                self._outcomes[g] = MetricsTrace(records=self._records[g], summary=summary,
+                                                 x_bar=block[g])
         return self._outcomes
+
+    def _x_bar_block(self) -> np.ndarray:
+        """(S, records so far, d): each group's x_bar rows, as many as its
+        records while it runs."""
+        if not self._x_bars:
+            return np.empty((self.groups, 0, self.d))
+        return np.stack(self._x_bars, axis=1)

@@ -28,9 +28,14 @@ iterates, matching the trace records the simulator writes.
 
 ``OsgpReference`` is overlap push-sum kept one message at a time, the
 protocol-level baseline for the batched in-flight store.
+
+``legacy_jsonl`` writes a trace in the format that held each record's
+x_bar as a JSON list, the text the pinned golden hashes were taken of.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -45,6 +50,13 @@ from slowmo_sim.numerics import (
     rng_stream,
 )
 from slowmo_sim.topology import out_neighbor
+
+
+def legacy_jsonl(trace) -> str:
+    """The trace's JSONL with ``"x_bar": row.tolist()`` as the last key of
+    each record, one record a line, no final newline."""
+    return "\n".join(json.dumps({**rec, "x_bar": row.tolist()})
+                     for rec, row in zip(trace.records, trace.x_bar, strict=True))
 
 
 def _sigmoid(t):

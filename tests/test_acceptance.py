@@ -48,10 +48,6 @@ def _report(num: int, name: str, passed: bool, detail: str) -> None:
     print(f"[{'PASS' if passed else 'FAIL'}] criterion {num} ({name}): {detail}")
 
 
-def _xbars(trace):
-    return [np.asarray(r["x_bar"]) for r in trace.records]
-
-
 def _max_diff(a, b):
     assert len(a) == len(b)
     return max(float(np.max(np.abs(x - y))) for x, y in zip(a, b))
@@ -71,7 +67,7 @@ def test_criterion_1_reduction_suite():
         base=BaseOptimizerConfig(kind="plain-sgd"),
         slowmo=SlowMoConfig(alpha=1.0, beta=0.9, tau=1), protocol="allreduce",
         gamma=GammaSchedule(value=0.02), T=100, seed=1))
-    diff_a = _max_diff(_xbars(sim.run()),
+    diff_a = _max_diff(sim.run().x_bar,
                        heavy_ball_reference(prob_a, 0.02, 0.9, 100, seed=1))
 
     # (b) alpha=1, beta=0: plain local SGD
@@ -81,7 +77,7 @@ def test_criterion_1_reduction_suite():
         base=BaseOptimizerConfig(kind="plain-sgd"),
         slowmo=SlowMoConfig(alpha=1.0, beta=0.0, tau=12), protocol="local",
         gamma=GammaSchedule(value=0.05), T=9, seed=2))
-    diff_b = _max_diff(_xbars(sim.run()),
+    diff_b = _max_diff(sim.run().x_bar,
                        local_sgd_reference(prob_b, 0.05, tau=12, T=9, seed=2))
 
     # (c) m=1, beta=0, alpha=0.5: the slow/fast-weights interpolation
@@ -91,7 +87,7 @@ def test_criterion_1_reduction_suite():
         base=BaseOptimizerConfig(kind="plain-sgd"),
         slowmo=SlowMoConfig(alpha=0.5, beta=0.0, tau=5), protocol="local",
         gamma=GammaSchedule(value=0.08), T=10, seed=3))
-    diff_c = _max_diff(_xbars(sim.run()),
+    diff_c = _max_diff(sim.run().x_bar,
                        lookahead_reference(prob_c, 0.08, alpha=0.5, tau=5, T=10, seed=3))
 
     # (d) zero-delay overlap push-sum == synchronous push-sum, 200 rounds, m=8
@@ -105,7 +101,7 @@ def test_criterion_1_reduction_suite():
         base=BaseOptimizerConfig(kind="plain-sgd"),
         slowmo=SlowMoConfig(alpha=1.0, beta=0.5, tau=12), protocol="osgp",
         osgp=OsgpConfig(delay=DelayModel(kind="constant", rounds=0)), **kw))
-    diff_d = _max_diff(_xbars(sgp.run()), _xbars(osgp.run()))
+    diff_d = _max_diff(sgp.run().x_bar, osgp.run().x_bar)
 
     passed = diff_a <= 1e-10 and diff_b <= 1e-10 and diff_c <= 1e-10 and diff_d <= 1e-12
     _report(1, "reduction suite", passed,

@@ -315,7 +315,7 @@ def test_logistic_log_bias_is_the_per_worker_gradient_loop():
         total = np.zeros(prob.dimension)
         for i, (z, h) in enumerate(zip(sim.points(), sim.states.buffers.h)):
             total += bl * bl * h + (1.0 + bl) * reference_gradient(prob, i, z)
-        xbar = np.array(sim._records[0][-1]["x_bar"])  # the point just recorded
+        xbar = sim._x_bars[-1][0]  # the point just recorded
         diff = global_loss_and_gradient_reference(prob, xbar)[1] - total / prob.num_workers
         want.append(float(diff @ diff))
 

@@ -1,9 +1,12 @@
-"""Pinned trajectories: the trace hash of a fixed matrix of short runs.
+"""Pinned trajectories: the hash of the trace of a fixed matrix of short runs.
 
 Repeatability tests compare two runs of the same code, so a refactor that
 changes every trajectory would still pass them. These hashes were produced
 once and checked in; a change that moves any of them changes the numbers
-the simulator produces and has to say so.
+the simulator produces and has to say so. Each is the SHA-256 of the trace
+as ``references.legacy_jsonl`` writes it (every record's x_bar as a JSON
+list, the trace format the hashes were taken in), so the file outlives a
+change to how traces are stored or hashed.
 
 Regenerate (only when a trajectory change is intended) with
 
@@ -13,6 +16,7 @@ Without ``--write`` the script prints the current hashes and leaves the
 file alone.
 """
 
+import hashlib
 import json
 import sys
 from dataclasses import replace
@@ -20,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from references import legacy_jsonl
 from slowmo_sim import build_simulation, parse_config
 
 GOLDEN_PATH = Path(__file__).with_name("golden_hashes.json")
@@ -110,8 +115,12 @@ CASES = {
 STACK_SEEDS = (5, 11, 23)
 
 
+def pinned_hash(trace) -> str:
+    return hashlib.sha256(legacy_jsonl(trace).encode()).hexdigest()
+
+
 def trace_hash(name: str) -> str:
-    return build_simulation(parse_config(CASES[name])).run().trace_hash()
+    return pinned_hash(build_simulation(parse_config(CASES[name])).run())
 
 
 def _golden() -> dict:
@@ -130,7 +139,7 @@ def test_trace_hash_is_pinned(name):
     assert trace_hash(name) == _golden()[name]
     cfg = parse_config(CASES[name])
     stacked = build_simulation(cfg, STACK_SEEDS).run_groups()
-    assert stacked[1].trace_hash() == _golden()[name]
+    assert pinned_hash(stacked[1]) == _golden()[name]
     for seed, trace in zip(STACK_SEEDS, stacked):
         alone = build_simulation(replace(cfg, seed=seed)).run()
         assert (trace.trace_hash(), trace.summary) == (alone.trace_hash(), alone.summary)

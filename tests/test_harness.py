@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import pickle
 import shutil
 import tempfile
 from dataclasses import replace
@@ -31,7 +32,7 @@ from slowmo_sim import (
     run_experiment,
     run_sweep,
 )
-from slowmo_sim import harness
+from slowmo_sim import cli, harness
 from slowmo_sim.cli import main
 from slowmo_sim.comm_protocols import PROTOCOLS
 from slowmo_sim.config import (
@@ -162,6 +163,7 @@ def test_emit_metrics_writes_both_formats(tmp_path):
     lines = open(paths["jsonl"]).read().splitlines()
     assert len(lines) == len(trace.records)
     assert json.loads(lines[0])["round"] == 0
+    assert paths["x_bar"] == str(tmp_path / "xbar.npy")
     with open(paths["csv"]) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1
@@ -175,10 +177,8 @@ def test_equivalence_check_reports_max_diff():
     verdict = equivalence_check(a, b)
     assert verdict["passed"] and verdict["max_abs_diff"] == 0.0
     # perturb one coordinate of one record
-    bad = MetricsTrace(records=[dict(r) for r in b.records], summary=b.summary)
-    bumped = list(bad.records[3]["x_bar"])
-    bumped[0] += 1e-6
-    bad.records[3]["x_bar"] = bumped
+    bad = MetricsTrace(records=b.records, summary=b.summary, x_bar=b.x_bar.copy())
+    bad.x_bar[3, 0] += 1e-6
     verdict = equivalence_check(a, bad)
     assert not verdict["passed"]
     assert verdict["max_abs_diff"] == pytest.approx(1e-6, rel=1e-6)
@@ -190,15 +190,30 @@ def test_equivalence_check_reports_max_diff():
 
 def test_equivalence_check_verdict_when_nothing_can_be_compared():
     a = build_simulation(parse_config(_raw())).run()
-    shorter = MetricsTrace(records=a.records[:-1], summary=a.summary)
-    narrower = MetricsTrace(records=[{**r, "x_bar": r["x_bar"][:-1]} for r in a.records],
-                            summary=a.summary)
+    shorter = MetricsTrace(records=a.records[:-1], summary=a.summary, x_bar=a.x_bar[:-1])
+    narrower = MetricsTrace(records=a.records, summary=a.summary, x_bar=a.x_bar[:, :-1])
     n = len(a.records)
     for other, reason in ((shorter, f"trace lengths differ: {n} vs {n - 1}"),
                           (narrower, "iterate dimensions differ")):
         assert equivalence_check(a, other) == {
             "passed": False, "max_abs_diff": math.inf, "steps_compared": 0,
             "tol": 1e-10, "reason": reason}
+    # a trace read from its JSONL alone has no x_bar rows to compare
+    with pytest.raises(ConfigError, match="has 0 rows of x_bar"):
+        equivalence_check(a, MetricsTrace.from_jsonl(a.to_jsonl()))
+
+
+def test_emitted_trace_reads_back_bit_for_bit(tmp_path):
+    trace = build_simulation(parse_config(_raw())).run()
+    x_bar = trace.x_bar.copy()
+    x_bar[0] = [0.0, -0.0, 5e-324]  # sign bits and a subnormal
+    trace = MetricsTrace(records=trace.records, summary=trace.summary, x_bar=x_bar)
+    paths = emit_metrics(trace, str(tmp_path), fmt="jsonl")
+    back = cli._load_trace_and_x_bar(paths["jsonl"])
+    assert back.records == trace.records
+    assert back.x_bar.dtype == np.float64 and back.x_bar.shape == x_bar.shape
+    assert back.x_bar.tobytes() == x_bar.tobytes()
+    assert back.trace_hash() == trace.trace_hash()
 
 
 @pytest.mark.parametrize("runner", ["run_experiment", "run_sweep"])
@@ -328,7 +343,7 @@ def test_sweep_through_a_process_pool_writes_the_serial_bytes(tmp_path, monkeypa
     assert [e["status"] for e in pooled] == ["ok"] * 4
     assert [e["final_loss"] for e in pooled] == [e["final_loss"] for e in serial]
     for run in ("run_000", "run_001", "run_002", "run_003"):
-        for name in ("trace.jsonl", "resolved.json"):
+        for name in ("trace.jsonl", "xbar.npy", "resolved.json"):
             got = (tmp_path / "pooled" / run / name).read_bytes()
             assert got == (tmp_path / "serial" / run / name).read_bytes(), (run, name)
 
@@ -426,6 +441,7 @@ def test_stacked_sweep_writes_the_bytes_of_solo_runs(grid, seeds_per_chunk, tmp_
     shutil.rmtree(out)
     index = run_sweep(cfg, str(out), fmt="both")
     assert _tree_bytes(out) == want
+    assert {f"run_{i:03d}/xbar.npy" for i in range(len(points))} <= set(want)
     statuses = [entry["status"] for entry in index]
     if grid == "diverging":
         assert statuses == ["aborted"] * 5
@@ -794,6 +810,7 @@ def test_cli_check_bound(tmp_path, capsys):
         assert main(["run", "--config", cfg_path, "--seed", str(s),
                      "--out", str(out)]) == 0
         trace_paths.append(str(out / "trace.jsonl"))
+        os.remove(out / "xbar.npy")  # check-bound reads the JSONL alone
     constants = {
         "delta": 1.0, "m": m, "tau": tau, "T": T, "L": 2.0, "V": 0.1,
         "alpha": 1.0, "beta": 0.0, "gamma": gamma,
@@ -818,11 +835,43 @@ _CHECK_BOUND = ["check-bound", "--constants", "{constants}", "--traces", "{trace
 _CHECK_EQUIVALENCE = ["check-equivalence", "--trace-a", "{trace}", "--trace-b", "{trace}"]
 
 
+def _records(edit):
+    """An edit of a trace's records, its x_bar left as it is."""
+    return lambda records, x_bar: (edit(records), _npy(x_bar))
+
+
 def _without(key):
-    return lambda records: [{k: v for k, v in r.items() if k != key} for r in records]
+    return _records(lambda records: [{k: v for k, v in r.items() if k != key} for r in records])
 
 
-# name: (command line, edit of the bound constants, edit of the trace records)
+def _npy(array, **kw) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array, **kw)
+    return buf.getvalue()
+
+
+def _npz(array) -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, x_bar=array)
+    return buf.getvalue()
+
+
+def _huge_header(x_bar) -> bytes:
+    # a valid header whose shape no memory holds, and no data
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_2_0(
+        buf, {"descr": "<f8", "fortran_order": False, "shape": (10**9, 10**9)})
+    return buf.getvalue()
+
+
+def _xbar_file(edit):
+    """An edit of what the trace's xbar.npy holds, from its x_bar: the bytes
+    of the file, or None for no file."""
+    return lambda records, x_bar: (records, edit(x_bar))
+
+
+# name: (command line, edit of the bound constants, edit of the trace's
+# (records, xbar.npy bytes))
 MALFORMED_CHECKER_INPUTS = {
     "delta-not-a-number": (_CHECK_BOUND, lambda c: {**c, "delta": "x"}, None),
     "m-not-an-integer": (_CHECK_BOUND, lambda c: {**c, "m": 2.7}, None),
@@ -842,16 +891,31 @@ MALFORMED_CHECKER_INPUTS = {
     "bias-mode-not-a-string": (_CHECK_BOUND, lambda c: {**c, "bias": {"mode": ["value"]}}, None),
     "huge-L": (_CHECK_BOUND, lambda c: {**c, "L": 1e300}, None),
     "record-without-grad-norm-sq": (_CHECK_BOUND, None, _without("grad_norm_sq")),
-    "grad-norm-sq-nan": (
-        _CHECK_BOUND, None, lambda records: [{**records[0], "grad_norm_sq": math.nan}] + records[1:]),
-    "record-without-x-bar": (_CHECK_EQUIVALENCE, None, _without("x_bar")),
-    "x-bar-not-finite": (  # max() takes a NaN gap for no gap
-        _CHECK_EQUIVALENCE, None, lambda records: [{**records[0], "x_bar": [math.nan] * 3}]),
-    "x-bar-empty": (  # max() of no gaps at all
-        _CHECK_EQUIVALENCE, None, lambda records: [{**records[0], "x_bar": []}]),
-    "bare-number-line": (_CHECK_BOUND, None, lambda records: [3] + records[1:]),
-    "bare-number-line-equivalence": (_CHECK_EQUIVALENCE, None, lambda records: records + [3]),
-    "empty-traces-equivalence": (_CHECK_EQUIVALENCE, None, lambda records: []),
+    "grad-norm-sq-nan": (_CHECK_BOUND, None, _records(
+        lambda records: [{**records[0], "grad_norm_sq": math.nan}] + records[1:])),
+    "record-without-x-bar": (_CHECK_EQUIVALENCE, None, _xbar_file(lambda x: None)),
+    "x-bar-not-finite": (  # a NaN gap compares as no gap
+        _CHECK_EQUIVALENCE, None, _xbar_file(lambda x: _npy(np.full_like(x, math.nan)))),
+    "x-bar-empty": (_CHECK_EQUIVALENCE, None, _xbar_file(lambda x: _npy(x[:, :0]))),
+    # xbar.npy truncated, pickled, of another dtype, shape or row count
+    **{f"x-bar-{name}": (_CHECK_EQUIVALENCE, None, _xbar_file(edit)) for name, edit in {
+        "empty-file": lambda x: b"",
+        "truncated-data": lambda x: _npy(x)[:-8],
+        "truncated-header": lambda x: _npy(x)[:40],
+        "huge-header": _huge_header,
+        "pickle": pickle.dumps,
+        "object-array": lambda x: _npy(x.astype(object), allow_pickle=True),
+        "npz-archive": _npz,
+        "float32": lambda x: _npy(x.astype(np.float32)),
+        "one-dimensional": lambda x: _npy(x.ravel()),
+        "three-dimensional": lambda x: _npy(x[None]),
+        "fewer-rows": lambda x: _npy(x[:-1]),
+        "more-rows": lambda x: _npy(np.vstack([x, x[:1]])),
+    }.items()},
+    "bare-number-line": (_CHECK_BOUND, None, _records(lambda records: [3] + records[1:])),
+    "bare-number-line-equivalence": (
+        _CHECK_EQUIVALENCE, None, _records(lambda records: records + [3])),
+    "empty-traces-equivalence": (_CHECK_EQUIVALENCE, None, _records(lambda records: [])),
     "estimate-v-samples-over-ceiling": (
         ["estimate-v", "--config", "{config}", "--samples", str(10**11)], None, None),
     # files that are missing or not UTF-8, in every role a file plays
@@ -876,20 +940,38 @@ MALFORMED_CHECKER_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED_CHECKER_INPUTS))
-def test_malformed_checker_input_is_a_config_error(case, tmp_path, capsys):
-    argv, edit_constants, edit_records = MALFORMED_CHECKER_INPUTS[case]
-    constants, records = BOUND_CONSTANTS, build_simulation(parse_config(_raw())).run().records
+def _checker_inputs(tmp_path, edit_constants=None, edit_trace=None) -> dict:
+    """Write a config, bound constants and a trace (trace.jsonl and
+    xbar.npy) under ``tmp_path``, each edited if an edit is given; the paths
+    by name."""
+    trace = build_simulation(parse_config(_raw())).run()
+    constants, records, xbar_file = BOUND_CONSTANTS, trace.records, _npy(trace.x_bar)
     if edit_constants:
         constants = edit_constants(copy.deepcopy(constants))
-    if edit_records:
-        records = edit_records(copy.deepcopy(records))
+    if edit_trace:
+        records, xbar_file = edit_trace(copy.deepcopy(records), trace.x_bar.copy())
     paths = {"config": _write_cfg(tmp_path, _raw()), "constants": str(tmp_path / "constants.json"),
              "trace": str(tmp_path / "trace.jsonl"), "missing": str(tmp_path / "missing.json"),
              "not_utf8": str(tmp_path / "latin1.json"), "out": str(tmp_path / "out")}
     Path(paths["constants"]).write_text(json.dumps(constants))
     Path(paths["trace"]).write_text("".join(json.dumps(r) + "\n" for r in records))
+    if xbar_file is not None:
+        (tmp_path / "xbar.npy").write_bytes(xbar_file)
     Path(paths["not_utf8"]).write_bytes('{"seed": "\u00e9"}\n'.encode("latin-1"))
+    return paths
+
+
+def test_checker_inputs_pass_before_their_edit(tmp_path, capsys):
+    paths = _checker_inputs(tmp_path)
+    for argv in (_CHECK_BOUND, _CHECK_EQUIVALENCE):
+        assert main([arg.format(**paths) for arg in argv]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CHECKER_INPUTS))
+def test_malformed_checker_input_is_a_config_error(case, tmp_path, capsys):
+    argv, edit_constants, edit_trace = MALFORMED_CHECKER_INPUTS[case]
+    paths = _checker_inputs(tmp_path, edit_constants, edit_trace)
     assert main([arg.format(**paths) for arg in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error") and "Traceback" not in err
@@ -945,6 +1027,19 @@ def test_unwritable_output_file_is_a_config_error(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert target in err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_deeply_nested_grid_is_a_config_error(command, tmp_path, capsys):
+    # under the decoder's recursion limit, so it parses, but too deep to
+    # copy into resolved.json
+    path = tmp_path / "cfg.json"
+    path.write_text('{"problem": {"m": 2, "dimension": 3}, "T": 2, "grid": {"seed": '
+                    + "[" * 900 + "1" + "]" * 900 + "}}\n")
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: grid nests too deep") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [

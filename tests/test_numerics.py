@@ -235,6 +235,24 @@ def test_stacked_builders_equal_the_per_seed_builds(case):
             assert a.tobytes() == q.a.tobytes()
 
 
+@pytest.mark.parametrize("a, symmetric", [
+    (np.array([[1.0, 0.5], [0.5, 1.0]]), True),
+    (np.array([[1.0, 0.5 + 1e-13], [0.5, 1.0]]), True),  # np.allclose(atol=1e-12)
+    (np.array([[1.0, 0.5 + 1e-4], [0.5, 1.0]]), False),  # outside rtol 1e-5
+    (np.array([[math.nan, 0.5], [0.5, 1.0]]), False),  # NaN equals nothing, itself included
+    (np.array([[[1.0, 0.0], [0.0, 1.0]], [[2.0, 1e-13], [0.0, 2.0]]]), True),  # one A a group
+    (np.array([[[1.0, 0.0], [0.0, 1.0]], [[2.0, 1e-6], [0.0, 2.0]]]), False),
+], ids=["exact", "within-tolerance", "asymmetric", "nan", "stack", "stack-asymmetric"])
+def test_quadratic_curvature_must_be_symmetric(a, symmetric):
+    noise = NoiseModel("additive-gaussian", sigma2=0.0)
+    centers = [np.zeros(2)] * len(a) if a.ndim == 3 else [np.zeros(2)]
+    if symmetric:
+        QuadraticProblem(a, centers, noise)
+    else:
+        with pytest.raises(ConfigError, match="symmetric"):
+            QuadraticProblem(a, centers, noise)
+
+
 def test_quadratic_validation():
     noise = NoiseModel("additive-gaussian", sigma2=0.0)
     with pytest.raises(ConfigError, match="symmetric"):
@@ -290,11 +308,14 @@ def test_mlp_validation():
 
 
 def test_shared_curvature_is_checked_once(monkeypatch):
+    # once for all workers; an exactly symmetric A needs no tolerance test
     calls = []
-    real = np.allclose
-    monkeypatch.setattr(np, "allclose", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    for name in ("array_equal", "allclose"):
+        real = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *a, _name=name, _real=real, **kw:
+                            calls.append(_name) or _real(*a, **kw))
     QuadraticProblem(np.eye(3), [np.zeros(3)] * 8, NoiseModel("additive-gaussian"))
-    assert len(calls) == 1
+    assert calls == ["array_equal"]
 
 
 def _fused_cases():

@@ -159,10 +159,14 @@ def test_config_guards():
 
 def test_trace_jsonl_roundtrip():
     trace = _sim(seed=5).run()
+    assert set(trace.records[0]) == set(RECORD_FIELDS)
+    assert trace.x_bar.shape == (len(trace.records), 3) and trace.x_bar.dtype == np.float64
     clone = MetricsTrace.from_jsonl(trace.to_jsonl())
     assert len(clone.records) == len(trace.records)
     for a, b in zip(trace.records, clone.records):
         assert a == b
+    assert clone.x_bar.size == 0  # the JSONL holds no x_bar
+    clone.x_bar = trace.x_bar
     assert clone.trace_hash() == trace.trace_hash()
 
 
@@ -170,6 +174,18 @@ def test_trace_hash_reacts_to_any_change():
     a = _sim(seed=5).run()
     b = _sim(seed=6).run()
     assert a.trace_hash() != b.trace_hash()
+
+
+def test_trace_hash_covers_every_bit_of_x_bar():
+    trace = _sim(seed=5).run()
+    x_bar = trace.x_bar.copy()
+    x_bar[0, 0] = 0.0
+    hashes = {MetricsTrace(trace.records, trace.summary, x_bar).trace_hash()}
+    for row, col, value in ((0, 0, -0.0), (2, 1, np.nextafter(x_bar[2, 1], np.inf))):
+        edited = x_bar.copy()
+        edited[row, col] = value
+        hashes.add(MetricsTrace(trace.records, trace.summary, edited).trace_hash())
+    assert len(hashes) == 3
 
 
 # --------------------------------------------------------------------------- #
@@ -306,6 +322,7 @@ def test_divergence_aborts_with_partial_trace():
         sim.run()
     err = exc.value
     assert err.trace is not None and len(err.trace.records) > 0
+    assert err.trace.x_bar.shape == (len(err.trace.records), 3)
     assert err.trace.summary["aborted"] is True
     assert "worker" in err.diagnostic or "overflow" in err.diagnostic.lower() \
         or not math.isfinite(err.trace.records[-1]["loss"])
@@ -348,6 +365,7 @@ def test_a_non_finite_group_ends_alone(protocol):
     assert isinstance(bad, NumericalAbort)
     assert bad.diagnostic == {"t": 0, "k": 0, "round": 0, "worker": 2}
     assert bad.trace.records == [] and bad.trace.summary["aborted"] is True
+    assert bad.trace.x_bar.shape == (0, 3)
     for seed, trace in ((0, first), (2, last)):
         alone = _sim(prob, protocol=protocol, seed=seed).run()
         assert (trace.trace_hash(), trace.summary) == (alone.trace_hash(), alone.summary)

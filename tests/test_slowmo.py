@@ -77,11 +77,6 @@ def _noisy_quadratic(m, d=3, seed=17):
                            seed=seed)
 
 
-def _xbar_trace(sim):
-    trace = sim.run()
-    return [np.asarray(r["x_bar"]) for r in trace.records]
-
-
 def _max_diff(sim_hist, ref_hist):
     assert len(sim_hist) == len(ref_hist)
     return max(np.max(np.abs(a - b)) for a, b in zip(sim_hist, ref_hist))
@@ -95,7 +90,7 @@ def test_reduces_to_heavy_ball():
         slowmo=SlowMoConfig(alpha=1.0, beta=0.3, tau=1), protocol="allreduce",
         gamma=GammaSchedule(value=0.05), T=40, seed=11))
     ref = heavy_ball_reference(prob, gamma=0.05, beta=0.3, steps=40, seed=11)
-    assert _max_diff(_xbar_trace(sim), ref) <= 1e-10
+    assert _max_diff(sim.run().x_bar, ref) <= 1e-10
 
 
 def test_reduces_to_local_sgd():
@@ -105,7 +100,7 @@ def test_reduces_to_local_sgd():
         slowmo=SlowMoConfig(alpha=1.0, beta=0.0, tau=5), protocol="local",
         gamma=GammaSchedule(value=0.08), T=8, seed=5))
     ref = local_sgd_reference(prob, gamma=0.08, tau=5, T=8, seed=5)
-    assert _max_diff(_xbar_trace(sim), ref) <= 1e-10
+    assert _max_diff(sim.run().x_bar, ref) <= 1e-10
 
 
 def test_reduces_to_lookahead():
@@ -115,7 +110,7 @@ def test_reduces_to_lookahead():
         slowmo=SlowMoConfig(alpha=0.3, beta=0.0, tau=4), protocol="local",
         gamma=GammaSchedule(value=0.1), T=6, seed=9))
     ref = lookahead_reference(prob, gamma=0.1, alpha=0.3, tau=4, T=6, seed=9)
-    assert _max_diff(_xbar_trace(sim), ref) <= 1e-10
+    assert _max_diff(sim.run().x_bar, ref) <= 1e-10
 
 
 def test_reduces_to_block_momentum_filtering():
@@ -128,7 +123,7 @@ def test_reduces_to_block_momentum_filtering():
         gamma=GammaSchedule(value=0.05), T=7, seed=21))
     ref = block_momentum_reference(prob, gamma=0.05, tau=6, T=7,
                                    block_momentum=0.4, block_lr=0.9, seed=21)
-    assert _max_diff(_xbar_trace(sim), ref) <= 1e-10
+    assert _max_diff(sim.run().x_bar, ref) <= 1e-10
 
 
 # --------------------------------------------------------------------------- #
