@@ -74,11 +74,9 @@ def emit_metrics(trace: MetricsTrace, out_dir: str, fmt: str = "both") -> dict:
     paths = {}
     if fmt in ("jsonl", "both"):
         path = os.path.join(out_dir, "trace.jsonl")
-        # the bytes of to_jsonl() plus a final newline
+        text = trace.to_jsonl()
         with open_output(path) as fh:
-            for rec in trace.records:
-                fh.write(json.dumps(rec))
-                fh.write("\n")
+            fh.write(text + "\n" if text else "")
         paths["jsonl"] = path
         path = os.path.join(out_dir, XBAR_FILE)
         with open_output(path, "wb") as fh:

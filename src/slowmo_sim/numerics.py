@@ -22,8 +22,10 @@ two batched methods. ``gradients(points, workers, idx=None)`` is the exact
 gradient of worker ``workers[r]`` at ``points[r]`` for every row, over its
 shard rows ``idx[r]`` when an (n, b) ``idx`` is given, and
 ``losses_and_gradients(points, workers)`` adds each row's loss. One row of
-``points`` is shared by every worker. The stochastic, global and log-bias
-oracles each make one such call.
+``points`` is shared by every worker. With every worker asked for,
+``losses_and_gradients`` takes a leading record axis: (R, n, d) points give
+(R, n) losses and (R, n, d) gradients, bit for bit R calls. The oracles
+make one call each, the metrics one per batch of records.
 
 Groups: a problem of S groups of m workers holds group g in rows g*m ...
 (g+1)*m - 1; the builders take one seed or S seeds and draw each group's
@@ -63,6 +65,11 @@ STREAM_MISC = 3
 # 12.7-13.8 ms, 128 rows in 16.6 ms, 256 rows in 27.0 ms and the whole
 # matrix in 34.5 ms.
 MATVEC_BLOCK = 32
+
+# Worker values (workers x d x max(shard rows, 1)) per batch of records in the
+# metric evaluation: 64 KiB an array, 6 seed-sweep records (20 runs of m = 16,
+# d = 4); 2**16 was no faster there and raised its peak RSS 5%.
+RECORD_BATCH_VALUES = 2**13
 
 
 def rng_stream(seed: int, namespace: int, index: int = 0) -> np.random.Generator:
@@ -148,9 +155,9 @@ def group_sums(rows: np.ndarray, groups: int, start: float = -0.0) -> np.ndarray
 
 
 def repeat_groups(values: np.ndarray, m: int) -> np.ndarray:
-    """(S, ...) group values as one row per worker, m rows a group (as they
+    """(..., S, d) group rows as one row per worker, m rows a group (as they
     are when S = 1, where they broadcast)."""
-    return values if len(values) == 1 else values.repeat(m, axis=0)
+    return values if values.shape[-2] == 1 else values.repeat(m, axis=-2)
 
 
 @dataclass(frozen=True)
@@ -294,15 +301,17 @@ def global_loss_and_gradient(problem: Problem, x: np.ndarray) -> tuple[float, np
 
 
 def group_losses_and_gradients(problem: Problem, points: np.ndarray):
-    """(S,) losses and (S, d) gradients of each group's objective at its
-    row of ``points`` (S, d), for a problem of S groups of m workers: one
-    loss-and-gradient evaluation of every worker, reduced per group as
-    ``global_loss_and_gradient`` reduces one group."""
-    groups = len(points)
+    """(..., S) losses and (..., S, d) gradients of each group's objective at
+    its row of ``points`` (..., S, d; the leading axes are records), for a
+    problem of S groups of m workers: one loss-and-gradient evaluation of
+    every worker, reduced per group as ``global_loss_and_gradient`` does."""
+    groups = points.shape[-2]
     m = problem.num_workers // groups
     losses, grads = problem.losses_and_gradients(
         repeat_groups(points, m), np.arange(problem.num_workers))
-    return group_sums(losses[:, None], groups, 0.0)[:, 0] / m, group_sums(grads, groups) / m
+    total = losses.size // m  # groups times records
+    return (group_sums(losses.reshape(-1, 1), total, 0.0).reshape(points.shape[:-1]) / m,
+            group_sums(grads.reshape(-1, points.shape[-1]), total).reshape(points.shape) / m)
 
 
 class QuadraticProblem(Problem):
@@ -360,12 +369,13 @@ class QuadraticProblem(Problem):
         if self.samples is None:
             return row_dots(0.5 * r, g), g
         # the mean over each sample cloud, one einsum row per sample
-        diffs = points[:, None] - self._shards(self.samples, workers)
-        sq = np.empty(diffs.shape[:2])
+        diffs = points[..., None, :] - self._shards(self.samples, workers)
+        sq = np.empty(diffs.shape[:-1])
         for a, rows in self._curvatures(workers):
-            flat = diffs[rows].reshape(-1, self.dimension)
-            sq[rows] = np.einsum("nd,de,ne->n", flat, a, flat).reshape(-1, sq.shape[1])
-        return 0.5 * sq.mean(axis=1), g
+            flat = diffs[..., rows, :, :].reshape(-1, self.dimension)
+            part = sq[..., rows, :]
+            part[...] = np.einsum("nd,de,ne->n", flat, a, flat).reshape(part.shape)
+        return 0.5 * sq.mean(axis=-1), g
 
     def _curvatures(self, workers):
         """(A, rows) pairs: each curvature matrix with the slice of the
@@ -377,22 +387,23 @@ class QuadraticProblem(Problem):
         return [(a, slice(lo, hi)) for a, lo, hi in zip(self.a, bounds, bounds[1:]) if hi > lo]
 
     def _stacked_matvec(self, rows, workers):
-        """A @ r for every row r, with the A of the row's worker. One product
-        per curvature matrix, or one over every group when every row is
-        asked for."""
+        """A @ r for every row r of (n, d) or (R, n, d) ``rows``, with the A
+        of the row's worker. One product per curvature matrix, or one over
+        every group when every row is asked for."""
         if self.a.ndim == 2:
             return self._matvec(self.a, rows)
         if len(workers) == self.num_workers:
             groups = len(self.a)
-            return self._matvec(self.a[:, None], rows.reshape(groups, -1, rows.shape[1])
-                                ).reshape(rows.shape)
+            return self._matvec(self.a[:, None], rows.reshape(
+                *rows.shape[:-2], groups, -1, rows.shape[-1])).reshape(rows.shape)
         out = np.empty(rows.shape)
         for a, part in self._curvatures(workers):
             out[part] = self._matvec(a, rows[part])
         return out
 
     def _matvec(self, a, rows):
-        # a (d, d), or (G, 1, d, d) against rows (G, m, d): bit for bit the
+        # a (d, d) against rows (..., n, d), or (G, 1, d, d) against rows
+        # (..., G, m, d), the leading axes records: bit for bit the
         # 1-D gemv of each row at one BLAS thread (rows @ A.T, a gemm, is
         # not). Each row block of A is loaded into cache once and serves
         # every row before the next block, instead of the whole of A being
@@ -409,8 +420,8 @@ class QuadraticProblem(Problem):
 
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a[i] @ b[i] for every row, each bit for bit the 1-D dot."""
-    return (a[:, None, :] @ b[:, :, None]).ravel()
+    """a[..., i, :] @ b[..., i, :] for every row, each bit for bit the 1-D dot."""
+    return (a[..., None, :] @ b[..., None])[..., 0, 0]
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
@@ -444,8 +455,8 @@ class LogisticProblem(Problem):
         feats = self._shards(self.features, workers, idx)
         labs = self._shards(self.labels, workers, idx)
         margins = labs * _matvecs(feats, points)
-        grads = _matvecs(feats.transpose(0, 2, 1), -labs * _sigmoid(-margins)) / feats.shape[1]
-        return np.logaddexp(0.0, -margins).mean(axis=1), grads
+        grads = _matvecs(np.swapaxes(feats, -1, -2), -labs * _sigmoid(-margins)) / feats.shape[-2]
+        return np.logaddexp(0.0, -margins).mean(axis=-1), grads
 
 
 class MlpProblem(Problem):
@@ -472,21 +483,21 @@ class MlpProblem(Problem):
         feats = self._shards(self.features, workers, idx)
         targs = self._shards(self.targets, workers, idx)
         h, p = self.hidden, self.input_dim
-        w1 = points[:, : h * p].reshape(len(points), h, p)
-        b1 = points[:, h * p : h * p + h]
-        w2 = points[:, h * p + h : h * p + 2 * h]
-        b2 = points[:, -1:]
-        n = feats.shape[1]
-        hid = np.tanh(feats @ w1.transpose(0, 2, 1) + b1[:, None])
+        w1 = points[..., : h * p].reshape(*points.shape[:-1], h, p)
+        b1 = points[..., h * p : h * p + h]
+        w2 = points[..., h * p + h : h * p + 2 * h]
+        b2 = points[..., -1:]
+        n = feats.shape[-2]
+        hid = np.tanh(feats @ np.swapaxes(w1, -1, -2) + b1[..., None, :])
         err = _matvecs(hid, w2) + b2 - targs
-        losses = 0.5 * np.mean(err**2, axis=1)
+        losses = 0.5 * np.mean(err**2, axis=-1)
         e = err / n
-        g_w2 = _matvecs(hid.transpose(0, 2, 1), e)
-        g_b2 = e.sum(axis=1, keepdims=True)
-        d_pre = e[..., None] * w2[:, None] * (1.0 - hid**2)
-        g_w1 = d_pre.transpose(0, 2, 1) @ feats
-        g_b1 = d_pre.sum(axis=1)
-        grads = np.concatenate([g_w1.reshape(len(feats), h * p), g_b1, g_w2, g_b2], axis=1)
+        g_w2 = _matvecs(np.swapaxes(hid, -1, -2), e)
+        g_b2 = e.sum(axis=-1, keepdims=True)
+        d_pre = e[..., None] * w2[..., None, :] * (1.0 - hid**2)
+        g_w1 = np.swapaxes(d_pre, -1, -2) @ feats
+        g_b1 = d_pre.sum(axis=-2)
+        grads = np.concatenate([g_w1.reshape(*g_w2.shape[:-1], h * p), g_b1, g_w2, g_b2], axis=-1)
         return losses, grads
 
 

@@ -23,23 +23,25 @@ noaverage) and trace. Groups never mix: averages reduce per group and
 gossip is block-diagonal. S = 1 is the ordinary run.
 
 A round makes one batched call per layer over every row: the problem's
-``stochastic_gradients`` for the stepping workers, one
-``local_direction``, one protocol ``apply_round`` on the (n, d) half-steps
-and, when a record is due, one loss-and-gradient evaluation plus row-wise
-dots. Every batched form adds in ascending worker rank within a group and
-is bit for bit the per-worker loop it replaces, so each group's trace is
-bit for bit the trace of its seed run alone, independent of how the state
-is laid out and of which groups run beside it.
+``stochastic_gradients`` for the stepping workers, one ``local_direction``,
+one protocol ``apply_round`` on the (n, d) half-steps and, when a record is
+due, row-wise dots for x_bar and consensus. Every batched form adds in
+ascending worker rank within a group and is bit for bit the per-worker loop
+it replaces, so each group's trace is bit for bit the trace of its seed run
+alone, independent of how the state is laid out and of which groups run
+beside it.
 
 Metrics are recorded at the start of every inner round (subject to
 ``metric_cadence``), so with cadence 1 a run of T outer iterations of length
 tau yields exactly tau*T records per group; record r describes the state
-the r-th step was taken from, and costs one loss-and-gradient evaluation
-per worker at the group's x_bar. A record and the final summary read the
-same ``evaluate``. Recording never touches the trajectory.
+the r-th step was taken from. A record keeps what depends on its round's
+state (clock, x_bar, weight mass, consensus, and the log_bias direction);
+the loss and gradient at its x_bar are evaluated when a trace is handed
+out, in batches of records, with the summary's x_bar as the last row.
+Recording never touches the trajectory.
 The average iterate x_bar counts in-flight push-sum payloads so no mass
 ever escapes the metrics; every record (and the final summary) refuses a
-push-sum mass that has drifted from m.
+push-sum mass that has drifted from m, at its round.
 
 A group whose state turns non-finite ends its own trace there with a
 ``NumericalAbort`` (records so far, summary ``aborted``), as a run of that
@@ -49,9 +51,10 @@ go on. The run ends when every group has ended.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -60,6 +63,7 @@ from .base_optimizers import OptimizerBuffers, local_direction
 from .comm_protocols import MIXING_PROTOCOLS, WorkerStates, make_protocol
 from .errors import ConfigError, NumericalAbort, ProtocolError
 from .numerics import (
+    RECORD_BATCH_VALUES,
     Problem,
     WorkerStreams,
     # unused here, but the benchmark's tracer wraps these three at this site
@@ -97,19 +101,36 @@ class SimClock:
     round: int = 0
 
 
-@dataclass
 class MetricsTrace:
-    """Recorded metrics plus a run summary: one dict of scalars per record
-    (``RECORD_FIELDS``), and the records' average iterates as the rows of
-    one (n_records, d) float64 array, ``x_bar``. A trace read from its JSONL
-    alone holds no rows of ``x_bar``."""
+    """Recorded metrics, a run summary, and the records' average iterates as
+    the rows of an (n_records, d) float64 ``x_bar``. A run's records are
+    ``columns``, a 1-D array per ``RECORD_FIELDS`` entry (``bias_sq`` None where
+    it has no closed form), which ``to_jsonl`` and ``trace_hash`` read;
+    ``records``, a dict per record, is built from them on first access. A
+    trace is given ``records`` or ``columns``, not both; one read from JSONL
+    is given ``records`` and no ``x_bar``."""
 
-    records: list = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
-    x_bar: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    def __init__(self, records=None, summary=None, x_bar=None, columns=None):
+        if records is not None and columns is not None:
+            raise TypeError("a MetricsTrace takes records or columns, not both")
+        if columns is None:
+            self.records = [] if records is None else records
+        self.columns, self.summary = columns, {} if summary is None else summary
+        self.x_bar = np.empty((0, 0)) if x_bar is None else x_bar
+
+    @functools.cached_property
+    def records(self) -> list:
+        rows = zip(*(col.tolist() for col in self.columns.values()))
+        return [dict(zip(self.columns, row)) for row in rows]
 
     def to_jsonl(self) -> str:
-        return "\n".join(json.dumps(rec) for rec in self.records)
+        """One ``json.dumps`` line per record; from columns, one per column, cut
+        at its ", " separators (no number, NaN, Infinity or null holds one)."""
+        if self.columns is None or not len(self.columns["t"]):
+            return "\n".join(json.dumps(rec) for rec in self.records)
+        cells = [json.dumps(col.tolist())[1:-1].split(", ") for col in self.columns.values()]
+        line = "{" + ", ".join(f"{json.dumps(name)}: %s" for name in self.columns) + "}"
+        return "\n".join(map(line.__mod__, zip(*cells)))
 
     @staticmethod
     def from_jsonl(text: str) -> "MetricsTrace":
@@ -166,8 +187,10 @@ class Simulation:
         self.slow = SlowMoState(x_outer=x_outer, u=np.zeros(x_outer.shape))
 
         self.slow_average_calls = 0  # line-6 exact averages actually performed
-        self._records: list[list[dict]] = [[] for _ in range(S)]
-        self._x_bars: list[np.ndarray] = []  # each record's (S, d) x_bar, in order
+        # per record: (t, k, round, gamma), (S, d) x_bar, (S,) consensus and masses,
+        # then (S,) losses and squared gradient norms; log_bias directions and gaps
+        self._clocks, self._x_bars, self._observed, self._evaluated = [], [], [], []
+        self._directions, self._gaps = [], []
         self.alive = np.ones(S, dtype=bool)
         self._dead_rows = None  # the rows of the groups that have ended, once one has
         self._outcomes: list = [None] * S
@@ -206,48 +229,63 @@ class Simulation:
         diff = self.points() - repeat_groups(xbar, self.m)
         return group_sums(row_dots(diff, diff)[:, None], self.groups, 0.0)[:, 0] / self.m
 
-    def _expected_direction_gap_sq(self, xbar, gbar) -> list:
-        """||grad f(x_bar) - (1/m) sum_i E[d_i]||^2 of each group, when
-        available in closed form (None otherwise)."""
-        kind = self.cfg.base.kind
-        if kind == "adam":
-            return [None] * self.groups
-        # only a group whose every worker steps has the closed form
+    def _mean_expected_direction(self) -> tuple:
+        """((S,) mask, (S, d)): which groups have (1/m) sum_i E[d_i] in closed form
+        (every worker steps, base not Adam), and that mean (zeros if none has)."""
         active = self.protocol.active_workers()
         full = np.bincount(active // self.m, minlength=self.groups) == self.m
-        if not full.any():
-            return [None] * self.groups
+        if self.cfg.base.kind == "adam" or not full.any():
+            return np.zeros(self.groups, dtype=bool), np.zeros((self.groups, self.d))
         expected = self.problem.gradients(self.points(), np.arange(len(self.states)))
-        if kind == "sgd-nesterov":  # E[d] = bl^2 h + (1 + bl) grad
+        if self.cfg.base.kind == "sgd-nesterov":  # E[d] = bl^2 h + (1 + bl) grad
             bl = self.cfg.base.beta_local
             expected = bl * bl * self.states.buffers.h + (1.0 + bl) * expected
-        diff = gbar - group_sums(expected, self.groups, 0.0) / self.m
-        return [gap if ok else None for gap, ok in zip(row_dots(diff, diff).tolist(), full)]
+        return full, group_sums(expected, self.groups, 0.0) / self.m
 
-    def evaluate(self) -> tuple:
-        """(x_bar, weight mass, loss, gradient, squared gradient norm,
-        consensus) of each group, what a record and the summary report: one
-        scan of the in-flight messages and one loss-and-gradient evaluation
-        of every worker at its group's x_bar."""
+    def observe(self) -> tuple:
+        """(x_bar, weight mass, consensus) of each group at this round."""
         inflight_x, inflight_w = self.protocol.inflight_sums(self.d)
         xbar = self.mean_x(inflight_x)
-        masses = self.weight_mass(inflight_w)
-        losses, gbar = group_losses_and_gradients(self.problem, xbar)
-        return xbar, masses, losses, gbar, row_dots(gbar, gbar), self.consensus_sq(xbar)
+        return xbar, self.weight_mass(inflight_w), self.consensus_sq(xbar)
 
     def record_metrics(self, gamma: float) -> None:
         if self.clock.round % self.cfg.metric_cadence != 0:
             return
-        xbar, masses, losses, gbar, grad_sq, consensus = self.evaluate()
-        biases = ([None] * self.groups if not self.cfg.log_bias
-                  else self._expected_direction_gap_sq(xbar, gbar))
-        clock = (self.clock.t, self.clock.k, self.clock.round, float(gamma))
+        xbar, masses, consensus = self.observe()
+        self._clocks.append((self.clock.t, self.clock.k, self.clock.round, float(gamma)))
         self._x_bars.append(xbar)
-        columns = zip(self._records, self.alive, losses.tolist(), grad_sq.tolist(),
-                      consensus.tolist(), masses.tolist(), biases)
-        for records, alive, *values in columns:
-            if alive:
-                records.append(dict(zip(RECORD_FIELDS, (*clock, *values))))
+        self._observed.append((consensus, masses))
+        if self.cfg.log_bias:
+            self._directions.append(self._mean_expected_direction())
+
+    def _evaluate(self, final=None):
+        """Evaluate the x_bars not yet evaluated, then any ``final`` (S, d), in batches
+        of RECORD_BATCH_VALUES; return final's (S,) losses and squared gradient norms."""
+        points = self._x_bars + ([] if final is None else [final])
+        p = self.problem
+        size = max(1, RECORD_BATCH_VALUES // (p.num_workers * self.d * max(p.shard_size, 1)))
+        for lo in range(len(self._evaluated), len(points), size):
+            losses, gbar = group_losses_and_gradients(p, np.stack(points[lo:lo + size]))
+            self._evaluated += zip(losses, row_dots(gbar, gbar))
+            if self._directions[lo:lo + size]:  # the records' gaps; final has none
+                full, means = zip(*self._directions[lo:lo + size])
+                diff = gbar[:len(means)] - np.stack(means)
+                self._gaps += list(np.where(np.array(full), row_dots(diff, diff), None))
+                self._directions[lo:lo + len(means)] = [None] * len(means)  # consumed
+        return None if final is None else self._evaluated.pop()
+
+    def _traces(self) -> list:
+        """Each group's MetricsTrace of every record so far, without a summary."""
+        self._evaluate()
+        n, S = len(self._clocks), self.groups
+        clock = np.array(self._clocks).reshape(n, 4)
+        t, k, rounds = clock[:, :3].astype(np.int64).T
+        # (n, 4, S): loss, grad_norm_sq, consensus_sq, weight_mass
+        values = np.array([*zip(self._evaluated, self._observed)]).reshape(n, 4, S)
+        bias = np.array(self._gaps).reshape(n, S) if self._gaps else np.full((n, S), None)
+        x_bar = np.stack(self._x_bars, axis=1) if n else np.empty((S, 0, self.d))
+        return [MetricsTrace(x_bar=x_bar[g], columns=dict(zip(RECORD_FIELDS, (
+            t, k, rounds, clock[:, 3], *values[:, :, g].T, bias[:, g])))) for g in range(S)]
 
     def inner_round(self, gamma: float) -> None:
         """One inner step for every non-stalled worker plus one protocol round:
@@ -282,8 +320,8 @@ class Simulation:
                 "t": self.clock.t, "k": self.clock.k,
                 "round": self.clock.round, "worker": i,
             }
-            trace = MetricsTrace(records=self._records[g], summary={"aborted": True, **diag},
-                                 x_bar=self._x_bar_block()[g])
+            trace = self._traces()[g]
+            trace.summary = {"aborted": True, **diag}
             self._outcomes[g] = NumericalAbort(
                 f"non-finite state on worker {i} at t={self.clock.t} k={self.clock.k}",
                 diagnostic=diag,
@@ -346,21 +384,13 @@ class Simulation:
         if self.cfg.slowmo.noaverage:
             # one final drain so the summary sees all in-flight mass
             self.protocol.end_block(self.states)
-        _, _, losses, _, grad_sq, consensus = self.evaluate()
+        xbar, _, consensus = self.observe()
+        losses, grad_sq = self._evaluate(xbar)
         run = (self.clock.round, self.clock.t, self.partial_final_block, False)
-        block = self._x_bar_block()
-        finals = zip(losses.tolist(), grad_sq.tolist(), consensus.tolist())
-        for g, (loss, *final) in enumerate(finals):
+        finals = zip(self._traces(), losses.tolist(), grad_sq.tolist(), consensus.tolist())
+        for g, (trace, loss, *final) in enumerate(finals):
             if self.alive[g]:
-                min_loss = min([r["loss"] for r in self._records[g]] + [loss])
-                summary = dict(zip(SUMMARY_FIELDS, (loss, *final, min_loss, *run)))
-                self._outcomes[g] = MetricsTrace(records=self._records[g], summary=summary,
-                                                 x_bar=block[g])
+                min_loss = min([*trace.columns["loss"].tolist(), loss])
+                trace.summary = dict(zip(SUMMARY_FIELDS, (loss, *final, min_loss, *run)))
+                self._outcomes[g] = trace
         return self._outcomes
-
-    def _x_bar_block(self) -> np.ndarray:
-        """(S, records so far, d): each group's x_bar rows, as many as its
-        records while it runs."""
-        if not self._x_bars:
-            return np.empty((self.groups, 0, self.d))
-        return np.stack(self._x_bars, axis=1)

@@ -6,6 +6,8 @@ direction rule below. Equality is exact: ``np.array_equal`` plus equal
 sign bits, so a -0.0 that turns into +0.0 fails too.
 """
 
+import json
+import math
 import os
 import subprocess
 import sys
@@ -17,9 +19,12 @@ import pytest
 
 from slowmo_sim import (
     BaseOptimizerConfig,
+    DelayModel,
     ExperimentConfig,
     GammaSchedule,
+    MetricsTrace,
     NoiseModel,
+    NumericalAbort,
     OptimizerBuffers,
     ProblemConfig,
     QuadraticProblem,
@@ -34,7 +39,11 @@ from slowmo_sim import (
     make_worker_rngs,
     worker_stochastic_gradient,
 )
-from slowmo_sim.numerics import group_sums
+from slowmo_sim import simkernel
+from slowmo_sim.config import OsgpConfig, read_json
+from slowmo_sim.errors import ConfigError
+from slowmo_sim.numerics import group_losses_and_gradients, group_sums, row_dots
+from slowmo_sim.simkernel import RECORD_FIELDS
 from references import (
     global_loss_and_gradient_reference,
     reference_gradient,
@@ -467,3 +476,208 @@ def test_shared_curvature_trajectory_does_not_depend_on_blas_threads():
     # the second run is a sample cloud with minibatch noise
     hashes = {_run_python(_THREAD_RUN, threads) for threads in (1, 2)}
     assert len(hashes) == 1, hashes
+
+
+# --------------------------------------------------------------------------- #
+# the batched metric evaluation and the columnar trace
+# --------------------------------------------------------------------------- #
+
+METRIC_KINDS = ("quadratic", "shared-a", "cloud", "logistic", "mlp")
+
+
+def _metric_problem(kind, groups, first=4):
+    """A problem of ``groups`` groups of three workers, built from seeds
+    ``first``, ``first + 1``, ...: one A per group (one A when there is one
+    group), one A for every group, sample clouds, logistic, MLP."""
+    seeds = list(range(first, first + groups))
+    gauss = NoiseModel("additive-gaussian", sigma2=0.3)
+    if kind == "shared-a":
+        return _quadratic(3 * groups, 5)
+    p = {
+        "quadratic": ProblemConfig(m=3, dimension=5, l_min=0.5, l_max=2.0, heterogeneity=1.0,
+                                   noise=gauss),
+        "cloud": ProblemConfig(m=3, dimension=5, l_min=0.5, l_max=2.0, heterogeneity=1.0,
+                               samples_per_worker=4, noise=NoiseModel("minibatch", batch_size=2)),
+        "logistic": ProblemConfig(kind="logistic", m=3, dimension=5, samples_per_worker=6,
+                                  heterogeneity=0.5, noise=gauss),
+        "mlp": ProblemConfig(kind="mlp", m=3, input_dim=3, hidden=2, samples_per_worker=6,
+                             heterogeneity=0.5, noise=gauss),
+    }[kind]
+    build = {"logistic": build_logistic, "mlp": build_mlp}.get(kind, build_quadratic)
+    return build(p, seeds)
+
+
+@pytest.mark.parametrize("kind", METRIC_KINDS)
+@pytest.mark.parametrize("groups", [1, 3])
+@pytest.mark.parametrize("records", [1, 2, 7])
+def test_batched_metric_evaluation_is_one_call_per_record(kind, groups, records):
+    prob = _metric_problem(kind, groups)
+    if kind == "quadratic":
+        assert prob.a.ndim == (2 if groups == 1 else 3)
+    points = _signed_rows(np.random.default_rng(records), (records, groups, prob.dimension))
+    losses, grads = group_losses_and_gradients(prob, points)
+    assert losses.shape == (records, groups) and grads.shape == points.shape
+    workers = np.arange(prob.num_workers)
+    rows = points.repeat(prob.num_workers // groups, axis=1)
+    row_losses, row_grads = prob.losses_and_gradients(rows, workers)
+    for r in range(records):
+        want_losses, want_grads = group_losses_and_gradients(prob, points[r])
+        assert _same_bits(losses[r], want_losses) and _same_bits(grads[r], want_grads), r
+        want_losses, want_grads = prob.losses_and_gradients(rows[r], workers)
+        assert _same_bits(row_losses[r], want_losses) and _same_bits(row_grads[r], want_grads)
+
+
+def _metric_sim(prob, seeds, **kw):
+    """Ten records a group (blocks of 4, 4 and 2) with log_bias, one group
+    per seed; ``kw`` overrides the config."""
+    cfg = dict(base=BaseOptimizerConfig(kind="sgd-nesterov"), slowmo=SlowMoConfig(tau=4),
+               protocol="sgp", gamma=GammaSchedule(value=0.05), total_steps=10,
+               log_bias=True)
+    return Simulation(prob, ExperimentConfig(**{**cfg, **kw}), seeds=seeds)
+
+
+def _batch_of(records, prob):
+    """The RECORD_BATCH_VALUES that makes batches of ``records`` records."""
+    return records * prob.num_workers * prob.dimension * max(prob.shard_size, 1)
+
+
+@pytest.mark.parametrize("kind", METRIC_KINDS)
+@pytest.mark.parametrize("groups", [1, 3])
+def test_record_batches_are_per_record_evaluations(kind, groups, monkeypatch):
+    # batches of one record are the evaluation of each round alone; batches
+    # of three do not divide the 10 records (11 points with the summary's)
+    prob = _metric_problem(kind, groups)
+    outcomes = []
+    for batch in (1, 3, None):
+        if batch:
+            monkeypatch.setattr(simkernel, "RECORD_BATCH_VALUES", _batch_of(batch, prob))
+        else:
+            monkeypatch.undo()
+        outcomes.append(_metric_sim(prob, list(range(groups))).run_groups())
+    for traces in zip(*outcomes):
+        assert len(traces[0].records) == 10
+        assert len({(t.trace_hash(), json.dumps(t.summary)) for t in traces}) == 1
+
+
+def _evaluated_at_the_round(sim):
+    """Each group's (loss, grad_norm_sq, bias_sq) evaluated at the round, as
+    a record once evaluated its own: bias_sq is ||grad f(x_bar) - (1/m) sum_i
+    E[d_i]||^2, None where a worker of the group stalls or the base is Adam."""
+    xbar = sim.mean_x(sim.protocol.inflight_sums(sim.d)[0])
+    losses, gbar = group_losses_and_gradients(sim.problem, xbar)
+    full = np.bincount(sim.protocol.active_workers() // sim.m, minlength=sim.groups) == sim.m
+    expected = sim.problem.gradients(sim.points(), np.arange(len(sim.states)))
+    if sim.cfg.base.kind == "sgd-nesterov":
+        bl = sim.cfg.base.beta_local
+        expected = bl * bl * sim.states.buffers.h + (1.0 + bl) * expected
+    diff = gbar - group_sums(expected, sim.groups, 0.0) / sim.m
+    gaps = [gap if ok and sim.cfg.base.kind != "adam" else None
+            for gap, ok in zip(row_dots(diff, diff).tolist(), full)]
+    return list(zip(losses.tolist(), row_dots(gbar, gbar).tolist(), gaps))
+
+
+@pytest.mark.parametrize("base", ["plain-sgd", "sgd-nesterov", "adam"])
+@pytest.mark.parametrize("protocol", ["sgp", "osgp"])
+@pytest.mark.parametrize("groups", [1, 3])
+def test_records_are_evaluated_as_at_their_round(base, protocol, groups, monkeypatch):
+    prob = _metric_problem("logistic", groups)
+    monkeypatch.setattr(simkernel, "RECORD_BATCH_VALUES", _batch_of(3, prob))
+    osgp = OsgpConfig(staleness=1, delay=DelayModel(kind="geometric", p=0.3, cap=4))
+    sim = _metric_sim(prob, list(range(groups)), base=BaseOptimizerConfig(kind=base),
+                      protocol=protocol, osgp=osgp)
+    want, record = [], sim.record_metrics
+
+    def record_with_reference(gamma):
+        record(gamma)
+        want.append(_evaluated_at_the_round(sim))
+
+    sim.record_metrics = record_with_reference
+    fields = ("loss", "grad_norm_sq", "bias_sq")
+    traces = sim.run_groups()
+    got = [[tuple(r[f] for f in fields) for r in trace.records] for trace in traces]
+    assert got == [list(col) for col in zip(*want)]
+    # the summary: the same evaluation after the last round
+    finals = _evaluated_at_the_round(sim)
+    assert [t.summary["final_loss"] for t in traces] == [f[0] for f in finals]
+    assert [t.summary["final_grad_norm_sq"] for t in traces] == [f[1] for f in finals]
+    assert sim._directions == [None] * 10  # each released once its gaps are taken
+    values = {type(v[2]) for trace in got for v in trace}
+    assert values == ({type(None)} if base == "adam" else
+                      {float, type(None)} if protocol == "osgp" else {float})
+
+
+def _columns(records):
+    return {name: np.array([r[name] for r in records],
+                           dtype=object if name == "bias_sq" else None)
+            for name in RECORD_FIELDS}
+
+
+def test_columnar_jsonl_spells_values_as_json_dumps():
+    odd = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e22, 0.1, 2.0]
+    records = [dict(zip(RECORD_FIELDS, (i // 3, i % 3, i * 7 + 2**40, odd[i], odd[-1 - i],
+                                        odd[(i + 3) % 8], odd[(i + 5) % 8], 4.0,
+                                        None if i % 3 == 0 else odd[(i + 1) % 8])))
+               for i in range(len(odd))]
+    trace = MetricsTrace(columns=_columns(records))
+    text = trace.to_jsonl()
+    assert text == "\n".join(json.dumps(r) for r in records)
+    assert text == "\n".join(json.dumps(r) for r in trace.records)
+    assert [type(r["t"]) for r in trace.records] == [int] * len(odd)
+    assert MetricsTrace(columns=_columns([])).to_jsonl() == ""
+    assert MetricsTrace.from_jsonl(text + "\n").to_jsonl() == text
+    with pytest.raises(TypeError, match="not both"):
+        MetricsTrace(records=trace.records, columns=trace.columns)
+
+
+@pytest.mark.parametrize("text", [
+    "{}, {}",
+    "{}\n{}, {}",
+    # a line of two values and a value over two lines: as many values as lines
+    '{}, {"a": [{}\n{}]}',
+    '{}, {"a": 1\n"b": 2}',
+    '{"a": "}"\n"b": "{"}\n{}, {}',
+    " {} {}",
+])
+def test_trace_lines_that_are_not_one_json_value_are_refused(text, tmp_path):
+    with pytest.raises(json.JSONDecodeError):
+        MetricsTrace.from_jsonl(text)
+    path = tmp_path / "trace.jsonl"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="invalid JSON in trace"):
+        read_json(str(path), "trace", MetricsTrace.from_jsonl)
+
+
+def _poisoned(sim, group, at_round):
+    """Make worker 1 of ``group`` non-finite after round ``at_round``."""
+    apply_round = sim.protocol.apply_round
+
+    def poisoning(states, half, round_index):
+        apply_round(states, half, round_index)
+        if round_index == at_round:
+            states.x[group * sim.m + 1, 2] = math.inf
+
+    sim.protocol.apply_round = poisoning
+    return sim
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+def test_a_group_that_aborts_mid_block_has_its_solo_trace(kind, monkeypatch):
+    # round 5 is inside the second block of 4; with batches of 3 records the
+    # abort evaluates 6 records, and the end of the run the rest from there
+    stacked = _metric_problem(kind, 3)
+    monkeypatch.setattr(simkernel, "RECORD_BATCH_VALUES", _batch_of(3, stacked))
+    outcomes = _poisoned(_metric_sim(stacked, [0, 1, 2]), 1, 5).run_groups()
+    assert [isinstance(o, NumericalAbort) for o in outcomes] == [False, True, False]
+    assert outcomes[1].diagnostic == {"t": 1, "k": 2, "round": 6, "worker": 1}
+    for g, outcome in enumerate(outcomes):
+        solo = _metric_sim(_metric_problem(kind, 1, first=4 + g), [g])
+        if g == 1:
+            with pytest.raises(NumericalAbort) as exc:
+                _poisoned(solo, 0, 5).run()
+            alone, trace = exc.value.trace, outcome.trace
+            assert len(trace.records) == 6
+        else:
+            alone, trace = solo.run(), outcome
+        assert trace.to_jsonl() == alone.to_jsonl()
+        assert json.dumps(trace.summary) == json.dumps(alone.summary)
+        assert _same_bits(trace.x_bar, alone.x_bar)
