@@ -297,10 +297,10 @@ _BIAS_KEYS = {"measured": (), "surrogate": ("sigma2", "zeta2"), "value": ("value
 
 
 def assemble_bound_inputs(
-    constants: dict, traces: list[list[dict]]
+    constants: dict, traces: list
 ) -> tuple[BoundInputs, list[str]]:
-    """Build BoundInputs from a constants dict plus the traces' record lists
-    (for measured bias).
+    """Build BoundInputs from a constants dict plus the traces, MetricsTraces or
+    lists of record dicts (for measured bias).
 
     bias modes: {"mode": "measured"} averages the logged per-step gaps;
     {"mode": "surrogate", "sigma2": s, "zeta2": z} uses the plain-SGD
@@ -365,10 +365,9 @@ def _bias_number(bias_spec: dict, key: str) -> float:
 
 
 def bound_report(constants: dict, traces: list[MetricsTrace]) -> dict:
-    records = [t.records for t in traces]
     try:
-        inputs, extra_reasons = assemble_bound_inputs(constants, records)
-        report = check_bound(records, inputs)
+        inputs, extra_reasons = assemble_bound_inputs(constants, traces)
+        report = check_bound(traces, inputs)
     except OverflowError as exc:  # e.g. L**2 of a finite but huge L, or a huge m
         raise ConfigError(f"bound constants overflow a float: {exc}") from exc
     if extra_reasons:

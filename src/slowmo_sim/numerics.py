@@ -66,10 +66,15 @@ STREAM_MISC = 3
 # matrix in 34.5 ms.
 MATVEC_BLOCK = 32
 
-# Worker values (workers x d x max(shard rows, 1)) per batch of records in the
-# metric evaluation: 64 KiB an array, 6 seed-sweep records (20 runs of m = 16,
-# d = 4); 2**16 was no faster there and raised its peak RSS 5%.
+# Worker values per batch of records: (workers x d x max(shard rows, 1)) in
+# the metric evaluation, 64 KiB an array, 6 seed-sweep records (20 runs of
+# m = 16, d = 4), and (workers x d) in the x_bar and consensus reduction;
+# 2**16 was no faster there and raised its peak RSS 5%.
 RECORD_BATCH_VALUES = 2**13
+
+# Standard normal values (rows x rounds x d) pre-drawn per refill of the
+# additive noise: 256 KiB, 128 rounds of a seed-sweep run (64 rows, d = 4).
+NOISE_BLOCK_VALUES = 2**15
 
 
 def rng_stream(seed: int, namespace: int, index: int = 0) -> np.random.Generator:

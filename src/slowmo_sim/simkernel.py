@@ -23,25 +23,30 @@ noaverage) and trace. Groups never mix: averages reduce per group and
 gossip is block-diagonal. S = 1 is the ordinary run.
 
 A round makes one batched call per layer over every row: the problem's
-``stochastic_gradients`` for the stepping workers, one ``local_direction``,
-one protocol ``apply_round`` on the (n, d) half-steps and, when a record is
-due, row-wise dots for x_bar and consensus. Every batched form adds in
-ascending worker rank within a group and is bit for bit the per-worker loop
-it replaces, so each group's trace is bit for bit the trace of its seed run
-alone, independent of how the state is laid out and of which groups run
-beside it.
+``stochastic_gradients`` for the stepping workers, one ``local_direction``
+and one protocol ``apply_round`` on the (n, d) half-steps. Every batched
+form adds in ascending worker rank within a group and is bit for bit the
+per-worker loop it replaces, so each group's trace is bit for bit the
+trace of its seed run alone, independent of how the state is laid out and
+of which groups run beside it.
 
 Metrics are recorded at the start of every inner round (subject to
 ``metric_cadence``), so with cadence 1 a run of T outer iterations of length
 tau yields exactly tau*T records per group; record r describes the state
-the r-th step was taken from. A record keeps what depends on its round's
-state (clock, x_bar, weight mass, consensus, and the log_bias direction);
-the loss and gradient at its x_bar are evaluated when a trace is handed
-out, in batches of records, with the summary's x_bar as the last row.
-Recording never touches the trajectory.
+the r-th step was taken from. At its round a record keeps its clock, x (a
+copy when it waits for its batch), the points (z under push-sum, else that
+x), the (S, d) in-flight payload sums, the push-sum mass and the log_bias
+direction. Its x_bar and consensus are reduced from those once
+RECORD_BATCH_VALUES // (S*m*d) records wait (or a trace is handed out):
+one ``mean_x`` and one ``consensus_sq`` call over a leading record axis.
+The loss and gradient at its x_bar are evaluated when a trace is handed
+out, in batches of records, with the summary's x_bar as the last row. Each
+row has the bits of its own reduction and evaluation alone, and recording
+never touches the trajectory.
 The average iterate x_bar counts in-flight push-sum payloads so no mass
-ever escapes the metrics; every record (and the final summary) refuses a
-push-sum mass that has drifted from m, at its round.
+ever escapes the metrics; every record (and the final summary) of a
+push-sum protocol refuses a mass that has drifted from m, at its round.
+The other protocols never write w, so their mass is m.
 
 A group whose state turns non-finite ends its own trace there with a
 ``NumericalAbort`` (records so far, summary ``aborted``), as a run of that
@@ -63,6 +68,7 @@ from .base_optimizers import OptimizerBuffers, local_direction
 from .comm_protocols import MIXING_PROTOCOLS, WorkerStates, make_protocol
 from .errors import ConfigError, NumericalAbort, ProtocolError
 from .numerics import (
+    NOISE_BLOCK_VALUES,
     RECORD_BATCH_VALUES,
     Problem,
     WorkerStreams,
@@ -104,8 +110,9 @@ class SimClock:
 class MetricsTrace:
     """Recorded metrics, a run summary, and the records' average iterates as
     the rows of an (n_records, d) float64 ``x_bar``. A run's records are
-    ``columns``, a 1-D array per ``RECORD_FIELDS`` entry (``bias_sq`` None where
-    it has no closed form), which ``to_jsonl`` and ``trace_hash`` read;
+    ``columns``, a 1-D array per ``RECORD_FIELDS`` entry (``bias_sq`` float64,
+    or an object column holding None where a record has no closed form),
+    which ``to_jsonl`` and ``trace_hash`` read;
     ``records``, a dict per record, is built from them on first access. A
     trace is given ``records`` or ``columns``, not both; one read from JSONL
     is given ``records`` and no ``x_bar``."""
@@ -118,6 +125,10 @@ class MetricsTrace:
         self.columns, self.summary = columns, {} if summary is None else summary
         self.x_bar = np.empty((0, 0)) if x_bar is None else x_bar
 
+    def __len__(self) -> int:
+        """The number of records."""
+        return len(self.records if self.columns is None else self.columns["t"])
+
     @functools.cached_property
     def records(self) -> list:
         rows = zip(*(col.tolist() for col in self.columns.values()))
@@ -125,12 +136,19 @@ class MetricsTrace:
 
     def to_jsonl(self) -> str:
         """One ``json.dumps`` line per record; from columns, one per column, cut
-        at its ", " separators (no number, NaN, Infinity or null holds one)."""
+        at its ", " separators (no number, NaN, Infinity or null holds one),
+        and one value for a float column whose values share one bit pattern."""
         if self.columns is None or not len(self.columns["t"]):
             return "\n".join(json.dumps(rec) for rec in self.records)
-        cells = [json.dumps(col.tolist())[1:-1].split(", ") for col in self.columns.values()]
-        line = "{" + ", ".join(f"{json.dumps(name)}: %s" for name in self.columns) + "}"
-        return "\n".join(map(line.__mod__, zip(*cells)))
+        fields, cells = [], []
+        for name, col in self.columns.items():
+            bits = col.view(np.int64) if col.dtype == np.float64 else None
+            if bits is not None and (bits == bits[0]).all():  # t is int64: never folded
+                fields.append(f"{json.dumps(name)}: {json.dumps(float(col[0]))}")
+            else:
+                fields.append(f"{json.dumps(name)}: %s")
+                cells.append(json.dumps(col.tolist())[1:-1].split(", "))
+        return "\n".join(map(("{" + ", ".join(fields) + "}").__mod__, zip(*cells)))
 
     @staticmethod
     def from_jsonl(text: str) -> "MetricsTrace":
@@ -178,19 +196,24 @@ class Simulation:
             x0 = np.tile(problem.check_point(x0), (S, 1))
         self.states = WorkerStates(np.repeat(x0, m, axis=0),
                                    OptimizerBuffers.fresh(cfg.base, S * m, d))
-        # any block size gives the same rows; at most 64 keeps the
-        # (S*m, block, d) buffer from growing with tau
-        self.worker_streams = WorkerStreams(self.seeds, m, d, min(tau, 64))
+        # any block size draws the same rows: as many rounds as fit in
+        # NOISE_BLOCK_VALUES, at least min(tau, 64), at most the whole run
+        block = max(min(tau, 64), NOISE_BLOCK_VALUES // (S * m * d))
+        self.worker_streams = WorkerStreams(self.seeds, m, d, min(block, self.total_steps))
         self.clock = SimClock()
         # noaverage: one private slow iterate and buffer per worker, as rows
         x_outer = np.repeat(x0, m, axis=0) if cfg.slowmo.noaverage else x0
         self.slow = SlowMoState(x_outer=x_outer, u=np.zeros(x_outer.shape))
 
         self.slow_average_calls = 0  # line-6 exact averages actually performed
-        # per record: (t, k, round, gamma), (S, d) x_bar, (S,) consensus and masses,
+        # per record: (t, k, round, gamma) and (S,) masses; once reduced from its
+        # (x, points, in-flight sums) snapshot, (S, d) x_bar and (S,) consensus;
         # then (S,) losses and squared gradient norms; log_bias directions and gaps
-        self._clocks, self._x_bars, self._observed, self._evaluated = [], [], [], []
+        self._clocks, self._masses, self._snapshots = [], [], []
+        self._x_bars, self._consensus, self._evaluated = [], [], []
         self._directions, self._gaps = [], []
+        self._unit_mass = np.full(S, float(m))
+        self._batch = max(1, RECORD_BATCH_VALUES // (S * m * d))  # snapshots per reduction
         self.alive = np.ones(S, dtype=bool)
         self._dead_rows = None  # the rows of the groups that have ended, once one has
         self._outcomes: list = [None] * S
@@ -204,10 +227,10 @@ class Simulation:
         (without de-biasing w is exactly 1.0, where x / w is x bit for bit)."""
         return self.states.z if self.protocol.debias else self.states.x
 
-    def mean_x(self, inflight_x: np.ndarray) -> np.ndarray:
-        """(S, d): each group's average of worker parameters plus its in-flight
-        payload sum, a row of ``inflight_x``."""
-        total = group_sums(self.states.x, self.groups)
+    def mean_x(self, x: np.ndarray, inflight_x: np.ndarray) -> np.ndarray:
+        """(R, S, d): each group's average of worker parameters plus its in-flight
+        payload sum, for R records of (R, S*m, d) parameters and (R, S, d) sums."""
+        total = group_sums(x.reshape(-1, self.d), len(x) * self.groups).reshape(inflight_x.shape)
         total += inflight_x
         return total / self.m
 
@@ -224,10 +247,12 @@ class Simulation:
                                 f"at round {self.clock.round}")
         return mass
 
-    def consensus_sq(self, xbar: np.ndarray) -> np.ndarray:
-        """(S,): each group's mean squared distance of its points from its x_bar."""
-        diff = self.points() - repeat_groups(xbar, self.m)
-        return group_sums(row_dots(diff, diff)[:, None], self.groups, 0.0)[:, 0] / self.m
+    def consensus_sq(self, points: np.ndarray, xbar: np.ndarray) -> np.ndarray:
+        """(R, S): each group's mean squared distance of its points from its x_bar,
+        for R records of (R, S*m, d) points and (R, S, d) x_bar rows."""
+        diff = points - repeat_groups(xbar, self.m)
+        dots = row_dots(diff, diff).reshape(-1, 1)
+        return group_sums(dots, len(dots) // self.m, 0.0).reshape(xbar.shape[:-1]) / self.m
 
     def _mean_expected_direction(self) -> tuple:
         """((S,) mask, (S, d)): which groups have (1/m) sum_i E[d_i] in closed form
@@ -242,37 +267,57 @@ class Simulation:
             expected = bl * bl * self.states.buffers.h + (1.0 + bl) * expected
         return full, group_sums(expected, self.groups, 0.0) / self.m
 
-    def observe(self) -> tuple:
-        """(x_bar, weight mass, consensus) of each group at this round."""
+    def _observe(self) -> None:
+        """Keep this round's snapshot (x, the points, the in-flight sums) and its
+        mass, checked here; reduce the snapshots once they fill a batch."""
         inflight_x, inflight_w = self.protocol.inflight_sums(self.d)
-        xbar = self.mean_x(inflight_x)
-        return xbar, self.weight_mass(inflight_w), self.consensus_sq(xbar)
+        # a snapshot that waits for its batch is a copy, as x moves on
+        x = self.states.x if self._batch == 1 else self.states.x.copy()
+        if self.protocol.debias:
+            self._masses.append(self.weight_mass(inflight_w))
+            points = self.states.z
+        else:  # w stays exactly 1.0, and the mass is m as adding it gives
+            self._masses.append(self._unit_mass)
+            points = x
+        self._snapshots.append((x, points, inflight_x))
+        if len(self._snapshots) == self._batch:
+            self._reduce()
+
+    def _reduce(self) -> None:
+        """x_bar and consensus of the snapshots kept since the last reduction."""
+        if not self._snapshots:
+            return
+        x, points, inflight_x = (np.stack(rows) if len(rows) > 1 else rows[0][None]
+                                 for rows in zip(*self._snapshots))
+        self._snapshots.clear()
+        xbar = self.mean_x(x, inflight_x)
+        self._x_bars += list(xbar)
+        self._consensus += list(self.consensus_sq(points, xbar))
 
     def record_metrics(self, gamma: float) -> None:
         if self.clock.round % self.cfg.metric_cadence != 0:
             return
-        xbar, masses, consensus = self.observe()
+        self._observe()
         self._clocks.append((self.clock.t, self.clock.k, self.clock.round, float(gamma)))
-        self._x_bars.append(xbar)
-        self._observed.append((consensus, masses))
         if self.cfg.log_bias:
             self._directions.append(self._mean_expected_direction())
 
-    def _evaluate(self, final=None):
-        """Evaluate the x_bars not yet evaluated, then any ``final`` (S, d), in batches
-        of RECORD_BATCH_VALUES; return final's (S,) losses and squared gradient norms."""
-        points = self._x_bars + ([] if final is None else [final])
+    def _evaluate(self) -> None:
+        """Reduce the snapshots kept, then evaluate the x_bars not yet evaluated in
+        batches of RECORD_BATCH_VALUES."""
+        self._reduce()
         p = self.problem
         size = max(1, RECORD_BATCH_VALUES // (p.num_workers * self.d * max(p.shard_size, 1)))
-        for lo in range(len(self._evaluated), len(points), size):
-            losses, gbar = group_losses_and_gradients(p, np.stack(points[lo:lo + size]))
+        for lo in range(len(self._evaluated), len(self._x_bars), size):
+            losses, gbar = group_losses_and_gradients(p, np.stack(self._x_bars[lo:lo + size]))
             self._evaluated += zip(losses, row_dots(gbar, gbar))
             if self._directions[lo:lo + size]:  # the records' gaps; final has none
                 full, means = zip(*self._directions[lo:lo + size])
                 diff = gbar[:len(means)] - np.stack(means)
-                self._gaps += list(np.where(np.array(full), row_dots(diff, diff), None))
+                gaps, full = row_dots(diff, diff), np.array(full)
+                # float rows where every group has its gap, so a run's column is float64
+                self._gaps += list(gaps if full.all() else np.where(full, gaps, None))
                 self._directions[lo:lo + len(means)] = [None] * len(means)  # consumed
-        return None if final is None else self._evaluated.pop()
 
     def _traces(self) -> list:
         """Each group's MetricsTrace of every record so far, without a summary."""
@@ -281,7 +326,8 @@ class Simulation:
         clock = np.array(self._clocks).reshape(n, 4)
         t, k, rounds = clock[:, :3].astype(np.int64).T
         # (n, 4, S): loss, grad_norm_sq, consensus_sq, weight_mass
-        values = np.array([*zip(self._evaluated, self._observed)]).reshape(n, 4, S)
+        values = np.array([(*lg, c, w) for lg, c, w in zip(
+            self._evaluated, self._consensus, self._masses)]).reshape(n, 4, S)
         bias = np.array(self._gaps).reshape(n, S) if self._gaps else np.full((n, S), None)
         x_bar = np.stack(self._x_bars, axis=1) if n else np.empty((S, 0, self.d))
         return [MetricsTrace(x_bar=x_bar[g], columns=dict(zip(RECORD_FIELDS, (
@@ -384,8 +430,10 @@ class Simulation:
         if self.cfg.slowmo.noaverage:
             # one final drain so the summary sees all in-flight mass
             self.protocol.end_block(self.states)
-        xbar, _, consensus = self.observe()
-        losses, grad_sq = self._evaluate(xbar)
+        self._observe()  # the summary's, evaluated as a last record and taken off
+        self._evaluate()
+        (losses, grad_sq), consensus = self._evaluated.pop(), self._consensus.pop()
+        del self._x_bars[-1], self._masses[-1]
         run = (self.clock.round, self.clock.t, self.partial_final_block, False)
         finals = zip(self._traces(), losses.tolist(), grad_sq.tolist(), consensus.tolist())
         for g, (trace, loss, *final) in enumerate(finals):

@@ -32,6 +32,7 @@ import numpy as np
 from .base_optimizers import BaseOptimizerConfig, OptimizerBuffers, local_direction
 from .errors import ConfigError
 from .numerics import Problem, WorkerStreams, global_gradient, group_sums, make_worker_rngs
+from .simkernel import MetricsTrace
 
 SEED_FLOOR = 20  # minimum runs for the LHS expectation
 MAX_V_SAMPLES = 10**7  # estimate_V keeps a (samples, d) array
@@ -184,45 +185,53 @@ def estimate_V(
     return VEstimate(value=value, std_error=std_error, samples=samples)
 
 
-def lhs_from_records(records: list[dict], tau: int, T: int) -> float:
-    """(1/(tau T)) sum of grad_norm_sq over a full-cadence trace."""
+def lhs_from_records(records, tau: int, T: int) -> float:
+    """(1/(tau T)) sum of grad_norm_sq over a full-cadence trace, a MetricsTrace
+    or a list of record dicts."""
     expected = tau * T
     if len(records) != expected:
         raise ConfigError(
             f"trace has {len(records)} records, expected tau*T = {expected} "
             "(bound checks need metric_cadence = 1 and full blocks)"
         )
-    return float(np.mean([_record_number(r, "grad_norm_sq") for r in records]))
+    return float(np.mean(_numbers(records, "grad_norm_sq")))
 
 
 def _record_number(record: dict, key: str):
     # the simulator never writes a NaN; one would make the LHS NaN and the verdict False
     value = record.get(key)
     if type(value) not in (int, float) or math.isnan(value):
+        if value is None and key == "bias_sq":
+            raise ConfigError("trace lacks bias_sq values; rerun with bias logging enabled")
         raise ConfigError(f"trace record needs a number {key!r}, got {value!r}")
     return value
 
 
-def measured_bias_term(traces: list[list[dict]]) -> float:
+def _numbers(trace, key: str):
+    """Every record's ``key`` value of a MetricsTrace or a list of record dicts:
+    a float column without NaN as it is, else each record's ``_record_number``."""
+    if isinstance(trace, MetricsTrace):
+        column = None if trace.columns is None else trace.columns[key]
+        if column is not None and column.dtype == np.float64 and not np.isnan(column).any():
+            return column
+        trace = trace.records
+    return [_record_number(r, key) for r in trace]
+
+
+def measured_bias_term(traces: list) -> float:
     """Average logged expected-direction gap over all records of all traces,
-    each trace a list of records."""
-    vals = []
-    for records in traces:
-        for r in records:
-            if r.get("bias_sq") is None:
-                raise ConfigError(
-                    "trace lacks bias_sq values; rerun with bias logging enabled"
-                )
-            vals.append(_record_number(r, "bias_sq"))
-    if not vals:
+    each trace a MetricsTrace or a list of record dicts."""
+    vals = [_numbers(trace, "bias_sq") for trace in traces]
+    if not any(len(v) for v in vals):
         raise ConfigError("no records to measure the bias term from")
-    return float(np.mean(vals))
+    return float(np.mean(np.concatenate(vals)))
 
 
-def check_bound(traces: list[list[dict]], inputs: BoundInputs) -> dict:
+def check_bound(traces: list, inputs: BoundInputs) -> dict:
     """Compare the measured LHS against the bound's right-hand side.
 
-    ``traces`` holds one list of records per seed. The report never asserts
+    ``traces`` holds one trace per seed, a MetricsTrace or a list of record
+    dicts. The report never asserts
     pass/fail unless every premise holds: enough seeds, the step-count
     condition, and the gamma_eff prescription.
     """

@@ -217,14 +217,14 @@ def test_criterion_4_convergence_bound():
             slowmo=SlowMoConfig(alpha=1.0, beta=beta, tau=tau), protocol="allreduce",
             gamma=GammaSchedule(value=gamma), T=T, log_bias=(tau == 1)))
         if tau == 1:
-            bias = measured_bias_term([t.records for t in traces])  # exactly zero here
+            bias = measured_bias_term(traces)  # exactly zero here
         else:
             bias = local_sgd_bias_surrogate(gamma, L, sigma2, 0.0, tau)
         inputs = BoundInputs(delta=delta, m=m, tau=tau, T=T, L=L,
                              V=sigma2 / m, alpha=1.0, beta=beta,
                              bias_term=bias,
                              gamma_eff=gamma_eff(1.0, gamma, beta))
-        report = check_bound([t.records for t in traces], inputs)
+        report = check_bound(traces, inputs)
         held = report["condition_met"] and report["holds"]
         all_hold = all_hold and bool(held)
         lines.append(f"tau={tau} beta={beta}: LHS {report['lhs']:.4f} "
@@ -246,7 +246,7 @@ def test_criterion_5_linear_speedup_direction():
             base=BaseOptimizerConfig(kind="plain-sgd"),
             slowmo=SlowMoConfig(alpha=1.0, beta=beta, tau=tau), protocol="local",
             gamma=GammaSchedule(value=gamma), T=T))
-        per_seed = [lhs_from_records(trace.records, tau, T) for trace in traces]
+        per_seed = [lhs_from_records(trace, tau, T) for trace in traces]
         mean = float(np.mean(per_seed))
         se = float(np.std(per_seed, ddof=1) / math.sqrt(len(per_seed)))
         stats.append((m, mean, se))

@@ -298,13 +298,13 @@ def test_stacked_consensus_matches_per_worker_loop(protocol):
         gamma=GammaSchedule(value=0.05), T=2, seed=4, metric_cadence=100))
     for _ in range(4):
         sim.inner_round(0.05)
-    (xbar,) = sim.mean_x(sim.protocol.inflight_sums(4)[0])
+    ((xbar,),) = sim.mean_x(sim.states.x[None], sim.protocol.inflight_sums(4)[0][None])
     rows = sim.states.z if sim.protocol.debias else sim.states.x
     acc = 0.0
     for i in range(5):
         diff = rows[i] - xbar
         acc += float(diff @ diff)
-    assert sim.consensus_sq(xbar[None]).tolist() == [acc / 5]
+    assert sim.consensus_sq(rows[None], xbar[None, None]).tolist() == [[acc / 5]]
 
 
 def test_logistic_log_bias_is_the_per_worker_gradient_loop():
@@ -324,7 +324,8 @@ def test_logistic_log_bias_is_the_per_worker_gradient_loop():
         total = np.zeros(prob.dimension)
         for i, (z, h) in enumerate(zip(sim.points(), sim.states.buffers.h)):
             total += bl * bl * h + (1.0 + bl) * reference_gradient(prob, i, z)
-        xbar = sim._x_bars[-1][0]  # the point just recorded
+        inflight_x = sim.protocol.inflight_sums(prob.dimension)[0]
+        xbar = sim.mean_x(sim.states.x[None], inflight_x[None])[0, 0]  # the point just recorded
         diff = global_loss_and_gradient_reference(prob, xbar)[1] - total / prob.num_workers
         want.append(float(diff @ diff))
 
@@ -563,7 +564,7 @@ def _evaluated_at_the_round(sim):
     """Each group's (loss, grad_norm_sq, bias_sq) evaluated at the round, as
     a record once evaluated its own: bias_sq is ||grad f(x_bar) - (1/m) sum_i
     E[d_i]||^2, None where a worker of the group stalls or the base is Adam."""
-    xbar = sim.mean_x(sim.protocol.inflight_sums(sim.d)[0])
+    xbar = sim.mean_x(sim.states.x[None], sim.protocol.inflight_sums(sim.d)[0][None])[0]
     losses, gbar = group_losses_and_gradients(sim.problem, xbar)
     full = np.bincount(sim.protocol.active_workers() // sim.m, minlength=sim.groups) == sim.m
     expected = sim.problem.gradients(sim.points(), np.arange(len(sim.states)))
@@ -604,6 +605,81 @@ def test_records_are_evaluated_as_at_their_round(base, protocol, groups, monkeyp
     values = {type(v[2]) for trace in got for v in trace}
     assert values == ({type(None)} if base == "adam" else
                       {float, type(None)} if protocol == "osgp" else {float})
+    # a column without None is float64, so the bound checkers read it as it is
+    assert {t.columns["bias_sq"].dtype for t in traces} == {np.dtype(
+        float if values == {float} else object)}
+
+
+def _observed_at_the_round(sim):
+    """Each group's (x_bar, weight mass, consensus) from this round's state
+    alone, as per-group loops: x_bar its workers' x added in rank order plus
+    its in-flight payload sum, over m; the mass its weights plus its weight
+    in flight; the consensus its points' squared distances from x_bar."""
+    m, (inflight_x, inflight_w) = sim.m, sim.protocol.inflight_sums(sim.d)
+    points = sim.states.z if sim.protocol.debias else sim.states.x
+    observed = []
+    for g in range(sim.groups):
+        rows = slice(g * m, (g + 1) * m)
+        xbar = _rank_loop(sim.states.x[rows], -0.0)
+        xbar += inflight_x[g]
+        xbar = xbar / m
+        mass = sum(sim.states.w[rows].tolist()) + float(inflight_w[g])
+        consensus = 0.0
+        for z in points[rows]:
+            consensus += float((z - xbar) @ (z - xbar))
+        observed.append((xbar, mass, consensus / m))
+    return observed
+
+
+OBSERVED_RUNS = {  # protocol, and the slowmo / osgp settings it runs with
+    "local": ("local", {}),
+    "allreduce": ("allreduce", {}),
+    "dpsgd": ("dpsgd", {}),
+    "sgp": ("sgp", {}),
+    "osgp": ("osgp", {"osgp": OsgpConfig(staleness=1, delay=DelayModel(kind="geometric", p=0.3,
+                                                                         cap=4))}),
+    "double-average": ("double-average", {}),
+    "noaverage": ("osgp", {"slowmo": SlowMoConfig(tau=4, noaverage=True),
+                           "osgp": OsgpConfig(staleness=3, delay=DelayModel(kind="geometric",
+                                                                            p=0.5, cap=3))}),
+}
+
+
+@pytest.mark.parametrize("run", OBSERVED_RUNS)
+@pytest.mark.parametrize("groups", [1, 3])
+@pytest.mark.parametrize("cadence", [1, 7])
+def test_batched_observation_is_the_per_round_one(run, groups, cadence, monkeypatch):
+    # eight workers a group (dpsgd pairs them); 23 steps in blocks of 4, and
+    # batches of 5 records split blocks and leave the summary's observation
+    # in a short last batch
+    prob = build_quadratic(ProblemConfig(m=8, dimension=5, l_min=0.5, l_max=2.0,
+                                         heterogeneity=1.0, noise=NoiseModel(
+                                             "additive-gaussian", sigma2=0.3)),
+                           list(range(groups)))
+    monkeypatch.setattr(simkernel, "RECORD_BATCH_VALUES", 5 * prob.num_workers * prob.dimension)
+    protocol, kw = OBSERVED_RUNS[run]
+    sim = _metric_sim(prob, list(range(groups)), protocol=protocol, total_steps=23,
+                      metric_cadence=cadence, **kw)
+    want, record = [], sim.record_metrics
+
+    def record_with_reference(gamma):
+        if sim.clock.round % cadence == 0:
+            want.append(_observed_at_the_round(sim))
+        record(gamma)
+
+    sim.record_metrics = record_with_reference
+    traces = sim.run_groups()
+    finals = _observed_at_the_round(sim)  # after the run's last round (and noaverage drain)
+    losses, grads = group_losses_and_gradients(prob, np.stack([f[0] for f in finals]))
+    assert len(want) == len(range(0, 23, cadence))
+    for g, trace in enumerate(traces):
+        xbar, mass, consensus = zip(*(observed[g] for observed in want))
+        assert _same_bits(trace.x_bar, np.stack(xbar))
+        assert trace.columns["weight_mass"].tolist() == list(mass)
+        assert trace.columns["consensus_sq"].tolist() == list(consensus)
+        assert trace.summary["final_consensus_sq"] == finals[g][2]
+        assert trace.summary["final_loss"] == losses[g]
+        assert trace.summary["final_grad_norm_sq"] == float(grads[g] @ grads[g])
 
 
 def _columns(records):
@@ -627,6 +703,20 @@ def test_columnar_jsonl_spells_values_as_json_dumps():
     assert MetricsTrace.from_jsonl(text + "\n").to_jsonl() == text
     with pytest.raises(TypeError, match="not both"):
         MetricsTrace(records=trace.records, columns=trace.columns)
+
+
+@pytest.mark.parametrize("values", [
+    [0.05] * 4, [5e-324] * 4, [0.0] * 4, [-0.0] * 4, [-0.0, 0.0, -0.0, -0.0],
+    [0.0, 0.0, 0.0, -0.0], [math.nan] * 4, [math.nan, -math.nan, math.nan, math.nan],
+    [math.inf] * 4, [-math.inf] * 4, [math.inf, -math.inf, math.inf, math.inf],
+])
+@pytest.mark.parametrize("n", [1, 4])
+def test_a_column_of_one_bit_pattern_is_spelled_as_json_dumps(values, n):
+    # such a float column is written as one json.dumps of its first value
+    records = [dict(zip(RECORD_FIELDS, (0, i, i, values[i], values[-1 - i], 1.0, values[i], 16.0,
+                                        values[i]))) for i in range(n)]
+    trace = MetricsTrace(columns=_columns(records))
+    assert trace.to_jsonl() == "\n".join(json.dumps(r) for r in records)
 
 
 @pytest.mark.parametrize("text", [
@@ -662,11 +752,24 @@ def _poisoned(sim, group, at_round):
 
 @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
 def test_a_group_that_aborts_mid_block_has_its_solo_trace(kind, monkeypatch):
-    # round 5 is inside the second block of 4; with batches of 3 records the
-    # abort evaluates 6 records, and the end of the run the rest from there
+    # round 5 is inside the second block of 4; with batches of 4 evaluated
+    # records the abort evaluates 6 records, and the end of the run the rest
+    # from there. Snapshot batches are 4 records (quadratic) or 24 (logistic,
+    # 6 shard rows): the abort reduces the 2 or 6 snapshots of a batch not full
     stacked = _metric_problem(kind, 3)
-    monkeypatch.setattr(simkernel, "RECORD_BATCH_VALUES", _batch_of(3, stacked))
-    outcomes = _poisoned(_metric_sim(stacked, [0, 1, 2]), 1, 5).run_groups()
+    budget = _batch_of(4, stacked)
+    monkeypatch.setattr(simkernel, "RECORD_BATCH_VALUES", budget)
+    sim = _poisoned(_metric_sim(stacked, [0, 1, 2]), 1, 5)
+    reduce, reduced = sim._reduce, []
+
+    def logged_reduce():
+        reduced.append((sim.clock.round, len(sim._snapshots)))
+        reduce()
+
+    sim._reduce = logged_reduce
+    outcomes = sim.run_groups()
+    at_abort = [n for r, n in reduced if r == 6]
+    assert at_abort[0] == 6 % (budget // (stacked.num_workers * stacked.dimension)) > 0
     assert [isinstance(o, NumericalAbort) for o in outcomes] == [False, True, False]
     assert outcomes[1].diagnostic == {"t": 1, "k": 2, "round": 6, "worker": 1}
     for g, outcome in enumerate(outcomes):

@@ -25,7 +25,7 @@ from slowmo_sim import (
     global_loss,
     parse_config,
 )
-from slowmo_sim import config
+from slowmo_sim import WorkerStreams, config, simkernel
 from slowmo_sim.config import MAX_STEPS, OsgpConfig
 from slowmo_sim.simkernel import RECORD_FIELDS
 
@@ -232,6 +232,60 @@ def test_weight_mass_includes_in_flight_messages():
     trace = sim.run()
     for r in trace.records:
         assert abs(r["weight_mass"] - 4.0) < 1e-9
+
+
+@pytest.mark.parametrize("protocol, noaverage", [
+    ("local", False), ("allreduce", False), ("dpsgd", False), ("double-average", False),
+    ("local", True), ("dpsgd", True),
+])
+def test_protocols_without_push_sum_leave_w_exactly_one(protocol, noaverage):
+    # their mass is recorded as m without adding w up: w stays exactly 1.0
+    # through every round, every slow update and group 1's retirement
+    prob = _stacked(_problem(m=4), 3)
+    sim = Simulation(prob, ExperimentConfig(
+        base=BaseOptimizerConfig(kind="sgd-nesterov"),
+        slowmo=SlowMoConfig(alpha=1.0, beta=0.5, tau=3, noaverage=noaverage),
+        protocol=protocol, gamma=GammaSchedule(value=0.05), T=4), seeds=[0, 1, 2])
+    apply_round, inner_round, ones = sim.protocol.apply_round, sim.inner_round, []
+
+    def poisoning(states, half, round_index):
+        apply_round(states, half, round_index)
+        if round_index == 4:
+            states.x[4 + 1, 2] = math.inf
+
+    def checked_round(gamma):
+        ones.append(np.array_equal(sim.states.w, np.ones(12)))
+        inner_round(gamma)
+        ones.append(np.array_equal(sim.states.w, np.ones(12)))
+
+    sim.protocol.apply_round, sim.inner_round = poisoning, checked_round
+    first, bad, last = sim.run_groups()
+    assert ones == [True] * 24 and np.array_equal(sim.states.w, np.ones(12))
+    assert isinstance(bad, NumericalAbort) and len(bad.trace.records) == 5
+    for trace in (first, bad.trace, last):
+        assert trace.columns["weight_mass"].tolist() == [4.0] * len(trace)
+
+
+@pytest.mark.parametrize("protocol", ["local", "osgp"])
+def test_trace_hashes_do_not_depend_on_the_noise_block(protocol, monkeypatch):
+    # 12 steps of 3 groups of 4 workers, d = 3; osgp stalls workers, so their
+    # noise cursors part. The budget gives at least tau rounds, at most the run
+    prob = _stacked(_problem(m=4), 3)
+    cfg = _sim(prob, protocol=protocol,
+               osgp=OsgpConfig(staleness=1, delay=DelayModel(kind="geometric", p=0.3, cap=4))).cfg
+    round_values, blocks, outcomes = 12 * 3, [], set()
+
+    def streams(seeds, m, d, block):
+        blocks.append(block)
+        return WorkerStreams(seeds, m, d, forced or block)
+
+    monkeypatch.setattr(simkernel, "WorkerStreams", streams)
+    for budget, forced in ((round_values, None), (3 * round_values, None),
+                           (12 * round_values, None), (10**9, None), (0, 1), (0, 5)):
+        monkeypatch.setattr(simkernel, "NOISE_BLOCK_VALUES", budget)
+        traces = Simulation(prob, cfg, seeds=[0, 1, 2]).run_groups()
+        outcomes.add(tuple((t.trace_hash(), str(t.summary)) for t in traces))
+    assert blocks == [3, 3, 12, 12, 3, 3] and len(outcomes) == 1
 
 
 @pytest.mark.parametrize("noaverage, bad_round", [(False, 4), (True, 8)])

@@ -9,6 +9,7 @@ from slowmo_sim import (
     BaseOptimizerConfig,
     BoundInputs,
     ConfigError,
+    MetricsTrace,
     NoiseModel,
     ProblemConfig,
     QuadraticProblem,
@@ -23,6 +24,7 @@ from slowmo_sim import (
     theorem1_rhs,
     theorem1_terms,
 )
+from slowmo_sim.simkernel import RECORD_FIELDS
 from slowmo_sim.theory_checker import lhs_from_records, measured_bias_term
 
 
@@ -161,6 +163,51 @@ def test_measured_bias_requires_logged_values():
         measured_bias_term([_fake_records(1.0, 3)])
     assert measured_bias_term([_fake_records(1.0, 3, bias=0.2)]) == \
         pytest.approx(0.2)
+
+
+def _column_trace(grad, bias):
+    """A run's MetricsTrace of ``grad_norm_sq`` and ``bias_sq`` columns (object
+    dtype where a value is not a float), every other field zero."""
+    columns = {name: np.zeros(len(grad), dtype=np.int64 if name in ("t", "k", "round") else None)
+               for name in RECORD_FIELDS}
+    for name, values in (("grad_norm_sq", grad), ("bias_sq", bias)):
+        floats = all(type(v) is float for v in values)
+        columns[name] = np.array(values, dtype=None if floats else object)
+    return MetricsTrace(columns=columns)
+
+
+def _outcome(read, trace):
+    try:
+        return read(trace)
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
+
+
+@pytest.mark.parametrize("grad, bias", [
+    ([0.5, 0.25, 1.0, 0.125], [0.1, 0.2, 0.3, -0.0]),
+    ([0.5, math.inf, 1.0, 0.125], [math.inf, 0.2, 0.3, 0.0]),
+    ([0.5, math.nan, 1.0, 0.125], [0.1, 0.2, math.nan, 0.0]),
+    ([0.5, None, 1.0, "1"], [0.1, None, 0.3, 0.0]),
+    ([0.5, 0.25, 1.0, 0.125], [0.1, math.nan, None, 0.0]),
+    ([0.5, 0.25, 1.0, 0.125], [0.1, 0.2, "0.3", None]),
+])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the std of inf LHSs
+def test_bound_readers_take_a_trace_as_they_take_its_record_dicts(grad, bias):
+    # a run's trace is read from its columns; the values and the ConfigErrors
+    # are those of its record dicts, as a trace read from JSONL has them
+    trace = _column_trace(grad, bias)
+    reads = [
+        lambda t: lhs_from_records(t, tau=2, T=2),
+        lambda t: lhs_from_records(t, tau=1, T=3),
+        lambda t: measured_bias_term([t, t]),
+        lambda t: check_bound([t] * 20, _inputs(tau=2, T=2))["lhs_per_seed"],
+    ]
+    for read in reads:
+        want = _outcome(read, trace.records)
+        assert _outcome(read, trace) == want
+        assert _outcome(read, MetricsTrace.from_jsonl(trace.to_jsonl())) == want
+    assert _outcome(lambda t: measured_bias_term([t, trace.records]), trace) == \
+        _outcome(lambda t: measured_bias_term([t, t]), trace.records)
 
 
 def test_check_bound_withholds_verdict_without_premises():
