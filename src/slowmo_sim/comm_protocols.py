@@ -26,8 +26,10 @@ out of the edge list (no m x m array) and validated once per period entry
 (every entry when a dpsgd protocol is built, on first use for push-sum): a
 round costs O(nnz * d), O(m * d) on one-peer graphs, and adds each row's
 terms in ascending sender rank, so trajectories match a dense double loop
-bit for bit. OSGP keeps its in-flight messages as one batch of arrays per
-send round.
+bit for bit. OSGP keeps its in-flight messages as the rows of one flat
+store of plain arrays in send order (senders, receivers, delivery rounds,
+payloads, weights) and delivers the due rows with one ordered ``np.add.at``
+each for x and w.
 
 All cross-worker reductions accumulate in ascending worker rank so traces are
 bit-reproducible; delivered messages drain in (send round, sender rank) order
@@ -108,11 +110,11 @@ class DelayModel:
         if self.cap < 0:
             raise ConfigError("delay cap must be >= 0")
 
-    def draw(self, rng: np.random.Generator, count: int) -> list[int]:
+    def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """``count`` transit times, using the stream as ``count`` single draws would."""
         if self.kind == "constant":
-            return [self.rounds] * count
-        return np.minimum(rng.geometric(self.p, size=count) - 1, self.cap).tolist()
+            return np.full(count, self.rounds)
+        return np.minimum(rng.geometric(self.p, size=count) - 1, self.cap)
 
 
 def exact_average(states: WorkerStates, groups: int = 1) -> np.ndarray:
@@ -129,7 +131,8 @@ class SlotMixing:
     """A mixing matrix p in padded-row ("slot") form, compiled from its
     nonzeros (rows, cols, weights), listed row by row with columns ascending.
 
-    Slot c holds (rows, cols, weights) of every row's c-th nonzero.
+    Slot c holds (rows, cols, weights) of every row's c-th nonzero; its rows
+    are a slice when they are every row in order.
     ``doubly``: rows sum to 1 too. ``self_weight`` is the diagonal p[i, i];
     on a one-peer graph ``receiver[j]`` and ``send_weight[j]`` are sender
     j's out-edge and its weight (j itself and 0 for a worker without one).
@@ -142,10 +145,10 @@ class SlotMixing:
             raise ConfigError("columns must sum to 1")
         self.doubly = bool(np.max(np.abs(np.bincount(rows, weights, minlength=m) - 1.0)) <= 1e-12)
         position = np.arange(rows.size) - np.searchsorted(rows, rows)
-        self.slots = [
-            (rows[position == c], cols[position == c], weights[position == c, None])
-            for c in range(int(position.max()) + 1)
-        ]
+        slots = [position == c for c in range(int(position.max()) + 1)]
+        # a slot's rows are distinct and ascending, so m of them are every row
+        self.slots = [(slice(None) if np.count_nonzero(s) == m else rows[s], cols[s],
+                       weights[s, None]) for s in slots]
         diag, off = rows == cols, rows != cols
         self.self_weight = np.zeros(m)
         self.self_weight[rows[diag]] = weights[diag]
@@ -160,13 +163,16 @@ class SlotMixing:
         A row's first term is assigned rather than added to zero, so a
         signed zero survives as in a left-to-right sum; empty rows stay zero.
         """
-        out = np.zeros_like(values)
-        for c, (rows, cols, weights) in enumerate(self.slots):
+        out = None
+        for rows, cols, weights in self.slots:
             term = values[cols]
             term *= weights
-            if c:
+            if out is not None:
                 out[rows] += term
+            elif isinstance(rows, slice):
+                out = term
             else:
+                out = np.zeros_like(values)
                 out[rows] = term
         return out
 
@@ -186,9 +192,8 @@ def osgp_step(
     rounds without receiving blocks, and a stalled worker stays blocked
     until mail comes.
     """
-    waiting = count_since_last < staleness_limit
-    count = np.where(received, 0, count_since_last + (sent & waiting))
-    return count, ~received & ~(sent & waiting)
+    moving = sent & (count_since_last < staleness_limit)
+    return np.where(received, 0, count_since_last + moving), ~(received | moving)
 
 
 class _ProtocolBase:
@@ -300,29 +305,16 @@ class PushSumProtocol(_MixingProtocol):
         states.w = mix.mix(states.w[:, None])[:, 0]
 
 
-class _Batch(NamedTuple):
-    """The push-sum messages sent in one round, one row per sender: a
-    one-peer round is a bijection, so each receiver appears at most once."""
-
-    send_round: int
-    senders: np.ndarray
-    receivers: np.ndarray
-    deliver: np.ndarray  # delivery rounds
-    x: np.ndarray  # (n, d) pre-scaled payloads
-    w: np.ndarray  # (n,) push-sum weights
-
-    def take(self, keep: np.ndarray) -> "_Batch":
-        return _Batch(self.send_round, *(column[keep] for column in self[1:]))
-
-
 class OverlapPushSumProtocol(_MixingProtocol):
     """Push-sum with delayed, non-blocking messages and a staleness bound.
 
-    In-flight messages are kept as one ``_Batch`` per send round, in send
-    order. Walking the batches in that order delivers each receiver's
-    messages in (send round, sender) order. Per-edge FIFO delivery is a
-    clamp on the ``(period, m)`` array of each edge's last delivery round:
-    on a one-peer graph edge (round % period, sender) is a distinct edge.
+    In-flight messages are the rows of ``senders``, ``receivers``, ``deliver``
+    (delivery rounds), ``payloads`` (n, d) and ``weights`` (n,), in send
+    order. ``np.add.at`` adds repeated indices in index order, so adding the
+    due rows in that order delivers each receiver's messages in (send round,
+    sender) order. Per-edge FIFO delivery is a clamp on the ``(period, m)``
+    array of each edge's last delivery round: on a one-peer graph edge
+    (round % period, sender) is a distinct edge.
     """
 
     debias = True
@@ -332,7 +324,8 @@ class OverlapPushSumProtocol(_MixingProtocol):
         out_neighbor(schedule, 0, 0)  # ConfigError unless every worker has one out-neighbor
         self.staleness = cfg.osgp.staleness
         self.delay = cfg.osgp.delay
-        self.batches: list[_Batch] = []
+        self.senders = self.receivers = self.deliver = np.empty(0, dtype=np.int64)
+        self.payloads, self.weights = np.empty((0, 0)), np.empty(0)
         self.last_delivery = np.full((schedule.period, self.rows), -1, dtype=np.int64)
         self.count_since_last = np.zeros(self.rows, dtype=np.int64)
         self.stalled = np.zeros(self.rows, dtype=bool)
@@ -350,45 +343,46 @@ class OverlapPushSumProtocol(_MixingProtocol):
         senders = np.flatnonzero(sent)
         counts = np.bincount(senders // self.m, minlength=self.groups)
         if not counts.all():
-            flying = np.zeros(self.groups, dtype=bool)
-            for batch in self.batches:
-                flying[batch.senders // self.m] = True
-            if (~flying & (counts == 0)).any():
-                raise ProtocolError(
-                    "every worker is stalled and no messages are in flight"
-                )
+            flying = np.bincount(self.senders // self.m, minlength=self.groups)
+            if (counts + flying == 0).any():
+                raise ProtocolError("every worker is stalled and no messages are in flight")
         mix = self.mixing(round_index)
         # each group draws the delays of its senders in ascending rank
-        lags = np.array([lag for rng, count in zip(self._delay_rngs, counts.tolist())
-                         for lag in self.delay.draw(rng, count)], dtype=np.int64)
+        lags = np.concatenate([self.delay.draw(rng, count)
+                               for rng, count in zip(self._delay_rngs, counts.tolist())])
         last = self.last_delivery[round_index % len(self.last_delivery)]
         deliver = np.maximum(round_index + lags, last[senders])  # FIFO per edge
         last[senders] = deliver
-        if senders.size:
-            weight = mix.send_weight[senders]
-            self.batches.append(_Batch(round_index, senders, mix.receiver[senders], deliver,
-                                       weight[:, None] * half, weight * states.w[senders]))
+        w = states.w[senders]
+        weight = mix.send_weight[senders]
+        sends = (senders, mix.receiver[senders], deliver, weight[:, None] * half, weight * w)
+        if self.senders.size:  # an empty store's payloads are (0, 0), no width yet
+            sends = [np.concatenate(pair) for pair in zip(self._messages(), sends)]
+        self.senders, self.receivers, self.deliver, self.payloads, self.weights = sends
         keep = mix.self_weight[senders]
         states.x[senders] = keep[:, None] * half
-        states.w[senders] = keep * states.w[senders]
+        states.w[senders] = keep * w
         self.count_since_last, self.stalled = osgp_step(
             sent, self._deliver(states, round_index), self.count_since_last, self.staleness,
         )
 
+    def _messages(self) -> tuple:
+        """The store's five arrays, in field order."""
+        return self.senders, self.receivers, self.deliver, self.payloads, self.weights
+
     def _deliver(self, states, round_index) -> np.ndarray:
-        """Add every payload due by ``round_index`` to its receiver, batch by
-        batch in send order; returns the (m,) mask of receivers."""
+        """Add every payload due by ``round_index`` to its receiver, in storage
+        order, and drop it; returns the (m,) mask of receivers."""
         received = np.zeros(self.rows, dtype=bool)
-        pending = []
-        for batch in self.batches:
-            due = batch.deliver <= round_index
-            if not due.all():
-                pending.append(batch.take(~due))
-                batch = batch.take(due)
-            states.x[batch.receivers] += batch.x
-            states.w[batch.receivers] += batch.w
-            received[batch.receivers] = True
-        self.batches = pending
+        due = self.deliver <= round_index
+        if due.any():
+            to = self.receivers[due]
+            np.add.at(states.x, to, self.payloads[due])
+            np.add.at(states.w, to, self.weights[due])
+            received[to] = True
+            pending = ~due
+            self.senders, self.receivers, self.deliver, self.payloads, self.weights = (
+                column[pending] for column in self._messages())
         return received
 
     def end_block(self, states):
@@ -403,21 +397,18 @@ class OverlapPushSumProtocol(_MixingProtocol):
         """Each group's (sum of payloads, sum of weights) in flight, each
         added from zero in (sender, receiver, send round) order."""
         x_sum, w_sum = super().inflight_sums(dimension)
-        if not self.batches:
+        if not self.senders.size:
             return x_sum, w_sum
-        senders, receivers, _, x, w = (
-            np.concatenate(column) for column in zip(*(b[1:] for b in self.batches)))
-        # lexsort is stable and the batches are in send order, so ties on
+        # lexsort is stable and the store is in send order, so ties on
         # (sender, receiver) stay in send-round order; add.at adds in that order
-        order = np.lexsort((receivers, senders))
-        groups = senders[order] // self.m
-        np.add.at(x_sum, groups, x[order])
-        np.add.at(w_sum, groups, w[order])
+        order = np.lexsort((self.receivers, self.senders))
+        groups = self.senders[order] // self.m
+        np.add.at(x_sum, groups, self.payloads[order])
+        np.add.at(w_sum, groups, self.weights[order])
         return x_sum, w_sum
 
     def clear_payloads(self, group):
-        for batch in self.batches:
-            batch.x[batch.senders // self.m == group] = 0.0
+        self.payloads[self.senders // self.m == group] = 0.0
 
 
 PROTOCOLS = {

@@ -120,7 +120,7 @@ class WorkerStreams:
     def normal_rows(self, workers: np.ndarray) -> np.ndarray:
         """The next N(0, I) row of each worker in ``workers`` (distinct,
         ascending), (n, d). The result may be a view of the pre-drawn block."""
-        m, block, d = self._shape
+        m, block, _ = self._shape
         if self._rows is None:
             self._rows = np.empty(self._shape)
         cursor = self._cursor
@@ -128,13 +128,13 @@ class WorkerStreams:
             c = int(cursor[0])
             if c == block:
                 for i, gen in enumerate(self.generators):
-                    self._rows[i] = gen.standard_normal((block, d))
+                    gen.standard_normal(out=self._rows[i])
                 c = 0
             cursor[:] = c + 1
             return self._rows[:, c]
         self._lockstep = False
         for i in workers[cursor[workers] == block].tolist():
-            self._rows[i] = self.generators[i].standard_normal((block, d))
+            self.generators[i].standard_normal(out=self._rows[i])
             cursor[i] = 0
         rows = self._rows[workers, cursor[workers]]
         cursor[workers] += 1

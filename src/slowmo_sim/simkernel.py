@@ -357,7 +357,8 @@ class Simulation:
         x, w = self.states.x, self.states.w
         if self._dead_rows is not None:
             x[self._dead_rows] = 0.0
-        if np.isfinite(x).all() and np.isfinite(w).all():
+        # w stays exactly 1.0 unless push-sum mixes it
+        if np.isfinite(x).all() and (not self.protocol.debias or np.isfinite(w).all()):
             return
         finite = (np.isfinite(x).all(axis=1) & np.isfinite(w)).reshape(self.groups, self.m)
         for g in np.flatnonzero(~finite.all(axis=1)).tolist():

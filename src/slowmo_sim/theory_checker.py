@@ -238,7 +238,9 @@ def check_bound(traces: list, inputs: BoundInputs) -> dict:
     per_seed = [lhs_from_records(records, inputs.tau, inputs.T) for records in traces]
     n = len(per_seed)
     lhs = float(np.mean(per_seed))
-    lhs_se = float(np.std(per_seed, ddof=1) / math.sqrt(n)) if n > 1 else float("nan")
+    # a seed's LHS of inf makes the spread inf (np.std would give NaN and warn)
+    lhs_se = (float("nan") if n < 2 else math.inf if math.isinf(lhs)
+              else float(np.std(per_seed, ddof=1) / math.sqrt(n)))
 
     reasons = []
     if n < SEED_FLOOR:

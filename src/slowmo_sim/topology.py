@@ -91,16 +91,21 @@ def out_neighbor(schedule: TopologySchedule, worker_id: int, round_index: int) -
 
 def out_edges(schedule: TopologySchedule, round_index: int) -> list[tuple[int, int]]:
     """All directed (sender, receiver) pairs active at this round (self-loops excluded)."""
+    return list(zip(*(ends.tolist() for ends in _edge_arrays(schedule, round_index))))
+
+
+def _edge_arrays(schedule: TopologySchedule, round_index: int) -> tuple:
+    """The round's out-edges as (senders, receivers) arrays, in ``out_edges`` order."""
     m = schedule.m
     if m == 1:
-        return []
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     if schedule.kind in ("exponential-directed", "ring-directed"):
         senders = np.arange(m)
-        receivers = (senders + _hop(schedule, round_index)) % m
-        return list(zip(senders.tolist(), receivers.tolist()))
+        return senders, (senders + _hop(schedule, round_index)) % m
     if schedule.kind == "complete":
-        return [(i, j) for i in range(m) for j in range(m) if i != j]
-    return list(schedule.rounds[round_index % len(schedule.rounds)])
+        return np.nonzero(~np.eye(m, dtype=bool))
+    edges = schedule.rounds[round_index % len(schedule.rounds)]
+    return tuple(np.array(edges, dtype=np.int64).reshape(-1, 2).T)
 
 
 def _matching_partners(m: int, edges: list[tuple[int, int]], r: int) -> np.ndarray:
@@ -153,13 +158,13 @@ def mixing_matrix(
     m = schedule.m
     if m == 1 or schedule.kind == "complete":
         return np.repeat(np.arange(m), m), np.tile(np.arange(m), m), np.full(m * m, 1.0 / m)
-    edges = out_edges(schedule, round_index)
     workers = np.arange(m)
     if stochasticity == "doubly":
-        partners = _matching_partners(m, edges, round_index % schedule.period)
+        partners = _matching_partners(m, out_edges(schedule, round_index),
+                                      round_index % schedule.period)
         pairs = np.sort(np.stack([workers, partners], axis=1), axis=1)
         return np.repeat(workers, 2), pairs.ravel(), np.full(2 * m, 0.5)
-    senders, receivers = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    senders, receivers = _edge_arrays(schedule, round_index)
     off = senders != receivers
     senders, receivers = senders[off], receivers[off]
     share = 1.0 / (1.0 + np.bincount(senders, minlength=m))

@@ -159,7 +159,7 @@ def test_double_average_synchronizes_momentum():
 def test_delay_model_constant():
     rng = rng_stream(0, 2, 0)
     dm = DelayModel(kind="constant", rounds=3)
-    assert dm.draw(rng, 10) == [3] * 10
+    assert dm.draw(rng, 10).tolist() == [3] * 10
 
 
 def test_delay_model_geometric_capped():
@@ -173,7 +173,8 @@ def test_delay_model_batch_uses_the_stream_like_single_draws():
     dm = DelayModel(kind="geometric", p=0.3, cap=4)
     one, batch = rng_stream(1, 2, 0), rng_stream(1, 2, 0)
     singles = [dm.draw(one, 1)[0] for _ in range(300)]
-    assert dm.draw(batch, 100) + dm.draw(batch, 0) + dm.draw(batch, 200) == singles
+    draws = np.concatenate([dm.draw(batch, 100), dm.draw(batch, 0), dm.draw(batch, 200)])
+    assert draws.tolist() == singles
     assert one.random() == batch.random()
 
 
@@ -186,21 +187,21 @@ def test_delay_model_validation():
         DelayModel(kind="geometric", p=0.0)
 
 
-def _batch(send_round, senders, receivers, deliver, xs, w=0.5):
+def _in_flight(proto, senders, receivers, deliver, xs, w=0.5):
+    """Put messages (d = 1) in ``proto``'s store, in send order."""
     n = len(senders)
-    return comm_protocols._Batch(send_round, np.array(senders), np.array(receivers),
-                                 np.array(deliver), np.array(xs, dtype=float).reshape(n, 1),
-                                 np.full(n, w))
+    proto.senders, proto.receivers, proto.deliver = (
+        np.array(column, dtype=np.int64) for column in (senders, receivers, deliver))
+    proto.payloads = np.array(xs, dtype=float).reshape(n, 1)
+    proto.weights = np.full(n, w)
 
 
 def test_message_queue_delivery_order_and_sums():
     # 2**53 + 1 rounds to 2**53, so receiver 0 ends at 2**53 + 2 only if its
     # messages add in (send round, sender) order: 1.0 + 1.0 + 2**53
     proto = _osgp(4, staleness=10)
-    proto.batches = [
-        _batch(1, [0, 2], [0, 3], [5, 9], [1.0, 30.0]),
-        _batch(2, [1], [0], [5], [2.0**53]),
-    ]
+    # senders 0 and 2 send at round 1, sender 1 at round 2
+    _in_flight(proto, [0, 2, 1], [0, 3, 0], [5, 9, 5], [1.0, 30.0, 2.0**53])
     states = _states([[1.0], [0.0], [0.0], [0.0]])
     x_sum, w_sum = proto.inflight_sums(1)
     # in-flight sums add by sender first: 0.0 + 1.0 + 2**53 loses the 1.0
@@ -212,10 +213,10 @@ def test_message_queue_delivery_order_and_sums():
     x_sum, w_sum = proto.inflight_sums(1)
     assert x_sum.tolist() == [[30.0]] and w_sum.tolist() == [0.5]
     assert proto.active_workers().tolist() == [0]
-    assert proto.batches
+    assert proto.senders.size
     proto.end_block(states)
     assert states.x[3, 0] == 30.0 and states.w[3] == 1.5
-    assert not proto.batches
+    assert not proto.senders.size
 
 
 # --------------------------------------------------------------------------- #
@@ -305,7 +306,7 @@ def test_osgp_delay_keeps_weight_in_range_and_mass_fixed():
         assert np.all((0.0 < states.w) & (states.w <= m + 1e-12))
     proto.end_block(states)
     assert states.w.sum() == pytest.approx(m, abs=1e-9)
-    assert not proto.batches
+    assert not proto.senders.size
 
 
 def test_osgp_stall_and_recovery():
@@ -333,10 +334,13 @@ def test_osgp_fifo_delivery_per_edge():
     states = _states(list(rng.standard_normal((m, 2))))
     seen: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for k in range(150):
+        # the store keeps send order, so what round k sent and did not deliver
+        # follows the earlier messages that outlive it
+        earlier = int((proto.deliver > k).sum())
         proto.apply_round(states, states.x[proto.active_workers()], k)
-        for batch in proto.batches:
-            for edge in zip(batch.senders.tolist(), batch.receivers.tolist(), batch.deliver):
-                seen.setdefault(edge[:2], []).append((batch.send_round, edge[2]))
+        for edge in zip(proto.senders[earlier:].tolist(), proto.receivers[earlier:].tolist(),
+                        proto.deliver[earlier:].tolist()):
+            seen.setdefault(edge[:2], []).append((k, edge[2]))
     for log in seen.values():
         log = sorted(set(log))
         for (s0, d0), (s1, d1) in zip(log, log[1:]):
@@ -351,11 +355,11 @@ def test_osgp_drain_resets_the_fifo_clamp():
     proto = make_protocol(_osgp_cfg(4, DelayModel(kind="constant", rounds=5)), 2, sched)
     states = _states([[1.0], [3.0]])
     proto.apply_round(states, _everyone(states), 0)
-    assert proto.batches[0].deliver.tolist() == [5, 5]
+    assert proto.deliver.tolist() == [5, 5]
     proto.end_block(states)
     proto.delay = DelayModel(kind="constant", rounds=0)
     proto.apply_round(states, _everyone(states), 1)
-    assert not proto.batches
+    assert not proto.senders.size
     assert states.x[:, 0].tolist() == [2.0, 2.0] and states.w.tolist() == [1.0, 1.0]
 
 
@@ -382,9 +386,9 @@ def test_osgp_all_stalled_with_messages_in_flight_waits():
     states = _states([[0.0], [1.0]])
     proto.apply_round(states, _everyone(states), 0)
     proto.stalled[:] = True
-    assert proto.batches
+    assert proto.senders.size
     proto.apply_round(states, np.empty((0, 1)), 1)  # both messages land; nobody raises
-    assert not proto.batches
+    assert not proto.senders.size
     assert proto.active_workers().tolist() == [0, 1]
 
 
@@ -408,13 +412,18 @@ def test_pushsum_mass_invariant_random_starts(seed, m):
 # batched OSGP against the per-message reference
 # --------------------------------------------------------------------------- #
 
-def _matches_reference(proto, states, ref):
-    (x_fly,), (w_fly,) = proto.inflight_sums(states.x.shape[1])
-    ref_x, ref_w = ref.inflight_sums(states.x.shape[1])
-    return (_same_bits(states.x, ref.x) and _same_bits(states.w, ref.w)
-            and proto.stalled.tolist() == ref.stalled
-            and proto.count_since_last.tolist() == ref.count
-            and _same_bits(x_fly, ref_x) and _same_bits(w_fly, ref_w))
+def _matches_reference(proto, states, refs):
+    """Each group's rows, counters and in-flight sums against its own reference."""
+    x_fly, w_fly = proto.inflight_sums(states.x.shape[1])
+    for g, ref in enumerate(refs):
+        rows = slice(g * proto.m, (g + 1) * proto.m)
+        ref_x, ref_w = ref.inflight_sums(states.x.shape[1])
+        if not (_same_bits(states.x[rows], ref.x) and _same_bits(states.w[rows], ref.w)
+                and proto.stalled[rows].tolist() == ref.stalled
+                and proto.count_since_last[rows].tolist() == ref.count
+                and _same_bits(x_fly[g], ref_x) and _same_bits(w_fly[g], ref_w)):
+            return False
+    return True
 
 
 @given(
@@ -427,35 +436,48 @@ def _matches_reference(proto, states, ref):
     ),
     st.integers(0, 4),
     st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
 )
 @settings(max_examples=60, deadline=None)
-def test_osgp_batches_match_per_message_reference(m, kind, delay, staleness, seed):
+def test_osgp_batches_match_per_message_reference(m, kind, delay, staleness, seed, groups):
+    # a stacked run of 1-3 groups: each group draws its delays from its own
+    # stream and must match its own one-message-at-a-time reference
     sched = TopologySchedule(kind=kind, m=m)
-    proto = make_protocol(_osgp_cfg(staleness, delay, seed), m, sched)
+    seeds = [(seed + g) % 2**32 for g in range(groups)]
+    proto = make_protocol(_osgp_cfg(staleness, delay, seed), m, sched, seeds)
     rng = np.random.default_rng(seed)
-    x0 = rng.standard_normal((m, 2))
+    x0 = rng.standard_normal((groups * m, 2))
     x0[rng.random(x0.shape) < 0.1] = -0.0
     states = _states(x0)
-    ref = OsgpReference(sched, staleness, delay, seed, x0)
+    refs = [OsgpReference(sched, staleness, delay, s, x0[g * m:(g + 1) * m])
+            for g, s in enumerate(seeds)]
     for k in range(40):
-        forced = rng.random(m) < 0.15  # stall some workers from outside
+        forced = rng.random(groups * m) < 0.15  # stall some workers from outside
         proto.stalled |= forced
-        ref.stalled = [a or b for a, b in zip(ref.stalled, forced.tolist())]
+        for g, ref in enumerate(refs):
+            ref.stalled = [a or b for a, b in zip(ref.stalled, forced[g * m:(g + 1) * m].tolist())]
         active = proto.active_workers()
-        assert active.tolist() == ref.active()
+        assert active.tolist() == [g * m + i for g, ref in enumerate(refs) for i in ref.active()]
         half = states.x[active] - 0.1 * rng.standard_normal((active.size, 2))
         try:
             proto.apply_round(states, half.copy(), k)
         except ProtocolError:
-            with pytest.raises(ProtocolError):
-                ref.round(half.copy(), k)
+            raised = []  # the groups whose reference has every worker stalled, nothing in flight
+            for g, ref in enumerate(refs):
+                try:
+                    ref.round(half[active // m == g].copy(), k)
+                except ProtocolError:
+                    raised.append(g)
+            assert raised
             return
-        ref.round(half.copy(), k)
-        assert _matches_reference(proto, states, ref)
+        for g, ref in enumerate(refs):
+            ref.round(half[active // m == g].copy(), k)
+        assert _matches_reference(proto, states, refs)
         if rng.random() < 0.1:
             proto.end_block(states)
-            ref.drain()
-            assert _matches_reference(proto, states, ref) and not proto.batches
+            for ref in refs:
+                ref.drain()
+            assert _matches_reference(proto, states, refs) and not proto.senders.size
 
 
 # --------------------------------------------------------------------------- #

@@ -1,6 +1,7 @@
 """Bound arithmetic, variance estimation, and the bound-check report."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -191,7 +192,6 @@ def _outcome(read, trace):
     ([0.5, 0.25, 1.0, 0.125], [0.1, math.nan, None, 0.0]),
     ([0.5, 0.25, 1.0, 0.125], [0.1, 0.2, "0.3", None]),
 ])
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the std of inf LHSs
 def test_bound_readers_take_a_trace_as_they_take_its_record_dicts(grad, bias):
     # a run's trace is read from its columns; the values and the ConfigErrors
     # are those of its record dicts, as a trace read from JSONL has them
@@ -208,6 +208,16 @@ def test_bound_readers_take_a_trace_as_they_take_its_record_dicts(grad, bias):
         assert _outcome(read, MetricsTrace.from_jsonl(trace.to_jsonl())) == want
     assert _outcome(lambda t: measured_bias_term([t, trace.records]), trace) == \
         _outcome(lambda t: measured_bias_term([t, t]), trace.records)
+
+
+def test_check_bound_reports_an_infinite_lhs_spread_as_inf():
+    traces = [_fake_records(0.01, 4) for _ in range(20)]
+    traces[3] = _column_trace([0.5, math.inf, 1.0, 0.125], [0.1, 0.2, 0.3, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = check_bound(traces, _inputs(tau=2, T=2))
+    assert report["lhs"] == math.inf and report["lhs_std_error"] == math.inf
+    assert report["lhs_per_seed"][3] == math.inf
 
 
 def test_check_bound_withholds_verdict_without_premises():
