@@ -22,10 +22,11 @@ two batched methods. ``gradients(points, workers, idx=None)`` is the exact
 gradient of worker ``workers[r]`` at ``points[r]`` for every row, over its
 shard rows ``idx[r]`` when an (n, b) ``idx`` is given, and
 ``losses_and_gradients(points, workers)`` adds each row's loss. One row of
-``points`` is shared by every worker. With every worker asked for,
-``losses_and_gradients`` takes a leading record axis: (R, n, d) points give
-(R, n) losses and (R, n, d) gradients, bit for bit R calls. The oracles
-make one call each, the metrics one per batch of records.
+``points`` is shared by every worker. With every worker asked for, both
+take a leading axis: (R, n, d) points (and an (R, n, b) ``idx``) give (R, n)
+losses and (R, n, d) gradients, bit for bit R calls. The oracles make one
+call each, the metrics and log_bias one per batch of records, and
+``estimate_V`` one per chunk of samples.
 
 Groups: a problem of S groups of m workers holds group g in rows g*m ...
 (g+1)*m - 1; the builders take one seed or S seeds and draw each group's
@@ -67,7 +68,7 @@ STREAM_MISC = 3
 MATVEC_BLOCK = 32
 
 # Worker values per batch of records: (workers x d x max(shard rows, 1)) in
-# the metric evaluation, 64 KiB an array, 6 seed-sweep records (20 runs of
+# the metric evaluation, 64 KiB an array, 32 seed-sweep records (4 seeds of
 # m = 16, d = 4), and (workers x d) in the x_bar and consensus reduction;
 # 2**16 was no faster there and raised its peak RSS 5%.
 RECORD_BATCH_VALUES = 2**13
@@ -365,7 +366,7 @@ class QuadraticProblem(Problem):
         if idx is None:
             centers = self._shards(self.centers, workers)
         else:
-            centers = self._shards(self.samples, workers, idx).mean(axis=1)
+            centers = self._shards(self.samples, workers, idx).mean(axis=-2)
         return self._stacked_matvec(points - centers, workers)
 
     def losses_and_gradients(self, points, workers):

@@ -1,8 +1,8 @@
 """Deterministic multi-worker simulation kernel.
 
-The kernel owns the clocks, per-worker RNG streams, message queues, metric
-recording, and NaN policing; the algorithmic content lives in slowmo (outer
-loop), base_optimizers (inner directions), and comm_protocols (rounds).
+The kernel owns the clocks, per-worker RNG streams, metric recording, and
+NaN policing; the algorithmic content lives in slowmo (outer loop),
+base_optimizers (inner directions), and comm_protocols (rounds, messages).
 
 A run is described once, by a ``config.ExperimentConfig`` that checked its
 own values when it was built. ``Simulation(problem, cfg, x0, seeds)`` takes
@@ -35,10 +35,10 @@ Metrics are recorded at the start of every inner round (subject to
 tau yields exactly tau*T records per group; record r describes the state
 the r-th step was taken from. At its round a record keeps its clock, x (a
 copy when it waits for its batch), the points (z under push-sum, else that
-x), the (S, d) in-flight payload sums, the push-sum mass and the log_bias
-direction. Its x_bar and consensus are reduced from those once
-RECORD_BATCH_VALUES // (S*m*d) records wait (or a trace is handed out):
-one ``mean_x`` and one ``consensus_sq`` call over a leading record axis.
+x), the (S, d) in-flight payload sums, the push-sum mass and its log_bias
+inputs. Its x_bar, consensus and log_bias direction are reduced from those
+once RECORD_BATCH_VALUES // (S*m*d) records wait (or a trace is handed
+out): one ``mean_x``, ``consensus_sq`` and ``gradients`` call each.
 The loss and gradient at its x_bar are evaluated when a trace is handed
 out, in batches of records, with the summary's x_bar as the last row. Each
 row has the bits of its own reduction and evaluation alone, and recording
@@ -207,8 +207,8 @@ class Simulation:
 
         self.slow_average_calls = 0  # line-6 exact averages actually performed
         # per record: (t, k, round, gamma) and (S,) masses; once reduced from its
-        # (x, points, in-flight sums) snapshot, (S, d) x_bar and (S,) consensus;
-        # then (S,) losses and squared gradient norms; log_bias directions and gaps
+        # snapshot, (S, d) x_bar, (S,) consensus and the log_bias (mask, direction);
+        # then (S,) losses and squared gradient norms, and the log_bias gaps
         self._clocks, self._masses, self._snapshots = [], [], []
         self._x_bars, self._consensus, self._evaluated = [], [], []
         self._directions, self._gaps = [], []
@@ -254,58 +254,61 @@ class Simulation:
         dots = row_dots(diff, diff).reshape(-1, 1)
         return group_sums(dots, len(dots) // self.m, 0.0).reshape(xbar.shape[:-1]) / self.m
 
-    def _mean_expected_direction(self) -> tuple:
-        """((S,) mask, (S, d)): which groups have (1/m) sum_i E[d_i] in closed form
-        (every worker steps, base not Adam), and that mean (zeros if none has)."""
-        active = self.protocol.active_workers()
-        full = np.bincount(active // self.m, minlength=self.groups) == self.m
-        if self.cfg.base.kind == "adam" or not full.any():
-            return np.zeros(self.groups, dtype=bool), np.zeros((self.groups, self.d))
-        expected = self.problem.gradients(self.points(), np.arange(len(self.states)))
-        if self.cfg.base.kind == "sgd-nesterov":  # E[d] = bl^2 h + (1 + bl) grad
-            bl = self.cfg.base.beta_local
-            expected = bl * bl * self.states.buffers.h + (1.0 + bl) * expected
-        return full, group_sums(expected, self.groups, 0.0) / self.m
-
     def _observe(self) -> None:
-        """Keep this round's snapshot (x, the points, the in-flight sums) and its
+        """Keep this round's snapshot (x, the points, the in-flight sums; under
+        log_bias the groups in which every worker steps, and Nesterov's h) and its
         mass, checked here; reduce the snapshots once they fill a batch."""
         inflight_x, inflight_w = self.protocol.inflight_sums(self.d)
-        # a snapshot that waits for its batch is a copy, as x moves on
-        x = self.states.x if self._batch == 1 else self.states.x.copy()
+        copy = self._batch > 1  # a snapshot that waits for its batch is a copy, as x moves on
+        x = self.states.x.copy() if copy else self.states.x
         if self.protocol.debias:
             self._masses.append(self.weight_mass(inflight_w))
             points = self.states.z
         else:  # w stays exactly 1.0, and the mass is m as adding it gives
             self._masses.append(self._unit_mass)
             points = x
-        self._snapshots.append((x, points, inflight_x))
+        snapshot = (x, points, inflight_x)
+        if self.cfg.log_bias:  # E[d_i] has a closed form where all step, but not for Adam
+            steps = np.bincount(self.protocol.active_workers() // self.m, minlength=self.groups)
+            snapshot += ((steps == self.m) & (self.cfg.base.kind != "adam"),)
+            if self.cfg.base.kind == "sgd-nesterov":
+                snapshot += (self.states.buffers.h.copy() if copy else self.states.buffers.h,)
+        self._snapshots.append(snapshot)
         if len(self._snapshots) == self._batch:
             self._reduce()
 
     def _reduce(self) -> None:
-        """x_bar and consensus of the snapshots kept since the last reduction."""
+        """x_bar, consensus and log_bias direction of the snapshots since the last one."""
         if not self._snapshots:
             return
-        x, points, inflight_x = (np.stack(rows) if len(rows) > 1 else rows[0][None]
-                                 for rows in zip(*self._snapshots))
+        x, points, inflight_x, *bias = (np.stack(rows) if len(rows) > 1 else rows[0][None]
+                                        for rows in zip(*self._snapshots))
         self._snapshots.clear()
         xbar = self.mean_x(x, inflight_x)
         self._x_bars += list(xbar)
         self._consensus += list(self.consensus_sq(points, xbar))
+        if bias:  # each group's (1/m) sum_i E[d_i] where its mask has it, else zeros
+            full, *h = bias
+            means = np.zeros(xbar.shape)
+            if full.any():
+                expected = self.problem.gradients(points, np.arange(len(self.states)))
+                if h:  # Nesterov: E[d] = bl^2 h + (1 + bl) grad
+                    bl = self.cfg.base.beta_local
+                    expected = bl * bl * h[0] + (1.0 + bl) * expected
+                means = group_sums(expected.reshape(-1, self.d), full.size, 0.0) / self.m
+            self._directions += zip(full, means.reshape(xbar.shape))
 
     def record_metrics(self, gamma: float) -> None:
         if self.clock.round % self.cfg.metric_cadence != 0:
             return
         self._observe()
         self._clocks.append((self.clock.t, self.clock.k, self.clock.round, float(gamma)))
-        if self.cfg.log_bias:
-            self._directions.append(self._mean_expected_direction())
 
     def _evaluate(self) -> None:
         """Reduce the snapshots kept, then evaluate the x_bars not yet evaluated in
         batches of RECORD_BATCH_VALUES."""
         self._reduce()
+        del self._directions[len(self._clocks):]  # the summary's: it has no gap
         p = self.problem
         size = max(1, RECORD_BATCH_VALUES // (p.num_workers * self.d * max(p.shard_size, 1)))
         for lo in range(len(self._evaluated), len(self._x_bars), size):

@@ -31,7 +31,7 @@ import numpy as np
 
 from .base_optimizers import BaseOptimizerConfig, OptimizerBuffers, local_direction
 from .errors import ConfigError
-from .numerics import Problem, WorkerStreams, global_gradient, group_sums, make_worker_rngs
+from .numerics import NOISE_BLOCK_VALUES, Problem, group_sums, make_worker_rngs
 from .simkernel import MetricsTrace
 
 SEED_FLOOR = 20  # minimum runs for the LHS expectation
@@ -150,39 +150,35 @@ def estimate_V(
 
     Column- and doubly-stochastic communication preserve the worker average
     of the update directions, so the averaged-direction distribution is the
-    same for every supported protocol.
+    same for every supported protocol. Samples come in chunks, an (m, n, d)
+    stack of each worker's next n draws at 0: bit for bit n single samples.
     """
     if not 100 <= samples <= MAX_V_SAMPLES:
         raise ConfigError(f"estimate_V needs 100 to {MAX_V_SAMPLES} samples, got {samples}")
-    m, d = problem.num_workers, problem.dimension
-    x = np.zeros(d)
-
-    if base_config.kind == "plain-sgd" and problem.noise.kind == "additive-gaussian":
-        # d_i = grad_i + eta_i: draw the noise in bulk, one block per worker
-        rngs = make_worker_rngs(seed, m)
-        mean_full = global_gradient(problem, x)
-        scale = math.sqrt(problem.noise.sigma2 / d)
-        noise_mean = np.zeros((samples, d))
-        for i in range(m):
-            noise_mean += scale * rngs[i].standard_normal((samples, d))
-        noise_mean /= m
-        dbars = mean_full[None, :] + noise_mean
-    else:
-        streams = WorkerStreams(seed, m, d, block=64)
-        workers = np.arange(m)
-        points = np.tile(x, (m, 1))
-        dbars = np.empty((samples, d))
-        for s_idx in range(samples):
-            grads = problem.stochastic_gradients(points, workers, streams)
-            buffers = OptimizerBuffers.fresh(base_config, m, d)
-            directions = local_direction(base_config, buffers, grads)
-            dbars[s_idx] = group_sums(directions, 1, 0.0)[0] / m
-
+    m, d, noise = problem.num_workers, problem.dimension, problem.noise
+    rngs, workers = make_worker_rngs(seed, m), np.arange(m)
+    chunk = max(1, NOISE_BLOCK_VALUES // (m * d * max(noise.batch_size, 1)))  # gathered values
+    exact = np.tile(problem.gradients(np.zeros((m, d)), workers), chunk)  # (m, chunk * d)
+    dbars = np.empty((samples, d))
+    for lo in range(0, samples, chunk):
+        n = min(chunk, samples - lo)
+        if noise.kind == "minibatch":  # (n, m, b) shard rows, (n, m, d) gradients
+            idx = np.array([[problem.minibatch_rows(rng) for rng in rngs] for _ in range(n)])
+            grads = problem.gradients(np.zeros((n, m, d)), workers, idx).swapaxes(0, 1)
+        else:  # noise plus the tiled exact gradient (a broadcast add is slow), as the oracle adds
+            grads = np.empty((m, n * d))
+            for rng, rows in zip(rngs, grads):
+                rng.standard_normal(out=rows)
+            grads *= math.sqrt(noise.sigma2 / d)
+            grads += exact[:, :n * d]
+        directions = local_direction(base_config, OptimizerBuffers.fresh(base_config, m * n, d),
+                                     grads.reshape(m * n, d))
+        # each sample's directions added in rank order: a worker's chunk is one wide row
+        dbars[lo:lo + n] = group_sums(directions.reshape(m, n * d), 1, 0.0).reshape(n, d) / m
     dev = dbars - dbars.mean(axis=0)
     v_samples = (dev**2).sum(axis=1)
-    value = float(v_samples.sum() / (samples - 1))
-    std_error = float(v_samples.std(ddof=1) / math.sqrt(samples))
-    return VEstimate(value=value, std_error=std_error, samples=samples)
+    return VEstimate(value=float(v_samples.sum() / (samples - 1)),
+                     std_error=float(v_samples.std(ddof=1) / math.sqrt(samples)), samples=samples)
 
 
 def lhs_from_records(records, tau: int, T: int) -> float:

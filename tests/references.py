@@ -29,6 +29,10 @@ iterates, matching the trace records the simulator writes.
 ``OsgpReference`` is overlap push-sum kept one message at a time, the
 protocol-level baseline for the batched in-flight store.
 
+``estimate_v_reference`` is ``estimate_V`` one sample at a time: one
+stacked oracle call at x = 0, one ``local_direction`` call from fresh
+buffers and one rank-ordered sum per sample.
+
 ``legacy_jsonl`` writes a trace in the format that held each record's
 x_bar as a JSON list, the text the pinned golden hashes were taken of.
 """
@@ -36,9 +40,11 @@ x_bar as a JSON list, the text the pinned golden hashes were taken of.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
+from slowmo_sim.base_optimizers import OptimizerBuffers, local_direction
 from slowmo_sim.errors import ProtocolError
 from slowmo_sim.numerics import (
     STREAM_DELAY,
@@ -46,9 +52,12 @@ from slowmo_sim.numerics import (
     MlpProblem,
     Problem,
     QuadraticProblem,
+    WorkerStreams,
+    group_sums,
     make_worker_rngs,
     rng_stream,
 )
+from slowmo_sim.theory_checker import VEstimate
 from slowmo_sim.topology import out_neighbor
 
 
@@ -156,6 +165,27 @@ def stochastic_gradients_reference(
     grads = [reference_stochastic_gradient(problem, i, x, rngs[i])
              for i, x in zip(workers.tolist(), points)]
     return np.reshape(grads, (len(workers), problem.dimension))
+
+
+def estimate_v_reference(problem: Problem, base_config, samples: int,
+                         seed: int = 0) -> VEstimate:
+    """V = Var[(1/m) sum_i d_i] at x = 0 from ``samples`` samples drawn one at
+    a time, each from fresh optimizer buffers."""
+    m, d = problem.num_workers, problem.dimension
+    streams = WorkerStreams(seed, m, d, block=64)
+    workers = np.arange(m)
+    points = np.zeros((m, d))
+    dbars = np.empty((samples, d))
+    for s_idx in range(samples):
+        grads = problem.stochastic_gradients(points, workers, streams)
+        buffers = OptimizerBuffers.fresh(base_config, m, d)
+        directions = local_direction(base_config, buffers, grads)
+        dbars[s_idx] = group_sums(directions, 1, 0.0)[0] / m
+    dev = dbars - dbars.mean(axis=0)
+    v_samples = (dev**2).sum(axis=1)
+    return VEstimate(value=float(v_samples.sum() / (samples - 1)),
+                     std_error=float(v_samples.std(ddof=1) / math.sqrt(samples)),
+                     samples=samples)
 
 
 def _mean(vectors: list[np.ndarray]) -> np.ndarray:

@@ -512,20 +512,29 @@ def _metric_problem(kind, groups, first=4):
 @pytest.mark.parametrize("groups", [1, 3])
 @pytest.mark.parametrize("records", [1, 2, 7])
 def test_batched_metric_evaluation_is_one_call_per_record(kind, groups, records):
+    # and gradients over a leading axis, with every worker: the record axis
+    # log_bias reads (no idx) and estimate_V's sample axis (an (R, n, b) idx)
     prob = _metric_problem(kind, groups)
-    if kind == "quadratic":
+    if kind in ("quadratic", "cloud"):
         assert prob.a.ndim == (2 if groups == 1 else 3)
-    points = _signed_rows(np.random.default_rng(records), (records, groups, prob.dimension))
+    rng = np.random.default_rng(records)
+    points = _signed_rows(rng, (records, groups, prob.dimension))
     losses, grads = group_losses_and_gradients(prob, points)
     assert losses.shape == (records, groups) and grads.shape == points.shape
     workers = np.arange(prob.num_workers)
     rows = points.repeat(prob.num_workers // groups, axis=1)
     row_losses, row_grads = prob.losses_and_gradients(rows, workers)
+    idx = rng.integers(0, max(prob.shard_size, 1), (records, prob.num_workers, 2))
+    axis_grads = prob.gradients(rows, workers)
+    idx_grads = prob.gradients(rows, workers, idx) if prob.shard_size else None
     for r in range(records):
         want_losses, want_grads = group_losses_and_gradients(prob, points[r])
         assert _same_bits(losses[r], want_losses) and _same_bits(grads[r], want_grads), r
         want_losses, want_grads = prob.losses_and_gradients(rows[r], workers)
         assert _same_bits(row_losses[r], want_losses) and _same_bits(row_grads[r], want_grads)
+        assert _same_bits(axis_grads[r], prob.gradients(rows[r], workers))
+        if prob.shard_size:
+            assert _same_bits(idx_grads[r], prob.gradients(rows[r], workers, idx[r]))
 
 
 def _metric_sim(prob, seeds, **kw):

@@ -382,6 +382,27 @@ def test_example_config_builds_and_runs_one_block(path):
         assert summary["blocks"] == 1 and not summary["aborted"]
 
 
+# estimate-v's output at 2000 samples on each example config: each worker's
+# g_i + eta_i is added in rank order, the order the last digits depend on
+ESTIMATE_V_2000 = {
+    "beta_sweep": '{"V": 0.032979360811654, "std_error": 0.00033328499094753723, '
+                  '"samples": 2000}',
+    "logistic_sgp": '{"V": 0.12330874072525905, "std_error": 0.0012129902336430404, '
+                    '"samples": 2000}',
+    "osgp_delayed": '{"V": 0.03715522179542243, "std_error": 0.0004791721493764182, '
+                    '"samples": 2000, "plain_sgd_theory": 0.0375}',
+    "quadratic_allreduce": '{"V": 0.12428876840742577, "std_error": 0.0012640042839318997, '
+                           '"samples": 2000, "plain_sgd_theory": 0.125}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATE_V_2000))
+def test_estimate_v_prints_its_pinned_bytes(name, capsys):
+    path = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+    assert main(["estimate-v", "--config", str(path), "--samples", "2000"]) == 0
+    assert capsys.readouterr().out == ESTIMATE_V_2000[name] + "\n"
+
+
 # two grids for the stacked sweep: the shape of configs/beta_sweep.json (seed
 # x slowmo.beta) with T shortened, and a seed grid of osgp runs whose gamma
 # makes each seed diverge at a different round (416-420), with messages in

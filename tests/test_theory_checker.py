@@ -15,6 +15,8 @@ from slowmo_sim import (
     ProblemConfig,
     QuadraticProblem,
     build_logistic,
+    build_mlp,
+    build_quadratic,
     check_bound,
     estimate_V,
     gamma_eff,
@@ -25,6 +27,8 @@ from slowmo_sim import (
     theorem1_rhs,
     theorem1_terms,
 )
+from references import estimate_v_reference
+from slowmo_sim import theory_checker
 from slowmo_sim.simkernel import RECORD_FIELDS
 from slowmo_sim.theory_checker import lhs_from_records, measured_bias_term
 
@@ -127,15 +131,66 @@ def test_estimate_v_general_path_runs():
     assert est.value > 0 and est.std_error > 0
 
 
-def test_estimate_v_fast_and_general_paths_agree():
-    prob = QuadraticProblem(np.eye(2), [np.zeros(2)] * 2,
-                            NoiseModel("additive-gaussian", sigma2=0.5))
-    fast = estimate_V(prob, BaseOptimizerConfig(kind="plain-sgd"), samples=20_000)
-    slow = estimate_V(prob, BaseOptimizerConfig(kind="sgd-nesterov", beta_local=0.0),
-                      samples=20_000)
-    # beta_local=0 nesterov directions equal plain-sgd directions in law
-    joint_se = math.hypot(fast.std_error, slow.std_error)
-    assert abs(fast.value - slow.value) < 4 * joint_se
+def _v_problem(kind, m, d):
+    """A heterogeneous additive quadratic, a sample-cloud minibatch quadratic,
+    a minibatch logistic problem or an additive MLP (d = 7: 2 hidden units
+    of 1 input) of m workers in dimension d."""
+    gauss = NoiseModel("additive-gaussian", sigma2=0.5)
+    if kind == "mlp":
+        assert d == 7
+        return build_mlp(ProblemConfig(kind="mlp", m=m, input_dim=1, hidden=2,
+                                       samples_per_worker=6, heterogeneity=0.5, noise=gauss), 5)
+    if kind == "logistic":
+        return build_logistic(ProblemConfig(kind="logistic", m=m, dimension=d,
+                                            samples_per_worker=8, heterogeneity=0.5,
+                                            noise=NoiseModel("minibatch", batch_size=3)), 5)
+    cloud = {"samples_per_worker": 5, "noise": NoiseModel("minibatch", batch_size=2)}
+    return build_quadratic(ProblemConfig(m=m, dimension=d, l_min=0.5, l_max=2.0,
+                                         heterogeneity=1.0,
+                                         **(cloud if kind == "cloud" else {"noise": gauss})), 5)
+
+
+def _chunked_estimates(prob, base, samples, chunks, monkeypatch):
+    """estimate_V with NOISE_BLOCK_VALUES set so that a chunk holds each of
+    ``chunks`` samples (None: the default budget)."""
+    per_sample = prob.num_workers * prob.dimension * max(prob.noise.batch_size, 1)
+    estimates = []
+    for chunk in chunks:
+        with monkeypatch.context() as patch:
+            if chunk is not None:
+                patch.setattr(theory_checker, "NOISE_BLOCK_VALUES", chunk * per_sample)
+            estimates.append(estimate_V(prob, base, samples=samples, seed=7))
+    return estimates
+
+
+def _same_estimate(got, want):
+    return (got.value.hex(), got.std_error.hex(), got.samples) == \
+        (want.value.hex(), want.std_error.hex(), want.samples)
+
+
+V_BASES = [BaseOptimizerConfig(kind="plain-sgd"), BaseOptimizerConfig(kind="sgd-nesterov"),
+           BaseOptimizerConfig(kind="adam")]
+
+
+@pytest.mark.parametrize("base", V_BASES, ids=lambda b: b.kind)
+@pytest.mark.parametrize("kind", ["quadratic", "cloud", "logistic", "mlp"])
+def test_estimate_v_is_the_per_sample_loop(kind, base, monkeypatch):
+    # one chunk of all 250 samples, chunks of 64 (the last one short), chunks of one
+    prob = _v_problem(kind, 3, 7)
+    want = estimate_v_reference(prob, base, samples=250, seed=7)
+    for got in _chunked_estimates(prob, base, 250, [None, 64, 1], monkeypatch):
+        assert _same_estimate(got, want), (got, want)
+
+
+@pytest.mark.parametrize("m", [1, 3, 16])
+@pytest.mark.parametrize("d", [1, 7])
+@pytest.mark.parametrize("kind", ["quadratic", "cloud", "logistic"])
+def test_estimate_v_is_the_per_sample_loop_at_every_size(kind, d, m, monkeypatch):
+    prob = _v_problem(kind, m, d)
+    for base in V_BASES:
+        want = estimate_v_reference(prob, base, samples=150, seed=7)
+        for got in _chunked_estimates(prob, base, 150, [None, 64], monkeypatch):
+            assert _same_estimate(got, want), (base.kind, got, want)
 
 
 def test_estimate_v_input_guards():
