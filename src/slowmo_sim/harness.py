@@ -119,7 +119,7 @@ def equivalence_check(
     not finite, are a ConfigError, not a verdict."""
     if not (math.isfinite(tol) and tol >= 0):
         raise ConfigError(f"tolerance must be a finite number >= 0, got {tol!r}")
-    if not trace_a.records and not trace_b.records:
+    if not len(trace_a) and not len(trace_b):
         raise ConfigError("both traces hold no records, so there is nothing to compare")
     xa, xb = _x_bar(trace_a), _x_bar(trace_b)
     worst, steps, reason = math.inf, 0, None
@@ -138,8 +138,8 @@ def equivalence_check(
 def _x_bar(trace: MetricsTrace) -> np.ndarray:
     # a NaN gap would compare as no gap and pass the check
     xb = trace.x_bar
-    if len(xb) != len(trace.records):
-        raise ConfigError(f"a trace of {len(trace.records)} records has {len(xb)} rows of x_bar")
+    if len(xb) != len(trace):
+        raise ConfigError(f"a trace of {len(trace)} records has {len(xb)} rows of x_bar")
     if len(xb) and (xb.shape[1] == 0 or not np.isfinite(xb).all()):
         raise ConfigError("a trace's x_bar rows must be nonempty and finite")
     return xb

@@ -67,10 +67,10 @@ STREAM_MISC = 3
 # matrix in 34.5 ms.
 MATVEC_BLOCK = 32
 
-# Worker values per batch of records: (workers x d x max(shard rows, 1)) in
-# the metric evaluation, 64 KiB an array, 32 seed-sweep records (4 seeds of
-# m = 16, d = 4), and (workers x d) in the x_bar and consensus reduction;
-# 2**16 was no faster there and raised its peak RSS 5%.
+# Worker values per batch of records, counted as workers x d x max(shard
+# rows, 1): the kernel reduces and evaluates that many records' snapshots in
+# one pass, 64 KiB an array, 32 seed-sweep records (4 seeds of m = 16,
+# d = 4); 2**16 was no faster there and raised its peak RSS 5%.
 RECORD_BATCH_VALUES = 2**13
 
 # Standard normal values (rows x rounds x d) pre-drawn per refill of the

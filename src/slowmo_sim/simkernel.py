@@ -36,13 +36,13 @@ tau yields exactly tau*T records per group; record r describes the state
 the r-th step was taken from. At its round a record keeps its clock, x (a
 copy when it waits for its batch), the points (z under push-sum, else that
 x), the (S, d) in-flight payload sums, the push-sum mass and its log_bias
-inputs. Its x_bar, consensus and log_bias direction are reduced from those
-once RECORD_BATCH_VALUES // (S*m*d) records wait (or a trace is handed
-out): one ``mean_x``, ``consensus_sq`` and ``gradients`` call each.
-The loss and gradient at its x_bar are evaluated when a trace is handed
-out, in batches of records, with the summary's x_bar as the last row. Each
-row has the bits of its own reduction and evaluation alone, and recording
-never touches the trajectory.
+inputs. Once RECORD_BATCH_VALUES // (S*m*d*max(shard rows, 1)) records wait
+(or a trace is handed out), one pass takes the batch the whole way: its
+x_bar and consensus (one ``mean_x`` and ``consensus_sq`` call), the loss
+and gradient at x_bar (one ``group_losses_and_gradients`` call) and, under
+log_bias, the gap to the mean expected direction (one ``gradients`` call).
+The summary is observed and reduced as a last row. Each row has the bits of
+its own reduction alone, and recording never touches the trajectory.
 The average iterate x_bar counts in-flight push-sum payloads so no mass
 ever escapes the metrics; every record (and the final summary) of a
 push-sum protocol refuses a mass that has drifted from m, at its round.
@@ -206,14 +206,15 @@ class Simulation:
         self.slow = SlowMoState(x_outer=x_outer, u=np.zeros(x_outer.shape))
 
         self.slow_average_calls = 0  # line-6 exact averages actually performed
-        # per record: (t, k, round, gamma) and (S,) masses; once reduced from its
-        # snapshot, (S, d) x_bar, (S,) consensus and the log_bias (mask, direction);
-        # then (S,) losses and squared gradient norms, and the log_bias gaps
-        self._clocks, self._masses, self._snapshots = [], [], []
-        self._x_bars, self._consensus, self._evaluated = [], [], []
-        self._directions, self._gaps = [], []
+        # per record its (t, k, round, gamma), and its snapshot until its batch
+        # is reduced; then, per batch of records, each group's (S, n, d) x_bar,
+        # (S, n, 5) values (loss, grad_norm_sq, consensus_sq, weight_mass, bias
+        # gap) and (S, n) mask of the gaps measured
+        self._clocks, self._snapshots = [], []
+        self._reduced = [(np.empty((S, 0, d)), np.empty((S, 0, 5)), np.empty((S, 0), bool))]
         self._unit_mass = np.full(S, float(m))
-        self._batch = max(1, RECORD_BATCH_VALUES // (S * m * d))  # snapshots per reduction
+        # snapshots per reduction
+        self._batch = max(1, RECORD_BATCH_VALUES // (S * m * d * max(problem.shard_size, 1)))
         self.alive = np.ones(S, dtype=bool)
         self._dead_rows = None  # the rows of the groups that have ended, once one has
         self._outcomes: list = [None] * S
@@ -255,19 +256,16 @@ class Simulation:
         return group_sums(dots, len(dots) // self.m, 0.0).reshape(xbar.shape[:-1]) / self.m
 
     def _observe(self) -> None:
-        """Keep this round's snapshot (x, the points, the in-flight sums; under
-        log_bias the groups in which every worker steps, and Nesterov's h) and its
-        mass, checked here; reduce the snapshots once they fill a batch."""
+        """Keep this round's snapshot (x, the points, the in-flight sums, the mass,
+        checked here; under log_bias the groups in which every worker steps, and
+        Nesterov's h); reduce the snapshots once they fill a batch."""
         inflight_x, inflight_w = self.protocol.inflight_sums(self.d)
         copy = self._batch > 1  # a snapshot that waits for its batch is a copy, as x moves on
         x = self.states.x.copy() if copy else self.states.x
         if self.protocol.debias:
-            self._masses.append(self.weight_mass(inflight_w))
-            points = self.states.z
+            snapshot = (x, self.states.z, inflight_x, self.weight_mass(inflight_w))
         else:  # w stays exactly 1.0, and the mass is m as adding it gives
-            self._masses.append(self._unit_mass)
-            points = x
-        snapshot = (x, points, inflight_x)
+            snapshot = (x, x, inflight_x, self._unit_mass)
         if self.cfg.log_bias:  # E[d_i] has a closed form where all step, but not for Adam
             steps = np.bincount(self.protocol.active_workers() // self.m, minlength=self.groups)
             snapshot += ((steps == self.m) & (self.cfg.base.kind != "adam"),)
@@ -278,25 +276,30 @@ class Simulation:
             self._reduce()
 
     def _reduce(self) -> None:
-        """x_bar, consensus and log_bias direction of the snapshots since the last one."""
+        """Every value of the records whose snapshots wait, in one pass: x_bar,
+        consensus, the loss and gradient at x_bar and, under log_bias, each
+        group's gap ||grad f(x_bar) - (1/m) sum_i E[d_i]||^2 where its mask has it."""
         if not self._snapshots:
             return
-        x, points, inflight_x, *bias = (np.stack(rows) if len(rows) > 1 else rows[0][None]
-                                        for rows in zip(*self._snapshots))
+        x, points, inflight_x, mass, *bias = (np.stack(rows) if len(rows) > 1 else rows[0][None]
+                                              for rows in zip(*self._snapshots))
         self._snapshots.clear()
         xbar = self.mean_x(x, inflight_x)
-        self._x_bars += list(xbar)
-        self._consensus += list(self.consensus_sq(points, xbar))
-        if bias:  # each group's (1/m) sum_i E[d_i] where its mask has it, else zeros
+        losses, gbar = group_losses_and_gradients(self.problem, xbar)
+        grad_sq = gaps = row_dots(gbar, gbar)  # a gap is read only where measured
+        full = np.zeros(mass.shape, dtype=bool)  # where it is measured
+        if bias:
             full, *h = bias
-            means = np.zeros(xbar.shape)
             if full.any():
                 expected = self.problem.gradients(points, np.arange(len(self.states)))
                 if h:  # Nesterov: E[d] = bl^2 h + (1 + bl) grad
                     bl = self.cfg.base.beta_local
                     expected = bl * bl * h[0] + (1.0 + bl) * expected
                 means = group_sums(expected.reshape(-1, self.d), full.size, 0.0) / self.m
-            self._directions += zip(full, means.reshape(xbar.shape))
+                diff = gbar - means.reshape(gbar.shape)
+                gaps = row_dots(diff, diff)
+        values = np.stack((losses, grad_sq, self.consensus_sq(points, xbar), mass, gaps), -1)
+        self._reduced.append((xbar.swapaxes(0, 1), values.swapaxes(0, 1), full.T))
 
     def record_metrics(self, gamma: float) -> None:
         if self.clock.round % self.cfg.metric_cadence != 0:
@@ -304,37 +307,21 @@ class Simulation:
         self._observe()
         self._clocks.append((self.clock.t, self.clock.k, self.clock.round, float(gamma)))
 
-    def _evaluate(self) -> None:
-        """Reduce the snapshots kept, then evaluate the x_bars not yet evaluated in
-        batches of RECORD_BATCH_VALUES."""
+    def _traces(self) -> tuple:
+        """Each group's MetricsTrace of every record so far, without a summary,
+        and the (S, n, 5) values of every row (the summary's last, once observed)."""
         self._reduce()
-        del self._directions[len(self._clocks):]  # the summary's: it has no gap
-        p = self.problem
-        size = max(1, RECORD_BATCH_VALUES // (p.num_workers * self.d * max(p.shard_size, 1)))
-        for lo in range(len(self._evaluated), len(self._x_bars), size):
-            losses, gbar = group_losses_and_gradients(p, np.stack(self._x_bars[lo:lo + size]))
-            self._evaluated += zip(losses, row_dots(gbar, gbar))
-            if self._directions[lo:lo + size]:  # the records' gaps; final has none
-                full, means = zip(*self._directions[lo:lo + size])
-                diff = gbar[:len(means)] - np.stack(means)
-                gaps, full = row_dots(diff, diff), np.array(full)
-                # float rows where every group has its gap, so a run's column is float64
-                self._gaps += list(gaps if full.all() else np.where(full, gaps, None))
-                self._directions[lo:lo + len(means)] = [None] * len(means)  # consumed
-
-    def _traces(self) -> list:
-        """Each group's MetricsTrace of every record so far, without a summary."""
-        self._evaluate()
-        n, S = len(self._clocks), self.groups
+        self._reduced = [tuple(np.concatenate(parts, axis=1) for parts in zip(*self._reduced))]
+        x_bar, values, full = self._reduced[0]
+        n = len(self._clocks)
         clock = np.array(self._clocks).reshape(n, 4)
         t, k, rounds = clock[:, :3].astype(np.int64).T
-        # (n, 4, S): loss, grad_norm_sq, consensus_sq, weight_mass
-        values = np.array([(*lg, c, w) for lg, c, w in zip(
-            self._evaluated, self._consensus, self._masses)]).reshape(n, 4, S)
-        bias = np.array(self._gaps).reshape(n, S) if self._gaps else np.full((n, S), None)
-        x_bar = np.stack(self._x_bars, axis=1) if n else np.empty((S, 0, self.d))
-        return [MetricsTrace(x_bar=x_bar[g], columns=dict(zip(RECORD_FIELDS, (
-            t, k, rounds, clock[:, 3], *values[:, :, g].T, bias[:, g])))) for g in range(S)]
+        # a float column where every group has every record's gap, else None where not
+        gaps, full = values[:, :n, 4], full[:, :n]
+        bias = gaps if full.all() else np.where(full, gaps, None)
+        traces = [MetricsTrace(x_bar=x_bar[g, :n], columns=dict(zip(RECORD_FIELDS, (
+            t, k, rounds, clock[:, 3], *values[g, :n, :4].T, bias[g])))) for g in range(self.groups)]
+        return traces, values
 
     def inner_round(self, gamma: float) -> None:
         """One inner step for every non-stalled worker plus one protocol round:
@@ -364,13 +351,14 @@ class Simulation:
         if np.isfinite(x).all() and (not self.protocol.debias or np.isfinite(w).all()):
             return
         finite = (np.isfinite(x).all(axis=1) & np.isfinite(w)).reshape(self.groups, self.m)
+        traces, _ = self._traces()
         for g in np.flatnonzero(~finite.all(axis=1)).tolist():
             i = int(np.argmin(finite[g]))  # the group's first worker with a non-finite value
             diag = {
                 "t": self.clock.t, "k": self.clock.k,
                 "round": self.clock.round, "worker": i,
             }
-            trace = self._traces()[g]
+            trace = traces[g]
             trace.summary = {"aborted": True, **diag}
             self._outcomes[g] = NumericalAbort(
                 f"non-finite state on worker {i} at t={self.clock.t} k={self.clock.k}",
@@ -434,14 +422,12 @@ class Simulation:
         if self.cfg.slowmo.noaverage:
             # one final drain so the summary sees all in-flight mass
             self.protocol.end_block(self.states)
-        self._observe()  # the summary's, evaluated as a last record and taken off
-        self._evaluate()
-        (losses, grad_sq), consensus = self._evaluated.pop(), self._consensus.pop()
-        del self._x_bars[-1], self._masses[-1]
+        self._observe()  # the summary's, reduced as the last row
+        traces, values = self._traces()
         run = (self.clock.round, self.clock.t, self.partial_final_block, False)
-        finals = zip(self._traces(), losses.tolist(), grad_sq.tolist(), consensus.tolist())
-        for g, (trace, loss, *final) in enumerate(finals):
+        for g, trace in enumerate(traces):
             if self.alive[g]:
+                loss, *final = values[g, -1, :3].tolist()
                 min_loss = min([*trace.columns["loss"].tolist(), loss])
                 trace.summary = dict(zip(SUMMARY_FIELDS, (loss, *final, min_loss, *run)))
                 self._outcomes[g] = trace

@@ -610,7 +610,6 @@ def test_records_are_evaluated_as_at_their_round(base, protocol, groups, monkeyp
     finals = _evaluated_at_the_round(sim)
     assert [t.summary["final_loss"] for t in traces] == [f[0] for f in finals]
     assert [t.summary["final_grad_norm_sq"] for t in traces] == [f[1] for f in finals]
-    assert sim._directions == [None] * 10  # each released once its gaps are taken
     values = {type(v[2]) for trace in got for v in trace}
     assert values == ({type(None)} if base == "adam" else
                       {float, type(None)} if protocol == "osgp" else {float})
@@ -759,15 +758,34 @@ def _poisoned(sim, group, at_round):
     return sim
 
 
+def _assert_solo_traces(kind, outcomes, aborted):
+    """Each group's outcome is its seed's run alone (trace hash, summary,
+    x_bar); the groups in ``aborted`` abort after round 5 with 6 records."""
+    assert [isinstance(o, NumericalAbort) for o in outcomes] == [
+        g in aborted for g in range(len(outcomes))]
+    for g, outcome in enumerate(outcomes):
+        solo = _metric_sim(_metric_problem(kind, 1, first=4 + g), [g])
+        if g in aborted:
+            assert outcome.diagnostic == {"t": 1, "k": 2, "round": 6, "worker": 1}
+            with pytest.raises(NumericalAbort) as exc:
+                _poisoned(solo, 0, 5).run()
+            alone, trace = exc.value.trace, outcome.trace
+            assert len(trace) == 6
+        else:
+            alone, trace = solo.run(), outcome
+        assert trace.trace_hash() == alone.trace_hash()
+        assert json.dumps(trace.summary) == json.dumps(alone.summary)
+        assert _same_bits(trace.x_bar, alone.x_bar)
+
+
 @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
 def test_a_group_that_aborts_mid_block_has_its_solo_trace(kind, monkeypatch):
-    # round 5 is inside the second block of 4; with batches of 4 evaluated
-    # records the abort evaluates 6 records, and the end of the run the rest
-    # from there. Snapshot batches are 4 records (quadratic) or 24 (logistic,
-    # 6 shard rows): the abort reduces the 2 or 6 snapshots of a batch not full
+    # round 5 is inside the second block of 4; snapshot batches are 4 records
+    # for both kinds (the logistic budget counts its 6 shard rows), so the
+    # abort reduces the 2 snapshots of a batch not full, and the end of the
+    # run the rest from there
     stacked = _metric_problem(kind, 3)
-    budget = _batch_of(4, stacked)
-    monkeypatch.setattr(simkernel, "RECORD_BATCH_VALUES", budget)
+    monkeypatch.setattr(simkernel, "RECORD_BATCH_VALUES", _batch_of(4, stacked))
     sim = _poisoned(_metric_sim(stacked, [0, 1, 2]), 1, 5)
     reduce, reduced = sim._reduce, []
 
@@ -777,19 +795,25 @@ def test_a_group_that_aborts_mid_block_has_its_solo_trace(kind, monkeypatch):
 
     sim._reduce = logged_reduce
     outcomes = sim.run_groups()
-    at_abort = [n for r, n in reduced if r == 6]
-    assert at_abort[0] == 6 % (budget // (stacked.num_workers * stacked.dimension)) > 0
-    assert [isinstance(o, NumericalAbort) for o in outcomes] == [False, True, False]
-    assert outcomes[1].diagnostic == {"t": 1, "k": 2, "round": 6, "worker": 1}
-    for g, outcome in enumerate(outcomes):
-        solo = _metric_sim(_metric_problem(kind, 1, first=4 + g), [g])
-        if g == 1:
-            with pytest.raises(NumericalAbort) as exc:
-                _poisoned(solo, 0, 5).run()
-            alone, trace = exc.value.trace, outcome.trace
-            assert len(trace.records) == 6
-        else:
-            alone, trace = solo.run(), outcome
-        assert trace.to_jsonl() == alone.to_jsonl()
-        assert json.dumps(trace.summary) == json.dumps(alone.summary)
-        assert _same_bits(trace.x_bar, alone.x_bar)
+    assert sim._batch == 4
+    assert [n for r, n in reduced if r == 6][0] == 2
+    _assert_solo_traces(kind, outcomes, {1})
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+def test_two_groups_that_abort_in_one_round_have_their_solo_traces(kind, monkeypatch):
+    # groups 0 and 2 turn non-finite in round 5, mid-block: the round builds
+    # the traces once for both, and the run's end once more for group 1
+    stacked = _metric_problem(kind, 3)
+    monkeypatch.setattr(simkernel, "RECORD_BATCH_VALUES", _batch_of(4, stacked))
+    sim = _poisoned(_poisoned(_metric_sim(stacked, [0, 1, 2]), 0, 5), 2, 5)
+    traces, built = sim._traces, []
+
+    def logged_traces():
+        built.append(sim.clock.round)
+        return traces()
+
+    sim._traces = logged_traces
+    outcomes = sim.run_groups()
+    assert built == [6, 10]
+    _assert_solo_traces(kind, outcomes, {0, 2})

@@ -8,12 +8,14 @@ as ``references.legacy_jsonl`` writes it (every record's x_bar as a JSON
 list, the trace format the hashes were taken in), so the file outlives a
 change to how traces are stored or hashed.
 
-Regenerate (only when a trajectory change is intended) with
+Pin the cases the file lacks with
 
     PYTHONPATH=src python tests/test_golden_hashes.py --write
 
-Without ``--write`` the script prints the current hashes and leaves the
-file alone.
+If a pinned hash has moved, it writes nothing and exits 1 naming those
+cases: an intended trajectory change is re-pinned by deleting its entries
+first. Without ``--write`` the script prints the current hashes and leaves
+the file alone.
 """
 
 import hashlib
@@ -105,6 +107,12 @@ CASES = {
         4, "osgp", problem=_QUAD_CLOUD, osgp={"staleness": 2, "delay": _GEOMETRIC},
     ),
     "sgp-exponential-m5-log-bias": _case(5, "sgp", base=_NESTEROV, log_bias=True),
+    # null bias_sq rows (an object column) and a snapshot of Nesterov's h
+    "osgp-geometric-m6-log-bias-nesterov": _case(
+        6, "osgp", base=_NESTEROV, log_bias=True, osgp={"staleness": 1, "delay": _GEOMETRIC},
+    ),
+    # shard rows: its records are reduced in smaller batches than a quadratic's
+    "logistic-minibatch-sgp-m4-log-bias": _case(4, "sgp", problem=_LOGISTIC, log_bias=True),
     "osgp-geometric-m6-cadence3": _case(
         6, "osgp", metric_cadence=3, osgp={"staleness": 2, "delay": _GEOMETRIC},
     ),
@@ -145,11 +153,27 @@ def test_trace_hash_is_pinned(name):
         assert (trace.trace_hash(), trace.summary) == (alone.trace_hash(), alone.summary)
 
 
+def pin_missing(golden: dict, hashes: dict) -> dict:
+    """``golden`` with the cases it lacks added from ``hashes``. If any pinned
+    case's hash moved, a SystemExit naming them (the script exits 1)."""
+    moved = sorted(name for name in golden if name in hashes and hashes[name] != golden[name])
+    if moved:
+        raise SystemExit(f"pinned hashes moved, nothing written: {', '.join(moved)}")
+    return {**golden, **hashes}
+
+
+def test_write_pins_only_missing_cases_and_refuses_moved_ones():
+    assert pin_missing({"a": "1"}, {"a": "1", "b": "2"}) == {"a": "1", "b": "2"}
+    with pytest.raises(SystemExit, match="moved, nothing written: a, c$"):
+        pin_missing({"a": "1", "b": "2", "c": "3"}, {"a": "0", "b": "2", "c": "4", "d": "5"})
+
+
 if __name__ == "__main__":
     hashes = {name: trace_hash(name) for name in sorted(CASES)}
-    text = json.dumps(hashes, indent=2) + "\n"
     if "--write" in sys.argv[1:]:
-        GOLDEN_PATH.write_text(text)
-        print(f"wrote {len(hashes)} hashes to {GOLDEN_PATH}")
+        golden = _golden()
+        pinned = pin_missing(golden, hashes)
+        GOLDEN_PATH.write_text(json.dumps(pinned, indent=2, sort_keys=True) + "\n")
+        print(f"pinned {len(pinned) - len(golden)} new case(s) in {GOLDEN_PATH}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(json.dumps(hashes, indent=2) + "\n")

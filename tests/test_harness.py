@@ -188,6 +188,13 @@ def test_equivalence_check_reports_max_diff():
             equivalence_check(a, b, tol=tol)
 
 
+def test_equivalence_check_counts_column_records_without_building_dicts():
+    cfg = parse_config(_raw())
+    a, b = build_simulation(cfg).run(), build_simulation(cfg).run()
+    assert equivalence_check(a, b)["steps_compared"] == len(a) > 0
+    assert "records" not in vars(a) and "records" not in vars(b)
+
+
 def test_equivalence_check_verdict_when_nothing_can_be_compared():
     a = build_simulation(parse_config(_raw())).run()
     shorter = MetricsTrace(records=a.records[:-1], summary=a.summary, x_bar=a.x_bar[:-1])
