@@ -15,6 +15,7 @@ from dataclasses import replace
 from .config import build_problem, load_config, read_json
 from .errors import ConfigError, NumericalAbort
 from .harness import (
+    FORMATS,
     bound_report,
     equivalence_check,
     open_output,
@@ -50,12 +51,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--seed", type=int, default=None, help="override config seed")
     p_run.add_argument("--out", default="run_out")
-    p_run.add_argument("--format", choices=["jsonl", "csv", "both"], default="both")
+    p_run.add_argument("--format", choices=FORMATS, default="both")
 
     p_sweep = sub.add_parser("sweep", help="expand the config's grid and run each point")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out", default="sweep_out")
-    p_sweep.add_argument("--format", choices=["jsonl", "csv", "both"], default="both")
+    p_sweep.add_argument("--format", choices=FORMATS, default="both")
     p_sweep.add_argument("--jobs", type=int, default=1)
 
     p_bound = sub.add_parser("check-bound", help="compare trace LHS against the bound RHS")

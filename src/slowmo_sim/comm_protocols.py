@@ -5,14 +5,13 @@ round, as rows of one array, and updates the stacked worker states
 (``WorkerStates``: x (m, d), w (m,)) in place:
 
     allreduce       exact average of the half-steps every round
-    local           no communication at all
+    local           no communication at all; with base.buffer_strategy
+                    "average" it is double averaging (Yu et al. 2019)
     dpsgd           doubly-stochastic gossip with a symmetric one-peer matrix
     sgp             push-sum gossip (column-stochastic), de-biased z = x / w
     osgp            push-sum with non-blocking delayed messages and a
                     staleness bound; a worker that has gone ``staleness``
                     rounds without draining anything blocks until mail arrives
-    double-average  local steps, then block-end averaging of both parameters
-                    and momentum buffers
 
 Push-sum kinds track a scalar weight w per worker; the de-biased iterate
 z = x / w is what gradients are evaluated at and what gets averaged. Mass
@@ -87,6 +86,9 @@ class WorkerView(NamedTuple):
     x: np.ndarray
 
 
+DELAY_KINDS = ("constant", "geometric")
+
+
 @dataclass(frozen=True)
 class DelayModel:
     """Message transit time in rounds.
@@ -101,7 +103,7 @@ class DelayModel:
     cap: int = 8
 
     def __post_init__(self):
-        if self.kind not in ("constant", "geometric"):
+        if self.kind not in DELAY_KINDS:
             raise ConfigError(f"unknown delay kind {self.kind!r}")
         if self.kind == "constant" and self.rounds < 0:
             raise ConfigError("constant delay must be >= 0")
@@ -240,16 +242,6 @@ class LocalProtocol(_ProtocolBase):
 class AllReduceProtocol(_ProtocolBase):
     def apply_round(self, states, half, round_index):
         states.x[:] = repeat_groups(group_sums(half, self.groups) / self.m, self.m)
-
-
-class DoubleAverageProtocol(_ProtocolBase):
-    def apply_round(self, states, half, round_index):
-        states.x = half
-
-    def end_block(self, states):
-        """Exact average of both parameters and momentum buffers in each group."""
-        for rows in (states.x, states.buffers.h):
-            rows[:] = repeat_groups(group_sums(rows, self.groups) / self.m, self.m)
 
 
 class _MixingProtocol(_ProtocolBase):
@@ -417,7 +409,6 @@ PROTOCOLS = {
     "dpsgd": GossipProtocol,
     "sgp": PushSumProtocol,
     "osgp": OverlapPushSumProtocol,
-    "double-average": DoubleAverageProtocol,
 }
 PROTOCOL_NAMES = tuple(PROTOCOLS)
 # the protocols that need a topology schedule

@@ -2,8 +2,8 @@
 
 Each config section is a frozen dataclass that alone declares its fields'
 names, defaults and types and checks its own values; ExperimentConfig
-checks the rules across sections (double-average needs the sgd-nesterov
-base). ``parse_config`` builds one from a raw dict, usually loaded from
+checks the rules across sections (T * slowmo.tau under the step
+ceiling). ``parse_config`` builds one from a raw dict, usually loaded from
 JSON, rejecting unknown fields anywhere in the tree. ``resolved_dict`` dumps
 every field explicitly, defaults included, so a run can always be reproduced
 from its resolved.json alone. ``build_simulation(cfg, seeds)`` builds the
@@ -41,6 +41,8 @@ from .numerics import (
 from .simkernel import Simulation
 from .slowmo import GammaSchedule, SlowMoConfig
 from .topology import TOPOLOGY_KINDS
+
+PROBLEM_KINDS = ("quadratic", "logistic", "mlp")  # the kinds build_problem builds
 
 # Ceilings on sizes, so an absurd value is a config error and not an
 # OverflowError, an allocation that cannot succeed or a run that never ends.
@@ -165,7 +167,7 @@ class ProblemConfig:
     hidden: int = 8
 
     def __post_init__(self):
-        if self.kind not in ("quadratic", "logistic", "mlp"):
+        if self.kind not in PROBLEM_KINDS:
             raise ConfigError(f"unknown problem kind {self.kind!r}")
         for name in ("m", "dimension", "input_dim", "hidden"):
             if getattr(self, name) < 1:
@@ -246,14 +248,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """The rules that span fields or sections."""
+        if self.protocol == "double-average":
+            raise ConfigError("protocol 'double-average' was removed; use protocol 'local' "
+                              "with base.buffer_strategy 'average'")
         if self.protocol not in PROTOCOL_NAMES:
             raise ConfigError(f"unknown protocol {self.protocol!r}")
-        if self.protocol == "double-average":
-            if self.base.kind != "sgd-nesterov":
-                raise ConfigError("double-average averages momentum buffers and requires "
-                                  "the sgd-nesterov base")
-            if self.slowmo.noaverage:
-                raise ConfigError("double-average cannot run with noaverage")
         if (self.T is None) == (self.total_steps is None):
             raise ConfigError("specify exactly one of T / total_steps")
         if self.T is not None:

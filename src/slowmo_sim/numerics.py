@@ -166,6 +166,9 @@ def repeat_groups(values: np.ndarray, m: int) -> np.ndarray:
     return values if values.shape[-2] == 1 else values.repeat(m, axis=-2)
 
 
+NOISE_KINDS = ("additive-gaussian", "minibatch")
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Gradient noise specification.
@@ -179,7 +182,7 @@ class NoiseModel:
     batch_size: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("additive-gaussian", "minibatch"):
+        if self.kind not in NOISE_KINDS:
             raise ConfigError(f"unknown noise kind {self.kind!r}")
         if self.kind == "additive-gaussian" and self.sigma2 < 0:
             raise ConfigError("sigma2 must be nonnegative")

@@ -53,8 +53,9 @@ class SlowMoConfig:
 class GammaSchedule:
     """Inner learning rate as a function of the outer iteration index t.
 
-    constant: gamma_t = value. step: value multiplied by ``decay`` at each
-    milestone (milestones are outer-iteration indices, strictly increasing).
+    constant: gamma_t = value, with no milestones. step: value multiplied by
+    ``decay`` at each milestone (milestones are outer-iteration indices,
+    strictly increasing); every gamma_t must be a positive, finite float.
     """
 
     value: float = 0.1
@@ -65,12 +66,16 @@ class GammaSchedule:
     def __post_init__(self):
         if self.kind not in ("constant", "step"):
             raise ConfigError(f"unknown gamma schedule kind {self.kind!r}")
-        if self.value <= 0.0:
-            raise ConfigError("gamma must be positive")
         if self.decay <= 0.0:
             raise ConfigError("gamma decay factor must be positive")
         if list(self.milestones) != sorted(set(self.milestones)):
             raise ConfigError("gamma milestones must be strictly increasing")
+        if self.kind == "constant" and self.milestones:
+            raise ConfigError("a constant gamma schedule takes no milestones")
+        # the run's own float product; every earlier gamma_t lies between it and value
+        last = self.at(self.milestones[-1]) if self.milestones else self.value
+        if not 0.0 < last < np.inf:
+            raise ConfigError(f"gamma must stay positive and finite, got {last!r}")
 
     def at(self, t: int) -> float:
         g = self.value

@@ -639,14 +639,16 @@ def _observed_at_the_round(sim):
     return observed
 
 
-OBSERVED_RUNS = {  # protocol, and the slowmo / osgp settings it runs with
+OBSERVED_RUNS = {  # protocol, and the base / slowmo / osgp settings it runs with
     "local": ("local", {}),
     "allreduce": ("allreduce", {}),
     "dpsgd": ("dpsgd", {}),
     "sgp": ("sgp", {}),
     "osgp": ("osgp", {"osgp": OsgpConfig(staleness=1, delay=DelayModel(kind="geometric", p=0.3,
                                                                          cap=4))}),
-    "double-average": ("double-average", {}),
+    # double averaging: local steps, momentum buffers averaged at each block start
+    "double-average": ("local", {"base": BaseOptimizerConfig(kind="sgd-nesterov",
+                                                             buffer_strategy="average")}),
     "noaverage": ("osgp", {"slowmo": SlowMoConfig(tau=4, noaverage=True),
                            "osgp": OsgpConfig(staleness=3, delay=DelayModel(kind="geometric",
                                                                             p=0.5, cap=3))}),

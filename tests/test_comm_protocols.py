@@ -142,16 +142,6 @@ def test_pushsum_consensus_on_power_of_two():
     assert np.allclose(states.w, 1.0, atol=1e-12)
 
 
-def test_double_average_synchronizes_momentum():
-    states = _states([[1.0], [3.0]])
-    states.buffers.h[0] = 2.0
-    states.buffers.h[1] = 6.0
-    cfg = _cfg("double-average", base=BaseOptimizerConfig(kind="sgd-nesterov"))
-    make_protocol(cfg, 2, None).end_block(states)
-    assert np.all(states.x == 2.0)
-    assert np.all(states.buffers.h == 4.0)
-
-
 # --------------------------------------------------------------------------- #
 # delay model and message queues
 # --------------------------------------------------------------------------- #

@@ -28,6 +28,11 @@ import pytest
 
 from references import legacy_jsonl
 from slowmo_sim import build_simulation, parse_config
+from slowmo_sim.base_optimizers import BUFFER_STRATEGIES, OPTIMIZER_KINDS
+from slowmo_sim.comm_protocols import DELAY_KINDS, MIXING_PROTOCOLS, PROTOCOL_NAMES
+from slowmo_sim.config import PROBLEM_KINDS
+from slowmo_sim.numerics import NOISE_KINDS
+from slowmo_sim.topology import TOPOLOGY_KINDS
 
 GOLDEN_PATH = Path(__file__).with_name("golden_hashes.json")
 
@@ -96,7 +101,10 @@ CASES = {
     ),
     "allreduce-m4-nesterov": _case(4, "allreduce", base=_NESTEROV),
     "local-m3": _case(3, "local"),
-    "double-average-m4": _case(4, "double-average", base=_NESTEROV),
+    # double averaging: local steps, momentum buffers averaged at each block start
+    "local-m4-nesterov-average": _case(
+        4, "local", base={**_NESTEROV, "buffer_strategy": "average"},
+    ),
     "logistic-minibatch-sgp-m4": _case(4, "sgp", problem=_LOGISTIC),
     "logistic-fullbatch-allreduce-m3": _case(
         3, "allreduce", base={"kind": "adam", "buffer_strategy": "average"},
@@ -137,6 +145,24 @@ def _golden() -> dict:
 
 def test_golden_file_covers_every_case():
     assert sorted(_golden()) == sorted(CASES)
+
+
+def test_every_kind_is_pinned_by_some_case():
+    """Each protocol, base optimizer, buffer strategy, topology, problem,
+    noise and delay kind the config accepts runs in at least one case, so
+    removing or renaming a case cannot leave its path unpinned."""
+    configs = [parse_config(raw) for raw in CASES.values()]
+    pinned = {
+        PROTOCOL_NAMES: {c.protocol for c in configs},
+        OPTIMIZER_KINDS: {c.base.kind for c in configs},
+        BUFFER_STRATEGIES: {c.base.buffer_strategy for c in configs},
+        TOPOLOGY_KINDS: {c.topology.kind for c in configs if c.protocol in MIXING_PROTOCOLS},
+        PROBLEM_KINDS: {c.problem.kind for c in configs},
+        NOISE_KINDS: {c.problem.noise.kind for c in configs},
+        DELAY_KINDS: {c.osgp.delay.kind for c in configs if c.protocol == "osgp"},
+    }
+    for kinds, used in pinned.items():
+        assert set(kinds) <= used, sorted(set(kinds) - used)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

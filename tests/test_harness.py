@@ -98,9 +98,6 @@ def test_unknown_keys_are_reported_with_their_path():
 
 
 def test_cross_field_rules():
-    raw = _raw(protocol="double-average")
-    with pytest.raises(ConfigError):
-        parse_config(raw)  # needs the nesterov base
     raw = _raw(T=None, total_steps=None)
     del raw["T"], raw["total_steps"]
     with pytest.raises(ConfigError):
@@ -654,24 +651,27 @@ def test_sizes_at_their_ceiling_parse():
                                "dimension": MAX_QUADRATIC_DIMENSION}))
 
 
-BAD_MILESTONES = {
-    "string-entry": ["a"],
-    "scalar": 5,
-    "string": "ab",
-    "float-entry": [1.5],
-    "bool-entry": [True],
-    "negative-entry": [-1],
+BAD_MILESTONES = {  # each a gamma section, kind "step" unless it says otherwise
+    "string-entry": {"milestones": ["a"]},
+    "scalar": {"milestones": 5},
+    "string": {"milestones": "ab"},
+    "float-entry": {"milestones": [1.5]},
+    "bool-entry": {"milestones": [True]},
+    "negative-entry": {"milestones": [-1]},
+    # at() reads no kind, so these would decay a constant gamma
+    "constant-kind": {"kind": "constant", "milestones": [2], "decay": 0.5},
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_MILESTONES))
 def test_bad_milestones_are_config_errors(case, tmp_path, capsys):
-    raw = _raw(gamma={"kind": "step", "value": 0.05, "milestones": BAD_MILESTONES[case]})
+    raw = _raw(gamma={"kind": "step", "value": 0.05, **BAD_MILESTONES[case]})
     with pytest.raises(ConfigError, match="milestones"):
         parse_config(raw)
     cfg_path = _write_cfg(tmp_path, raw)
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 1
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_execution_accepts_only_sequential(tmp_path, capsys):
@@ -683,6 +683,37 @@ def test_execution_accepts_only_sequential(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path, _raw(execution="parallel"))
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 1
     assert "removed" in capsys.readouterr().err
+
+
+def test_double_average_is_refused_with_its_replacement(tmp_path, capsys):
+    replacement = "use protocol 'local' with base.buffer_strategy 'average'"
+    raw = _raw(protocol="double-average", base={"kind": "sgd-nesterov"})
+    with pytest.raises(ConfigError, match=replacement):
+        parse_config(raw)
+    cfg_path = _write_cfg(tmp_path, raw)
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 1
+    assert replacement in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+    raw.update(protocol="local", base={"kind": "sgd-nesterov", "buffer_strategy": "average"})
+    assert parse_config(raw).protocol == "local"
+
+
+DECAYED_GAMMAS = {  # value and decay: one milestone takes gamma out of the floats
+    "underflows-to-zero": 1e-200,
+    "overflows-to-inf": 1e200,
+}
+
+
+@pytest.mark.parametrize("case", sorted(DECAYED_GAMMAS))
+def test_a_gamma_that_decays_out_of_range_is_a_config_error(case, tmp_path, capsys):
+    factor = DECAYED_GAMMAS[case]
+    raw = _raw(gamma={"kind": "step", "value": factor, "milestones": [1], "decay": factor})
+    with pytest.raises(ConfigError, match="gamma must stay positive and finite"):
+        parse_config(raw)
+    cfg_path = _write_cfg(tmp_path, raw)
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "resolved.json").exists()
 
 
 def test_float_fields_accept_integers():
@@ -1114,7 +1145,8 @@ _VALID_RAWS = [
     {**_FULL_RAW, "protocol": "dpsgd", "slowmo": {"tau": 2, "noaverage": True},
      "problem": {"kind": "logistic", "m": 2, "dimension": 3, "samples_per_worker": 6,
                  "noise": {"kind": "minibatch", "batch_size": 2}}},
-    {**_FULL_RAW, "protocol": "double-average", "base": {"kind": "sgd-nesterov"},
+    {**_FULL_RAW, "protocol": "local",
+     "base": {"kind": "sgd-nesterov", "buffer_strategy": "average"},
      "problem": {"kind": "mlp", "m": 2, "input_dim": 2, "hidden": 3, "samples_per_worker": 5,
                  "noise": {"kind": "minibatch", "batch_size": 2}}},
 ]

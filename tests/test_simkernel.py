@@ -110,8 +110,8 @@ _SUMMARY_RAW = {
     ("sgp", {"problem": {"kind": "logistic", "m": 4, "dimension": 5, "samples_per_worker": 12,
                          "heterogeneity": 0.5, "noise": {"kind": "minibatch", "batch_size": 4}}}),
     ("dpsgd", {}),
-    ("double-average", {"base": {"kind": "sgd-nesterov", "beta_local": 0.9,
-                                 "buffer_strategy": "maintain"}}),
+    pytest.param("local", {"base": {"kind": "sgd-nesterov", "beta_local": 0.9,
+                                    "buffer_strategy": "average"}}, id="local-nesterov-average"),
     ("osgp", {"osgp": {"staleness": 1, "delay": {"kind": "geometric", "p": 0.5, "cap": 3}}}),
 ], ids=lambda v: v if isinstance(v, str) else "")
 def test_the_summary_is_the_record_the_next_block_starts_from(protocol, extra):
@@ -235,7 +235,7 @@ def test_weight_mass_includes_in_flight_messages():
 
 
 @pytest.mark.parametrize("protocol, noaverage", [
-    ("local", False), ("allreduce", False), ("dpsgd", False), ("double-average", False),
+    ("local", False), ("allreduce", False), ("dpsgd", False),
     ("local", True), ("dpsgd", True),
 ])
 def test_protocols_without_push_sum_leave_w_exactly_one(protocol, noaverage):

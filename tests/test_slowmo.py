@@ -13,11 +13,12 @@ from slowmo_sim import (
     ProblemConfig,
     Simulation,
     SlowMoConfig,
+    apply_buffer_strategy,
     build_quadratic,
     local_direction,
     slow_update,
 )
-from slowmo_sim import simkernel
+from slowmo_sim import simkernel, slowmo
 from slowmo_sim.numerics import group_sums
 from references import (
     block_momentum_reference,
@@ -189,26 +190,22 @@ def test_noaverage_never_calls_the_exact_average():
     assert np.linalg.norm(sim.states[0].x - sim.states[1].x) > 1e-6
 
 
-def test_double_average_rejects_incompatible_setups():
-    prob = _noisy_quadratic(m=2)
-    with pytest.raises(ConfigError):
-        Simulation(prob, ExperimentConfig(
-            base=BaseOptimizerConfig(kind="adam"),
-            slowmo=SlowMoConfig(alpha=1.0, beta=0.5, tau=2), protocol="double-average",
-            gamma=GammaSchedule(value=0.05), T=2))
-    with pytest.raises(ConfigError):
-        Simulation(prob, ExperimentConfig(
-            base=BaseOptimizerConfig(kind="sgd-nesterov"),
-            slowmo=SlowMoConfig(alpha=1.0, beta=0.5, tau=2, noaverage=True),
-            protocol="double-average", gamma=GammaSchedule(value=0.05), T=2))
-
-
-def test_double_average_runs_and_synchronizes_buffers():
+def test_double_average_runs_and_synchronizes_buffers(monkeypatch):
+    # double averaging is the local protocol with averaged buffers: every
+    # block starts from one x and one momentum buffer shared by the workers
     prob = _noisy_quadratic(m=3)
     sim = Simulation(prob, ExperimentConfig(
-        base=BaseOptimizerConfig(kind="sgd-nesterov"),
-        slowmo=SlowMoConfig(alpha=1.0, beta=0.5, tau=3), protocol="double-average",
+        base=BaseOptimizerConfig(kind="sgd-nesterov", buffer_strategy="average"),
+        slowmo=SlowMoConfig(alpha=1.0, beta=0.5, tau=3), protocol="local",
         gamma=GammaSchedule(value=0.05), T=4, seed=1))
+    starts = []
+
+    def averaging(config, buffers, groups=1):
+        apply_buffer_strategy(config, buffers, groups)
+        starts.append((sim.states.x.copy(), buffers.h.copy()))
+
+    monkeypatch.setattr(slowmo, "apply_buffer_strategy", averaging)
     sim.run()
-    h = sim.states.buffers.h
-    assert np.allclose(h, h[0], atol=1e-12)
+    assert len(starts) == 4 and np.any(starts[-1][1] != 0.0)
+    for x, h in starts:
+        assert (x == x[0]).all() and (h == h[0]).all()
