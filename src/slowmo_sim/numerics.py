@@ -36,13 +36,15 @@ reduction: it adds each group's rows in ascending rank, bit for bit the
 reduction of that group alone, and a single run (S = 1) is the one-group
 case.
 
-All randomness flows through counter-based Philox streams derived from
-``(seed, namespace, index)`` so that worker streams are independent and
-reproducible regardless of execution order.
+All randomness flows through counter-based Philox streams (seed, namespace,
+index), independent and reproducible regardless of execution order. Each is
+keyed as ``SeedSequence(seed, spawn_key=(namespace, index))`` would key it;
+``philox_keys`` hashes a family's shared words once and its indices as one column.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -78,15 +80,71 @@ RECORD_BATCH_VALUES = 2**13
 NOISE_BLOCK_VALUES = 2**15
 
 
+# SeedSequence's hashmix and mix on 32-bit words held in Python ints or uint64
+# arrays, and generate_state's hash constant before each of its 4 calls and after
+_M32 = 0xFFFFFFFF
+_STATE_CONSTS = np.array([0x8B51F9DD * 0x58F38DED**k & _M32 for k in range(5)], np.uint64)
+
+
+def _hashmix(value, const, next_const):
+    value = (value ^ const) * next_const & _M32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32  # the mask undoes a wrapped difference
+    return r ^ r >> 16
+
+
+def philox_keys(seed: int, namespace: int, indices) -> np.ndarray:
+    """(n, 2) uint64 keys, row r bit for bit ``np.random.SeedSequence(seed,
+    spawn_key=(namespace, indices[r])).generate_state(2, np.uint64)``. The
+    words every row shares (the seed, padded to 4 words, and the namespace)
+    are hashed once as Python ints, the indices as a masked uint64 column."""
+    idx = np.asarray(indices)
+    if min(seed, namespace, idx.min(initial=0)) < 0 or idx.max(initial=0) > _M32:
+        raise ValueError("seed, namespace and index must be >= 0, an index one word (< 2**32)")
+    words = [[n >> s & _M32 for s in range(0, max(n.bit_length(), 1), 32)]
+             for n in (int(seed), int(namespace))]
+    entropy = words[0] + [0] * (4 - len(words[0])) + words[1]
+    c = [0x43B0D7E5]  # the hash constant before each hashmix call, and after the last
+    while len(c) < 4 * len(entropy) + 5:
+        c.append(c[-1] * 0x931E8875 & _M32)
+    consts = zip(c, c[1:])
+    pool = [_hashmix(w, *next(consts)) for w in entropy[:4]]
+    for src, dst in itertools.permutations(range(4), 2):  # each pool word into the others
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(consts)))
+    for w, dst in itertools.product(entropy[4:], range(4)):  # then each further word
+        pool[dst] = _mix(pool[dst], _hashmix(w, *next(consts)))
+    c = np.array(c[-5:], dtype=np.uint64)  # the index word's four calls
+    pool = _mix(np.array(pool, np.uint64), _hashmix(idx.astype(np.uint64)[:, None], c[:-1], c[1:]))
+    return _hashmix(pool, _STATE_CONSTS[:-1], _STATE_CONSTS[1:]).astype("<u4").view("<u8")
+
+
+@dataclass
+class _PhiloxKey(np.random.bit_generator.ISeedSequence):
+    """Gives Philox its key; ``Philox(key=...)`` would still seed from OS entropy."""
+
+    key: np.ndarray
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
+
+
+def rng_streams(seed, namespace: int, indices):
+    """Generators of streams (s, namespace, i), s in ``seed`` (one or a list), i in ``indices``."""
+    return (np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+            for s in seed_list(seed) for key in philox_keys(s, namespace, indices))
+
+
 def rng_stream(seed: int, namespace: int, index: int = 0) -> np.random.Generator:
-    """Counter-based generator for stream ``(seed, namespace, index)``."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(namespace, index))
-    return np.random.Generator(np.random.Philox(ss))
+    """Philox generator for stream (seed, namespace, index), keyed as ``SeedSequence`` keys it."""
+    return next(rng_streams(seed, namespace, (index,)))
 
 
-def make_worker_rngs(seed: int, m: int) -> list[np.random.Generator]:
-    """Per-worker gradient-noise streams; worker i always gets the same stream."""
-    return [rng_stream(seed, STREAM_NOISE, i) for i in range(m)]
+def make_worker_rngs(seed, m: int) -> list[np.random.Generator]:
+    """Per-worker gradient-noise streams: row g*m + i is (seed[g], NOISE, i)."""
+    return list(rng_streams(seed, STREAM_NOISE, range(m)))
 
 
 def seed_list(seed) -> list:
@@ -111,7 +169,7 @@ class WorkerStreams:
     """
 
     def __init__(self, seed, m: int, dimension: int, block: int):
-        self.generators = [gen for s in seed_list(seed) for gen in make_worker_rngs(s, m)]
+        self.generators = make_worker_rngs(seed, m)
         rows = len(self.generators)
         self._shape = (rows, block, dimension)
         self._rows = None  # allocated on first use
@@ -544,14 +602,14 @@ def build_quadratic(p: ProblemConfig, seed) -> QuadraticProblem:
             a *= 0.5
         a = stack[0] if S == 1 else stack
     centers = np.empty((S * m, d))
-    for r, row in enumerate(centers):
-        rng_stream(seeds[r // m], STREAM_DATA, 1 + r % m).standard_normal(out=row)
+    for row, rng in zip(centers, rng_streams(seeds, STREAM_DATA, range(1, m + 1))):
+        rng.standard_normal(out=row)
     centers *= p.heterogeneity
     samples = None
     if p.samples_per_worker > 0:
         samples = np.empty((S * m, p.samples_per_worker, d))
-        for r, cloud in enumerate(samples):
-            rng_stream(seeds[r // m], STREAM_DATA, 1000 + r % m).standard_normal(out=cloud)
+        for cloud, rng in zip(samples, rng_streams(seeds, STREAM_DATA, range(1000, 1000 + m))):
+            rng.standard_normal(out=cloud)
         samples *= p.sample_spread
         samples += centers[:, None]
     return QuadraticProblem(a, centers, p.noise, samples=samples)
@@ -570,9 +628,9 @@ def _labelled_shards(p: ProblemConfig, seed, input_dim: int, teacher):
     teachers = [teacher(rng_stream(s, STREAM_DATA, 0)) for s in seeds]
     feats = np.empty((len(seeds) * m, n, input_dim))
     labels = np.empty((len(seeds) * m, n))
-    for r, (f, y) in enumerate(zip(feats, labels)):
+    wrngs = rng_streams(seeds, STREAM_DATA, range(1, m + 1))
+    for r, (f, y, wrng) in enumerate(zip(feats, labels, wrngs)):
         g, i = divmod(r, m)
-        wrng = rng_stream(seeds[g], STREAM_DATA, 1 + i)
         wrng.standard_normal(out=f)
         y[:] = np.where(teachers[g](f) >= 0, 1.0, -1.0)
         p_flip = p.heterogeneity * i / max(m - 1, 1)

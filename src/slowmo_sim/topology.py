@@ -175,27 +175,14 @@ def mixing_matrix(
 
 
 def validate_strong_connectivity(schedule: TopologySchedule) -> None:
-    """Union of edges over one period must be strongly connected (m > 1)."""
+    """Union of edges over one period must be strongly connected: a boolean-
+    frontier search from worker 0 reaches every worker, along edges and back."""
     m = schedule.m
-    if m == 1:
-        return
-    adj = [set() for _ in range(m)]
-    radj = [set() for _ in range(m)]
-    for k in range(schedule.period):
-        for i, j in out_edges(schedule, k):
-            adj[i].add(j)
-            radj[j].add(i)
-
-    def reach(start, nbrs):
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in nbrs[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen
-
-    if len(reach(0, adj)) != m or len(reach(0, radj)) != m:
-        raise ConfigError("topology union over one period is not strongly connected")
+    ends = np.concatenate([_edge_arrays(schedule, k) for k in range(schedule.period)], axis=1)
+    for src, dst in (ends, ends[::-1]):
+        seen = frontier = np.arange(m) == 0
+        while frontier.any():
+            frontier = (np.bincount(dst[frontier[src]], minlength=m) > 0) & ~seen
+            seen |= frontier
+        if not seen.all():
+            raise ConfigError("topology union over one period is not strongly connected")

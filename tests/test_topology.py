@@ -170,6 +170,24 @@ def test_disconnected_custom_schedule_rejected():
         validate_strong_connectivity(sched)
 
 
+def test_custom_schedule_connected_only_in_the_union_of_its_rounds():
+    rounds = [[(0, 1)], [(1, 2)], [(2, 3), (1, 0)], [(3, 1)]]
+    validate_strong_connectivity(TopologySchedule("custom", 4, rounds))
+    for edges in rounds:  # no round alone is
+        with pytest.raises(ConfigError):
+            validate_strong_connectivity(TopologySchedule("custom", 4, [edges]))
+
+
+@pytest.mark.parametrize("rounds", [
+    [[(0, 1), (1, 2)], [(2, 3), (1, 0)]],  # 0 reaches all; 2 and 3 never reach 0
+    [[(1, 0), (2, 0)], [(3, 2)]],  # all reach 0; 0 reaches none
+])
+def test_weakly_but_not_strongly_connected_schedule_rejected(rounds):
+    with pytest.raises(ConfigError,
+                       match="^topology union over one period is not strongly connected$"):
+        validate_strong_connectivity(TopologySchedule("custom", 4, rounds))
+
+
 def test_custom_schedule_validation():
     with pytest.raises(ConfigError, match=r"edge \(0,5\) out of range for m=3"):
         TopologySchedule(kind="custom", m=3, rounds=(((0, 5),),))
