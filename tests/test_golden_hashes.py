@@ -110,6 +110,10 @@ CASES = {
         3, "allreduce", base={"kind": "adam", "buffer_strategy": "average"},
         problem={**_LOGISTIC, "noise": {"kind": "additive-gaussian", "sigma2": 0.5}},
     ),
+    # minibatch draws for a strict subset of workers: 2 of its 12 rounds stall a worker
+    "logistic-minibatch-osgp-m6": _case(
+        6, "osgp", problem=_LOGISTIC, osgp={"staleness": 1, "delay": _GEOMETRIC},
+    ),
     "mlp-minibatch-dpsgd-m4": _case(4, "dpsgd", problem=_MLP),
     "quadratic-cloud-minibatch-osgp-m4": _case(
         4, "osgp", problem=_QUAD_CLOUD, osgp={"staleness": 2, "delay": _GEOMETRIC},
