@@ -160,9 +160,8 @@ class ProblemConfig:
     # quadratic
     l_min: float = 1.0
     l_max: float = 1.0
-    samples_per_worker: int = 0
-    sample_spread: float = 1.0
     # logistic / mlp
+    samples_per_worker: int = 0
     input_dim: int = 4
     hidden: int = 8
 
@@ -184,6 +183,9 @@ class ProblemConfig:
                            MAX_QUADRATIC_DIMENSION)
             if self.l_min <= 0 or self.l_max < self.l_min:
                 raise ConfigError("need 0 < l_min <= l_max")
+            if self.samples_per_worker > 0 or self.noise.kind == "minibatch":
+                raise ConfigError("a quadratic has no data shard: it takes "
+                                  "samples_per_worker 0 and additive-gaussian noise")
         elif self.samples_per_worker < 1:
             raise ConfigError(f"{self.kind} needs samples_per_worker >= 1")
         if self.noise.kind == "minibatch" and self.noise.batch_size > self.samples_per_worker:

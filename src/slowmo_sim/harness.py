@@ -223,7 +223,7 @@ STACK_BYTES = 32 * 2**20
 def _problem_bytes(p) -> int:
     """Bytes of the float64 arrays a problem built from ``p`` holds."""
     if p.kind == "quadratic":
-        return 8 * p.dimension * (p.dimension + p.m * (1 + p.samples_per_worker))
+        return 8 * p.dimension * (p.dimension + p.m)
     width = p.dimension if p.kind == "logistic" else p.input_dim
     return 8 * p.m * p.samples_per_worker * (width + 1)
 

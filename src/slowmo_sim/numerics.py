@@ -2,8 +2,8 @@
 
 Three objective families are supported, each sharded across ``m`` workers:
 
-* ``quadratic``  - per-worker f_i(x) = 0.5 (x - b_i)^T A (x - b_i), optionally
-  backed by a sample cloud so that minibatch noise is meaningful;
+* ``quadratic``  - per-worker f_i(x) = 0.5 (x - b_i)^T A (x - b_i): one
+  curvature matrix A and the centers b_i, with no shard to sample from;
 * ``logistic``   - binary logistic regression on synthetic Gaussian features
   with per-worker label-flip heterogeneity;
 * ``mlp``        - a small two-layer tanh network trained with squared error
@@ -12,15 +12,15 @@ Three objective families are supported, each sharded across ``m`` workers:
 Gradient noise comes from one of two models: ``additive-gaussian`` adds
 N(0, (sigma^2/d) I) to the exact worker gradient (so E||eta||^2 = sigma^2
 independent of dimension), and ``minibatch`` returns the gradient of ``b``
-shard points sampled uniformly without replacement.
+shard points sampled uniformly without replacement (logistic and MLP only).
 
 Stacked contract: a problem keeps every worker's data as one array with the
-worker index first (quadratic ``centers`` (m, d) and sample clouds
-``samples`` (m, n, d); logistic ``features`` (m, n, d) and ``labels``
-(m, n); MLP ``features`` (m, n, p) and ``targets`` (m, n)) and implements
-two batched methods. ``gradients(points, workers, idx=None)`` is the exact
-gradient of worker ``workers[r]`` at ``points[r]`` for every row, over its
-shard rows ``idx[r]`` when an (n, b) ``idx`` is given, and
+worker index first (quadratic ``centers`` (m, d); logistic ``features``
+(m, n, d) and ``labels`` (m, n); MLP ``features`` (m, n, p) and ``targets``
+(m, n)) and implements two batched methods. ``gradients(points, workers,
+idx=None)`` is the exact gradient of worker ``workers[r]`` at ``points[r]``
+for every row, over its shard rows ``idx[r]`` when a shard problem is given
+an (n, b) ``idx``, and
 ``losses_and_gradients(points, workers)`` adds each row's loss. One row of
 ``points`` is shared by every worker. With every worker asked for, both
 take a leading axis: (R, n, d) points (and an (R, n, b) ``idx``) give (R, n)
@@ -386,14 +386,13 @@ class QuadraticProblem(Problem):
 
     ``a`` is one (d, d) matrix for every worker, or a (G, d, d) stack with
     one matrix for each of G equal groups of consecutive workers.
-    ``centers`` holds every b_i as a row, (m, d). When ``samples`` (m, n, d)
-    is given, worker i's objective becomes the mean over its sample cloud
-    ``samples[i]``, b_i is the cloud mean, and minibatch noise draws from the
-    cloud. Every product with A goes through ``_stacked_matvec``, whose bits
-    did not depend on the BLAS thread count on any shape tried.
+    ``centers`` holds every b_i as a row, (m, d). A quadratic has no shard,
+    so its noise is additive. Every product with A goes through
+    ``_stacked_matvec``, whose bits did not depend on the BLAS thread count
+    on any shape tried.
     """
 
-    def __init__(self, a, centers, noise: NoiseModel, samples=None):
+    def __init__(self, a, centers, noise: NoiseModel):
         centers = _stacked(centers, "center", 2)
         m, d = centers.shape
         super().__init__(m, d, noise)
@@ -405,67 +404,39 @@ class QuadraticProblem(Problem):
         transpose = np.swapaxes(self.a, -1, -2)
         if not (np.array_equal(self.a, transpose) or np.allclose(self.a, transpose, atol=1e-12)):
             raise ConfigError("curvature matrix must be symmetric")
-        self.samples = None
-        if samples is not None:
-            self.samples = _stacked(samples, "sample", 3)
-            if self.samples.shape[::2] != (m, d):
-                raise ConfigError(f"sample clouds of shape {self.samples.shape} do not "
-                                  f"match {m} centers of dimension {d}")
-            self.shard_size = self.samples.shape[1]
-            # the effective center is the floating-point mean of the cloud,
-            # so full-batch minibatch gradients match the exact gradient
-            centers = self.samples.mean(axis=1)
-        elif noise.kind == "minibatch":
-            raise ConfigError("minibatch noise on a quadratic requires a sample cloud")
+        if noise.kind == "minibatch":
+            raise ConfigError("a quadratic has no data shard to draw minibatches from")
         self.centers = centers
         # row blocks of A for _matvec: starts at multiples of MATVEC_BLOCK,
         # the last block takes the remainder
         starts = range(0, max(d // MATVEC_BLOCK, 1) * MATVEC_BLOCK, MATVEC_BLOCK)
         self._row_blocks = list(map(slice, starts, [*starts[1:], d]))
 
-    def gradients(self, points, workers, idx=None):
-        if idx is None:
-            centers = self._shards(self.centers, workers)
-        else:
-            centers = self._shards(self.samples, workers, idx).mean(axis=-2)
-        return self._stacked_matvec(points - centers, workers)
+    def gradients(self, points, workers):
+        return self._stacked_matvec(points - self._shards(self.centers, workers), workers)
 
     def losses_and_gradients(self, points, workers):
         r = points - self._shards(self.centers, workers)
         g = self._stacked_matvec(r, workers)
-        if self.samples is None:
-            return row_dots(0.5 * r, g), g
-        # the mean over each sample cloud, one einsum row per sample
-        diffs = points[..., None, :] - self._shards(self.samples, workers)
-        sq = np.empty(diffs.shape[:-1])
-        for a, rows in self._curvatures(workers):
-            flat = diffs[..., rows, :, :].reshape(-1, self.dimension)
-            part = sq[..., rows, :]
-            part[...] = np.einsum("nd,de,ne->n", flat, a, flat).reshape(part.shape)
-        return 0.5 * sq.mean(axis=-1), g
-
-    def _curvatures(self, workers):
-        """(A, rows) pairs: each curvature matrix with the slice of the
-        (ascending) ``workers`` it serves."""
-        if self.a.ndim == 2:
-            return [(self.a, slice(None))]
-        size = self.num_workers // len(self.a)
-        bounds = np.searchsorted(workers, np.arange(len(self.a) + 1) * size).tolist()
-        return [(a, slice(lo, hi)) for a, lo, hi in zip(self.a, bounds, bounds[1:]) if hi > lo]
+        return row_dots(0.5 * r, g), g
 
     def _stacked_matvec(self, rows, workers):
         """A @ r for every row r of (n, d) or (R, n, d) ``rows``, with the A
-        of the row's worker. One product per curvature matrix, or one over
-        every group when every row is asked for."""
+        of the row's (ascending) worker. One product per curvature matrix
+        that serves some row, or one over every group when every row is
+        asked for."""
         if self.a.ndim == 2:
             return self._matvec(self.a, rows)
+        groups = len(self.a)
         if len(workers) == self.num_workers:
-            groups = len(self.a)
             return self._matvec(self.a[:, None], rows.reshape(
                 *rows.shape[:-2], groups, -1, rows.shape[-1])).reshape(rows.shape)
         out = np.empty(rows.shape)
-        for a, part in self._curvatures(workers):
-            out[part] = self._matvec(a, rows[part])
+        size = self.num_workers // groups
+        bounds = np.searchsorted(workers, np.arange(groups + 1) * size).tolist()
+        for a, lo, hi in zip(self.a, bounds, bounds[1:]):
+            if hi > lo:
+                out[lo:hi] = self._matvec(a, rows[lo:hi])
         return out
 
     def _matvec(self, a, rows):
@@ -575,7 +546,7 @@ class MlpProblem(Problem):
 def build_quadratic(p: ProblemConfig, seed) -> QuadraticProblem:
     """Quadratic with worker centers spread by ``p.heterogeneity`` and one A
     for every worker; a sequence of S seeds builds S groups of m workers,
-    each with the A, centers and clouds of its seed."""
+    each with the A and centers of its seed."""
     seeds = seed_list(seed)
     S, m, d = len(seeds), p.m, p.dimension
     if d == 1:
@@ -605,14 +576,7 @@ def build_quadratic(p: ProblemConfig, seed) -> QuadraticProblem:
     for row, rng in zip(centers, rng_streams(seeds, STREAM_DATA, range(1, m + 1))):
         rng.standard_normal(out=row)
     centers *= p.heterogeneity
-    samples = None
-    if p.samples_per_worker > 0:
-        samples = np.empty((S * m, p.samples_per_worker, d))
-        for cloud, rng in zip(samples, rng_streams(seeds, STREAM_DATA, range(1000, 1000 + m))):
-            rng.standard_normal(out=cloud)
-        samples *= p.sample_spread
-        samples += centers[:, None]
-    return QuadraticProblem(a, centers, p.noise, samples=samples)
+    return QuadraticProblem(a, centers, p.noise)
 
 
 def _labelled_shards(p: ProblemConfig, seed, input_dim: int, teacher):

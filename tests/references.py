@@ -2,10 +2,10 @@
 
 The oracle references are per-worker transcriptions of each problem's loss
 and gradient formulas, written one worker at a time from the problem's
-stacked data (quadratic ``centers`` (m, d) and ``samples`` (m, n, d),
-logistic ``features`` (m, n, d) and ``labels`` (m, n), MLP ``features``
-(m, n, p) and ``targets`` (m, n)). The package implements only the stacked
-oracle, ``gradients(points, workers, idx)`` and
+stacked data (quadratic ``centers`` (m, d), logistic ``features``
+(m, n, d) and ``labels`` (m, n), MLP ``features`` (m, n, p) and ``targets``
+(m, n)). The package implements only the stacked oracle,
+``gradients(points, workers, idx)`` and
 ``losses_and_gradients(points, workers)``; every stacked and global form
 must equal these references bit for bit. The rank-ordered loops add the
 per-worker results in ascending rank, the way the kernel did before its
@@ -79,15 +79,9 @@ def reference_loss_and_gradient(
     row when None), from that worker's data alone."""
     rows = slice(None) if idx is None else idx
     if isinstance(problem, QuadraticProblem):
-        a = problem.a
-        if problem.samples is None:
-            r = x - problem.centers[i]
-            g = a @ r
-            return float(0.5 * r @ g), g
-        cloud = problem.samples[i]
-        g = a @ (x - cloud[rows].mean(axis=0))
-        diffs = x - cloud[rows]
-        return float(0.5 * np.einsum("nd,de,ne->n", diffs, a, diffs).mean()), g
+        r = x - problem.centers[i]
+        g = problem.a @ r
+        return float(0.5 * r @ g), g
     if isinstance(problem, LogisticProblem):
         feats, labs = problem.features[i][rows], problem.labels[i][rows]
         margins = labs * (feats @ x)

@@ -139,16 +139,12 @@ def _oracle_cases():
     m, d = 5, 4
     gauss = NoiseModel("additive-gaussian", sigma2=0.3)
     minibatch = NoiseModel("minibatch", batch_size=3)
-    cloud = ProblemConfig(m=m, dimension=d, noise=gauss, l_min=0.5, l_max=2.0,
-                          heterogeneity=1.0, samples_per_worker=6)
     logistic = ProblemConfig(kind="logistic", m=m, dimension=d, samples_per_worker=9,
                              noise=gauss, heterogeneity=0.5)
     mlp = ProblemConfig(kind="mlp", m=m, input_dim=3, hidden=2, samples_per_worker=9,
                         noise=gauss, heterogeneity=0.5)
     return {
         "quadratic": _quadratic(m, d),
-        "quadratic-cloud": build_quadratic(cloud, seed=2),
-        "quadratic-cloud-minibatch": build_quadratic(replace(cloud, noise=minibatch), seed=2),
         "logistic": build_logistic(logistic, seed=2),
         "logistic-minibatch": build_logistic(replace(logistic, noise=minibatch), seed=2),
         "mlp": build_mlp(mlp, seed=2),
@@ -347,19 +343,14 @@ THREADED_FROM = 97
 _ROOT = Path(__file__).resolve().parent.parent
 
 
-def _shared_quadratic(m, d, rng, sigma2=0.0, cloud=0):
+def _shared_quadratic(m, d, rng, sigma2=0.0):
     """A shared symmetric A built without BLAS, so it has the same bits at
-    any BLAS thread count (build_quadratic's QR and product do not). With
-    ``cloud`` > 0 each worker has that many samples around its center, and
-    the noise is minibatches of two of them."""
+    any BLAS thread count (build_quadratic's QR and product do not)."""
     g = rng.standard_normal((d, d))
     a = (g + g.T) * (0.25 / np.sqrt(d))
     a[np.diag_indices(d)] += 2.0
     centers = _signed_rows(rng, (m, d))
-    if not cloud:
-        return QuadraticProblem(a, list(centers), NoiseModel("additive-gaussian", sigma2=sigma2))
-    samples = [c + rng.standard_normal((cloud, d)) for c in centers]
-    return QuadraticProblem(a, list(centers), NoiseModel("minibatch", batch_size=2), samples)
+    return QuadraticProblem(a, list(centers), NoiseModel("additive-gaussian", sigma2=sigma2))
 
 
 def check_blocked_gemv(d):
@@ -385,31 +376,18 @@ def check_blocked_gemv(d):
         assert losses.tolist() == want_losses, (m, d)
         assert _same_bits(grads, want_grads), (m, d)
         assert _same_bits(grads, [a @ (x - c) for c in centers]), (m, d)
-        # a sample cloud: minibatch gradients and the per-worker cloud losses
-        prob = _shared_quadratic(m, d, rng, cloud=5)
-        a, idx = prob.a, np.array([1, 3])
-        points = _signed_rows(rng, (m, d))
-        got = prob.gradients(points, np.arange(m), np.tile(idx, (m, 1)))
-        want = [a @ (x - prob.samples[i][idx].mean(axis=0)) for i, x in enumerate(points)]
-        assert _same_bits(got, want), (m, d)
-        x = points[-1]
-        losses, grads = prob.losses_and_gradients(x[None], np.arange(m))
-        assert losses.tolist() == worker_losses_and_gradients(prob, x)[0], (m, d)
-        assert _same_bits(grads, [a @ (x - c) for c in prob.centers]), (m, d)
 
 
 def _stack(problems):
     """Quadratics of one shape as one problem of a group each, one A per group."""
-    samples = [p.samples for p in problems]
     return QuadraticProblem(np.stack([p.a for p in problems]),
-                            np.concatenate([p.centers for p in problems]), problems[0].noise,
-                            None if samples[0] is None else np.concatenate(samples))
+                            np.concatenate([p.centers for p in problems]), problems[0].noise)
 
 
 def check_stacked_curvatures(problems, rng):
-    """Three quadratics with their own A, stacked: every product, loss and
-    minibatch gradient of a row is its own problem's, for every row and for
-    a subset (one A per group then)."""
+    """Three quadratics with their own A, stacked: every product and loss of
+    a row is its own problem's, for every row and for a subset (one A per
+    group then)."""
     m, d = problems[0].num_workers, problems[0].dimension
     stacked = _stack(problems)
     assert stacked.a.shape == (3, d, d)
@@ -425,17 +403,6 @@ def check_stacked_curvatures(problems, rng):
             mine = workers // m == g
             alone = prob.losses_and_gradients(pts[mine], workers[mine] - g * m)
             assert losses[mine].tolist() == alone[0].tolist(), (m, d, workers)
-    clouds = [_shared_quadratic(m, d, rng, cloud=5) for _ in range(3)]
-    stacked = _stack(clouds)
-    idx = np.tile([1, 3], (3 * m, 1))
-    got = stacked.gradients(points, everyone, idx)
-    losses = stacked.losses_and_gradients(points[::2], everyone[::2])[0]
-    for g, prob in enumerate(clouds):
-        part = slice(g * m, (g + 1) * m)
-        assert _same_bits(got[part], prob.gradients(points[part], np.arange(m), idx[part]))
-        mine = everyone[::2] // m == g
-        alone = prob.losses_and_gradients(points[::2][mine], everyone[::2][mine] - g * m)[0]
-        assert losses[mine].tolist() == alone.tolist(), (m, d)
 
 
 def _run_python(code, blas_threads):
@@ -466,15 +433,13 @@ from slowmo_sim import (BaseOptimizerConfig, ExperimentConfig, GammaSchedule, Si
 cfg = ExperimentConfig(
     base=BaseOptimizerConfig(kind="sgd-nesterov"), slowmo=SlowMoConfig(tau=3, beta=0.5),
     protocol="sgp", gamma=GammaSchedule(value=0.05), T=1, seed=2)
-for kw in ({"sigma2": 0.5}, {"cloud": 6}):
-    prob = t._shared_quadratic(4, 1500, np.random.default_rng(11), **kw)
-    print(Simulation(prob, cfg).run().trace_hash())
+prob = t._shared_quadratic(4, 1500, np.random.default_rng(11), sigma2=0.5)
+print(Simulation(prob, cfg).run().trace_hash())
 """
 
 
 def test_shared_curvature_trajectory_does_not_depend_on_blas_threads():
-    # at d = 1500 a whole-matrix gemv gives different bits at 1 and 2 threads;
-    # the second run is a sample cloud with minibatch noise
+    # at d = 1500 a whole-matrix gemv gives different bits at 1 and 2 threads
     hashes = {_run_python(_THREAD_RUN, threads) for threads in (1, 2)}
     assert len(hashes) == 1, hashes
 
@@ -483,13 +448,13 @@ def test_shared_curvature_trajectory_does_not_depend_on_blas_threads():
 # the batched metric evaluation and the columnar trace
 # --------------------------------------------------------------------------- #
 
-METRIC_KINDS = ("quadratic", "shared-a", "cloud", "logistic", "mlp")
+METRIC_KINDS = ("quadratic", "shared-a", "logistic", "mlp")
 
 
 def _metric_problem(kind, groups, first=4):
     """A problem of ``groups`` groups of three workers, built from seeds
     ``first``, ``first + 1``, ...: one A per group (one A when there is one
-    group), one A for every group, sample clouds, logistic, MLP."""
+    group), one A for every group, logistic, MLP."""
     seeds = list(range(first, first + groups))
     gauss = NoiseModel("additive-gaussian", sigma2=0.3)
     if kind == "shared-a":
@@ -497,8 +462,6 @@ def _metric_problem(kind, groups, first=4):
     p = {
         "quadratic": ProblemConfig(m=3, dimension=5, l_min=0.5, l_max=2.0, heterogeneity=1.0,
                                    noise=gauss),
-        "cloud": ProblemConfig(m=3, dimension=5, l_min=0.5, l_max=2.0, heterogeneity=1.0,
-                               samples_per_worker=4, noise=NoiseModel("minibatch", batch_size=2)),
         "logistic": ProblemConfig(kind="logistic", m=3, dimension=5, samples_per_worker=6,
                                   heterogeneity=0.5, noise=gauss),
         "mlp": ProblemConfig(kind="mlp", m=3, input_dim=3, hidden=2, samples_per_worker=6,
@@ -515,7 +478,7 @@ def test_batched_metric_evaluation_is_one_call_per_record(kind, groups, records)
     # and gradients over a leading axis, with every worker: the record axis
     # log_bias reads (no idx) and estimate_V's sample axis (an (R, n, b) idx)
     prob = _metric_problem(kind, groups)
-    if kind in ("quadratic", "cloud"):
+    if kind == "quadratic":
         assert prob.a.ndim == (2 if groups == 1 else 3)
     rng = np.random.default_rng(records)
     points = _signed_rows(rng, (records, groups, prob.dimension))

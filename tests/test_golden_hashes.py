@@ -49,10 +49,6 @@ _MLP = {
     "kind": "mlp", "input_dim": 3, "hidden": 4, "samples_per_worker": 10,
     "heterogeneity": 0.5, "noise": {"kind": "minibatch", "batch_size": 3},
 }
-_QUAD_CLOUD = {
-    **_QUAD, "samples_per_worker": 7, "sample_spread": 0.5,
-    "noise": {"kind": "minibatch", "batch_size": 3},
-}
 _NESTEROV = {"kind": "sgd-nesterov", "beta_local": 0.9, "buffer_strategy": "maintain"}
 _GEOMETRIC = {"kind": "geometric", "p": 0.5, "cap": 3}
 
@@ -115,9 +111,6 @@ CASES = {
         6, "osgp", problem=_LOGISTIC, osgp={"staleness": 1, "delay": _GEOMETRIC},
     ),
     "mlp-minibatch-dpsgd-m4": _case(4, "dpsgd", problem=_MLP),
-    "quadratic-cloud-minibatch-osgp-m4": _case(
-        4, "osgp", problem=_QUAD_CLOUD, osgp={"staleness": 2, "delay": _GEOMETRIC},
-    ),
     "sgp-exponential-m5-log-bias": _case(5, "sgp", base=_NESTEROV, log_bias=True),
     # null bias_sq rows (an object column) and a snapshot of Nesterov's h
     "osgp-geometric-m6-log-bias-nesterov": _case(
@@ -151,22 +144,43 @@ def test_golden_file_covers_every_case():
     assert sorted(_golden()) == sorted(CASES)
 
 
+def _stalled_rounds(cfg) -> int:
+    """Rounds of ``cfg``'s run in which some worker does not step."""
+    sim = build_simulation(cfg)
+    active_workers, stalled = sim.protocol.active_workers, set()
+
+    def counted():
+        active = active_workers()
+        if len(active) < sim.protocol.rows:
+            stalled.add(sim.clock.round)
+        return active
+
+    sim.protocol.active_workers = counted
+    sim.run()
+    return len(stalled)
+
+
 def test_every_kind_is_pinned_by_some_case():
     """Each protocol, base optimizer, buffer strategy, topology, problem,
-    noise and delay kind the config accepts runs in at least one case, so
-    removing or renaming a case cannot leave its path unpinned."""
+    noise and delay kind the config accepts runs in at least one case, and
+    every noise kind under osgp, so removing or renaming a case cannot leave
+    its path unpinned. Some osgp minibatch case stalls a worker in some
+    round, so the minibatch oracle runs on a strict subset of workers."""
     configs = [parse_config(raw) for raw in CASES.values()]
-    pinned = {
-        PROTOCOL_NAMES: {c.protocol for c in configs},
-        OPTIMIZER_KINDS: {c.base.kind for c in configs},
-        BUFFER_STRATEGIES: {c.base.buffer_strategy for c in configs},
-        TOPOLOGY_KINDS: {c.topology.kind for c in configs if c.protocol in MIXING_PROTOCOLS},
-        PROBLEM_KINDS: {c.problem.kind for c in configs},
-        NOISE_KINDS: {c.problem.noise.kind for c in configs},
-        DELAY_KINDS: {c.osgp.delay.kind for c in configs if c.protocol == "osgp"},
-    }
-    for kinds, used in pinned.items():
+    osgp = [c for c in configs if c.protocol == "osgp"]
+    pinned = [
+        (PROTOCOL_NAMES, {c.protocol for c in configs}),
+        (OPTIMIZER_KINDS, {c.base.kind for c in configs}),
+        (BUFFER_STRATEGIES, {c.base.buffer_strategy for c in configs}),
+        (TOPOLOGY_KINDS, {c.topology.kind for c in configs if c.protocol in MIXING_PROTOCOLS}),
+        (PROBLEM_KINDS, {c.problem.kind for c in configs}),
+        (NOISE_KINDS, {c.problem.noise.kind for c in configs}),
+        (DELAY_KINDS, {c.osgp.delay.kind for c in osgp}),
+        (NOISE_KINDS, {c.problem.noise.kind for c in osgp}),
+    ]
+    for kinds, used in pinned:
         assert set(kinds) <= used, sorted(set(kinds) - used)
+    assert any(_stalled_rounds(c) for c in osgp if c.problem.noise.kind == "minibatch")
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

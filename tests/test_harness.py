@@ -95,6 +95,10 @@ def test_unknown_keys_are_reported_with_their_path():
             parse_config(raw)
         where = f" in {'.'.join(section)}:" if section else "field(s):"
         assert where in str(exc.value) and "momentum" in str(exc.value)
+    raw = copy.deepcopy(_FULL_RAW)
+    raw["problem"]["sample_spread"] = 1.0  # a removed field is an unknown one
+    with pytest.raises(ConfigError, match=r"in problem: \['sample_spread'\]"):
+        parse_config(raw)
 
 
 def test_cross_field_rules():
@@ -105,6 +109,9 @@ def test_cross_field_rules():
     raw = _raw(total_steps=10)
     with pytest.raises(ConfigError):
         parse_config(raw)  # both T and total_steps
+    for problem in ({"samples_per_worker": 4}, {"noise": {"kind": "minibatch", "batch_size": 2}}):
+        with pytest.raises(ConfigError, match="a quadratic has no data shard"):
+            parse_config(_raw(**_workers(2, **problem)))
 
 
 def test_resolved_dict_round_trips():
@@ -775,8 +782,12 @@ UNBUILDABLE = {
     "not-strongly-connected": {"protocol": "sgp",
                                "topology": {"kind": "custom", "rounds": [[[0, 1]]]}},
     "rounds-on-a-generated-kind": {"topology": {"kind": "ring-directed", "rounds": [[[0, 1]]]}},
-    "batch-size-over-shard": _workers(2, samples_per_worker=4,
+    "batch-size-over-shard": _workers(2, kind="logistic", samples_per_worker=4,
                                       noise={"kind": "minibatch", "batch_size": 5}),
+    # a quadratic is A and its centers, with no data shard
+    "quadratic-with-samples": _workers(2, samples_per_worker=4),
+    "quadratic-minibatch": _workers(2, noise={"kind": "minibatch", "batch_size": 2}),
+    "sample-spread": _workers(2, sample_spread=1.0),
 }
 
 
@@ -801,7 +812,8 @@ def test_batch_size_over_the_shard_is_refused_when_parsed():
 
 
 def test_sweep_over_a_batch_size_too_large_runs_nothing(tmp_path, capsys):
-    raw = _raw(**_workers(2, samples_per_worker=4, noise={"kind": "minibatch", "batch_size": 3}),
+    raw = _raw(**_workers(2, kind="logistic", samples_per_worker=4,
+                          noise={"kind": "minibatch", "batch_size": 3}),
                grid={"problem.noise.batch_size": [3, 5]})
     with pytest.raises(ConfigError, match="exceeds"):
         run_sweep(parse_config(raw), str(tmp_path / "direct"))
@@ -1124,7 +1136,7 @@ _FULL_RAW = {
     "problem": {
         "kind": "quadratic", "m": 4, "dimension": 3, "heterogeneity": 0.5,
         "noise": {"kind": "additive-gaussian", "sigma2": 0.2, "batch_size": 0},
-        "l_min": 0.5, "l_max": 2.0, "samples_per_worker": 0, "sample_spread": 1.0,
+        "l_min": 0.5, "l_max": 2.0, "samples_per_worker": 0,
         "input_dim": 4, "hidden": 8,
     },
     "base": {"kind": "adam", "buffer_strategy": "average", "beta_local": 0.9,

@@ -278,8 +278,6 @@ _QUADRATIC = ProblemConfig(m=3, dimension=3, l_min=0.5, l_max=2.0, heterogeneity
 STACKED_BUILDS = {
     "quadratic-d1": (build_quadratic, replace(_QUADRATIC, dimension=1), ("centers",)),
     "quadratic": (build_quadratic, _QUADRATIC, ("centers",)),
-    "quadratic-cloud": (build_quadratic, replace(_QUADRATIC, samples_per_worker=4),
-                        ("centers", "samples")),
     "logistic": (build_logistic, ProblemConfig(kind="logistic", m=3, dimension=4,
                                                samples_per_worker=5, heterogeneity=0.6),
                  ("features", "labels")),
@@ -331,19 +329,10 @@ def test_quadratic_validation():
         QuadraticProblem(np.array([[1.0, 0.5], [0.0, 1.0]]), [np.zeros(2)], noise)
     with pytest.raises(ConfigError, match="shape"):
         QuadraticProblem(np.eye(3), [np.zeros(2)] * 2, noise)
-    with pytest.raises(ConfigError):  # minibatch needs a sample cloud
-        QuadraticProblem(np.eye(2), [np.zeros(2)], NoiseModel("minibatch", batch_size=1))
+    with pytest.raises(ConfigError, match="no data shard"):  # no shard to draw minibatches from
+        QuadraticProblem(np.eye(2), [np.zeros(2)] * 2, NoiseModel("minibatch", batch_size=2))
     with pytest.raises(ConfigError, match="do not stack"):  # ragged centers
         QuadraticProblem(np.eye(2), [np.zeros(2), np.zeros(3)], noise)
-    centers = [np.zeros(2)] * 2
-    with pytest.raises(ConfigError, match="do not stack"):  # clouds of different sizes
-        QuadraticProblem(np.eye(2), centers, noise, samples=[np.zeros((3, 2)), np.zeros((4, 2))])
-    with pytest.raises(ConfigError, match="do not match"):  # one cloud per center
-        QuadraticProblem(np.eye(2), centers, noise, samples=np.zeros((3, 4, 2)))
-    with pytest.raises(ConfigError, match="do not match"):  # clouds of the wrong dimension
-        QuadraticProblem(np.eye(2), centers, noise, samples=np.zeros((2, 4, 3)))
-    with pytest.raises(ConfigError, match="nonempty"):  # empty clouds
-        QuadraticProblem(np.eye(2), centers, noise, samples=np.zeros((2, 0, 2)))
 
 
 def test_logistic_validation():
@@ -396,12 +385,6 @@ def _fused_cases():
                               heterogeneity=1.0)
     return {
         "quadratic-shared": build_quadratic(quadratic, seed=2),
-        "quadratic-cloud": build_quadratic(
-            replace(quadratic, noise=NoiseModel("minibatch", batch_size=2), samples_per_worker=5),
-            seed=2),
-        "quadratic-one-sample": build_quadratic(
-            replace(quadratic, noise=NoiseModel("minibatch", batch_size=1), samples_per_worker=1),
-            seed=2),
         "logistic": build_logistic(ProblemConfig(kind="logistic", m=3, dimension=4,
                                                  samples_per_worker=9, noise=gauss,
                                                  heterogeneity=0.5), seed=2),

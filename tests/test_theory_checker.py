@@ -132,9 +132,9 @@ def test_estimate_v_general_path_runs():
 
 
 def _v_problem(kind, m, d):
-    """A heterogeneous additive quadratic, a sample-cloud minibatch quadratic,
-    a minibatch logistic problem or an additive MLP (d = 7: 2 hidden units
-    of 1 input) of m workers in dimension d."""
+    """A heterogeneous additive quadratic, a minibatch logistic problem or an
+    additive MLP (d = 7: 2 hidden units of 1 input) of m workers in
+    dimension d."""
     gauss = NoiseModel("additive-gaussian", sigma2=0.5)
     if kind == "mlp":
         assert d == 7
@@ -144,10 +144,8 @@ def _v_problem(kind, m, d):
         return build_logistic(ProblemConfig(kind="logistic", m=m, dimension=d,
                                             samples_per_worker=8, heterogeneity=0.5,
                                             noise=NoiseModel("minibatch", batch_size=3)), 5)
-    cloud = {"samples_per_worker": 5, "noise": NoiseModel("minibatch", batch_size=2)}
     return build_quadratic(ProblemConfig(m=m, dimension=d, l_min=0.5, l_max=2.0,
-                                         heterogeneity=1.0,
-                                         **(cloud if kind == "cloud" else {"noise": gauss})), 5)
+                                         heterogeneity=1.0, noise=gauss), 5)
 
 
 def _chunked_estimates(prob, base, samples, chunks, monkeypatch):
@@ -173,7 +171,7 @@ V_BASES = [BaseOptimizerConfig(kind="plain-sgd"), BaseOptimizerConfig(kind="sgd-
 
 
 @pytest.mark.parametrize("base", V_BASES, ids=lambda b: b.kind)
-@pytest.mark.parametrize("kind", ["quadratic", "cloud", "logistic", "mlp"])
+@pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp"])
 def test_estimate_v_is_the_per_sample_loop(kind, base, monkeypatch):
     # one chunk of all 250 samples, chunks of 64 (the last one short), chunks of one
     prob = _v_problem(kind, 3, 7)
@@ -184,7 +182,7 @@ def test_estimate_v_is_the_per_sample_loop(kind, base, monkeypatch):
 
 @pytest.mark.parametrize("m", [1, 3, 16])
 @pytest.mark.parametrize("d", [1, 7])
-@pytest.mark.parametrize("kind", ["quadratic", "cloud", "logistic"])
+@pytest.mark.parametrize("kind", ["quadratic", "logistic"])
 def test_estimate_v_is_the_per_sample_loop_at_every_size(kind, d, m, monkeypatch):
     prob = _v_problem(kind, m, d)
     for base in V_BASES:
