@@ -71,6 +71,8 @@ def _case(m, protocol, topology="exponential-directed", base=None, rounds=(), pr
 
 CASES = {
     "sgp-exponential-m5": _case(5, "sgp"),
+    # a group of one worker: its mixing round is the identity
+    "sgp-exponential-m1": _case(1, "sgp"),
     "sgp-exponential-m8-nesterov": _case(8, "sgp", base=_NESTEROV),
     "sgp-ring-m5": _case(5, "sgp", topology="ring-directed"),
     "sgp-complete-m4": _case(4, "sgp", topology="complete"),
