@@ -11,7 +11,7 @@ from .base_optimizers import (
 )
 from .comm_protocols import (
     DelayModel,
-    SlotMixing,
+    PeerMixing,
     WorkerStates,
     exact_average,
     make_protocol,

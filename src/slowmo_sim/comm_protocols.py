@@ -19,16 +19,16 @@ conservation (sum of w plus in-flight payload weight equals m) is the
 protocol's core invariant; the kernel records it and raises ProtocolError
 when it drifts.
 
-Gossip and push-sum rounds mix through a sparse ``SlotMixing`` form of the
-round's matrix, compiled from the nonzeros ``topology.mixing_matrix`` builds
-out of the edge list (no m x m array) and validated once per period entry
+Gossip and push-sum rounds mix through ``PeerMixing``, the one-peer form of
+the round's matrix that ``topology.mixing_matrix`` gives (each row 1/2 on
+itself and 1/2 on one peer, no m x m array), built once per period entry
 (every entry when a dpsgd protocol is built, on first use for push-sum): a
-round costs O(nnz * d), O(m * d) on one-peer graphs, and adds each row's
-terms in ascending sender rank, so trajectories match a dense double loop
-bit for bit. OSGP keeps its in-flight messages as the rows of one flat
-store of plain arrays in send order (senders, receivers, delivery rounds,
-payloads, weights) and delivers the due rows with one ordered ``np.add.at``
-each for x and w.
+round costs O(m * d) and adds each row's two terms in ascending column, so
+trajectories match a dense double loop bit for bit. A group of one worker
+has no peer, and its rounds are the identity. OSGP keeps its in-flight
+messages as the rows of one flat store of plain arrays in send order
+(senders, receivers, delivery rounds, payloads, weights) and delivers the
+due rows with one ordered ``np.add.at`` each for x and w.
 
 All cross-worker reductions accumulate in ascending worker rank so traces are
 bit-reproducible; delivered messages drain in (send round, sender rank) order
@@ -36,7 +36,7 @@ and in-flight sums add in (sender, receiver, send round) order.
 
 A protocol serves S groups of m workers (one per seed of a stacked run)
 as S*m rows: averages reduce per group, mixing is block-diagonal (each
-group's edge list offset by g*m), and OSGP draws each group's delays from
+group's peers offset by g*m), and OSGP draws each group's delays from
 its own stream and checks each group's stalls apart. S = 1 is the
 ordinary run.
 """
@@ -51,7 +51,11 @@ import numpy as np
 from .base_optimizers import OptimizerBuffers
 from .errors import ConfigError, ProtocolError
 from .numerics import STREAM_DELAY, group_sums, repeat_groups, rng_stream
-from .topology import TopologySchedule, mixing_matrix, out_neighbor
+from .topology import (
+    TopologySchedule,
+    mixing_matrix,
+    out_neighbor,  # unused here, but the benchmark's tracer wraps it at this site
+)
 
 if TYPE_CHECKING:  # config imports this module
     from .config import ExperimentConfig
@@ -129,53 +133,25 @@ def exact_average(states: WorkerStates, groups: int = 1) -> np.ndarray:
     return group_sums(states.z, groups) / (len(states) // groups)
 
 
-class SlotMixing:
-    """A mixing matrix p in padded-row ("slot") form, compiled from its
-    nonzeros (rows, cols, weights), listed row by row with columns ascending.
+class PeerMixing:
+    """A mixing matrix p in one-peer form: row i is 1/2 on i and 1/2 on
+    ``peers[i]``. ``receiver`` is the inverse map, the row that sender j's
+    half goes to."""
 
-    Slot c holds (rows, cols, weights) of every row's c-th nonzero; its rows
-    are a slice when they are every row in order.
-    ``doubly``: rows sum to 1 too. ``self_weight`` is the diagonal p[i, i];
-    on a one-peer graph ``receiver[j]`` and ``send_weight[j]`` are sender
-    j's out-edge and its weight (j itself and 0 for a worker without one).
-    """
-
-    def __init__(self, m: int, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray):
-        if (weights < 0).any():
-            raise ConfigError("mixing weights must be nonnegative")
-        if np.max(np.abs(np.bincount(cols, weights, minlength=m) - 1.0)) > 1e-12:
-            raise ConfigError("columns must sum to 1")
-        self.doubly = bool(np.max(np.abs(np.bincount(rows, weights, minlength=m) - 1.0)) <= 1e-12)
-        position = np.arange(rows.size) - np.searchsorted(rows, rows)
-        slots = [position == c for c in range(int(position.max()) + 1)]
-        # a slot's rows are distinct and ascending, so m of them are every row
-        self.slots = [(slice(None) if np.count_nonzero(s) == m else rows[s], cols[s],
-                       weights[s, None]) for s in slots]
-        diag, off = rows == cols, rows != cols
-        self.self_weight = np.zeros(m)
-        self.self_weight[rows[diag]] = weights[diag]
-        self.receiver = np.arange(m)
-        self.receiver[cols[off]] = rows[off]
-        self.send_weight = np.zeros(m)
-        self.send_weight[cols[off]] = weights[off]
+    def __init__(self, peers: np.ndarray):
+        rows = np.arange(peers.size)
+        self.lo, self.hi = np.minimum(rows, peers), np.maximum(rows, peers)
+        self.receiver = np.empty_like(peers)
+        self.receiver[peers] = rows
 
     def mix(self, values: np.ndarray) -> np.ndarray:
-        """out[i] = sum_j p[i, j] values[j] over the rows of ``values``.
-
-        A row's first term is assigned rather than added to zero, so a
-        signed zero survives as in a left-to-right sum; empty rows stay zero.
-        """
-        out = None
-        for rows, cols, weights in self.slots:
-            term = values[cols]
-            term *= weights
-            if out is not None:
-                out[rows] += term
-            elif isinstance(rows, slice):
-                out = term
-            else:
-                out = np.zeros_like(values)
-                out[rows] = term
+        """out[i] = sum_j p[i, j] values[j] over the rows of ``values``: 0.5
+        values[lo] and then 0.5 values[hi] added to it, in a dense loop's order."""
+        out = values[self.lo]
+        out *= 0.5
+        term = values[self.hi]
+        term *= 0.5
+        out += term
         return out
 
 
@@ -246,44 +222,48 @@ class AllReduceProtocol(_ProtocolBase):
 
 class _MixingProtocol(_ProtocolBase):
     """A protocol that mixes through its topology schedule's matrices, each
-    validated and compiled once per period entry."""
+    built once per period entry."""
 
     stochasticity = "column"
 
     def __init__(self, cfg, m, schedule, seeds):
         super().__init__(cfg, m, schedule, seeds)
         self.schedule = schedule
-        self._compiled: dict[int, SlotMixing] = {}
+        self._compiled: dict[int, PeerMixing] = {}
 
-    def mixing(self, round_index: int) -> SlotMixing:
+    def mixing(self, round_index: int) -> PeerMixing:
         """The round's matrix over all S*m rows: block-diagonal, one copy of
         the schedule's matrix per group."""
         key = round_index % self.schedule.period
         if key not in self._compiled:
-            rows, cols, weights = mixing_matrix(self.schedule, key, self.stochasticity)
-            offsets = np.repeat(np.arange(self.groups) * self.m, rows.size)
-            self._compiled[key] = SlotMixing(
-                self.rows, np.tile(rows, self.groups) + offsets,
-                np.tile(cols, self.groups) + offsets, np.tile(weights, self.groups))
+            peers = mixing_matrix(self.schedule, key, self.stochasticity)
+            self._compiled[key] = PeerMixing(
+                (peers + self.m * np.arange(self.groups)[:, None]).ravel())
         return self._compiled[key]
+
+    def alone(self, states: WorkerStates, half: np.ndarray) -> bool:
+        """Whether each group is one worker, which has no peer: its round is
+        then the identity, x <- half, done here."""
+        if self.m == 1:
+            states.x = half
+        return self.m == 1
 
 
 class GossipProtocol(_MixingProtocol):
-    """Doubly-stochastic gossip: x_i <- sum_j p[i,j] half[j]. Compiles its
-    whole period when built, so a round whose edges cannot be paired is a
-    ConfigError, and one whose rows do not sum to 1 a ProtocolError, before
-    the run starts."""
+    """Doubly-stochastic gossip: x_i <- sum_j p[i,j] half[j]. Builds its
+    whole period when built, so a round whose workers cannot be paired is a
+    ConfigError before the run starts."""
 
     stochasticity = "doubly"
 
     def __init__(self, cfg, m, schedule, seeds):
         super().__init__(cfg, m, schedule, seeds)
         for k in range(schedule.period):
-            if not self.mixing(k).doubly:
-                raise ProtocolError("doubly-stochastic gossip needs row sums 1 within 1e-12")
+            self.mixing(k)
 
     def apply_round(self, states, half, round_index):
-        states.x = self.mixing(round_index).mix(half)
+        if not self.alone(states, half):
+            states.x = self.mixing(round_index).mix(half)
 
 
 class PushSumProtocol(_MixingProtocol):
@@ -292,9 +272,10 @@ class PushSumProtocol(_MixingProtocol):
     debias = True
 
     def apply_round(self, states, half, round_index):
-        mix = self.mixing(round_index)
-        states.x = mix.mix(half)
-        states.w = mix.mix(states.w[:, None])[:, 0]
+        if not self.alone(states, half):
+            mix = self.mixing(round_index)
+            states.x = mix.mix(half)
+            states.w = mix.mix(states.w)
 
 
 class OverlapPushSumProtocol(_MixingProtocol):
@@ -305,7 +286,7 @@ class OverlapPushSumProtocol(_MixingProtocol):
     order. ``np.add.at`` adds repeated indices in index order, so adding the
     due rows in that order delivers each receiver's messages in (send round,
     sender) order. Per-edge FIFO delivery is a clamp on the ``(period, m)``
-    array of each edge's last delivery round: on a one-peer graph edge
+    array of each edge's last delivery round: with one peer per round, edge
     (round % period, sender) is a distinct edge.
     """
 
@@ -313,7 +294,6 @@ class OverlapPushSumProtocol(_MixingProtocol):
 
     def __init__(self, cfg, m, schedule, seeds):
         super().__init__(cfg, m, schedule, seeds)
-        out_neighbor(schedule, 0, 0)  # ConfigError unless every worker has one out-neighbor
         self.staleness = cfg.osgp.staleness
         self.delay = cfg.osgp.delay
         self.senders = self.receivers = self.deliver = np.empty(0, dtype=np.int64)
@@ -327,9 +307,7 @@ class OverlapPushSumProtocol(_MixingProtocol):
         return np.flatnonzero(~self.stalled)
 
     def apply_round(self, states, half, round_index):
-        if self.m == 1:
-            # no peers: degenerate synchronous case, never stalls
-            states.x = half
+        if self.alone(states, half):  # never stalls
             return
         sent = ~self.stalled
         senders = np.flatnonzero(sent)
@@ -338,22 +316,21 @@ class OverlapPushSumProtocol(_MixingProtocol):
             flying = np.bincount(self.senders // self.m, minlength=self.groups)
             if (counts + flying == 0).any():
                 raise ProtocolError("every worker is stalled and no messages are in flight")
-        mix = self.mixing(round_index)
+        receivers = self.mixing(round_index).receiver[senders]
         # each group draws the delays of its senders in ascending rank
         lags = np.concatenate([self.delay.draw(rng, count)
                                for rng, count in zip(self._delay_rngs, counts.tolist())])
         last = self.last_delivery[round_index % len(self.last_delivery)]
         deliver = np.maximum(round_index + lags, last[senders])  # FIFO per edge
         last[senders] = deliver
-        w = states.w[senders]
-        weight = mix.send_weight[senders]
-        sends = (senders, mix.receiver[senders], deliver, weight[:, None] * half, weight * w)
+        # a sender keeps one half of x and w and sends the other
+        x, w = 0.5 * half, 0.5 * states.w[senders]
+        sends = (senders, receivers, deliver, x, w)
         if self.senders.size:  # an empty store's payloads are (0, 0), no width yet
             sends = [np.concatenate(pair) for pair in zip(self._messages(), sends)]
         self.senders, self.receivers, self.deliver, self.payloads, self.weights = sends
-        keep = mix.self_weight[senders]
-        states.x[senders] = keep[:, None] * half
-        states.w[senders] = keep * w
+        states.x[senders] = x
+        states.w[senders] = w
         self.count_since_last, self.stalled = osgp_step(
             sent, self._deliver(states, round_index), self.count_since_last, self.staleness,
         )

@@ -12,9 +12,8 @@ itself, to ``Simulation``; given a sequence of seeds, it builds one stacked
 simulation of one group per seed, group g being the run of
 ``replace(cfg, seed=seeds[g])``. The rules on a run's settings live here,
 except the ones that need its topology, which ``Simulation`` checks as it
-builds the schedule and protocol: custom edges, connectivity, dpsgd's
-pairing and osgp's one peer. Either way a bad config fails before anything
-is written.
+builds the schedule and protocol: connectivity and dpsgd's pairing.
+Either way a bad config fails before anything is written.
 """
 
 from __future__ import annotations
@@ -79,27 +78,6 @@ def _check_float(value, name: str) -> None:
         raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
-def _milestone(value, name: str) -> int:
-    _check_int(value, name, minimum=0)
-    return value
-
-
-def _round(edges, name: str) -> tuple:
-    """One custom topology round: a list of [sender, receiver] pairs."""
-    if not isinstance(edges, list):
-        raise ConfigError(f"{name} must be a list of edges, got {edges!r}")
-    for e in edges:
-        if not isinstance(e, list) or len(e) != 2:
-            raise ConfigError(f"{name} edge {e!r} must be a [sender, receiver] pair")
-        for endpoint in e:
-            _check_int(endpoint, f"{name} edge endpoint", minimum=0)
-    return tuple((e[0], e[1]) for e in edges)
-
-
-# how the entries of each tuple field are checked, by field name
-_TUPLE_ENTRIES = {"milestones": _milestone, "rounds": _round}
-
-
 @functools.cache
 def _field_table(cls) -> dict:
     """Each field's (default, nested dataclass or None); factories run once, here."""
@@ -137,11 +115,12 @@ def _parse(cls, raw, path: str):
             _check_int(value, where)
         elif type(default) is float:
             _check_float(value, where)
-        elif type(default) is tuple:
+        elif type(default) is tuple:  # the milestones: a list of integers >= 0
             if not isinstance(value, list):
                 raise ConfigError(f"{where} must be a list, got {value!r}")
-            entry = _TUPLE_ENTRIES[name]
-            value = tuple(entry(v, f"{where}[{i}]") for i, v in enumerate(value))
+            for i, v in enumerate(value):
+                _check_int(v, f"{where}[{i}]", minimum=0)
+            value = tuple(value)
         elif type(default) is dict:
             if not isinstance(value, dict):
                 raise ConfigError(f"{where} must be an object, got {value!r}")
@@ -217,17 +196,13 @@ class OsgpConfig:
 
 @dataclass(frozen=True)
 class TopologyConfig:
-    """The gossip graph: a built-in kind, or ``custom`` with rounds of edges."""
+    """The gossip graph: one of the one-peer-per-round kinds."""
 
     kind: str = "exponential-directed"
-    rounds: tuple = ()
 
     def __post_init__(self):
         if self.kind not in TOPOLOGY_KINDS:
             raise ConfigError(f"unknown topology kind {self.kind!r}")
-        if (self.kind == "custom") != bool(self.rounds):
-            raise ConfigError("topology.rounds must be nonempty for the custom kind, "
-                              "and empty for the others")
 
 
 @dataclass(frozen=True)
@@ -302,7 +277,6 @@ def resolved_dict(cfg: ExperimentConfig) -> dict:
     except RecursionError as exc:
         raise ConfigError(f"grid nests too deep to resolve: {exc}") from exc
     out["gamma"]["milestones"] = list(out["gamma"]["milestones"])
-    out["topology"]["rounds"] = [list(map(list, rnd)) for rnd in out["topology"]["rounds"]]
     return out
 
 

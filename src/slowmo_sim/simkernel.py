@@ -186,7 +186,7 @@ class Simulation:
 
         schedule = None
         if cfg.protocol in MIXING_PROTOCOLS:
-            schedule = TopologySchedule(cfg.topology.kind, m, cfg.topology.rounds)
+            schedule = TopologySchedule(cfg.topology.kind, m)
             validate_strong_connectivity(schedule)
         self.protocol = make_protocol(cfg, m, schedule, self.seeds)
 

@@ -29,6 +29,12 @@ iterates, matching the trace records the simulator writes.
 ``OsgpReference`` is overlap push-sum kept one message at a time, the
 protocol-level baseline for the batched in-flight store.
 
+The graph references are the general sparse forms the one-peer schedules
+replaced: ``column_nonzeros_reference`` builds a column-stochastic matrix
+from any round's directed edges, ``matching_partners_reference`` pairs them
+greedily for doubly-stochastic gossip, and ``strongly_connected_reference``
+searches their union for strong connectivity.
+
 ``estimate_v_reference`` is ``estimate_V`` one sample at a time: one
 stacked oracle call at x = 0, one ``local_direction`` call from fresh
 buffers and one rank-ordered sum per sample.
@@ -45,7 +51,7 @@ import math
 import numpy as np
 
 from slowmo_sim.base_optimizers import OptimizerBuffers, local_direction
-from slowmo_sim.errors import ProtocolError
+from slowmo_sim.errors import ConfigError, ProtocolError
 from slowmo_sim.numerics import (
     STREAM_DELAY,
     LogisticProblem,
@@ -351,3 +357,66 @@ class OsgpReference:
             x = x + msg[4]
             w = w + msg[5]
         return x, w
+
+
+def round_edges(schedule, round_index: int) -> list[tuple[int, int]]:
+    """The round's directed (sender, receiver) edges, self-loops excluded,
+    one worker's ``out_neighbor`` at a time."""
+    ends = ((i, out_neighbor(schedule, i, round_index)) for i in range(schedule.m))
+    return [(i, j) for i, j in ends if i != j]
+
+
+def column_nonzeros_reference(m: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzeros (rows, cols, weights) of a round's column-stochastic
+    matrix, row by row with columns ascending: p[j, j] = 1/(1 + out-degree of
+    j) and p[j, i] = 1/(1 + out-degree of i) for each edge i -> j."""
+    senders, receivers = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    workers = np.arange(m)
+    share = 1.0 / (1.0 + np.bincount(senders, minlength=m))
+    rows = np.concatenate([workers, receivers])
+    cols = np.concatenate([workers, senders])
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order], share[cols[order]]
+
+
+def matching_partners_reference(m: int, edges, r: int) -> np.ndarray:
+    """Each worker's partner when a round's edges are symmetrized into a
+    perfect matching, or a ConfigError naming round ``r``.
+
+    Workers are paired greedily in index order, each taking its smallest
+    unpaired undirected neighbor; any leftover worker means the round has no
+    pairwise exchange pattern.
+    """
+    nbrs: list[set[int]] = [set() for _ in range(m)]
+    for i, j in edges:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    partner = [-1] * m
+    for i in range(m):
+        if partner[i] != -1:
+            continue
+        for j in sorted(nbrs[i]):
+            if partner[j] == -1:
+                partner[i] = j
+                partner[j] = i
+                break
+    if -1 in partner:
+        raise ConfigError(
+            f"round {r} edges cannot be symmetrized into a perfect matching; "
+            "doubly-stochastic gossip needs pairwise exchanges"
+        )
+    return np.array(partner, dtype=np.int64)
+
+
+def strongly_connected_reference(m: int, edges) -> bool:
+    """Whether a boolean-frontier search from worker 0 reaches every worker,
+    along the edges and back along them."""
+    src, dst = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    for a, b in ((src, dst), (dst, src)):
+        seen = frontier = np.arange(m) == 0
+        while frontier.any():
+            frontier = (np.bincount(b[frontier[a]], minlength=m) > 0) & ~seen
+            seen |= frontier
+        if not seen.all():
+            return False
+    return True

@@ -12,7 +12,7 @@ from slowmo_sim import (
     ExperimentConfig,
     OptimizerBuffers,
     ProtocolError,
-    SlotMixing,
+    PeerMixing,
     WorkerStates,
     exact_average,
     make_protocol,
@@ -46,14 +46,12 @@ def _everyone(states):
     return states.x.copy()
 
 
-def _slots(sched, k, stochasticity):
-    return SlotMixing(sched.m, *mixing_matrix(sched, k, stochasticity))
-
-
 def _dense(sched, k, stochasticity):
-    rows, cols, weights = mixing_matrix(sched, k, stochasticity)
+    """The round's m x m matrix: 1/2 on each row's own column and 1/2 on its peer's."""
+    workers = np.arange(sched.m)
     p = np.zeros((sched.m, sched.m))
-    p[rows, cols] = weights
+    np.add.at(p, (workers, workers), 0.5)
+    np.add.at(p, (workers, mixing_matrix(sched, k, stochasticity)), 0.5)
     return p
 
 
@@ -101,17 +99,6 @@ def test_gossip_preserves_mean_and_reaches_consensus():
         assert np.allclose(mean_k, mean0, atol=1e-13)
     # the hop-1/2/4 pairwise exchanges implement a full dimension exchange
     assert np.allclose(states.x, mean0, atol=1e-13)
-
-
-def test_gossip_rejects_column_only_matrix(monkeypatch):
-    # two senders aimed at one receiver: column-stochastic but not row-stochastic
-    real = comm_protocols.mixing_matrix
-    monkeypatch.setattr(comm_protocols, "mixing_matrix",
-                        lambda schedule, k, stochasticity: real(schedule, k, "column"))
-    sched = TopologySchedule("custom", 3, [[(0, 1), (2, 1)]])
-    assert not _slots(sched, 0, "column").doubly
-    with pytest.raises(ProtocolError, match="row sums"):
-        make_protocol(_cfg("dpsgd"), 3, sched)
 
 
 def test_pushsum_conserves_mass_and_mean():
@@ -471,7 +458,7 @@ def test_osgp_batches_match_per_message_reference(m, kind, delay, staleness, see
 
 
 # --------------------------------------------------------------------------- #
-# slot mixing against a dense reference
+# one-peer mixing against a dense reference
 # --------------------------------------------------------------------------- #
 
 def _dense_gossip(p, half_x):
@@ -509,42 +496,16 @@ def _schedule_matrices(kind, m):
     for k in range(sched.period):
         for stochasticity in ("column", "doubly"):
             try:
-                out.append((_dense(sched, k, stochasticity), stochasticity))
+                out.append((_dense(sched, k, stochasticity),
+                            mixing_matrix(sched, k, stochasticity), stochasticity))
             except ConfigError:
                 pass  # no perfect matching this round: not a doubly schedule
     return out
 
 
-def _custom_matrices(rng, m):
-    rounds = []
-    for _ in range(3):
-        n_edges = int(rng.integers(0, 2 * m + 1))
-        edges = {tuple(rng.integers(0, m, size=2).tolist()) for _ in range(n_edges)}
-        rounds.append(sorted(edges))
-    sched = TopologySchedule("custom", m, rounds)
-    return [(_dense(sched, k, "column"), "column") for k in range(sched.period)]
-
-
-def _ragged_matrix(rng, m):
-    """Column-stochastic with random sparsity, no forced diagonal, empty rows."""
-    mask = rng.random((m, m)) < 0.4
-    empty = rng.random(m) < 0.3
-    empty[rng.integers(m)] = False
-    mask[empty] = False
-    kept = np.flatnonzero(~empty)
-    for j in range(m):
-        if not mask[:, j].any():
-            mask[rng.choice(kept), j] = True
-    p = np.where(mask, rng.random((m, m)) + 0.1, 0.0)
-    return p / p.sum(axis=0)
-
-
 MIXING_CASES = (
     [("exponential-directed", m) for m in (1, 2, 3, 5, 8, 64)]
     + [("ring-directed", m) for m in (2, 3, 6)]
-    + [("complete", m) for m in (1, 3, 4)]
-    + [("custom", m) for m in (2, 5, 9)]
-    + [("ragged", m) for m in (1, 4, 7)]
 )
 
 
@@ -553,25 +514,18 @@ MIXING_CASES = (
 def test_slot_mixing_matches_dense_loop_bit_for_bit(case, seed):
     kind, m = case
     rng = np.random.default_rng(seed)
-    if kind == "custom":
-        matrices = _custom_matrices(rng, m)
-    elif kind == "ragged":
-        matrices = [(_ragged_matrix(rng, m), "column")]
-    else:
-        matrices = _schedule_matrices(kind, m)
-    for p, stochasticity in matrices:
+    for p, peers, stochasticity in _schedule_matrices(kind, m):
         half = rng.standard_normal((m, 3))
         half[rng.random(half.shape) < 0.1] = 0.0
         half[rng.random(half.shape) < 0.1] = -0.0
         ws = list(rng.random(m) + 0.5)
-        rows, cols = np.nonzero(p)
-        slots = SlotMixing(m, rows, cols, p[rows, cols])
+        mix = PeerMixing(peers)
 
         ref_x, ref_w = _dense_pushsum(p, list(half), ws)
-        assert _same_bits(slots.mix(half), ref_x)
-        assert _same_bits(slots.mix(np.array(ws)[:, None])[:, 0], ref_w)
+        assert _same_bits(mix.mix(half), ref_x)
+        assert _same_bits(mix.mix(np.array(ws)), ref_w)
         if stochasticity == "doubly":
-            assert _same_bits(slots.mix(half), _dense_gossip(p, list(half)))
+            assert _same_bits(mix.mix(half), _dense_gossip(p, list(half)))
 
 
 def test_mixing_is_compiled_once_per_period_entry(monkeypatch):
@@ -600,19 +554,10 @@ def test_mixing_is_compiled_once_per_period_entry(monkeypatch):
     assert built == list(range(sched.period))
 
 
-@pytest.mark.parametrize("kind, m, rounds, bad_round", [
-    ("ring-directed", 3, (), 0),
-    ("exponential-directed", 6, (), 1),  # the hop-2 round is two 3-cycles
-    ("custom", 4, [[(0, 1), (2, 3)], [(1, 2), (3, 0)], [(0, 1), (1, 2)]], 2),
+@pytest.mark.parametrize("kind, m, bad_round", [
+    ("ring-directed", 3, 0),
+    ("exponential-directed", 6, 1),  # the hop-2 round is two 3-cycles
 ])
-def test_dpsgd_rejects_an_unpairable_round_when_built(kind, m, rounds, bad_round):
+def test_dpsgd_rejects_an_unpairable_round_when_built(kind, m, bad_round):
     with pytest.raises(ConfigError, match=f"round {bad_round} edges cannot .* perfect matching"):
-        make_protocol(_cfg("dpsgd"), m, TopologySchedule(kind, m, rounds))
-
-
-def test_osgp_rejects_topologies_without_a_single_out_neighbor():
-    complete = TopologySchedule(kind="complete", m=3)
-    custom = TopologySchedule("custom", 3, [[(0, 1), (1, 2), (2, 0)]])
-    for sched in (complete, custom):
-        with pytest.raises(ConfigError):
-            make_protocol(_osgp_cfg(), 3, sched)
+        make_protocol(_cfg("dpsgd"), m, TopologySchedule(kind, m))

@@ -53,15 +53,14 @@ _NESTEROV = {"kind": "sgd-nesterov", "beta_local": 0.9, "buffer_strategy": "main
 _GEOMETRIC = {"kind": "geometric", "p": 0.5, "cap": 3}
 
 
-def _case(m, protocol, topology="exponential-directed", base=None, rounds=(), problem=None,
-          **extra):
+def _case(m, protocol, topology="exponential-directed", base=None, problem=None, **extra):
     return {
         "problem": {**(problem or _QUAD), "m": m},
         "base": base or {"kind": "plain-sgd"},
         "slowmo": {"alpha": 1.0, "beta": 0.5, "tau": 4},
         "gamma": {"kind": "constant", "value": 0.05},
         "protocol": protocol,
-        "topology": {"kind": topology, "rounds": [list(map(list, r)) for r in rounds]},
+        "topology": {"kind": topology},
         "T": 3,
         "seed": 11,
         "init": {"kind": "gaussian", "scale": 1.0},
@@ -75,17 +74,11 @@ CASES = {
     "sgp-exponential-m1": _case(1, "sgp"),
     "sgp-exponential-m8-nesterov": _case(8, "sgp", base=_NESTEROV),
     "sgp-ring-m5": _case(5, "sgp", topology="ring-directed"),
-    "sgp-complete-m4": _case(4, "sgp", topology="complete"),
-    "sgp-custom-ragged-m4": _case(
-        4, "sgp", topology="custom",
-        rounds=[[(0, 1), (0, 2), (3, 1)], [(1, 3), (2, 0)], [(2, 3), (3, 0), (1, 0)]],
-    ),
     "sgp-exponential-m6-noaverage": _case(
         6, "sgp", slowmo={"alpha": 1.0, "beta": 0.5, "tau": 4, "noaverage": True},
     ),
     "dpsgd-exponential-m8": _case(8, "dpsgd"),
     "dpsgd-ring-m6-nesterov": _case(6, "dpsgd", topology="ring-directed", base=_NESTEROV),
-    "dpsgd-complete-m3": _case(3, "dpsgd", topology="complete"),
     "osgp-geometric-m6": _case(6, "osgp", osgp={"staleness": 2, "delay": _GEOMETRIC}),
     "osgp-geometric-m16-adam": _case(
         16, "osgp", base={"kind": "adam"}, osgp={"staleness": 1, "delay": _GEOMETRIC},

@@ -99,6 +99,14 @@ def test_unknown_keys_are_reported_with_their_path():
     raw["problem"]["sample_spread"] = 1.0  # a removed field is an unknown one
     with pytest.raises(ConfigError, match=r"in problem: \['sample_spread'\]"):
         parse_config(raw)
+    raw = copy.deepcopy(_FULL_RAW)
+    raw["topology"]["rounds"] = []
+    with pytest.raises(ConfigError, match=r"in topology: \['rounds'\]"):
+        parse_config(raw)
+    for kind in ("custom", "complete"):  # so is a removed kind
+        raw["topology"] = {"kind": kind}
+        with pytest.raises(ConfigError, match=f"unknown topology kind {kind!r}"):
+            parse_config(raw)
 
 
 def test_cross_field_rules():
@@ -118,7 +126,7 @@ def test_resolved_dict_round_trips():
     raw = _raw(protocol="osgp")
     raw["topology"] = {"kind": "exponential-directed"}
     raw["osgp"] = {"staleness": 3, "delay": {"kind": "geometric", "p": 0.5, "cap": 4}}
-    # the valid raws add custom rounds and step milestones
+    # the valid raws add step milestones
     for case in [raw, *_VALID_RAWS]:
         cfg = parse_config(case)
         clone = parse_config(resolved_dict(cfg))
@@ -729,43 +737,13 @@ def test_float_fields_accept_integers():
     assert parse_config(raw).gamma.value == 1
 
 
-BAD_CUSTOM_EDGES = {
-    "string-endpoint": [[["a", 1]]],
-    "float-endpoint": [[[1.5, 0]]],
-    "bool-endpoint": [[[True, 0]]],
-    "negative-endpoint": [[[-1, 0]]],
-    "three-element-edge": [[[0, 1, 1]]],
-    "scalar-edge": [[1]],
-    "round-not-a-list": [{"0": 1}],
-    "rounds-not-a-list": "0-1",
-}
-
-
-@pytest.mark.parametrize("case", sorted(BAD_CUSTOM_EDGES))
-def test_bad_custom_edges_are_config_errors(case, tmp_path, capsys):
-    raw = _raw(protocol="sgp", topology={"kind": "custom", "rounds": BAD_CUSTOM_EDGES[case]})
-    with pytest.raises(ConfigError):
-        parse_config(raw)
-    cfg_path = _write_cfg(tmp_path, raw)
-    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 1
-    assert "config error" in capsys.readouterr().err
-
-
-def test_duplicate_custom_edge_is_a_config_error(tmp_path, capsys):
-    raw = _raw(protocol="sgp",
-               topology={"kind": "custom", "rounds": [[[0, 1], [1, 0]], [[1, 0], [0, 1], [1, 0]]]})
-    with pytest.raises(ConfigError, match=r"round 1 lists edge \(1,0\) twice"):
-        build_simulation(parse_config(raw))
-    cfg_path = _write_cfg(tmp_path, raw)
-    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 1
-    assert "config error" in capsys.readouterr().err
-
-
 def _workers(m, **problem):
     return {"problem": {**BASE_RAW["problem"], "m": m, **problem}}
 
 
-# overrides of _raw() that parse_config or build_simulation must refuse
+# overrides of _raw() that parse_config or build_simulation must refuse; the
+# custom and complete topologies are gone, so their configs are refused by kind
+# or by the leftover topology.rounds field
 UNBUILDABLE = {
     "dpsgd-ring-m3": {"protocol": "dpsgd", "topology": {"kind": "ring-directed"}, **_workers(3)},
     "dpsgd-exponential-m6": {"protocol": "dpsgd", **_workers(6)},
@@ -1144,7 +1122,7 @@ _FULL_RAW = {
     "slowmo": {"alpha": 1.0, "beta": 0.5, "tau": 3, "noaverage": False},
     "gamma": {"kind": "step", "value": 0.05, "milestones": [1], "decay": 0.5},
     "protocol": "osgp",
-    "topology": {"kind": "exponential-directed", "rounds": []},
+    "topology": {"kind": "exponential-directed"},
     "osgp": {"staleness": 2, "delay": {"kind": "geometric", "rounds": 1, "p": 0.5, "cap": 3}},
     "init": {"kind": "gaussian", "scale": 1.0},
     "T": 1, "seed": 3, "metric_cadence": 1, "log_bias": True,
@@ -1153,7 +1131,7 @@ _FULL_RAW = {
 _VALID_RAWS = [
     _FULL_RAW,
     {**_FULL_RAW, "protocol": "sgp", "base": {"kind": "sgd-nesterov"},
-     "topology": {"kind": "custom", "rounds": [[[0, 1], [1, 2], [2, 3], [3, 0]]]}},
+     "topology": {"kind": "ring-directed"}},
     {**_FULL_RAW, "protocol": "dpsgd", "slowmo": {"tau": 2, "noaverage": True},
      "problem": {"kind": "logistic", "m": 2, "dimension": 3, "samples_per_worker": 6,
                  "noise": {"kind": "minibatch", "batch_size": 2}}},

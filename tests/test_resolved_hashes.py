@@ -10,8 +10,9 @@ Regenerate (only when a change to resolved.json is intended) with
 
     PYTHONPATH=src python tests/test_resolved_hashes.py --write
 
-Without ``--write`` the script prints the current hashes and leaves the
-file alone.
+which prints each case whose hash moves as ``name: old -> new`` (``None``
+for a new case). Without ``--write`` the script prints the current hashes
+and leaves the file alone.
 """
 
 import hashlib
@@ -54,6 +55,10 @@ if __name__ == "__main__":
     hashes = {name: resolved_hash(name) for name in sorted(CASES)}
     text = json.dumps(hashes, indent=2) + "\n"
     if "--write" in sys.argv[1:]:
+        pinned = _pinned()
+        for name, new in hashes.items():
+            if pinned.get(name) != new:
+                print(f"{name}: {pinned.get(name)} -> {new}")
         PINNED_PATH.write_text(text)
         print(f"wrote {len(hashes)} hashes to {PINNED_PATH}")
     else:

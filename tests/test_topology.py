@@ -7,22 +7,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from references import (
+    column_nonzeros_reference,
+    matching_partners_reference,
+    round_edges,
+    strongly_connected_reference,
+)
 from slowmo_sim import (
     ConfigError,
-    SlotMixing,
+    PeerMixing,
     TopologySchedule,
     mixing_matrix,
     out_neighbor,
+    topology,
     validate_strong_connectivity,
 )
-from slowmo_sim.topology import out_edges
+
+KINDS = ("exponential-directed", "ring-directed")
 
 
 def _dense(sched, k, stochasticity):
-    """The round's m x m matrix, filled in from the nonzeros mixing_matrix returns."""
-    rows, cols, weights = mixing_matrix(sched, k, stochasticity)
+    """The round's m x m matrix: 1/2 on each row's own column and 1/2 on its peer's."""
+    workers = np.arange(sched.m)
     p = np.zeros((sched.m, sched.m))
-    p[rows, cols] = weights
+    np.add.at(p, (np.concatenate([workers, workers]),
+                  np.concatenate([workers, mixing_matrix(sched, k, stochasticity)])), 0.5)
     return p
 
 
@@ -50,7 +59,8 @@ def test_ring_neighbor():
 def test_single_worker_points_at_itself():
     sched = TopologySchedule(kind="exponential-directed", m=1)
     assert out_neighbor(sched, 0, 0) == 0
-    assert out_edges(sched, 0) == []
+    for stochasticity in ("column", "doubly"):  # p = [[1]]
+        assert mixing_matrix(sched, 0, stochasticity).tolist() == [0]
 
 
 @given(st.integers(2, 64), st.integers(0, 12))
@@ -64,10 +74,11 @@ def test_round_map_is_a_permutation(m, k):
 
 
 def test_out_edges_have_no_self_loops():
-    sched = TopologySchedule(kind="exponential-directed", m=6)
-    for k in range(sched.period):
-        for i, j in out_edges(sched, k):
-            assert i != j
+    for kind in KINDS:
+        for m in range(2, 40):
+            sched = TopologySchedule(kind=kind, m=m)
+            for k in range(sched.period):
+                assert all(out_neighbor(sched, i, k) != i for i in range(m))
 
 
 def test_column_stochastic_mixing_shares():
@@ -98,31 +109,55 @@ def test_no_perfect_matching_raises():
         mixing_matrix(sched, 0, "doubly")
 
 
-def test_complete_mixing():
-    sched = TopologySchedule(kind="complete", m=4)
-    assert np.allclose(_dense(sched, 0, "doubly"), 0.25)
-
-
 @pytest.mark.parametrize("kind,m", [("exponential-directed", 9), ("ring-directed", 5),
-                                    ("complete", 3), ("exponential-directed", 1)])
+                                    ("exponential-directed", 1)])
 @pytest.mark.parametrize("stochasticity", ["column", "doubly"])
 def test_nonzeros_come_row_by_row_with_columns_ascending(kind, m, stochasticity):
+    # the mixer adds each row's two terms, its own and its peer's, lo then hi
     sched = TopologySchedule(kind=kind, m=m)
     for k in range(sched.period):
         try:
-            rows, cols, weights = mixing_matrix(sched, k, stochasticity)
+            peers = mixing_matrix(sched, k, stochasticity)
         except ConfigError:
             continue  # no perfect matching this round
-        assert np.array_equal(np.lexsort((cols, rows)), np.arange(rows.size))
-        assert len(set(zip(rows.tolist(), cols.tolist()))) == rows.size
-        assert (weights > 0).all()
+        mix = PeerMixing(peers)
+        workers = np.arange(m)
+        assert (mix.lo <= mix.hi).all()
+        assert np.array_equal(np.sort([workers, peers], axis=0), [mix.lo, mix.hi])
+        assert np.array_equal(mix.receiver[peers], workers)
 
 
-def test_custom_column_weights_follow_out_degree():
-    sched = TopologySchedule("custom", 3, [[(0, 1), (0, 2), (1, 1)]])
-    p = _dense(sched, 0, "column")
-    third = 1.0 / 3.0
-    assert np.array_equal(p, [[third, 0.0, 0.0], [third, 1.0, 0.0], [third, 0.0, 1.0]])
+def _reference_peers(sched, k, edges, stochasticity):
+    """The round's peers by the general forms: the column-stochastic nonzeros
+    built from its edges, or their greedy pairing (m = 1: the identity)."""
+    if sched.m == 1:
+        return np.zeros(1, dtype=np.int64)
+    if stochasticity == "doubly":
+        return matching_partners_reference(sched.m, edges, k % sched.period)
+    rows, cols, weights = column_nonzeros_reference(sched.m, edges)
+    assert (weights == 0.5).all() and np.array_equal(rows, np.repeat(np.arange(sched.m), 2))
+    pairs = cols.reshape(-1, 2)
+    return np.where(pairs[:, 0] == np.arange(sched.m), pairs[:, 1], pairs[:, 0])
+
+
+def test_peers_and_pairings_equal_the_general_forms():
+    refused = 0
+    for kind in KINDS:
+        for m in range(1, 601):
+            sched = TopologySchedule(kind=kind, m=m)
+            for k in range(sched.period):
+                edges = round_edges(sched, k)
+                for stochasticity in ("column", "doubly"):
+                    try:
+                        expected = _reference_peers(sched, k, edges, stochasticity)
+                    except ConfigError as exc:
+                        with pytest.raises(ConfigError) as got:
+                            mixing_matrix(sched, k, stochasticity)
+                        assert str(got.value) == str(exc)
+                        refused += 1
+                        continue
+                    assert np.array_equal(mixing_matrix(sched, k, stochasticity), expected)
+    assert refused > 0
 
 
 def test_unknown_stochasticity_rejected():
@@ -131,82 +166,46 @@ def test_unknown_stochasticity_rejected():
             mixing_matrix(TopologySchedule(kind="exponential-directed", m=m), 0, "row")
 
 
-def test_mixing_matrix_validation():
-    rows, cols = np.array([0, 1]), np.array([0, 1])
-    with pytest.raises(ConfigError, match="sum to 1"):
-        SlotMixing(2, rows, cols, np.array([0.9, 1.0]))
-    with pytest.raises(ConfigError, match="nonnegative"):
-        SlotMixing(3, np.array([0, 0, 1, 2]), np.array([0, 1, 1, 2]),
-                   np.array([1.0, 1.5, -0.5, 1.0]))
-    ok = SlotMixing(2, rows, cols, np.array([1.0, 1.0]))
-    assert ok.doubly and ok.self_weight.tolist() == [1.0, 1.0]
-
-
 @pytest.mark.parametrize("stochasticity", ["column", "doubly"])
 def test_exponential_round_builds_no_dense_matrix(stochasticity):
     # a dense 4096 x 4096 float64 matrix alone would be 128 MiB
     sched = TopologySchedule(kind="exponential-directed", m=4096)
     tracemalloc.start()
     try:
-        rows, _, _ = mixing_matrix(sched, 3, stochasticity)
+        peers = mixing_matrix(sched, 3, stochasticity)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rows.size == 2 * 4096
+    assert peers.size == 4096
     assert peak < 16 * 2**20
 
 
-@pytest.mark.parametrize("m", [2, 3, 5, 8, 16, 33])
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 16, 33, 8192])
 def test_standard_schedules_strongly_connected(m):
-    for kind in ("exponential-directed", "ring-directed"):
+    for kind in KINDS:
         validate_strong_connectivity(TopologySchedule(kind=kind, m=m))
 
 
-def test_disconnected_custom_schedule_rejected():
-    # two components that never exchange
-    rounds = [[(0, 1), (1, 0), (2, 3), (3, 2)]]
-    sched = TopologySchedule("custom", 4, rounds)
-    with pytest.raises(ConfigError):
-        validate_strong_connectivity(sched)
-
-
-def test_custom_schedule_connected_only_in_the_union_of_its_rounds():
-    rounds = [[(0, 1)], [(1, 2)], [(2, 3), (1, 0)], [(3, 1)]]
-    validate_strong_connectivity(TopologySchedule("custom", 4, rounds))
-    for edges in rounds:  # no round alone is
-        with pytest.raises(ConfigError):
-            validate_strong_connectivity(TopologySchedule("custom", 4, [edges]))
-
-
-@pytest.mark.parametrize("rounds", [
-    [[(0, 1), (1, 2)], [(2, 3), (1, 0)]],  # 0 reaches all; 2 and 3 never reach 0
-    [[(1, 0), (2, 0)], [(3, 2)]],  # all reach 0; 0 reaches none
-])
-def test_weakly_but_not_strongly_connected_schedule_rejected(rounds):
-    with pytest.raises(ConfigError,
-                       match="^topology union over one period is not strongly connected$"):
-        validate_strong_connectivity(TopologySchedule("custom", 4, rounds))
-
-
-def test_custom_schedule_validation():
-    with pytest.raises(ConfigError, match=r"edge \(0,5\) out of range for m=3"):
-        TopologySchedule(kind="custom", m=3, rounds=(((0, 5),),))
-    with pytest.raises(ConfigError, match="out of range"):
-        TopologySchedule("custom", 3, [[(0, 1)], [(-1, 2)]])
-    with pytest.raises(ConfigError):
-        TopologySchedule("custom", 3, [])  # need at least one round
-    with pytest.raises(ConfigError):
-        TopologySchedule("ring-directed", 3, [[(0, 1)]])  # only custom kinds take rounds
-    sched = TopologySchedule("custom", 3, [[[0, 1], [1, 2], [2, 0]]])
-    assert sched.period == 1
-    assert sched.rounds == (((0, 1), (1, 2), (2, 0)),)  # kept as tuples
-    assert out_edges(sched, 0) == [(0, 1), (1, 2), (2, 0)]
-    with pytest.raises(ConfigError):  # custom kinds have no single out-neighbor
-        out_neighbor(sched, 1, 0)
-    with pytest.raises(ConfigError, match=r"round 1 lists edge \(2,0\) twice"):
-        TopologySchedule(kind="custom", m=3, rounds=(((0, 1),), ((2, 0), (1, 2), (2, 0))))
+def test_connectivity_is_the_circulant_rule(monkeypatch):
+    # a union of rounds i -> i + h (mod m) is strongly connected iff gcd(m, hops) == 1
+    rng = np.random.default_rng(0)
+    for m in range(1, 41):
+        sched = TopologySchedule(kind="exponential-directed", m=m)
+        for _ in range(6):
+            hops = rng.integers(0, m, size=sched.period).tolist()
+            monkeypatch.setattr(topology, "out_neighbor",
+                                lambda s, i, k, hops=hops: (i + hops[k % len(hops)]) % s.m)
+            edges = [(i, (i + h) % m) for h in hops for i in range(m)]
+            try:
+                validate_strong_connectivity(sched)
+                connected = True
+            except ConfigError as exc:
+                assert str(exc) == "topology union over one period is not strongly connected"
+                connected = False
+            assert connected == strongly_connected_reference(m, edges)
 
 
 def test_unknown_kind_rejected():
-    with pytest.raises(ConfigError):
-        TopologySchedule(kind="torus", m=4)
+    for kind in ("torus", "custom", "complete"):
+        with pytest.raises(ConfigError, match=f"unknown topology kind {kind!r}"):
+            TopologySchedule(kind=kind, m=4)
