@@ -90,6 +90,13 @@ CASES = {
         5, "osgp", slowmo={"alpha": 1.0, "beta": 0.5, "tau": 4, "noaverage": True},
         osgp={"staleness": 3, "delay": _GEOMETRIC},
     ),
+    # a period of 1, so every round mixes by one table row; it stalls, and
+    # noaverage skips the drain, so messages are in flight at block starts
+    "osgp-ring-m5-noaverage": _case(
+        5, "osgp", topology="ring-directed",
+        slowmo={"alpha": 1.0, "beta": 0.5, "tau": 4, "noaverage": True},
+        osgp={"staleness": 1, "delay": _GEOMETRIC},
+    ),
     "allreduce-m4-nesterov": _case(4, "allreduce", base=_NESTEROV),
     "local-m3": _case(3, "local"),
     # double averaging: local steps, momentum buffers averaged at each block start
@@ -158,9 +165,11 @@ def _stalled_rounds(cfg) -> int:
 def test_every_kind_is_pinned_by_some_case():
     """Each protocol, base optimizer, buffer strategy, topology, problem,
     noise and delay kind the config accepts runs in at least one case, and
-    every noise kind under osgp, so removing or renaming a case cannot leave
-    its path unpinned. Some osgp minibatch case stalls a worker in some
-    round, so the minibatch oracle runs on a strict subset of workers."""
+    every noise and topology kind under osgp, so removing or renaming a case
+    cannot leave its path unpinned. Some osgp minibatch case stalls a worker
+    in some round, so the minibatch oracle runs on a strict subset of
+    workers, and so does some noaverage osgp case, whose stalls carry
+    messages over a block start without a drain."""
     configs = [parse_config(raw) for raw in CASES.values()]
     osgp = [c for c in configs if c.protocol == "osgp"]
     pinned = [
@@ -172,10 +181,12 @@ def test_every_kind_is_pinned_by_some_case():
         (NOISE_KINDS, {c.problem.noise.kind for c in configs}),
         (DELAY_KINDS, {c.osgp.delay.kind for c in osgp}),
         (NOISE_KINDS, {c.problem.noise.kind for c in osgp}),
+        (TOPOLOGY_KINDS, {c.topology.kind for c in osgp}),
     ]
     for kinds, used in pinned:
         assert set(kinds) <= used, sorted(set(kinds) - used)
     assert any(_stalled_rounds(c) for c in osgp if c.problem.noise.kind == "minibatch")
+    assert any(_stalled_rounds(c) for c in osgp if c.slowmo.noaverage)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
