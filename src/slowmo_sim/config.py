@@ -10,10 +10,11 @@ from its resolved.json alone. ``build_simulation(cfg, seeds)`` builds the
 problem and start point from the config and hands both, with the config
 itself, to ``Simulation``; given a sequence of seeds, it builds one stacked
 simulation of one group per seed, group g being the run of
-``replace(cfg, seed=seeds[g])``. The rules on a run's settings live here,
-except the ones that need its topology, which ``Simulation`` checks as it
-builds the schedule and protocol: connectivity and dpsgd's pairing.
-Either way a bad config fails before anything is written.
+``replace(cfg, seed=seeds[g])``. The rules on a run's settings are checked
+here, dpsgd's pairing of every round's workers included (the rule itself
+is ``topology.mixing_matrix``'s); only connectivity is left to
+``Simulation``, which checks it as it builds the schedule. Either way a bad
+config, and a sweep with a bad point, fails before anything is written.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .numerics import (
 )
 from .simkernel import Simulation
 from .slowmo import GammaSchedule, SlowMoConfig
-from .topology import TOPOLOGY_KINDS
+from .topology import TOPOLOGY_KINDS, TopologySchedule, mixing_matrix
 
 PROBLEM_KINDS = ("quadratic", "logistic", "mlp")  # the kinds build_problem builds
 
@@ -244,6 +245,10 @@ class ExperimentConfig:
         if self.execution != "sequential":
             raise ConfigError(f"execution must be 'sequential', got {self.execution!r}")
         _check_int(self.metric_cadence, "metric_cadence", minimum=1)
+        if self.protocol == "dpsgd":  # every round must pair the workers
+            schedule = TopologySchedule(self.topology.kind, self.problem.m)
+            for k in range(schedule.period):
+                mixing_matrix(schedule, k, "doubly")
 
 
 def parse_config(raw: dict) -> ExperimentConfig:

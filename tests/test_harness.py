@@ -368,10 +368,14 @@ def test_sweep_through_a_process_pool_writes_the_serial_bytes(tmp_path, monkeypa
 
 
 def test_sweep_with_an_invalid_point_runs_nothing(tmp_path, capsys):
-    cfg_path = _write_cfg(tmp_path, _raw(grid={"T": [2, 0]}))
-    assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "sw")]) == 1
-    assert capsys.readouterr().err.startswith("config error")
-    assert not (tmp_path / "sw").exists()
+    # the second point of each grid is refused: T 0, and dpsgd at m = 6,
+    # whose exponential graph's hop-2 round cannot be paired
+    for i, raw in enumerate([_raw(grid={"T": [2, 0]}),
+                             _raw(protocol="dpsgd", grid={"problem.m": [4, 6]})]):
+        cfg_path = _write_cfg(tmp_path, raw)
+        assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path / f"sw{i}")]) == 1
+        assert capsys.readouterr().err.startswith("config error")
+        assert not (tmp_path / f"sw{i}").exists()
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
@@ -786,6 +790,15 @@ def test_batch_size_over_the_shard_is_refused_when_parsed():
     with pytest.raises(ConfigError, match="batch_size 5 exceeds problem.samples_per_worker 4"):
         parse_config(raw)
     raw["problem"]["noise"]["batch_size"] = 4  # the whole shard is a valid batch
+    build_simulation(parse_config(raw)).run()
+
+
+@pytest.mark.parametrize("case, bad_round", [("dpsgd-ring-m3", 0), ("dpsgd-exponential-m6", 1)])
+def test_unpairable_dpsgd_round_is_refused_when_parsed(case, bad_round):
+    raw = _raw(**UNBUILDABLE[case])
+    with pytest.raises(ConfigError, match=f"round {bad_round} edges cannot .* perfect matching"):
+        parse_config(raw)
+    raw["problem"]["m"] = 4  # every round of either graph pairs 4 workers
     build_simulation(parse_config(raw)).run()
 
 
