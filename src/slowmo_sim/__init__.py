@@ -11,7 +11,6 @@ from .base_optimizers import (
 )
 from .comm_protocols import (
     DelayModel,
-    PeerMixing,
     WorkerStates,
     exact_average,
     make_protocol,

@@ -19,15 +19,16 @@ conservation (sum of w plus in-flight payload weight equals m) is the
 protocol's core invariant; the kernel records it and raises ProtocolError
 when it drifts.
 
-Gossip and push-sum rounds mix through ``PeerMixing``, the one-peer form of
-the round's matrix that ``topology.mixing_matrix`` gives (each row 1/2 on
-itself and 1/2 on one peer, no m x m array), built once per period entry
-(every entry when a dpsgd protocol is built, on first use for push-sum): a
-round costs O(m * d) and adds each row's two terms in ascending column, so
-trajectories match a dense double loop bit for bit. A group of one worker
-has no peer, and its rounds are the identity. OSGP keeps its in-flight
+Gossip and push-sum rounds mix with one peer per worker (row i of
+``topology.mixing_matrix`` is 1/2 on i and 1/2 on its peer, no m x m
+array). A protocol builds its whole period as one ``(period, S*m)`` table
+of peers when it is built, and a round is ``0.5 v[peers] + 0.5 v``: O(m *
+d), and bit for bit a dense double loop, as a sum of two terms does not
+depend on their order. A group of one worker has no peer, and its rounds
+are the identity. OSGP sends to the inverse of the peers, a second table
+built from ``topology.out_neighbor``'s hops, and keeps its in-flight
 messages as the rows of one flat store of plain arrays in send order
-(senders, receivers, delivery rounds, payloads, weights) and delivers the
+(senders, receivers, delivery rounds, payloads, weights); it delivers the
 due rows with one ordered ``np.add.at`` each for x and w.
 
 All cross-worker reductions accumulate in ascending worker rank so traces are
@@ -51,11 +52,7 @@ import numpy as np
 from .base_optimizers import OptimizerBuffers
 from .errors import ConfigError, ProtocolError
 from .numerics import STREAM_DELAY, group_sums, repeat_groups, rng_stream
-from .topology import (
-    TopologySchedule,
-    mixing_matrix,
-    out_neighbor,  # unused here, but the benchmark's tracer wraps it at this site
-)
+from .topology import TopologySchedule, mixing_matrix, out_neighbor
 
 if TYPE_CHECKING:  # config imports this module
     from .config import ExperimentConfig
@@ -133,28 +130,6 @@ def exact_average(states: WorkerStates, groups: int = 1) -> np.ndarray:
     return group_sums(states.z, groups) / (len(states) // groups)
 
 
-class PeerMixing:
-    """A mixing matrix p in one-peer form: row i is 1/2 on i and 1/2 on
-    ``peers[i]``. ``receiver`` is the inverse map, the row that sender j's
-    half goes to."""
-
-    def __init__(self, peers: np.ndarray):
-        rows = np.arange(peers.size)
-        self.lo, self.hi = np.minimum(rows, peers), np.maximum(rows, peers)
-        self.receiver = np.empty_like(peers)
-        self.receiver[peers] = rows
-
-    def mix(self, values: np.ndarray) -> np.ndarray:
-        """out[i] = sum_j p[i, j] values[j] over the rows of ``values``: 0.5
-        values[lo] and then 0.5 values[hi] added to it, in a dense loop's order."""
-        out = values[self.lo]
-        out *= 0.5
-        term = values[self.hi]
-        term *= 0.5
-        out += term
-        return out
-
-
 def osgp_step(
     sent: np.ndarray,
     received: np.ndarray,
@@ -221,49 +196,47 @@ class AllReduceProtocol(_ProtocolBase):
 
 
 class _MixingProtocol(_ProtocolBase):
-    """A protocol that mixes through its topology schedule's matrices, each
-    built once per period entry."""
+    """A protocol that mixes by its topology schedule. ``peers`` (period,
+    S*m), built once here, holds each row's peer in every period entry:
+    group g's copy of the entry's ``mixing_matrix``, offset by g*m."""
 
     stochasticity = "column"
 
     def __init__(self, cfg, m, schedule, seeds):
         super().__init__(cfg, m, schedule, seeds)
-        self.schedule = schedule
-        self._compiled: dict[int, PeerMixing] = {}
+        self.peers = self._by_entry([mixing_matrix(schedule, k, self.stochasticity)
+                                     for k in range(schedule.period)])
 
-    def mixing(self, round_index: int) -> PeerMixing:
-        """The round's matrix over all S*m rows: block-diagonal, one copy of
-        the schedule's matrix per group."""
-        key = round_index % self.schedule.period
-        if key not in self._compiled:
-            peers = mixing_matrix(self.schedule, key, self.stochasticity)
-            self._compiled[key] = PeerMixing(
-                (peers + self.m * np.arange(self.groups)[:, None]).ravel())
-        return self._compiled[key]
+    def _by_entry(self, maps) -> np.ndarray:
+        """(period, S*m): each entry's (m,) map, group g's copy offset by g*m."""
+        return np.array([(row + self.m * np.arange(self.groups)[:, None]).ravel() for row in maps])
+
+    def mix(self, values: np.ndarray, round_index: int) -> np.ndarray:
+        """out[i] = 0.5 values[peer of i] + 0.5 values[i] over the rows of
+        ``values``: the round's matrix times ``values``, bit for bit, as IEEE
+        addition of two terms does not depend on their order."""
+        out = values[self.peers[round_index % len(self.peers)]]
+        out *= 0.5
+        out += 0.5 * values
+        return out
 
     def alone(self, states: WorkerStates, half: np.ndarray) -> bool:
         """Whether each group is one worker, which has no peer: its round is
-        then the identity, x <- half, done here."""
+        the identity, x <- half (0.5 v + 0.5 v is not v for an odd subnormal)."""
         if self.m == 1:
             states.x = half
         return self.m == 1
 
 
 class GossipProtocol(_MixingProtocol):
-    """Doubly-stochastic gossip: x_i <- sum_j p[i,j] half[j]. Builds its
-    whole period when built, so a round whose workers cannot be paired is a
-    ConfigError before the run starts."""
+    """Doubly-stochastic gossip: x_i <- sum_j p[i,j] half[j]. A round whose
+    workers cannot be paired is a ConfigError when it is built."""
 
     stochasticity = "doubly"
 
-    def __init__(self, cfg, m, schedule, seeds):
-        super().__init__(cfg, m, schedule, seeds)
-        for k in range(schedule.period):
-            self.mixing(k)
-
     def apply_round(self, states, half, round_index):
         if not self.alone(states, half):
-            states.x = self.mixing(round_index).mix(half)
+            states.x = self.mix(half, round_index)
 
 
 class PushSumProtocol(_MixingProtocol):
@@ -273,9 +246,8 @@ class PushSumProtocol(_MixingProtocol):
 
     def apply_round(self, states, half, round_index):
         if not self.alone(states, half):
-            mix = self.mixing(round_index)
-            states.x = mix.mix(half)
-            states.w = mix.mix(states.w)
+            states.x = self.mix(half, round_index)
+            states.w = self.mix(states.w, round_index)
 
 
 class OverlapPushSumProtocol(_MixingProtocol):
@@ -296,6 +268,9 @@ class OverlapPushSumProtocol(_MixingProtocol):
         super().__init__(cfg, m, schedule, seeds)
         self.staleness = cfg.osgp.staleness
         self.delay = cfg.osgp.delay
+        # the row each sender's half goes to: the inverse of ``peers``
+        self.sends_to = self._by_entry([(np.arange(m) + out_neighbor(schedule, 0, k)) % m
+                                        for k in range(schedule.period)])
         self.senders = self.receivers = self.deliver = np.empty(0, dtype=np.int64)
         self.payloads, self.weights = np.empty((0, 0)), np.empty(0)
         self.last_delivery = np.full((schedule.period, self.rows), -1, dtype=np.int64)
@@ -316,7 +291,7 @@ class OverlapPushSumProtocol(_MixingProtocol):
             flying = np.bincount(self.senders // self.m, minlength=self.groups)
             if (counts + flying == 0).any():
                 raise ProtocolError("every worker is stalled and no messages are in flight")
-        receivers = self.mixing(round_index).receiver[senders]
+        receivers = self.sends_to[round_index % len(self.sends_to)][senders]
         # each group draws the delays of its senders in ascending rank
         lags = np.concatenate([self.delay.draw(rng, count)
                                for rng, count in zip(self._delay_rngs, counts.tolist())])

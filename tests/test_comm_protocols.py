@@ -12,7 +12,6 @@ from slowmo_sim import (
     ExperimentConfig,
     OptimizerBuffers,
     ProtocolError,
-    PeerMixing,
     WorkerStates,
     exact_average,
     make_protocol,
@@ -490,17 +489,17 @@ def _dense_pushsum(p, half_x, ws):
     return out_x, out_w
 
 
-def _schedule_matrices(kind, m):
+def _built_mixers(kind, m):
+    """(protocol, stochasticity) for sgp and, where every round pairs, dpsgd
+    over ``kind``'s schedule of m workers."""
     sched = TopologySchedule(kind=kind, m=m)
     out = []
-    for k in range(sched.period):
-        for stochasticity in ("column", "doubly"):
-            try:
-                out.append((_dense(sched, k, stochasticity),
-                            mixing_matrix(sched, k, stochasticity), stochasticity))
-            except ConfigError:
-                pass  # no perfect matching this round: not a doubly schedule
-    return out
+    for name, stochasticity in (("sgp", "column"), ("dpsgd", "doubly")):
+        try:
+            out.append((make_protocol(_cfg(name), m, sched), stochasticity))
+        except ConfigError:
+            pass  # some round has no perfect matching: not a doubly schedule
+    return sched, out
 
 
 MIXING_CASES = (
@@ -512,20 +511,24 @@ MIXING_CASES = (
 @given(st.sampled_from(MIXING_CASES), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_slot_mixing_matches_dense_loop_bit_for_bit(case, seed):
+    # a built protocol's mix adds 0.5 v[peer] to 0.5 v, whatever the peer's
+    # column; the dense loop adds in ascending column
     kind, m = case
     rng = np.random.default_rng(seed)
-    for p, peers, stochasticity in _schedule_matrices(kind, m):
-        half = rng.standard_normal((m, 3))
-        half[rng.random(half.shape) < 0.1] = 0.0
-        half[rng.random(half.shape) < 0.1] = -0.0
-        ws = list(rng.random(m) + 0.5)
-        mix = PeerMixing(peers)
+    sched, mixers = _built_mixers(kind, m)
+    for proto, stochasticity in mixers:
+        for k in range(sched.period):
+            p = _dense(sched, k, stochasticity)
+            half = rng.standard_normal((m, 3))
+            half[rng.random(half.shape) < 0.1] = 0.0
+            half[rng.random(half.shape) < 0.1] = -0.0
+            ws = list(rng.random(m) + 0.5)
 
-        ref_x, ref_w = _dense_pushsum(p, list(half), ws)
-        assert _same_bits(mix.mix(half), ref_x)
-        assert _same_bits(mix.mix(np.array(ws)), ref_w)
-        if stochasticity == "doubly":
-            assert _same_bits(mix.mix(half), _dense_gossip(p, list(half)))
+            ref_x, ref_w = _dense_pushsum(p, list(half), ws)
+            assert _same_bits(proto.mix(half, k), ref_x)
+            assert _same_bits(proto.mix(np.array(ws), k), ref_w)
+            if stochasticity == "doubly":
+                assert _same_bits(proto.mix(half, k), _dense_gossip(p, list(half)))
 
 
 def test_mixing_is_compiled_once_per_period_entry(monkeypatch):
@@ -539,19 +542,14 @@ def test_mixing_is_compiled_once_per_period_entry(monkeypatch):
     monkeypatch.setattr(comm_protocols, "mixing_matrix", counting)
     m = 8
     sched = TopologySchedule(kind="exponential-directed", m=m)
-    proto = make_protocol(_cfg("sgp"), m, sched)
-    assert built == []  # push-sum compiles each entry on its first round
-    states = _states(list(rng_stream(10, 0, 0).standard_normal((m, 2))))
-    for k in range(4 * sched.period):
-        proto.apply_round(states, _everyone(states), k)
-    assert built == list(range(sched.period))
-
-    built.clear()
-    proto = make_protocol(_cfg("dpsgd"), m, sched)
-    assert built == list(range(sched.period))  # dpsgd compiles its whole period when built
-    for k in range(4 * sched.period):
-        proto.apply_round(states, _everyone(states), k)
-    assert built == list(range(sched.period))
+    for name in ("sgp", "dpsgd", "osgp"):
+        built.clear()
+        proto = make_protocol(_cfg(name), m, sched)
+        assert built == list(range(sched.period)), name  # every entry, once, when built
+        states = _states(list(rng_stream(10, 0, 0).standard_normal((m, 2))))
+        for k in range(4 * sched.period):
+            proto.apply_round(states, states.x[proto.active_workers()], k)
+        assert built == list(range(sched.period)), name
 
 
 @pytest.mark.parametrize("kind, m, bad_round", [

@@ -15,8 +15,9 @@ from references import (
 )
 from slowmo_sim import (
     ConfigError,
-    PeerMixing,
+    ExperimentConfig,
     TopologySchedule,
+    make_protocol,
     mixing_matrix,
     out_neighbor,
     topology,
@@ -109,24 +110,6 @@ def test_no_perfect_matching_raises():
         mixing_matrix(sched, 0, "doubly")
 
 
-@pytest.mark.parametrize("kind,m", [("exponential-directed", 9), ("ring-directed", 5),
-                                    ("exponential-directed", 1)])
-@pytest.mark.parametrize("stochasticity", ["column", "doubly"])
-def test_nonzeros_come_row_by_row_with_columns_ascending(kind, m, stochasticity):
-    # the mixer adds each row's two terms, its own and its peer's, lo then hi
-    sched = TopologySchedule(kind=kind, m=m)
-    for k in range(sched.period):
-        try:
-            peers = mixing_matrix(sched, k, stochasticity)
-        except ConfigError:
-            continue  # no perfect matching this round
-        mix = PeerMixing(peers)
-        workers = np.arange(m)
-        assert (mix.lo <= mix.hi).all()
-        assert np.array_equal(np.sort([workers, peers], axis=0), [mix.lo, mix.hi])
-        assert np.array_equal(mix.receiver[peers], workers)
-
-
 def _reference_peers(sched, k, edges, stochasticity):
     """The round's peers by the general forms: the column-stochastic nonzeros
     built from its edges, or their greedy pairing (m = 1: the identity)."""
@@ -141,12 +124,17 @@ def _reference_peers(sched, k, edges, stochasticity):
 
 
 def test_peers_and_pairings_equal_the_general_forms():
+    # and OSGP sends each half to the row whose push-sum peer is the sender
+    osgp_cfg = ExperimentConfig(protocol="osgp", T=1)
     refused = 0
     for kind in KINDS:
         for m in range(1, 601):
             sched = TopologySchedule(kind=kind, m=m)
+            sends_to = make_protocol(osgp_cfg, m, sched).sends_to
             for k in range(sched.period):
                 edges = round_edges(sched, k)
+                assert np.array_equal(sends_to[k][mixing_matrix(sched, k, "column")],
+                                      np.arange(m))
                 for stochasticity in ("column", "doubly"):
                     try:
                         expected = _reference_peers(sched, k, edges, stochasticity)

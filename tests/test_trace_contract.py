@@ -86,3 +86,15 @@ def test_traced_run_matches_untraced_and_counts_messages():
     assert tracer.counts["osgp_worker_rounds"] == M * calls
     assert tracer.counts["messages"] == tracer.counts["osgp_senders"]
     assert tracer.counts["payload_bytes"] == tracer.counts["messages"] * D * 8
+
+
+@pytest.mark.parametrize("protocol, reached", [
+    ("osgp", ("topology.mixing_matrix", "topology.out_neighbor")),
+    ("dpsgd", ("topology.mixing_matrix",)),
+])
+def test_topology_boundaries_are_reached(protocol, reached):
+    # a site the package imports but no longer calls would read 0 calls, silently
+    with bench_trace.Tracer() as tracer:
+        _sim(protocol).run()
+    for name in reached:
+        assert tracer.calls[name] > 0, name
