@@ -490,8 +490,8 @@ def _dense_pushsum(p, half_x, ws):
 
 
 def _built_mixers(kind, m):
-    """(protocol, stochasticity) for sgp and, where every round pairs, dpsgd
-    over ``kind``'s schedule of m workers."""
+    """``kind``'s schedule of m workers, and a (protocol, stochasticity) pair
+    for sgp and, where every round pairs, for dpsgd over it."""
     sched = TopologySchedule(kind=kind, m=m)
     out = []
     for name, stochasticity in (("sgp", "column"), ("dpsgd", "doubly")):
