@@ -25,10 +25,10 @@ array). A protocol builds its whole period as one ``(period, S*m)`` table
 of peers when it is built, and a round is ``0.5 v[peers] + 0.5 v``: O(m *
 d), and bit for bit a dense double loop, as a sum of two terms does not
 depend on their order. A group of one worker has no peer, and its rounds
-are the identity. OSGP sends to the inverse of the peers, a second table
-built from ``topology.out_neighbor``'s hops, and keeps its in-flight
-messages as the rows of one flat store of plain arrays in send order
-(senders, receivers, delivery rounds, payloads, weights); it delivers the
+are the identity. OSGP sends to the inverse of the peers: its one table,
+of receivers, comes from ``topology.out_neighbor``'s hops. It keeps its
+in-flight messages as the rows of one flat store of plain arrays in send
+order (senders, receivers, delivery rounds, payloads, weights); it delivers the
 due rows with one ordered ``np.add.at`` each for x and w.
 
 All cross-worker reductions accumulate in ascending worker rank so traces are
@@ -196,29 +196,13 @@ class AllReduceProtocol(_ProtocolBase):
 
 
 class _MixingProtocol(_ProtocolBase):
-    """A protocol that mixes by its topology schedule. ``peers`` (period,
-    S*m), built once here, holds each row's peer in every period entry:
-    group g's copy of the entry's ``mixing_matrix``, offset by g*m."""
-
-    stochasticity = "column"
-
-    def __init__(self, cfg, m, schedule, seeds):
-        super().__init__(cfg, m, schedule, seeds)
-        self.peers = self._by_entry([mixing_matrix(schedule, k, self.stochasticity)
-                                     for k in range(schedule.period)])
+    """A protocol that mixes by its topology schedule, one partner per row,
+    through a ``(period, S*m)`` table it builds once: each period entry's
+    map of partners, group g's copy offset by g*m."""
 
     def _by_entry(self, maps) -> np.ndarray:
         """(period, S*m): each entry's (m,) map, group g's copy offset by g*m."""
         return np.array([(row + self.m * np.arange(self.groups)[:, None]).ravel() for row in maps])
-
-    def mix(self, values: np.ndarray, round_index: int) -> np.ndarray:
-        """out[i] = 0.5 values[peer of i] + 0.5 values[i] over the rows of
-        ``values``: the round's matrix times ``values``, bit for bit, as IEEE
-        addition of two terms does not depend on their order."""
-        out = values[self.peers[round_index % len(self.peers)]]
-        out *= 0.5
-        out += 0.5 * values
-        return out
 
     def alone(self, states: WorkerStates, half: np.ndarray) -> bool:
         """Whether each group is one worker, which has no peer: its round is
@@ -230,18 +214,34 @@ class _MixingProtocol(_ProtocolBase):
 
 class GossipProtocol(_MixingProtocol):
     """Doubly-stochastic gossip: x_i <- sum_j p[i,j] half[j]. A round whose
-    workers cannot be paired is a ConfigError when it is built."""
+    workers cannot be paired is a ConfigError when it is built. Its table,
+    ``peers``, is ``mixing_matrix``'s: the row each row mixes with."""
 
     stochasticity = "doubly"
+
+    def __init__(self, cfg, m, schedule, seeds):
+        super().__init__(cfg, m, schedule, seeds)
+        self.peers = self._by_entry([mixing_matrix(schedule, k, self.stochasticity)
+                                     for k in range(schedule.period)])
+
+    def mix(self, values: np.ndarray, round_index: int) -> np.ndarray:
+        """out[i] = 0.5 values[peer of i] + 0.5 values[i] over the rows of
+        ``values``: the round's matrix times ``values``, bit for bit, as IEEE
+        addition of two terms does not depend on their order."""
+        out = values[self.peers[round_index % len(self.peers)]]
+        out *= 0.5
+        out += 0.5 * values
+        return out
 
     def apply_round(self, states, half, round_index):
         if not self.alone(states, half):
             states.x = self.mix(half, round_index)
 
 
-class PushSumProtocol(_MixingProtocol):
+class PushSumProtocol(GossipProtocol):
     """Synchronous push-sum: x and w mix by the same column-stochastic matrix."""
 
+    stochasticity = "column"
     debias = True
 
     def apply_round(self, states, half, round_index):
@@ -268,7 +268,7 @@ class OverlapPushSumProtocol(_MixingProtocol):
         super().__init__(cfg, m, schedule, seeds)
         self.staleness = cfg.osgp.staleness
         self.delay = cfg.osgp.delay
-        # the row each sender's half goes to: the inverse of ``peers``
+        # the row each sender's half goes to: the inverse of push-sum's peers
         self.sends_to = self._by_entry([(np.arange(m) + out_neighbor(schedule, 0, k)) % m
                                         for k in range(schedule.period)])
         self.senders = self.receivers = self.deliver = np.empty(0, dtype=np.int64)

@@ -9,11 +9,11 @@ every field explicitly, defaults included, so a run can always be reproduced
 from its resolved.json alone. ``build_simulation(cfg, seeds)`` builds the
 problem and start point from the config and hands both, with the config
 itself, to ``Simulation``; given a sequence of seeds, it builds one stacked
-simulation of one group per seed, group g being the run of
-``replace(cfg, seed=seeds[g])``. The rules on a run's settings are checked
-here, dpsgd's pairing of every round's workers included (the rule itself
-is ``topology.mixing_matrix``'s); only connectivity is left to
-``Simulation``, which checks it as it builds the schedule. Either way a bad
+simulation of one group per seed, group g being the run of the config with
+``seeds[g]`` as its seed, derived from the seed and not rebuilt. The rules
+on a run's settings run once, at parse, dpsgd's pairing of every round's
+workers included (the rule is ``topology.mixing_matrix``'s); ``Simulation``
+checks only connectivity, as it builds the schedule. Either way a bad
 config, and a sweep with a bad point, fails before anything is written.
 """
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -293,18 +293,19 @@ def build_problem(cfg: ExperimentConfig, seeds=None):
     return builders[cfg.problem.kind](cfg.problem, cfg.seed if seeds is None else seeds)
 
 
-def initial_point(cfg: ExperimentConfig, dimension: int) -> np.ndarray:
-    if cfg.init.kind == "zeros":
+def initial_point(init: InitConfig, seed: int, dimension: int) -> np.ndarray:
+    """The start point ``init`` describes for the run of ``seed``."""
+    if init.kind == "zeros":
         return np.zeros(dimension)
-    rng = rng_stream(cfg.seed, STREAM_MISC, 5)
-    return cfg.init.scale * rng.standard_normal(dimension)
+    rng = rng_stream(seed, STREAM_MISC, 5)
+    return init.scale * rng.standard_normal(dimension)
 
 
 def build_simulation(cfg: ExperimentConfig, seeds=None) -> Simulation:
     """Assemble the Simulation the config describes. For a sequence of seeds
-    it is one stacked simulation, a group per seed in order, each with the
-    problem and start point of its seed."""
+    it is one stacked simulation, a group per seed in order, each the run of
+    the config with that seed: derived from the seed, not rebuilt."""
     seeds = seed_list(cfg.seed if seeds is None else seeds)
     problem = build_problem(cfg, seeds)
-    x0 = np.array([initial_point(replace(cfg, seed=s), problem.dimension) for s in seeds])
+    x0 = np.array([initial_point(cfg.init, s, problem.dimension) for s in seeds])
     return Simulation(problem, cfg, x0, seeds=seeds)

@@ -9,7 +9,6 @@ import itertools
 import json
 import math
 import os
-from dataclasses import replace
 
 import numpy as np
 
@@ -163,17 +162,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, fmt: str = "both") -> Me
 def run_experiments(cfg: ExperimentConfig, seeds: list, out_dirs: list, fmt: str = "both") -> list:
     """``run_experiment`` for each seed of one config, as one stacked
     simulation: one outcome per seed, its MetricsTrace or the NumericalAbort
-    that ended it, each written to its directory as a run of
-    ``replace(cfg, seed=seed)`` alone would write it."""
+    that ended it, each written to its directory as the run of the config
+    with that seed alone would write it. The seed is all that differs, so
+    the config is dumped once and each seed put in its copy of the dump."""
     _check_format(fmt)
     if len(seeds) != len(out_dirs):
         raise ConfigError(f"{len(seeds)} seeds need as many output directories, "
                           f"got {len(out_dirs)}")
     sim = build_simulation(cfg, seeds)
-    resolved = [resolved_dict(replace(cfg, seed=seed)) for seed in seeds]
-    for out_dir, tree in zip(out_dirs, resolved):
+    tree = resolved_dict(cfg)
+    for seed, out_dir in zip(seeds, out_dirs):
         _make_dir(out_dir)
-        _write_json(os.path.join(out_dir, "resolved.json"), tree)
+        _write_json(os.path.join(out_dir, "resolved.json"), {**tree, "seed": seed})
     outcomes = sim.run_groups()
     for outcome, out_dir in zip(outcomes, out_dirs):
         emit_metrics(outcome.trace if isinstance(outcome, NumericalAbort) else outcome,
@@ -228,22 +228,18 @@ def _problem_bytes(p) -> int:
     return 8 * p.m * p.samples_per_worker * (width + 1)
 
 
-def _stack_chunks(points: list) -> list[list[int]]:
-    """Indices of the grid points, in chunks that run as one simulation each:
-    points whose configs differ only in seed, in grid order, as many per
-    chunk as STACK_BYTES holds."""
-    groups: list[tuple[ExperimentConfig, list[int]]] = []
-    for idx, point in enumerate(points):
-        key = replace(point, seed=0)
-        for other, members in groups:
-            if other == key:
-                members.append(idx)
-                break
-        else:
-            groups.append((key, [idx]))
+def _stack_chunks(combos: list) -> list[list[int]]:
+    """Indices of the grid's (overrides, config) pairs, in chunks that run as
+    one simulation each: points whose overrides differ only in seed, in grid
+    order, as many per chunk as STACK_BYTES holds. Overrides compare as JSON:
+    1 and 1.0 do not stack, as each run writes the value it was given."""
+    groups: dict[str, list[int]] = {}
+    for idx, (overrides, _) in enumerate(combos):
+        key = json.dumps({k: v for k, v in overrides.items() if k != "seed"}, sort_keys=True)
+        groups.setdefault(key, []).append(idx)
     chunks = []
-    for key, members in groups:
-        size = max(1, STACK_BYTES // _problem_bytes(key.problem))
+    for members in groups.values():
+        size = max(1, STACK_BYTES // _problem_bytes(combos[members[0]][1].problem))
         chunks += [members[i:i + size] for i in range(0, len(members), size)]
     return chunks
 
@@ -258,8 +254,8 @@ def _sweep_chunk(args) -> list[dict]:
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir: str, fmt: str = "both", jobs: int = 1) -> list[dict]:
-    """Expand the grid and run every point. Points that differ only in seed
-    run as one stacked simulation (in chunks under STACK_BYTES), each
+    """Expand the grid and run every point. Points whose overrides differ only
+    in seed run as one stacked simulation (in chunks under STACK_BYTES), each
     writing what its own run would; chunks may go in parallel, in at most
     min(jobs, chunks, CPUs) processes."""
     _check_format(fmt)
@@ -269,7 +265,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str, fmt: str = "both", jobs: int 
     _make_dir(out_dir)
     index = [{"run": idx, "dir": os.path.join(out_dir, f"run_{idx:03d}"), "overrides": overrides}
              for idx, (overrides, _) in enumerate(combos)]
-    chunks = _stack_chunks([point for _, point in combos])
+    chunks = _stack_chunks(combos)
     tasks = [(combos[chunk[0]][1], [combos[i][1].seed for i in chunk],
               [index[i]["dir"] for i in chunk], fmt) for chunk in chunks]
     # the default fork start method forks every worker at the first submit

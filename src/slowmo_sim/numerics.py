@@ -152,6 +152,8 @@ def seed_list(seed) -> list:
     seeds = np.atleast_1d(seed).tolist()
     if not seeds:
         raise ConfigError("an empty list of seeds builds nothing")
+    if any(type(s) is not int or s < 0 for s in seeds):  # bools too
+        raise ConfigError(f"seeds must be integers >= 0, got {seeds}")
     return seeds
 
 

@@ -254,7 +254,7 @@ def lookahead_reference(
 
 def block_momentum_reference(
     problem: Problem,
-    gamma: float,
+    gamma,
     tau: int,
     T: int,
     block_momentum: float,
@@ -263,25 +263,29 @@ def block_momentum_reference(
 ) -> list[np.ndarray]:
     """The classic block-wise filtering recursion.
 
-    After each block of tau local steps: G = mean_i(x_i) - W (the block
-    "gradient"), Delta <- eta * Delta + zeta * G, W <- W + Delta, and every
-    worker restarts from W. eta is the block momentum, zeta the block
-    learning rate.
+    After each block t of tau local steps at inner step size gamma_t:
+    G = mean_i(x_i) - W (the block "gradient"), Delta <- eta * (gamma_t /
+    gamma_{t-1}) * Delta + zeta * G, W <- W + Delta, and every worker
+    restarts from W. eta is the block momentum, zeta the block learning
+    rate. ``gamma`` is one step size, or a list of T, one per block; a
+    constant gamma is the classic ratio of 1.
     """
     m, d = problem.num_workers, problem.dimension
+    gammas = [gamma] * T if np.isscalar(gamma) else list(gamma)
     rngs = make_worker_rngs(seed, m)
     w = np.zeros(d)
     delta = np.zeros(d)
     xs = [w.copy() for _ in range(m)]
     history = []
-    for _ in range(T):
+    for t in range(T):
         for _ in range(tau):
             history.append(_mean(xs))
             for i in range(m):
                 g = reference_stochastic_gradient(problem, i, xs[i], rngs[i])
-                xs[i] = xs[i] - gamma * g
+                xs[i] = xs[i] - gammas[t] * g
         block_grad = _mean(xs) - w
-        delta = block_momentum * delta + block_lr * block_grad
+        ratio = gammas[t] / gammas[t - 1] if t else 1.0
+        delta = block_momentum * ratio * delta + block_lr * block_grad
         w = w + delta
         xs = [w.copy() for _ in range(m)]
     return history

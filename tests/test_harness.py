@@ -32,7 +32,7 @@ from slowmo_sim import (
     run_experiment,
     run_sweep,
 )
-from slowmo_sim import cli, harness
+from slowmo_sim import cli, comm_protocols, config, harness
 from slowmo_sim.cli import main
 from slowmo_sim.comm_protocols import PROTOCOLS
 from slowmo_sim.config import (
@@ -44,6 +44,7 @@ from slowmo_sim.config import (
     load_config,
 )
 from slowmo_sim.harness import assemble_bound_inputs, bound_report, expand_grid
+from slowmo_sim.topology import TopologySchedule
 
 BASE_RAW = {
     "problem": {
@@ -152,10 +153,11 @@ def test_config_to_trace_is_a_pure_function():
 
 def test_initial_point_kinds():
     cfg = parse_config(_raw(init={"kind": "zeros"}))
-    assert np.array_equal(initial_point(cfg, 3), np.zeros(3))
+    assert np.array_equal(initial_point(cfg.init, cfg.seed, 3), np.zeros(3))
     cfg = parse_config(_raw(init={"kind": "gaussian", "scale": 2.0}))
-    a, b = initial_point(cfg, 3), initial_point(cfg, 3)
+    a, b = initial_point(cfg.init, cfg.seed, 3), initial_point(cfg.init, cfg.seed, 3)
     assert np.array_equal(a, b) and np.linalg.norm(a) > 0
+    assert not np.array_equal(a, initial_point(cfg.init, cfg.seed + 1, 3))
 
 
 def test_load_config_reads_json(tmp_path):
@@ -268,6 +270,9 @@ def test_run_experiments_needs_one_directory_per_config(tmp_path):
             harness.run_experiments(cfg, seeds[:n_seeds], dirs[:n_dirs])
     with pytest.raises(ConfigError, match="empty list of seeds"):
         harness.run_experiments(cfg, [], [])
+    for bad in ([-1], [1.5], [True], ["a"], [1, 2.5]):  # refused before a resolved.json
+        with pytest.raises(ConfigError, match="seeds must be integers >= 0"):
+            harness.run_experiments(cfg, bad, dirs[:len(bad)])
     assert not any(tmp_path.iterdir())
 
 
@@ -334,9 +339,9 @@ def test_sweep_parses_and_resolves_each_point_once(tmp_path, monkeypatch):
             return _real(*args)
         monkeypatch.setattr(harness, name, counting)
     run_sweep(cfg, str(tmp_path / "sweep"), fmt="jsonl", jobs=1)
-    # expand_grid parses each point and dumps the base config once; each
-    # run dumps its own resolved.json
-    assert calls == {"parse_config": 4, "resolved_dict": 5}
+    # expand_grid parses each point and dumps the base config once; the
+    # stacked chunk dumps its config once and writes each seed into a copy
+    assert calls == {"parse_config": 4, "resolved_dict": 2}
     for idx, point in enumerate(points):
         written = (tmp_path / "sweep" / f"run_{idx:03d}" / "resolved.json").read_text()
         assert written == json.dumps(resolved_dict(point), indent=2) + "\n"
@@ -426,10 +431,12 @@ def test_estimate_v_prints_its_pinned_bytes(name, capsys):
     assert capsys.readouterr().out == ESTIMATE_V_2000[name] + "\n"
 
 
-# two grids for the stacked sweep: the shape of configs/beta_sweep.json (seed
-# x slowmo.beta) with T shortened, and a seed grid of osgp runs whose gamma
-# makes each seed diverge at a different round (416-420), with messages in
-# flight
+# grids for the stacked sweep: the shape of configs/beta_sweep.json (seed x
+# slowmo.beta) with T shortened; a seed grid of osgp runs whose gamma makes
+# each seed diverge at a different round (416-420), with messages in flight;
+# a repeated beta (one group of two points); a seed grid alone, a seed
+# repeated, from a gaussian start; a grid with no seed key (a group per
+# point); and alpha 1 and 1.0, equal values that each run writes as given
 _BETA_GRID = {**json.loads((Path(__file__).resolve().parents[1] / "configs"
                             / "beta_sweep.json").read_text()), "T": 3}
 _DIVERGING_GRID = _raw(
@@ -439,6 +446,16 @@ _DIVERGING_GRID = _raw(
     init={"kind": "gaussian", "scale": 1.0}, gamma={"value": 3.0}, T=150,
     grid={"seed": [1, 2, 3, 4, 5]},
 )
+_SMALL_GRIDS = {
+    "repeat": _raw(grid={"slowmo.beta": [0.5, 0.5]}),
+    "seed": _raw(protocol="sgp", init={"kind": "gaussian", "scale": 1.0},
+                 grid={"seed": [3, 1, 3]}),
+    "no-seed": _raw(grid={"slowmo.beta": [0.0, 0.5], "gamma.value": [0.05, 0.1]}),
+    "int-float": _raw(grid={"slowmo.alpha": [1, 1.0]}),
+}
+# each grid's groups of points whose overrides differ only in seed, in order
+_GROUP_SIZES = {"beta": [5] * 4, "diverging": [5], "repeat": [2], "seed": [3],
+                "no-seed": [1] * 4, "int-float": [1, 1]}
 
 
 def _solo_sweep(cfg, out_dir, fmt):
@@ -465,20 +482,23 @@ def _tree_bytes(root):
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 @pytest.mark.parametrize("seeds_per_chunk", [None, 1, 2])
-@pytest.mark.parametrize("grid", ["beta", "diverging"])
+@pytest.mark.parametrize("grid", ["beta", "diverging", *_SMALL_GRIDS])
 def test_stacked_sweep_writes_the_bytes_of_solo_runs(grid, seeds_per_chunk, tmp_path,
                                                      monkeypatch):
     # every file of every run directory and sweep_index.json, aborted runs
     # and their partial traces included; a byte budget that holds one or two
     # seeds' problems splits each group of seeds into chunks of that size
-    cfg = parse_config(_BETA_GRID if grid == "beta" else _DIVERGING_GRID)
-    points = [point for _, point in expand_grid(cfg)]
+    cfg = parse_config({"beta": _BETA_GRID, "diverging": _DIVERGING_GRID,
+                        **_SMALL_GRIDS}[grid])
+    combos = expand_grid(cfg)
+    points = [point for _, point in combos]
     if seeds_per_chunk is not None:
         monkeypatch.setattr(harness, "STACK_BYTES",
                             seeds_per_chunk * harness._problem_bytes(cfg.problem))
-    per_group = {None: [5], 1: [1] * 5, 2: [2, 2, 1]}[seeds_per_chunk]
-    chunks = harness._stack_chunks(points)
-    assert [len(chunk) for chunk in chunks] == per_group * (len(points) // 5)
+    size = seeds_per_chunk or len(points)
+    chunks = harness._stack_chunks(combos)
+    assert [len(chunk) for chunk in chunks] == [min(size, n - i) for n in _GROUP_SIZES[grid]
+                                                for i in range(0, n, size)]
     out = tmp_path / "sweep"
     _solo_sweep(cfg, str(out), "both")
     want = _tree_bytes(out)
@@ -800,6 +820,21 @@ def test_unpairable_dpsgd_round_is_refused_when_parsed(case, bad_round):
         parse_config(raw)
     raw["problem"]["m"] = 4  # every round of either graph pairs 4 workers
     build_simulation(parse_config(raw)).run()
+
+
+def test_stacked_dpsgd_build_checks_the_pairing_only_when_parsed(monkeypatch):
+    # each group is the parsed config with its seed, not a config rebuilt
+    # (and its rules re-run) per seed; the protocol builds each entry once
+    cfg = parse_config(_raw(protocol="dpsgd", **_workers(256)))
+    calls = {"config": 0, "comm_protocols": 0}
+    for module in (config, comm_protocols):
+        def counting(*args, _name=module.__name__.rsplit(".", 1)[1], _real=module.mixing_matrix):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(module, "mixing_matrix", counting)
+    build_simulation(cfg, [1, 2, 3])
+    period = TopologySchedule(cfg.topology.kind, 256).period
+    assert calls == {"config": 0, "comm_protocols": period}
 
 
 def test_sweep_over_a_batch_size_too_large_runs_nothing(tmp_path, capsys):

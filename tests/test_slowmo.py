@@ -127,6 +127,23 @@ def test_reduces_to_block_momentum_filtering():
     assert _max_diff(sim.run().x_bar, ref) <= 1e-10
 
 
+def test_block_momentum_at_a_gamma_milestone():
+    # u sums directions, not steps, so after gamma decays the block step it
+    # carries shrinks with it: s_{t+1} = beta (gamma_t / gamma_{t-1}) s_t +
+    # alpha Delta_t (Chen and Huo 2016's block momentum, rescaled at the decay)
+    prob = _noisy_quadratic(m=4)
+    gamma = GammaSchedule(value=0.05, kind="step", milestones=(3,), decay=0.1)
+    sim = Simulation(prob, ExperimentConfig(
+        base=BaseOptimizerConfig(kind="plain-sgd"),
+        slowmo=SlowMoConfig(alpha=0.9, beta=0.4, tau=6), protocol="local",
+        gamma=gamma, T=7, seed=21))
+    gammas = [gamma.at(t) for t in range(7)]
+    assert gammas[2] == 0.05 and gammas[3] == gammas[6] == 0.05 * 0.1
+    ref = block_momentum_reference(prob, gamma=gammas, tau=6, T=7,
+                                   block_momentum=0.4, block_lr=0.9, seed=21)
+    assert _max_diff(sim.run().x_bar, ref) <= 1e-10
+
+
 # --------------------------------------------------------------------------- #
 # momentum-buffer identities
 # --------------------------------------------------------------------------- #

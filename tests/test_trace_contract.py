@@ -89,12 +89,15 @@ def test_traced_run_matches_untraced_and_counts_messages():
 
 
 @pytest.mark.parametrize("protocol, reached", [
-    ("osgp", ("topology.mixing_matrix", "topology.out_neighbor")),
+    ("osgp", ("topology.out_neighbor",)),
     ("dpsgd", ("topology.mixing_matrix",)),
 ])
 def test_topology_boundaries_are_reached(protocol, reached):
-    # a site the package imports but no longer calls would read 0 calls, silently
+    # a site the package imports but no longer calls would read 0 calls,
+    # silently; sgp's and dpsgd's rounds keep mixing_matrix reached
     with bench_trace.Tracer() as tracer:
         _sim(protocol).run()
     for name in reached:
         assert tracer.calls[name] > 0, name
+    if protocol == "osgp":  # it builds only the table of receivers its rounds read
+        assert tracer.calls["topology.mixing_matrix"] == 0
