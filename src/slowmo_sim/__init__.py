@@ -38,7 +38,6 @@ from .numerics import (
     build_quadratic,
     global_gradient,
     global_loss,
-    global_loss_and_gradient,
     make_worker_rngs,
     rng_stream,
     worker_stochastic_gradient,

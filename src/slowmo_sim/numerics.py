@@ -24,9 +24,11 @@ an (n, b) ``idx``, and
 ``losses_and_gradients(points, workers)`` adds each row's loss. One row of
 ``points`` is shared by every worker. With every worker asked for, both
 take a leading axis: (R, n, d) points (and an (R, n, b) ``idx``) give (R, n)
-losses and (R, n, d) gradients, bit for bit R calls. The oracles make one
-call each, the metrics and log_bias one per batch of records, and
-``estimate_V`` one per chunk of samples.
+losses and (R, n, d) gradients, bit for bit R calls. The one stochastic
+oracle, ``worker_stochastic_gradient``, makes one call per round for the
+stepping workers; ``global_loss`` and ``global_gradient`` one each; the
+metrics and log_bias one per batch of records; ``estimate_V`` one per
+chunk of samples.
 
 Groups: a problem of S groups of m workers holds group g in rows g*m ...
 (g+1)*m - 1; the builders take one seed or S seeds and draw each group's
@@ -302,27 +304,6 @@ class Problem:
             return np.arange(n)
         return np.sort(rng.choice(n, size=b, replace=False))
 
-    def stochastic_gradients(
-        self, points: np.ndarray, workers: np.ndarray, streams: WorkerStreams
-    ) -> np.ndarray:
-        """One stochastic gradient per row: worker ``workers[r]`` at ``points[r]``,
-        as a new (n, d) array the caller may overwrite.
-
-        Bit for bit the ``worker_stochastic_gradient`` calls in row order,
-        each worker drawing from its own stream: additive noise comes from
-        ``streams.normal_rows``, which draws what those calls draw.
-        """
-        noise = self.noise
-        if noise.kind == "minibatch":
-            idx = np.empty((len(workers), noise.batch_size), dtype=np.intp)
-            for r, i in enumerate(workers.tolist()):
-                idx[r] = self.minibatch_rows(streams.generators[i])
-            return self.gradients(points, workers, idx)
-        g = self.gradients(points, workers)
-        if noise.sigma2 > 0:
-            g += np.sqrt(noise.sigma2 / self.dimension) * streams.normal_rows(workers)
-        return g
-
     def check_point(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.dimension,):
@@ -331,49 +312,46 @@ class Problem:
 
 
 def worker_stochastic_gradient(
-    problem: Problem, worker_id: int, x: np.ndarray, rng: np.random.Generator
+    problem: Problem, points: np.ndarray, workers: np.ndarray, streams: WorkerStreams
 ) -> np.ndarray:
-    """One stochastic gradient draw for the given worker: the stacked oracle
-    on one row.
+    """One stochastic gradient per row: worker ``workers[r]`` at ``points[r]``,
+    as a new (n, d) array the caller may overwrite, each worker drawing from
+    its own stream.
 
-    additive-gaussian: exact gradient plus N(0, (sigma^2/d) I) noise.
-    minibatch: gradient over ``problem.minibatch_rows(rng)``.
+    additive-gaussian: the exact gradient plus N(0, (sigma^2/d) I) noise from
+    ``streams.normal_rows``, each worker's next single draw.
+    minibatch: the gradient over ``problem.minibatch_rows`` drawn from the
+    worker's generator.
     """
-    if not 0 <= worker_id < problem.num_workers:
-        raise ConfigError(f"unknown worker_id {worker_id} (m={problem.num_workers})")
-    x = problem.check_point(x)
-    worker, noise = np.array([worker_id]), problem.noise
+    noise = problem.noise
     if noise.kind == "minibatch":
-        return problem.gradients(x[None], worker, problem.minibatch_rows(rng)[None])[0]
-    g = problem.gradients(x[None], worker)[0]
+        idx = np.empty((len(workers), noise.batch_size), dtype=np.intp)
+        for r, i in enumerate(workers.tolist()):
+            idx[r] = problem.minibatch_rows(streams.generators[i])
+        return problem.gradients(points, workers, idx)
+    g = problem.gradients(points, workers)
     if noise.sigma2 > 0:
-        g += np.sqrt(noise.sigma2 / problem.dimension) * rng.standard_normal(problem.dimension)
+        g += np.sqrt(noise.sigma2 / problem.dimension) * streams.normal_rows(workers)
     return g
 
 
 def global_loss(problem: Problem, x: np.ndarray) -> float:
     """f(x) = (1/m) sum_i f_i(x), accumulated in ascending worker order."""
-    return global_loss_and_gradient(problem, x)[0]
+    return float(group_losses_and_gradients(problem, problem.check_point(x)[None])[0][0])
 
 
 def global_gradient(problem: Problem, x: np.ndarray) -> np.ndarray:
     """Exact gradient of the global objective, rank-ordered accumulation."""
-    return global_loss_and_gradient(problem, x)[1]
-
-
-def global_loss_and_gradient(problem: Problem, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """(f(x), grad f(x)) from one loss-and-gradient evaluation of every
-    worker: losses added from 0.0 and gradients from worker 0's, both in
-    ascending rank, each total divided by m."""
-    losses, grads = group_losses_and_gradients(problem, problem.check_point(x)[None])
-    return float(losses[0]), grads[0]
+    return group_losses_and_gradients(problem, problem.check_point(x)[None])[1][0]
 
 
 def group_losses_and_gradients(problem: Problem, points: np.ndarray):
     """(..., S) losses and (..., S, d) gradients of each group's objective at
     its row of ``points`` (..., S, d; the leading axes are records), for a
     problem of S groups of m workers: one loss-and-gradient evaluation of
-    every worker, reduced per group as ``global_loss_and_gradient`` does."""
+    every worker, reduced per group: losses added from 0.0 and gradients
+    from the group's first worker's, both in ascending rank, each total
+    divided by m."""
     groups = points.shape[-2]
     m = problem.num_workers // groups
     losses, grads = problem.losses_and_gradients(

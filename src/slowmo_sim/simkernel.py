@@ -22,13 +22,13 @@ of the one problem the builders draw for S seeds), x0 (a row of an (S, d)
 noaverage) and trace. Groups never mix: averages reduce per group and
 gossip is block-diagonal. S = 1 is the ordinary run.
 
-A round makes one batched call per layer over every row: the problem's
-``stochastic_gradients`` for the stepping workers, one ``local_direction``
-and one protocol ``apply_round`` on the (n, d) half-steps. Every batched
-form adds in ascending worker rank within a group and is bit for bit the
-per-worker loop it replaces, so each group's trace is bit for bit the
-trace of its seed run alone, independent of how the state is laid out and
-of which groups run beside it.
+A round makes one batched call per layer over every row: one
+``worker_stochastic_gradient`` for the stepping workers, one
+``local_direction`` and one protocol ``apply_round`` on the (n, d)
+half-steps. Every batched form adds in ascending worker rank within a
+group and is bit for bit the per-worker loop it replaces, so each group's
+trace is bit for bit the trace of its seed run alone, independent of how
+the state is laid out and of which groups run beside it.
 
 Metrics are recorded at the start of every inner round (subject to
 ``metric_cadence``), so with cadence 1 a run of T outer iterations of length
@@ -72,7 +72,7 @@ from .numerics import (
     RECORD_BATCH_VALUES,
     Problem,
     WorkerStreams,
-    # unused here, but the benchmark's tracer wraps these three at this site
+    # unused here, but the benchmark's tracer wraps these two at this site
     global_gradient,
     global_loss,
     group_losses_and_gradients,
@@ -330,7 +330,8 @@ class Simulation:
         active = self.protocol.active_workers()
         rows = slice(None) if len(active) == len(self.states) else active  # views of the stack
         if len(active):
-            grads = self.problem.stochastic_gradients(self.points()[rows], active, self.worker_streams)
+            grads = worker_stochastic_gradient(
+                self.problem, self.points()[rows], active, self.worker_streams)
             d = local_direction(self.cfg.base, self.states.buffers, grads, rows)
             # x - gamma * d, written over d (a fresh array, no longer needed)
             half = np.subtract(self.states.x[rows], np.multiply(d, gamma, out=d), out=d)

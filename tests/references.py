@@ -62,6 +62,7 @@ from slowmo_sim.numerics import (
     group_sums,
     make_worker_rngs,
     rng_stream,
+    worker_stochastic_gradient,
 )
 from slowmo_sim.theory_checker import VEstimate
 from slowmo_sim.topology import out_neighbor
@@ -177,7 +178,7 @@ def estimate_v_reference(problem: Problem, base_config, samples: int,
     points = np.zeros((m, d))
     dbars = np.empty((samples, d))
     for s_idx in range(samples):
-        grads = problem.stochastic_gradients(points, workers, streams)
+        grads = worker_stochastic_gradient(problem, points, workers, streams)
         buffers = OptimizerBuffers.fresh(base_config, m, d)
         directions = local_direction(base_config, buffers, grads)
         dbars[s_idx] = group_sums(directions, 1, 0.0)[0] / m

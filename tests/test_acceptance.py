@@ -36,6 +36,7 @@ from slowmo_sim.config import OsgpConfig
 from slowmo_sim.base_optimizers import OptimizerBuffers
 from slowmo_sim.numerics import rng_stream
 from references import (
+    block_momentum_reference,
     heavy_ball_reference,
     local_sgd_reference,
     lookahead_reference,
@@ -103,14 +104,29 @@ def test_criterion_1_reduction_suite():
         osgp=OsgpConfig(delay=DelayModel(kind="constant", rounds=0)), **kw))
     diff_d = _max_diff(sgp.run().x_bar, osgp.run().x_bar)
 
-    passed = diff_a <= 1e-10 and diff_b <= 1e-10 and diff_c <= 1e-10 and diff_d <= 1e-12
+    # (e) local protocol, plain SGD, constant gamma: block momentum (BMUF) with
+    # block momentum beta and block learning rate alpha
+    prob_e = build_quadratic(ProblemConfig(m=4, dimension=3, noise=noise, l_min=0.5, l_max=2.0,
+                                           heterogeneity=1.0), seed=17)
+    sim = Simulation(prob_e, ExperimentConfig(
+        base=BaseOptimizerConfig(kind="plain-sgd"),
+        slowmo=SlowMoConfig(alpha=0.9, beta=0.4, tau=6), protocol="local",
+        gamma=GammaSchedule(value=0.05), T=7, seed=21))
+    diff_e = _max_diff(sim.run().x_bar,
+                       block_momentum_reference(prob_e, gamma=0.05, tau=6, T=7,
+                                                block_momentum=0.4, block_lr=0.9, seed=21))
+
+    passed = (diff_a <= 1e-10 and diff_b <= 1e-10 and diff_c <= 1e-10 and diff_d <= 1e-12
+              and diff_e <= 1e-10)
     _report(1, "reduction suite", passed,
             f"heavy-ball {diff_a:.2e}, local-SGD {diff_b:.2e}, "
-            f"lookahead {diff_c:.2e}, zero-delay overlap {diff_d:.2e}")
+            f"lookahead {diff_c:.2e}, zero-delay overlap {diff_d:.2e}, "
+            f"block momentum {diff_e:.2e}")
     assert diff_a <= 1e-10
     assert diff_b <= 1e-10
     assert diff_c <= 1e-10
     assert diff_d <= 1e-12
+    assert diff_e <= 1e-10
 
 
 # --------------------------------------------------------------------------- #

@@ -34,7 +34,8 @@ from slowmo_sim import (
     build_logistic,
     build_mlp,
     build_quadratic,
-    global_loss_and_gradient,
+    global_gradient,
+    global_loss,
     local_direction,
     make_worker_rngs,
     worker_stochastic_gradient,
@@ -47,7 +48,6 @@ from slowmo_sim.simkernel import RECORD_FIELDS
 from references import (
     global_loss_and_gradient_reference,
     reference_gradient,
-    reference_stochastic_gradient,
     stochastic_gradients_reference,
     worker_losses_and_gradients,
 )
@@ -123,14 +123,14 @@ def test_stacked_quadratic_oracle_matches_per_worker_calls(m, d):
         points = _signed_rows(rng, (len(workers), d))
         want = [reference_gradient(prob, i, x) for i, x in zip(workers.tolist(), points)]
         assert _same_bits(prob.gradients(points, workers), np.reshape(want, points.shape))
-        got = prob.stochastic_gradients(points, workers, streams)
+        got = worker_stochastic_gradient(prob, points, workers, streams)
         assert _same_bits(got, stochastic_gradients_reference(prob, points, workers, rngs))
 
 
 def test_noiseless_stacked_oracle_draws_nothing():
     prob = _quadratic(3, 4, sigma2=0.0)
     streams = WorkerStreams(3, 3, 4, block=4)
-    prob.stochastic_gradients(np.zeros((3, 4)), np.arange(3), streams)
+    worker_stochastic_gradient(prob, np.zeros((3, 4)), np.arange(3), streams)
     fresh = make_worker_rngs(3, 3)
     assert [g.random() for g in streams.generators] == [g.random() for g in fresh]
 
@@ -166,7 +166,7 @@ def _check_stacked_oracle(prob, subsets, rng, name):
         points = _signed_rows(rng, (len(workers), prob.dimension))
         want = [reference_gradient(prob, i, x) for i, x in zip(workers.tolist(), points)]
         assert _same_bits(prob.gradients(points, workers), np.reshape(want, points.shape)), name
-        got = prob.stochastic_gradients(points, workers, streams)
+        got = worker_stochastic_gradient(prob, points, workers, streams)
         assert _same_bits(got, stochastic_gradients_reference(prob, points, workers, rngs)), name
 
 
@@ -183,12 +183,6 @@ def test_default_oracle_loops_over_the_per_worker_call():
                    else np.arange(m) for step in range(9)]
         subsets += [np.flatnonzero(np.zeros(m, bool)), np.array([m - 1]), np.array([1])]
         _check_stacked_oracle(prob, subsets, rng, name)
-        # worker_stochastic_gradient is the stacked oracle on one row
-        x = _signed_rows(rng, (prob.dimension,))
-        for i in range(m):
-            got = worker_stochastic_gradient(prob, i, x, make_worker_rngs(6, m)[i])
-            want = reference_stochastic_gradient(prob, i, x, make_worker_rngs(6, m)[i])
-            assert _same_bits(got, want), (name, i)
 
 
 def test_stacked_logistic_oracle_at_the_benchmark_shape():
@@ -280,10 +274,9 @@ def test_stacked_loss_and_gradient_match_per_worker_sums(m, d):
     want_losses, want_grads = worker_losses_and_gradients(prob, x)
     assert losses.tolist() == want_losses
     assert _same_bits(grads, want_grads)
-    loss, grad = global_loss_and_gradient(prob, x)
     want_loss, want_grad = global_loss_and_gradient_reference(prob, x)
-    assert loss == want_loss
-    assert _same_bits(grad, want_grad)
+    assert global_loss(prob, x) == want_loss
+    assert _same_bits(global_gradient(prob, x), want_grad)
 
 
 @pytest.mark.parametrize("protocol", ["local", "sgp", "osgp"])
@@ -367,7 +360,7 @@ def check_blocked_gemv(d):
         streams = WorkerStreams(3, m, d, block=4)
         for workers in (np.arange(m), np.arange(0, m, 2), np.array([m - 1])):
             points = _signed_rows(rng, (len(workers), d))
-            got = prob.stochastic_gradients(points, workers, streams)
+            got = worker_stochastic_gradient(prob, points, workers, streams)
             want = [a @ (x - centers[i]) for i, x in zip(workers.tolist(), points)]
             assert _same_bits(got, want), (m, d, workers)
         x = _signed_rows(rng, (d,))

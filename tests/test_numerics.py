@@ -18,12 +18,12 @@ from slowmo_sim import (
     NoiseModel,
     ProblemConfig,
     QuadraticProblem,
+    WorkerStreams,
     build_logistic,
     build_mlp,
     build_quadratic,
     global_gradient,
     global_loss,
-    global_loss_and_gradient,
     make_worker_rngs,
     rng_stream,
     worker_stochastic_gradient,
@@ -39,6 +39,15 @@ from references import (
 def _gradient(prob, i, x):
     """Worker i's exact gradient at x: the stacked oracle on one row."""
     return prob.gradients(x[None], np.array([i]))[0]
+
+
+def _draw(prob, i, x, streams):
+    """Worker i's next stochastic gradient at x from the kernel's oracle."""
+    return worker_stochastic_gradient(prob, x[None], np.array([i]), streams)[0]
+
+
+def _streams(seed, prob):
+    return WorkerStreams(seed, prob.num_workers, prob.dimension, block=256)
 
 
 # --------------------------------------------------------------------------- #
@@ -153,11 +162,11 @@ def test_additive_noise_power(identity_quadratic):
     prob = identity_quadratic
     x = np.array([0.3, -0.2, 0.1, 0.5])
     exact = _gradient(prob, 0, x)
-    rng = rng_stream(0, STREAM_NOISE, 0)
+    streams = _streams(0, prob)
     draws = 20_000
     sq = np.empty(draws)
     for s in range(draws):
-        g = worker_stochastic_gradient(prob, 0, x, rng)
+        g = _draw(prob, 0, x, streams)
         sq[s] = np.sum((g - exact) ** 2)
     assert abs(sq.mean() - 1.0) < 0.05
 
@@ -166,11 +175,11 @@ def test_additive_noise_unbiased(identity_quadratic):
     prob = identity_quadratic
     x = np.array([0.3, -0.2, 0.1, 0.5])
     exact = _gradient(prob, 1, x)
-    rng = rng_stream(1, STREAM_NOISE, 0)
+    streams = _streams(1, prob)
     draws = 50_000
     acc = np.zeros(4)
     for _ in range(draws):
-        acc += worker_stochastic_gradient(prob, 1, x, rng)
+        acc += _draw(prob, 1, x, streams)
     mean = acc / draws
     se = math.sqrt(1.0 / 4 / draws)  # per-coordinate variance sigma^2 / d
     assert np.all(np.abs(mean - exact) < 4 * se)
@@ -181,8 +190,7 @@ def test_minibatch_full_batch_is_exact(small_logistic):
                                         noise=NoiseModel("minibatch", batch_size=12),
                                         heterogeneity=0.4), seed=3)
     x = np.array([0.1, -0.4, 0.2])
-    rng = rng_stream(0, STREAM_NOISE, 0)
-    g = worker_stochastic_gradient(prob, 0, x, rng)
+    g = _draw(prob, 0, x, _streams(0, prob))
     assert np.array_equal(g, _gradient(prob, 0, x))
 
 
@@ -190,12 +198,12 @@ def test_minibatch_unbiased(small_logistic):
     prob = small_logistic
     x = np.array([0.1, -0.4, 0.2])
     exact = _gradient(prob, 1, x)
-    rng = rng_stream(2, STREAM_NOISE, 0)
+    streams = _streams(2, prob)
     draws = 40_000
     acc = np.zeros(3)
     samples = np.empty((draws, 3))
     for s in range(draws):
-        samples[s] = worker_stochastic_gradient(prob, 1, x, rng)
+        samples[s] = _draw(prob, 1, x, streams)
         acc += samples[s]
     mean = acc / draws
     se = samples.std(axis=0, ddof=1) / math.sqrt(draws)
@@ -210,7 +218,7 @@ def test_minibatch_batch_too_large(small_logistic):
     prob = LogisticProblem(small_logistic.features, small_logistic.labels,
                            NoiseModel("minibatch", batch_size=13))  # 12-row shards
     with pytest.raises(ConfigError, match="exceeds shard size"):
-        worker_stochastic_gradient(prob, 0, np.zeros(3), rng_stream(0, 1, 0))
+        _draw(prob, 0, np.zeros(3), _streams(0, prob))
 
 
 # --------------------------------------------------------------------------- #
@@ -418,9 +426,7 @@ def test_loss_and_gradient_equal_the_separate_oracles_bit_for_bit(kind):
                 every_row = np.tile(np.arange(prob.shard_size), (len(workers), 1))
                 assert np.array_equal(prob.gradients(x[None], workers, every_row), grads)
         want_loss, want_grad = global_loss_and_gradient_reference(prob, x)
-        loss, grad = global_loss_and_gradient(prob, x)
-        assert loss == want_loss == global_loss(prob, x)
-        assert np.array_equal(grad, want_grad)
+        assert global_loss(prob, x) == want_loss
         assert np.array_equal(global_gradient(prob, x), want_grad)
         # shard rows picked out of order: the reference on the same rows
         idx = rng.permutation(prob.shard_size)[:2] if prob.shard_size > 1 else None

@@ -28,6 +28,7 @@ from slowmo_sim import (
 from slowmo_sim import WorkerStreams, config, simkernel
 from slowmo_sim.config import MAX_STEPS, OsgpConfig
 from slowmo_sim.simkernel import RECORD_FIELDS
+from test_golden_hashes import CASES
 
 
 def _problem(m=3, sigma2=0.4, seed=17):
@@ -219,6 +220,55 @@ def test_metric_cadence_does_not_move_the_trajectory(protocol):
         summary = {k: v for k, v in trace.summary.items() if k != "min_loss"}
         assert summary == {k: v for k, v in runs[1].summary.items() if k != "min_loss"}
         assert trace.summary["min_loss"] >= runs[1].summary["min_loss"]
+
+
+# --------------------------------------------------------------------------- #
+# the stochastic oracle
+# --------------------------------------------------------------------------- #
+
+_ORACLE_RUNS = {
+    "quadratic-additive-sgp": {
+        "problem": {"kind": "quadratic", "m": 4, "dimension": 3,
+                    "noise": {"kind": "additive-gaussian", "sigma2": 0.5}},
+        "protocol": "sgp", "slowmo": {"tau": 3}, "T": 3, "seed": 2,
+    },
+    "logistic-minibatch-local": {
+        "problem": {"kind": "logistic", "m": 3, "dimension": 4, "samples_per_worker": 8,
+                    "noise": {"kind": "minibatch", "batch_size": 3}},
+        "protocol": "local", "slowmo": {"tau": 3}, "T": 3, "seed": 2,
+    },
+    # stalls a worker in 2 of its 12 rounds
+    "logistic-minibatch-osgp-m6": CASES["logistic-minibatch-osgp-m6"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_RUNS))
+def test_the_oracle_is_called_once_per_round_on_the_active_workers(name, monkeypatch):
+    # the kernel draws every gradient through simkernel.worker_stochastic_gradient,
+    # the name the benchmark's tracer wraps: one call per round in which some
+    # worker steps, on exactly the workers that step
+    sim = build_simulation(parse_config(_ORACLE_RUNS[name]))
+    active_workers, oracle = sim.protocol.active_workers, simkernel.worker_stochastic_gradient
+    active, calls = {}, []
+
+    def recording_active_workers():
+        workers = active_workers()
+        active[sim.clock.round] = workers.tolist()
+        return workers
+
+    def recording_oracle(problem, points, workers, streams):
+        assert problem is sim.problem and streams is sim.worker_streams
+        assert points.shape == (len(workers), sim.d)
+        calls.append((sim.clock.round, workers.tolist()))
+        return oracle(problem, points, workers, streams)
+
+    sim.protocol.active_workers = recording_active_workers
+    monkeypatch.setattr(simkernel, "worker_stochastic_gradient", recording_oracle)
+    sim.run()
+    assert sorted(active) == list(range(sim.clock.round))
+    assert calls == [(r, workers) for r, workers in sorted(active.items()) if workers]
+    stalled = sum(len(workers) < sim.protocol.rows for workers in active.values())
+    assert stalled == (2 if name == "logistic-minibatch-osgp-m6" else 0)
 
 
 # --------------------------------------------------------------------------- #

@@ -3,29 +3,32 @@
 ``perfbench --trace 1`` wraps named functions and methods of the package
 and reads protocol arguments in count hooks. A refactor that renames a
 wrapped site or changes what ``apply_round`` receives breaks it; these
-tests load the tracer module as it is and fail on either.
+tests load the tracer module as it is and fail on either, and run the
+benchmark's workloads, shrunk, under it to find any boundary left silent.
 """
 
 import importlib.util
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from slowmo_sim import build_simulation, parse_config
 
-_TRACE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "bench_trace.py"
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_bench_trace():
-    spec = importlib.util.spec_from_file_location("bench_trace", _TRACE_PATH)
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(name, _PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
 
 
-bench_trace = _load_bench_trace()
+bench_trace = _load_perfbench("bench_trace")
+bench_workloads = _load_perfbench("bench_workloads")
 
 M, D, TAU, T = 4, 3, 4, 2  # dpsgd needs an even m
 
@@ -101,3 +104,23 @@ def test_topology_boundaries_are_reached(protocol, reached):
         assert tracer.calls[name] > 0, name
     if protocol == "osgp":  # it builds only the table of receivers its rounds read
         assert tracer.calls["topology.mixing_matrix"] == 0
+
+
+def _shrink(raw):
+    """A workload config at m <= 4, d <= 3 and T = 2, as the benchmark's own tests shrink it."""
+    problem = raw["problem"]
+    return {**raw, "T": 2, "problem": {**problem, "m": min(problem["m"], 4),
+                                       "dimension": min(problem["dimension"], 3)}}
+
+
+def test_only_the_unused_metrics_sites_are_silent_on_the_workloads(tmp_path):
+    # simkernel imports global_gradient and global_loss only so that the
+    # tracer can wrap them there, and never calls them; every other boundary,
+    # the stochastic oracle included, must be reached by some workload
+    tracer = bench_trace.Tracer()
+    for workload in bench_workloads.WORKLOADS.values():
+        tiny = replace(workload, make_configs=lambda seed, w=workload: list(
+            map(_shrink, w.make_configs(seed))))
+        assert bench_workloads.run_pass(tiny, 1, str(tmp_path / "out"), tracer).errors == []
+    silent = [name for name, calls in tracer.calls.items() if calls == 0]
+    assert silent == ["numerics.global_gradient", "numerics.global_loss"]
