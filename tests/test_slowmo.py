@@ -114,6 +114,19 @@ def test_reduces_to_lookahead():
     assert _max_diff(sim.run().x_bar, ref) <= 1e-10
 
 
+def test_reduces_to_block_momentum_filtering():
+    # local protocol + plain SGD + slow momentum == the classic block update
+    # recursion with block momentum beta and block learning rate alpha
+    prob = _noisy_quadratic(m=4)
+    sim = Simulation(prob, ExperimentConfig(
+        base=BaseOptimizerConfig(kind="plain-sgd"),
+        slowmo=SlowMoConfig(alpha=0.9, beta=0.4, tau=6), protocol="local",
+        gamma=GammaSchedule(value=0.05), T=7, seed=21))
+    ref = block_momentum_reference(prob, gamma=0.05, tau=6, T=7,
+                                   block_momentum=0.4, block_lr=0.9, seed=21)
+    assert _max_diff(sim.run().x_bar, ref) <= 1e-10
+
+
 def test_block_momentum_at_a_gamma_milestone():
     # u sums directions, not steps, so after gamma decays the block step it
     # carries shrinks with it: s_{t+1} = beta (gamma_t / gamma_{t-1}) s_t +
